@@ -13,8 +13,8 @@ from itertools import product as iproduct
 
 from .caps import DEFAULT_CAPS
 from .errors import LawViolation, NotDistributive, NotMonotone
-from .locale import FiniteLocale, alexandrov
-from .order import FinitePoset, MonotoneMap, bits, is_distributive
+from .locale import alexandrov
+from .order import FinitePoset, bits, is_distributive
 from .suplattice import SupMap
 
 
@@ -170,16 +170,6 @@ class LocalicSemiringData:
         assert self._counit_composite(self.mul_t, self.one_point) == ident
         if self.add_t is not None:
             assert self._counit_composite(self.add_t, self.zero_point) == ident
-
-    def mul_preimage(self, open_mask):
-        """mu_times of an open, as a set of point pairs (x, y)."""
-        pts = self.locale.points
-        return {
-            (x, y)
-            for x in range(pts.n)
-            for y in range(pts.n)
-            if open_mask >> self.mul_t[x][y] & 1
-        }
 
     def point_table(self):
         """Read back the discrete tables (inverse of to_localic on discrete

@@ -27,16 +27,15 @@ from .modelfile import (
     PosetBlock,
     SemiringBlock,
     parse_model,
-    pretty_print,
     realize_lattice,
     realize_monoid,
     realize_poset,
     realize_semiring,
 )
 from .oracles import hofmann_lawson_compare, stone_compare, zariski_compare
-from .order import is_distributive, lattice_structure, upset_lattice
-from .quantale import localic_reflection, two_sided_reflection
-from .report import FAIL, PASS, Report
+from .order import is_distributive, lattice_structure
+from .quantale import localic_reflection
+from .report import Report
 from .spectrum import (
     anti_ideals,
     dualisability_conditions,
@@ -114,7 +113,7 @@ def _spectrum_quantales(data, kind, caps):
     if kind == "monoid":
         mi = monoid_ideal_quantale(data, caps)
         quantic = mi.monoid_ideals
-        localic, _ = localic_reflection(quantic, check=quantic.carrier.n <= 40)
+        localic, _ = localic_reflection(quantic)
         return quantic, localic
     result = radical_frame(data, caps)
     return result.ideals, result.radicals

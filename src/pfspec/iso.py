@@ -1,12 +1,10 @@
-"""Isomorphism search for finite posets, lattices and quantales.
+"""Isomorphism search for finite posets and lattices.
 
 Every isomorphism claim in the package is backed by an exhibited bijection,
 never a cardinality count.  The search backtracks over elements sorted by an
 order-theoretic profile (degrees, covers, join-irreducibility), which prunes
 hard enough for the carriers we meet (a few hundred elements).
 """
-
-from .order import Lattice, bits
 
 
 def _poset_profile(poset):
@@ -81,64 +79,6 @@ def find_lattice_iso(a, b):
             if iso[a.join(i, j)] != b.join(iso[i], iso[j]):
                 return None
     return iso
-
-
-def find_quantale_iso(qa, qb):
-    """A quantale isomorphism (order iso + unit + multiplication), or None."""
-    a, b = qa.carrier, qb.carrier
-    if a.n != b.n:
-        return None
-    pa, pb = _poset_profile(a), _poset_profile(b)
-    # refine profiles with multiplicative data
-    pa = [
-        pa[i] + (qa.mul(i, i) == i, i == qa.unit) for i in range(a.n)
-    ]
-    pb = [
-        pb[j] + (qb.mul(j, j) == j, j == qb.unit) for j in range(b.n)
-    ]
-    if sorted(pa) != sorted(pb):
-        return None
-    candidates = [
-        [j for j in range(b.n) if pb[j] == pa[i]] for i in range(a.n)
-    ]
-    order = sorted(range(a.n), key=lambda i: (len(candidates[i]), i))
-    assigned = [None] * a.n
-    used = [False] * b.n
-
-    def extend(k):
-        if k == a.n:
-            return all(
-                assigned[qa.mul(i, j)] == qb.mul(assigned[i], assigned[j])
-                for i in range(a.n)
-                for j in range(i, a.n)
-            )
-        i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for i2 in order[:k]:
-                j2 = assigned[i2]
-                if a.leq(i, i2) != b.leq(j, j2) or a.leq(i2, i) != b.leq(j2, j):
-                    ok = False
-                    break
-                prod = qa.mul(i, i2)
-                img = j if prod == i else assigned[prod]
-                if img is not None and img != qb.mul(j, j2):
-                    ok = False
-                    break
-            if ok:
-                assigned[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                assigned[i] = None
-                used[j] = False
-        return False
-
-    if extend(0):
-        return list(assigned)
-    return None
 
 
 def canonical_poset_code(poset):

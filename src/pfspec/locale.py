@@ -21,7 +21,6 @@ from .suplattice import (
     OMEGA_FALSE,
     OMEGA_TRUE,
     SupMap,
-    TensorElement,
     dual,
     omega,
     tensor,
@@ -52,23 +51,9 @@ class FiniteLocale:
             for p in range(2):
                 assert (self.positivity(a) <= p) == opens.leq(a, bang(p))
 
-    def open_of_mask(self, mask):
-        return self.open_index[mask]
-
     def minimal_open_at(self, point):
         """The smallest open containing ``point`` (its principal up-set)."""
         return self.open_index[self.points.up[point]]
-
-    def point_evaluation(self, point):
-        """The frame map opens -> Omega of the point: U -> [point in U]."""
-        return SupMap(
-            self.opens,
-            omega(),
-            [
-                OMEGA_TRUE if m >> point & 1 else OMEGA_FALSE
-                for m in self.open_masks
-            ],
-        )
 
     def __repr__(self):
         return f"FiniteLocale({self.points.n} points, {self.opens.n} opens)"

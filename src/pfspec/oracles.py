@@ -8,11 +8,10 @@ its Scott topology.  The comparison functions confront the pipeline output
 with these sets elementwise.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import scott_localic_lattice, to_localic
 from .caps import DEFAULT_CAPS
-from .errors import CapExceeded
 from .iso import find_lattice_iso, find_poset_iso
 from .order import bits, upset_lattice
 from .spectrum import radical_frame
@@ -168,19 +167,6 @@ def _fixed_rep(result, quotient_index):
 
 # ---------------------------------------------------------------------------
 # distributive lattices as semirings: the Stone spectrum
-
-
-def lattice_ideals(lat):
-    """Lattice ideals = nonempty down-sets closed under joins; on a finite
-    carrier these are the principal down-sets."""
-    out = []
-    for mask in lat.down_sets():
-        elems = list(bits(mask))
-        if not elems:
-            continue
-        if all(mask >> lat.join(a, b) & 1 for a in elems for b in elems):
-            out.append(mask)
-    return sorted(out)
 
 
 def prime_filters(lat):

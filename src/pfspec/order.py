@@ -6,6 +6,14 @@ elements at most), so dense order matrices and precomputed binary join/meet
 tables are the right trade: every law check in the rest of the package is a
 handful of table lookups.
 
+Least closure operators and least nuclei (see ``quantale``) come from one
+repair engine, ``least_fixpoint``.  The quotient by a closure operator is
+built by ``ClosureOperator.quotient`` straight from its fixed points: meets
+carry over and the join is j(a v b), so no least-upper-bound search is
+needed.  ``lattice_structure`` does that search, for posets that arrive
+without tables.  Quantales on carriers of at most ``FULL_CHECK_LIMIT``
+(40) elements are validated on construction, as ``quantale`` explains.
+
 All values are immutable after construction and safe to share.
 """
 
@@ -17,7 +25,6 @@ from .errors import (
     LawViolation,
     NoAdjoint,
     NotALattice,
-    NotJoinPreserving,
     NotMonotone,
 )
 
@@ -314,19 +321,6 @@ class Lattice(FinitePoset):
     def opposite(self):
         return Lattice(self.names, self.down, self.meet_t, self.join_t, self.top, self.bottom)
 
-    def induced(self, indices):
-        """The sub-poset on ``indices`` (ascending), as a FinitePoset."""
-        indices = sorted(indices)
-        pos = {e: k for k, e in enumerate(indices)}
-        up = []
-        for e in indices:
-            mask = 0
-            for f in bits(self.up[e]):
-                if f in pos:
-                    mask |= 1 << pos[f]
-            up.append(mask)
-        return FinitePoset([self.names[e] for e in indices], up)
-
 
 def lattice_structure(poset):
     """Tabulate binary joins and meets of ``poset``; error with a witness pair.
@@ -441,6 +435,27 @@ class ClosureOperator:
     def fixed_points(self):
         return [i for i in range(self.carrier.n) if self.values[i] == i]
 
+    def quotient(self):
+        """The lattice of fixed points and, for each element a, the index of
+        j(a) in it.
+
+        The fixed points of a closure operator are closed under meets, so
+        meets and the top carry over; the join of fixed points a, b is
+        j(a v b) and the bottom is j(bottom).  No least-upper-bound search.
+        """
+        lat = self.carrier
+        j = self.values
+        fixed = self.fixed_points()
+        pos = {e: k for k, e in enumerate(fixed)}
+        fixed_mask = sum(1 << e for e in fixed)
+        up = [sum(1 << pos[f] for f in bits(lat.up[e] & fixed_mask)) for e in fixed]
+        join_t = tuple(tuple(pos[j[lat.join(a, b)]] for b in fixed) for a in fixed)
+        meet_t = tuple(tuple(pos[lat.meet(a, b)] for b in fixed) for a in fixed)
+        quotient = Lattice(
+            [lat.names[e] for e in fixed], up, join_t, meet_t, pos[j[lat.bottom]], pos[lat.top]
+        )
+        return quotient, [pos[v] for v in j]
+
     def is_identity(self):
         return all(v == i for i, v in enumerate(self.values))
 
@@ -504,18 +519,21 @@ def downset_lattice(poset, limit=None):
     return family_lattice(masks, [poset.mask_name(m) for m in masks]), masks
 
 
-def least_closure(lat, forcings):
-    """Least closure operator j on ``lat`` with a <= j(b) for each pair (a, b).
+def least_fixpoint(lat, forcings, mult=None):
+    """Values of the least closure operator j on ``lat`` with a <= j(b) for
+    each forcing pair (a, b); given the multiplication table ``mult`` of a
+    quantale on ``lat``, of the least nucleus, which also has
+    j(a)j(b) <= j(ab).
 
-    Returns (closure, quotient lattice of fixed points, surjection values).
+    This is the one repair engine behind least closures and least nuclei.
     Repairs run round-robin over all elements until a full pass changes
     nothing; the candidate table only ever grows inside a finite lattice, so
-    termination is immediate, and every repair step is forced in any closure
-    satisfying the forcings, which gives minimality.
+    the loop terminates, and every repair step is forced in any closure (or
+    nucleus) satisfying the forcings, which gives minimality.
     """
     n = lat.n
     j = list(range(n))
-    pairs = [(a, b) for a, b in forcings]
+    pairs = list(forcings)
     changed = True
     while changed:
         changed = False
@@ -535,9 +553,23 @@ def least_closure(lat, forcings):
             if new != j[x]:
                 j[x] = lat.join(j[x], new)
                 changed = True
-    closure = ClosureOperator(lat, j)
-    fixed = closure.fixed_points()
-    quotient = lattice_structure(lat.induced(fixed))
-    pos = {e: k for k, e in enumerate(fixed)}
-    surjection = MonotoneMap(lat, quotient, [pos[j[x]] for x in range(n)])
-    return closure, quotient, surjection
+        if mult is None:
+            continue
+        for a in range(n):
+            for b in range(a, n):
+                target = mult[a][b]
+                new = lat.join(j[target], mult[j[a]][j[b]])
+                if new != j[target]:
+                    j[target] = new
+                    changed = True
+    return j
+
+
+def least_closure(lat, forcings):
+    """Least closure operator j on ``lat`` with a <= j(b) for each pair (a, b).
+
+    Returns (closure, lattice of fixed points, surjection a -> j(a)).
+    """
+    closure = ClosureOperator(lat, least_fixpoint(lat, forcings))
+    quotient, onto = closure.quotient()
+    return closure, quotient, MonotoneMap(lat, quotient, onto)

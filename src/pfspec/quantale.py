@@ -8,23 +8,32 @@ multiplication, and then the multiplication is forced to be meet.
 
 Quotients are presented by nuclei (multiplicative closure operators); the
 two-sided and localic reflections and the generated-congruence quotient all
-reduce to computing a least nucleus by round-robin repair.
+reduce to a least nucleus, computed by ``order.least_fixpoint``, the repair
+engine that also computes least closures.  The quotient lattice is read off
+the fixed points by ``ClosureOperator.quotient``: meets carry over and the
+join is j(a v b).
+
+Every quantale whose carrier has at most ``FULL_CHECK_LIMIT`` elements is
+validated against all the laws when it is constructed; the cubic law check
+is skipped on larger carriers.
 """
 
 from itertools import product as iproduct
 
 from .caps import DEFAULT_CAPS
-from .errors import CapExceeded, LawViolation, NotTwoSided
-from .order import ClosureOperator, Lattice, bits, lattice_structure
+from .errors import LawViolation, NotTwoSided
+from .order import ClosureOperator, least_fixpoint
 from .suplattice import SupMap, all_supmaps
+
+FULL_CHECK_LIMIT = 40  # carriers up to this size are validated on construction
 
 
 class Quantale:
-    def __init__(self, carrier, mult, unit, check=True):
+    def __init__(self, carrier, mult, unit):
         self.carrier = carrier
         self.mult_t = tuple(tuple(row) for row in mult)
         self.unit = unit
-        if check:
+        if carrier.n <= FULL_CHECK_LIMIT:
             self.validate()
 
     def validate(self):
@@ -87,13 +96,9 @@ class Quantale:
         return f"Quantale({self.carrier.n} elements, unit={self.carrier.names[self.unit]})"
 
 
-def build_quantale(carrier, mult, unit, check=True):
-    return Quantale(carrier, mult, unit, check=check)
-
-
-def frame_quantale(lat, check=False):
+def frame_quantale(lat):
     """The frame ``lat`` as a quantale: multiplication is meet, unit is top."""
-    return Quantale(lat, lat.meet_t, lat.top, check=check)
+    return Quantale(lat, lat.meet_t, lat.top)
 
 
 class QuantaleHom(SupMap):
@@ -132,82 +137,40 @@ class Nucleus(ClosureOperator):
                     )
 
 
-def quotient_by_nucleus(quantale, nucleus, check=True):
+def quotient_by_nucleus(quantale, nucleus):
     """The quotient quantale on the fixed points of ``nucleus`` together with
-    the surjection a -> j(a) as a QuantaleHom."""
-    lat = quantale.carrier
-    j = nucleus.values
+    the surjection a -> j(a) as a QuantaleHom; the product of fixed points
+    a, b is j(ab)."""
+    qlat, onto = nucleus.quotient()
     fixed = nucleus.fixed_points()
-    pos = {e: k for k, e in enumerate(fixed)}
-    qlat = lattice_structure(lat.induced(fixed))
-    mult = tuple(
-        tuple(pos[j[quantale.mul(a, b)]] for b in fixed) for a in fixed
-    )
-    quotient = Quantale(qlat, mult, pos[j[quantale.unit]], check=check)
-    surjection = QuantaleHom(quantale, quotient, [pos[j[a]] for a in range(lat.n)])
-    return quotient, surjection
+    mult = tuple(tuple(onto[quantale.mul(a, b)] for b in fixed) for a in fixed)
+    quotient = Quantale(qlat, mult, onto[quantale.unit])
+    return quotient, QuantaleHom(quantale, quotient, onto)
 
 
-def two_sided_reflection(quantale, check=True):
+def two_sided_reflection(quantale):
     """Largest two-sided quotient: fixed points of a -> a*top."""
     lat = quantale.carrier
     values = [quantale.mul(a, lat.top) for a in range(lat.n)]
-    quotient, surjection = quotient_by_nucleus(
-        quantale, Nucleus(quantale, values), check=check
-    )
+    quotient, surjection = quotient_by_nucleus(quantale, Nucleus(quantale, values))
     assert quotient.two_sided
     return quotient, surjection
 
 
 def least_nucleus(quantale, forcings):
-    """Least nucleus j with a <= j(b) for every forcing pair (a, b).
-
-    Interleaves the closure-operator repairs with the multiplicativity repair
-    j(a)j(b) <= j(ab); each step is forced in any nucleus satisfying the
-    forcings, so the fixpoint is minimal.  Deterministic element order.
-    """
-    lat = quantale.carrier
-    n = lat.n
-    j = list(range(n))
-    pairs = list(forcings)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in pairs:
-            new = lat.join(j[b], a)
-            if new != j[b]:
-                j[b] = new
-                changed = True
-        for x in range(n):
-            for y in bits(lat.up[x] ^ (1 << x)):
-                new = lat.join(j[y], j[x])
-                if new != j[y]:
-                    j[y] = new
-                    changed = True
-        for x in range(n):
-            new = j[j[x]]
-            if new != j[x]:
-                j[x] = lat.join(j[x], new)
-                changed = True
-        for a in range(n):
-            for b in range(a, n):
-                target = quantale.mul(a, b)
-                lhs = quantale.mul(j[a], j[b])
-                new = lat.join(j[target], lhs)
-                if new != j[target]:
-                    j[target] = new
-                    changed = True
-    return Nucleus(quantale, j)
+    """Least nucleus j with a <= j(b) for every forcing pair (a, b): the
+    least closure of ``order.least_fixpoint`` with the multiplicativity
+    repair j(a)j(b) <= j(ab) added."""
+    return Nucleus(quantale, least_fixpoint(quantale.carrier, forcings, quantale.mult_t))
 
 
-def quotient_by(quantale, relations, check=True):
+def quotient_by(quantale, relations):
     """Quotient by the congruence generated by pairs (u, v) read as
     u <= j(v)."""
-    nucleus = least_nucleus(quantale, relations)
-    return quotient_by_nucleus(quantale, nucleus, check=check)
+    return quotient_by_nucleus(quantale, least_nucleus(quantale, relations))
 
 
-def localic_reflection(quantale, check=True):
+def localic_reflection(quantale):
     """Universal frame quotient of a two-sided quantale: the least nucleus
     with a <= j(a*a) for all a.
 
@@ -218,7 +181,7 @@ def localic_reflection(quantale, check=True):
     if not quantale.two_sided:
         raise NotTwoSided("localic reflection needs a two-sided quantale")
     forcings = [(a, quantale.mul(a, a)) for a in range(quantale.carrier.n)]
-    quotient, surjection = quotient_by(quantale, forcings, check=check)
+    quotient, surjection = quotient_by(quantale, forcings)
     assert quotient.is_frame()
     return quotient, surjection
 

@@ -23,7 +23,7 @@ from itertools import product as iproduct
 
 from .algebra import LocalicSemiringData
 from .caps import DEFAULT_CAPS
-from .errors import CapExceeded, LawViolation, NotTwoSided
+from .errors import CapExceeded, LawViolation, NotSupercontinuous, NotTwoSided
 from .locale import locale_from_frame
 from .order import (
     ClosureOperator,
@@ -34,6 +34,7 @@ from .order import (
     family_lattice,
 )
 from .quantale import (
+    FULL_CHECK_LIMIT,
     Quantale,
     QuantaleHom,
     enumerate_homs,
@@ -51,12 +52,9 @@ from .suplattice import (
     omega,
 )
 
-_FULL_CHECK_LIMIT = 40  # carriers up to this size get full quantale validation
-
-
 @cache
 def omega_quantale():
-    return frame_quantale(omega(), check=True)
+    return frame_quantale(omega())
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +187,8 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
     maximals = [pts.maximal(m) for m in dn_masks]
     mult = _owc_binop(pts, dn_masks, dn_index, maximals, data.mul_t)
     unit = dn_index[pts.down[data.one_point]]
-    small = dn_lat.n <= _FULL_CHECK_LIMIT
-    owc_q = Quantale(dn_lat, mult, unit, check=small)
-    ideals_q, to_ideals = two_sided_reflection(owc_q, check=small)
+    owc_q = Quantale(dn_lat, mult, unit)
+    ideals_q, to_ideals = two_sided_reflection(owc_q)
     fixed = [i for i in range(dn_lat.n) if mult[i][dn_lat.top] == i]
     assert len(fixed) == ideals_q.carrier.n
     ideal_masks = [dn_masks[i] for i in fixed]
@@ -210,16 +207,16 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
     ]
     mult_transported = True
     mult_witness = None
-    scan = dn_lat.n <= _FULL_CHECK_LIMIT
-    for i, mi in enumerate(ideal_masks):
+    scan = dn_lat.n <= FULL_CHECK_LIMIT
+    for i, fi in enumerate(fixed):
         if not mult_transported:
             break
-        for j, mj in enumerate(ideal_masks):
+        for j, fj in enumerate(fixed):
             prod_mask = ideal_masks[ideals_q.mul(i, j)]
             image = 0
-            for v in pts.maximal(mi):
+            for v in maximals[fi]:
                 trow = data.mul_t[v]
-                for w in pts.maximal(mj):
+                for w in maximals[fj]:
                     image |= 1 << trow[w]
             raw = pts.down_closure(image)
             if scan:
@@ -241,7 +238,7 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
                 star = full ^ pts.down_closure(raw | absorbed)
             if star != full ^ prod_mask or star not in sat_set:
                 mult_transported = False
-                mult_witness = (dn_lat.names[fixed[i]], dn_lat.names[fixed[j]])
+                mult_witness = (dn_lat.names[fi], dn_lat.names[fj])
                 break
     report = DualityReport(
         complements_match, order_reversed, unit_matches, mult_transported, mult_witness
@@ -313,9 +310,8 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     for i in range(mm.carrier.n):
         for j in range(i, mm.carrier.n):
             forcings.append((mod_add[i][j], mm.carrier.join(i, j)))
-    small = mm.carrier.n <= _FULL_CHECK_LIMIT
     nucleus = least_nucleus(mm, forcings)
-    ideals, collapse = quotient_by_nucleus(mm, nucleus, check=small)
+    ideals, collapse = quotient_by_nucleus(mm, nucleus)
     # fixed points of the quotient nucleus = ideals in the definitional sense
     kept = nucleus.fixed_points()
     zero_mask = dn_masks[owc_zero]
@@ -360,6 +356,9 @@ def anti_ideals(data, quantale, mode, caps=DEFAULT_CAPS):
     g(zero) = 0 and g(x+y) <= g(x) v g(y).  For Q = Omega and a discrete
     semiring this is exactly: subsets u with 1 in u, 0 not in u,
     xy in u iff x and y in u, and x+y in u implies x in u or y in u.
+
+    The search backtracks over monotone maps and raises CapExceeded once it
+    has reached more complete candidate maps than ``caps.search_budget()``.
     """
     if mode not in ("monoid", "semiring"):
         raise ValueError(f"unknown anti-ideal mode {mode!r}")
@@ -369,13 +368,11 @@ def anti_ideals(data, quantale, mode, caps=DEFAULT_CAPS):
         raise LawViolation("additive structure", "monoid-only data")
     pts = data.locale.points
     q_lat = quantale.carrier
-    if q_lat.n ** pts.n > caps.search_budget():
-        raise CapExceeded(
-            "anti-ideal enumeration", q_lat.n ** pts.n, caps.search_budget()
-        )
+    budget = caps.search_budget()
     order = pts.linear_extension()
     g = [None] * pts.n
     found = []
+    leaves = 0
 
     def conditions_hold():
         for x in range(pts.n):
@@ -394,7 +391,11 @@ def anti_ideals(data, quantale, mode, caps=DEFAULT_CAPS):
         return True
 
     def backtrack(k):
+        nonlocal leaves
         if k == pts.n:
+            leaves += 1
+            if leaves > budget:
+                raise CapExceeded("anti-ideal enumeration", leaves, budget)
             if conditions_hold():
                 found.append(tuple(g))
             return
@@ -513,8 +514,7 @@ def radical_frame(data, caps=DEFAULT_CAPS):
     """Idl(R), its localic reflection Rad(R), the universal element, and the
     points of the spectrum (prime anti-ideals, as opens of R)."""
     iq = ideal_quantale(data, caps)
-    small = iq.ideals.carrier.n <= _FULL_CHECK_LIMIT
-    radicals, rho = localic_reflection(iq.ideals, check=small)
+    radicals, rho = localic_reflection(iq.ideals)
     universal, g = universal_element(data, iq, caps)
     points_set = anti_ideals(data, omega_quantale(), "semiring", caps)
     pts = data.locale.points
@@ -757,7 +757,7 @@ def dualisability_conditions(data, caps=DEFAULT_CAPS):
     try:
         basis, _ = dual_basis(sat.saturated, caps)
         basis_exists = True
-    except Exception:
+    except NotSupercontinuous:
         basis_exists = False
         basis = None
     family_reconstructs = False
@@ -776,7 +776,7 @@ def dualisability_conditions(data, caps=DEFAULT_CAPS):
     try:
         dual_basis(loc.opens, caps)
         opens_supercontinuous = True
-    except Exception:
+    except NotSupercontinuous:
         opens_supercontinuous = False
     report = DualisabilityReport(
         basis_exists, family_reconstructs, pointwise_bound, opens_supercontinuous

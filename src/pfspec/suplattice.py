@@ -17,12 +17,10 @@ from itertools import product as iproduct
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, NotJoinPreserving, NotSupercontinuous
 from .order import (
-    FinitePoset,
     Lattice,
     MonotoneMap,
     bits,
     build_poset,
-    family_lattice,
     lattice_structure,
 )
 
@@ -346,11 +344,6 @@ def tensor_map(maps, source, target):
         elem = TensorElement(source.space, mask).map_through(fns, target.space)
         values.append(target.index_of_element(elem))
     return SupMap(source, target, values)
-
-
-def tensor_map_element(maps, elem, target_space):
-    fns = [m.values.__getitem__ for m in maps]
-    return elem.map_through(fns, target_space)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pfspec.catalog import chain, diamond_m3, pentagon_n5, powerset_lattice
+from pfspec.catalog import chain, diamond_m3, grid, pentagon_n5, powerset_lattice
 from pfspec.errors import CycleError, DuplicateElement, LawViolation, NoAdjoint, NotALattice
 from pfspec.order import (
     ClosureOperator,
+    FinitePoset,
     MonotoneMap,
     bits,
     build_poset,
@@ -249,3 +250,26 @@ def test_least_closure_properties_random(n, data):
         assert lat.leq(x, clo(x))
         assert clo(clo(x)) == clo(x)
     assert surj.is_surjective()
+
+
+def _fixed_point_lattice_by_search(lat, fixed):
+    """Reference: the sub-poset on ``fixed`` with its joins and meets found by
+    the least-upper-bound search of lattice_structure."""
+    pos = {e: k for k, e in enumerate(fixed)}
+    up = [sum(1 << pos[f] for f in bits(lat.up[e]) if f in pos) for e in fixed]
+    return lattice_structure(FinitePoset([lat.names[e] for e in fixed], up))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([chain(4), powerset_lattice(3), diamond_m3(), pentagon_n5(), grid(2, 3)]),
+    st.data(),
+)
+def test_closure_quotient_matches_least_upper_bound_search(lat, data):
+    element = st.integers(0, lat.n - 1)
+    forcings = data.draw(st.lists(st.tuples(element, element), max_size=3))
+    clo, quotient, surj = least_closure(lat, forcings)
+    ref = _fixed_point_lattice_by_search(lat, clo.fixed_points())
+    assert quotient.names == ref.names and quotient.up == ref.up
+    assert quotient.join_t == ref.join_t and quotient.meet_t == ref.meet_t
+    assert (quotient.bottom, quotient.top) == (ref.bottom, ref.top)

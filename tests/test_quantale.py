@@ -8,8 +8,8 @@ from pfspec.catalog import chain, powerset_lattice, quantale_catalog
 from pfspec.errors import LawViolation, NotTwoSided
 from pfspec.order import bits
 from pfspec.quantale import (
+    FULL_CHECK_LIMIT,
     Quantale,
-    build_quantale,
     enumerate_homs,
     frame_quantale,
     least_nucleus,
@@ -25,7 +25,7 @@ def idl_z4_quantale():
 
 
 def test_frame_is_valid_two_sided_idempotent():
-    q = frame_quantale(powerset_lattice(2), check=True)
+    q = frame_quantale(powerset_lattice(2))
     assert q.two_sided and q.is_idempotent() and q.is_frame()
 
 
@@ -115,7 +115,7 @@ def test_two_sided_reflection_idempotent():
 
 
 def test_localic_reflection_frame_identity():
-    q = frame_quantale(powerset_lattice(2), check=True)
+    q = frame_quantale(powerset_lattice(2))
     r, rho = localic_reflection(q)
     assert r.carrier.n == q.carrier.n
 
@@ -131,7 +131,7 @@ def test_localic_reflection_idl_z4():
 def test_localic_reflection_idl_z6_identity():
     # the ideal lattice of Z/6 is already a frame (6 squarefree)
     p2 = powerset_lattice(2)
-    q = frame_quantale(p2, check=True)
+    q = frame_quantale(p2)
     r, rho = localic_reflection(q)
     assert r.carrier.n == 4
 
@@ -186,7 +186,7 @@ def test_quotient_by_four_chain():
     # 4-chain monoid-ideal quantale; forcing level1 <= j(bottom) merges the
     # bottom two levels
     c4 = chain(4)
-    q = frame_quantale(c4, check=True)
+    q = frame_quantale(c4)
     quotient, surj = quotient_by(q, [(1, 0)])
     assert quotient.carrier.n == 3
 
@@ -208,24 +208,24 @@ def test_quotient_surjections_are_quantale_homs():
 
 
 def test_frame_homs_omega_to_lattice_unique():
-    om = frame_quantale(chain(2), check=True)
+    om = frame_quantale(chain(2))
     for lat in [chain(3), powerset_lattice(2)]:
-        homs = enumerate_homs(om, frame_quantale(lat, check=True), "frame")
+        homs = enumerate_homs(om, frame_quantale(lat), "frame")
         assert len(homs) == 1
         h = homs[0]
         assert h(0) == lat.bottom and h(1) == lat.top
 
 
 def test_supmaps_c2_to_c3():
-    om = frame_quantale(chain(2), check=True)
-    c3 = frame_quantale(chain(3), check=True)
+    om = frame_quantale(chain(2))
+    c3 = frame_quantale(chain(3))
     assert len(enumerate_homs(om, c3, "sup")) == 3
 
 
 def test_two_sided_homs_idl_bool_to_omega():
     # Idl(B) is the 2-chain frame; unit and bottom are forced
-    b = frame_quantale(chain(2), check=True)
-    om = frame_quantale(chain(2), check=True)
+    b = frame_quantale(chain(2))
+    om = frame_quantale(chain(2))
     assert len(enumerate_homs(b, om, "two_sided")) == 1
 
 
@@ -261,10 +261,20 @@ def test_reflection_universality_small():
     op = lambda x, y: mul.get((x, y)) or mul[(y, x)]
     q = _subset_quantale(["1", "a", "0"], "1", op)
     two, surj = two_sided_reflection(q)
-    for _, target in [("Omega", frame_quantale(chain(2), check=True)),
+    for _, target in [("Omega", frame_quantale(chain(2))),
                       ("nilC3", quantale_catalog()[5][1])]:
         downstairs = enumerate_homs(two, target, "quantale")
         upstairs = enumerate_homs(q, target, "quantale")
         factored = {tuple(h(surj(a)) for a in range(q.carrier.n)) for h in downstairs}
         assert factored == {h.values for h in upstairs}
         assert len(downstairs) == len(upstairs)
+
+
+def test_validation_runs_up_to_the_full_check_limit():
+    # meet with the bottom as unit breaks the unit law; only carriers of at
+    # most FULL_CHECK_LIMIT elements are checked on construction
+    small, large = chain(FULL_CHECK_LIMIT), chain(FULL_CHECK_LIMIT + 1)
+    with pytest.raises(LawViolation) as exc:
+        Quantale(small, small.meet_t, small.bottom)
+    assert "unit" in str(exc.value)
+    Quantale(large, large.meet_t, large.bottom)

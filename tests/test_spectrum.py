@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from pfspec.algebra import monoid_to_localic, to_localic
+from pfspec.algebra import monoid_to_localic, scott_localic_lattice, to_localic
 from pfspec.caps import Caps
 from pfspec.catalog import (
     chain,
@@ -13,8 +13,8 @@ from pfspec.catalog import (
     quantale_catalog,
     semiring_catalog,
 )
-from pfspec.errors import CapExceeded, LawViolation
-from pfspec.iso import find_lattice_iso, find_quantale_iso
+from pfspec.errors import CapExceeded, LawViolation, NotSupercontinuous
+from pfspec.iso import find_lattice_iso
 from pfspec.order import bits, build_poset, downset_lattice
 from pfspec.quantale import Quantale, frame_quantale
 from pfspec.spectrum import (
@@ -331,6 +331,23 @@ def test_anti_ideals_cap():
         anti_ideals(data, quantale_catalog()[3][1], "semiring", Caps(max_exhaustive=8))
 
 
+def test_anti_ideals_cap_counts_the_maps_reached():
+    # Z/6 into the 5-chain: 5^4 maps once 1 and 0 are pinned; the search
+    # stops at the first complete candidate map past the budget
+    data = _semiring_data("Z6")
+    with pytest.raises(CapExceeded) as exc:
+        anti_ideals(data, quantale_catalog()[3][1], "semiring", Caps(max_exhaustive=8))
+    assert (exc.value.size, exc.value.cap) == (257, 256)
+
+
+def test_anti_ideals_cap_allows_long_chain():
+    # 2^17 value tables exceed the default budget, but the Scott locale of a
+    # 17-chain has only a handful of monotone Omega-valued maps
+    result = radical_frame(scott_localic_lattice(chain(17)))
+    assert result.radicals.carrier.n == 17
+    assert len(result.points) == 16
+
+
 def test_map_and_mask_representations_agree_exhaustively():
     # enumerate bi-ideals of Q (x) Up(X) two ways on a tiny instance
     s = alex_2chain = build_poset(["b", "t"], [("b", "t")])
@@ -400,3 +417,23 @@ def test_dualisability_pi_table_nil2():
     assert pi == pts.full
     report = dualisability_conditions(data)
     assert report.pointwise_bound and report.agree()
+
+
+def test_dualisability_lets_other_errors_through(monkeypatch):
+    # only "no dual basis" reads as False; a broken law check must surface
+    def broken(lat, caps=None):
+        raise LawViolation("triangle identity", lat.names[0])
+
+    monkeypatch.setattr("pfspec.spectrum.dual_basis", broken)
+    with pytest.raises(LawViolation):
+        dualisability_conditions(_semiring_data("Z4"))
+
+
+def test_dualisability_reads_not_supercontinuous_as_false(monkeypatch):
+    def refuse(lat, caps=None):
+        raise NotSupercontinuous(lat.names[0])
+
+    monkeypatch.setattr("pfspec.spectrum.dual_basis", refuse)
+    report = dualisability_conditions(_semiring_data("Z4"))
+    assert not report.basis_exists
+    assert not report.opens_supercontinuous
