@@ -8,6 +8,8 @@ takes a cap and fails loudly with CapExceeded instead of silently truncating.
 import os
 from dataclasses import dataclass
 
+from .errors import PfspecError
+
 ENV_MAX_EXHAUSTIVE = "PFSPEC_MAX_EXHAUSTIVE"
 
 
@@ -23,16 +25,29 @@ class Caps:
 
 
 def caps_from_env(max_tensor_carrier=None, max_exhaustive=None):
-    """Build a Caps, letting explicit arguments override the environment."""
+    """Build a Caps, letting explicit arguments override the environment.
+
+    A non-integer environment value or a negative cap raises PfspecError,
+    naming where the value came from.
+    """
+    exhaustive_source = "--max-exhaustive"
     if max_exhaustive is None:
         env = os.environ.get(ENV_MAX_EXHAUSTIVE)
         if env is not None:
-            max_exhaustive = int(env)
+            exhaustive_source = ENV_MAX_EXHAUSTIVE
+            try:
+                max_exhaustive = int(env)
+            except ValueError:
+                raise PfspecError(f"{ENV_MAX_EXHAUSTIVE}={env!r} is not an integer") from None
     kwargs = {}
-    if max_tensor_carrier is not None:
-        kwargs["max_tensor_carrier"] = max_tensor_carrier
-    if max_exhaustive is not None:
-        kwargs["max_exhaustive"] = max_exhaustive
+    for field, value, source in (
+        ("max_tensor_carrier", max_tensor_carrier, "--max-tensor-carrier"),
+        ("max_exhaustive", max_exhaustive, exhaustive_source),
+    ):
+        if value is not None:
+            if value < 0:
+                raise PfspecError(f"{source}={value} is negative; a cap must be at least 0")
+            kwargs[field] = value
     return Caps(**kwargs)
 
 

@@ -14,6 +14,7 @@ output (timings are measured but never rendered).
 """
 
 import argparse
+import functools
 import sys
 
 from .algebra import monoid_to_localic, scott_localic_lattice, to_localic
@@ -161,15 +162,12 @@ def cmd_analyze(args, caps, out):
         pts = data.locale.points
         lines.append(f"kind: {kind} ({pts.n} points, {data.locale.opens.n} opens)")
         lines.append(f"discrete: {'yes' if data.is_discrete() else 'no'}")
-        from .spectrum import saturation
-
-        sat = saturation(data, caps)
-        lines.append(f"saturated opens: {sat.saturated.n}")
-        lines.append(f"deflationary: {'yes' if sat.deflationary else 'no'}")
-        mi = monoid_ideal_quantale(data, caps)
+        iq = ideal_quantale(data, caps) if data.has_addition else None
+        mi = iq.monoid if iq else monoid_ideal_quantale(data, caps)
+        lines.append(f"saturated opens: {mi.sat.saturated.n}")
+        lines.append(f"deflationary: {'yes' if mi.sat.deflationary else 'no'}")
         lines.append(f"monoid ideals: {mi.monoid_ideals.carrier.n}")
-        if data.has_addition:
-            iq = ideal_quantale(data, caps)
+        if iq:
             lines.append(f"ideals: {iq.ideals.carrier.n}")
     out.write("\n".join(lines) + "\n")
     return 0
@@ -254,7 +252,7 @@ def cmd_export(args, caps, out):
 # verification suites
 
 
-def _suite_tensor(model, caps, report):
+def _suite_tensor(model, caps, report, realize):
     om = omega()
     for block in model.blocks:
         name = block.name
@@ -308,27 +306,23 @@ def _universal_count_check(lat, caps):
     )
 
 
-def _suite_duality(model, caps, report):
+def _suite_duality(model, caps, report, realize):
     for block in model.blocks:
         if isinstance(block, (MonoidBlock, SemiringBlock, LatticeBlock)):
             name = block.name
             report.run(
                 "duality",
                 f"{name}: monoid ideals are the dual of the saturated opens",
-                lambda n=name: monoid_ideal_quantale(
-                    _localic_data(model, n, caps)[0], caps
-                ).duality.ok(),
+                lambda n=name: monoid_ideal_quantale(realize(n), caps).duality.ok(),
             )
             report.run(
                 "duality",
                 f"{name}: dualisability conditions agree",
-                lambda n=name: dualisability_conditions(
-                    _localic_data(model, n, caps)[0], caps
-                ).agree(),
+                lambda n=name: dualisability_conditions(realize(n), caps).agree(),
             )
 
 
-def _suite_representability(model, caps, report):
+def _suite_representability(model, caps, report, realize):
     from .catalog import quantale_catalog
 
     for block in model.blocks:
@@ -338,12 +332,12 @@ def _suite_representability(model, caps, report):
                 "representability",
                 f"{name}: homs classify anti-ideals over the quantale catalog",
                 lambda n=name: representability_check(
-                    _localic_data(model, n, caps)[0], quantale_catalog(), caps
+                    realize(n), quantale_catalog(), caps
                 ).ok(),
             )
 
 
-def _suite_oracles(model, caps, report):
+def _suite_oracles(model, caps, report, realize):
     for block in model.blocks:
         name = block.name
         if isinstance(block, SemiringBlock):
@@ -378,8 +372,11 @@ def cmd_verify(args, caps, out):
         "oracles": _suite_oracles,
     }
     chosen = list(suites) if args.suite == "all" else [args.suite]
+    # each object is realised once per run; a failed realisation is not
+    # cached, so every check on it records its own failure
+    realize = functools.cache(lambda name: _localic_data(model, name, caps)[0])
     for suite_name in chosen:
-        suites[suite_name](model, caps, report)
+        suites[suite_name](model, caps, report, realize)
     out.write(report.render())
     return report.exit_code(strict_caps=args.strict_caps)
 
@@ -387,7 +384,6 @@ def cmd_verify(args, caps, out):
 def main(argv=None):
     parser = _argument_parser()
     args = parser.parse_args(argv)
-    caps = caps_from_env(args.max_tensor_carrier, args.max_exhaustive)
     commands = {
         "validate": cmd_validate,
         "analyze": cmd_analyze,
@@ -397,6 +393,7 @@ def main(argv=None):
         "export": cmd_export,
     }
     try:
+        caps = caps_from_env(args.max_tensor_carrier, args.max_exhaustive)
         return commands[args.command](args, caps, sys.stdout)
     except PfspecError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -11,10 +11,10 @@ Everything runs at the point level of the Alexandrov presentation:
   frame, and quantale-valued prime anti-ideals,
 * representability and dualisability reports.
 
-Elements of Q (x) O X are handled in two interchangeable forms: bi-ideal
-bitmasks (TensorElement) and monotone maps X -> Q.  The two agree because
-the principal up-sets are join-prime in an up-set frame; the agreement is
-asserted wherever both forms are produced.
+Elements of Q (x) O X are worked with as monotone maps X -> Q.  The
+bi-ideal form (a TensorElement) is built only for the universal element,
+whose two forms are cross-checked; they agree because the principal up-sets
+are join-prime in an up-set frame.
 """
 
 from dataclasses import dataclass
@@ -163,7 +163,6 @@ class MonoidIdealData:
     sat: SaturationData
     owc_lattice: Lattice
     owc_masks: tuple
-    owc_quantale: Quantale
     monoid_ideals: Quantale  # two-sided reflection of the OWC quantale
     to_ideals: QuantaleHom  # OWC -> monoid ideals
     ideal_owc_indices: tuple  # OWC index of each monoid-ideal element
@@ -248,7 +247,6 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
         sat,
         dn_lat,
         tuple(dn_masks),
-        owc_q,
         ideals_q,
         to_ideals,
         tuple(fixed),
@@ -263,10 +261,6 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
 @dataclass
 class IdealQuantaleData:
     monoid: MonoidIdealData
-    owc_add: tuple  # addition table on OWC indices
-    owc_zero: int  # OWC index of the closure of the zero point
-    mod_add: tuple  # modified addition on monoid-ideal indices
-    mod_zero: int  # monoid-ideal index of the absorbed zero
     ideals: Quantale  # Idl(R)
     collapse: QuantaleHom  # monoid ideals ->> Idl(R)
     ideal_masks: tuple  # point-mask of each element of Idl(R)
@@ -282,30 +276,23 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     Ideals are monoid ideals containing the zero point's closure and closed
     under addition; the quantale is the quotient of the monoid-ideal
     quantale by the least nucleus forcing the absorbed zero to the bottom
-    and I (+~) J below I v J.  The fixed points are checked to be exactly
-    the ideals in the definitional sense.
+    and I (+~) J below I v J.  The sum I (+~) J is lifted on pairs of monoid
+    ideals only (the nucleus reads no other pair) and absorbed into a monoid
+    ideal by the two-sided reflection.  The fixed points are checked to be
+    exactly the ideals in the definitional sense.
     """
     if not data.has_addition:
         raise LawViolation("additive structure", "monoid-only data has no ideals")
     mi = monoid_ideal_quantale(data, caps)
     pts = data.locale.points
-    dn_masks = mi.owc_masks
-    dn_index = {m: i for i, m in enumerate(dn_masks)}
-    maximals = [pts.maximal(m) for m in dn_masks]
-    owc_add = _owc_binop(pts, dn_masks, dn_index, maximals, data.add_t)
-    owc_zero = dn_index[pts.down[data.zero_point]]
-    owc_q = mi.owc_quantale
-    top = mi.owc_lattice.top
-    mm = mi.monoid_ideals
-    mm_pos = {owc: k for k, owc in enumerate(mi.ideal_owc_indices)}
-    mod_add = tuple(
-        tuple(
-            mm_pos[owc_q.mul(owc_add[oi][oj], top)]
-            for oj in mi.ideal_owc_indices
-        )
-        for oi in mi.ideal_owc_indices
+    dn_index = {m: i for i, m in enumerate(mi.owc_masks)}
+    mi_masks = [mi.owc_masks[o] for o in mi.ideal_owc_indices]
+    sums = _owc_binop(
+        pts, mi_masks, dn_index, [pts.maximal(m) for m in mi_masks], data.add_t
     )
-    mod_zero = mm_pos[owc_q.mul(owc_zero, top)]
+    mod_add = [[mi.to_ideals(s) for s in row] for row in sums]
+    mod_zero = mi.to_ideals(dn_index[pts.down[data.zero_point]])
+    mm = mi.monoid_ideals
     forcings = [(mod_zero, mm.carrier.bottom)]
     for i in range(mm.carrier.n):
         for j in range(i, mm.carrier.n):
@@ -314,25 +301,14 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     ideals, collapse = quotient_by_nucleus(mm, nucleus)
     # fixed points of the quotient nucleus = ideals in the definitional sense
     kept = nucleus.fixed_points()
-    zero_mask = dn_masks[owc_zero]
+    zero_mask = pts.down[data.zero_point]
     definitional = [
         k
         for k in range(mm.carrier.n)
-        if zero_mask & ~dn_masks[mi.ideal_owc_indices[k]] == 0
-        and mm.carrier.leq(mod_add[k][k], k)
+        if zero_mask & ~mi_masks[k] == 0 and mm.carrier.leq(mod_add[k][k], k)
     ]
     assert kept == definitional, "nucleus fixed points differ from ideals"
-    ideal_masks = tuple(dn_masks[mi.ideal_owc_indices[k]] for k in kept)
-    return IdealQuantaleData(
-        mi,
-        owc_add,
-        owc_zero,
-        mod_add,
-        mod_zero,
-        ideals,
-        collapse,
-        ideal_masks,
-    )
+    return IdealQuantaleData(mi, ideals, collapse, tuple(mi_masks[k] for k in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -341,24 +317,23 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
 
 @dataclass
 class AntiIdealSet:
-    data: LocalicSemiringData
-    quantale: Quantale
-    mode: str
     maps: tuple  # monotone maps points -> Q, as value tuples
-    members: tuple  # the same elements as bi-ideals of Q (x) opens
 
 
 def anti_ideals(data, quantale, mode, caps=DEFAULT_CAPS):
-    """All elements of Q (x) O R satisfying the prime anti-ideal conditions.
+    """All elements of Q (x) O R satisfying the prime anti-ideal conditions,
+    as monotone maps g : points -> Q.
 
-    In the monotone-map form g : points -> Q the conditions are pointwise:
-    g(one) = 1 and g(xy) = g(x)g(y); in semiring mode additionally
-    g(zero) = 0 and g(x+y) <= g(x) v g(y).  For Q = Omega and a discrete
-    semiring this is exactly: subsets u with 1 in u, 0 not in u,
-    xy in u iff x and y in u, and x+y in u implies x in u or y in u.
+    The conditions are pointwise: g(one) = 1 and g(xy) = g(x)g(y); in
+    semiring mode additionally g(zero) = 0 and g(x+y) <= g(x) v g(y).  For
+    Q = Omega and a discrete semiring this is exactly: subsets u with 1 in u,
+    0 not in u, xy in u iff x and y in u, and x+y in u implies x in u or
+    y in u.  ``element_of_map`` gives the bi-ideal form of a map.
 
-    The search backtracks over monotone maps and raises CapExceeded once it
-    has reached more complete candidate maps than ``caps.search_budget()``.
+    The search assigns the points along a linear extension; the candidates
+    at x are the values above the join of g over the points below x.  It
+    raises CapExceeded once it has reached more complete candidate maps than
+    ``caps.search_budget()``.
     """
     if mode not in ("monoid", "semiring"):
         raise ValueError(f"unknown anti-ideal mode {mode!r}")
@@ -400,30 +375,18 @@ def anti_ideals(data, quantale, mode, caps=DEFAULT_CAPS):
                 found.append(tuple(g))
             return
         x = order[k]
+        # the points below x come earlier in the linear extension
+        candidates = q_lat.up[q_lat.join_iter(g[y] for y in bits(pts.down[x] ^ 1 << x))]
         if x == data.one_point:
-            candidates = [quantale.unit]
+            candidates &= 1 << quantale.unit
         elif mode == "semiring" and x == data.zero_point:
-            candidates = [q_lat.bottom]
-        else:
-            candidates = range(q_lat.n)
-        for q in candidates:
-            ok = True
-            for x2 in order[:k]:
-                if pts.leq(x2, x) and not q_lat.leq(g[x2], q):
-                    ok = False
-                    break
-                if pts.leq(x, x2) and not q_lat.leq(q, g[x2]):
-                    ok = False
-                    break
-            if ok:
-                g[x] = q
-                backtrack(k + 1)
-                g[x] = None
+            candidates &= 1 << q_lat.bottom
+        for q in bits(candidates):
+            g[x] = q
+            backtrack(k + 1)
 
     backtrack(0)
-    maps = tuple(sorted(found))
-    members = tuple(element_of_map(quantale, data.locale, m) for m in maps)
-    return AntiIdealSet(data, quantale, mode, maps, members)
+    return AntiIdealSet(tuple(sorted(found)))
 
 
 def element_of_map(quantale, locale, g):
