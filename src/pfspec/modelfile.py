@@ -90,11 +90,16 @@ class _Tokens:
                         start = col
                     token += ch
         self.pos = 0
+        # end of file sits just past the last token
+        self.end = (None, 1, 1)
+        if self.items:
+            token, ln, col = self.items[-1]
+            self.end = (None, ln, col + len(token))
 
     def peek(self):
         if self.pos < len(self.items):
             return self.items[self.pos]
-        return (None, -1, -1)
+        return self.end
 
     def next(self, expect=None):
         token, ln, col = self.peek()
@@ -146,10 +151,10 @@ def parse_model_text(text):
                 raise ParseError(f"unknown key {key!r} in {kind} block", fln, fcol)
             if key in fields:
                 raise ParseError(f"duplicate key {key!r}", fln, fcol)
-            values = []
+            items = []  # (value, line, column)
             while tokens.peek()[0] not in (";", "}", None):
-                values.append(tokens.next()[0])
-            fields[key] = (values, fln)
+                items.append(tokens.next())
+            fields[key] = (items, fln, fcol)
         model.blocks.append(_build_block(kind, name, fields, ln))
     _resolve_references(model)
     return model
@@ -158,13 +163,14 @@ def parse_model_text(text):
 def _require(fields, key, kind, name, line):
     if key not in fields:
         raise ParseError(f"{kind} {name!r} is missing {key!r}", line, 1)
-    return fields[key][0]
+    return [value for value, _, _ in fields[key][0]]
 
 
 def _single(fields, key, kind, name, line):
     values = _require(fields, key, kind, name, line)
     if len(values) != 1:
-        raise ParseError(f"{kind} {name!r}: {key!r} wants one value", line, 1)
+        _, kln, kcol = fields[key]
+        raise ParseError(f"{kind} {name!r}: {key!r} wants one value", kln, kcol)
     return values[0]
 
 
@@ -173,9 +179,9 @@ def _build_block(kind, name, fields, line):
         elements = _require(fields, "elements", kind, name, line)
         relations = []
         if "leq" in fields:
-            for item, rln in [(v, fields["leq"][1]) for v in fields["leq"][0]]:
+            for item, rln, rcol in fields["leq"][0]:
                 if "<=" not in item:
-                    raise ParseError(f"relation {item!r} is not of the form a<=b", rln, 1)
+                    raise ParseError(f"relation {item!r} is not of the form a<=b", rln, rcol)
                 a, b = item.split("<=", 1)
                 relations.append((a, b))
         return PosetBlock(name, elements, relations, line)

@@ -3,8 +3,10 @@
 Everything runs at the point level of the Alexandrov presentation:
 
 * saturation of opens and the frame of saturated opens,
-* the quantale of overt weakly closed sublocales, its two-sided reflection
-  (the quantale of monoid ideals) and the duality with saturated opens,
+* the quantale of monoid ideals, read off the saturated opens as their
+  complements, with the convolution product, and its duality with the
+  saturated opens (the all-down-sets quantale of overt weakly closed
+  sublocales and its two-sided reflection are the test oracle),
 * the quantale of ideals as a quotient by the generated congruence, the
   radical frame as its localic reflection,
 * the universal element transported from the dual basis of the saturated
@@ -30,7 +32,6 @@ from .order import (
     FinitePoset,
     Lattice,
     bits,
-    downset_lattice,
     family_lattice,
 )
 from .quantale import (
@@ -42,7 +43,6 @@ from .quantale import (
     least_nucleus,
     localic_reflection,
     quotient_by_nucleus,
-    two_sided_reflection,
 )
 from .suplattice import (
     SupMap,
@@ -98,12 +98,15 @@ def saturation(data, caps=DEFAULT_CAPS):
     pos = {f: k for k, f in enumerate(fixed)}
     reflect = SupMap(opens, saturated, [pos[v] for v in values])
     for u in range(opens.n):
-        assert embed(reflect(u)) == values[u], "closure does not split"
+        if embed(reflect(u)) != values[u]:
+            raise LawViolation("saturation splits", opens.names[u])
     for s in range(saturated.n):
-        assert reflect(embed(s)) == s
+        if reflect(embed(s)) != s:
+            raise LawViolation("saturation retraction", saturated.names[s])
     for u in range(opens.n):
         for s in range(saturated.n):
-            assert saturated.leq(reflect(u), s) == opens.leq(u, embed(s))
+            if saturated.leq(reflect(u), s) != opens.leq(u, embed(s)):
+                raise LawViolation("saturation adjunction", (opens.names[u], saturated.names[s]))
     # family_lattice already forces the subframe property: it indexes the
     # union and intersection of every pair of saturated masks
     # comultiplication preserves saturation: (xz)(yw) in s implies xy in s;
@@ -113,145 +116,135 @@ def saturation(data, caps=DEFAULT_CAPS):
         for mask in masks:
             for x, y, z, w in iproduct(range(pts.n), repeat=4):
                 prod = data.mul(data.mul(x, z), data.mul(y, w))
-                if mask >> prod & 1:
-                    assert mask >> data.mul(x, y) & 1
+                if mask >> prod & 1 and not mask >> data.mul(x, y) & 1:
+                    raise LawViolation(
+                        "comultiplication preserves saturation",
+                        (pts.mask_name(mask), *(pts.names[p] for p in (x, y, z, w))),
+                    )
     return SaturationData(
         data, closure, saturated, tuple(masks), embed, reflect, closure.is_identity()
     )
 
 
 # ---------------------------------------------------------------------------
-# overt weakly closed structure and monoid ideals
+# monoid ideals
 
 
-def _owc_binop(points, dn_masks, dn_index, maximals, table):
+def _owc_binop(points, masks, table):
     """Lift a monotone point operation to down-sets: V op W is the
-    down-closure of the pointwise image.  Only maximal generators matter."""
+    down-closure of the pointwise image.  Only maximal generators matter.
+    Returns the table of result masks over ``masks``."""
+    maximals = [points.maximal(m) for m in masks]
     out = []
-    for i, _ in enumerate(dn_masks):
+    for mv in maximals:
         row = []
-        for j, _ in enumerate(dn_masks):
+        for mw in maximals:
             image = 0
-            for v in maximals[i]:
+            for v in mv:
                 trow = table[v]
-                for w in maximals[j]:
+                for w in mw:
                     image |= 1 << trow[w]
-            row.append(dn_index[points.down_closure(image)])
+            row.append(points.down_closure(image))
         out.append(tuple(row))
     return tuple(out)
+
+
+def _absorb(data, mask):
+    """The least monoid ideal over the down-set ``mask``: its down-closure
+    together with v.r for each maximal v and every point r."""
+    pts = data.locale.points
+    absorbed = mask
+    for v in pts.maximal(mask):
+        trow = data.mul_t[v]
+        for w in range(pts.n):
+            absorbed |= 1 << trow[w]
+    return pts.down_closure(absorbed)
 
 
 @dataclass
 class DualityReport:
     complements_match: bool
-    order_reversed: bool
     unit_matches: bool
     mult_transported: bool
     mult_witness: object = None
 
     def ok(self):
-        return (
-            self.complements_match
-            and self.order_reversed
-            and self.unit_matches
-            and self.mult_transported
-        )
+        return self.complements_match and self.unit_matches and self.mult_transported
 
 
 @dataclass
 class MonoidIdealData:
     sat: SaturationData
-    owc_lattice: Lattice
-    owc_masks: tuple
-    monoid_ideals: Quantale  # two-sided reflection of the OWC quantale
-    to_ideals: QuantaleHom  # OWC -> monoid ideals
-    ideal_owc_indices: tuple  # OWC index of each monoid-ideal element
+    monoid_ideals: Quantale  # MM(R)
+    ideal_masks: tuple  # point-mask of each monoid ideal
     duality: DualityReport
+
+    @property
+    def owc_lattice(self):
+        # the only down-sets this stage materialises; read by bench/spans.py
+        return self.monoid_ideals.carrier
 
 
 def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
-    """The quantale of monoid ideals and its duality with saturated opens.
+    """The quantale MM(R) of monoid ideals and its duality with saturated
+    opens.
 
-    The OWC sublocales carry the convolution product (down-closure of the
-    pointwise product) with unit the closure of the multiplicative unit
-    point; monoid ideals are its two-sided reflection.  The duality check
-    exhibits the canonical bijection, which on point masks is complementation
-    against saturated opens, and re-verifies the multiplication transport
-    from the raw point tables.
+    The monoid ideals are read off the saturated opens: they are their
+    complements, a family closed under union and intersection.  The product
+    is the convolution product (down-closure of the pointwise product) and
+    the unit is the top, the absorption of the unit point's closure.  The
+    duality check confirms that the down-sets fixed by a -> a.top are exactly
+    the complements of saturated opens, and re-verifies the multiplication
+    transport from the raw point tables.  The all-down-sets OWC quantale and
+    its two-sided reflection give the same quantale; the tests use them as
+    the oracle.
     """
     sat = saturation(data, caps)
-    pts = data.locale.points
-    dn_lat, dn_masks = downset_lattice(pts)
-    dn_index = {m: i for i, m in enumerate(dn_masks)}
-    maximals = [pts.maximal(m) for m in dn_masks]
-    mult = _owc_binop(pts, dn_masks, dn_index, maximals, data.mul_t)
-    unit = dn_index[pts.down[data.one_point]]
-    owc_q = Quantale(dn_lat, mult, unit)
-    ideals_q, to_ideals = two_sided_reflection(owc_q)
-    fixed = [i for i in range(dn_lat.n) if mult[i][dn_lat.top] == i]
-    assert len(fixed) == ideals_q.carrier.n
-    ideal_masks = [dn_masks[i] for i in fixed]
+    loc = data.locale
+    pts = loc.points
+    full = pts.full
+    ideal_masks = sorted((full ^ s for s in sat.sat_masks), key=lambda m: (m.bit_count(), m))
+    pos = {m: k for k, m in enumerate(ideal_masks)}
+    lat = family_lattice(ideal_masks, [pts.mask_name(m) for m in ideal_masks])
+    products = _owc_binop(pts, ideal_masks, data.mul_t)
+    mult = []
+    for i, row in enumerate(products):
+        for j, m in enumerate(row):
+            if m not in pos:
+                raise LawViolation("product of monoid ideals", (lat.names[i], lat.names[j]))
+        mult.append([pos[m] for m in row])
+    ideals_q = Quantale(lat, mult, lat.top)
 
     # duality with the saturated frame
-    full = pts.full
-    sat_set = {m: k for k, m in enumerate(sat.sat_masks)}
-    complements_match = {full ^ m for m in ideal_masks} == set(sat.sat_masks)
-    order_reversed = all(
-        (mi & mj == mi) == ((full ^ mj) & (full ^ mi) == full ^ mj)
-        for mi in ideal_masks
-        for mj in ideal_masks
+    sat_set = set(sat.sat_masks)
+    complements_match = all(
+        (_absorb(data, full ^ u) == full ^ u) == (u in sat_set) for u in loc.open_masks
     )
-    unit_matches = full ^ ideal_masks[ideals_q.unit] == sat.sat_masks[
-        sat.saturated.bottom
-    ]
+    unit_matches = full ^ ideal_masks[ideals_q.unit] == sat.sat_masks[sat.saturated.bottom]
     mult_transported = True
     mult_witness = None
-    scan = dn_lat.n <= FULL_CHECK_LIMIT
-    for i, fi in enumerate(fixed):
-        if not mult_transported:
+    scan = lat.n <= FULL_CHECK_LIMIT
+    for i, j in iproduct(range(lat.n), repeat=2):
+        raw = products[i][j]
+        if scan:
+            # independent route: largest saturated open avoiding the raw
+            # product, found by scanning the saturated family
+            star = 0
+            for s in sat.sat_masks:
+                if not s & raw:
+                    star |= s
+        else:
+            # the complement of the least monoid ideal over the raw product
+            # is the largest saturated open avoiding it
+            star = full ^ _absorb(data, raw)
+        if star != full ^ ideal_masks[ideals_q.mul(i, j)] or star not in sat_set:
+            mult_transported = False
+            mult_witness = (lat.names[i], lat.names[j])
             break
-        for j, fj in enumerate(fixed):
-            prod_mask = ideal_masks[ideals_q.mul(i, j)]
-            image = 0
-            for v in maximals[fi]:
-                trow = data.mul_t[v]
-                for w in maximals[fj]:
-                    image |= 1 << trow[w]
-            raw = pts.down_closure(image)
-            if scan:
-                # independent route: largest saturated open avoiding the
-                # raw product, found by scanning the saturated family
-                star = 0
-                for s in sat.sat_masks:
-                    if not s & raw:
-                        star |= s
-            else:
-                # the least monoid ideal over the raw product is its
-                # top-absorption; complementation then gives the largest
-                # avoiding saturated open
-                absorbed = 0
-                for v in pts.maximal(raw):
-                    trow = data.mul_t[v]
-                    for w in range(pts.n):
-                        absorbed |= 1 << trow[w]
-                star = full ^ pts.down_closure(raw | absorbed)
-            if star != full ^ prod_mask or star not in sat_set:
-                mult_transported = False
-                mult_witness = (dn_lat.names[fi], dn_lat.names[fj])
-                break
-    report = DualityReport(
-        complements_match, order_reversed, unit_matches, mult_transported, mult_witness
-    )
-    assert report.ok(), f"monoid-ideal/saturated duality failed: {report}"
-    return MonoidIdealData(
-        sat,
-        dn_lat,
-        tuple(dn_masks),
-        ideals_q,
-        to_ideals,
-        tuple(fixed),
-        report,
-    )
+    report = DualityReport(complements_match, unit_matches, mult_transported, mult_witness)
+    if not report.ok():
+        raise LawViolation("monoid-ideal/saturated duality", report)
+    return MonoidIdealData(sat, ideals_q, tuple(ideal_masks), report)
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +270,23 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     under addition; the quantale is the quotient of the monoid-ideal
     quantale by the least nucleus forcing the absorbed zero to the bottom
     and I (+~) J below I v J.  The sum I (+~) J is lifted on pairs of monoid
-    ideals only (the nucleus reads no other pair) and absorbed into a monoid
-    ideal by the two-sided reflection.  The fixed points are checked to be
-    exactly the ideals in the definitional sense.
+    ideals only (the nucleus reads no other pair) and, when it is not already
+    a monoid ideal, absorbed into the least one over it.  The fixed points
+    are checked to be exactly the ideals in the definitional sense.
     """
     if not data.has_addition:
         raise LawViolation("additive structure", "monoid-only data has no ideals")
     mi = monoid_ideal_quantale(data, caps)
     pts = data.locale.points
-    dn_index = {m: i for i, m in enumerate(mi.owc_masks)}
-    mi_masks = [mi.owc_masks[o] for o in mi.ideal_owc_indices]
-    sums = _owc_binop(
-        pts, mi_masks, dn_index, [pts.maximal(m) for m in mi_masks], data.add_t
-    )
-    mod_add = [[mi.to_ideals(s) for s in row] for row in sums]
-    mod_zero = mi.to_ideals(dn_index[pts.down[data.zero_point]])
+    mi_masks = mi.ideal_masks
+    pos = {m: k for k, m in enumerate(mi_masks)}
+
+    def ideal_of(mask):
+        k = pos.get(mask)
+        return pos[_absorb(data, mask)] if k is None else k
+
+    mod_add = [[ideal_of(s) for s in row] for row in _owc_binop(pts, mi_masks, data.add_t)]
+    mod_zero = ideal_of(pts.down[data.zero_point])
     mm = mi.monoid_ideals
     forcings = [(mod_zero, mm.carrier.bottom)]
     for i in range(mm.carrier.n):
@@ -307,7 +302,9 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
         for k in range(mm.carrier.n)
         if zero_mask & ~mi_masks[k] == 0 and mm.carrier.leq(mod_add[k][k], k)
     ]
-    assert kept == definitional, "nucleus fixed points differ from ideals"
+    if kept != definitional:
+        witness = min(set(kept) ^ set(definitional))
+        raise LawViolation("nucleus fixed points are the ideals", mm.carrier.names[witness])
     return IdealQuantaleData(mi, ideals, collapse, tuple(mi_masks[k] for k in kept))
 
 
@@ -421,21 +418,19 @@ def universal_element(data, iq, caps=DEFAULT_CAPS):
     leg is carried along the verified duality (complementation) into the
     monoid ideals and collapsed into Idl(R), its second leg included into the
     opens.  Returns (bi-ideal element, monotone-map form); the two forms are
-    cross-checked and all four anti-ideal conditions are asserted with
-    Q = Idl(R).
+    cross-checked and all four anti-ideal conditions are checked with
+    Q = Idl(R); a failure raises LawViolation.
     """
     sat = iq.sat
     mi = iq.monoid
     pts = data.locale.points
     basis, duality = dual_basis(sat.saturated, caps)
     full = pts.full
-    owc_index = {mi.owc_masks[o]: o for o in mi.ideal_owc_indices}
-    mm_pos = {owc: k for k, owc in enumerate(mi.ideal_owc_indices)}
+    mm_pos = {m: k for k, m in enumerate(mi.ideal_masks)}
 
     def first_leg(c):
         # dual element of the saturated frame -> monoid ideal -> Idl(R)
-        ideal_owc = owc_index[full ^ sat.sat_masks[c]]
-        return iq.collapse(mm_pos[ideal_owc])
+        return iq.collapse(mm_pos[full ^ sat.sat_masks[c]])
 
     def second_leg(s):
         return sat.embed(s)
@@ -443,17 +438,22 @@ def universal_element(data, iq, caps=DEFAULT_CAPS):
     target = TensorSpace((iq.ideals.carrier, data.locale.opens))
     element = duality.unit_element.map_through((first_leg, second_leg), target)
     g = map_of_element(data.locale, element)
-    # cross-check the monotone-map form against the bi-ideal form
-    assert element == element_of_map(iq.ideals, data.locale, g)
-    # the four anti-ideal conditions with Q = Idl(R)
     lat = iq.ideals.carrier
-    assert g[data.one_point] == iq.ideals.unit
+    # cross-check the monotone-map form against the bi-ideal form
+    if element != element_of_map(iq.ideals, data.locale, g):
+        raise LawViolation("universal element map form", tuple(lat.names[v] for v in g))
+    # the four anti-ideal conditions with Q = Idl(R)
+    if g[data.one_point] != iq.ideals.unit:
+        raise LawViolation("universal element unit", pts.names[data.one_point])
     if data.has_addition:
-        assert g[data.zero_point] == lat.bottom
+        if g[data.zero_point] != lat.bottom:
+            raise LawViolation("universal element zero", pts.names[data.zero_point])
         for x, y in iproduct(range(pts.n), repeat=2):
-            assert lat.leq(g[data.add(x, y)], lat.join(g[x], g[y]))
+            if not lat.leq(g[data.add(x, y)], lat.join(g[x], g[y])):
+                raise LawViolation("universal element additivity", (pts.names[x], pts.names[y]))
     for x, y in iproduct(range(pts.n), repeat=2):
-        assert iq.ideals.mul(g[x], g[y]) == g[data.mul(x, y)]
+        if iq.ideals.mul(g[x], g[y]) != g[data.mul(x, y)]:
+            raise LawViolation("universal element multiplicativity", (pts.names[x], pts.names[y]))
     return element, g
 
 
@@ -534,9 +534,13 @@ def saturated_replacement(sat, caps=DEFAULT_CAPS):
                 for y in bits(ji_masks[b]):
                     prod_mask |= 1 << row[y]
             s = least_saturated_over(prod_mask)
-            assert s in ji_pos, "comultiplication left the irreducibles"
+            if s not in ji_pos:
+                raise LawViolation(
+                    "comultiplication stays in the irreducibles", (sl.names[pa], sl.names[pb])
+                )
             times[a][b] = ji_pos[s]
-    assert unit_sat in ji_pos, "unit point has no irreducible saturation"
+    if unit_sat not in ji_pos:
+        raise LawViolation("unit point has an irreducible saturation", sl.names[unit_sat])
     unit_point = ji_pos[unit_sat]
     replacement = LocalicSemiringData(
         loc2, times, unit_point, name=f"saturated({data.name})"
@@ -588,8 +592,7 @@ def _monoid_universal_map(data, mi, caps):
     pts = data.locale.points
     basis, _ = dual_basis(sat.saturated, caps)
     full = pts.full
-    mm_pos = {owc: k for k, owc in enumerate(mi.ideal_owc_indices)}
-    owc_index = {mi.owc_masks[o]: o for o in mi.ideal_owc_indices}
+    mm_pos = {m: k for k, m in enumerate(mi.ideal_masks)}
     mm = mi.monoid_ideals
     out = []
     for x in range(pts.n):
@@ -598,7 +601,7 @@ def _monoid_universal_map(data, mi, caps):
             r_mask = sat.sat_masks[p]
             if r_mask >> x & 1:
                 c = basis.sigma_encodings[k]
-                parts.append(mm_pos[owc_index[full ^ sat.sat_masks[c]]])
+                parts.append(mm_pos[full ^ sat.sat_masks[c]])
         out.append(mm.carrier.join_iter(parts))
     return tuple(out)
 
@@ -744,6 +747,6 @@ def dualisability_conditions(data, caps=DEFAULT_CAPS):
     report = DualisabilityReport(
         basis_exists, family_reconstructs, pointwise_bound, opens_supercontinuous
     )
-    if opens_supercontinuous:
-        assert basis_exists, "supercontinuous carrier must give a dualisable saturated frame"
+    if opens_supercontinuous and not basis_exists:
+        raise LawViolation("supercontinuous opens give a dualisable saturated frame", data.name)
     return report

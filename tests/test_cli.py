@@ -1,13 +1,16 @@
 """Command-line behaviour that the golden files do not pin down: how often
-``verify`` realises an object, and caps given by flag or environment."""
+``verify`` realises an object, caps given by flag or environment, and a
+failed check reported as a FAIL record."""
 
 from collections import Counter
 from pathlib import Path
 
 import pfspec.cli
+import pfspec.spectrum
 from pfspec.caps import ENV_MAX_EXHAUSTIVE
 from pfspec.cli import main
 from pfspec.errors import PfspecError
+from pfspec.suplattice import TensorElement, TensorSpace
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -55,3 +58,13 @@ def test_negative_cap_flag_is_an_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: --max-exhaustive=-1 is negative; a cap must be at least 0\n"
+
+
+def test_verify_reports_a_broken_cross_check_as_fail(monkeypatch, capsys):
+    def empty_element(quantale, locale, g):
+        return TensorElement(TensorSpace((quantale.carrier, locale.opens)), 0)
+
+    monkeypatch.setattr(pfspec.spectrum, "element_of_map", empty_element)
+    assert main(["verify", str(MODELS / "z4.model")]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert failed and all("universal element map form violated" in line for line in failed), failed

@@ -31,3 +31,17 @@ def test_unused_imports_finds_each_unread_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def assert_lines(source):
+    """Line of each assert statement; ``python -O`` removes them."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_lines_finds_each_assert():
+    assert assert_lines("x = 1\nassert x\nif x:\n    assert x, 'msg'\n") == [2, 4]
+
+
+def test_no_asserts_in_spectrum():
+    # a failed check in the spectrum pipeline raises LawViolation instead
+    assert assert_lines((SRC / "spectrum.py").read_text(encoding="utf-8")) == []

@@ -1,16 +1,26 @@
 """Brute-force oracle comparisons with the pipeline."""
 
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from pfspec.algebra import build_discrete_semiring
+from pfspec.algebra import (
+    build_discrete_semiring,
+    monoid_to_localic,
+    scott_localic_lattice,
+    to_localic,
+)
+from pfspec.caps import DEFAULT_CAPS
 from pfspec.catalog import (
     all_posets_up_to_iso,
     chain,
+    monoid_catalog,
     powerset_lattice,
     semiring_catalog,
 )
+from pfspec.cli import _localic_data
+from pfspec.modelfile import LatticeBlock, MonoidBlock, SemiringBlock, parse_model
 from pfspec.oracles import (
     ideal_product,
     prime_filters,
@@ -21,7 +31,11 @@ from pfspec.oracles import (
     stone_compare,
     zariski_compare,
 )
-from pfspec.order import build_poset
+from pfspec.order import build_poset, downset_lattice
+from pfspec.quantale import Quantale, two_sided_reflection
+from pfspec.spectrum import _owc_binop, monoid_ideal_quantale
+
+MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
 
 
 def test_zariski_z4_counts():
@@ -112,3 +126,54 @@ def test_zariski_exhaustive_small_semirings():
         for s in semirings:
             cmp = zariski_compare(s)
             assert cmp.ok(), (s.add_t, s.mul_t, cmp)
+
+
+# ---------------------------------------------------------------------------
+# monoid ideals against the all-down-sets OWC quantale
+
+
+def _owc_monoid_ideals(data):
+    """MM(R) the long way: the quantale of all down-sets with the convolution
+    product and the unit point's closure as unit, then its two-sided
+    reflection.  Returns (quantale, point masks of its elements)."""
+    pts = data.locale.points
+    dn_lat, dn_masks = downset_lattice(pts)
+    dn_index = {m: i for i, m in enumerate(dn_masks)}
+    mult = [[dn_index[m] for m in row] for row in _owc_binop(pts, dn_masks, data.mul_t)]
+    owc = Quantale(dn_lat, mult, dn_index[pts.down[data.one_point]])
+    ideals, _ = two_sided_reflection(owc)
+    masks = [dn_masks[i] for i in range(dn_lat.n) if mult[i][dn_lat.top] == i]
+    return ideals, masks
+
+
+def _assert_matches_owc_oracle(data):
+    mi = monoid_ideal_quantale(data)
+    expected, masks = _owc_monoid_ideals(data)
+    got = mi.monoid_ideals
+    assert list(mi.ideal_masks) == masks
+    for attr in ("names", "up", "join_t", "meet_t", "bottom", "top"):
+        assert getattr(got.carrier, attr) == getattr(expected.carrier, attr), attr
+    assert got.mult_t == expected.mult_t
+    assert got.unit == expected.unit
+
+
+def test_monoid_ideals_match_owc_oracle_on_catalogs_and_small_semirings():
+    objects = [monoid_to_localic(m, name=name) for name, m in monoid_catalog()]
+    objects += [to_localic(s, name=name) for name, s in semiring_catalog()]
+    objects += [to_localic(s) for n in (2, 3, 4) for s in _all_semirings(n)]
+    assert len(objects) == 90
+    for data in objects:
+        _assert_matches_owc_oracle(data)
+
+
+@pytest.mark.parametrize("path", MODELS, ids=[p.stem for p in MODELS])
+def test_monoid_ideals_match_owc_oracle_on_model_files(path):
+    model = parse_model(path)
+    for block in model.blocks:
+        if isinstance(block, (MonoidBlock, SemiringBlock, LatticeBlock)):
+            _assert_matches_owc_oracle(_localic_data(model, block.name, DEFAULT_CAPS)[0])
+
+
+@pytest.mark.parametrize("lat", [chain(5), powerset_lattice(3)], ids=["C5", "P3"])
+def test_monoid_ideals_match_owc_oracle_on_scott_lattices(lat):
+    _assert_matches_owc_oracle(scott_localic_lattice(lat))

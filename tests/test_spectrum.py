@@ -1,9 +1,15 @@
 """Saturation, monoid ideals, duality, ideal quantale, radical frame,
 anti-ideals, representability, dualisability."""
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
+
+import pfspec.spectrum
 
 from pfspec.algebra import monoid_to_localic, scott_localic_lattice, to_localic
 from pfspec.caps import Caps
@@ -31,7 +37,9 @@ from pfspec.spectrum import (
     saturation,
     universal_element,
 )
-from pfspec.suplattice import TensorSpace, dual, tensor
+from pfspec.suplattice import TensorElement, TensorSpace, dual, tensor
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _monoid_data(name):
@@ -134,9 +142,7 @@ def test_free_quantale_generators_follow_divisibility(name, monoid):
         for k in range(monoid.n):
             mask |= 1 << monoid.mul(f, k)
         principal.append(mask)
-        assert mask in [
-            mi.owc_masks[o] for o in mi.ideal_owc_indices
-        ]  # f.M is a monoid ideal
+        assert mask in mi.ideal_masks  # f.M is a monoid ideal
     for f in range(monoid.n):
         for g in range(monoid.n):
             assert (principal[f] & ~principal[g] == 0) == bool(div[g] >> f & 1)
@@ -151,8 +157,8 @@ def test_owc_quantale_with_zero_unit_breaks():
     dn_index = {m: i for i, m in enumerate(dn_masks)}
     from pfspec.spectrum import _owc_binop
 
-    maximals = [pts.maximal(m) for m in dn_masks]
-    mult = _owc_binop(pts, dn_masks, dn_index, maximals, data.mul_t)
+    products = _owc_binop(pts, dn_masks, data.mul_t)
+    mult = [[dn_index[m] for m in row] for row in products]
     with pytest.raises(LawViolation) as exc:
         Quantale(dn_lat, mult, dn_index[1 << data.zero_point])
     assert "unit" in str(exc.value)
@@ -166,7 +172,7 @@ def test_monoid_ideals_reproduce_subset_ideals_discrete():
     # set-theoretic ones
     data = _monoid_data("multZ4")
     mi = monoid_ideal_quantale(data)
-    masks = sorted(mi.owc_masks[o] for o in mi.ideal_owc_indices)
+    masks = sorted(mi.ideal_masks)
     n = 4
     oracle = []
     for mask in range(1 << n):
@@ -250,6 +256,49 @@ def test_universal_element_conditions_boolean():
     elem, g = universal_element(data, iq)  # conditions asserted inside
     assert g[data.one_point] == iq.ideals.unit
     assert g[data.zero_point] == iq.ideals.carrier.bottom
+
+
+def _empty_element(quantale, locale, g):
+    return TensorElement(TensorSpace((quantale.carrier, locale.opens)), 0)
+
+
+def test_universal_element_broken_cross_check_raises(monkeypatch):
+    monkeypatch.setattr(pfspec.spectrum, "element_of_map", _empty_element)
+    data = _semiring_data("Z4")
+    with pytest.raises(LawViolation) as exc:
+        universal_element(data, ideal_quantale(data))
+    assert exc.value.law == "universal element map form"
+
+
+_BROKEN_CROSS_CHECK = """
+import sys
+import pfspec.spectrum as spectrum
+from pfspec.algebra import to_localic
+from pfspec.catalog import semiring_catalog
+from pfspec.errors import LawViolation
+from pfspec.suplattice import TensorElement, TensorSpace
+
+spectrum.element_of_map = lambda q, loc, g: TensorElement(TensorSpace((q.carrier, loc.opens)), 0)
+data = to_localic(dict(semiring_catalog())["Z4"])
+print("optimize", sys.flags.optimize)
+try:
+    spectrum.universal_element(data, spectrum.ideal_quantale(data))
+except LawViolation as exc:
+    print(exc.law)
+"""
+
+
+def test_universal_element_broken_cross_check_raises_under_optimize():
+    # python -O strips assert statements; the check must not be one
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_CROSS_CHECK],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.stdout == "optimize 1\nuniversal element map form\n", result.stderr
 
 
 def test_universal_element_bi_ideal_connects_to_map_form():
