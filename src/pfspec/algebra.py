@@ -5,8 +5,9 @@ monotone addition and multiplication tables and distinguished unit points.
 Preimage along the point maps gives the frame maps of the corresponding
 localic semiring; since the up-set functor is faithful on finite posets, the
 comonoid diagrams commute at the frame level exactly when the semiring laws
-hold pointwise, which is what gets checked.  The counit laws are additionally
-verified as genuine SupMap equalities on the opens.
+hold pointwise, which is what gets checked.  The opens are never built here:
+the opens oracle in ``spectrum`` verifies the counit laws as SupMap
+equalities on the opens whenever they fit the caps.
 """
 
 from itertools import product as iproduct
@@ -15,7 +16,6 @@ from .caps import DEFAULT_CAPS
 from .errors import LawViolation, NotDistributive, NotMonotone
 from .locale import alexandrov
 from .order import FinitePoset, bits, is_distributive
-from .suplattice import SupMap
 
 
 class FiniteCommMonoid:
@@ -105,8 +105,16 @@ class LocalicSemiringData:
 
     ``mul``/``add`` are monotone binary tables on points; ``one_point`` and
     ``zero_point`` are the unit points.  The induced frame maps are the
-    preimages; the opens of the self-coproduct are never materialized, all
-    downstream computations work with the point tables directly.
+    preimages; neither the opens nor those of the self-coproduct are
+    materialized, all downstream computations work with the point tables
+    directly.
+
+    Only pointwise laws are checked, and they imply the frame-level ones:
+    the preimage of an up-set along a monotone map is an up-set, so each
+    table gives a frame map, and preimage is faithful on finite posets, so a
+    comonoid diagram commutes on opens exactly when it commutes on points.
+    For the counit, U -> {x : x.1 in U} is the identity on opens exactly
+    when x.1 = x for every point x.
     """
 
     def __init__(self, locale, mul, one_point, add=None, zero_point=None, name=""):
@@ -136,7 +144,6 @@ class LocalicSemiringData:
                             "distributivity",
                             (pts.names[a], pts.names[b], pts.names[c]),
                         )
-        self._verify_counit_supmaps()
 
     def mul(self, a, b):
         return self.mul_t[a][b]
@@ -151,25 +158,6 @@ class LocalicSemiringData:
     def is_discrete(self):
         pts = self.locale.points
         return all(pts.up[i] == 1 << i for i in range(pts.n))
-
-    def _counit_composite(self, table, unit_point):
-        """(id (x) point-evaluation of the unit) o comultiplication, as a
-        SupMap on opens: U -> {x : table[x][unit] in U}."""
-        loc = self.locale
-        values = []
-        for m in loc.open_masks:
-            out = 0
-            for x in range(loc.points.n):
-                if m >> table[x][unit_point] & 1:
-                    out |= 1 << x
-            values.append(loc.open_index[out])
-        return SupMap(loc.opens, loc.opens, values)
-
-    def _verify_counit_supmaps(self):
-        ident = SupMap.identity(self.locale.opens)
-        assert self._counit_composite(self.mul_t, self.one_point) == ident
-        if self.add_t is not None:
-            assert self._counit_composite(self.add_t, self.zero_point) == ident
 
     def point_table(self):
         """Read back the discrete tables (inverse of to_localic on discrete
@@ -239,15 +227,22 @@ def scott_localic_lattice(lat, caps=DEFAULT_CAPS, name=""):
     )
 
 
-def holoid_quotient(monoid):
+def holoid_quotient(monoid, order=None):
     """Quotient a commutative monoid by mutual divisibility.
 
     Returns (quotient monoid, surjection values, order poset): the quotient
     carries the partial order [f] <= [g] iff g divides f (inclusion of
     principal monoid ideals), realizing the poset coinserter of the
     projection and multiplication concretely.
+
+    With ``order``, a poset on the elements for which multiplication is
+    monotone, g divides f when f <= g.k for some k.  That relation is the
+    preorder generated by the order and xy <= x, and the result is its poset
+    reflection.
     """
     div = monoid.divisibility()
+    if order is not None:
+        div = tuple(order.down_closure(d) for d in div)
     n = monoid.n
     classes = []
     cls_of = [None] * n

@@ -43,6 +43,7 @@ from .spectrum import (
     ideal_quantale,
     monoid_ideal_quantale,
     omega_quantale,
+    opens_oracle,
     radical_frame,
     representability_check,
 )
@@ -160,7 +161,7 @@ def cmd_analyze(args, caps, out):
     else:
         data, kind = _localic_data(model, args.object, caps)
         pts = data.locale.points
-        lines.append(f"kind: {kind} ({pts.n} points, {data.locale.opens.n} opens)")
+        lines.append(f"kind: {kind} ({pts.n} points, {len(data.locale.open_masks)} opens)")
         lines.append(f"discrete: {'yes' if data.is_discrete() else 'no'}")
         iq = ideal_quantale(data, caps) if data.has_addition else None
         mi = iq.monoid if iq else monoid_ideal_quantale(data, caps)
@@ -313,7 +314,7 @@ def _suite_duality(model, caps, report, realize):
             report.run(
                 "duality",
                 f"{name}: monoid ideals are the dual of the saturated opens",
-                lambda n=name: monoid_ideal_quantale(realize(n), caps).duality.ok(),
+                lambda n=name: opens_oracle(realize(n), caps).monoid.duality.ok(),
             )
             report.run(
                 "duality",

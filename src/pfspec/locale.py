@@ -2,11 +2,15 @@
 
 Classically every finite frame is spatial: it is the frame of up-sets of its
 poset of join-irreducibles.  The package therefore stores the point poset and
-derives the opens, which keeps frame maps representable as monotone point
-maps and makes positivity decidable as inhabitation.  Every finite locale
-presented this way is overt, and the positivity map is verified to be left
-adjoint to the unique map from the terminal frame.
+derives the opens only when something asks for them: there are up to
+2**|points| of them, and the spectrum pipeline works on the points alone.
+This keeps frame maps representable as monotone point maps and makes
+positivity decidable as inhabitation.  Every finite locale presented this way
+is overt; the opens oracle in ``spectrum`` verifies that the positivity map
+is left adjoint to the unique map from the terminal frame.
 """
+
+from functools import cached_property
 
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, LawViolation
@@ -15,7 +19,7 @@ from .order import (
     MonotoneMap,
     bits,
     downset_lattice,
-    upset_lattice,
+    family_lattice,
 )
 from .suplattice import (
     OMEGA_FALSE,
@@ -28,35 +32,51 @@ from .suplattice import (
 
 
 class FiniteLocale:
-    """A locale with point poset ``points`` and opens the up-sets of it."""
+    """A locale with point poset ``points`` and opens the up-sets of it.
+
+    The opens are enumerated on first use.  Their lattice holds |opens|**2
+    join and meet entries, so it is refused with CapExceeded, before any
+    table is filled, when that count exceeds 16 times the search budget.
+    """
 
     def __init__(self, points, caps=DEFAULT_CAPS):
         self.points = points
-        opens, masks = upset_lattice(points, limit=caps.search_budget())
-        if opens is None:
-            raise CapExceeded(
-                "opens enumeration", f">{caps.search_budget()}", caps.search_budget()
-            )
-        self.opens = opens
-        self.open_masks = tuple(masks)
-        self.open_index = {m: i for i, m in enumerate(masks)}
-        self.positivity = SupMap(
-            opens,
+        self.caps = caps
+
+    @cached_property
+    def open_masks(self):
+        budget = self.caps.search_budget()
+        masks = self.points.up_sets(limit=budget)
+        if masks is None:
+            raise CapExceeded("opens enumeration", f">{budget}", budget)
+        return tuple(masks)
+
+    @cached_property
+    def open_index(self):
+        return {m: i for i, m in enumerate(self.open_masks)}
+
+    @cached_property
+    def opens(self):
+        masks = self.open_masks
+        cap = 16 * self.caps.search_budget()
+        if len(masks) ** 2 > cap:
+            raise CapExceeded("opens join and meet tables", len(masks) ** 2, cap)
+        return family_lattice(masks, [self.points.mask_name(m) for m in masks])
+
+    @cached_property
+    def positivity(self):
+        return SupMap(
+            self.opens,
             omega(),
-            [OMEGA_TRUE if m else OMEGA_FALSE for m in masks],
+            [OMEGA_TRUE if m else OMEGA_FALSE for m in self.open_masks],
         )
-        # overtness: positivity is left adjoint to !: Omega -> opens
-        bang = SupMap(omega(), opens, [opens.bottom, opens.top])
-        for a in range(opens.n):
-            for p in range(2):
-                assert (self.positivity(a) <= p) == opens.leq(a, bang(p))
 
     def minimal_open_at(self, point):
         """The smallest open containing ``point`` (its principal up-set)."""
         return self.open_index[self.points.up[point]]
 
     def __repr__(self):
-        return f"FiniteLocale({self.points.n} points, {self.opens.n} opens)"
+        return f"FiniteLocale({self.points.n} points)"
 
 
 def alexandrov(points, caps=DEFAULT_CAPS):

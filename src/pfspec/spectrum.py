@@ -1,8 +1,10 @@
 """The spectrum pipeline for finite localic semirings.
 
-Everything runs at the point level of the Alexandrov presentation:
+Everything runs at the point level of the Alexandrov presentation; the
+frame of opens (up to 2**|points| elements) is never built on this path:
 
-* saturation of opens and the frame of saturated opens,
+* the frame of saturated opens, the up-sets of the preorder generated by
+  the point order and xy <= x,
 * the quantale of monoid ideals, read off the saturated opens as their
   complements, with the convolution product, and its duality with the
   saturated opens (the all-down-sets quantale of overt weakly closed
@@ -13,17 +15,20 @@ Everything runs at the point level of the Alexandrov presentation:
   frame, and quantale-valued prime anti-ideals,
 * representability and dualisability reports.
 
-Elements of Q (x) O X are worked with as monotone maps X -> Q.  The
-bi-ideal form (a TensorElement) is built only for the universal element,
-whose two forms are cross-checked; they agree because the principal up-sets
-are join-prime in an up-set frame.
+Elements of Q (x) O X are worked with as monotone maps X -> Q.  Every check
+that needs the opens themselves sits in ``opens_oracle``, which builds them
+under the caps: the overtness and counit laws, saturation as a closure on
+the opens, the complements of the saturated opens, and the bi-ideal form of
+the universal element (a TensorElement), cross-checked with the map form;
+the two agree because the principal up-sets are join-prime in an up-set
+frame.  ``pfspec verify`` and the tests run it.
 """
 
 from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
 
-from .algebra import LocalicSemiringData
+from .algebra import FiniteCommMonoid, LocalicSemiringData, holoid_quotient
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, LawViolation, NotSupercontinuous, NotTwoSided
 from .locale import locale_from_frame
@@ -64,49 +69,40 @@ def omega_quantale():
 @dataclass
 class SaturationData:
     data: LocalicSemiringData
-    closure: ClosureOperator  # on the opens lattice
     saturated: Lattice  # standalone frame of saturated opens
     sat_masks: tuple  # point-mask of each saturated open
-    embed: SupMap  # saturated -> opens (inclusion)
-    reflect: SupMap  # opens -> saturated (left adjoint)
-    deflationary: bool
+    deflationary: bool  # xy <= x for all points: every open is saturated
 
 
 def saturation(data, caps=DEFAULT_CAPS):
-    """Close each open under "divides into": U -> {x : exists y, xy in U}.
+    """The frame of saturated opens, read off a preorder on the points.
 
-    The fixed points are the saturated opens; the inclusion splits the
-    closure, with the corestriction as left adjoint.  All of this is
-    verified elementwise before returning.
+    An open U is saturated when xy in U implies x in U, so the saturated
+    opens are the up-sets of the preorder generated by the point order and
+    xy <= x, which puts f below g when f <= g.k for some k.  Its poset
+    reflection is the holoid quotient; the reflection's up-sets, pulled back
+    to the points, are the saturated opens, sorted by (size, mask) as the
+    opens are.  The opens
+    themselves are never built: ``opens_oracle`` compares these masks with
+    the fixed points of the closure U -> {x : exists y, xy in U} on them.
     """
-    loc = data.locale
-    pts = loc.points
-    opens = loc.opens
-    values = []
-    for mask in loc.open_masks:
-        sat = 0
-        for x in range(pts.n):
-            row = data.mul_t[x]
-            if any(mask >> row[y] & 1 for y in range(pts.n)):
-                sat |= 1 << x
-        values.append(loc.open_index[sat])
-    closure = ClosureOperator(opens, values)
-    fixed = closure.fixed_points()
-    masks = [loc.open_masks[i] for i in fixed]
-    saturated = family_lattice(masks, [opens.names[i] for i in fixed])
-    embed = SupMap(saturated, opens, fixed)
-    pos = {f: k for k, f in enumerate(fixed)}
-    reflect = SupMap(opens, saturated, [pos[v] for v in values])
-    for u in range(opens.n):
-        if embed(reflect(u)) != values[u]:
-            raise LawViolation("saturation splits", opens.names[u])
-    for s in range(saturated.n):
-        if reflect(embed(s)) != s:
-            raise LawViolation("saturation retraction", saturated.names[s])
-    for u in range(opens.n):
-        for s in range(saturated.n):
-            if saturated.leq(reflect(u), s) != opens.leq(u, embed(s)):
-                raise LawViolation("saturation adjunction", (opens.names[u], saturated.names[s]))
+    pts = data.locale.points
+    monoid = FiniteCommMonoid(pts.names, data.one_point, data.mul_t)
+    _, cls_of, order = holoid_quotient(monoid, pts)
+    budget = caps.search_budget()
+    ups = order.up_sets(limit=budget)
+    if ups is None:
+        raise CapExceeded("saturated opens enumeration", f">{budget}", budget)
+    members = [0] * order.n
+    for x, c in enumerate(cls_of):
+        members[c] |= 1 << x
+    masks = sorted(
+        (sum(members[c] for c in bits(u)) for u in ups), key=lambda m: (m.bit_count(), m)
+    )
+    saturated = family_lattice(masks, [pts.mask_name(m) for m in masks])
+    deflationary = all(
+        pts.leq(data.mul(x, y), x) for x, y in iproduct(range(pts.n), repeat=2)
+    )
     # family_lattice already forces the subframe property: it indexes the
     # union and intersection of every pair of saturated masks
     # comultiplication preserves saturation: (xz)(yw) in s implies xy in s;
@@ -121,9 +117,7 @@ def saturation(data, caps=DEFAULT_CAPS):
                         "comultiplication preserves saturation",
                         (pts.mask_name(mask), *(pts.names[p] for p in (x, y, z, w))),
                     )
-    return SaturationData(
-        data, closure, saturated, tuple(masks), embed, reflect, closure.is_identity()
-    )
+    return SaturationData(data, saturated, tuple(masks), deflationary)
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +157,12 @@ def _absorb(data, mask):
 
 @dataclass
 class DualityReport:
-    complements_match: bool
     unit_matches: bool
     mult_transported: bool
     mult_witness: object = None
 
     def ok(self):
-        return self.complements_match and self.unit_matches and self.mult_transported
+        return self.unit_matches and self.mult_transported
 
 
 @dataclass
@@ -192,16 +185,20 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
     The monoid ideals are read off the saturated opens: they are their
     complements, a family closed under union and intersection.  The product
     is the convolution product (down-closure of the pointwise product) and
-    the unit is the top, the absorption of the unit point's closure.  The
-    duality check confirms that the down-sets fixed by a -> a.top are exactly
-    the complements of saturated opens, and re-verifies the multiplication
-    transport from the raw point tables.  The all-down-sets OWC quantale and
-    its two-sided reflection give the same quantale; the tests use them as
-    the oracle.
+    the unit is the top, the absorption of the unit point's closure.  Each
+    product is looked up among the monoid ideals, and a miss raises.  The
+    duality check confirms the unit and the multiplication transport: while
+    the quantale is small (``FULL_CHECK_LIMIT``), by an independent scan of
+    the saturated family for each pair; beyond that, by checking once per
+    monoid ideal that it is the least monoid ideal over itself, which with
+    the lookup makes the transport exact.  That every down-set fixed by
+    a -> a.top is the complement of a saturated open needs all the opens;
+    ``opens_oracle`` checks it.  The all-down-sets OWC quantale and its
+    two-sided reflection give the same quantale; the tests use them as the
+    oracle.
     """
     sat = saturation(data, caps)
-    loc = data.locale
-    pts = loc.points
+    pts = data.locale.points
     full = pts.full
     ideal_masks = sorted((full ^ s for s in sat.sat_masks), key=lambda m: (m.bit_count(), m))
     pos = {m: k for k, m in enumerate(ideal_masks)}
@@ -216,32 +213,30 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
     ideals_q = Quantale(lat, mult, lat.top)
 
     # duality with the saturated frame
-    sat_set = set(sat.sat_masks)
-    complements_match = all(
-        (_absorb(data, full ^ u) == full ^ u) == (u in sat_set) for u in loc.open_masks
-    )
     unit_matches = full ^ ideal_masks[ideals_q.unit] == sat.sat_masks[sat.saturated.bottom]
     mult_transported = True
     mult_witness = None
-    scan = lat.n <= FULL_CHECK_LIMIT
-    for i, j in iproduct(range(lat.n), repeat=2):
-        raw = products[i][j]
-        if scan:
+    if lat.n <= FULL_CHECK_LIMIT:
+        sat_set = set(sat.sat_masks)
+        for i, j in iproduct(range(lat.n), repeat=2):
             # independent route: largest saturated open avoiding the raw
             # product, found by scanning the saturated family
+            raw = products[i][j]
             star = 0
             for s in sat.sat_masks:
                 if not s & raw:
                     star |= s
-        else:
-            # the complement of the least monoid ideal over the raw product
-            # is the largest saturated open avoiding it
-            star = full ^ _absorb(data, raw)
-        if star != full ^ ideal_masks[ideals_q.mul(i, j)] or star not in sat_set:
-            mult_transported = False
-            mult_witness = (lat.names[i], lat.names[j])
-            break
-    report = DualityReport(complements_match, unit_matches, mult_transported, mult_witness)
+            if star != full ^ ideal_masks[ideals_q.mul(i, j)] or star not in sat_set:
+                mult_transported = False
+                mult_witness = (lat.names[i], lat.names[j])
+                break
+    else:
+        for k, m in enumerate(ideal_masks):
+            if _absorb(data, m) != m:
+                mult_transported = False
+                mult_witness = lat.names[k]
+                break
+    report = DualityReport(unit_matches, mult_transported, mult_witness)
     if not report.ok():
         raise LawViolation("monoid-ideal/saturated duality", report)
     return MonoidIdealData(sat, ideals_q, tuple(ideal_masks), report)
@@ -411,50 +406,64 @@ def map_of_element(locale, elem):
 # universal element and the radical frame
 
 
-def universal_element(data, iq, caps=DEFAULT_CAPS):
-    """(collapse (x) embed) applied to the duality unit at top.
+def _monoid_universal_map(data, mi, basis):
+    """The universal element for the monoid case, in map form: points -> MM.
 
-    The dual basis of the saturated frame gives the unit element; its first
-    leg is carried along the verified duality (complementation) into the
-    monoid ideals and collapsed into Idl(R), its second leg included into the
-    opens.  Returns (bi-ideal element, monotone-map form); the two forms are
-    cross-checked and all four anti-ideal conditions are checked with
-    Q = Idl(R); a failure raises LawViolation.
-    """
-    sat = iq.sat
-    mi = iq.monoid
+    From ``basis``, the dual basis of the saturated frame: x goes to the join
+    of the monoid ideals dual to the irreducible saturated opens containing x
+    (the complements of their dual encodings)."""
+    sat = mi.sat
     pts = data.locale.points
-    basis, duality = dual_basis(sat.saturated, caps)
-    full = pts.full
     mm_pos = {m: k for k, m in enumerate(mi.ideal_masks)}
+    pieces = [
+        (sat.sat_masks[p], mm_pos[pts.full ^ sat.sat_masks[c]])
+        for p, c in zip(basis.irreducibles, basis.sigma_encodings)
+    ]
+    join_iter = mi.monoid_ideals.carrier.join_iter
+    return tuple(join_iter(k for r, k in pieces if r >> x & 1) for x in range(pts.n))
 
-    def first_leg(c):
-        # dual element of the saturated frame -> monoid ideal -> Idl(R)
-        return iq.collapse(mm_pos[full ^ sat.sat_masks[c]])
 
-    def second_leg(s):
-        return sat.embed(s)
-
-    target = TensorSpace((iq.ideals.carrier, data.locale.opens))
-    element = duality.unit_element.map_through((first_leg, second_leg), target)
-    g = map_of_element(data.locale, element)
+def _collapsed_universal(data, iq, g_monoid):
+    """The universal element collapse o g_monoid, checked: g(x) is the least
+    ideal containing the point x, and the four anti-ideal conditions hold
+    with Q = Idl(R).  A failure raises LawViolation."""
     lat = iq.ideals.carrier
-    # cross-check the monotone-map form against the bi-ideal form
-    if element != element_of_map(iq.ideals, data.locale, g):
-        raise LawViolation("universal element map form", tuple(lat.names[v] for v in g))
-    # the four anti-ideal conditions with Q = Idl(R)
+    pts = data.locale.points
+    g = tuple(iq.collapse(v) for v in g_monoid)
+    # independent point-level route: ideals are closed under intersection
+    pos = {m: k for k, m in enumerate(iq.ideal_masks)}
+    for x in range(pts.n):
+        least = pts.full
+        for m in iq.ideal_masks:
+            if m >> x & 1:
+                least &= m
+        if pos.get(least) != g[x]:
+            raise LawViolation("universal element is the least ideal at each point", pts.names[x])
     if g[data.one_point] != iq.ideals.unit:
         raise LawViolation("universal element unit", pts.names[data.one_point])
-    if data.has_addition:
-        if g[data.zero_point] != lat.bottom:
-            raise LawViolation("universal element zero", pts.names[data.zero_point])
-        for x, y in iproduct(range(pts.n), repeat=2):
-            if not lat.leq(g[data.add(x, y)], lat.join(g[x], g[y])):
-                raise LawViolation("universal element additivity", (pts.names[x], pts.names[y]))
+    if g[data.zero_point] != lat.bottom:
+        raise LawViolation("universal element zero", pts.names[data.zero_point])
+    for x, y in iproduct(range(pts.n), repeat=2):
+        if not lat.leq(g[data.add(x, y)], lat.join(g[x], g[y])):
+            raise LawViolation("universal element additivity", (pts.names[x], pts.names[y]))
     for x, y in iproduct(range(pts.n), repeat=2):
         if iq.ideals.mul(g[x], g[y]) != g[data.mul(x, y)]:
             raise LawViolation("universal element multiplicativity", (pts.names[x], pts.names[y]))
-    return element, g
+    return g
+
+
+def universal_element(data, iq, caps=DEFAULT_CAPS):
+    """The universal element of Idl(R) (x) O R, as a monotone map
+    points -> Idl(R).
+
+    It is the monoid universal element (from the dual basis of the saturated
+    frame, carried along the verified duality into the monoid ideals)
+    collapsed into Idl(R), checked as ``_collapsed_universal`` says.  Its
+    bi-ideal form needs the opens; ``opens_oracle`` builds it and checks
+    that the two forms agree.
+    """
+    basis, _ = dual_basis(iq.sat.saturated, caps)
+    return _collapsed_universal(data, iq, _monoid_universal_map(data, iq.monoid, basis))
 
 
 @dataclass
@@ -463,7 +472,6 @@ class SpectrumResult:
     ideal_data: IdealQuantaleData
     radicals: Quantale  # Rad(R), a frame
     radical_quotient: QuantaleHom  # Idl(R) ->> Rad(R)
-    universal: TensorElement
     universal_map: tuple
     points: tuple  # open masks of the prime anti-ideals
     point_poset: FinitePoset
@@ -478,7 +486,7 @@ def radical_frame(data, caps=DEFAULT_CAPS):
     points of the spectrum (prime anti-ideals, as opens of R)."""
     iq = ideal_quantale(data, caps)
     radicals, rho = localic_reflection(iq.ideals)
-    universal, g = universal_element(data, iq, caps)
+    g = universal_element(data, iq, caps)
     points_set = anti_ideals(data, omega_quantale(), "semiring", caps)
     pts = data.locale.points
     masks = tuple(
@@ -490,9 +498,130 @@ def radical_frame(data, caps=DEFAULT_CAPS):
         for mi in masks
     ]
     point_poset = FinitePoset(names, up)
-    return SpectrumResult(
-        data, iq, radicals, rho, universal, g, masks, point_poset
+    return SpectrumResult(data, iq, radicals, rho, g, masks, point_poset)
+
+
+# ---------------------------------------------------------------------------
+# the opens oracle
+
+
+@dataclass
+class OpensCheck:
+    monoid: MonoidIdealData
+    closure: ClosureOperator  # U -> {x : exists y, xy in U} on the opens
+    universal: TensorElement  # bi-ideal form in Q (x) opens, Q = Idl(R) or MM(R)
+
+
+def _counit_composite(data, table, unit_point):
+    """(id (x) point-evaluation of the unit) o comultiplication, as a
+    SupMap on opens: U -> {x : table[x][unit] in U}."""
+    loc = data.locale
+    values = []
+    for m in loc.open_masks:
+        out = 0
+        for x in range(loc.points.n):
+            if m >> table[x][unit_point] & 1:
+                out |= 1 << x
+        values.append(loc.open_index[out])
+    return SupMap(loc.opens, loc.opens, values)
+
+
+def opens_oracle(data, caps=DEFAULT_CAPS):
+    """Every check that walks the whole frame of opens, which the pipeline
+    itself never builds.
+
+    On the opens of ``data.locale`` it checks, in this order:
+
+    * overtness: positivity is left adjoint to !: Omega -> opens;
+    * the counit laws as SupMap equalities on the opens;
+    * U -> {x : exists y, xy in U} is a closure operator whose fixed points
+      are exactly the saturated opens that ``saturation`` reads off the
+      preorder on points; the inclusion splits it, and the corestriction is
+      a retraction and left adjoint to the inclusion;
+    * a down-set is a monoid ideal (fixed by absorption) exactly when its
+      complement is a saturated open;
+    * the universal element in bi-ideal form, carried from the unit of the
+      dual basis of the saturated frame into Q (x) opens (Q = Idl(R) for a
+      semiring, the monoid ideals for a monoid), agrees with the map form
+      the pipeline computes.
+
+    The opens are capped as ``FiniteLocale.opens`` says, and CapExceeded is
+    raised before any of their tables is built.  A failed check raises
+    LawViolation with a witness.
+    """
+    loc = data.locale
+    pts = loc.points
+    opens = loc.opens
+    bang = SupMap(omega(), opens, [opens.bottom, opens.top])
+    for a in range(opens.n):
+        for p in range(2):
+            if (loc.positivity(a) <= p) != opens.leq(a, bang(p)):
+                raise LawViolation("positivity adjunction", (opens.names[a], p))
+    ident = SupMap.identity(opens)
+    counits = [("mul", data.mul_t, data.one_point)]
+    if data.has_addition:
+        counits.append(("add", data.add_t, data.zero_point))
+    for law, table, unit in counits:
+        composite = _counit_composite(data, table, unit)
+        if composite != ident:
+            witness = next(a for a in range(opens.n) if composite(a) != a)
+            raise LawViolation(f"{law} counit on opens", opens.names[witness])
+
+    sat = saturation(data, caps)
+    values = []
+    for mask in loc.open_masks:
+        closed = 0
+        for x in range(pts.n):
+            row = data.mul_t[x]
+            if any(mask >> row[y] & 1 for y in range(pts.n)):
+                closed |= 1 << x
+        values.append(loc.open_index[closed])
+    closure = ClosureOperator(opens, values)
+    fixed = closure.fixed_points()
+    fixed_masks = tuple(loc.open_masks[i] for i in fixed)
+    if fixed_masks != sat.sat_masks:
+        witness = min(set(fixed_masks) ^ set(sat.sat_masks))
+        raise LawViolation("saturated opens are the closure's fixed points", pts.mask_name(witness))
+    saturated = sat.saturated
+    embed = SupMap(saturated, opens, fixed)
+    pos = {f: k for k, f in enumerate(fixed)}
+    reflect = SupMap(opens, saturated, [pos[v] for v in values])
+    for u in range(opens.n):
+        if embed(reflect(u)) != values[u]:
+            raise LawViolation("saturation splits", opens.names[u])
+    for s in range(saturated.n):
+        if reflect(embed(s)) != s:
+            raise LawViolation("saturation retraction", saturated.names[s])
+    for u in range(opens.n):
+        for s in range(saturated.n):
+            if saturated.leq(reflect(u), s) != opens.leq(u, embed(s)):
+                raise LawViolation("saturation adjunction", (opens.names[u], saturated.names[s]))
+
+    iq = ideal_quantale(data, caps) if data.has_addition else None
+    mi = iq.monoid if iq else monoid_ideal_quantale(data, caps)
+    full = pts.full
+    sat_set = set(sat.sat_masks)
+    for u in loc.open_masks:
+        if (_absorb(data, full ^ u) == full ^ u) != (u in sat_set):
+            raise LawViolation(
+                "monoid ideals are the complements of the saturated opens", pts.mask_name(full ^ u)
+            )
+
+    basis, duality = dual_basis(saturated, caps)
+    g = _monoid_universal_map(data, mi, basis)
+    if iq is None:
+        q, collapse = mi.monoid_ideals, (lambda k: k)
+    else:
+        q, collapse = iq.ideals, iq.collapse
+        g = _collapsed_universal(data, iq, g)
+    mm_pos = {m: k for k, m in enumerate(mi.ideal_masks)}
+    universal = duality.unit_element.map_through(
+        (lambda c: collapse(mm_pos[full ^ sat.sat_masks[c]]), embed),
+        TensorSpace((q.carrier, opens)),
     )
+    if map_of_element(loc, universal) != g or element_of_map(q, loc, g) != universal:
+        raise LawViolation("universal element map form", tuple(q.carrier.names[v] for v in g))
+    return OpensCheck(mi, closure, universal)
 
 
 # ---------------------------------------------------------------------------
@@ -586,26 +715,6 @@ class RepresentabilityReport:
         )
 
 
-def _monoid_universal_map(data, mi, caps):
-    """The universal element for the monoid case, in map form: points -> MM."""
-    sat = mi.sat
-    pts = data.locale.points
-    basis, _ = dual_basis(sat.saturated, caps)
-    full = pts.full
-    mm_pos = {m: k for k, m in enumerate(mi.ideal_masks)}
-    mm = mi.monoid_ideals
-    out = []
-    for x in range(pts.n):
-        parts = []
-        for k, p in enumerate(basis.irreducibles):
-            r_mask = sat.sat_masks[p]
-            if r_mask >> x & 1:
-                c = basis.sigma_encodings[k]
-                parts.append(mm_pos[full ^ sat.sat_masks[c]])
-        out.append(mm.carrier.join_iter(parts))
-    return tuple(out)
-
-
 def representability_check(data, quantale_catalog, caps=DEFAULT_CAPS):
     """Verify that homs out of Idl(R) (resp. the monoid ideals) classify
     semiring (resp. monoid) anti-ideals, for every quantale in the catalog.
@@ -616,9 +725,10 @@ def representability_check(data, quantale_catalog, caps=DEFAULT_CAPS):
     part also checks invariance under the saturated replacement.
     """
     iq = ideal_quantale(data, caps)
-    _, g_univ = universal_element(data, iq, caps)
     mi = iq.monoid
-    g_monoid = _monoid_universal_map(data, mi, caps)
+    basis, _ = dual_basis(mi.sat.saturated, caps)
+    g_monoid = _monoid_universal_map(data, mi, basis)
+    g_univ = _collapsed_universal(data, iq, g_monoid)
     replacement, ji_masks = saturated_replacement(mi.sat, caps)
     semiring_entries = []
     monoid_entries = []

@@ -1,16 +1,21 @@
 """Command-line behaviour that the golden files do not pin down: how often
-``verify`` realises an object, caps given by flag or environment, and a
-failed check reported as a FAIL record."""
+``verify`` realises an object, caps given by flag or environment, a failed
+check, in the pipeline or in the opens oracle, reported as a FAIL record,
+and ``analyze`` on a locale whose opens are too many to tabulate."""
 
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import pfspec.cli
+import pfspec.locale
 import pfspec.spectrum
 from pfspec.caps import ENV_MAX_EXHAUSTIVE
 from pfspec.cli import main
 from pfspec.errors import PfspecError
-from pfspec.suplattice import TensorElement, TensorSpace
+from pfspec.order import FinitePoset
+from pfspec.suplattice import SupMap, TensorElement, TensorSpace, omega
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -68,3 +73,55 @@ def test_verify_reports_a_broken_cross_check_as_fail(monkeypatch, capsys):
     assert main(["verify", str(MODELS / "z4.model")]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
     assert failed and all("universal element map form violated" in line for line in failed), failed
+
+
+def _bottom_positivity(locale):
+    return SupMap(locale.opens, omega(), [0] * locale.opens.n)
+
+
+def _bottom_counit(data, table, unit_point):
+    opens = data.locale.opens
+    return SupMap(opens, opens, [opens.bottom] * opens.n)
+
+
+def _one_class_reflection(monoid, order):
+    # a preorder that relates every two points: only the empty and the full
+    # open count as saturated
+    return None, (0,) * monoid.n, FinitePoset(["*"], [1])
+
+
+BROKEN_OPENS_CHECKS = [
+    ("positivity adjunction", pfspec.locale.FiniteLocale, "positivity", property(_bottom_positivity)),
+    ("mul counit on opens", pfspec.spectrum, "_counit_composite", _bottom_counit),
+    ("saturated opens are the closure's fixed points", pfspec.spectrum, "holoid_quotient", _one_class_reflection),
+    ("monoid ideals are the complements of the saturated opens", pfspec.spectrum, "_absorb", lambda data, mask: mask),
+]
+
+
+@pytest.mark.parametrize(
+    "law, owner, attr, broken", BROKEN_OPENS_CHECKS, ids=[c[0] for c in BROKEN_OPENS_CHECKS]
+)
+def test_verify_reports_a_broken_opens_check_as_fail(monkeypatch, capsys, law, owner, attr, broken):
+    monkeypatch.setattr(owner, attr, broken)
+    assert main(["verify", "--suite", "duality", str(MODELS / "z4.model")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    record = next(line for line in lines if "monoid ideals are the dual of the saturated opens" in line)
+    assert record.startswith("[duality] Z4: ") and f"... FAIL ({law} violated at " in record, record
+
+
+def test_analyze_counts_the_opens_without_their_tables(tmp_path, capsys):
+    # 2**16 opens: counting them is cheap, their 2**32-entry tables are not
+    n = 16
+    elements = " ".join(str(i) for i in range(n))
+    add = " ".join(str((i + j) % n) for i in range(n) for j in range(n))
+    mul = " ".join(str(i * j % n) for i in range(n) for j in range(n))
+    path = tmp_path / "z16.model"
+    path.write_text(
+        f"semiring Z16 {{ elements: {elements} ; zero: 0 ; one: 1 ; "
+        f"add: {add} ; mul: {mul} ; order: discrete }}\n",
+        encoding="utf-8",
+    )
+    assert main(["analyze", str(path), "--object", "Z16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "kind: semiring (16 points, 65536 opens)"
+    assert lines[-1] == "ideals: 5"

@@ -15,6 +15,7 @@ from pfspec.caps import DEFAULT_CAPS
 from pfspec.catalog import (
     all_posets_up_to_iso,
     chain,
+    grid,
     monoid_catalog,
     powerset_lattice,
     semiring_catalog,
@@ -33,7 +34,16 @@ from pfspec.oracles import (
 )
 from pfspec.order import build_poset, downset_lattice
 from pfspec.quantale import Quantale, two_sided_reflection
-from pfspec.spectrum import _owc_binop, monoid_ideal_quantale
+from pfspec.spectrum import (
+    _monoid_universal_map,
+    _owc_binop,
+    map_of_element,
+    monoid_ideal_quantale,
+    opens_oracle,
+    radical_frame,
+    saturation,
+)
+from pfspec.suplattice import dual_basis
 
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
 
@@ -157,23 +167,82 @@ def _assert_matches_owc_oracle(data):
     assert got.unit == expected.unit
 
 
-def test_monoid_ideals_match_owc_oracle_on_catalogs_and_small_semirings():
+def _catalog_and_small_objects():
+    """The 13 catalog monoids and semirings and the 77 semirings of order
+    2 to 4, as localic data."""
     objects = [monoid_to_localic(m, name=name) for name, m in monoid_catalog()]
     objects += [to_localic(s, name=name) for name, s in semiring_catalog()]
     objects += [to_localic(s) for n in (2, 3, 4) for s in _all_semirings(n)]
     assert len(objects) == 90
-    for data in objects:
+    return objects
+
+
+def _model_objects(path):
+    model = parse_model(path)
+    return [
+        _localic_data(model, block.name, DEFAULT_CAPS)[0]
+        for block in model.blocks
+        if isinstance(block, (MonoidBlock, SemiringBlock, LatticeBlock))
+    ]
+
+
+def test_monoid_ideals_match_owc_oracle_on_catalogs_and_small_semirings():
+    for data in _catalog_and_small_objects():
         _assert_matches_owc_oracle(data)
 
 
 @pytest.mark.parametrize("path", MODELS, ids=[p.stem for p in MODELS])
 def test_monoid_ideals_match_owc_oracle_on_model_files(path):
-    model = parse_model(path)
-    for block in model.blocks:
-        if isinstance(block, (MonoidBlock, SemiringBlock, LatticeBlock)):
-            _assert_matches_owc_oracle(_localic_data(model, block.name, DEFAULT_CAPS)[0])
+    for data in _model_objects(path):
+        _assert_matches_owc_oracle(data)
 
 
 @pytest.mark.parametrize("lat", [chain(5), powerset_lattice(3)], ids=["C5", "P3"])
 def test_monoid_ideals_match_owc_oracle_on_scott_lattices(lat):
     _assert_matches_owc_oracle(scott_localic_lattice(lat))
+
+
+# ---------------------------------------------------------------------------
+# the opens oracle against the opens-free pipeline
+
+
+def _assert_opens_oracle_agrees(data):
+    """Run the opens oracle, then compare the pipeline's saturated opens with
+    the literal definition over every open, and the pipeline's universal map
+    with the bi-ideal form the oracle built."""
+    check = opens_oracle(data)
+    loc = data.locale
+    n = loc.points.n
+    literal = [
+        u
+        for u in loc.open_masks
+        if all(u >> x & 1 or not u >> data.mul(x, y) & 1 for x, y in product(range(n), repeat=2))
+    ]
+    assert list(saturation(data).sat_masks) == literal
+    assert [loc.open_masks[i] for i in check.closure.fixed_points()] == literal
+    if data.has_addition:
+        g = radical_frame(data).universal_map
+    else:
+        mi = monoid_ideal_quantale(data)
+        g = _monoid_universal_map(data, mi, dual_basis(mi.sat.saturated)[0])
+    assert map_of_element(loc, check.universal) == g
+
+
+def test_opens_oracle_on_catalogs_and_small_semirings():
+    for data in _catalog_and_small_objects():
+        _assert_opens_oracle_agrees(data)
+
+
+@pytest.mark.parametrize("path", MODELS, ids=[p.stem for p in MODELS])
+def test_opens_oracle_on_model_files(path):
+    for data in _model_objects(path):
+        _assert_opens_oracle_agrees(data)
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [chain(5), powerset_lattice(3), grid(3, 3), powerset_lattice(4)],
+    ids=["C5", "P3", "G33", "P4"],
+)
+def test_opens_oracle_on_scott_lattices(lat):
+    _assert_opens_oracle_agrees(scott_localic_lattice(lat))

@@ -4,6 +4,7 @@ anti-ideals, representability, dualisability."""
 import os
 import subprocess
 import sys
+import time
 from itertools import product
 from pathlib import Path
 
@@ -11,18 +12,25 @@ import pytest
 
 import pfspec.spectrum
 
-from pfspec.algebra import monoid_to_localic, scott_localic_lattice, to_localic
+from pfspec.algebra import (
+    build_discrete_semiring,
+    monoid_to_localic,
+    scott_localic_lattice,
+    to_localic,
+)
 from pfspec.caps import Caps
 from pfspec.catalog import (
     chain,
     monoid_catalog,
+    powerset_lattice,
     quantale_catalog,
     semiring_catalog,
 )
 from pfspec.errors import CapExceeded, LawViolation, NotSupercontinuous
 from pfspec.iso import find_lattice_iso
+from pfspec.oracles import zariski_compare
 from pfspec.order import bits, build_poset, downset_lattice
-from pfspec.quantale import Quantale, frame_quantale
+from pfspec.quantale import FULL_CHECK_LIMIT, Quantale, frame_quantale
 from pfspec.spectrum import (
     anti_ideals,
     dualisability_conditions,
@@ -31,6 +39,7 @@ from pfspec.spectrum import (
     map_of_element,
     monoid_ideal_quantale,
     omega_quantale,
+    opens_oracle,
     radical_frame,
     representability_check,
     saturated_replacement,
@@ -50,6 +59,16 @@ def _monoid_data(name):
 def _semiring_data(name):
     table = dict(semiring_catalog())
     return to_localic(table[name], name=name)
+
+
+def _zmod(n):
+    add = [[(i + j) % n for j in range(n)] for i in range(n)]
+    mul = [[(i * j) % n for j in range(n)] for i in range(n)]
+    return build_discrete_semiring([str(i) for i in range(n)], 0, 1, add, mul)
+
+
+def _opens_built(locale):
+    return {"opens", "open_masks", "open_index"} & set(vars(locale))
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +117,10 @@ def test_saturation_meet_monoid_deflationary_after_ordering():
 @pytest.mark.parametrize("name,monoid", monoid_catalog())
 def test_saturation_closure_matches_oracle(name, monoid):
     data = monoid_to_localic(monoid, name=name)
-    sat = saturation(data)
+    closure = opens_oracle(data).closure
     loc = data.locale
     for i, mask in enumerate(loc.open_masks):
-        assert loc.open_masks[sat.closure(i)] == _saturation_oracle(data, mask)
+        assert loc.open_masks[closure(i)] == _saturation_oracle(data, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +201,36 @@ def test_monoid_ideals_reproduce_subset_ideals_discrete():
     assert masks == sorted(oracle)
 
 
+def test_broken_monoid_ideal_product_raises(monkeypatch):
+    # a product that is not a monoid ideal ({1} in Z/4) misses the lookup
+    original = pfspec.spectrum._owc_binop
+
+    def broken(points, masks, table):
+        products = [list(row) for row in original(points, masks, table)]
+        products[1][2] = 0b0010
+        return products
+
+    monkeypatch.setattr(pfspec.spectrum, "_owc_binop", broken)
+    with pytest.raises(LawViolation) as exc:
+        monoid_ideal_quantale(_semiring_data("Z4"))
+    assert exc.value.law == "product of monoid ideals"
+
+
+def test_large_monoid_ideal_quantale_checks_each_ideal_once(monkeypatch):
+    # past FULL_CHECK_LIMIT monoid ideals the duality check confirms, once
+    # per monoid ideal, that it is the least monoid ideal over itself
+    data = scott_localic_lattice(powerset_lattice(4))
+    calls = []
+    monkeypatch.setattr(pfspec.spectrum, "_absorb", lambda data, mask: calls.append(mask) or mask)
+    mi = monoid_ideal_quantale(data)
+    assert mi.monoid_ideals.carrier.n == 168 > FULL_CHECK_LIMIT
+    assert sorted(calls) == sorted(mi.ideal_masks)
+    monkeypatch.setattr(pfspec.spectrum, "_absorb", lambda data, mask: mask & (mask - 1))
+    with pytest.raises(LawViolation) as exc:
+        monoid_ideal_quantale(data)
+    assert exc.value.law == "monoid-ideal/saturated duality"
+
+
 # ---------------------------------------------------------------------------
 # ideal quantale and radical frame
 
@@ -238,6 +287,44 @@ def test_radical_frame_reversed_sierpinski():
     assert res.points == ()
 
 
+def test_radical_frame_never_builds_the_opens():
+    data = to_localic(_zmod(12))
+    result = radical_frame(data)
+    assert (result.ideals.carrier.n, result.radicals.carrier.n, len(result.points)) == (6, 4, 2)
+    assert not _opens_built(data.locale)
+
+
+def test_z16_radical_frame_under_default_caps_in_under_a_second():
+    # 2**16 opens would need 2**32 join and meet entries
+    z16 = _zmod(16)
+    start = time.perf_counter()
+    result = radical_frame(to_localic(z16))
+    assert time.perf_counter() - start < 1.0
+    assert len(result.points) == 1
+    cmp = zariski_compare(z16)
+    assert cmp.ok(), cmp
+
+
+def test_z17_radical_frame_passes_the_opens():
+    # 2**17 opens exceed the search budget; the pipeline never asks for them
+    data = to_localic(_zmod(17))
+    result = radical_frame(data)
+    assert result.radicals.carrier.n == 2 and len(result.points) == 1
+    assert not _opens_built(data.locale)
+    with pytest.raises(CapExceeded) as exc:
+        data.locale.open_masks
+    assert exc.value.what == "opens enumeration"
+
+
+def test_opens_oracle_refuses_the_z16_tables_before_building_them():
+    data = to_localic(_zmod(16))
+    with pytest.raises(CapExceeded) as exc:
+        opens_oracle(data)
+    assert (exc.value.size, exc.value.cap) == (2**32, 16 * 2**16)
+    assert len(data.locale.open_masks) == 2**16
+    assert "opens" not in vars(data.locale)
+
+
 # ---------------------------------------------------------------------------
 # universal element
 
@@ -245,7 +332,7 @@ def test_radical_frame_reversed_sierpinski():
 def test_universal_element_z4_is_principal_ideals():
     data = _semiring_data("Z4")
     iq = ideal_quantale(data)
-    elem, g = universal_element(data, iq)
+    g = universal_element(data, iq)
     names = [iq.ideals.carrier.names[v] for v in g]
     assert names == ["{0}", "{0,1,2,3}", "{0,2}", "{0,1,2,3}"]
 
@@ -253,9 +340,24 @@ def test_universal_element_z4_is_principal_ideals():
 def test_universal_element_conditions_boolean():
     data = _semiring_data("B")
     iq = ideal_quantale(data)
-    elem, g = universal_element(data, iq)  # conditions asserted inside
+    g = universal_element(data, iq)  # conditions checked inside
     assert g[data.one_point] == iq.ideals.unit
     assert g[data.zero_point] == iq.ideals.carrier.bottom
+
+
+def test_universal_element_checked_against_least_ideals(monkeypatch):
+    # a map form that sends every point to the top ideal fails the
+    # point-level route first: 0 lies in the smaller ideal (0)
+    monkeypatch.setattr(
+        pfspec.spectrum,
+        "_monoid_universal_map",
+        lambda data, mi, basis: (mi.monoid_ideals.carrier.top,) * data.locale.points.n,
+    )
+    data = _semiring_data("Z4")
+    with pytest.raises(LawViolation) as exc:
+        radical_frame(data)
+    assert exc.value.law == "universal element is the least ideal at each point"
+    assert exc.value.witness == "0"
 
 
 def _empty_element(quantale, locale, g):
@@ -266,7 +368,7 @@ def test_universal_element_broken_cross_check_raises(monkeypatch):
     monkeypatch.setattr(pfspec.spectrum, "element_of_map", _empty_element)
     data = _semiring_data("Z4")
     with pytest.raises(LawViolation) as exc:
-        universal_element(data, ideal_quantale(data))
+        opens_oracle(data)
     assert exc.value.law == "universal element map form"
 
 
@@ -282,7 +384,7 @@ spectrum.element_of_map = lambda q, loc, g: TensorElement(TensorSpace((q.carrier
 data = to_localic(dict(semiring_catalog())["Z4"])
 print("optimize", sys.flags.optimize)
 try:
-    spectrum.universal_element(data, spectrum.ideal_quantale(data))
+    spectrum.opens_oracle(data)
 except LawViolation as exc:
     print(exc.law)
 """
@@ -304,7 +406,8 @@ def test_universal_element_broken_cross_check_raises_under_optimize():
 def test_universal_element_bi_ideal_connects_to_map_form():
     data = _semiring_data("Z6")
     iq = ideal_quantale(data)
-    elem, g = universal_element(data, iq)
+    g = universal_element(data, iq)
+    elem = opens_oracle(data).universal
     assert map_of_element(data.locale, elem) == g
     assert element_of_map(iq.ideals, data.locale, g) == elem
 
@@ -433,6 +536,19 @@ def test_representability_counts_b_omega():
     report = representability_check(data, [("Omega", omega_quantale())])
     entry = report.semiring_entries[0]
     assert entry.hom_count == entry.member_count == 1
+
+
+def test_representability_computes_the_dual_basis_once(monkeypatch):
+    calls = []
+    original = pfspec.spectrum.dual_basis
+
+    def counting(lat, caps=None):
+        calls.append(lat.n)
+        return original(lat, caps)
+
+    monkeypatch.setattr(pfspec.spectrum, "dual_basis", counting)
+    assert representability_check(_semiring_data("Z4"), quantale_catalog()[:2]).ok()
+    assert len(calls) == 1
 
 
 def test_saturated_replacement_invariance_z4_monoid():
