@@ -119,7 +119,8 @@ def locale_from_frame(lat, caps=DEFAULT_CAPS):
     from_opens = SupMap(loc.opens, lat, from_values)
     for a in range(lat.n):
         for b in range(lat.n):
-            assert to_values[lat.meet(a, b)] == loc.opens.meet(to_values[a], to_values[b])
+            if to_values[lat.meet(a, b)] != loc.opens.meet(to_values[a], to_values[b]):
+                raise LawViolation("frame iso preserves meets", (lat.names[a], lat.names[b]))
     return loc, to_opens, from_opens
 
 

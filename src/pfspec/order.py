@@ -7,7 +7,8 @@ tables are the right trade: every law check in the rest of the package is a
 handful of table lookups.
 
 Least closure operators and least nuclei (see ``quantale``) come from one
-repair engine, ``least_fixpoint``.  The quotient by a closure operator is
+repair engine, ``least_fixpoint``.  Anti-ideals and quantale homs come from
+one search engine, ``monotone_search``.  The quotient by a closure operator is
 built by ``ClosureOperator.quotient`` straight from its fixed points: meets
 carry over and the join is j(a v b), so no least-upper-bound search is
 needed.  ``lattice_structure`` does that search, for posets that arrive
@@ -20,6 +21,7 @@ All values are immutable after construction and safe to share.
 from itertools import product as iproduct
 
 from .errors import (
+    CapExceeded,
     CycleError,
     DuplicateElement,
     LawViolation,
@@ -573,3 +575,48 @@ def least_closure(lat, forcings):
     closure = ClosureOperator(lat, least_fixpoint(lat, forcings))
     quotient, onto = closure.quotient()
     return closure, quotient, MonotoneMap(lat, quotient, onto)
+
+
+def monotone_search(variables, lat, laws, budget, what):
+    """Every monotone map g from the poset ``variables`` to the lattice
+    ``lat`` that satisfies ``laws``, as value tuples in the order found.
+
+    Backtracking with forward checking: the variables are assigned along a
+    linear extension, and the candidates at v are the values above the join
+    of g over the variables strictly below v, so only monotone maps are
+    built.  A law is a pair (scope, test): ``scope`` is the bitmask of the
+    variables it reads and ``test(g)`` judges the partial map, as soon as
+    the last variable of the scope is assigned (a law with an empty scope
+    is judged before the first).  Every candidate value tried is one search
+    node; past ``budget`` nodes the search raises CapExceeded(what, ...).
+    """
+    order = variables.linear_extension()
+    rank = [0] * variables.n
+    for k, v in enumerate(order):
+        rank[v] = k + 1
+    due = [[] for _ in range(variables.n + 1)]
+    for scope, test in laws:
+        due[max((rank[v] for v in bits(scope)), default=0)].append(test)
+    below = [variables.down[v] ^ 1 << v for v in range(variables.n)]
+    g = [None] * variables.n
+    found = []
+    nodes = 0
+
+    def extend(k):
+        nonlocal nodes
+        if k == len(order):
+            found.append(tuple(g))
+            return
+        v = order[k]
+        tests = due[k + 1]
+        for q in bits(lat.up[lat.join_iter(g[u] for u in bits(below[v]))]):
+            nodes += 1
+            if nodes > budget:
+                raise CapExceeded(what, nodes, budget)
+            g[v] = q
+            if all(test(g) for test in tests):
+                extend(k + 1)
+
+    if all(test(g) for test in due[0]):
+        extend(0)
+    return found

@@ -21,8 +21,8 @@ is skipped on larger carriers.
 from itertools import product as iproduct
 
 from .caps import DEFAULT_CAPS
-from .errors import LawViolation, NotTwoSided
-from .order import ClosureOperator, least_fixpoint
+from .errors import LawViolation, NotJoinPreserving, NotTwoSided
+from .order import ClosureOperator, FinitePoset, bits, least_fixpoint, monotone_search
 from .suplattice import SupMap, all_supmaps
 
 FULL_CHECK_LIMIT = 40  # carriers up to this size are validated on construction
@@ -153,7 +153,8 @@ def two_sided_reflection(quantale):
     lat = quantale.carrier
     values = [quantale.mul(a, lat.top) for a in range(lat.n)]
     quotient, surjection = quotient_by_nucleus(quantale, Nucleus(quantale, values))
-    assert quotient.two_sided
+    if not quotient.two_sided:
+        raise LawViolation("two-sided reflection is two-sided", repr(quotient))
     return quotient, surjection
 
 
@@ -182,7 +183,8 @@ def localic_reflection(quantale):
         raise NotTwoSided("localic reflection needs a two-sided quantale")
     forcings = [(a, quantale.mul(a, a)) for a in range(quantale.carrier.n)]
     quotient, surjection = quotient_by(quantale, forcings)
-    assert quotient.is_frame()
+    if not quotient.is_frame():
+        raise LawViolation("localic reflection is a frame", repr(quotient))
     return quotient, surjection
 
 
@@ -192,31 +194,61 @@ def enumerate_homs(q1, q2, kind, caps=DEFAULT_CAPS):
     kinds: "sup" (join-preserving only), "quantale"/"two_sided" (SupMaps
     preserving multiplication and unit), "frame" (quantale homs that also
     preserve finite meets and top).
+
+    Kind "sup" is ``all_supmaps``.  The other kinds search the monotone maps
+    on the join-irreducibles J of q1 with ``order.monotone_search``; f(a) is
+    the join of f over the elements of J below a.  f(ab) = f(a)f(b) for a, b
+    in J (and, for frames, f(a /\\ b) = f(a) /\\ f(b)) is checked as soon as
+    a, b and every element of J below ab are assigned, and the unit once J
+    below it is; by bilinearity the pairs in J decide every pair.
+    The cap counts the values tried.  Each complete map is dropped if it
+    misses a join (only a non-distributive q1 allows that) and otherwise
+    checked in full as a QuantaleHom, and for frames on top and meets.
     """
-    supmaps = all_supmaps(q1.carrier, q2.carrier, caps)
     if kind == "sup":
-        return supmaps
+        return all_supmaps(q1.carrier, q2.carrier, caps)
     if kind not in ("quantale", "two_sided", "frame"):
         raise ValueError(f"unknown hom kind {kind!r}")
+    src, tgt = q1.carrier, q2.carrier
+    ji = src.join_irreducibles()
+    # var[a]: the positions in J of the join-irreducibles below a
+    var = [sum(1 << k for k, p in enumerate(ji) if src.leq(p, a)) for a in range(src.n)]
+    j_poset = FinitePoset(
+        [src.names[p] for p in ji],
+        [sum(1 << j for j, r in enumerate(ji) if src.leq(p, r)) for p in ji],
+    )
+
+    def value(g, a):
+        out = tgt.bottom
+        for k in bits(var[a]):
+            out = tgt.join_t[out][g[k]]
+        return out
+
+    def law(i, j, a, table):
+        # f(a) = table[f(p_i)][f(p_j)], judged once J below a is assigned too
+        return 1 << i | 1 << j | var[a], lambda g: value(g, a) == table[g[i]][g[j]]
+
+    laws = [(var[q1.unit], lambda g: value(g, q1.unit) == q2.unit)]
+    for i, p in enumerate(ji):
+        for j in range(i, len(ji)):
+            laws.append(law(i, j, q1.mul(p, ji[j]), q2.mult_t))
+            if kind == "frame":
+                laws.append(law(i, j, src.meet(p, ji[j]), tgt.meet_t))
     out = []
-    for f in supmaps:
-        v = f.values
-        if v[q1.unit] != q2.unit:
-            continue
-        if any(
-            v[q1.mul(a, b)] != q2.mul(v[a], v[b])
-            for a in range(q1.carrier.n)
-            for b in range(a, q1.carrier.n)
+    for g in monotone_search(j_poset, tgt, laws, caps.search_budget(), "hom enumeration"):
+        values = [value(g, a) for a in range(src.n)]
+        if kind == "frame" and (
+            values[src.top] != tgt.top
+            or any(
+                values[src.meet(a, b)] != tgt.meet(values[a], values[b])
+                for a in range(src.n)
+                for b in range(a, src.n)
+            )
         ):
             continue
-        if kind == "frame":
-            if v[q1.carrier.top] != q2.carrier.top:
-                continue
-            if any(
-                v[q1.carrier.meet(a, b)] != q2.carrier.meet(v[a], v[b])
-                for a in range(q1.carrier.n)
-                for b in range(a, q1.carrier.n)
-            ):
-                continue
-        out.append(QuantaleHom(q1, q2, v))
+        try:
+            out.append(QuantaleHom(q1, q2, values))
+        except NotJoinPreserving:
+            continue
+    out.sort(key=lambda f: f.values)
     return out

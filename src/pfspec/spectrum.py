@@ -38,6 +38,7 @@ from .order import (
     Lattice,
     bits,
     family_lattice,
+    monotone_search,
 )
 from .quantale import (
     FULL_CHECK_LIMIT,
@@ -278,7 +279,11 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
 
     def ideal_of(mask):
         k = pos.get(mask)
-        return pos[_absorb(data, mask)] if k is None else k
+        if k is None:
+            k = pos.get(_absorb(data, mask))
+            if k is None:
+                raise LawViolation("ideal sum absorbs into a monoid ideal", pts.mask_name(mask))
+        return k
 
     mod_add = [[ideal_of(s) for s in row] for row in _owc_binop(pts, mi_masks, data.add_t)]
     mod_zero = ideal_of(pts.down[data.zero_point])
@@ -314,7 +319,7 @@ class AntiIdealSet:
 
 def anti_ideals(data, quantale, mode, caps=DEFAULT_CAPS):
     """All elements of Q (x) O R satisfying the prime anti-ideal conditions,
-    as monotone maps g : points -> Q.
+    as monotone maps g : points -> Q, in sorted order.
 
     The conditions are pointwise: g(one) = 1 and g(xy) = g(x)g(y); in
     semiring mode additionally g(zero) = 0 and g(x+y) <= g(x) v g(y).  For
@@ -322,10 +327,10 @@ def anti_ideals(data, quantale, mode, caps=DEFAULT_CAPS):
     0 not in u, xy in u iff x and y in u, and x+y in u implies x in u or
     y in u.  ``element_of_map`` gives the bi-ideal form of a map.
 
-    The search assigns the points along a linear extension; the candidates
-    at x are the values above the join of g over the points below x.  It
-    raises CapExceeded once it has reached more complete candidate maps than
-    ``caps.search_budget()``.
+    ``order.monotone_search`` assigns the points along a linear extension
+    and checks each law as soon as its points are assigned: the unit (and
+    zero) at once, the laws for x, y once x, y and xy (or x+y) are.  It raises
+    CapExceeded once it has tried more values than ``caps.search_budget()``.
     """
     if mode not in ("monoid", "semiring"):
         raise ValueError(f"unknown anti-ideal mode {mode!r}")
@@ -335,50 +340,27 @@ def anti_ideals(data, quantale, mode, caps=DEFAULT_CAPS):
         raise LawViolation("additive structure", "monoid-only data")
     pts = data.locale.points
     q_lat = quantale.carrier
-    budget = caps.search_budget()
-    order = pts.linear_extension()
-    g = [None] * pts.n
-    found = []
-    leaves = 0
-
-    def conditions_hold():
-        for x in range(pts.n):
-            gx = g[x]
-            mrow = data.mul_t[x]
-            for y in range(pts.n):
-                if quantale.mul(gx, g[y]) != g[mrow[y]]:
-                    return False
-        if mode == "semiring":
-            for x in range(pts.n):
-                gx = g[x]
-                arow = data.add_t[x]
-                for y in range(pts.n):
-                    if not q_lat.leq(g[arow[y]], q_lat.join(gx, g[y])):
-                        return False
-        return True
-
-    def backtrack(k):
-        nonlocal leaves
-        if k == pts.n:
-            leaves += 1
-            if leaves > budget:
-                raise CapExceeded("anti-ideal enumeration", leaves, budget)
-            if conditions_hold():
-                found.append(tuple(g))
-            return
-        x = order[k]
-        # the points below x come earlier in the linear extension
-        candidates = q_lat.up[q_lat.join_iter(g[y] for y in bits(pts.down[x] ^ 1 << x))]
-        if x == data.one_point:
-            candidates &= 1 << quantale.unit
-        elif mode == "semiring" and x == data.zero_point:
-            candidates &= 1 << q_lat.bottom
-        for q in bits(candidates):
-            g[x] = q
-            backtrack(k + 1)
-
-    backtrack(0)
-    return AntiIdealSet(tuple(sorted(found)))
+    q_mul, q_join, q_up = quantale.mult_t, q_lat.join_t, q_lat.up
+    one, zero = data.one_point, data.zero_point
+    laws = [(1 << one, lambda g: g[one] == quantale.unit)]
+    if mode == "semiring":
+        laws.append((1 << zero, lambda g: g[zero] == q_lat.bottom))
+    for x in range(pts.n):
+        for y in range(x, pts.n):
+            m = data.mul_t[x][y]
+            laws.append(
+                (1 << x | 1 << y | 1 << m, lambda g, x=x, y=y, m=m: q_mul[g[x]][g[y]] == g[m])
+            )
+            if mode == "semiring":
+                s = data.add_t[x][y]
+                laws.append(
+                    (
+                        1 << x | 1 << y | 1 << s,
+                        lambda g, x=x, y=y, s=s: q_up[g[s]] >> q_join[g[x]][g[y]] & 1,
+                    )
+                )
+    maps = monotone_search(pts, q_lat, laws, caps.search_budget(), "anti-ideal enumeration")
+    return AntiIdealSet(tuple(sorted(maps)))
 
 
 def element_of_map(quantale, locale, g):

@@ -15,7 +15,7 @@ from functools import cache
 from itertools import product as iproduct
 
 from .caps import DEFAULT_CAPS
-from .errors import CapExceeded, NotJoinPreserving, NotSupercontinuous
+from .errors import CapExceeded, LawViolation, NotJoinPreserving, NotSupercontinuous
 from .order import (
     Lattice,
     MonotoneMap,
@@ -382,7 +382,9 @@ def dual(lat, caps=DEFAULT_CAPS, verify=None):
                 for b in range(a, lat.n)
             ):
                 supmaps.add(values)
-        assert supmaps == encodings, "dual encoding does not exhaust hom(L, Omega)"
+        if supmaps != encodings:
+            witness = min(supmaps ^ encodings)
+            raise LawViolation("dual encoding exhausts hom(L, Omega)", witness)
     return op, pairing
 
 
@@ -505,10 +507,12 @@ def dual_basis(lat, caps=DEFAULT_CAPS):
     # join-primeness of each p: p <= a iff a is not below c_p
     for k, p in enumerate(ji):
         for a in range(lat.n):
-            assert lat.leq(p, a) == (not lat.leq(a, encodings[k]))
+            if lat.leq(p, a) == lat.leq(a, encodings[k]):
+                raise LawViolation("join-primeness", (lat.names[p], lat.names[a]))
     basis = DualBasis(lat, ji, encodings)
     for a in range(lat.n):
-        assert basis.reconstruct(a) == a, "dual basis fails to reconstruct"
+        if basis.reconstruct(a) != a:
+            raise LawViolation("dual basis reconstructs", lat.names[a])
     dual_lat, pairing = dual(lat, caps)
     space = TensorSpace((dual_lat, lat))
     unit_element = space.element(
@@ -526,7 +530,8 @@ def dual_basis(lat, caps=DEFAULT_CAPS):
             for k, p in enumerate(ji)
             if evaluation(a, encodings[k]) == OMEGA_TRUE
         )
-        assert got == a, "triangle identity (wire through L) fails"
+        if got != a:
+            raise LawViolation("triangle identity (wire through L)", lat.names[a])
     # triangle 2: (dual (x) ev)(unit (x) sigma) = sigma; joins in the dual
     # are meets of the encodings
     for c in range(lat.n):
@@ -535,5 +540,6 @@ def dual_basis(lat, caps=DEFAULT_CAPS):
             for k, p in enumerate(ji)
             if evaluation(p, c) == OMEGA_TRUE
         )
-        assert got == c, "triangle identity (wire through the dual) fails"
+        if got != c:
+            raise LawViolation("triangle identity (wire through the dual)", lat.names[c])
     return basis, data

@@ -45,3 +45,8 @@ def test_assert_lines_finds_each_assert():
 def test_no_asserts_in_spectrum():
     # a failed check in the spectrum pipeline raises LawViolation instead
     assert assert_lines((SRC / "spectrum.py").read_text(encoding="utf-8")) == []
+
+
+def test_no_asserts_in_quantale():
+    # the reflections raise LawViolation, which python -O keeps
+    assert assert_lines((SRC / "quantale.py").read_text(encoding="utf-8")) == []

@@ -18,6 +18,7 @@ from pfspec.catalog import (
     grid,
     monoid_catalog,
     powerset_lattice,
+    quantale_catalog,
     semiring_catalog,
 )
 from pfspec.cli import _localic_data
@@ -32,18 +33,20 @@ from pfspec.oracles import (
     stone_compare,
     zariski_compare,
 )
-from pfspec.order import build_poset, downset_lattice
-from pfspec.quantale import Quantale, two_sided_reflection
+from pfspec.order import bits, build_poset, downset_lattice, lattice_structure
+from pfspec.quantale import Quantale, enumerate_homs, frame_quantale, two_sided_reflection
 from pfspec.spectrum import (
     _monoid_universal_map,
     _owc_binop,
+    anti_ideals,
+    ideal_quantale,
     map_of_element,
     monoid_ideal_quantale,
     opens_oracle,
     radical_frame,
     saturation,
 )
-from pfspec.suplattice import dual_basis
+from pfspec.suplattice import all_supmaps, dual_basis
 
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
 
@@ -246,3 +249,105 @@ def test_opens_oracle_on_model_files(path):
 )
 def test_opens_oracle_on_scott_lattices(lat):
     _assert_opens_oracle_agrees(scott_localic_lattice(lat))
+
+
+# ---------------------------------------------------------------------------
+# the pruned searches against the leaf-tested routes they replace
+
+
+def _leaf_tested_anti_ideals(data, quantale, mode):
+    """Anti-ideals the long way: every monotone map with the unit (and
+    zero) pinned, the laws tested on complete maps only."""
+    pts = data.locale.points
+    q_lat = quantale.carrier
+    order = pts.linear_extension()
+    g = [None] * pts.n
+    found = []
+
+    def conditions_hold():
+        for x, y in product(range(pts.n), repeat=2):
+            if quantale.mul(g[x], g[y]) != g[data.mul(x, y)]:
+                return False
+            if mode == "semiring" and not q_lat.leq(g[data.add(x, y)], q_lat.join(g[x], g[y])):
+                return False
+        return True
+
+    def backtrack(k):
+        if k == pts.n:
+            if conditions_hold():
+                found.append(tuple(g))
+            return
+        x = order[k]
+        candidates = q_lat.up[q_lat.join_iter(g[y] for y in bits(pts.down[x] ^ 1 << x))]
+        if x == data.one_point:
+            candidates &= 1 << quantale.unit
+        elif mode == "semiring" and x == data.zero_point:
+            candidates &= 1 << q_lat.bottom
+        for q in bits(candidates):
+            g[x] = q
+            backtrack(k + 1)
+
+    backtrack(0)
+    return sorted(found)
+
+
+def _filtered_supmap_homs(q1, q2, kind):
+    """Quantale (or frame) homs the long way: every SupMap from
+    ``all_supmaps``, kept when it preserves the unit and every product (and,
+    for frames, top and every meet)."""
+    src, tgt = q1.carrier, q2.carrier
+    out = []
+    for f in all_supmaps(src, tgt):
+        v = f.values
+        if v[q1.unit] != q2.unit:
+            continue
+        if any(v[q1.mul(a, b)] != q2.mul(v[a], v[b]) for a, b in product(range(src.n), repeat=2)):
+            continue
+        if kind == "frame" and (
+            v[src.top] != tgt.top
+            or any(
+                v[src.meet(a, b)] != tgt.meet(v[a], v[b])
+                for a, b in product(range(src.n), repeat=2)
+            )
+        ):
+            continue
+        out.append(v)
+    return out
+
+
+def test_anti_ideal_search_matches_leaf_testing_on_small_semirings():
+    # every commutative semiring of order 2 or 3 into every catalog quantale,
+    # both modes: the same maps in the same order; the Scott lattices P3
+    # and grid(2,3) add points whose linear extension is not index order
+    catalog = quantale_catalog()
+    objects = [to_localic(s) for s in _all_semirings(2) + _all_semirings(3)]
+    objects += [scott_localic_lattice(powerset_lattice(3)), scott_localic_lattice(grid(2, 3))]
+    for data in objects:
+        for name, q in catalog:
+            for mode in ("semiring", "monoid"):
+                expected = _leaf_tested_anti_ideals(data, q, mode)
+                assert list(anti_ideals(data, q, mode).maps) == expected, (data.name, name, mode)
+
+
+def test_hom_search_matches_filtered_supmaps_on_small_semirings():
+    # two-sided homs out of Idl(R) and out of MM(R), same list and order
+    catalog = quantale_catalog()
+    for s in _all_semirings(2) + _all_semirings(3):
+        iq = ideal_quantale(to_localic(s))
+        for source in (iq.ideals, iq.monoid.monoid_ideals):
+            for name, q in catalog:
+                got = [f.values for f in enumerate_homs(source, q, "two_sided")]
+                assert got == _filtered_supmap_homs(source, q, "two_sided"), (s.mul_t, name)
+
+
+def test_frame_hom_search_matches_filtered_supmaps_on_catalog_frames():
+    # plus a 4-chain listed top first, whose join-irreducibles are searched
+    # in an order other than their index order
+    frames = [(name, q) for name, q in quantale_catalog() if q.is_frame()]
+    assert len(frames) == 5
+    names = ["1", "c", "b", "0"]
+    top_first = lattice_structure(build_poset(names, list(zip(names[1:], names))))
+    frames.append(("C4top_first", frame_quantale(top_first)))
+    for (n1, q1), (n2, q2) in product(frames, repeat=2):
+        got = [f.values for f in enumerate_homs(q1, q2, "frame")]
+        assert got == _filtered_supmap_homs(q1, q2, "frame"), (n1, n2)

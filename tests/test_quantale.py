@@ -4,8 +4,9 @@ from itertools import product
 
 import pytest
 
+from pfspec.caps import Caps
 from pfspec.catalog import chain, powerset_lattice, quantale_catalog
-from pfspec.errors import LawViolation, NotTwoSided
+from pfspec.errors import CapExceeded, LawViolation, NotTwoSided
 from pfspec.order import bits
 from pfspec.quantale import (
     FULL_CHECK_LIMIT,
@@ -251,6 +252,19 @@ def test_hom_enumeration_matches_brute_force():
                 continue
             brute.add(values)
         assert fast == brute
+
+
+def test_hom_search_cap_counts_the_nodes_reached():
+    # C5frame into nilC5: only 0 and 1 are idempotent in nilC5, so
+    # f(a) = f(a)f(a) prunes every other value as soon as it is tried; the
+    # search stops at the 17th node past a budget of 16 and finishes within
+    # 32 nodes, where all_supmaps would face 5^4 assignments
+    c5, nil_c5 = dict(quantale_catalog())["C5frame"], dict(quantale_catalog())["nilC5"]
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_homs(c5, nil_c5, "two_sided", Caps(max_exhaustive=4))
+    assert (exc.value.what, exc.value.size, exc.value.cap) == ("hom enumeration", 17, 16)
+    homs = enumerate_homs(c5, nil_c5, "two_sided", Caps(max_exhaustive=5))
+    assert [h.values for h in homs] == [(0, 0, 0, 0, 4), (0, 0, 0, 4, 4), (0, 0, 4, 4, 4), (0, 4, 4, 4, 4)]
 
 
 def test_reflection_universality_small():

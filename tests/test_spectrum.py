@@ -29,7 +29,7 @@ from pfspec.catalog import (
 from pfspec.errors import CapExceeded, LawViolation, NotSupercontinuous
 from pfspec.iso import find_lattice_iso
 from pfspec.oracles import zariski_compare
-from pfspec.order import bits, build_poset, downset_lattice
+from pfspec.order import FinitePoset, bits, build_poset, downset_lattice
 from pfspec.quantale import FULL_CHECK_LIMIT, Quantale, frame_quantale
 from pfspec.spectrum import (
     anti_ideals,
@@ -325,6 +325,25 @@ def test_opens_oracle_refuses_the_z16_tables_before_building_them():
     assert "opens" not in vars(data.locale)
 
 
+def test_unabsorbable_ideal_sum_raises(monkeypatch):
+    # a holoid quotient that lumps every point into one class leaves only
+    # the empty and the full monoid ideal, and {0} absorbs into neither
+    def lumped(monoid, order=None):
+        return None, [0] * monoid.n, FinitePoset(["*"], [1])
+
+    monkeypatch.setattr(pfspec.spectrum, "holoid_quotient", lumped)
+    with pytest.raises(LawViolation) as exc:
+        radical_frame(_semiring_data("Z4"))
+    assert exc.value.law == "ideal sum absorbs into a monoid ideal"
+
+
+def test_z30_radical_frame_finds_three_points_under_default_caps():
+    # 2^28 candidate maps once 0 and 1 are pinned; the pruned search
+    # checks each law as soon as its three values are assigned
+    result = radical_frame(to_localic(_zmod(30)))
+    assert len(result.points) == 3
+
+
 # ---------------------------------------------------------------------------
 # universal element
 
@@ -481,16 +500,19 @@ def test_anti_ideal_members_are_closed_bi_ideals():
 def test_anti_ideals_cap():
     data = _semiring_data("Z6")
     with pytest.raises(CapExceeded):
-        anti_ideals(data, quantale_catalog()[3][1], "semiring", Caps(max_exhaustive=8))
+        anti_ideals(data, quantale_catalog()[3][1], "semiring", Caps(max_exhaustive=4))
 
 
 def test_anti_ideals_cap_counts_the_maps_reached():
-    # Z/6 into the 5-chain: 5^4 maps once 1 and 0 are pinned; the search
-    # stops at the first complete candidate map past the budget
+    # the cap counts search nodes, one per value tried: Z/6 into the
+    # 5-chain stops at the 17th node past a budget of 16, and the pruned
+    # search finishes within 128 nodes (5^4 maps once 1 and 0 are pinned)
     data = _semiring_data("Z6")
+    q = quantale_catalog()[3][1]
     with pytest.raises(CapExceeded) as exc:
-        anti_ideals(data, quantale_catalog()[3][1], "semiring", Caps(max_exhaustive=8))
-    assert (exc.value.size, exc.value.cap) == (257, 256)
+        anti_ideals(data, q, "semiring", Caps(max_exhaustive=4))
+    assert (exc.value.size, exc.value.cap) == (17, 16)
+    assert len(anti_ideals(data, q, "semiring", Caps(max_exhaustive=7)).maps) == 2
 
 
 def test_anti_ideals_cap_allows_long_chain():
@@ -549,6 +571,17 @@ def test_representability_computes_the_dual_basis_once(monkeypatch):
     monkeypatch.setattr(pfspec.spectrum, "dual_basis", counting)
     assert representability_check(_semiring_data("Z4"), quantale_catalog()[:2]).ok()
     assert len(calls) == 1
+
+
+def test_representability_z8_under_default_caps():
+    report = representability_check(to_localic(_zmod(8)), quantale_catalog())
+    assert report.ok()
+
+
+def test_representability_scott_p3_under_default_caps():
+    # the hom search out of Idl(P3) no longer walks all |Q|^|J| sup-maps
+    report = representability_check(scott_localic_lattice(powerset_lattice(3)), quantale_catalog())
+    assert report.ok()
 
 
 def test_saturated_replacement_invariance_z4_monoid():

@@ -1,6 +1,10 @@
 """Tensor products, duals, totally-below, dual bases."""
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,6 +285,37 @@ def test_dual_basis_m3_fails():
     # the totally-below join under the top is the bottom
     rel = totally_below(m3)
     assert m3.join_mask(rel[m3.top]) == m3.bottom
+
+
+_BROKEN_DUAL_BASIS = """
+import sys
+import pfspec.suplattice as suplattice
+from pfspec.catalog import pentagon_n5
+from pfspec.errors import LawViolation
+
+# pretend every lattice is supercontinuous, so the pentagon gets this far
+suplattice.supercontinuity_witness = lambda lat: None
+print("optimize", sys.flags.optimize)
+try:
+    suplattice.dual_basis(pentagon_n5())
+except LawViolation as exc:
+    print(exc.law, exc.witness)
+"""
+
+
+def test_dual_basis_checks_survive_optimize():
+    # python -O strips assert statements; the join-primeness check that
+    # stops the pentagon's non-prime irreducible c must not be one
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_DUAL_BASIS],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.stdout == "optimize 1\njoin-primeness ('c', 'c')\n", result.stderr
 
 
 def test_supercontinuity_matches_distributivity():
