@@ -196,7 +196,11 @@ def to_localic(semiring, order=None, caps=DEFAULT_CAPS, name=""):
         name=name or getattr(semiring, "name", ""),
     )
     back_mul, back_add = data.point_table()
-    assert back_mul == semiring.mul_t and back_add == semiring.add_t
+    for law, back, table in (("mul", back_mul, semiring.mul_t), ("add", back_add, semiring.add_t)):
+        if back != table:
+            pairs = iproduct(range(semiring.n), repeat=2)
+            a, b = next((a, b) for a, b in pairs if back[a][b] != table[a][b])
+            raise LawViolation(f"{law} table round-trip", (semiring.names[a], semiring.names[b]))
     return data
 
 

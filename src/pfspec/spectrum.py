@@ -27,6 +27,7 @@ frame.  ``pfspec verify`` and the tests run it.
 from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
+from operator import or_
 
 from .algebra import FiniteCommMonoid, LocalicSemiringData, holoid_quotient
 from .caps import DEFAULT_CAPS
@@ -83,9 +84,11 @@ def saturation(data, caps=DEFAULT_CAPS):
     xy <= x, which puts f below g when f <= g.k for some k.  Its poset
     reflection is the holoid quotient; the reflection's up-sets, pulled back
     to the points, are the saturated opens, sorted by (size, mask) as the
-    opens are.  The opens
-    themselves are never built: ``opens_oracle`` compares these masks with
-    the fixed points of the closure U -> {x : exists y, xy in U} on them.
+    opens are.  Each of them is checked to be preserved by the
+    comultiplication, (xz)(yw) in s implies xy in s, on every input
+    (``_comultiplication_witness``).  The opens themselves are never built:
+    ``opens_oracle`` compares these masks with the fixed points of the
+    closure U -> {x : exists y, xy in U} on them.
     """
     pts = data.locale.points
     monoid = FiniteCommMonoid(pts.names, data.one_point, data.mul_t)
@@ -106,19 +109,53 @@ def saturation(data, caps=DEFAULT_CAPS):
     )
     # family_lattice already forces the subframe property: it indexes the
     # union and intersection of every pair of saturated masks
-    # comultiplication preserves saturation: (xz)(yw) in s implies xy in s;
-    # quantified check only when cheap, it follows from associativity +
-    # commutativity + saturation in general
-    if pts.n ** 4 * saturated.n <= 4 * caps.search_budget():
-        for mask in masks:
-            for x, y, z, w in iproduct(range(pts.n), repeat=4):
-                prod = data.mul(data.mul(x, z), data.mul(y, w))
-                if mask >> prod & 1 and not mask >> data.mul(x, y) & 1:
-                    raise LawViolation(
-                        "comultiplication preserves saturation",
-                        (pts.mask_name(mask), *(pts.names[p] for p in (x, y, z, w))),
-                    )
+    witness = _comultiplication_witness(data, masks)
+    if witness is not None:
+        mask, *xyzw = witness
+        raise LawViolation(
+            "comultiplication preserves saturation",
+            (pts.mask_name(mask), *(pts.names[p] for p in xyzw)),
+        )
     return SaturationData(data, saturated, tuple(masks), deflationary)
+
+
+def _comultiplication_witness(data, masks):
+    """The first mask s, in order, with the first points (x, y, z, w) such
+    that (xz)(yw) is in s and xy is not, or None if every s obeys that law.
+
+    (xz)(yw) ranges over the products ab with a in xR and b in yR.  The law
+    is evaluated for all masks at once, on bitmasks over their indices:
+    member[t] holds the k with t in masks[k], reach[b] the OR of member[ab]
+    over a in xR, and mask k fails at (x, y) exactly when the OR of reach[b]
+    over b in yR holds k and member[xy] does not.  That is O(n^2 |xR|) steps
+    whatever the number of masks; the witness is searched literally, in the
+    first failing mask only."""
+    n = data.locale.points.n
+    mul_t = data.mul_t
+    member = [0] * n
+    for k, s in enumerate(masks):
+        for t in bits(s):
+            member[t] |= 1 << k
+    member_rows = [[member[t] for t in row] for row in mul_t]
+    multiples = [sorted(set(row)) for row in mul_t]  # xR
+    bad = 0
+    for x in range(n):
+        reach = [0] * n
+        for a in multiples[x]:
+            reach = list(map(or_, reach, member_rows[a]))
+        for y in range(n):
+            hit = 0
+            for b in multiples[y]:
+                hit |= reach[b]
+            bad |= hit & ~member_rows[x][y]
+    if not bad:
+        return None
+    s = masks[(bad & -bad).bit_length() - 1]
+    return s, *next(
+        (x, y, z, w)
+        for x, y, z, w in iproduct(range(n), repeat=4)
+        if s >> mul_t[mul_t[x][z]][mul_t[y][w]] & 1 and not s >> mul_t[x][y] & 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +164,30 @@ def saturation(data, caps=DEFAULT_CAPS):
 
 def _owc_binop(points, masks, table):
     """Lift a monotone point operation to down-sets: V op W is the
-    down-closure of the pointwise image.  Only maximal generators matter.
-    Returns the table of result masks over ``masks``."""
+    down-closure of the pointwise image.  Returns the table of result masks
+    over ``masks``.
+
+    The lift preserves unions in each argument, and a down-set is the union
+    of the principal down-sets of its maximal points.  So V op W is the union,
+    over the maximal v of V, of per_point[v][W], the union of down(v op w)
+    over the maximal w of W: n point rows over ``masks``, then ORs of rows."""
     maximals = [points.maximal(m) for m in masks]
-    out = []
-    for mv in maximals:
+    per_point = {}
+    for v in {v for mv in maximals for v in mv}:
+        dv = [points.down[t] for t in table[v]]
         row = []
         for mw in maximals:
-            image = 0
-            for v in mv:
-                trow = table[v]
-                for w in mw:
-                    image |= 1 << trow[w]
-            row.append(points.down_closure(image))
-        out.append(tuple(row))
+            acc = 0
+            for w in mw:
+                acc |= dv[w]
+            row.append(acc)
+        per_point[v] = row
+    out = []
+    for mv in maximals:
+        row = (0,) * len(masks)
+        for v in mv:
+            row = tuple(map(or_, row, per_point[v]))
+        out.append(row)
     return tuple(out)
 
 
@@ -465,7 +512,12 @@ class SpectrumResult:
 
 def radical_frame(data, caps=DEFAULT_CAPS):
     """Idl(R), its localic reflection Rad(R), the universal element, and the
-    points of the spectrum (prime anti-ideals, as opens of R)."""
+    points of the spectrum (prime anti-ideals, as opens of R).
+
+    The points are found by the anti-ideal search and checked against
+    Rad(R): the points of a finite frame are its meet-prime elements p, and
+    the anti-ideal of p is {x : rho(g(x)) not <= p}.  The two lists must
+    agree, or LawViolation names a point on one side only."""
     iq = ideal_quantale(data, caps)
     radicals, rho = localic_reflection(iq.ideals)
     g = universal_element(data, iq, caps)
@@ -474,6 +526,19 @@ def radical_frame(data, caps=DEFAULT_CAPS):
     masks = tuple(
         sum(1 << x for x in range(pts.n) if m[x] == 1) for m in points_set.maps
     )
+    rad = radicals.carrier
+    rho_g = [rho(v) for v in g]
+    # in a frame the meet-primes are the meet-irreducibles
+    from_primes = sorted(
+        sum(1 << x for x in range(pts.n) if not rad.leq(rho_g[x], p))
+        for p in rad.opposite().join_irreducibles()
+    )
+    if from_primes != sorted(masks):
+        # a mask on one side only, else one that two primes share
+        witness = min(set(from_primes) ^ set(masks), default=None)
+        if witness is None:
+            witness = max(from_primes, key=from_primes.count)
+        raise LawViolation("points of Rad(R) are the prime anti-ideals", pts.mask_name(witness))
     names = [pts.mask_name(m) for m in masks]
     up = [
         sum(1 << j for j, mj in enumerate(masks) if mi & mj == mi)

@@ -11,7 +11,7 @@ and the equivalence with plain distributivity is asserted by the test suite
 rather than assumed here.
 """
 
-from functools import cache
+from functools import cache, cached_property
 from itertools import product as iproduct
 
 from .caps import DEFAULT_CAPS
@@ -481,13 +481,23 @@ class DualBasis:
 
 class DualityData:
     """Unit and counit of the duality between L and its dual, with both
-    triangle identities checked elementwise."""
+    triangle identities checked elementwise.
 
-    def __init__(self, lattice, dual_lattice, unit_element, evaluation):
+    The unit is the bi-ideal of dual (x) L generated by the basis pairs
+    (c_p, p).  Closing it costs a pass over |L|^2 tuples, so it is built on
+    first access; the triangle identities are read off the basis pairs and
+    checked by ``dual_basis`` before it returns."""
+
+    def __init__(self, lattice, dual_lattice, unit_pairs, evaluation):
         self.lattice = lattice
         self.dual_lattice = dual_lattice
-        self.unit_element = unit_element  # TensorElement in dual (x) L
+        self.unit_pairs = tuple(unit_pairs)  # (encoding, irreducible) generators
         self.evaluation = evaluation  # evaluation(a, c) in {0, 1}
+
+    @cached_property
+    def unit_element(self):
+        """The unit as a TensorElement in dual (x) L."""
+        return TensorSpace((self.dual_lattice, self.lattice)).element(self.unit_pairs)
 
 
 def dual_basis(lat, caps=DEFAULT_CAPS):
@@ -497,7 +507,8 @@ def dual_basis(lat, caps=DEFAULT_CAPS):
     sigma_p(a) = [p <= a]; sigma_p is encoded by the dual element
     c_p = join of {a : p is not <= a}, which is a genuine SupMap exactly when
     p is join-prime.  Success is decided by the totally-below relation and
-    the triangle identities are verified pointwise before returning.
+    the triangle identities are verified pointwise before returning; the
+    unit bi-ideal is closed only when ``DualityData.unit_element`` is read.
     """
     w = supercontinuity_witness(lat)
     if w is not None:
@@ -514,15 +525,11 @@ def dual_basis(lat, caps=DEFAULT_CAPS):
         if basis.reconstruct(a) != a:
             raise LawViolation("dual basis reconstructs", lat.names[a])
     dual_lat, pairing = dual(lat, caps)
-    space = TensorSpace((dual_lat, lat))
-    unit_element = space.element(
-        [(encodings[k], p) for k, p in enumerate(ji)]
-    )
 
     def evaluation(a, c):
         return pairing(c, a)
 
-    data = DualityData(lat, dual_lat, unit_element, evaluation)
+    data = DualityData(lat, dual_lat, zip(encodings, ji), evaluation)
     # triangle 1: (ev (x) L)(a (x) unit) = a, elementwise
     for a in range(lat.n):
         got = lat.join_iter(

@@ -1,5 +1,10 @@
 """Semirings, localic presentations, the holoid quotient."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pfspec.algebra import (
@@ -46,6 +51,36 @@ def test_to_localic_discrete_roundtrip():
         mul, add = data.point_table()
         assert mul == semiring.mul_t and add == semiring.add_t
         assert data.is_discrete()
+
+
+_BROKEN_POINT_TABLE = """
+import sys
+from pfspec.algebra import LocalicSemiringData, to_localic
+from pfspec.catalog import semiring_catalog
+from pfspec.errors import LawViolation
+
+# read the addition back in place of the multiplication
+LocalicSemiringData.point_table = lambda self: (self.add_t, self.add_t)
+print("optimize", sys.flags.optimize)
+try:
+    to_localic(dict(semiring_catalog())["Z4"])
+except LawViolation as exc:
+    print(exc.law, exc.witness)
+"""
+
+
+def test_to_localic_roundtrip_check_survives_optimize():
+    # python -O strips assert statements; the round-trip check must not be one
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_POINT_TABLE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.stdout == "optimize 1\nmul table round-trip ('0', '1')\n", result.stderr
 
 
 def test_to_localic_reversed_sierpinski():

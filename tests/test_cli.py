@@ -75,6 +75,21 @@ def test_verify_reports_a_broken_cross_check_as_fail(monkeypatch, capsys):
     assert failed and all("universal element map form violated" in line for line in failed), failed
 
 
+def test_verify_reports_points_off_rad_as_fail(monkeypatch, capsys):
+    # a universal element at the top ideal gives points other than the search's
+    monkeypatch.setattr(
+        pfspec.spectrum,
+        "universal_element",
+        lambda data, iq, caps: (iq.ideals.carrier.top,) * data.locale.points.n,
+    )
+    assert main(["verify", str(MODELS / "z4.model")]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert failed == [
+        "[oracles] Z4: zariski brute force matches the pipeline ... "
+        "FAIL (points of Rad(R) are the prime anti-ideals violated at {1,3})"
+    ]
+
+
 def _bottom_positivity(locale):
     return SupMap(locale.opens, omega(), [0] * locale.opens.n)
 

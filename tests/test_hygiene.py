@@ -50,3 +50,8 @@ def test_no_asserts_in_spectrum():
 def test_no_asserts_in_quantale():
     # the reflections raise LawViolation, which python -O keeps
     assert assert_lines((SRC / "quantale.py").read_text(encoding="utf-8")) == []
+
+
+def test_no_asserts_in_algebra():
+    # the point-table round trip in to_localic raises LawViolation instead
+    assert assert_lines((SRC / "algebra.py").read_text(encoding="utf-8")) == []

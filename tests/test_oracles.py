@@ -1,5 +1,6 @@
 """Brute-force oracle comparisons with the pipeline."""
 
+import random
 from itertools import product
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from pfspec.oracles import (
 from pfspec.order import bits, build_poset, downset_lattice, lattice_structure
 from pfspec.quantale import Quantale, enumerate_homs, frame_quantale, two_sided_reflection
 from pfspec.spectrum import (
+    _comultiplication_witness,
     _monoid_universal_map,
     _owc_binop,
     anti_ideals,
@@ -145,6 +147,23 @@ def test_zariski_exhaustive_small_semirings():
 # monoid ideals against the all-down-sets OWC quantale
 
 
+def _pairwise_owc_binop(points, masks, table):
+    """The lift of a point operation to down-sets, pair by pair: V op W is
+    the down-closure of the image of the maximal points of V and W."""
+    maximals = [points.maximal(m) for m in masks]
+    out = []
+    for mv in maximals:
+        row = []
+        for mw in maximals:
+            image = 0
+            for v in mv:
+                for w in mw:
+                    image |= 1 << table[v][w]
+            row.append(points.down_closure(image))
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def _owc_monoid_ideals(data):
     """MM(R) the long way: the quantale of all down-sets with the convolution
     product and the unit point's closure as unit, then its two-sided
@@ -152,7 +171,7 @@ def _owc_monoid_ideals(data):
     pts = data.locale.points
     dn_lat, dn_masks = downset_lattice(pts)
     dn_index = {m: i for i, m in enumerate(dn_masks)}
-    mult = [[dn_index[m] for m in row] for row in _owc_binop(pts, dn_masks, data.mul_t)]
+    mult = [[dn_index[m] for m in row] for row in _pairwise_owc_binop(pts, dn_masks, data.mul_t)]
     owc = Quantale(dn_lat, mult, dn_index[pts.down[data.one_point]])
     ideals, _ = two_sided_reflection(owc)
     masks = [dn_masks[i] for i in range(dn_lat.n) if mult[i][dn_lat.top] == i]
@@ -203,6 +222,53 @@ def test_monoid_ideals_match_owc_oracle_on_model_files(path):
 @pytest.mark.parametrize("lat", [chain(5), powerset_lattice(3)], ids=["C5", "P3"])
 def test_monoid_ideals_match_owc_oracle_on_scott_lattices(lat):
     _assert_matches_owc_oracle(scott_localic_lattice(lat))
+
+
+def test_owc_binop_matches_the_pairwise_lift():
+    # the per-point rows give the same tables as the pairwise lift, for both
+    # operations, on all down-sets of every object the oracle covers
+    objects = _catalog_and_small_objects()
+    objects += [data for path in MODELS for data in _model_objects(path)]
+    objects += [scott_localic_lattice(powerset_lattice(3)), scott_localic_lattice(grid(2, 3))]
+    assert len(objects) == 107
+    for data in objects:
+        pts = data.locale.points
+        _, dn_masks = downset_lattice(pts)
+        for table in (data.mul_t, data.add_t) if data.has_addition else (data.mul_t,):
+            assert _owc_binop(pts, dn_masks, table) == _pairwise_owc_binop(pts, dn_masks, table)
+
+
+# ---------------------------------------------------------------------------
+# the comultiplication law on bitmasks against the quadruple loop
+
+
+def _literal_comultiplication_witness(data, masks):
+    """The first mask s and points (x, y, z, w) with (xz)(yw) in s and xy
+    not in s, by the loop over every quadruple; None if there are none."""
+    n = data.locale.points.n
+    for s in masks:
+        for x, y, z, w in product(range(n), repeat=4):
+            if s >> data.mul(data.mul(x, z), data.mul(y, w)) & 1 and not s >> data.mul(x, y) & 1:
+                return s, x, y, z, w
+    return None
+
+
+def test_comultiplication_check_matches_the_quadruple_loop():
+    # seeded random point masks, most of them not saturated, one at a time
+    # and in lists, next to the saturated opens themselves
+    rng = random.Random(2006)
+    failing = 0
+    for data in _catalog_and_small_objects():
+        full = data.locale.points.full
+        masks = [rng.randint(0, full) for _ in range(24)]
+        for m in masks:
+            expected = _literal_comultiplication_witness(data, [m])
+            failing += expected is not None
+            assert _comultiplication_witness(data, [m]) == expected, (data.name, m)
+        for chunk in (masks[:8], masks[8:], list(saturation(data).sat_masks)):
+            expected = _literal_comultiplication_witness(data, chunk)
+            assert _comultiplication_witness(data, chunk) == expected, (data.name, chunk)
+    assert failing > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,30 @@ def test_saturation_closure_matches_oracle(name, monoid):
         assert loc.open_masks[closure(i)] == _saturation_oracle(data, mask)
 
 
+def _opposite_order_reflection(monoid, order):
+    # every point its own class under the reversed point order: its up-sets
+    # are the down-sets of the points, and most of them are not saturated
+    return None, tuple(range(monoid.n)), order.opposite()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [_semiring_data("Z4"), scott_localic_lattice(powerset_lattice(4))],
+    ids=["Z4", "P4"],
+)
+def test_non_saturated_opens_break_the_comultiplication_law(monkeypatch, data):
+    monkeypatch.setattr(pfspec.spectrum, "holoid_quotient", _opposite_order_reflection)
+    with pytest.raises(LawViolation) as exc:
+        saturation(data)
+    assert exc.value.law == "comultiplication preserves saturation"
+    pts = data.locale.points
+    mask_name, *names = exc.value.witness
+    s = next(m for m in pts.opposite().up_sets() if pts.mask_name(m) == mask_name)
+    x, y, z, w = (pts.index(v) for v in names)
+    assert s >> data.mul(data.mul(x, z), data.mul(y, w)) & 1
+    assert not s >> data.mul(x, y) & 1
+
+
 # ---------------------------------------------------------------------------
 # monoid ideals and duality
 
@@ -342,6 +366,38 @@ def test_z30_radical_frame_finds_three_points_under_default_caps():
     # checks each law as soon as its three values are assigned
     result = radical_frame(to_localic(_zmod(30)))
     assert len(result.points) == 3
+
+
+_BROKEN_UNIVERSAL_ELEMENT = """
+import sys
+import pfspec.spectrum as spectrum
+from pfspec.algebra import to_localic
+from pfspec.catalog import semiring_catalog
+from pfspec.errors import LawViolation
+
+# every point to the top ideal, whose radical lies above every prime
+spectrum.universal_element = lambda data, iq, caps: (iq.ideals.carrier.top,) * data.locale.points.n
+data = to_localic(dict(semiring_catalog())["Z6"])
+print("optimize", sys.flags.optimize)
+try:
+    spectrum.radical_frame(data)
+except LawViolation as exc:
+    print(exc.law, exc.witness)
+"""
+
+
+def test_points_of_rad_checked_against_the_search_under_optimize():
+    # the search finds the anti-ideals {1,3,5} and {1,2,4,5} of Z/6; the
+    # broken element makes each prime of Rad(R) give every point
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_UNIVERSAL_ELEMENT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.stdout == "optimize 1\npoints of Rad(R) are the prime anti-ideals {1,3,5}\n", result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +627,27 @@ def test_representability_computes_the_dual_basis_once(monkeypatch):
     monkeypatch.setattr(pfspec.spectrum, "dual_basis", counting)
     assert representability_check(_semiring_data("Z4"), quantale_catalog()[:2]).ok()
     assert len(calls) == 1
+
+
+def test_pipeline_never_closes_the_duality_unit(monkeypatch):
+    # the unit bi-ideal of dual (x) L is closed only when read, and only the
+    # opens oracle reads it
+    spaces = []
+    original = TensorSpace.closure
+
+    def counting(space, mask):
+        spaces.append(space.factors)
+        return original(space, mask)
+
+    monkeypatch.setattr(TensorSpace, "closure", counting)
+    p3 = scott_localic_lattice(powerset_lattice(3))
+    radical_frame(scott_localic_lattice(powerset_lattice(4)))
+    radical_frame(p3)
+    assert representability_check(p3, quantale_catalog()).ok()
+    assert spaces == []
+    opens_oracle(p3)
+    saturated = saturation(p3).saturated
+    assert (saturated.opposite(), saturated) in spaces
 
 
 def test_representability_z8_under_default_caps():
