@@ -126,7 +126,7 @@ class LocalicSemiringData:
         self.add_t = None if add is None else tuple(tuple(row) for row in add)
         self.zero_point = zero_point
         _check_pointwise_monotone(pts, self.mul_t, "mul")
-        _check_comm_monoid(pts.names, one_point, self.mul_t, "mul")
+        self.mul_monoid = FiniteCommMonoid(pts.names, one_point, self.mul_t)
         if self.add_t is not None:
             if zero_point is None:
                 raise LawViolation("additive unit", "zero point missing")

@@ -287,6 +287,7 @@ class Lattice(FinitePoset):
         self.meet_t = meet_table
         self.bottom = bottom
         self.top = top
+        self._join_irreducibles = None  # filled by the first join_irreducibles()
 
     def join(self, i, j):
         return self.join_t[i][j]
@@ -313,12 +314,15 @@ class Lattice(FinitePoset):
         return self.meet_iter(bits(mask))
 
     def join_irreducibles(self):
-        """Elements that are not the join of the elements strictly below."""
-        out = []
-        for i in range(self.n):
-            if i != self.bottom and self.join_mask(self.down[i] ^ (1 << i)) != i:
-                out.append(i)
-        return out
+        """Elements that are not the join of the elements strictly below,
+        as a fresh list; computed once per lattice."""
+        if self._join_irreducibles is None:
+            self._join_irreducibles = tuple(
+                i
+                for i in range(self.n)
+                if i != self.bottom and self.join_mask(self.down[i] ^ (1 << i)) != i
+            )
+        return list(self._join_irreducibles)
 
     def opposite(self):
         return Lattice(self.names, self.down, self.meet_t, self.join_t, self.top, self.bottom)

@@ -14,8 +14,9 @@ the fixed points by ``ClosureOperator.quotient``: meets carry over and the
 join is j(a v b).
 
 Every quantale whose carrier has at most ``FULL_CHECK_LIMIT`` elements is
-validated against all the laws when it is constructed; the cubic law check
-is skipped on larger carriers.
+validated against all the laws when it is constructed, with associativity
+and the join laws decided on the join-irreducibles (``Quantale.validate``);
+the check is skipped on larger carriers.
 """
 
 from itertools import product as iproduct
@@ -37,6 +38,22 @@ class Quantale:
             self.validate()
 
     def validate(self):
+        """Check every law, raising LawViolation with a witness.
+
+        Totality, commutativity and the unit are checked cell by cell.  The
+        rest is decided on the join-irreducibles J of the carrier by
+        ``_generator_witness``: a * bottom = bottom for every a,
+        a(p v c) = ap v ac for every a, c and every p in J, and
+        (pq)r = p(qr) for p, q, r in J.  This is complete.  Every element x
+        is the join of J below x, so a map f with f(bottom) = bottom and
+        f(p v c) = f(p) v f(c) for p in J preserves every binary join, by
+        induction over J below x.  Given bilinearity, both sides of the
+        associative law preserve joins in each argument, so agreement on
+        J^3 is agreement everywhere.  The cost is n^2 |J| + |J|^3 cell
+        tests against about 1.5 n^3 for the scan over all elements
+        (n = 35, |J| = 12: 16,428 against 64,925).  When the generator check
+        fails, that scan (``_literal_scan``) names the law and witness.
+        """
         lat = self.carrier
         names = lat.names
         n = lat.n
@@ -49,6 +66,46 @@ class Quantale:
         for a in range(n):
             if self.mult_t[self.unit][a] != a:
                 raise LawViolation("unit", names[a])
+        witness = self._generator_witness()
+        if witness is not None:
+            self._literal_scan()
+            # reached only when the carrier's join table is not a lattice's
+            raise LawViolation(*witness)
+
+    def _generator_witness(self):
+        """(law, witness) of the first failure of the laws on generators
+        that ``validate`` lists, or None."""
+        lat = self.carrier
+        names = lat.names
+        m = self.mult_t
+        join_t = lat.join_t
+        bottom = lat.bottom
+        ji = lat.join_irreducibles()
+        for a, row in enumerate(m):
+            if row[bottom] != bottom:
+                return "bilinearity (empty join)", names[a]
+            for p in ji:
+                jp = join_t[p]
+                jap = join_t[row[p]]
+                for c in range(lat.n):
+                    if row[jp[c]] != jap[row[c]]:
+                        return "bilinearity", (names[a], names[p], names[c])
+        for p in ji:
+            mp = m[p]
+            for q in ji:
+                mq = m[q]
+                mpq = m[mp[q]]
+                for r in ji:
+                    if mpq[r] != mp[mq[r]]:
+                        return "associativity", (names[p], names[q], names[r])
+        return None
+
+    def _literal_scan(self):
+        """Associativity over all triples, then the join laws over all
+        elements: the first failure in this order is the one reported."""
+        lat = self.carrier
+        names = lat.names
+        n = lat.n
         for a, b, c in iproduct(range(n), repeat=3):
             if self.mult_t[self.mult_t[a][b]][c] != self.mult_t[a][self.mult_t[b][c]]:
                 raise LawViolation("associativity", (names[a], names[b], names[c]))

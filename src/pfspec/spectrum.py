@@ -29,7 +29,7 @@ from functools import cache
 from itertools import product as iproduct
 from operator import or_
 
-from .algebra import FiniteCommMonoid, LocalicSemiringData, holoid_quotient
+from .algebra import LocalicSemiringData, holoid_quotient
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, LawViolation, NotSupercontinuous, NotTwoSided
 from .locale import locale_from_frame
@@ -91,8 +91,7 @@ def saturation(data, caps=DEFAULT_CAPS):
     closure U -> {x : exists y, xy in U} on them.
     """
     pts = data.locale.points
-    monoid = FiniteCommMonoid(pts.names, data.one_point, data.mul_t)
-    _, cls_of, order = holoid_quotient(monoid, pts)
+    _, cls_of, order = holoid_quotient(data.mul_monoid, pts)
     budget = caps.search_budget()
     ups = order.up_sets(limit=budget)
     if ups is None:

@@ -212,7 +212,8 @@ class TensorElement:
     def as_map(self):
         """For two factors: the fiber-top vector, index in factor 0 ->
         join (in factor 1) of the fiber; determines the element."""
-        assert len(self.space.factors) == 2
+        if len(self.space.factors) != 2:
+            raise LawViolation("fiber-top vector needs two factors", len(self.space.factors))
         return tuple(
             self.fiber_join(1, (a,)) for a in range(self.space.sizes[0])
         )
@@ -308,7 +309,8 @@ class TensorLattice(Lattice):
         ]
         out = SupMap(self, target, values)
         for t in iproduct(*(range(s) for s in space.sizes)):
-            assert out(self.pure(t)) == fn(t)
+            if out(self.pure(t)) != fn(t):
+                raise LawViolation("universal property of the tensor", t)
         return out
 
 
@@ -356,7 +358,8 @@ def dual(lat, caps=DEFAULT_CAPS, verify=None):
 
     Returns (dual lattice, pairing) where pairing(c, a) gives the truth
     value.  When the carrier is small enough the bijection with the actual
-    set of SupMaps L -> Omega is re-verified by enumerating all functions.
+    set of SupMaps L -> Omega, as ``omega_supmaps`` finds them among the
+    kernels, is re-verified.
     """
     op = lat.opposite()
 
@@ -369,23 +372,32 @@ def dual(lat, caps=DEFAULT_CAPS, verify=None):
         encodings = {
             tuple(pairing(c, a) for a in range(lat.n)) for c in range(lat.n)
         }
-        supmaps = set()
-        for mask in range(1 << lat.n):
-            values = tuple(
-                OMEGA_TRUE if mask >> a & 1 else OMEGA_FALSE for a in range(lat.n)
-            )
-            if values[lat.bottom] != OMEGA_FALSE:
-                continue
-            if all(
-                values[lat.join(a, b)] == (values[a] or values[b])
-                for a in range(lat.n)
-                for b in range(a, lat.n)
-            ):
-                supmaps.add(values)
+        supmaps = omega_supmaps(lat)
         if supmaps != encodings:
             witness = min(supmaps ^ encodings)
             raise LawViolation("dual encoding exhausts hom(L, Omega)", witness)
     return op, pairing
+
+
+def omega_supmaps(lat):
+    """The value tuples of every SupMap L -> Omega.
+
+    A join-preserving map to Omega is monotone, so its kernel (the elements
+    sent to false) is a down-set: the join test runs over the maps with a
+    down-set kernel, not over all 2**|L| functions.
+    """
+    out = set()
+    for kernel in lat.down_sets():
+        values = tuple(
+            OMEGA_FALSE if kernel >> a & 1 else OMEGA_TRUE for a in range(lat.n)
+        )
+        if values[lat.bottom] == OMEGA_FALSE and all(
+            values[lat.join(a, b)] == (values[a] or values[b])
+            for a in range(lat.n)
+            for b in range(a, lat.n)
+        ):
+            out.add(values)
+    return out
 
 
 def supmap_to_omega(lat, c):
@@ -420,13 +432,16 @@ def totally_below(lat):
     best = [
         lat.join_mask(lat.full ^ lat.up[a]) for a in range(lat.n)
     ]
+    # a <<< b iff b is not below best[a]
+    with_best = [0] * lat.n
+    for a, v in enumerate(best):
+        with_best[v] |= 1 << a
     rel = []
     for b in range(lat.n):
         mask = 0
-        for a in range(lat.n):
-            if not lat.leq(b, best[a]):
-                mask |= 1 << a
-        rel.append(mask)
+        for v in bits(lat.up[b]):
+            mask |= with_best[v]
+        rel.append(lat.full ^ mask)
     return tuple(rel)
 
 

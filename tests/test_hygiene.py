@@ -55,3 +55,8 @@ def test_no_asserts_in_quantale():
 def test_no_asserts_in_algebra():
     # the point-table round trip in to_localic raises LawViolation instead
     assert assert_lines((SRC / "algebra.py").read_text(encoding="utf-8")) == []
+
+
+def test_no_asserts_in_suplattice():
+    # the tensor's factor count and universal property raise LawViolation
+    assert assert_lines((SRC / "suplattice.py").read_text(encoding="utf-8")) == []

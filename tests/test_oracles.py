@@ -1,6 +1,8 @@
 """Brute-force oracle comparisons with the pipeline."""
 
 import random
+from collections import Counter
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from pfspec.catalog import (
     semiring_catalog,
 )
 from pfspec.cli import _localic_data
+from pfspec.errors import LawViolation
 from pfspec.modelfile import LatticeBlock, MonoidBlock, SemiringBlock, parse_model
 from pfspec.oracles import (
     ideal_product,
@@ -417,3 +420,134 @@ def test_frame_hom_search_matches_filtered_supmaps_on_catalog_frames():
     for (n1, q1), (n2, q2) in product(frames, repeat=2):
         got = [f.values for f in enumerate_homs(q1, q2, "frame")]
         assert got == _filtered_supmap_homs(q1, q2, "frame"), (n1, n2)
+
+
+# ---------------------------------------------------------------------------
+# Quantale.validate on generators against the all-elements scan
+
+
+def _literal_validate(q):
+    """Every quantale law over all elements, in the order validate reports
+    them; (law, witness) of the first failure, or None."""
+    lat, m, names = q.carrier, q.mult_t, q.carrier.names
+    n = lat.n
+    if len(m) != n or any(len(r) != n for r in m):
+        return "totality", "multiplication table"
+    for a in range(n):
+        for b in range(a, n):
+            if m[a][b] != m[b][a]:
+                return "commutativity", (names[a], names[b])
+    for a in range(n):
+        if m[q.unit][a] != a:
+            return "unit", names[a]
+    for a, b, c in product(range(n), repeat=3):
+        if m[m[a][b]][c] != m[a][m[b][c]]:
+            return "associativity", (names[a], names[b], names[c])
+    for a in range(n):
+        if m[a][lat.bottom] != lat.bottom:
+            return "bilinearity (empty join)", names[a]
+        for b in range(n):
+            for c in range(b, n):
+                if m[a][lat.join(b, c)] != lat.join(m[a][b], m[a][c]):
+                    return "bilinearity", (names[a], names[b], names[c])
+    return None
+
+
+def _unchecked_quantale(carrier, table, unit):
+    """A Quantale on ``table`` without the check on construction."""
+    q = object.__new__(Quantale)
+    q.carrier, q.mult_t, q.unit = carrier, tuple(tuple(row) for row in table), unit
+    return q
+
+
+def _validate_outcome(q):
+    try:
+        q.validate()
+    except LawViolation as exc:
+        return exc.law, exc.witness
+    return None
+
+
+@cache
+def _pipeline_quantales():
+    """MM(R), Idl(R) and Rad(R) of the catalog and small objects, the model
+    files and the Scott lattices P3 and grid(2,3) (MM(R) alone for monoids),
+    then the quantale catalog."""
+    objects = _catalog_and_small_objects()
+    objects += [data for path in MODELS for data in _model_objects(path)]
+    objects += [scott_localic_lattice(powerset_lattice(3)), scott_localic_lattice(grid(2, 3))]
+    out = []
+    for data in objects:
+        if data.has_addition:
+            r = radical_frame(data)
+            out += [r.ideal_data.monoid.monoid_ideals, r.ideals, r.radicals]
+        else:
+            out.append(monoid_ideal_quantale(data).monoid_ideals)
+    return out + [q for _, q in quantale_catalog()]
+
+
+def test_validate_accepts_every_pipeline_quantale_the_scan_accepts():
+    quantales = _pipeline_quantales()
+    # 93 semirings give three quantales each, 14 monoids one, then the catalog
+    assert len(quantales) == 3 * 93 + 14 + len(quantale_catalog())
+    for q in quantales:
+        assert _literal_validate(q) is None
+        assert _validate_outcome(q) is None
+
+
+def test_validate_reports_the_scans_law_and_witness_on_perturbed_tables():
+    # one cell off the unit's row and its mirror changed, so commutativity
+    # and the unit still hold and the first failure lies in associativity
+    # or the join laws; larger carriers get more draws
+    rng = random.Random(1905)
+    laws = Counter()
+    for q in _pipeline_quantales():
+        n = q.carrier.n
+        cells = [a for a in range(n) if a != q.unit]
+        if n < 3:
+            continue
+        for _ in range(n + 4):
+            a, b = rng.choice(cells), rng.choice(cells)
+            table = [list(row) for row in q.mult_t]
+            table[a][b] = table[b][a] = rng.choice([v for v in range(n) if v != table[a][b]])
+            broken = _unchecked_quantale(q.carrier, table, q.unit)
+            expected = _literal_validate(broken)
+            laws[expected and expected[0]] += 1
+            assert _validate_outcome(broken) == expected, (q, a, b)
+    assert laws["associativity"] > 1000
+    assert laws["bilinearity"] > 300 and laws["bilinearity (empty join)"] > 50
+
+
+def test_validate_needs_the_empty_join_law():
+    # on the chain 0 < m < 1 with unit m, 1*0 = m breaks only laws that
+    # involve 0; every product of join-irreducibles m, 1 is still right and
+    # a(p v c) = ap v ac holds for every join-irreducible p, so only the
+    # empty-join law of the generator check sees it
+    valid = _unchecked_quantale(chain(3), [[0, 0, 0], [0, 1, 2], [0, 2, 2]], 1)
+    broken = _unchecked_quantale(chain(3), [[0, 0, 1], [0, 1, 2], [1, 2, 2]], 1)
+    assert _literal_validate(valid) is None
+    assert _literal_validate(broken) == ("associativity", ("0", "0", "1"))
+    assert _validate_outcome(broken) == _literal_validate(broken)
+
+
+class _CountingRow(tuple):
+    """A table row that counts its cell reads in ``reads[0]``."""
+
+    reads = [0]
+
+    def __getitem__(self, i):
+        self.reads[0] += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("lat", [powerset_lattice(5), grid(4, 4)], ids=["P5", "G44"])
+def test_validate_reads_grow_with_the_join_irreducibles(lat):
+    # commutativity and the unit read n(n+1) + n cells; then n cells for
+    # the empty join, n|J|(2n + 1) for bilinearity and |J|^2(3|J| + 1) for
+    # associativity on J^3, against the scan's 4n^3 + 3n^2(n+1)/2
+    q = frame_quantale(lat)
+    n, j = lat.n, len(lat.join_irreducibles())
+    q.mult_t = tuple(_CountingRow(row) for row in q.mult_t)
+    _CountingRow.reads[0] = 0
+    q.validate()
+    assert _CountingRow.reads[0] <= n * (n + 1) + 2 * n + n * j * (2 * n + 1) + j * j * (3 * j + 1)

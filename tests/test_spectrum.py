@@ -29,7 +29,7 @@ from pfspec.catalog import (
 from pfspec.errors import CapExceeded, LawViolation, NotSupercontinuous
 from pfspec.iso import find_lattice_iso
 from pfspec.oracles import zariski_compare
-from pfspec.order import FinitePoset, bits, build_poset, downset_lattice
+from pfspec.order import FinitePoset, Lattice, bits, build_poset, downset_lattice
 from pfspec.quantale import FULL_CHECK_LIMIT, Quantale, frame_quantale
 from pfspec.spectrum import (
     anti_ideals,
@@ -713,3 +713,39 @@ def test_dualisability_reads_not_supercontinuous_as_false(monkeypatch):
     report = dualisability_conditions(_semiring_data("Z4"))
     assert not report.basis_exists
     assert not report.opens_supercontinuous
+
+
+def _join_irreducible_counts(monkeypatch, run):
+    """Run ``run()`` and count, per lattice asked for its join-irreducibles,
+    the calls and the computations (calls that stored a new list)."""
+    counts = {}
+    original = Lattice.join_irreducibles
+
+    def counting(lat):
+        entry = counts.setdefault(id(lat), [lat, 0, 0])  # keeps lat alive
+        stored = lat._join_irreducibles
+        out = original(lat)
+        entry[1] += 1
+        entry[2] += lat._join_irreducibles is not stored
+        return out
+
+    monkeypatch.setattr(Lattice, "join_irreducibles", counting)
+    run()
+    return [(calls, computed) for _, calls, computed in counts.values()]
+
+
+def test_join_irreducibles_computed_once_per_lattice(monkeypatch):
+    # lattices that outlive one call (Omega, the catalog's) may have theirs
+    # already; no lattice computes them twice
+    z6 = to_localic(dict(semiring_catalog())["Z6"])
+    counts = _join_irreducible_counts(monkeypatch, lambda: radical_frame(z6))
+    # MM, Idl and Rad validated, the saturated frame's dual basis, the
+    # points read off Rad's opposite
+    assert sum(computed for _, computed in counts) >= 5
+    assert all(computed <= 1 for _, computed in counts)
+    # representability asks Idl(R) and MM(R) once per catalog quantale
+    counts = _join_irreducible_counts(
+        monkeypatch, lambda: representability_check(z6, quantale_catalog())
+    )
+    assert all(computed <= 1 for _, computed in counts)
+    assert max(calls for calls, _ in counts) > 1

@@ -10,11 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfspec.caps import Caps
-from pfspec.catalog import chain, diamond_m3, grid, pentagon_n5, powerset_lattice
-from pfspec.errors import CapExceeded, NotSupercontinuous
+from pfspec.catalog import (
+    all_posets_up_to_iso,
+    chain,
+    diamond_m3,
+    grid,
+    pentagon_n5,
+    powerset_lattice,
+)
+from pfspec.errors import CapExceeded, NotALattice, NotSupercontinuous
 from pfspec.iso import find_lattice_iso
-from pfspec.order import bits, build_poset, lattice_structure, upset_lattice
+from pfspec.order import FinitePoset, bits, build_poset, lattice_structure, upset_lattice
 from pfspec.suplattice import (
+    OMEGA_FALSE,
     OMEGA_TRUE,
     SupMap,
     TensorSpace,
@@ -23,6 +31,7 @@ from pfspec.suplattice import (
     dual_basis,
     dual_element_of,
     omega,
+    omega_supmaps,
     supmap_to_omega,
     tensor,
     tensor_map,
@@ -32,6 +41,31 @@ from pfspec.suplattice import (
 )
 
 CATALOG = [chain(2), chain(3), chain(4), powerset_lattice(2), diamond_m3(), pentagon_n5()]
+
+
+def _bounded(poset):
+    """``poset`` with a new bottom and top added."""
+    n = poset.n
+    up = [poset.full | 1 << n | 1 << n + 1] + [m << 1 | 1 << n + 1 for m in poset.up] + [1 << n + 1]
+    return FinitePoset(["bot", *poset.names, "top"], up)
+
+
+def _small_lattices(most):
+    """Every lattice on 2 to ``most`` elements, one per isomorphism class:
+    a finite lattice is its bottom and top around an arbitrary poset, so
+    these are the bounded posets of ``all_posets_up_to_iso`` that are
+    lattices."""
+    out = []
+    for n in range(most - 1):
+        for poset in all_posets_up_to_iso(n):
+            try:
+                out.append(lattice_structure(_bounded(poset)))
+            except NotALattice:
+                continue
+    return out
+
+
+SMALL_LATTICES = [chain(1)] + _small_lattices(7)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +286,33 @@ def test_totally_below_matches_subset_oracle(lat):
     assert totally_below(lat) == totally_below_exhaustive(lat)
 
 
+def test_totally_below_matches_subset_oracle_on_all_small_lattices():
+    assert len(SMALL_LATTICES) == 1 + 1 + 1 + 2 + 5 + 15 + 53
+    for lat in SMALL_LATTICES:
+        assert totally_below(lat) == totally_below_exhaustive(lat), lat.names
+
+
+def test_join_irreducibles_match_the_definition():
+    # not the bottom, and not the join of the elements strictly below
+    for lat in SMALL_LATTICES + CATALOG + [grid(2, 3)]:
+        literal = [
+            i
+            for i in range(lat.n)
+            if i != lat.bottom and lat.join_iter(j for j in range(lat.n) if lat.lt(j, i)) != i
+        ]
+        assert lat.join_irreducibles() == literal, lat.names
+        assert lat.join_irreducibles() == literal, lat.names  # the stored list
+
+
+def test_join_irreducibles_hands_out_a_fresh_list():
+    lat = powerset_lattice(3)
+    first = lat.join_irreducibles()
+    expected = list(first)
+    first.append(lat.top)
+    first[0] = lat.bottom
+    assert lat.join_irreducibles() == expected
+
+
 def test_totally_below_exhaustive_cap():
     with pytest.raises(CapExceeded):
         totally_below_exhaustive(powerset_lattice(2), Caps(max_exhaustive=2))
@@ -318,6 +379,30 @@ def test_dual_basis_checks_survive_optimize():
     assert result.stdout == "optimize 1\njoin-primeness ('c', 'c')\n", result.stderr
 
 
+def _omega_supmaps_by_all_functions(lat):
+    """The SupMaps L -> Omega the long way: the join test on each of the
+    2**|L| functions."""
+    out = set()
+    for mask in range(1 << lat.n):
+        values = tuple(OMEGA_TRUE if mask >> a & 1 else OMEGA_FALSE for a in range(lat.n))
+        if values[lat.bottom] == OMEGA_FALSE and all(
+            values[lat.join(a, b)] == (values[a] or values[b])
+            for a in range(lat.n)
+            for b in range(a, lat.n)
+        ):
+            out.add(values)
+    return out
+
+
+def test_kernel_search_matches_all_functions():
+    # every lattice on at most 7 elements and the catalog lattices
+    for lat in SMALL_LATTICES + CATALOG + [grid(2, 3)]:
+        expected = _omega_supmaps_by_all_functions(lat)
+        assert omega_supmaps(lat) == expected, lat.names
+        op, pairing = dual(lat, verify=True)
+        assert {tuple(pairing(c, a) for a in range(lat.n)) for c in range(op.n)} == expected
+
+
 def test_supercontinuity_matches_distributivity():
     from pfspec.order import is_distributive
 
@@ -338,3 +423,31 @@ def test_duality_unit_element_parity():
             for p, enc in zip(basis.irreducibles, basis.sigma_encodings)
         )
         assert dominated or a == c3.bottom or c == data.dual_lattice.bottom
+
+
+_THREE_FACTOR_AS_MAP = """
+import sys
+from pfspec.errors import LawViolation
+from pfspec.suplattice import TensorSpace, omega
+
+print("optimize", sys.flags.optimize)
+try:
+    TensorSpace((omega(), omega(), omega())).pure((1, 1, 1)).as_map()
+except LawViolation as exc:
+    print(exc.law, exc.witness)
+"""
+
+
+def test_as_map_factor_check_survives_optimize():
+    # the fiber-top vector reads two factors; on three it raises
+    # LawViolation, which python -O keeps, instead of an assert
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _THREE_FACTOR_AS_MAP],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.stdout == "optimize 1\nfiber-top vector needs two factors 3\n", result.stderr
