@@ -5,9 +5,12 @@ monotone addition and multiplication tables and distinguished unit points.
 Preimage along the point maps gives the frame maps of the corresponding
 localic semiring; since the up-set functor is faithful on finite posets, the
 comonoid diagrams commute at the frame level exactly when the semiring laws
-hold pointwise, which is what gets checked.  The opens are never built here:
-the opens oracle in ``spectrum`` verifies the counit laws as SupMap
-equalities on the opens whenever they fit the caps.
+hold pointwise.  Building a ``FiniteCommMonoid`` or ``FiniteCommSemiring``
+is the one place those laws are checked (both monoid laws, annihilation and
+distributivity); ``LocalicSemiringData`` takes the built algebra and checks
+only what the locale adds, that the tables are monotone.  The opens are never
+built here: the opens oracle in ``spectrum`` verifies the counit laws as
+SupMap equalities on the opens whenever they fit the caps.
 """
 
 from itertools import product as iproduct
@@ -15,7 +18,7 @@ from itertools import product as iproduct
 from .caps import DEFAULT_CAPS
 from .errors import LawViolation, NotDistributive, NotMonotone
 from .locale import alexandrov
-from .order import FinitePoset, bits, is_distributive
+from .order import FinitePoset, bits
 
 
 class FiniteCommMonoid:
@@ -65,9 +68,9 @@ class FiniteCommSemiring:
         self.zero = zero
         self.one = one
         self.add_t = tuple(tuple(row) for row in add)
-        self.mul_t = tuple(tuple(row) for row in mul)
         _check_comm_monoid(self.names, zero, self.add_t, "add")
-        _check_comm_monoid(self.names, one, self.mul_t, "mul")
+        self.mul_monoid = FiniteCommMonoid(self.names, one, mul)
+        self.mul_t = self.mul_monoid.mul_t
         for a in range(self.n):
             if self.mul_t[a][zero] != zero:
                 raise LawViolation("annihilation", self.names[a])
@@ -85,12 +88,6 @@ class FiniteCommSemiring:
     def mul(self, a, b):
         return self.mul_t[a][b]
 
-    def mult_monoid(self):
-        return FiniteCommMonoid(self.names, self.one, self.mul_t)
-
-    def add_monoid(self):
-        return FiniteCommMonoid(self.names, self.zero, self.add_t)
-
     def __repr__(self):
         return f"FiniteCommSemiring({','.join(self.names)})"
 
@@ -100,50 +97,42 @@ def build_discrete_semiring(names, zero, one, add, mul):
 
 
 class LocalicSemiringData:
-    """A localic semiring (or, with ``add`` omitted, a localic monoid) on a
-    finite locale, given by point-level data.
+    """A localic semiring (or, over a monoid, a localic monoid) on a finite
+    locale, given by point-level data.
 
-    ``mul``/``add`` are monotone binary tables on points; ``one_point`` and
-    ``zero_point`` are the unit points.  The induced frame maps are the
+    ``algebra`` is a ``FiniteCommSemiring`` or ``FiniteCommMonoid`` on the
+    locale's points, whose laws were checked when it was built.  Here only
+    what depends on the locale is checked: the point names are the algebra's,
+    and ``mul``/``add`` are monotone tables on the points, with unit points
+    ``one_point`` and ``zero_point``.  The induced frame maps are the
     preimages; neither the opens nor those of the self-coproduct are
     materialized, all downstream computations work with the point tables
     directly.
 
-    Only pointwise laws are checked, and they imply the frame-level ones:
-    the preimage of an up-set along a monotone map is an up-set, so each
-    table gives a frame map, and preimage is faithful on finite posets, so a
-    comonoid diagram commutes on opens exactly when it commutes on points.
-    For the counit, U -> {x : x.1 in U} is the identity on opens exactly
-    when x.1 = x for every point x.
+    The pointwise laws imply the frame-level ones: the preimage of an up-set
+    along a monotone map is an up-set, so each table gives a frame map, and
+    preimage is faithful on finite posets, so a comonoid diagram commutes on
+    opens exactly when it commutes on points.  For the counit,
+    U -> {x : x.1 in U} is the identity on opens exactly when x.1 = x for
+    every point x.
     """
 
-    def __init__(self, locale, mul, one_point, add=None, zero_point=None, name=""):
+    def __init__(self, locale, algebra, name=""):
+        pts = locale.points
+        if pts.names != algebra.names:
+            raise LawViolation("order carrier", "point names differ from the algebra's names")
         self.locale = locale
         self.name = name
-        pts = locale.points
-        self.mul_t = tuple(tuple(row) for row in mul)
-        self.one_point = one_point
-        self.add_t = None if add is None else tuple(tuple(row) for row in add)
-        self.zero_point = zero_point
+        if isinstance(algebra, FiniteCommSemiring):
+            self.mul_monoid = algebra.mul_monoid
+            self.add_t, self.zero_point = algebra.add_t, algebra.zero
+        else:
+            self.mul_monoid = algebra
+            self.add_t = self.zero_point = None
+        self.mul_t, self.one_point = self.mul_monoid.mul_t, self.mul_monoid.unit
         _check_pointwise_monotone(pts, self.mul_t, "mul")
-        self.mul_monoid = FiniteCommMonoid(pts.names, one_point, self.mul_t)
         if self.add_t is not None:
-            if zero_point is None:
-                raise LawViolation("additive unit", "zero point missing")
             _check_pointwise_monotone(pts, self.add_t, "add")
-            _check_comm_monoid(pts.names, zero_point, self.add_t, "add")
-            for a in range(pts.n):
-                if self.mul_t[a][zero_point] != zero_point:
-                    raise LawViolation("annihilation", pts.names[a])
-                for b, c in iproduct(range(pts.n), repeat=2):
-                    if (
-                        self.mul_t[a][self.add_t[b][c]]
-                        != self.add_t[self.mul_t[a][b]][self.mul_t[a][c]]
-                    ):
-                        raise LawViolation(
-                            "distributivity",
-                            (pts.names[a], pts.names[b], pts.names[c]),
-                        )
 
     def mul(self, a, b):
         return self.mul_t[a][b]
@@ -179,36 +168,16 @@ def _check_pointwise_monotone(pts, table, law):
                     )
 
 
-def to_localic(semiring, order=None, caps=DEFAULT_CAPS, name=""):
-    """Topologize a discrete semiring, or an ordered one when ``order`` is a
-    poset on the same element names (operations must be monotone for it)."""
+def to_localic(algebra, order=None, caps=DEFAULT_CAPS, name=""):
+    """Topologize a discrete semiring or monoid, or an ordered one when
+    ``order`` is a poset on the same element names (operations must be
+    monotone for it)."""
     if order is None:
-        order = FinitePoset(semiring.names, [1 << i for i in range(semiring.n)])
-    if tuple(order.names) != semiring.names:
-        raise LawViolation("order carrier", "poset names differ from semiring names")
-    loc = alexandrov(order, caps)
-    data = LocalicSemiringData(
-        loc,
-        semiring.mul_t,
-        semiring.one,
-        add=semiring.add_t,
-        zero_point=semiring.zero,
-        name=name or getattr(semiring, "name", ""),
-    )
-    back_mul, back_add = data.point_table()
-    for law, back, table in (("mul", back_mul, semiring.mul_t), ("add", back_add, semiring.add_t)):
-        if back != table:
-            pairs = iproduct(range(semiring.n), repeat=2)
-            a, b = next((a, b) for a, b in pairs if back[a][b] != table[a][b])
-            raise LawViolation(f"{law} table round-trip", (semiring.names[a], semiring.names[b]))
-    return data
+        order = FinitePoset(algebra.names, [1 << i for i in range(algebra.n)])
+    return LocalicSemiringData(alexandrov(order, caps), algebra, name=name)
 
 
-def monoid_to_localic(monoid, order=None, caps=DEFAULT_CAPS, name=""):
-    if order is None:
-        order = FinitePoset(monoid.names, [1 << i for i in range(monoid.n)])
-    loc = alexandrov(order, caps)
-    return LocalicSemiringData(loc, monoid.mul_t, monoid.unit, name=name)
+monoid_to_localic = to_localic
 
 
 def scott_localic_lattice(lat, caps=DEFAULT_CAPS, name=""):
@@ -216,19 +185,13 @@ def scott_localic_lattice(lat, caps=DEFAULT_CAPS, name=""):
     semiring: points are the lattice elements in their own order (Scott =
     Alexandrov on finite carriers), addition is join and multiplication meet.
     """
-    flag, witness = is_distributive(lat)
-    if not flag:
-        raise NotDistributive(witness)
-    pts = FinitePoset(lat.names, lat.up)
-    loc = alexandrov(pts, caps)
-    return LocalicSemiringData(
-        loc,
-        lat.meet_t,
-        lat.top,
-        add=lat.join_t,
-        zero_point=lat.bottom,
-        name=name,
-    )
+    try:
+        semiring = FiniteCommSemiring(lat.names, lat.bottom, lat.top, lat.join_t, lat.meet_t)
+    except LawViolation as exc:
+        # join and meet are commutative monoids and the bottom annihilates,
+        # so distributivity is the one semiring law a lattice can fail
+        raise NotDistributive(exc.witness) from None
+    return to_localic(semiring, FinitePoset(lat.names, lat.up), caps, name)
 
 
 def holoid_quotient(monoid, order=None):

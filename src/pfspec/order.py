@@ -50,10 +50,11 @@ class FinitePoset:
         self.names = tuple(names)
         self.n = len(self.names)
         self.up = tuple(up)
-        self.down = tuple(
-            sum(1 << j for j in range(self.n) if self.up[j] >> i & 1)
-            for i in range(self.n)
-        )
+        down = [0] * self.n
+        for j, u in enumerate(self.up):
+            for i in bits(u):
+                down[i] |= 1 << j
+        self.down = tuple(down)
         self.full = (1 << self.n) - 1
         self._index = {name: i for i, name in enumerate(self.names)}
 
@@ -87,20 +88,11 @@ class FinitePoset:
                 up.append(mask)
         return FinitePoset(names, up)
 
-    def up_closure(self, mask):
-        out = 0
-        for i in bits(mask):
-            out |= self.up[i]
-        return out
-
     def down_closure(self, mask):
         out = 0
         for i in bits(mask):
             out |= self.down[i]
         return out
-
-    def is_up_set(self, mask):
-        return self.up_closure(mask) == mask
 
     def is_down_set(self, mask):
         return self.down_closure(mask) == mask
@@ -309,9 +301,6 @@ class Lattice(FinitePoset):
 
     def join_mask(self, mask):
         return self.join_iter(bits(mask))
-
-    def meet_mask(self, mask):
-        return self.meet_iter(bits(mask))
 
     def join_irreducibles(self):
         """Elements that are not the join of the elements strictly below,

@@ -125,12 +125,6 @@ class Quantale:
     def mul(self, a, b):
         return self.mult_t[a][b]
 
-    def mul_iter(self, items):
-        out = self.unit
-        for a in items:
-            out = self.mult_t[out][a]
-        return out
-
     @property
     def two_sided(self):
         return self.unit == self.carrier.top

@@ -29,7 +29,7 @@ from functools import cache
 from itertools import product as iproduct
 from operator import or_
 
-from .algebra import LocalicSemiringData, holoid_quotient
+from .algebra import FiniteCommMonoid, LocalicSemiringData, holoid_quotient
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, LawViolation, NotSupercontinuous, NotTwoSided
 from .locale import locale_from_frame
@@ -42,7 +42,6 @@ from .order import (
     monotone_search,
 )
 from .quantale import (
-    FULL_CHECK_LIMIT,
     Quantale,
     QuantaleHom,
     enumerate_homs,
@@ -85,10 +84,11 @@ def saturation(data, caps=DEFAULT_CAPS):
     reflection is the holoid quotient; the reflection's up-sets, pulled back
     to the points, are the saturated opens, sorted by (size, mask) as the
     opens are.  Each of them is checked to be preserved by the
-    comultiplication, (xz)(yw) in s implies xy in s, on every input
-    (``_comultiplication_witness``).  The opens themselves are never built:
-    ``opens_oracle`` compares these masks with the fixed points of the
-    closure U -> {x : exists y, xy in U} on them.
+    comultiplication, (xz)(yw) in s implies xy in s, on every input, through
+    the equivalent xy in s implies x in s (``_comultiplication_witness``).
+    The opens themselves are never built: ``opens_oracle`` compares these
+    masks with the fixed points of the closure U -> {x : exists y, xy in U}
+    on them.
     """
     pts = data.locale.points
     _, cls_of, order = holoid_quotient(data.mul_monoid, pts)
@@ -122,31 +122,25 @@ def _comultiplication_witness(data, masks):
     """The first mask s, in order, with the first points (x, y, z, w) such
     that (xz)(yw) is in s and xy is not, or None if every s obeys that law.
 
-    (xz)(yw) ranges over the products ab with a in xR and b in yR.  The law
+    Given the monoid laws, s obeys it exactly when xy in s implies x in s:
+    (xz)(yw) = (xy)(zw) gives one direction, z = y = 1 the other.  That law
     is evaluated for all masks at once, on bitmasks over their indices:
-    member[t] holds the k with t in masks[k], reach[b] the OR of member[ab]
-    over a in xR, and mask k fails at (x, y) exactly when the OR of reach[b]
-    over b in yR holds k and member[xy] does not.  That is O(n^2 |xR|) steps
-    whatever the number of masks; the witness is searched literally, in the
-    first failing mask only."""
+    member[t] holds the k with t in masks[k], and mask k fails at (x, y)
+    when member[xy] holds k and member[x] does not, n^2 steps whatever the
+    number of masks.  The witness is searched literally, over quadruples, in
+    the first failing mask only."""
     n = data.locale.points.n
     mul_t = data.mul_t
     member = [0] * n
     for k, s in enumerate(masks):
         for t in bits(s):
             member[t] |= 1 << k
-    member_rows = [[member[t] for t in row] for row in mul_t]
-    multiples = [sorted(set(row)) for row in mul_t]  # xR
     bad = 0
-    for x in range(n):
-        reach = [0] * n
-        for a in multiples[x]:
-            reach = list(map(or_, reach, member_rows[a]))
-        for y in range(n):
-            hit = 0
-            for b in multiples[y]:
-                hit |= reach[b]
-            bad |= hit & ~member_rows[x][y]
+    for x, row in enumerate(mul_t):
+        hit = 0
+        for xy in row:
+            hit |= member[xy]
+        bad |= hit & ~member[x]
     if not bad:
         return None
     s = masks[(bad & -bad).bit_length() - 1]
@@ -233,12 +227,12 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
     complements, a family closed under union and intersection.  The product
     is the convolution product (down-closure of the pointwise product) and
     the unit is the top, the absorption of the unit point's closure.  Each
-    product is looked up among the monoid ideals, and a miss raises.  The
-    duality check confirms the unit and the multiplication transport: while
-    the quantale is small (``FULL_CHECK_LIMIT``), by an independent scan of
-    the saturated family for each pair; beyond that, by checking once per
-    monoid ideal that it is the least monoid ideal over itself, which with
-    the lookup makes the transport exact.  That every down-set fixed by
+    product is looked up among the monoid ideals, and a miss raises; so the
+    raw product is in the family, and its complement is the largest
+    saturated open avoiding it.  The duality check confirms the unit, and
+    the multiplication transport by checking once per monoid ideal that it
+    is the least monoid ideal over itself (``_absorb``), which with the
+    lookup makes the transport exact.  That every down-set fixed by
     a -> a.top is the complement of a saturated open needs all the opens;
     ``opens_oracle`` checks it.  The all-down-sets OWC quantale and its
     two-sided reflection give the same quantale; the tests use them as the
@@ -261,29 +255,10 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
 
     # duality with the saturated frame
     unit_matches = full ^ ideal_masks[ideals_q.unit] == sat.sat_masks[sat.saturated.bottom]
-    mult_transported = True
-    mult_witness = None
-    if lat.n <= FULL_CHECK_LIMIT:
-        sat_set = set(sat.sat_masks)
-        for i, j in iproduct(range(lat.n), repeat=2):
-            # independent route: largest saturated open avoiding the raw
-            # product, found by scanning the saturated family
-            raw = products[i][j]
-            star = 0
-            for s in sat.sat_masks:
-                if not s & raw:
-                    star |= s
-            if star != full ^ ideal_masks[ideals_q.mul(i, j)] or star not in sat_set:
-                mult_transported = False
-                mult_witness = (lat.names[i], lat.names[j])
-                break
-    else:
-        for k, m in enumerate(ideal_masks):
-            if _absorb(data, m) != m:
-                mult_transported = False
-                mult_witness = lat.names[k]
-                break
-    report = DualityReport(unit_matches, mult_transported, mult_witness)
+    mult_witness = next(
+        (lat.names[k] for k, m in enumerate(ideal_masks) if _absorb(data, m) != m), None
+    )
+    report = DualityReport(unit_matches, mult_witness is None, mult_witness)
     if not report.ok():
         raise LawViolation("monoid-ideal/saturated duality", report)
     return MonoidIdealData(sat, ideals_q, tuple(ideal_masks), report)
@@ -697,7 +672,6 @@ def saturated_replacement(sat, caps=DEFAULT_CAPS):
                 acc &= m
         return sat_index[acc]
 
-    unit_point = None
     unit_sat = least_saturated_over(1 << data.one_point)
     times = [[None] * len(ji) for _ in range(len(ji))]
     ji_pos = {p: k for k, p in enumerate(ji)}
@@ -716,10 +690,8 @@ def saturated_replacement(sat, caps=DEFAULT_CAPS):
             times[a][b] = ji_pos[s]
     if unit_sat not in ji_pos:
         raise LawViolation("unit point has an irreducible saturation", sl.names[unit_sat])
-    unit_point = ji_pos[unit_sat]
-    replacement = LocalicSemiringData(
-        loc2, times, unit_point, name=f"saturated({data.name})"
-    )
+    monoid = FiniteCommMonoid(loc2.points.names, ji_pos[unit_sat], times)
+    replacement = LocalicSemiringData(loc2, monoid, name=f"saturated({data.name})")
     return replacement, tuple(ji_masks)
 
 

@@ -1,12 +1,8 @@
 """Semirings, localic presentations, the holoid quotient."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
+import pfspec.algebra
 from pfspec.algebra import (
     FiniteCommMonoid,
     build_discrete_semiring,
@@ -53,34 +49,19 @@ def test_to_localic_discrete_roundtrip():
         assert data.is_discrete()
 
 
-_BROKEN_POINT_TABLE = """
-import sys
-from pfspec.algebra import LocalicSemiringData, to_localic
-from pfspec.catalog import semiring_catalog
-from pfspec.errors import LawViolation
-
-# read the addition back in place of the multiplication
-LocalicSemiringData.point_table = lambda self: (self.add_t, self.add_t)
-print("optimize", sys.flags.optimize)
-try:
-    to_localic(dict(semiring_catalog())["Z4"])
-except LawViolation as exc:
-    print(exc.law, exc.witness)
-"""
-
-
-def test_to_localic_roundtrip_check_survives_optimize():
-    # python -O strips assert statements; the round-trip check must not be one
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_POINT_TABLE],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
+def test_to_localic_checks_no_law_of_a_built_semiring(monkeypatch):
+    # the semiring laws are checked when the semiring is built, never again
+    calls = []
+    original = pfspec.algebra._check_comm_monoid
+    monkeypatch.setattr(
+        pfspec.algebra, "_check_comm_monoid", lambda *args: calls.append(args[3]) or original(*args)
     )
-    assert result.stdout == "optimize 1\nmul table round-trip ('0', '1')\n", result.stderr
+    add = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    mul = [[i * j % 6 for j in range(6)] for i in range(6)]
+    z6 = build_discrete_semiring([str(i) for i in range(6)], 0, 1, add, mul)
+    assert calls == ["add", "mul"]
+    to_localic(z6)
+    assert calls == ["add", "mul"]
 
 
 def test_to_localic_reversed_sierpinski():
@@ -90,20 +71,23 @@ def test_to_localic_reversed_sierpinski():
     data = to_localic(revs, order=order)
     assert not data.is_discrete()
     assert data.zero_point == 1 and data.one_point == 0
+    # the order must list the points under the semiring's names, in its order
+    with pytest.raises(LawViolation) as exc:
+        to_localic(revs, order=build_poset(["t", "b"], [("b", "t")]))
+    assert exc.value.law == "order carrier"
 
 
 def test_to_localic_non_monotone_rejected():
-    # x*y = xor on the 2-chain is not monotone
-    xor = build_discrete_semiring(
-        ["0", "1"], 0, 1, [[0, 1], [1, 1]], [[0, 0], [0, 1]]
-    )
+    # xor is a monoid on Z/2, but not monotone on the 2-chain
+    xor = FiniteCommMonoid(["0", "1"], 0, [[0, 1], [1, 0]])
     order = build_poset(["0", "1"], [("0", "1")])
-    bad_mul = [[1, 1], [1, 0]]
-    with pytest.raises((NotMonotone, LawViolation)):
-        from pfspec.algebra import LocalicSemiringData
-        from pfspec.locale import alexandrov
-
-        LocalicSemiringData(alexandrov(order), bad_mul, 1)
+    with pytest.raises(NotMonotone):
+        to_localic(xor, order=order)
+    # as the addition of the field Z/2, under a monotone multiplication
+    field = build_discrete_semiring(["0", "1"], 0, 1, xor.mul_t, [[0, 0], [0, 1]])
+    with pytest.raises(NotMonotone) as exc:
+        to_localic(field, order=order)
+    assert str(exc.value).endswith(": add")
 
 
 def test_counit_laws_as_supmap_equalities():

@@ -1,11 +1,14 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pfspec"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pfspec"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -53,10 +56,44 @@ def test_no_asserts_in_quantale():
 
 
 def test_no_asserts_in_algebra():
-    # the point-table round trip in to_localic raises LawViolation instead
+    # the semiring and monotonicity checks raise LawViolation and NotMonotone
     assert assert_lines((SRC / "algebra.py").read_text(encoding="utf-8")) == []
 
 
 def test_no_asserts_in_suplattice():
     # the tensor's factor count and universal property raise LawViolation
     assert assert_lines((SRC / "suplattice.py").read_text(encoding="utf-8")) == []
+
+
+def unreferenced_definitions(modules, sources):
+    """(module, line, name) for each def or class in ``modules`` (name ->
+    source) whose name no word of ``sources`` holds, apart from the
+    definitions themselves.  Dunder names are exempt."""
+    words = Counter(word for text in sources for word in re.findall(r"\w+", text))
+    defs = [
+        (module, node.lineno, node.name)
+        for module, text in modules.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    count = Counter(name for _, _, name in defs)
+    return [d for d in defs if words[d[2]] <= count[d[2]]]
+
+
+def test_unreferenced_definitions_finds_each_unnamed_def():
+    lib = "def used():\n    pass\n\n\nclass Dead:\n    def __repr__(self):\n        return ''\n"
+    caller = "from lib import used\nused()\n"
+    assert unreferenced_definitions({"lib": lib}, [lib, caller]) == [("lib", 5, "Dead")]
+
+
+def test_no_unreferenced_definitions():
+    # every def and class of the package is named somewhere else in the
+    # package, its tests or the benchmark
+    sources = [
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "tests", "bench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unreferenced_definitions(modules, sources) == []

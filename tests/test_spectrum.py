@@ -30,7 +30,7 @@ from pfspec.errors import CapExceeded, LawViolation, NotSupercontinuous
 from pfspec.iso import find_lattice_iso
 from pfspec.oracles import zariski_compare
 from pfspec.order import FinitePoset, Lattice, bits, build_poset, downset_lattice
-from pfspec.quantale import FULL_CHECK_LIMIT, Quantale, frame_quantale
+from pfspec.quantale import Quantale, frame_quantale
 from pfspec.spectrum import (
     anti_ideals,
     dualisability_conditions,
@@ -241,18 +241,19 @@ def test_broken_monoid_ideal_product_raises(monkeypatch):
 
 
 def test_large_monoid_ideal_quantale_checks_each_ideal_once(monkeypatch):
-    # past FULL_CHECK_LIMIT monoid ideals the duality check confirms, once
-    # per monoid ideal, that it is the least monoid ideal over itself
+    # at every size the duality check confirms, once per monoid ideal, that
+    # it is the least monoid ideal over itself
     data = scott_localic_lattice(powerset_lattice(4))
     calls = []
     monkeypatch.setattr(pfspec.spectrum, "_absorb", lambda data, mask: calls.append(mask) or mask)
     mi = monoid_ideal_quantale(data)
-    assert mi.monoid_ideals.carrier.n == 168 > FULL_CHECK_LIMIT
+    assert mi.monoid_ideals.carrier.n == 168
     assert sorted(calls) == sorted(mi.ideal_masks)
     monkeypatch.setattr(pfspec.spectrum, "_absorb", lambda data, mask: mask & (mask - 1))
-    with pytest.raises(LawViolation) as exc:
-        monoid_ideal_quantale(data)
-    assert exc.value.law == "monoid-ideal/saturated duality"
+    for obj in (data, _semiring_data("Z4")):
+        with pytest.raises(LawViolation) as exc:
+            monoid_ideal_quantale(obj)
+        assert exc.value.law == "monoid-ideal/saturated duality"
 
 
 # ---------------------------------------------------------------------------
