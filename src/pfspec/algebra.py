@@ -148,11 +148,6 @@ class LocalicSemiringData:
         pts = self.locale.points
         return all(pts.up[i] == 1 << i for i in range(pts.n))
 
-    def point_table(self):
-        """Read back the discrete tables (inverse of to_localic on discrete
-        input)."""
-        return self.mul_t, self.add_t
-
     def __repr__(self):
         kind = "semiring" if self.has_addition else "monoid"
         return f"LocalicSemiringData({kind}, {self.locale.points.n} points)"
@@ -175,9 +170,6 @@ def to_localic(algebra, order=None, caps=DEFAULT_CAPS, name=""):
     if order is None:
         order = FinitePoset(algebra.names, [1 << i for i in range(algebra.n)])
     return LocalicSemiringData(alexandrov(order, caps), algebra, name=name)
-
-
-monoid_to_localic = to_localic
 
 
 def scott_localic_lattice(lat, caps=DEFAULT_CAPS, name=""):

@@ -17,7 +17,7 @@ import argparse
 import functools
 import sys
 
-from .algebra import monoid_to_localic, scott_localic_lattice, to_localic
+from .algebra import scott_localic_lattice, to_localic
 from .caps import caps_from_env
 from .dot import hasse_dot, quantale_dot
 from .errors import PfspecError
@@ -103,7 +103,7 @@ def _localic_data(model, name, caps):
         semiring, order = realize_semiring(model, name)
         return to_localic(semiring, order=order, caps=caps, name=name), "semiring"
     if isinstance(block, MonoidBlock):
-        return monoid_to_localic(realize_monoid(model, name), caps=caps, name=name), "monoid"
+        return to_localic(realize_monoid(model, name), caps=caps, name=name), "monoid"
     if isinstance(block, LatticeBlock):
         lat = realize_lattice(model, name)
         return scott_localic_lattice(lat, caps, name=name), "lattice"

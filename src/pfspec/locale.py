@@ -284,7 +284,7 @@ def owc(locale):
     sublocales = [OwcSublocale(locale, m) for m in masks]
     assert lat.n == locale.opens.n
     seen = set()
-    dual_lat, pairing = dual(locale.opens, verify=False)
+    dual_lat, pairing = dual(locale.opens)
     for sub in sublocales:
         values = tuple(sub.meets_map().values)
         assert values not in seen
@@ -378,7 +378,7 @@ def scott_analysis(poset, caps=DEFAULT_CAPS):
         back[values] = core
         assert core == s
     # conversely every SupMap opens -> Omega arises from a down-set
-    dual_lat, pairing = dual(loc.opens, verify=False)
+    dual_lat, pairing = dual(loc.opens)
     for c in range(loc.opens.n):
         values = tuple(pairing(c, a) for a in range(loc.opens.n))
         assert values in back

@@ -12,8 +12,7 @@ one search engine, ``monotone_search``.  The quotient by a closure operator is
 built by ``ClosureOperator.quotient`` straight from its fixed points: meets
 carry over and the join is j(a v b), so no least-upper-bound search is
 needed.  ``lattice_structure`` does that search, for posets that arrive
-without tables.  Quantales on carriers of at most ``FULL_CHECK_LIMIT``
-(40) elements are validated on construction, as ``quantale`` explains.
+without tables.
 
 All values are immutable after construction and safe to share.
 """
@@ -222,12 +221,17 @@ class MonotoneMap:
         self.values = tuple(values)
         if len(self.values) != source.n:
             raise NotMonotone(None, "value table is not total")
+        self._check_laws()
+
+    def _check_laws(self):
+        """Monotonicity on every comparable pair; subclasses override it."""
+        source, target, v = self.source, self.target, self.values
         for i in range(source.n):
             for j in bits(source.up[i]):
-                if not target.leq(self.values[i], self.values[j]):
+                if not target.leq(v[i], v[j]):
                     raise NotMonotone(
                         (source.names[i], source.names[j]),
-                        f"{target.names[self.values[i]]} vs {target.names[self.values[j]]}",
+                        f"{target.names[v[i]]} vs {target.names[v[j]]}",
                     )
 
     def __call__(self, i):
@@ -517,14 +521,16 @@ def downset_lattice(poset, limit=None):
 def least_fixpoint(lat, forcings, mult=None):
     """Values of the least closure operator j on ``lat`` with a <= j(b) for
     each forcing pair (a, b); given the multiplication table ``mult`` of a
-    quantale on ``lat``, of the least nucleus, which also has
+    validated quantale on ``lat``, of the least nucleus, which also has
     j(a)j(b) <= j(ab).
 
     This is the one repair engine behind least closures and least nuclei.
     Repairs run round-robin over all elements until a full pass changes
     nothing; the candidate table only ever grows inside a finite lattice, so
     the loop terminates, and every repair step is forced in any closure (or
-    nucleus) satisfying the forcings, which gives minimality.
+    nucleus) satisfying the forcings, which gives minimality.  The nucleus
+    repair j(pb) v= p j(b), p join-irreducible, is forced as k(pb) >= p k(b)
+    for a nucleus k, and suffices by ``quantale.Nucleus``.
     """
     n = lat.n
     j = list(range(n))
@@ -550,10 +556,11 @@ def least_fixpoint(lat, forcings, mult=None):
                 changed = True
         if mult is None:
             continue
-        for a in range(n):
-            for b in range(a, n):
-                target = mult[a][b]
-                new = lat.join(j[target], mult[j[a]][j[b]])
+        for p in lat.join_irreducibles():
+            row = mult[p]
+            for b in range(n):
+                target = row[b]
+                new = lat.join(j[target], row[j[b]])
                 if new != j[target]:
                     j[target] = new
                     changed = True

@@ -7,7 +7,6 @@ from pfspec.algebra import (
     FiniteCommMonoid,
     build_discrete_semiring,
     holoid_quotient,
-    monoid_to_localic,
     scott_localic_lattice,
     to_localic,
 )
@@ -44,8 +43,8 @@ def test_distributivity_violation_witnessed():
 def test_to_localic_discrete_roundtrip():
     for name, semiring in semiring_catalog():
         data = to_localic(semiring, name=name)
-        mul, add = data.point_table()
-        assert mul == semiring.mul_t and add == semiring.add_t
+        assert data.mul_t == semiring.mul_t and data.add_t == semiring.add_t
+        assert data.one_point == semiring.one and data.zero_point == semiring.zero
         assert data.is_discrete()
 
 
@@ -166,6 +165,6 @@ def test_holoid_surjection_is_hom_and_order_reflecting(name, monoid):
 
 def test_monoid_to_localic():
     for name, monoid in monoid_catalog():
-        data = monoid_to_localic(monoid, name=name)
+        data = to_localic(monoid, name=name)
         assert not data.has_addition
         assert data.mul_t == monoid.mul_t

@@ -11,6 +11,8 @@ After an intended change of output, record the files again with
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -86,6 +88,24 @@ def test_cli_output_matches_golden(name, argv, tmp_path, monkeypatch):
     monkeypatch.delenv(ENV_MAX_EXHAUSTIVE, raising=False)
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert _run(argv, tmp_path) == expected
+
+
+@pytest.mark.parametrize("path", MODELS, ids=[p.stem for p in MODELS])
+def test_verify_under_optimize_matches_golden(path):
+    # python -O strips assert statements, so a check that is one would pass
+    # silently there; a fresh child process must print the same bytes
+    env = {k: v for k, v in os.environ.items() if k != ENV_MAX_EXHAUSTIVE}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "pfspec.cli", "verify", str(path)],
+        env=env,
+        capture_output=True,
+        timeout=600,
+    )
+    got = b"exit %d\n" % result.returncode + result.stdout
+    if result.stderr:
+        got += b"--- stderr\n" + result.stderr
+    assert got == (GOLDEN / path.stem / "verify.txt").read_bytes()
 
 
 @pytest.mark.parametrize("path", MODELS, ids=[p.stem for p in MODELS])

@@ -10,7 +10,6 @@ import pytest
 
 from pfspec.algebra import (
     build_discrete_semiring,
-    monoid_to_localic,
     scott_localic_lattice,
     to_localic,
 )
@@ -25,7 +24,7 @@ from pfspec.catalog import (
     semiring_catalog,
 )
 from pfspec.cli import _localic_data
-from pfspec.errors import LawViolation
+from pfspec.errors import LawViolation, NotJoinPreserving
 from pfspec.modelfile import LatticeBlock, MonoidBlock, SemiringBlock, parse_model
 from pfspec.oracles import (
     ideal_product,
@@ -37,8 +36,17 @@ from pfspec.oracles import (
     stone_compare,
     zariski_compare,
 )
-from pfspec.order import bits, build_poset, downset_lattice, lattice_structure
-from pfspec.quantale import Quantale, enumerate_homs, frame_quantale, two_sided_reflection
+from pfspec.order import bits, build_poset, downset_lattice, lattice_structure, least_fixpoint
+from pfspec.quantale import (
+    Nucleus,
+    Quantale,
+    QuantaleHom,
+    enumerate_homs,
+    frame_quantale,
+    least_nucleus,
+    quotient_by_nucleus,
+    two_sided_reflection,
+)
 from pfspec.spectrum import (
     _comultiplication_witness,
     _monoid_universal_map,
@@ -51,7 +59,7 @@ from pfspec.spectrum import (
     radical_frame,
     saturation,
 )
-from pfspec.suplattice import all_supmaps, dual_basis
+from pfspec.suplattice import SupMap, all_supmaps, dual_basis
 
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
 
@@ -195,7 +203,7 @@ def _assert_matches_owc_oracle(data):
 def _catalog_and_small_objects():
     """The 13 catalog monoids and semirings and the 77 semirings of order
     2 to 4, as localic data."""
-    objects = [monoid_to_localic(m, name=name) for name, m in monoid_catalog()]
+    objects = [to_localic(m, name=name) for name, m in monoid_catalog()]
     objects += [to_localic(s, name=name) for name, s in semiring_catalog()]
     objects += [to_localic(s) for n in (2, 3, 4) for s in _all_semirings(n)]
     assert len(objects) == 90
@@ -518,6 +526,31 @@ def test_validate_reports_the_scans_law_and_witness_on_perturbed_tables():
     assert laws["bilinearity"] > 300 and laws["bilinearity (empty join)"] > 50
 
 
+def test_validate_reports_the_scans_law_and_witness_on_bilinear_perturbations():
+    # one product of join-irreducibles p, r changed and the table extended
+    # bilinearly from the products of join-irreducibles: the join laws still
+    # hold on distributive carriers, so the unit or associativity breaks
+    rng = random.Random(2006)
+    laws = Counter()
+    for q in _distinct_pipeline_quantales():
+        lat = q.carrier
+        ji = lat.join_irreducibles()
+        below = [[p for p in ji if lat.leq(p, a)] for a in range(lat.n)]
+        for _ in range(40):
+            products = {(x, y): q.mul(x, y) for x in ji for y in ji}
+            p, r = rng.choice(ji), rng.choice(ji)
+            products[p, r] = products[r, p] = rng.choice(list(bits(lat.down[lat.meet(p, r)])))
+            table = [
+                [lat.join_iter(products[x, y] for x in below[a] for y in below[b]) for b in range(lat.n)]
+                for a in range(lat.n)
+            ]
+            broken = _unchecked_quantale(lat, table, q.unit)
+            expected = _literal_validate(broken)
+            laws[expected and expected[0]] += 1
+            assert _validate_outcome(broken) == expected, (q, p, r)
+    assert laws[None] > 500 and laws["unit"] > 100 and laws["associativity"] > 20
+
+
 def test_validate_needs_the_empty_join_law():
     # on the chain 0 < m < 1 with unit m, 1*0 = m breaks only laws that
     # involve 0; every product of join-irreducibles m, 1 is still right and
@@ -527,6 +560,24 @@ def test_validate_needs_the_empty_join_law():
     broken = _unchecked_quantale(chain(3), [[0, 0, 1], [0, 1, 2], [1, 2, 2]], 1)
     assert _literal_validate(valid) is None
     assert _literal_validate(broken) == ("associativity", ("0", "0", "1"))
+    assert _validate_outcome(broken) == _literal_validate(broken)
+
+
+def test_validate_needs_every_join_irreducible_for_associativity():
+    # on P3 with unit {1}, the atoms multiply by {2}{2} = {2}{3} = {} and
+    # {3}{3} = {1}, extended bilinearly; every triple of atoms that holds
+    # {3} at most once associates, and ({3}{3}){2} = {2} while
+    # {3}({3}{2}) = {}, so only the pairs p, q in J that hold {3} see it
+    lat = powerset_lattice(3)
+    e, z, p = lat.join_irreducibles()
+    atoms = {(e, e): e, (e, z): z, (e, p): p, (z, z): lat.bottom, (z, p): lat.bottom, (p, p): e}
+    below = [[x for x in (e, z, p) if lat.leq(x, a)] for a in range(lat.n)]
+    table = [
+        [lat.join_iter(atoms[min(x, y), max(x, y)] for x in below[a] for y in below[b]) for b in range(lat.n)]
+        for a in range(lat.n)
+    ]
+    broken = _unchecked_quantale(lat, table, e)
+    assert _literal_validate(broken) == ("associativity", ("{2}", "{3}", "{3}"))
     assert _validate_outcome(broken) == _literal_validate(broken)
 
 
@@ -542,12 +593,197 @@ class _CountingRow(tuple):
 
 @pytest.mark.parametrize("lat", [powerset_lattice(5), grid(4, 4)], ids=["P5", "G44"])
 def test_validate_reads_grow_with_the_join_irreducibles(lat):
-    # commutativity and the unit read n(n+1) + n cells; then n cells for
-    # the empty join, n|J|(2n + 1) for bilinearity and |J|^2(3|J| + 1) for
-    # associativity on J^3, against the scan's 4n^3 + 3n^2(n+1)/2
+    # commutativity, the unit and the rows of elements that are joins of
+    # two smaller ones are compared whole and read no cell by index; the
+    # rows of J read |J|(|J|(n + 1) + 1) cells and associativity on J^2
+    # reads |J|^2(n + 1), against the scan's 4n^3 + 3n^2(n+1)/2
     q = frame_quantale(lat)
     n, j = lat.n, len(lat.join_irreducibles())
     q.mult_t = tuple(_CountingRow(row) for row in q.mult_t)
     _CountingRow.reads[0] = 0
     q.validate()
-    assert _CountingRow.reads[0] <= n * (n + 1) + 2 * n + n * j * (2 * n + 1) + j * j * (3 * j + 1)
+    assert _CountingRow.reads[0] <= j + 2 * j * j * (n + 1)
+
+
+# ---------------------------------------------------------------------------
+# maps, homs and nuclei on generators against the all-pairs checks
+
+
+def _all_pairs_join_ok(source, target, v):
+    return v[source.bottom] == target.bottom and all(
+        v[source.join(a, b)] == target.join(v[a], v[b])
+        for a, b in product(range(source.n), repeat=2)
+    )
+
+
+def _all_pairs_hom_ok(q1, q2, v):
+    return (
+        _all_pairs_join_ok(q1.carrier, q2.carrier, v)
+        and v[q1.unit] == q2.unit
+        and all(v[q1.mul(a, b)] == q2.mul(v[a], v[b]) for a, b in product(range(q1.carrier.n), repeat=2))
+    )
+
+
+def _all_pairs_nucleus_ok(q, j):
+    lat = q.carrier
+    return all(
+        lat.leq(q.mul(j[a], j[b]), j[q.mul(a, b)]) for a, b in product(range(lat.n), repeat=2)
+    )
+
+
+def _all_pairs_least_nucleus(lat, forcings, mult):
+    """``least_fixpoint`` with the multiplicativity repair
+    j(ab) v= j(a)j(b) over all pairs."""
+    j = list(range(lat.n))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in forcings:
+            if lat.join(j[b], a) != j[b]:
+                j[b], changed = lat.join(j[b], a), True
+        for x in range(lat.n):
+            for y in bits(lat.up[x]):
+                if lat.join(j[y], j[x]) != j[y]:
+                    j[y], changed = lat.join(j[y], j[x]), True
+            if j[j[x]] != j[x]:
+                j[x], changed = lat.join(j[x], j[j[x]]), True
+        for a, b in product(range(lat.n), repeat=2):
+            new = lat.join(j[mult[a][b]], mult[j[a]][j[b]])
+            if new != j[mult[a][b]]:
+                j[mult[a][b]], changed = new, True
+    return j
+
+
+@cache
+def _distinct_pipeline_quantales():
+    """The pipeline quantales on at least three elements, one per table."""
+    out = {}
+    for q in _pipeline_quantales():
+        if q.carrier.n >= 3:
+            out.setdefault((q.carrier.up, q.carrier.join_t, q.mult_t, q.unit), q)
+    return list(out.values())
+
+
+def _forcings(rng, n):
+    return [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3))]
+
+
+def _changed(rng, values, positions, size):
+    """``values`` with one or two of ``positions`` set to other values
+    below ``size``."""
+    v = list(values)
+    for x in rng.sample(positions, min(len(positions), rng.randint(1, 2))):
+        v[x] = rng.choice([y for y in range(size) if y != v[x]])
+    return v
+
+
+def _ids(lat, names):
+    return [lat.index(x) for x in names]
+
+
+def test_least_fixpoint_matches_the_all_pairs_repair():
+    # 24 seeded forcing sets per quantale; about half give neither the
+    # identity nor the nucleus onto the top
+    rng = random.Random(2006)
+    proper = 0
+    for q in _distinct_pipeline_quantales():
+        lat = q.carrier
+        for _ in range(24):
+            forcings = _forcings(rng, lat.n)
+            got = least_fixpoint(lat, forcings, q.mult_t)
+            assert got == _all_pairs_least_nucleus(lat, forcings, q.mult_t), (q, forcings)
+            proper += got != list(range(lat.n)) and set(got) != {lat.top}
+    assert proper > 250
+
+
+def test_map_checks_on_generators_agree_with_all_pairs():
+    # the identity and quotient maps by seeded least nuclei, with one or two
+    # values changed: anywhere, or on join-irreducibles and then extended
+    # by joins, so that many changed maps still preserve joins
+    rng = random.Random(1905)
+    counts = Counter()
+    for q in _distinct_pipeline_quantales():
+        lat = q.carrier
+        ji = lat.join_irreducibles()
+        bases = [(q, tuple(range(lat.n)))]
+        for _ in range(4):
+            quotient, onto = quotient_by_nucleus(q, least_nucleus(q, _forcings(rng, lat.n)))
+            if quotient.carrier.n > 1:
+                bases.append((quotient, onto.values))
+        for target_q, base in bases:
+            tgt = target_q.carrier
+            for _ in range(10):
+                if rng.random() < 0.5:
+                    v = _changed(rng, base, list(range(lat.n)), tgt.n)
+                else:
+                    g = _changed(rng, base, ji, tgt.n)
+                    v = [tgt.join_iter(g[p] for p in ji if lat.leq(p, a)) for a in range(lat.n)]
+                counts["maps"] += 1
+                try:
+                    SupMap(lat, tgt, v)
+                except NotJoinPreserving as exc:
+                    counts["not sup"] += 1
+                    assert not _all_pairs_join_ok(lat, tgt, v)
+                    if exc.witness == "empty join":
+                        assert v[lat.bottom] != tgt.bottom
+                    else:
+                        p, c = _ids(lat, exc.witness)
+                        assert p in ji and v[lat.join(p, c)] != tgt.join(v[p], v[c])
+                else:
+                    assert _all_pairs_join_ok(lat, tgt, v)
+                try:
+                    QuantaleHom(q, target_q, v)
+                except NotJoinPreserving:
+                    counts["not hom"] += 1
+                except LawViolation as exc:
+                    counts["not hom"] += 1
+                    counts[exc.law] += 1
+                    assert not _all_pairs_hom_ok(q, target_q, v)
+                    if exc.law == "unit preservation":
+                        assert v[q.unit] != target_q.unit
+                    else:
+                        a, b = _ids(lat, exc.witness)
+                        assert a in ji and b in ji
+                        assert v[q.mul(a, b)] != target_q.mul(v[a], v[b])
+                else:
+                    assert _all_pairs_hom_ok(q, target_q, v)
+    assert counts["maps"] > 1000
+    assert 300 < counts["not sup"] < 700 and counts["not hom"] - counts["not sup"] > 300
+    assert counts["multiplicativity"] > 150 and counts["unit preservation"] > 150
+
+
+def test_nucleus_check_on_generators_agrees_with_all_pairs():
+    # closures a -> meet of the elements of F above a, where F is the set of
+    # fixed points of the identity or of a seeded least nucleus with one or
+    # two elements other than the top added or taken out
+    rng = random.Random(1906)
+    counts = Counter()
+    for q in _distinct_pipeline_quantales():
+        lat = q.carrier
+        ji = lat.join_irreducibles()
+        nuclei = [least_nucleus(q, _forcings(rng, lat.n)) for _ in range(6)]
+        for fixed in [set(range(lat.n))] + [set(j.fixed_points()) for j in nuclei]:
+            for _ in range(6):
+                toggled = rng.sample([x for x in range(lat.n) if x != lat.top], rng.randint(1, 2))
+                keep = fixed.symmetric_difference(toggled)
+                j = [lat.meet_iter(x for x in keep if lat.leq(a, x)) for a in range(lat.n)]
+                counts["closures"] += 1
+                try:
+                    Nucleus(q, j)
+                except LawViolation as exc:
+                    counts["not nucleus"] += 1
+                    assert exc.law == "nucleus multiplicativity" and not _all_pairs_nucleus_ok(q, j)
+                    p, b = _ids(lat, exc.witness)
+                    assert p in ji and not lat.leq(q.mul(j[p], j[b]), j[q.mul(p, b)])
+                else:
+                    assert _all_pairs_nucleus_ok(q, j)
+    assert 200 < counts["not nucleus"] < counts["closures"] - 300
+
+
+def test_radical_frame_validates_the_largest_quantale_once(monkeypatch):
+    # MM(R) of Scott P4 has 168 elements; it is validated when it is built
+    sizes = []
+    validate = Quantale.validate
+    monkeypatch.setattr(Quantale, "validate", lambda q: sizes.append(q.carrier.n) or validate(q))
+    radical_frame(scott_localic_lattice(powerset_lattice(4)))
+    assert sizes.count(168) == 1 and max(sizes) == 168

@@ -9,7 +9,6 @@ from pfspec.catalog import chain, powerset_lattice, quantale_catalog
 from pfspec.errors import CapExceeded, LawViolation, NotTwoSided
 from pfspec.order import bits
 from pfspec.quantale import (
-    FULL_CHECK_LIMIT,
     Quantale,
     enumerate_homs,
     frame_quantale,
@@ -284,11 +283,10 @@ def test_reflection_universality_small():
         assert len(downstairs) == len(upstairs)
 
 
-def test_validation_runs_up_to_the_full_check_limit():
-    # meet with the bottom as unit breaks the unit law; only carriers of at
-    # most FULL_CHECK_LIMIT elements are checked on construction
-    small, large = chain(FULL_CHECK_LIMIT), chain(FULL_CHECK_LIMIT + 1)
+def test_validation_runs_on_every_carrier():
+    # meet with the bottom as unit breaks the unit law; carriers of more
+    # than 40 elements, which were once left unchecked, are checked too
+    large = chain(41)
     with pytest.raises(LawViolation) as exc:
-        Quantale(small, small.meet_t, small.bottom)
+        Quantale(large, large.meet_t, large.bottom)
     assert "unit" in str(exc.value)
-    Quantale(large, large.meet_t, large.bottom)

@@ -14,7 +14,6 @@ import pfspec.spectrum
 
 from pfspec.algebra import (
     build_discrete_semiring,
-    monoid_to_localic,
     scott_localic_lattice,
     to_localic,
 )
@@ -53,7 +52,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def _monoid_data(name):
     table = dict(monoid_catalog())
-    return monoid_to_localic(table[name], name=name)
+    return to_localic(table[name], name=name)
 
 
 def _semiring_data(name):
@@ -116,7 +115,7 @@ def test_saturation_meet_monoid_deflationary_after_ordering():
 
 @pytest.mark.parametrize("name,monoid", monoid_catalog())
 def test_saturation_closure_matches_oracle(name, monoid):
-    data = monoid_to_localic(monoid, name=name)
+    data = to_localic(monoid, name=name)
     closure = opens_oracle(data).closure
     loc = data.locale
     for i, mask in enumerate(loc.open_masks):
@@ -164,7 +163,7 @@ def test_monoid_ideals_z2():
 
 @pytest.mark.parametrize("name,monoid", monoid_catalog())
 def test_duality_all_catalog_monoids(name, monoid):
-    mi = monoid_ideal_quantale(monoid_to_localic(monoid, name=name))
+    mi = monoid_ideal_quantale(to_localic(monoid, name=name))
     assert mi.duality.ok()
     # the dual of the saturated frame is isomorphic to the monoid ideals
     d, _ = dual(mi.sat.saturated)
@@ -175,7 +174,7 @@ def test_duality_all_catalog_monoids(name, monoid):
 def test_free_quantale_generators_follow_divisibility(name, monoid):
     # the generator map f -> f.M embeds the holoid order: fM subset of gM
     # iff g divides f
-    data = monoid_to_localic(monoid, name=name)
+    data = to_localic(monoid, name=name)
     mi = monoid_ideal_quantale(data)
     pts = data.locale.points
     div = monoid.divisibility()

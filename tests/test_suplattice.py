@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pfspec.suplattice
 from pfspec.caps import Caps
 from pfspec.catalog import (
     all_posets_up_to_iso,
@@ -394,13 +395,20 @@ def _omega_supmaps_by_all_functions(lat):
     return out
 
 
-def test_kernel_search_matches_all_functions():
-    # every lattice on at most 7 elements and the catalog lattices
-    for lat in SMALL_LATTICES + CATALOG + [grid(2, 3)]:
+def test_kernel_search_matches_all_functions(monkeypatch):
+    # every lattice on at most 7 elements and the catalog lattices; each is
+    # small enough for ``dual`` to check its encoding against omega_supmaps
+    lattices = SMALL_LATTICES + CATALOG + [grid(2, 3)]
+    calls = []
+    monkeypatch.setattr(
+        pfspec.suplattice, "omega_supmaps", lambda lat: calls.append(lat) or omega_supmaps(lat)
+    )
+    for lat in lattices:
         expected = _omega_supmaps_by_all_functions(lat)
         assert omega_supmaps(lat) == expected, lat.names
-        op, pairing = dual(lat, verify=True)
+        op, pairing = dual(lat)
         assert {tuple(pairing(c, a) for a in range(lat.n)) for c in range(op.n)} == expected
+    assert calls == lattices
 
 
 def test_supercontinuity_matches_distributivity():
