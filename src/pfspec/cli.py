@@ -39,8 +39,10 @@ from .quantale import localic_reflection
 from .report import Report
 from .spectrum import (
     anti_ideals,
+    count_saturated_opens,
     dualisability_conditions,
     ideal_quantale,
+    is_deflationary,
     monoid_ideal_quantale,
     omega_quantale,
     opens_oracle,
@@ -163,13 +165,13 @@ def cmd_analyze(args, caps, out):
         pts = data.locale.points
         lines.append(f"kind: {kind} ({pts.n} points, {len(data.locale.open_masks)} opens)")
         lines.append(f"discrete: {'yes' if data.is_discrete() else 'no'}")
-        iq = ideal_quantale(data, caps) if data.has_addition else None
-        mi = iq.monoid if iq else monoid_ideal_quantale(data, caps)
-        lines.append(f"saturated opens: {mi.sat.saturated.n}")
-        lines.append(f"deflationary: {'yes' if mi.sat.deflationary else 'no'}")
-        lines.append(f"monoid ideals: {mi.monoid_ideals.carrier.n}")
-        if iq:
-            lines.append(f"ideals: {iq.ideals.carrier.n}")
+        # the monoid ideals are the complements of the saturated opens
+        saturated = count_saturated_opens(data, caps)
+        lines.append(f"saturated opens: {saturated}")
+        lines.append(f"deflationary: {'yes' if is_deflationary(data) else 'no'}")
+        lines.append(f"monoid ideals: {saturated}")
+        if data.has_addition:
+            lines.append(f"ideals: {ideal_quantale(data, caps).ideals.carrier.n}")
     out.write("\n".join(lines) + "\n")
     return 0
 

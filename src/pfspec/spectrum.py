@@ -1,18 +1,31 @@
 """The spectrum pipeline for finite localic semirings.
 
-Everything runs at the point level of the Alexandrov presentation; the
-frame of opens (up to 2**|points| elements) is never built on this path:
+The main path, ``radical_frame``, runs on the holoid classes of the points:
+the classes of mutual divisibility up to the point order, in their order
+(``algebra.holoid_quotient``).  It builds neither the frame of opens (up to
+2**|points| elements) nor the saturated frame and MM(R) (one element per
+down-set of the classes):
+
+* the quantale Idl(R) of ideals, on the fixed points of a closure on sets
+  of classes listed by NextClosure, with the convolution product closed up;
+  the radical frame is its localic reflection,
+* the universal element, x -> the least ideal holding x, and
+  quantale-valued prime anti-ideals, checked against the points of Rad(R).
+
+The paper's other objects are built where something reads them: by the
+monoid-kind spectrum, representability, dualisability and the opens oracle:
 
 * the frame of saturated opens, the up-sets of the preorder generated by
   the point order and xy <= x,
-* the quantale of monoid ideals, read off the saturated opens as their
+* the quantale MM(R) of monoid ideals, read off the saturated opens as their
   complements, with the convolution product, and its duality with the
   saturated opens (the all-down-sets quantale of overt weakly closed
-  sublocales and its two-sided reflection are the test oracle),
-* the quantale of ideals as a quotient by the generated congruence, the
-  radical frame as its localic reflection,
+  sublocales and its two-sided reflection are the test oracle); Idl(R) is
+  its quotient by the least nucleus forcing the zero to the bottom and sums
+  below joins, reached by ``monoid_collapse`` (the tests build that quotient
+  as the oracle of the class route),
 * the universal element transported from the dual basis of the saturated
-  frame, and quantale-valued prime anti-ideals,
+  frame, which must collapse onto the class route's,
 * representability and dualisability reports.
 
 Elements of Q (x) O X are worked with as monotone maps X -> Q.  Every check
@@ -26,7 +39,7 @@ frame.  ``pfspec verify`` and the tests run it.
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from operator import or_
 
 from .algebra import FiniteCommMonoid, LocalicSemiringData, holoid_quotient
@@ -46,9 +59,7 @@ from .quantale import (
     QuantaleHom,
     enumerate_homs,
     frame_quantale,
-    least_nucleus,
     localic_reflection,
-    quotient_by_nucleus,
 )
 from .suplattice import (
     SupMap,
@@ -72,7 +83,6 @@ class SaturationData:
     data: LocalicSemiringData
     saturated: Lattice  # standalone frame of saturated opens
     sat_masks: tuple  # point-mask of each saturated open
-    deflationary: bool  # xy <= x for all points: every open is saturated
 
 
 def saturation(data, caps=DEFAULT_CAPS):
@@ -91,11 +101,7 @@ def saturation(data, caps=DEFAULT_CAPS):
     on them.
     """
     pts = data.locale.points
-    _, cls_of, order = holoid_quotient(data.mul_monoid, pts)
-    budget = caps.search_budget()
-    ups = order.up_sets(limit=budget)
-    if ups is None:
-        raise CapExceeded("saturated opens enumeration", f">{budget}", budget)
+    cls_of, order, ups = _holoid_up_sets(data, caps)
     members = [0] * order.n
     for x, c in enumerate(cls_of):
         members[c] |= 1 << x
@@ -103,9 +109,6 @@ def saturation(data, caps=DEFAULT_CAPS):
         (sum(members[c] for c in bits(u)) for u in ups), key=lambda m: (m.bit_count(), m)
     )
     saturated = family_lattice(masks, [pts.mask_name(m) for m in masks])
-    deflationary = all(
-        pts.leq(data.mul(x, y), x) for x, y in iproduct(range(pts.n), repeat=2)
-    )
     # family_lattice already forces the subframe property: it indexes the
     # union and intersection of every pair of saturated masks
     witness = _comultiplication_witness(data, masks)
@@ -115,7 +118,31 @@ def saturation(data, caps=DEFAULT_CAPS):
             "comultiplication preserves saturation",
             (pts.mask_name(mask), *(pts.names[p] for p in xyzw)),
         )
-    return SaturationData(data, saturated, tuple(masks), deflationary)
+    return SaturationData(data, saturated, tuple(masks))
+
+
+def _holoid_up_sets(data, caps):
+    """The holoid class of each point, the holoid order and its up-sets, as
+    class masks; CapExceeded past ``caps.search_budget()`` of them."""
+    _, cls_of, order = holoid_quotient(data.mul_monoid, data.locale.points)
+    budget = caps.search_budget()
+    ups = order.up_sets(limit=budget)
+    if ups is None:
+        raise CapExceeded("saturated opens enumeration", f">{budget}", budget)
+    return cls_of, order, ups
+
+
+def count_saturated_opens(data, caps=DEFAULT_CAPS):
+    """The number of saturated opens, which is also the number of monoid
+    ideals (their complements): the up-sets of the holoid order, counted
+    without tabulating the frame."""
+    return len(_holoid_up_sets(data, caps)[2])
+
+
+def is_deflationary(data):
+    """Whether xy <= x for all points, so that every open is saturated."""
+    pts = data.locale.points
+    return all(pts.leq(data.mul(x, y), x) for x, y in iproduct(range(pts.n), repeat=2))
 
 
 def _comultiplication_witness(data, masks):
@@ -268,65 +295,194 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
 # the ideal quantale
 
 
+class HoloidClosure:
+    """The least ideal over a set of holoid classes, on class bitmasks.
+
+    The classes and their order are those of ``holoid_quotient`` with the
+    point order, and the monoid ideals are the unions of down-sets of
+    classes.  That is checked here on every input, point by point: the
+    classes below the class of x make up ``_absorb`` of the down-set of x.
+    An ideal is then such a union that holds the zero's class and, with any
+    classes c and e, every class of a sum x + y for x in c and y in e.  The
+    sum rows ``sums[c][e]`` hold those classes, read off the addition table
+    once; ``close`` adds down-closures and sum rows until nothing changes.
+    """
+
+    def __init__(self, data):
+        pts = data.locale.points
+        _, cls_of, order = holoid_quotient(data.mul_monoid, pts)
+        k = order.n
+        members = [0] * k
+        for x, c in enumerate(cls_of):
+            members[c] |= 1 << x
+        for x, c in enumerate(cls_of):
+            below = 0
+            for e in bits(order.down[c]):
+                below |= members[e]
+            if below != _absorb(data, pts.down[x]):
+                raise LawViolation("holoid classes give the principal monoid ideals", pts.names[x])
+        sums = [[0] * k for _ in range(k)]
+        for x, row in enumerate(data.add_t):
+            srow = sums[cls_of[x]]
+            for y, s in enumerate(row):
+                srow[cls_of[y]] |= 1 << cls_of[s]
+        self.n = k
+        self.cls_of = tuple(cls_of)
+        self.members = tuple(members)
+        self.down = order.down
+        self.sums = sums
+        self.bottom = self.close(0, 1 << cls_of[data.zero_point])
+
+    def close(self, closed, extra):
+        """The least set over closed v extra that is down-closed and closed
+        under the sum rows, for ``closed`` already so (a fixed point of j,
+        or 0): only the classes not yet in the set are down-closed and
+        summed, against the whole set."""
+        down, sums = self.down, self.sums
+        new = extra & ~closed
+        while new:
+            grown = 0
+            for c in bits(new):
+                grown |= down[c]
+            new = grown & ~closed
+            closed |= new
+            inside = list(bits(closed))
+            grown = 0
+            for c in bits(new):
+                row = sums[c]
+                for e in inside:
+                    grown |= row[e]
+            new = grown & ~closed
+        return closed
+
+    def least(self, point_mask):
+        """j of the classes of the points of ``point_mask``: the least ideal
+        holding them, as a class mask."""
+        classes = 0
+        for x in bits(point_mask):
+            classes |= 1 << self.cls_of[x]
+        return self.close(self.bottom, classes)
+
+    def points(self, class_mask):
+        out = 0
+        for c in bits(class_mask):
+            out |= self.members[c]
+        return out
+
+
+def _fixed_class_masks(j, caps):
+    """The fixed points of j, in lectic order (NextClosure: Ganter, "Two
+    basic algorithms in concept analysis", 1984).
+
+    From a fixed point a, the next one is j(a below i, plus i) for the
+    largest i not in a whose closure adds nothing below i.  A class whose
+    down-closure already adds something below i is passed over without a
+    closure.  Every class tried, closed or passed over, counts against
+    ``caps.search_budget()``, and past it CapExceeded("ideal enumeration",
+    ...) is raised; so the loop ends within the budget whatever j does."""
+    budget = caps.search_budget()
+    full = (1 << j.n) - 1
+    a = j.bottom
+    found = [a]
+    tried = 0
+    while a != full:
+        for i in reversed(range(j.n)):
+            if a >> i & 1:
+                continue
+            tried += 1
+            if tried > budget:
+                raise CapExceeded("ideal enumeration", tried, budget)
+            low = (1 << i) - 1
+            kept = a & low
+            if j.down[i] & low & ~kept:
+                continue
+            # a is closed, so when nothing of it lies above i the closure
+            # can start from it
+            b = j.close(a if kept == a else j.bottom, kept | 1 << i)
+            if b & low == kept:
+                a = b
+                break
+        found.append(a)
+    return found
+
+
+def _ideal_witness(data, masks):
+    """The first mask that is not an ideal in the definitional sense (a
+    monoid ideal, fixed by ``_absorb``, holding the zero point's closure and
+    closed under sums), or None.  By monotone addition a down-set is closed
+    under sums when it holds v + w for its maximal points v, w."""
+    pts = data.locale.points
+    zero = pts.down[data.zero_point]
+    for m in masks:
+        tops = pts.maximal(m)
+        if (
+            zero & ~m
+            or _absorb(data, m) != m
+            or any(not m >> data.add_t[v][w] & 1 for v in tops for w in tops)
+        ):
+            return m
+    return None
+
+
 @dataclass
 class IdealQuantaleData:
-    monoid: MonoidIdealData
     ideals: Quantale  # Idl(R)
-    collapse: QuantaleHom  # monoid ideals ->> Idl(R)
     ideal_masks: tuple  # point-mask of each element of Idl(R)
+    closure: HoloidClosure
+    class_index: dict  # class mask of each element -> its index
 
-    @property
-    def sat(self):
-        return self.monoid.sat
+    def ideal_of(self, point_mask):
+        """Index of the least ideal holding the points of ``point_mask``."""
+        return self.class_index[self.closure.least(point_mask)]
 
 
 def ideal_quantale(data, caps=DEFAULT_CAPS):
-    """The quantale of overt weakly closed ideals.
+    """The quantale Idl(R) of overt weakly closed ideals, on the holoid
+    classes.
 
-    Ideals are monoid ideals containing the zero point's closure and closed
-    under addition; the quantale is the quotient of the monoid-ideal
-    quantale by the least nucleus forcing the absorbed zero to the bottom
-    and I (+~) J below I v J.  The sum I (+~) J is lifted on pairs of monoid
-    ideals only (the nucleus reads no other pair) and, when it is not already
-    a monoid ideal, absorbed into the least one over it.  The fixed points
-    are checked to be exactly the ideals in the definitional sense.
+    The ideals are the fixed points of the closure j on sets of classes
+    (``HoloidClosure``), listed by ``_fixed_class_masks`` and sorted by the
+    (size, mask) of their point masks; each is checked to be an ideal in the
+    definitional sense.  Meets are intersections and the join is j(a v b).
+    The product is j of the convolution product (``_owc_binop``) and the
+    unit is j(class of 1).  This is the quotient of MM(R) by the least
+    nucleus forcing the zero to the bottom and I (+~) J below I v J, which
+    the monoid-kind callers still build and reach with ``monoid_collapse``;
+    neither the saturated frame nor MM(R) is built here.
     """
     if not data.has_addition:
         raise LawViolation("additive structure", "monoid-only data has no ideals")
-    mi = monoid_ideal_quantale(data, caps)
     pts = data.locale.points
-    mi_masks = mi.ideal_masks
-    pos = {m: k for k, m in enumerate(mi_masks)}
+    j = HoloidClosure(data)
+    found = sorted(
+        ((j.points(c), c) for c in _fixed_class_masks(j, caps)),
+        key=lambda mc: (mc[0].bit_count(), mc[0]),
+    )
+    masks = tuple(m for m, _ in found)
+    witness = _ideal_witness(data, masks)
+    if witness is not None:
+        raise LawViolation("class closure gives ideals", pts.mask_name(witness))
+    cmasks = [c for _, c in found]
+    pos = {c: k for k, c in enumerate(cmasks)}
+    n = len(cmasks)
+    up = [sum(1 << b for b, cb in enumerate(cmasks) if ca & cb == ca) for ca in cmasks]
+    join_t = [[None] * n for _ in range(n)]
+    for a, ca in enumerate(cmasks):
+        for b in range(a, n):
+            union = ca | cmasks[b]
+            join_t[a][b] = join_t[b][a] = pos[union] if union in pos else pos[j.close(ca, union)]
+    meet_t = tuple(tuple(pos[ca & cb] for cb in cmasks) for ca in cmasks)
+    lat = Lattice([pts.mask_name(m) for m in masks], up, tuple(map(tuple, join_t)), meet_t, 0, n - 1)
+    products = _owc_binop(pts, masks, data.mul_t)
+    index = {m: pos[j.least(m)] for m in set(chain.from_iterable(products))}
+    mult = [[index[m] for m in row] for row in products]
+    ideals = Quantale(lat, mult, pos[j.least(1 << data.one_point)])
+    return IdealQuantaleData(ideals, masks, j, pos)
 
-    def ideal_of(mask):
-        k = pos.get(mask)
-        if k is None:
-            k = pos.get(_absorb(data, mask))
-            if k is None:
-                raise LawViolation("ideal sum absorbs into a monoid ideal", pts.mask_name(mask))
-        return k
 
-    mod_add = [[ideal_of(s) for s in row] for row in _owc_binop(pts, mi_masks, data.add_t)]
-    mod_zero = ideal_of(pts.down[data.zero_point])
-    mm = mi.monoid_ideals
-    forcings = [(mod_zero, mm.carrier.bottom)]
-    for i in range(mm.carrier.n):
-        for j in range(i, mm.carrier.n):
-            forcings.append((mod_add[i][j], mm.carrier.join(i, j)))
-    nucleus = least_nucleus(mm, forcings)
-    ideals, collapse = quotient_by_nucleus(mm, nucleus)
-    # fixed points of the quotient nucleus = ideals in the definitional sense
-    kept = nucleus.fixed_points()
-    zero_mask = pts.down[data.zero_point]
-    definitional = [
-        k
-        for k in range(mm.carrier.n)
-        if zero_mask & ~mi_masks[k] == 0 and mm.carrier.leq(mod_add[k][k], k)
-    ]
-    if kept != definitional:
-        witness = min(set(kept) ^ set(definitional))
-        raise LawViolation("nucleus fixed points are the ideals", mm.carrier.names[witness])
-    return IdealQuantaleData(mi, ideals, collapse, tuple(mi_masks[k] for k in kept))
+def monoid_collapse(iq, mi):
+    """The quotient MM(R) ->> Idl(R), k -> j(mask k), as a QuantaleHom."""
+    return QuantaleHom(mi.monoid_ideals, iq.ideals, [iq.ideal_of(m) for m in mi.ideal_masks])
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +582,13 @@ def _monoid_universal_map(data, mi, basis):
     return tuple(join_iter(k for r, k in pieces if r >> x & 1) for x in range(pts.n))
 
 
-def _collapsed_universal(data, iq, g_monoid):
-    """The universal element collapse o g_monoid, checked: g(x) is the least
-    ideal containing the point x, and the four anti-ideal conditions hold
-    with Q = Idl(R).  A failure raises LawViolation."""
+def _checked_universal(data, iq, g):
+    """The universal element g, checked: g(x) is the least ideal containing
+    the point x, found independently as the intersection of the ideals that
+    hold x, and the four anti-ideal conditions hold with Q = Idl(R).  A
+    failure raises LawViolation."""
     lat = iq.ideals.carrier
     pts = data.locale.points
-    g = tuple(iq.collapse(v) for v in g_monoid)
-    # independent point-level route: ideals are closed under intersection
     pos = {m: k for k, m in enumerate(iq.ideal_masks)}
     for x in range(pts.n):
         least = pts.full
@@ -455,18 +610,34 @@ def _collapsed_universal(data, iq, g_monoid):
     return g
 
 
-def universal_element(data, iq, caps=DEFAULT_CAPS):
-    """The universal element of Idl(R) (x) O R, as a monotone map
-    points -> Idl(R).
+def _least_ideals(data, iq):
+    """g(x) = j(class of x), the least ideal holding x, for every point x."""
+    return tuple(iq.ideal_of(1 << x) for x in range(data.locale.points.n))
 
-    It is the monoid universal element (from the dual basis of the saturated
-    frame, carried along the verified duality into the monoid ideals)
-    collapsed into Idl(R), checked as ``_collapsed_universal`` says.  Its
-    bi-ideal form needs the opens; ``opens_oracle`` builds it and checks
-    that the two forms agree.
+
+def universal_element(data, iq):
+    """The universal element of Idl(R) (x) O R, as a monotone map
+    points -> Idl(R): g(x) = j(class of x), checked as
+    ``_checked_universal`` says.  Its bi-ideal form needs the opens;
+    ``opens_oracle`` builds it and checks that the two forms agree.
     """
-    basis, _ = dual_basis(iq.sat.saturated, caps)
-    return _collapsed_universal(data, iq, _monoid_universal_map(data, iq.monoid, basis))
+    return _checked_universal(data, iq, _least_ideals(data, iq))
+
+
+def _through_monoid_ideals(data, iq, mi, basis):
+    """The collapse MM(R) ->> Idl(R), the monoid universal element from
+    ``basis`` (the dual basis of the saturated frame) and its collapse g.
+
+    g is checked as ``_checked_universal`` says and must equal the class
+    route's j(class of x), or LawViolation names the first point where they
+    differ."""
+    collapse = monoid_collapse(iq, mi)
+    g_monoid = _monoid_universal_map(data, mi, basis)
+    g = _checked_universal(data, iq, tuple(collapse(v) for v in g_monoid))
+    for x, v in enumerate(_least_ideals(data, iq)):
+        if g[x] != v:
+            raise LawViolation("universal element through the monoid ideals", data.locale.points.names[x])
+    return collapse, g_monoid, g
 
 
 @dataclass
@@ -488,13 +659,17 @@ def radical_frame(data, caps=DEFAULT_CAPS):
     """Idl(R), its localic reflection Rad(R), the universal element, and the
     points of the spectrum (prime anti-ideals, as opens of R).
 
+    Idl(R) and the universal element come from the holoid classes
+    (``ideal_quantale``, ``universal_element``): no table here is larger
+    than Idl(R), whatever the number of saturated opens.
+
     The points are found by the anti-ideal search and checked against
     Rad(R): the points of a finite frame are its meet-prime elements p, and
     the anti-ideal of p is {x : rho(g(x)) not <= p}.  The two lists must
     agree, or LawViolation names a point on one side only."""
     iq = ideal_quantale(data, caps)
     radicals, rho = localic_reflection(iq.ideals)
-    g = universal_element(data, iq, caps)
+    g = universal_element(data, iq)
     points_set = anti_ideals(data, omega_quantale(), "semiring", caps)
     pts = data.locale.points
     masks = tuple(
@@ -618,8 +793,7 @@ def opens_oracle(data, caps=DEFAULT_CAPS):
             if saturated.leq(reflect(u), s) != opens.leq(u, embed(s)):
                 raise LawViolation("saturation adjunction", (opens.names[u], saturated.names[s]))
 
-    iq = ideal_quantale(data, caps) if data.has_addition else None
-    mi = iq.monoid if iq else monoid_ideal_quantale(data, caps)
+    mi = monoid_ideal_quantale(data, caps)
     full = pts.full
     sat_set = set(sat.sat_masks)
     for u in loc.open_masks:
@@ -629,12 +803,13 @@ def opens_oracle(data, caps=DEFAULT_CAPS):
             )
 
     basis, duality = dual_basis(saturated, caps)
-    g = _monoid_universal_map(data, mi, basis)
-    if iq is None:
-        q, collapse = mi.monoid_ideals, (lambda k: k)
+    if data.has_addition:
+        iq = ideal_quantale(data, caps)
+        q = iq.ideals
+        collapse, _, g = _through_monoid_ideals(data, iq, mi, basis)
     else:
-        q, collapse = iq.ideals, iq.collapse
-        g = _collapsed_universal(data, iq, g)
+        q, collapse = mi.monoid_ideals, (lambda k: k)
+        g = _monoid_universal_map(data, mi, basis)
     mm_pos = {m: k for k, m in enumerate(mi.ideal_masks)}
     universal = duality.unit_element.map_through(
         (lambda c: collapse(mm_pos[full ^ sat.sat_masks[c]]), embed),
@@ -743,10 +918,9 @@ def representability_check(data, quantale_catalog, caps=DEFAULT_CAPS):
     part also checks invariance under the saturated replacement.
     """
     iq = ideal_quantale(data, caps)
-    mi = iq.monoid
+    mi = monoid_ideal_quantale(data, caps)
     basis, _ = dual_basis(mi.sat.saturated, caps)
-    g_monoid = _monoid_universal_map(data, mi, basis)
-    g_univ = _collapsed_universal(data, iq, g_monoid)
+    _, g_monoid, g_univ = _through_monoid_ideals(data, iq, mi, basis)
     replacement, ji_masks = saturated_replacement(mi.sat, caps)
     semiring_entries = []
     monoid_entries = []

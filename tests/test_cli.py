@@ -14,10 +14,12 @@ import pfspec.spectrum
 from pfspec.caps import ENV_MAX_EXHAUSTIVE
 from pfspec.cli import main
 from pfspec.errors import PfspecError
+from pfspec.modelfile import LatticeBlock, MonoidBlock, SemiringBlock, parse_model
 from pfspec.order import FinitePoset
 from pfspec.suplattice import SupMap, TensorElement, TensorSpace, omega
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _count_realisations(monkeypatch, fail=()):
@@ -80,7 +82,7 @@ def test_verify_reports_points_off_rad_as_fail(monkeypatch, capsys):
     monkeypatch.setattr(
         pfspec.spectrum,
         "universal_element",
-        lambda data, iq, caps: (iq.ideals.carrier.top,) * data.locale.points.n,
+        lambda data, iq: (iq.ideals.carrier.top,) * data.locale.points.n,
     )
     assert main(["verify", str(MODELS / "z4.model")]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
@@ -140,3 +142,24 @@ def test_analyze_counts_the_opens_without_their_tables(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "kind: semiring (16 points, 65536 opens)"
     assert lines[-1] == "ideals: 5"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("analyze tabulated the saturated frame or MM(R)")
+
+
+@pytest.mark.parametrize("path", sorted(MODELS.glob("*.model")), ids=lambda p: p.stem)
+def test_analyze_counts_the_saturated_opens_without_building_them(monkeypatch, capsys, path):
+    # the golden bytes, with every route to the saturated frame and MM(R)
+    # refused, in the pipeline and in the CLI's own imports
+    for module in (pfspec.spectrum, pfspec.cli):
+        for name in ("saturation", "monoid_ideal_quantale", "family_lattice"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _refuse)
+    model = parse_model(path)
+    objects = [b.name for b in model.blocks if isinstance(b, (MonoidBlock, SemiringBlock, LatticeBlock))]
+    assert objects
+    for name in objects:
+        code = main(["analyze", str(path), "--object", name])
+        golden = GOLDEN / path.stem / f"analyze-{name}.txt"
+        assert f"exit {code}\n" + capsys.readouterr().out == golden.read_text(encoding="utf-8"), name

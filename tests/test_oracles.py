@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import pfspec.quantale
+import pfspec.spectrum
 from pfspec.algebra import (
     build_discrete_semiring,
     scott_localic_lattice,
@@ -48,16 +50,20 @@ from pfspec.quantale import (
     two_sided_reflection,
 )
 from pfspec.spectrum import (
+    _absorb,
     _comultiplication_witness,
     _monoid_universal_map,
     _owc_binop,
     anti_ideals,
+    count_saturated_opens,
     ideal_quantale,
     map_of_element,
+    monoid_collapse,
     monoid_ideal_quantale,
     opens_oracle,
     radical_frame,
     saturation,
+    universal_element,
 )
 from pfspec.suplattice import SupMap, all_supmaps, dual_basis
 
@@ -410,8 +416,8 @@ def test_hom_search_matches_filtered_supmaps_on_small_semirings():
     # two-sided homs out of Idl(R) and out of MM(R), same list and order
     catalog = quantale_catalog()
     for s in _all_semirings(2) + _all_semirings(3):
-        iq = ideal_quantale(to_localic(s))
-        for source in (iq.ideals, iq.monoid.monoid_ideals):
+        data = to_localic(s)
+        for source in (ideal_quantale(data).ideals, monoid_ideal_quantale(data).monoid_ideals):
             for name, q in catalog:
                 got = [f.values for f in enumerate_homs(source, q, "two_sided")]
                 assert got == _filtered_supmap_homs(source, q, "two_sided"), (s.mul_t, name)
@@ -488,7 +494,7 @@ def _pipeline_quantales():
     for data in objects:
         if data.has_addition:
             r = radical_frame(data)
-            out += [r.ideal_data.monoid.monoid_ideals, r.ideals, r.radicals]
+            out += [monoid_ideal_quantale(data).monoid_ideals, r.ideals, r.radicals]
         else:
             out.append(monoid_ideal_quantale(data).monoid_ideals)
     return out + [q for _, q in quantale_catalog()]
@@ -780,10 +786,113 @@ def test_nucleus_check_on_generators_agrees_with_all_pairs():
     assert 200 < counts["not nucleus"] < counts["closures"] - 300
 
 
-def test_radical_frame_validates_the_largest_quantale_once(monkeypatch):
-    # MM(R) of Scott P4 has 168 elements; it is validated when it is built
+def test_the_largest_quantale_is_validated_once_where_it_is_built(monkeypatch):
+    # MM(R) of Scott P4 has 168 elements; radical_frame builds nothing
+    # larger than Idl(R), 16 elements, and the opens oracle, which does
+    # build MM(R), validates it once
     sizes = []
     validate = Quantale.validate
     monkeypatch.setattr(Quantale, "validate", lambda q: sizes.append(q.carrier.n) or validate(q))
-    radical_frame(scott_localic_lattice(powerset_lattice(4)))
+    data = scott_localic_lattice(powerset_lattice(4))
+    radical_frame(data)
+    assert max(sizes) == 16
+    sizes.clear()
+    opens_oracle(data)
     assert sizes.count(168) == 1 and max(sizes) == 168
+
+
+# ---------------------------------------------------------------------------
+# Idl(R) from the holoid classes against the nucleus quotient of MM(R)
+
+
+def _nucleus_route(data):
+    """Idl(R) the long way: MM(R), the least nucleus forcing the absorbed
+    zero to the bottom and I (+~) J below I v J (the sum lifted on pairs of
+    monoid ideals and absorbed into the least one over it), and the quotient
+    by it.  The fixed points must be the ideals in the definitional sense.
+    Returns (MM data, Idl(R), the collapse, the ideals' point masks, the
+    universal map collapsed from the dual basis of the saturated frame)."""
+    mi = monoid_ideal_quantale(data)
+    mm = mi.monoid_ideals
+    pts = data.locale.points
+    pos = {m: k for k, m in enumerate(mi.ideal_masks)}
+
+    def ideal_of(mask):
+        return pos[mask] if mask in pos else pos[_absorb(data, mask)]
+
+    mod_add = [[ideal_of(m) for m in row] for row in _owc_binop(pts, mi.ideal_masks, data.add_t)]
+    zero = pts.down[data.zero_point]
+    forcings = [(ideal_of(zero), mm.carrier.bottom)]
+    forcings += [
+        (mod_add[i][j], mm.carrier.join(i, j)) for i in range(mm.carrier.n) for j in range(i, mm.carrier.n)
+    ]
+    nucleus = least_nucleus(mm, forcings)
+    ideals, collapse = quotient_by_nucleus(mm, nucleus)
+    definitional = [
+        k
+        for k, m in enumerate(mi.ideal_masks)
+        if zero & ~m == 0 and mm.carrier.leq(mod_add[k][k], k)
+    ]
+    assert nucleus.fixed_points() == definitional
+    g_monoid = _monoid_universal_map(data, mi, dual_basis(mi.sat.saturated)[0])
+    masks = [mi.ideal_masks[k] for k in definitional]
+    return mi, ideals, collapse, masks, tuple(collapse(v) for v in g_monoid)
+
+
+def _assert_class_route_matches_nucleus_route(data):
+    mi, expected, collapse, masks, g = _nucleus_route(data)
+    iq = ideal_quantale(data)
+    got = iq.ideals
+    assert list(iq.ideal_masks) == masks
+    for attr in ("names", "up", "join_t", "meet_t", "bottom", "top"):
+        assert getattr(got.carrier, attr) == getattr(expected.carrier, attr), attr
+    assert got.mult_t == expected.mult_t
+    assert got.unit == expected.unit
+    assert universal_element(data, iq) == g
+    assert monoid_collapse(iq, mi).values == collapse.values
+
+
+def test_class_route_matches_the_nucleus_route_on_catalogs_and_small_semirings():
+    # the 5 catalog semirings and the 77 small ones; the 8 catalog monoids
+    # have no ideals, but their saturated opens are counted as the up-sets
+    # of the holoid order like everyone's
+    semirings = 0
+    for data in _catalog_and_small_objects():
+        assert count_saturated_opens(data) == len(saturation(data).sat_masks)
+        if data.has_addition:
+            semirings += 1
+            _assert_class_route_matches_nucleus_route(data)
+    assert semirings == 82
+
+
+@pytest.mark.parametrize("path", MODELS, ids=[p.stem for p in MODELS])
+def test_class_route_matches_the_nucleus_route_on_model_files(path):
+    for data in _model_objects(path):
+        assert count_saturated_opens(data) == len(saturation(data).sat_masks)
+        if data.has_addition:
+            _assert_class_route_matches_nucleus_route(data)
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [chain(5), powerset_lattice(3), grid(3, 3), powerset_lattice(4)],
+    ids=["C5", "P3", "G33", "P4"],
+)
+def test_class_route_matches_the_nucleus_route_on_scott_lattices(lat):
+    _assert_class_route_matches_nucleus_route(scott_localic_lattice(lat))
+
+
+def test_radical_frame_of_scott_p5_builds_nothing_larger_than_idl(monkeypatch):
+    # P5 has 7,581 saturated opens; the class route never asks for them
+    for name in ("saturation", "monoid_ideal_quantale", "dual_basis", "family_lattice"):
+        monkeypatch.setattr(pfspec.spectrum, name, lambda *args, name=name: pytest.fail(name))
+    sizes = []
+    validate = Quantale.validate
+    monkeypatch.setattr(Quantale, "validate", lambda q: sizes.append(q.carrier.n) or validate(q))
+    nucleus = pfspec.quantale.least_nucleus
+    monkeypatch.setattr(
+        pfspec.quantale, "least_nucleus", lambda q, f: sizes.append(q.carrier.n) or nucleus(q, f)
+    )
+    result = radical_frame(scott_localic_lattice(powerset_lattice(5)))
+    assert (result.ideals.carrier.n, result.radicals.carrier.n, len(result.points)) == (32, 32, 5)
+    assert sizes and max(sizes) == 32

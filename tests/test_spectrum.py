@@ -31,10 +31,12 @@ from pfspec.oracles import zariski_compare
 from pfspec.order import FinitePoset, Lattice, bits, build_poset, downset_lattice
 from pfspec.quantale import Quantale, frame_quantale
 from pfspec.spectrum import (
+    _checked_universal,
     anti_ideals,
     dualisability_conditions,
     element_of_map,
     ideal_quantale,
+    is_deflationary,
     map_of_element,
     monoid_ideal_quantale,
     omega_quantale,
@@ -106,11 +108,10 @@ def test_saturation_meet_monoid_deflationary_after_ordering():
     data = _monoid_data("meetC3")
     sat = saturation(data)
     assert len(sat.sat_masks) == 4
-    assert not sat.deflationary  # discrete topology: closure moves opens
+    assert not is_deflationary(data)  # discrete topology: closure moves opens
     from pfspec.algebra import scott_localic_lattice
 
-    scott = scott_localic_lattice(chain(3))
-    assert saturation(scott).deflationary
+    assert is_deflationary(scott_localic_lattice(chain(3)))
 
 
 @pytest.mark.parametrize("name,monoid", monoid_catalog())
@@ -349,16 +350,72 @@ def test_opens_oracle_refuses_the_z16_tables_before_building_them():
     assert "opens" not in vars(data.locale)
 
 
+def _lumped_reflection(monoid, order=None):
+    return None, [0] * monoid.n, FinitePoset(["*"], [1])
+
+
 def test_unabsorbable_ideal_sum_raises(monkeypatch):
     # a holoid quotient that lumps every point into one class leaves only
-    # the empty and the full monoid ideal, and {0} absorbs into neither
-    def lumped(monoid, order=None):
-        return None, [0] * monoid.n, FinitePoset(["*"], [1])
-
-    monkeypatch.setattr(pfspec.spectrum, "holoid_quotient", lumped)
+    # the empty and the full monoid ideal, while 0 generates {0}
+    monkeypatch.setattr(pfspec.spectrum, "holoid_quotient", _lumped_reflection)
     with pytest.raises(LawViolation) as exc:
         radical_frame(_semiring_data("Z4"))
-    assert exc.value.law == "ideal sum absorbs into a monoid ideal"
+    assert (exc.value.law, exc.value.witness) == ("holoid classes give the principal monoid ideals", "0")
+
+
+@pytest.mark.parametrize("broken", [_opposite_order_reflection, _lumped_reflection], ids=["reversed", "lumped"])
+@pytest.mark.parametrize(
+    "data",
+    [_semiring_data("Z4"), scott_localic_lattice(powerset_lattice(4))],
+    ids=["Z4", "P4"],
+)
+def test_radical_frame_checks_the_holoid_classes(monkeypatch, broken, data):
+    # the class closure reads only the classes and their order, so both
+    # wrong reflections must fail its point-by-point check
+    monkeypatch.setattr(pfspec.spectrum, "holoid_quotient", broken)
+    with pytest.raises(LawViolation) as exc:
+        radical_frame(data)
+    assert exc.value.law == "holoid classes give the principal monoid ideals"
+
+
+def _no_closure(j, closed, extra):
+    return closed | extra
+
+
+def _no_sums(j, closed, extra):
+    for c in bits(extra):
+        closed |= j.down[c]
+    return closed
+
+
+@pytest.mark.parametrize(
+    "close, name, witness",
+    [
+        # every set of classes that holds the zero's: {0,1,3} holds 1, not 2
+        (_no_closure, "Z4", "{0,1,3}"),
+        # every monoid ideal that holds 0: (2) v (3) misses 2 + 3 = 5
+        (_no_sums, "Z6", "{0,2,3,4}"),
+    ],
+    ids=["absorption", "sums"],
+)
+def test_class_closure_output_is_checked_against_the_definition(monkeypatch, close, name, witness):
+    # the first set listed, in (size, mask) order, that is no ideal
+    monkeypatch.setattr(pfspec.spectrum.HoloidClosure, "close", close)
+    with pytest.raises(LawViolation) as exc:
+        radical_frame(_semiring_data(name))
+    assert (exc.value.law, exc.value.witness) == ("class closure gives ideals", witness)
+
+
+def test_ideal_enumeration_stops_at_the_cap_before_any_table(monkeypatch):
+    # Scott P4 has 16 ideals, so NextClosure tries more than 8 classes; the
+    # cap stops it before a lattice or a product is built
+    built = []
+    monkeypatch.setattr(pfspec.spectrum, "_owc_binop", lambda *args: built.append("product"))
+    monkeypatch.setattr(Lattice, "__init__", lambda *args: built.append("lattice"))
+    with pytest.raises(CapExceeded) as exc:
+        ideal_quantale(scott_localic_lattice(powerset_lattice(4)), Caps(max_exhaustive=3))
+    assert (exc.value.what, exc.value.size, exc.value.cap) == ("ideal enumeration", 9, 8)
+    assert built == []
 
 
 def test_z30_radical_frame_finds_three_points_under_default_caps():
@@ -376,7 +433,7 @@ from pfspec.catalog import semiring_catalog
 from pfspec.errors import LawViolation
 
 # every point to the top ideal, whose radical lies above every prime
-spectrum.universal_element = lambda data, iq, caps: (iq.ideals.carrier.top,) * data.locale.points.n
+spectrum.universal_element = lambda data, iq: (iq.ideals.carrier.top,) * data.locale.points.n
 data = to_localic(dict(semiring_catalog())["Z6"])
 print("optimize", sys.flags.optimize)
 try:
@@ -422,17 +479,35 @@ def test_universal_element_conditions_boolean():
 
 def test_universal_element_checked_against_least_ideals(monkeypatch):
     # a map form that sends every point to the top ideal fails the
-    # point-level route first: 0 lies in the smaller ideal (0)
+    # point-level route first: 0 lies in the smaller ideal (0); the class
+    # route's map is checked by that function, and so is the monoid
+    # route's where MM(R) is built
+    data = _semiring_data("Z4")
+    iq = ideal_quantale(data)
+    with pytest.raises(LawViolation) as exc:
+        _checked_universal(data, iq, (iq.ideals.carrier.top,) * 4)
+    assert (exc.value.law, exc.value.witness) == ("universal element is the least ideal at each point", "0")
     monkeypatch.setattr(
         pfspec.spectrum,
         "_monoid_universal_map",
         lambda data, mi, basis: (mi.monoid_ideals.carrier.top,) * data.locale.points.n,
     )
+    for check in (opens_oracle, lambda d: representability_check(d, [])):
+        with pytest.raises(LawViolation) as exc:
+            check(data)
+        assert (exc.value.law, exc.value.witness) == ("universal element is the least ideal at each point", "0")
+
+
+def test_monoid_route_is_compared_with_the_class_route(monkeypatch):
+    # were the class route's least ideals all the top, the monoid route,
+    # which passes its own checks, would differ from it at the first point
     data = _semiring_data("Z4")
+    monkeypatch.setattr(
+        pfspec.spectrum, "_least_ideals", lambda data, iq: (iq.ideals.carrier.top,) * 4
+    )
     with pytest.raises(LawViolation) as exc:
-        radical_frame(data)
-    assert exc.value.law == "universal element is the least ideal at each point"
-    assert exc.value.witness == "0"
+        opens_oracle(data)
+    assert (exc.value.law, exc.value.witness) == ("universal element through the monoid ideals", "0")
 
 
 def _empty_element(quantale, locale, g):
@@ -739,9 +814,8 @@ def test_join_irreducibles_computed_once_per_lattice(monkeypatch):
     # already; no lattice computes them twice
     z6 = to_localic(dict(semiring_catalog())["Z6"])
     counts = _join_irreducible_counts(monkeypatch, lambda: radical_frame(z6))
-    # MM, Idl and Rad validated, the saturated frame's dual basis, the
-    # points read off Rad's opposite
-    assert sum(computed for _, computed in counts) >= 5
+    # Idl and Rad validated, the points read off Rad's opposite
+    assert sum(computed for _, computed in counts) >= 3
     assert all(computed <= 1 for _, computed in counts)
     # representability asks Idl(R) and MM(R) once per catalog quantale
     counts = _join_irreducible_counts(
