@@ -13,6 +13,7 @@ built here: the opens oracle in ``spectrum`` verifies the counit laws as
 SupMap equalities on the opens whenever they fit the caps.
 """
 
+from functools import partial
 from itertools import product as iproduct
 
 from .caps import DEFAULT_CAPS
@@ -189,10 +190,12 @@ def scott_localic_lattice(lat, caps=DEFAULT_CAPS, name=""):
 def holoid_quotient(monoid, order=None):
     """Quotient a commutative monoid by mutual divisibility.
 
-    Returns (quotient monoid, surjection values, order poset): the quotient
-    carries the partial order [f] <= [g] iff g divides f (inclusion of
-    principal monoid ideals), realizing the poset coinserter of the
-    projection and multiplication concretely.
+    Returns (quotient, surjection values, order poset): ``quotient()``
+    builds the quotient monoid, which carries the partial order [f] <= [g]
+    iff g divides f (inclusion of principal monoid ideals), realizing the
+    poset coinserter of the projection and multiplication concretely.  The
+    congruence is checked here; the quotient's own O(k^3) validation runs
+    only when it is built, so callers that read the classes skip it.
 
     With ``order``, a poset on the elements for which multiplication is
     monotone, g divides f when f <= g.k for some k.  That relation is the
@@ -232,7 +235,7 @@ def holoid_quotient(monoid, order=None):
                             (monoid.names[a], monoid.names[b]),
                         )
     names = [monoid.names[r] for r in reps]
-    quotient = FiniteCommMonoid(names, cls_of[monoid.unit], table)
+    quotient = partial(FiniteCommMonoid, names, cls_of[monoid.unit], table)
     up = []
     for i, ri in enumerate(reps):
         mask = 0

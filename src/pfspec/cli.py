@@ -316,7 +316,8 @@ def _suite_duality(model, caps, report, realize):
             report.run(
                 "duality",
                 f"{name}: monoid ideals are the dual of the saturated opens",
-                lambda n=name: opens_oracle(realize(n), caps).monoid.duality.ok(),
+                # the oracle raises on the first failed law
+                lambda n=name: bool(opens_oracle(realize(n), caps)),
             )
             report.run(
                 "duality",

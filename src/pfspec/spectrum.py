@@ -1,10 +1,13 @@
 """The spectrum pipeline for finite localic semirings.
 
-The main path, ``radical_frame``, runs on the holoid classes of the points:
+Everything here runs on the holoid classes of the points (``HoloidClasses``):
 the classes of mutual divisibility up to the point order, in their order
-(``algebra.holoid_quotient``).  It builds neither the frame of opens (up to
-2**|points| elements) nor the saturated frame and MM(R) (one element per
-down-set of the classes):
+(``algebra.holoid_quotient``).  Once they are checked to give the principal
+monoid ideals, the frame of saturated opens is the up-set frame of the class
+order, so the monoid side needs no frame and no dual basis.
+
+The main path, ``radical_frame``, builds neither the frame of opens (up to
+2**|points| elements) nor MM(R) (one element per down-set of the classes):
 
 * the quantale Idl(R) of ideals, on the fixed points of a closure on sets
   of classes listed by NextClosure, with the convolution product closed up;
@@ -12,29 +15,30 @@ down-set of the classes):
 * the universal element, x -> the least ideal holding x, and
   quantale-valued prime anti-ideals, checked against the points of Rad(R).
 
-The paper's other objects are built where something reads them: by the
-monoid-kind spectrum, representability, dualisability and the opens oracle:
+The monoid side is built where something reads it, by the monoid-kind
+spectrum, representability and the opens oracle:
 
-* the frame of saturated opens, the up-sets of the preorder generated by
-  the point order and xy <= x,
-* the quantale MM(R) of monoid ideals, read off the saturated opens as their
-  complements, with the convolution product, and its duality with the
-  saturated opens (the all-down-sets quantale of overt weakly closed
-  sublocales and its two-sided reflection are the test oracle); Idl(R) is
-  its quotient by the least nucleus forcing the zero to the bottom and sums
-  below joins, reached by ``monoid_collapse`` (the tests build that quotient
-  as the oracle of the class route),
-* the universal element transported from the dual basis of the saturated
-  frame, which must collapse onto the class route's,
+* the quantale MM(R) of monoid ideals, the unions of class down-sets, with
+  the convolution product; its universal element is x -> the principal
+  monoid ideal of x, the down-set of x's class (the all-down-sets quantale
+  of overt weakly closed sublocales and its two-sided reflection are the
+  test oracle); Idl(R) is its quotient by the least nucleus forcing the
+  zero to the bottom and sums below joins, reached by ``monoid_collapse``
+  (the tests build that quotient as the oracle of the class route),
+* the saturated replacement of a localic monoid, the holoid quotient monoid
+  on the class order,
 * representability and dualisability reports.
 
-Elements of Q (x) O X are worked with as monotone maps X -> Q.  Every check
-that needs the opens themselves sits in ``opens_oracle``, which builds them
-under the caps: the overtness and counit laws, saturation as a closure on
-the opens, the complements of the saturated opens, and the bi-ideal form of
-the universal element (a TensorElement), cross-checked with the map form;
-the two agree because the principal up-sets are join-prime in an up-set
-frame.  ``pfspec verify`` and the tests run it.
+The frame of saturated opens itself (``saturation``) and its dual basis are
+built only by ``dualisability_conditions`` and ``opens_oracle``.  Elements
+of Q (x) O X are worked with as monotone maps X -> Q.  Every check that needs
+the opens themselves sits in ``opens_oracle``, which builds them under the
+caps: the overtness and counit laws, saturation as a closure on the opens,
+the duality of MM(R) with the saturated frame (the unit, the complements of
+the saturated opens, and the bi-ideal form of the universal element carried
+from the dual basis, a TensorElement, cross-checked with the map form; the
+two agree because the principal up-sets are join-prime in an up-set frame).
+``pfspec verify`` and the tests run it.
 """
 
 from dataclasses import dataclass
@@ -42,10 +46,9 @@ from functools import cache
 from itertools import chain, product as iproduct
 from operator import or_
 
-from .algebra import FiniteCommMonoid, LocalicSemiringData, holoid_quotient
+from .algebra import LocalicSemiringData, holoid_quotient, to_localic
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, LawViolation, NotSupercontinuous, NotTwoSided
-from .locale import locale_from_frame
 from .order import (
     ClosureOperator,
     FinitePoset,
@@ -75,38 +78,85 @@ def omega_quantale():
 
 
 # ---------------------------------------------------------------------------
+# the holoid classes
+
+
+class HoloidClasses:
+    """The holoid classes of the points: ``holoid_quotient`` of the
+    multiplicative monoid with the point order.
+
+    ``cls_of[x]`` is the class of the point x, ``order`` the class order,
+    ``members[c]`` the points of class c, and ``quotient()`` builds the
+    quotient monoid.  ``check`` confirms, point by point, that the classes
+    below the class of x make up ``_absorb`` of the down-set of x.  Then the
+    monoid ideals are the unions of class down-sets and the saturated opens
+    the unions of class up-sets: the saturated frame is the up-set frame of
+    the class order, its dual basis the principal up-sets.
+    """
+
+    def __init__(self, data):
+        self.data = data
+        self.quotient, cls_of, self.order = holoid_quotient(data.mul_monoid, data.locale.points)
+        self.cls_of = tuple(cls_of)
+        members = [0] * self.order.n
+        for x, c in enumerate(cls_of):
+            members[c] |= 1 << x
+        self.members = tuple(members)
+
+    def check(self):
+        """self, once every point passes the class check; else LawViolation
+        names the first point that fails."""
+        pts = self.data.locale.points
+        for x, c in enumerate(self.cls_of):
+            if self.points(self.order.down[c]) != _absorb(self.data, pts.down[x]):
+                raise LawViolation("holoid classes give the principal monoid ideals", pts.names[x])
+        return self
+
+    def points(self, class_mask):
+        out = 0
+        for c in bits(class_mask):
+            out |= self.members[c]
+        return out
+
+    def up_sets(self, caps):
+        """The up-sets of the class order, as class masks; CapExceeded past
+        ``caps.search_budget()`` of them."""
+        budget = caps.search_budget()
+        ups = self.order.up_sets(limit=budget)
+        if ups is None:
+            raise CapExceeded("saturated opens enumeration", f">{budget}", budget)
+        return ups
+
+
+# ---------------------------------------------------------------------------
 # saturation
 
 
 @dataclass
 class SaturationData:
-    data: LocalicSemiringData
     saturated: Lattice  # standalone frame of saturated opens
     sat_masks: tuple  # point-mask of each saturated open
 
 
 def saturation(data, caps=DEFAULT_CAPS):
-    """The frame of saturated opens, read off a preorder on the points.
+    """The frame of saturated opens, read off the holoid classes.
 
     An open U is saturated when xy in U implies x in U, so the saturated
     opens are the up-sets of the preorder generated by the point order and
     xy <= x, which puts f below g when f <= g.k for some k.  Its poset
-    reflection is the holoid quotient; the reflection's up-sets, pulled back
-    to the points, are the saturated opens, sorted by (size, mask) as the
-    opens are.  Each of them is checked to be preserved by the
-    comultiplication, (xz)(yw) in s implies xy in s, on every input, through
-    the equivalent xy in s implies x in s (``_comultiplication_witness``).
-    The opens themselves are never built: ``opens_oracle`` compares these
-    masks with the fixed points of the closure U -> {x : exists y, xy in U}
-    on them.
+    reflection is the class order; its up-sets, pulled back to the points,
+    are the saturated opens, sorted by (size, mask) as the opens are.  Each
+    of them is checked to be preserved by the comultiplication,
+    (xz)(yw) in s implies xy in s, on every input, through the equivalent
+    xy in s implies x in s (``_comultiplication_witness``).  The opens
+    themselves are never built: ``opens_oracle`` compares these masks with
+    the fixed points of the closure U -> {x : exists y, xy in U} on them.
+    Only ``opens_oracle`` and ``dualisability_conditions`` build this frame.
     """
     pts = data.locale.points
-    cls_of, order, ups = _holoid_up_sets(data, caps)
-    members = [0] * order.n
-    for x, c in enumerate(cls_of):
-        members[c] |= 1 << x
+    classes = HoloidClasses(data)
     masks = sorted(
-        (sum(members[c] for c in bits(u)) for u in ups), key=lambda m: (m.bit_count(), m)
+        (classes.points(u) for u in classes.up_sets(caps)), key=lambda m: (m.bit_count(), m)
     )
     saturated = family_lattice(masks, [pts.mask_name(m) for m in masks])
     # family_lattice already forces the subframe property: it indexes the
@@ -118,25 +168,14 @@ def saturation(data, caps=DEFAULT_CAPS):
             "comultiplication preserves saturation",
             (pts.mask_name(mask), *(pts.names[p] for p in xyzw)),
         )
-    return SaturationData(data, saturated, tuple(masks))
-
-
-def _holoid_up_sets(data, caps):
-    """The holoid class of each point, the holoid order and its up-sets, as
-    class masks; CapExceeded past ``caps.search_budget()`` of them."""
-    _, cls_of, order = holoid_quotient(data.mul_monoid, data.locale.points)
-    budget = caps.search_budget()
-    ups = order.up_sets(limit=budget)
-    if ups is None:
-        raise CapExceeded("saturated opens enumeration", f">{budget}", budget)
-    return cls_of, order, ups
+    return SaturationData(saturated, tuple(masks))
 
 
 def count_saturated_opens(data, caps=DEFAULT_CAPS):
     """The number of saturated opens, which is also the number of monoid
     ideals (their complements): the up-sets of the holoid order, counted
     without tabulating the frame."""
-    return len(_holoid_up_sets(data, caps)[2])
+    return len(HoloidClasses(data).up_sets(caps))
 
 
 def is_deflationary(data):
@@ -224,21 +263,10 @@ def _absorb(data, mask):
 
 
 @dataclass
-class DualityReport:
-    unit_matches: bool
-    mult_transported: bool
-    mult_witness: object = None
-
-    def ok(self):
-        return self.unit_matches and self.mult_transported
-
-
-@dataclass
 class MonoidIdealData:
-    sat: SaturationData
     monoid_ideals: Quantale  # MM(R)
     ideal_masks: tuple  # point-mask of each monoid ideal
-    duality: DualityReport
+    universal_map: tuple  # x -> the principal monoid ideal of x
 
     @property
     def owc_lattice(self):
@@ -247,28 +275,27 @@ class MonoidIdealData:
 
 
 def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
-    """The quantale MM(R) of monoid ideals and its duality with saturated
-    opens.
+    """The quantale MM(R) of monoid ideals and its universal element, read
+    off the checked holoid classes (``HoloidClasses.check``).
 
-    The monoid ideals are read off the saturated opens: they are their
-    complements, a family closed under union and intersection.  The product
-    is the convolution product (down-closure of the pointwise product) and
-    the unit is the top, the absorption of the unit point's closure.  Each
-    product is looked up among the monoid ideals, and a miss raises; so the
-    raw product is in the family, and its complement is the largest
-    saturated open avoiding it.  The duality check confirms the unit, and
-    the multiplication transport by checking once per monoid ideal that it
-    is the least monoid ideal over itself (``_absorb``), which with the
-    lookup makes the transport exact.  That every down-set fixed by
-    a -> a.top is the complement of a saturated open needs all the opens;
-    ``opens_oracle`` checks it.  The all-down-sets OWC quantale and its
-    two-sided reflection give the same quantale; the tests use them as the
-    oracle.
+    The monoid ideals are the unions of class down-sets, the complements of
+    the saturated opens (the class up-sets), sorted by (size, mask) and
+    capped as the saturated opens are.  The product is the convolution
+    product (down-closure of the pointwise product) and the unit is the top.
+    Each product is looked up among the monoid ideals, and a miss raises.
+    The universal element sends x to the principal monoid ideal of x, the
+    down-set of its class.  Neither the saturated frame nor its dual basis is
+    built: ``opens_oracle`` checks the duality with them.  The all-down-sets
+    OWC quantale and its two-sided reflection give the same quantale; the
+    tests use them as the oracle.
     """
-    sat = saturation(data, caps)
+    classes = HoloidClasses(data).check()
     pts = data.locale.points
-    full = pts.full
-    ideal_masks = sorted((full ^ s for s in sat.sat_masks), key=lambda m: (m.bit_count(), m))
+    every_class = (1 << classes.order.n) - 1
+    ideal_masks = sorted(
+        (classes.points(every_class ^ u) for u in classes.up_sets(caps)),
+        key=lambda m: (m.bit_count(), m),
+    )
     pos = {m: k for k, m in enumerate(ideal_masks)}
     lat = family_lattice(ideal_masks, [pts.mask_name(m) for m in ideal_masks])
     products = _owc_binop(pts, ideal_masks, data.mul_t)
@@ -278,58 +305,36 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
             if m not in pos:
                 raise LawViolation("product of monoid ideals", (lat.names[i], lat.names[j]))
         mult.append([pos[m] for m in row])
-    ideals_q = Quantale(lat, mult, lat.top)
-
-    # duality with the saturated frame
-    unit_matches = full ^ ideal_masks[ideals_q.unit] == sat.sat_masks[sat.saturated.bottom]
-    mult_witness = next(
-        (lat.names[k] for k, m in enumerate(ideal_masks) if _absorb(data, m) != m), None
-    )
-    report = DualityReport(unit_matches, mult_witness is None, mult_witness)
-    if not report.ok():
-        raise LawViolation("monoid-ideal/saturated duality", report)
-    return MonoidIdealData(sat, ideals_q, tuple(ideal_masks), report)
+    principal = tuple(pos[classes.points(classes.order.down[c])] for c in classes.cls_of)
+    return MonoidIdealData(Quantale(lat, mult, lat.top), tuple(ideal_masks), principal)
 
 
 # ---------------------------------------------------------------------------
 # the ideal quantale
 
 
-class HoloidClosure:
+class HoloidClosure(HoloidClasses):
     """The least ideal over a set of holoid classes, on class bitmasks.
 
-    The classes and their order are those of ``holoid_quotient`` with the
-    point order, and the monoid ideals are the unions of down-sets of
-    classes.  That is checked here on every input, point by point: the
-    classes below the class of x make up ``_absorb`` of the down-set of x.
-    An ideal is then such a union that holds the zero's class and, with any
-    classes c and e, every class of a sum x + y for x in c and y in e.  The
-    sum rows ``sums[c][e]`` hold those classes, read off the addition table
-    once; ``close`` adds down-closures and sum rows until nothing changes.
+    The classes are checked (``HoloidClasses.check``), so the monoid ideals
+    are the unions of down-sets of classes.  An ideal is then such a union
+    that holds the zero's class and, with any classes c and e, every class of
+    a sum x + y for x in c and y in e.  The sum rows ``sums[c][e]`` hold
+    those classes, read off the addition table once; ``close`` adds
+    down-closures and sum rows until nothing changes.
     """
 
     def __init__(self, data):
-        pts = data.locale.points
-        _, cls_of, order = holoid_quotient(data.mul_monoid, pts)
-        k = order.n
-        members = [0] * k
-        for x, c in enumerate(cls_of):
-            members[c] |= 1 << x
-        for x, c in enumerate(cls_of):
-            below = 0
-            for e in bits(order.down[c]):
-                below |= members[e]
-            if below != _absorb(data, pts.down[x]):
-                raise LawViolation("holoid classes give the principal monoid ideals", pts.names[x])
+        super().__init__(data)
+        self.check()
+        cls_of = self.cls_of
+        k = self.n = self.order.n
+        self.down = self.order.down
         sums = [[0] * k for _ in range(k)]
         for x, row in enumerate(data.add_t):
             srow = sums[cls_of[x]]
             for y, s in enumerate(row):
                 srow[cls_of[y]] |= 1 << cls_of[s]
-        self.n = k
-        self.cls_of = tuple(cls_of)
-        self.members = tuple(members)
-        self.down = order.down
         self.sums = sums
         self.bottom = self.close(0, 1 << cls_of[data.zero_point])
 
@@ -362,12 +367,6 @@ class HoloidClosure:
         for x in bits(point_mask):
             classes |= 1 << self.cls_of[x]
         return self.close(self.bottom, classes)
-
-    def points(self, class_mask):
-        out = 0
-        for c in bits(class_mask):
-            out |= self.members[c]
-        return out
 
 
 def _fixed_class_masks(j, caps):
@@ -447,8 +446,8 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     The product is j of the convolution product (``_owc_binop``) and the
     unit is j(class of 1).  This is the quotient of MM(R) by the least
     nucleus forcing the zero to the bottom and I (+~) J below I v J, which
-    the monoid-kind callers still build and reach with ``monoid_collapse``;
-    neither the saturated frame nor MM(R) is built here.
+    ``opens_oracle`` reaches with ``monoid_collapse``; neither the saturated
+    frame nor MM(R) is built here.
     """
     if not data.has_addition:
         raise LawViolation("additive structure", "monoid-only data has no ideals")
@@ -565,23 +564,6 @@ def map_of_element(locale, elem):
 # universal element and the radical frame
 
 
-def _monoid_universal_map(data, mi, basis):
-    """The universal element for the monoid case, in map form: points -> MM.
-
-    From ``basis``, the dual basis of the saturated frame: x goes to the join
-    of the monoid ideals dual to the irreducible saturated opens containing x
-    (the complements of their dual encodings)."""
-    sat = mi.sat
-    pts = data.locale.points
-    mm_pos = {m: k for k, m in enumerate(mi.ideal_masks)}
-    pieces = [
-        (sat.sat_masks[p], mm_pos[pts.full ^ sat.sat_masks[c]])
-        for p, c in zip(basis.irreducibles, basis.sigma_encodings)
-    ]
-    join_iter = mi.monoid_ideals.carrier.join_iter
-    return tuple(join_iter(k for r, k in pieces if r >> x & 1) for x in range(pts.n))
-
-
 def _checked_universal(data, iq, g):
     """The universal element g, checked: g(x) is the least ideal containing
     the point x, found independently as the intersection of the ideals that
@@ -622,22 +604,6 @@ def universal_element(data, iq):
     ``opens_oracle`` builds it and checks that the two forms agree.
     """
     return _checked_universal(data, iq, _least_ideals(data, iq))
-
-
-def _through_monoid_ideals(data, iq, mi, basis):
-    """The collapse MM(R) ->> Idl(R), the monoid universal element from
-    ``basis`` (the dual basis of the saturated frame) and its collapse g.
-
-    g is checked as ``_checked_universal`` says and must equal the class
-    route's j(class of x), or LawViolation names the first point where they
-    differ."""
-    collapse = monoid_collapse(iq, mi)
-    g_monoid = _monoid_universal_map(data, mi, basis)
-    g = _checked_universal(data, iq, tuple(collapse(v) for v in g_monoid))
-    for x, v in enumerate(_least_ideals(data, iq)):
-        if g[x] != v:
-            raise LawViolation("universal element through the monoid ideals", data.locale.points.names[x])
-    return collapse, g_monoid, g
 
 
 @dataclass
@@ -735,11 +701,14 @@ def opens_oracle(data, caps=DEFAULT_CAPS):
       preorder on points; the inclusion splits it, and the corestriction is
       a retraction and left adjoint to the inclusion;
     * a down-set is a monoid ideal (fixed by absorption) exactly when its
-      complement is a saturated open;
+      complement is a saturated open, and the unit of MM(R) is the
+      complement of the bottom saturated open;
+    * for a semiring, the principal monoid ideals collapse onto the least
+      ideals of the class route;
     * the universal element in bi-ideal form, carried from the unit of the
       dual basis of the saturated frame into Q (x) opens (Q = Idl(R) for a
-      semiring, the monoid ideals for a monoid), agrees with the map form
-      the pipeline computes.
+      semiring, MM(R) for a monoid), agrees with the map form the pipeline
+      computes.
 
     The opens are capped as ``FiniteLocale.opens`` says, and CapExceeded is
     raised before any of their tables is built.  A failed check raises
@@ -793,7 +762,6 @@ def opens_oracle(data, caps=DEFAULT_CAPS):
             if saturated.leq(reflect(u), s) != opens.leq(u, embed(s)):
                 raise LawViolation("saturation adjunction", (opens.names[u], saturated.names[s]))
 
-    mi = monoid_ideal_quantale(data, caps)
     full = pts.full
     sat_set = set(sat.sat_masks)
     for u in loc.open_masks:
@@ -801,15 +769,23 @@ def opens_oracle(data, caps=DEFAULT_CAPS):
             raise LawViolation(
                 "monoid ideals are the complements of the saturated opens", pts.mask_name(full ^ u)
             )
+    mi = monoid_ideal_quantale(data, caps)
+    mm = mi.monoid_ideals
+    if full ^ mi.ideal_masks[mm.unit] != sat.sat_masks[saturated.bottom]:
+        raise LawViolation("monoid-ideal/saturated duality", mm.carrier.names[mm.unit])
 
-    basis, duality = dual_basis(saturated, caps)
+    _, duality = dual_basis(saturated, caps)
     if data.has_addition:
+        # the principal monoid ideals collapse onto the class route's least
+        # ideals
         iq = ideal_quantale(data, caps)
-        q = iq.ideals
-        collapse, _, g = _through_monoid_ideals(data, iq, mi, basis)
+        q, collapse = iq.ideals, monoid_collapse(iq, mi)
+        g = _checked_universal(data, iq, tuple(collapse(v) for v in mi.universal_map))
+        for x, v in enumerate(_least_ideals(data, iq)):
+            if g[x] != v:
+                raise LawViolation("universal element through the monoid ideals", pts.names[x])
     else:
-        q, collapse = mi.monoid_ideals, (lambda k: k)
-        g = _monoid_universal_map(data, mi, basis)
+        q, collapse, g = mm, (lambda k: k), mi.universal_map
     mm_pos = {m: k for k, m in enumerate(mi.ideal_masks)}
     universal = duality.unit_element.map_through(
         (lambda c: collapse(mm_pos[full ^ sat.sat_masks[c]]), embed),
@@ -824,50 +800,22 @@ def opens_oracle(data, caps=DEFAULT_CAPS):
 # the saturated replacement of a localic monoid
 
 
-def saturated_replacement(sat, caps=DEFAULT_CAPS):
+def saturated_replacement(data, caps=DEFAULT_CAPS):
     """The localic monoid on the saturated frame, with the coreflected
     comultiplication extracted as a point-level operation.
 
-    Returns (monoid data, point masks): point k of the new locale is the
-    k-th join-irreducible saturated open; its mask in the original points is
-    reported for transporting anti-ideals along the inclusion.
+    The saturated frame is the up-set frame of the checked class order
+    (``HoloidClasses.check``), so its points, the join-irreducible
+    saturated opens, are the principal up-sets of the classes, and the
+    coreflected comultiplication is the holoid quotient monoid.  The
+    replacement is that monoid, built and validated here, on the class
+    order.  Returns (monoid data, point masks): the mask of class c is the
+    points of the classes above c, the saturated open it stands for, for
+    transporting anti-ideals along the inclusion.
     """
-    data = sat.data
-    pts = data.locale.points
-    sl = sat.saturated
-    loc2, to_opens2, from_opens2 = locale_from_frame(sl, caps)
-    ji = sl.join_irreducibles()
-    sat_index = {m: k for k, m in enumerate(sat.sat_masks)}
-    ji_masks = [sat.sat_masks[p] for p in ji]
-
-    def least_saturated_over(point_mask):
-        acc = pts.full
-        for m in sat.sat_masks:
-            if point_mask & ~m == 0:
-                acc &= m
-        return sat_index[acc]
-
-    unit_sat = least_saturated_over(1 << data.one_point)
-    times = [[None] * len(ji) for _ in range(len(ji))]
-    ji_pos = {p: k for k, p in enumerate(ji)}
-    for a, pa in enumerate(ji):
-        for b, pb in enumerate(ji):
-            prod_mask = 0
-            for x in bits(ji_masks[a]):
-                row = data.mul_t[x]
-                for y in bits(ji_masks[b]):
-                    prod_mask |= 1 << row[y]
-            s = least_saturated_over(prod_mask)
-            if s not in ji_pos:
-                raise LawViolation(
-                    "comultiplication stays in the irreducibles", (sl.names[pa], sl.names[pb])
-                )
-            times[a][b] = ji_pos[s]
-    if unit_sat not in ji_pos:
-        raise LawViolation("unit point has an irreducible saturation", sl.names[unit_sat])
-    monoid = FiniteCommMonoid(loc2.points.names, ji_pos[unit_sat], times)
-    replacement = LocalicSemiringData(loc2, monoid, name=f"saturated({data.name})")
-    return replacement, tuple(ji_masks)
+    classes = HoloidClasses(data).check()
+    replacement = to_localic(classes.quotient(), classes.order, caps, f"saturated({data.name})")
+    return replacement, tuple(classes.points(u) for u in classes.order.up)
 
 
 # ---------------------------------------------------------------------------
@@ -915,13 +863,15 @@ def representability_check(data, quantale_catalog, caps=DEFAULT_CAPS):
     Each hom f is sent to (f (x) id)(universal element); the report records,
     per target quantale, that every image is an anti-ideal, that the map is
     injective, and that it is onto the enumerated anti-ideals.  The monoid
-    part also checks invariance under the saturated replacement.
+    part also checks invariance under the saturated replacement.  Both
+    universal elements and the replacement come from the holoid classes, so
+    neither the saturated frame nor its dual basis is built.
     """
     iq = ideal_quantale(data, caps)
+    g_univ = universal_element(data, iq)
     mi = monoid_ideal_quantale(data, caps)
-    basis, _ = dual_basis(mi.sat.saturated, caps)
-    _, g_monoid, g_univ = _through_monoid_ideals(data, iq, mi, basis)
-    replacement, ji_masks = saturated_replacement(mi.sat, caps)
+    g_monoid = mi.universal_map
+    replacement, masks = saturated_replacement(data, caps)
     semiring_entries = []
     monoid_entries = []
     invariance_entries = []
@@ -960,7 +910,7 @@ def representability_check(data, quantale_catalog, caps=DEFAULT_CAPS):
         for gr in members_r.maps:
             g = tuple(
                 q.carrier.join_iter(
-                    gr[k] for k, m in enumerate(ji_masks) if m >> x & 1
+                    gr[k] for k, m in enumerate(masks) if m >> x & 1
                 )
                 for x in range(data.locale.points.n)
             )

@@ -120,14 +120,14 @@ def test_scott_localic_lattice_m3_rejected():
 
 def test_holoid_z2_trivial():
     z2 = FiniteCommMonoid(["1", "a"], 0, [[0, 1], [1, 0]])
-    q, surj, order = holoid_quotient(z2)
-    assert q.n == 1
+    quotient, surj, order = holoid_quotient(z2)
+    assert quotient().n == 1
 
 
 def test_holoid_nil2_three_chain():
     nil2 = FiniteCommMonoid(["1", "a", "0"], 0, [[0, 1, 2], [1, 2, 2], [2, 2, 2]])
-    q, surj, order = holoid_quotient(nil2)
-    assert q.n == 3
+    quotient, surj, order = holoid_quotient(nil2)
+    assert quotient().n == 3
     # divisibility order: 0 <= a <= 1
     zero, a, one = order.index("0"), order.index("a"), order.index("1")
     assert order.leq(zero, a) and order.leq(a, one)
@@ -135,8 +135,8 @@ def test_holoid_nil2_three_chain():
 
 def test_holoid_meet_monoid_is_identity():
     meet_c3 = FiniteCommMonoid(["1", "m", "0"], 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])
-    q, surj, order = holoid_quotient(meet_c3)
-    assert q.n == 3
+    quotient, surj, order = holoid_quotient(meet_c3)
+    assert quotient().n == 3
     # g | f iff f <= g, so the divisibility order is the chain itself
     assert order.leq(order.index("0"), order.index("m"))
     assert order.leq(order.index("m"), order.index("1"))
@@ -144,15 +144,18 @@ def test_holoid_meet_monoid_is_identity():
 
 @pytest.mark.parametrize("name,monoid", monoid_catalog())
 def test_holoid_idempotent(name, monoid):
-    q1, _, order1 = holoid_quotient(monoid)
-    q2, _, order2 = holoid_quotient(q1)
+    quotient1, _, order1 = holoid_quotient(monoid)
+    q1 = quotient1()
+    quotient2, _, order2 = holoid_quotient(q1)
+    q2 = quotient2()
     assert q1.n == q2.n
     assert find_poset_iso(order1, order2) is not None
 
 
 @pytest.mark.parametrize("name,monoid", monoid_catalog())
 def test_holoid_surjection_is_hom_and_order_reflecting(name, monoid):
-    q, surj, order = holoid_quotient(monoid)
+    quotient, surj, order = holoid_quotient(monoid)
+    q = quotient()
     for a in range(monoid.n):
         for b in range(monoid.n):
             assert surj[monoid.mul(a, b)] == q.mul(surj[a], surj[b])
@@ -161,6 +164,16 @@ def test_holoid_surjection_is_hom_and_order_reflecting(name, monoid):
         for b in range(monoid.n):
             # [a] <= [b] iff b | a
             assert order.leq(surj[a], surj[b]) == bool(div[b] >> a & 1)
+
+
+def test_holoid_congruence_is_checked():
+    # with 1 <= a, multiplication by a is not monotone (a.a = 0 is not above
+    # a), and the classes {1, a} and {0} are no congruence: a.a leaves the
+    # class of 1.1
+    nil2 = FiniteCommMonoid(["1", "a", "0"], 0, [[0, 1, 2], [1, 2, 2], [2, 2, 2]])
+    with pytest.raises(LawViolation) as exc:
+        holoid_quotient(nil2, build_poset(nil2.names, [("1", "a")]))
+    assert (exc.value.law, exc.value.witness) == ("divisibility congruence", ("a", "a"))
 
 
 def test_monoid_to_localic():

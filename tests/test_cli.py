@@ -4,6 +4,8 @@ check, in the pipeline or in the opens oracle, reported as a FAIL record,
 and ``analyze`` on a locale whose opens are too many to tabulate."""
 
 from collections import Counter
+from copy import copy
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -78,7 +80,9 @@ def test_verify_reports_a_broken_cross_check_as_fail(monkeypatch, capsys):
 
 
 def test_verify_reports_points_off_rad_as_fail(monkeypatch, capsys):
-    # a universal element at the top ideal gives points other than the search's
+    # a universal element at the top ideal gives points other than the
+    # search's; representability reads the same element, and its images
+    # are no anti-ideals
     monkeypatch.setattr(
         pfspec.spectrum,
         "universal_element",
@@ -87,8 +91,9 @@ def test_verify_reports_points_off_rad_as_fail(monkeypatch, capsys):
     assert main(["verify", str(MODELS / "z4.model")]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
     assert failed == [
+        "[representability] Z4: homs classify anti-ideals over the quantale catalog ... FAIL",
         "[oracles] Z4: zariski brute force matches the pipeline ... "
-        "FAIL (points of Rad(R) are the prime anti-ideals violated at {1,3})"
+        "FAIL (points of Rad(R) are the prime anti-ideals violated at {1,3})",
     ]
 
 
@@ -107,11 +112,24 @@ def _one_class_reflection(monoid, order):
     return None, (0,) * monoid.n, FinitePoset(["*"], [1])
 
 
+_monoid_ideal_quantale = pfspec.spectrum.monoid_ideal_quantale
+
+
+def _unit_at_bottom(data, caps):
+    # MM(R) with its unit moved from the top, the complement of the empty
+    # saturated open, to the bottom
+    mi = _monoid_ideal_quantale(data, caps)
+    mm = copy(mi.monoid_ideals)
+    mm.unit = mm.carrier.bottom
+    return replace(mi, monoid_ideals=mm)
+
+
 BROKEN_OPENS_CHECKS = [
     ("positivity adjunction", pfspec.locale.FiniteLocale, "positivity", property(_bottom_positivity)),
     ("mul counit on opens", pfspec.spectrum, "_counit_composite", _bottom_counit),
     ("saturated opens are the closure's fixed points", pfspec.spectrum, "holoid_quotient", _one_class_reflection),
     ("monoid ideals are the complements of the saturated opens", pfspec.spectrum, "_absorb", lambda data, mask: mask),
+    ("monoid-ideal/saturated duality", pfspec.spectrum, "monoid_ideal_quantale", _unit_at_bottom),
 ]
 
 

@@ -11,6 +11,8 @@ import pytest
 import pfspec.quantale
 import pfspec.spectrum
 from pfspec.algebra import (
+    FiniteCommMonoid,
+    LocalicSemiringData,
     build_discrete_semiring,
     scott_localic_lattice,
     to_localic,
@@ -27,6 +29,7 @@ from pfspec.catalog import (
 )
 from pfspec.cli import _localic_data
 from pfspec.errors import LawViolation, NotJoinPreserving
+from pfspec.locale import locale_from_frame
 from pfspec.modelfile import LatticeBlock, MonoidBlock, SemiringBlock, parse_model
 from pfspec.oracles import (
     ideal_product,
@@ -52,7 +55,6 @@ from pfspec.quantale import (
 from pfspec.spectrum import (
     _absorb,
     _comultiplication_witness,
-    _monoid_universal_map,
     _owc_binop,
     anti_ideals,
     count_saturated_opens,
@@ -62,6 +64,8 @@ from pfspec.spectrum import (
     monoid_ideal_quantale,
     opens_oracle,
     radical_frame,
+    representability_check,
+    saturated_replacement,
     saturation,
     universal_element,
 )
@@ -309,8 +313,7 @@ def _assert_opens_oracle_agrees(data):
     if data.has_addition:
         g = radical_frame(data).universal_map
     else:
-        mi = monoid_ideal_quantale(data)
-        g = _monoid_universal_map(data, mi, dual_basis(mi.sat.saturated)[0])
+        g = monoid_ideal_quantale(data).universal_map
     assert map_of_element(loc, check.universal) == g
 
 
@@ -834,7 +837,7 @@ def _nucleus_route(data):
         if zero & ~m == 0 and mm.carrier.leq(mod_add[k][k], k)
     ]
     assert nucleus.fixed_points() == definitional
-    g_monoid = _monoid_universal_map(data, mi, dual_basis(mi.sat.saturated)[0])
+    g_monoid = _dual_basis_monoid_map(data, mi)
     masks = [mi.ideal_masks[k] for k in definitional]
     return mi, ideals, collapse, masks, tuple(collapse(v) for v in g_monoid)
 
@@ -896,3 +899,115 @@ def test_radical_frame_of_scott_p5_builds_nothing_larger_than_idl(monkeypatch):
     result = radical_frame(scott_localic_lattice(powerset_lattice(5)))
     assert (result.ideals.carrier.n, result.radicals.carrier.n, len(result.points)) == (32, 32, 5)
     assert sizes and max(sizes) == 32
+
+
+# ---------------------------------------------------------------------------
+# the monoid side from the holoid classes against the saturated frame
+
+
+def _dual_basis_monoid_map(data, mi):
+    """The universal element of MM(R) the long way, from the dual basis of
+    the saturated frame: x goes to the join of the monoid ideals dual to the
+    irreducible saturated opens containing x (the complements of their dual
+    encodings)."""
+    sat = saturation(data)
+    basis, _ = dual_basis(sat.saturated)
+    full = data.locale.points.full
+    mm_pos = {m: k for k, m in enumerate(mi.ideal_masks)}
+    pieces = [
+        (sat.sat_masks[p], mm_pos[full ^ sat.sat_masks[c]])
+        for p, c in zip(basis.irreducibles, basis.sigma_encodings)
+    ]
+    join_iter = mi.monoid_ideals.carrier.join_iter
+    return tuple(join_iter(k for r, k in pieces if r >> x & 1) for x in range(data.locale.points.n))
+
+
+def _frame_saturated_replacement(data):
+    """The saturated replacement the long way: the locale of the saturated
+    frame (``locale_from_frame``), whose points are its join-irreducibles,
+    with the product of two of them the least saturated open over their
+    pointwise product, which must be join-irreducible again, as must the
+    least one over the unit point.  Returns (monoid data, point masks)."""
+    sat = saturation(data)
+    sl = sat.saturated
+    pts = data.locale.points
+    loc, _, _ = locale_from_frame(sl)
+    ji_masks = [sat.sat_masks[p] for p in sl.join_irreducibles()]
+    ji_pos = {m: k for k, m in enumerate(ji_masks)}
+
+    def least_saturated_over(point_mask):
+        acc = pts.full
+        for m in sat.sat_masks:
+            if point_mask & ~m == 0:
+                acc &= m
+        return acc
+
+    def pointwise(a, b):
+        out = 0
+        for x in bits(a):
+            for y in bits(b):
+                out |= 1 << data.mul(x, y)
+        return out
+
+    times = [[ji_pos[least_saturated_over(pointwise(a, b))] for b in ji_masks] for a in ji_masks]
+    unit = ji_pos[least_saturated_over(1 << data.one_point)]
+    monoid = FiniteCommMonoid(loc.points.names, unit, times)
+    return LocalicSemiringData(loc, monoid, name=f"saturated({data.name})"), tuple(ji_masks)
+
+
+def _transported(data, replacement, masks, q):
+    """The monoid anti-ideals of the replacement into q, carried to the
+    points of ``data``: x goes to the join of the values at the points whose
+    mask holds x."""
+    join_iter = q.carrier.join_iter
+    return {
+        tuple(join_iter(gr[k] for k, m in enumerate(masks) if m >> x & 1) for x in range(data.locale.points.n))
+        for gr in anti_ideals(replacement, q, "monoid").maps
+    }
+
+
+def _assert_monoid_side_matches_the_frame_route(data):
+    mi = monoid_ideal_quantale(data)
+    assert mi.universal_map == _dual_basis_monoid_map(data, mi)
+    replacement, masks = saturated_replacement(data)
+    expected, expected_masks = _frame_saturated_replacement(data)
+    assert len(masks) == len(set(masks)) and set(masks) == set(expected_masks)
+    # the same point order, carried along the masks
+    points, expected_points = replacement.locale.points, expected.locale.points
+    carried = [expected_masks.index(m) for m in masks]
+    for a, b in product(range(points.n), repeat=2):
+        assert points.leq(a, b) == expected_points.leq(carried[a], carried[b])
+    for _, q in quantale_catalog():
+        transported = _transported(data, replacement, masks, q)
+        assert transported == _transported(data, expected, expected_masks, q)
+        assert transported == set(anti_ideals(data, q, "monoid").maps)
+
+
+def test_monoid_side_matches_the_frame_route_on_catalogs_and_small_objects():
+    for data in _catalog_and_small_objects():
+        _assert_monoid_side_matches_the_frame_route(data)
+
+
+@pytest.mark.parametrize("path", MODELS, ids=[p.stem for p in MODELS])
+def test_monoid_side_matches_the_frame_route_on_model_files(path):
+    for data in _model_objects(path):
+        _assert_monoid_side_matches_the_frame_route(data)
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [chain(5), powerset_lattice(3), grid(3, 3), powerset_lattice(4)],
+    ids=["C5", "P3", "G33", "P4"],
+)
+def test_monoid_side_matches_the_frame_route_on_scott_lattices(lat):
+    _assert_monoid_side_matches_the_frame_route(scott_localic_lattice(lat))
+
+
+def test_representability_on_catalogs_and_small_semirings():
+    # homs out of Idl(R) and MM(R) classify the anti-ideals into every
+    # catalog quantale, and the saturated replacement keeps the monoid ones
+    catalog = quantale_catalog()
+    semirings = [data for data in _catalog_and_small_objects() if data.has_addition]
+    assert len(semirings) == 82
+    for data in semirings:
+        assert representability_check(data, catalog).ok(), data.name

@@ -5,14 +5,18 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+import pfspec.locale
 import pfspec.spectrum
+import pfspec.suplattice
 
 from pfspec.algebra import (
+    FiniteCommMonoid,
     build_discrete_semiring,
     scott_localic_lattice,
     to_localic,
@@ -20,19 +24,23 @@ from pfspec.algebra import (
 from pfspec.caps import Caps
 from pfspec.catalog import (
     chain,
+    grid,
     monoid_catalog,
     powerset_lattice,
     quantale_catalog,
     semiring_catalog,
 )
 from pfspec.errors import CapExceeded, LawViolation, NotSupercontinuous
+from pfspec.cli import main
 from pfspec.iso import find_lattice_iso
+from pfspec.modelfile import MonoidBlock, parse_model
 from pfspec.oracles import zariski_compare
 from pfspec.order import FinitePoset, Lattice, bits, build_poset, downset_lattice
 from pfspec.quantale import Quantale, frame_quantale
 from pfspec.spectrum import (
     _checked_universal,
     anti_ideals,
+    count_saturated_opens,
     dualisability_conditions,
     element_of_map,
     ideal_quantale,
@@ -50,6 +58,8 @@ from pfspec.spectrum import (
 from pfspec.suplattice import TensorElement, TensorSpace, dual, tensor
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _monoid_data(name):
@@ -164,10 +174,12 @@ def test_monoid_ideals_z2():
 
 @pytest.mark.parametrize("name,monoid", monoid_catalog())
 def test_duality_all_catalog_monoids(name, monoid):
-    mi = monoid_ideal_quantale(to_localic(monoid, name=name))
-    assert mi.duality.ok()
+    data = to_localic(monoid, name=name)
+    # the opens oracle checks the duality: the unit, the complements and the
+    # universal element carried from the dual basis
+    mi = opens_oracle(data).monoid
     # the dual of the saturated frame is isomorphic to the monoid ideals
-    d, _ = dual(mi.sat.saturated)
+    d, _ = dual(saturation(data).saturated)
     assert find_lattice_iso(mi.monoid_ideals.carrier, d) is not None
 
 
@@ -240,20 +252,21 @@ def test_broken_monoid_ideal_product_raises(monkeypatch):
     assert exc.value.law == "product of monoid ideals"
 
 
-def test_large_monoid_ideal_quantale_checks_each_ideal_once(monkeypatch):
-    # at every size the duality check confirms, once per monoid ideal, that
-    # it is the least monoid ideal over itself
+def test_large_monoid_ideal_quantale_checks_each_principal_ideal_once(monkeypatch):
+    # at every size the class check confirms, once per point x, that the
+    # classes below the class of x make up the least monoid ideal over the
+    # down-set of x; every monoid ideal is a union of those
     data = scott_localic_lattice(powerset_lattice(4))
     calls = []
     monkeypatch.setattr(pfspec.spectrum, "_absorb", lambda data, mask: calls.append(mask) or mask)
     mi = monoid_ideal_quantale(data)
     assert mi.monoid_ideals.carrier.n == 168
-    assert sorted(calls) == sorted(mi.ideal_masks)
+    assert calls == list(data.locale.points.down)
     monkeypatch.setattr(pfspec.spectrum, "_absorb", lambda data, mask: mask & (mask - 1))
     for obj in (data, _semiring_data("Z4")):
         with pytest.raises(LawViolation) as exc:
             monoid_ideal_quantale(obj)
-        assert exc.value.law == "monoid-ideal/saturated duality"
+        assert exc.value.law == "holoid classes give the principal monoid ideals"
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +391,36 @@ def test_radical_frame_checks_the_holoid_classes(monkeypatch, broken, data):
     assert exc.value.law == "holoid classes give the principal monoid ideals"
 
 
+@pytest.mark.parametrize("broken", [_opposite_order_reflection, _lumped_reflection], ids=["reversed", "lumped"])
+@pytest.mark.parametrize(
+    "run",
+    [monoid_ideal_quantale, saturated_replacement, lambda data: representability_check(data, [])],
+    ids=["MM", "replacement", "representability"],
+)
+def test_monoid_side_checks_the_holoid_classes(monkeypatch, broken, run):
+    # MM(R), its principal universal element and the replacement are read
+    # off the classes, so a wrong reflection must fail the class check
+    monkeypatch.setattr(pfspec.spectrum, "holoid_quotient", broken)
+    with pytest.raises(LawViolation) as exc:
+        run(_semiring_data("Z4"))
+    assert exc.value.law == "holoid classes give the principal monoid ideals"
+
+
+def test_only_the_saturated_replacement_builds_the_quotient_monoid(monkeypatch):
+    # the congruence check is enough for the classes; the quotient monoid
+    # and its O(k^3) validation wait for the one caller that reads it
+    data = scott_localic_lattice(grid(3, 3))
+    built = []
+    init = FiniteCommMonoid.__init__
+    monkeypatch.setattr(FiniteCommMonoid, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    radical_frame(data)
+    saturation(data)
+    count_saturated_opens(data)
+    assert built == []
+    saturated_replacement(data)
+    assert len(built) == 1
+
+
 def _no_closure(j, closed, extra):
     return closed | extra
 
@@ -480,22 +523,24 @@ def test_universal_element_conditions_boolean():
 def test_universal_element_checked_against_least_ideals(monkeypatch):
     # a map form that sends every point to the top ideal fails the
     # point-level route first: 0 lies in the smaller ideal (0); the class
-    # route's map is checked by that function, and so is the monoid
-    # route's where MM(R) is built
+    # route's map is checked by that function, and so is the collapse of
+    # the principal monoid ideals in the opens oracle (elsewhere the class
+    # check vouches for them)
     data = _semiring_data("Z4")
     iq = ideal_quantale(data)
     with pytest.raises(LawViolation) as exc:
         _checked_universal(data, iq, (iq.ideals.carrier.top,) * 4)
     assert (exc.value.law, exc.value.witness) == ("universal element is the least ideal at each point", "0")
-    monkeypatch.setattr(
-        pfspec.spectrum,
-        "_monoid_universal_map",
-        lambda data, mi, basis: (mi.monoid_ideals.carrier.top,) * data.locale.points.n,
-    )
-    for check in (opens_oracle, lambda d: representability_check(d, [])):
-        with pytest.raises(LawViolation) as exc:
-            check(data)
-        assert (exc.value.law, exc.value.witness) == ("universal element is the least ideal at each point", "0")
+    original = pfspec.spectrum.monoid_ideal_quantale
+
+    def all_top(data, caps):
+        mi = original(data, caps)
+        return replace(mi, universal_map=(mi.monoid_ideals.carrier.top,) * data.locale.points.n)
+
+    monkeypatch.setattr(pfspec.spectrum, "monoid_ideal_quantale", all_top)
+    with pytest.raises(LawViolation) as exc:
+        opens_oracle(data)
+    assert (exc.value.law, exc.value.witness) == ("universal element is the least ideal at each point", "0")
 
 
 def test_monoid_route_is_compared_with_the_class_route(monkeypatch):
@@ -691,17 +736,27 @@ def test_representability_counts_b_omega():
     assert entry.hom_count == entry.member_count == 1
 
 
-def test_representability_computes_the_dual_basis_once(monkeypatch):
-    calls = []
-    original = pfspec.spectrum.dual_basis
-
-    def counting(lat, caps=None):
-        calls.append(lat.n)
-        return original(lat, caps)
-
-    monkeypatch.setattr(pfspec.spectrum, "dual_basis", counting)
-    assert representability_check(_semiring_data("Z4"), quantale_catalog()[:2]).ok()
-    assert len(calls) == 1
+def test_monoid_side_builds_no_saturated_frame_or_dual_basis(monkeypatch, capsys):
+    # both universal elements, MM(R) and the replacement come from the
+    # classes: representability passes and the monoid spectra print their
+    # golden bytes with every binding of the frame's routes refused
+    for module in (pfspec.spectrum, pfspec.suplattice, pfspec.locale):
+        for name in ("saturation", "dual_basis", "locale_from_frame"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(name))
+    for data in (to_localic(_zmod(8)), scott_localic_lattice(powerset_lattice(3))):
+        assert representability_check(data, quantale_catalog()).ok()
+    printed = 0
+    for path in MODELS:
+        for block in parse_model(path).blocks:
+            if not isinstance(block, MonoidBlock):
+                continue
+            for mode in ("quantic", "localic"):
+                code = main(["spectrum", str(path), "--object", block.name, "--mode", mode])
+                golden = GOLDEN / path.stem / f"spectrum-{block.name}-{mode}.txt"
+                assert f"exit {code}\n" + capsys.readouterr().out == golden.read_text(encoding="utf-8")
+                printed += 1
+    assert printed == 12
 
 
 def test_pipeline_never_closes_the_duality_unit(monkeypatch):
@@ -737,13 +792,19 @@ def test_representability_scott_p3_under_default_caps():
 
 
 def test_saturated_replacement_invariance_z4_monoid():
+    # the anti-ideals of the replacement, carried along the point masks,
+    # are those of the monoid, one for one
     data = _monoid_data("multZ4")
-    sat = saturation(data)
-    replacement, ji_masks = saturated_replacement(sat)
+    replacement, masks = saturated_replacement(data)
     for _, q in quantale_catalog()[:3]:
         original = anti_ideals(data, q, "monoid")
         replaced = anti_ideals(replacement, q, "monoid")
         assert len(original.maps) == len(replaced.maps)
+        transported = {
+            tuple(q.carrier.join_iter(g[k] for k, m in enumerate(masks) if m >> x & 1) for x in range(4))
+            for g in replaced.maps
+        }
+        assert transported == set(original.maps)
 
 
 @pytest.mark.parametrize("name", ["B", "Z4", "Z6", "Z2xZ2", "C3lat"])
