@@ -10,14 +10,15 @@ is the one place those laws are checked (both monoid laws, annihilation and
 distributivity); ``LocalicSemiringData`` takes the built algebra and checks
 only what the locale adds, that the tables are monotone.  The opens are never
 built here: the opens oracle in ``spectrum`` verifies the counit laws as
-SupMap equalities on the opens whenever they fit the caps.
+SupMap equalities on the opens whenever they fit the caps.  The holoid
+classes that every stage of the spectrum reads are ``data.classes``.
 """
 
-from functools import partial
+from functools import cached_property
 from itertools import product as iproduct
 
 from .caps import DEFAULT_CAPS
-from .errors import LawViolation, NotDistributive, NotMonotone
+from .errors import CapExceeded, LawViolation, NotDistributive, NotMonotone
 from .locale import alexandrov
 from .order import FinitePoset, bits
 
@@ -145,6 +146,11 @@ class LocalicSemiringData:
     def has_addition(self):
         return self.add_t is not None
 
+    @cached_property
+    def classes(self):
+        """The holoid classes of the points, built on first use."""
+        return HoloidClasses(self)
+
     def is_discrete(self):
         pts = self.locale.points
         return all(pts.up[i] == 1 << i for i in range(pts.n))
@@ -162,6 +168,109 @@ def _check_pointwise_monotone(pts, table, law):
                     raise NotMonotone(
                         (pts.names[a], pts.names[b], pts.names[b2]), law
                     )
+
+
+def _absorb(data, mask):
+    """The least monoid ideal over the down-set ``mask``: its down-closure
+    together with v.r for each maximal v and every point r."""
+    pts = data.locale.points
+    absorbed = mask
+    for v in pts.maximal(mask):
+        trow = data.mul_t[v]
+        for w in range(pts.n):
+            absorbed |= 1 << trow[w]
+    return pts.down_closure(absorbed)
+
+
+class HoloidClasses:
+    """The holoid classes of the points: ``holoid_quotient`` of the
+    multiplicative monoid with the point order.
+
+    ``cls_of[x]`` is the class of the point x, ``order`` the class order,
+    ``members[c]`` the points of class c and ``mul_t`` the class product (a
+    congruence, checked by ``holoid_quotient``).  ``check`` confirms, point
+    by point, that the classes below the class of x make up ``_absorb`` of
+    the down-set of x.  Then the monoid ideals are the unions of class
+    down-sets and the saturated opens, kept in ``saturation`` once built,
+    the unions of class up-sets.
+
+    With addition, an ideal is also such a union that holds the zero's class
+    and, with classes c and e, the class of every sum of their members: the
+    sum rows ``sums[c][e]``.  ``close`` adds down-closures and sum rows until
+    nothing changes; ``bottom`` is the least ideal.
+    """
+
+    def __init__(self, data):
+        self.data = data
+        self.mul_t, cls_of, self.order = holoid_quotient(data.mul_monoid, data.locale.points)
+        self.cls_of = tuple(cls_of)
+        k = self.order.n
+        members = [0] * k
+        for x, c in enumerate(cls_of):
+            members[c] |= 1 << x
+        self.members = tuple(members)
+        self.checked = False
+        self.saturation = None
+        if data.has_addition:
+            sums = [[0] * k for _ in range(k)]
+            for x, row in enumerate(data.add_t):
+                srow = sums[cls_of[x]]
+                for y, s in enumerate(row):
+                    srow[cls_of[y]] |= 1 << cls_of[s]
+            self.sums = tuple(map(tuple, sums))
+            self.bottom = self.close(0, 1 << cls_of[data.zero_point])
+
+    def check(self):
+        """self, once every point passes the class check, which runs on the
+        first call only; else LawViolation names the first point that
+        fails."""
+        if not self.checked:
+            pts = self.data.locale.points
+            for x, c in enumerate(self.cls_of):
+                if self.points(self.order.down[c]) != _absorb(self.data, pts.down[x]):
+                    raise LawViolation("holoid classes give the principal monoid ideals", pts.names[x])
+            self.checked = True
+        return self
+
+    def points(self, class_mask):
+        return sum(self.members[c] for c in bits(class_mask))
+
+    def up_sets(self, caps):
+        """The up-sets of the class order, as class masks; CapExceeded past
+        ``caps.search_budget()`` of them."""
+        budget = caps.search_budget()
+        ups = self.order.up_sets(limit=budget)
+        if ups is None:
+            raise CapExceeded("saturated opens enumeration", f">{budget}", budget)
+        return ups
+
+    def close(self, closed, extra):
+        """The least set over closed v extra that is down-closed and closed
+        under the sum rows, for ``closed`` already so (a fixed point of the
+        closure, or 0): only the classes not yet in the set are down-closed
+        and summed, against the whole set."""
+        down, sums = self.order.down, self.sums
+        new = extra & ~closed
+        while new:
+            grown = 0
+            for c in bits(new):
+                grown |= down[c]
+            new = grown & ~closed
+            closed |= new
+            inside = list(bits(closed))
+            grown = 0
+            for c in bits(new):
+                row = sums[c]
+                for e in inside:
+                    grown |= row[e]
+            new = grown & ~closed
+        return closed
+
+    def least(self, point_mask):
+        """The least ideal holding the points of ``point_mask``, as a class
+        mask."""
+        classes = {self.cls_of[x] for x in bits(point_mask)}
+        return self.close(self.bottom, sum(1 << c for c in classes))
 
 
 def to_localic(algebra, order=None, caps=DEFAULT_CAPS, name=""):
@@ -190,12 +299,13 @@ def scott_localic_lattice(lat, caps=DEFAULT_CAPS, name=""):
 def holoid_quotient(monoid, order=None):
     """Quotient a commutative monoid by mutual divisibility.
 
-    Returns (quotient, surjection values, order poset): ``quotient()``
-    builds the quotient monoid, which carries the partial order [f] <= [g]
-    iff g divides f (inclusion of principal monoid ideals), realizing the
-    poset coinserter of the projection and multiplication concretely.  The
-    congruence is checked here; the quotient's own O(k^3) validation runs
-    only when it is built, so callers that read the classes skip it.
+    Returns (class table, surjection values, order poset): the quotient
+    monoid is ``FiniteCommMonoid(order.names, surjection[unit], table)``,
+    which carries the partial order [f] <= [g] iff g divides f (inclusion of
+    principal monoid ideals), realizing the poset coinserter of the
+    projection and multiplication concretely.  The congruence is checked
+    here; the quotient's own O(k^3) validation runs only when it is built,
+    so callers that read the classes skip it.
 
     With ``order``, a poset on the elements for which multiplication is
     monotone, g divides f when f <= g.k for some k.  That relation is the
@@ -234,8 +344,6 @@ def holoid_quotient(monoid, order=None):
                             "divisibility congruence",
                             (monoid.names[a], monoid.names[b]),
                         )
-    names = [monoid.names[r] for r in reps]
-    quotient = partial(FiniteCommMonoid, names, cls_of[monoid.unit], table)
     up = []
     for i, ri in enumerate(reps):
         mask = 0
@@ -244,6 +352,5 @@ def holoid_quotient(monoid, order=None):
             if div[rj] >> ri & 1:
                 mask |= 1 << j
         up.append(mask)
-    order = FinitePoset(names, up)
-    surjection = tuple(cls_of)
-    return quotient, surjection, order
+    order = FinitePoset([monoid.names[r] for r in reps], up)
+    return tuple(map(tuple, table)), tuple(cls_of), order

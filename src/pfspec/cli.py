@@ -326,18 +326,23 @@ def _suite_duality(model, caps, report, realize):
             )
 
 
-def _suite_representability(model, caps, report, realize):
+def _representability_outcome(data, caps):
+    """(ok, witness): the witness names the first failing entry of
+    ``representability_check`` over the quantale catalog."""
     from .catalog import quantale_catalog
 
+    failure = representability_check(data, quantale_catalog(), caps).failure()
+    return failure is None, failure
+
+
+def _suite_representability(model, caps, report, realize):
     for block in model.blocks:
         if isinstance(block, (SemiringBlock, LatticeBlock)):
             name = block.name
             report.run(
                 "representability",
                 f"{name}: homs classify anti-ideals over the quantale catalog",
-                lambda n=name: representability_check(
-                    realize(n), quantale_catalog(), caps
-                ).ok(),
+                lambda n=name: _representability_outcome(realize(n), caps),
             )
 
 

@@ -1,10 +1,12 @@
 """The spectrum pipeline for finite localic semirings.
 
-Everything here runs on the holoid classes of the points (``HoloidClasses``):
-the classes of mutual divisibility up to the point order, in their order
-(``algebra.holoid_quotient``).  Once they are checked to give the principal
-monoid ideals, the frame of saturated opens is the up-set frame of the class
-order, so the monoid side needs no frame and no dual basis.
+Everything here runs on the holoid classes of the points, ``data.classes``,
+built once per object and checked once: the classes of mutual divisibility
+up to the point order, in their order (``algebra.holoid_quotient``).  Once
+checked to give the principal monoid ideals, the frame of saturated opens is
+the up-set frame of the class order, so the monoid side needs no frame and
+no dual basis.  Anti-ideals into a two-sided quantale are constant on the
+classes, so they are searched as maps of classes.
 
 The main path, ``radical_frame``, builds neither the frame of opens (up to
 2**|points| elements) nor MM(R) (one element per down-set of the classes):
@@ -43,10 +45,10 @@ two agree because the principal up-sets are join-prime in an up-set frame).
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, product as iproduct
+from itertools import chain, combinations_with_replacement, product as iproduct
 from operator import or_
 
-from .algebra import LocalicSemiringData, holoid_quotient, to_localic
+from .algebra import FiniteCommMonoid, HoloidClasses, LocalicSemiringData, _absorb, to_localic
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, LawViolation, NotSupercontinuous, NotTwoSided
 from .order import (
@@ -78,57 +80,6 @@ def omega_quantale():
 
 
 # ---------------------------------------------------------------------------
-# the holoid classes
-
-
-class HoloidClasses:
-    """The holoid classes of the points: ``holoid_quotient`` of the
-    multiplicative monoid with the point order.
-
-    ``cls_of[x]`` is the class of the point x, ``order`` the class order,
-    ``members[c]`` the points of class c, and ``quotient()`` builds the
-    quotient monoid.  ``check`` confirms, point by point, that the classes
-    below the class of x make up ``_absorb`` of the down-set of x.  Then the
-    monoid ideals are the unions of class down-sets and the saturated opens
-    the unions of class up-sets: the saturated frame is the up-set frame of
-    the class order, its dual basis the principal up-sets.
-    """
-
-    def __init__(self, data):
-        self.data = data
-        self.quotient, cls_of, self.order = holoid_quotient(data.mul_monoid, data.locale.points)
-        self.cls_of = tuple(cls_of)
-        members = [0] * self.order.n
-        for x, c in enumerate(cls_of):
-            members[c] |= 1 << x
-        self.members = tuple(members)
-
-    def check(self):
-        """self, once every point passes the class check; else LawViolation
-        names the first point that fails."""
-        pts = self.data.locale.points
-        for x, c in enumerate(self.cls_of):
-            if self.points(self.order.down[c]) != _absorb(self.data, pts.down[x]):
-                raise LawViolation("holoid classes give the principal monoid ideals", pts.names[x])
-        return self
-
-    def points(self, class_mask):
-        out = 0
-        for c in bits(class_mask):
-            out |= self.members[c]
-        return out
-
-    def up_sets(self, caps):
-        """The up-sets of the class order, as class masks; CapExceeded past
-        ``caps.search_budget()`` of them."""
-        budget = caps.search_budget()
-        ups = self.order.up_sets(limit=budget)
-        if ups is None:
-            raise CapExceeded("saturated opens enumeration", f">{budget}", budget)
-        return ups
-
-
-# ---------------------------------------------------------------------------
 # saturation
 
 
@@ -151,10 +102,16 @@ def saturation(data, caps=DEFAULT_CAPS):
     xy in s implies x in s (``_comultiplication_witness``).  The opens
     themselves are never built: ``opens_oracle`` compares these masks with
     the fixed points of the closure U -> {x : exists y, xy in U} on them.
-    Only ``opens_oracle`` and ``dualisability_conditions`` build this frame.
+    Only ``opens_oracle`` and ``dualisability_conditions`` build this frame;
+    the classes keep it for a later call within its ``caps.search_budget()``.
     """
+    classes = data.classes
+    if classes.saturation is not None:
+        budget = caps.search_budget()
+        if len(classes.saturation.sat_masks) > budget:
+            raise CapExceeded("saturated opens enumeration", f">{budget}", budget)
+        return classes.saturation
     pts = data.locale.points
-    classes = HoloidClasses(data)
     masks = sorted(
         (classes.points(u) for u in classes.up_sets(caps)), key=lambda m: (m.bit_count(), m)
     )
@@ -168,14 +125,15 @@ def saturation(data, caps=DEFAULT_CAPS):
             "comultiplication preserves saturation",
             (pts.mask_name(mask), *(pts.names[p] for p in xyzw)),
         )
-    return SaturationData(saturated, tuple(masks))
+    classes.saturation = SaturationData(saturated, tuple(masks))
+    return classes.saturation
 
 
 def count_saturated_opens(data, caps=DEFAULT_CAPS):
     """The number of saturated opens, which is also the number of monoid
     ideals (their complements): the up-sets of the holoid order, counted
     without tabulating the frame."""
-    return len(HoloidClasses(data).up_sets(caps))
+    return len(data.classes.up_sets(caps))
 
 
 def is_deflationary(data):
@@ -250,18 +208,6 @@ def _owc_binop(points, masks, table):
     return tuple(out)
 
 
-def _absorb(data, mask):
-    """The least monoid ideal over the down-set ``mask``: its down-closure
-    together with v.r for each maximal v and every point r."""
-    pts = data.locale.points
-    absorbed = mask
-    for v in pts.maximal(mask):
-        trow = data.mul_t[v]
-        for w in range(pts.n):
-            absorbed |= 1 << trow[w]
-    return pts.down_closure(absorbed)
-
-
 @dataclass
 class MonoidIdealData:
     monoid_ideals: Quantale  # MM(R)
@@ -276,7 +222,7 @@ class MonoidIdealData:
 
 def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
     """The quantale MM(R) of monoid ideals and its universal element, read
-    off the checked holoid classes (``HoloidClasses.check``).
+    off the checked holoid classes (``data.classes``).
 
     The monoid ideals are the unions of class down-sets, the complements of
     the saturated opens (the class up-sets), sorted by (size, mask) and
@@ -289,7 +235,7 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
     OWC quantale and its two-sided reflection give the same quantale; the
     tests use them as the oracle.
     """
-    classes = HoloidClasses(data).check()
+    classes = data.classes.check()
     pts = data.locale.points
     every_class = (1 << classes.order.n) - 1
     ideal_masks = sorted(
@@ -313,65 +259,10 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
 # the ideal quantale
 
 
-class HoloidClosure(HoloidClasses):
-    """The least ideal over a set of holoid classes, on class bitmasks.
-
-    The classes are checked (``HoloidClasses.check``), so the monoid ideals
-    are the unions of down-sets of classes.  An ideal is then such a union
-    that holds the zero's class and, with any classes c and e, every class of
-    a sum x + y for x in c and y in e.  The sum rows ``sums[c][e]`` hold
-    those classes, read off the addition table once; ``close`` adds
-    down-closures and sum rows until nothing changes.
-    """
-
-    def __init__(self, data):
-        super().__init__(data)
-        self.check()
-        cls_of = self.cls_of
-        k = self.n = self.order.n
-        self.down = self.order.down
-        sums = [[0] * k for _ in range(k)]
-        for x, row in enumerate(data.add_t):
-            srow = sums[cls_of[x]]
-            for y, s in enumerate(row):
-                srow[cls_of[y]] |= 1 << cls_of[s]
-        self.sums = sums
-        self.bottom = self.close(0, 1 << cls_of[data.zero_point])
-
-    def close(self, closed, extra):
-        """The least set over closed v extra that is down-closed and closed
-        under the sum rows, for ``closed`` already so (a fixed point of j,
-        or 0): only the classes not yet in the set are down-closed and
-        summed, against the whole set."""
-        down, sums = self.down, self.sums
-        new = extra & ~closed
-        while new:
-            grown = 0
-            for c in bits(new):
-                grown |= down[c]
-            new = grown & ~closed
-            closed |= new
-            inside = list(bits(closed))
-            grown = 0
-            for c in bits(new):
-                row = sums[c]
-                for e in inside:
-                    grown |= row[e]
-            new = grown & ~closed
-        return closed
-
-    def least(self, point_mask):
-        """j of the classes of the points of ``point_mask``: the least ideal
-        holding them, as a class mask."""
-        classes = 0
-        for x in bits(point_mask):
-            classes |= 1 << self.cls_of[x]
-        return self.close(self.bottom, classes)
-
-
-def _fixed_class_masks(j, caps):
-    """The fixed points of j, in lectic order (NextClosure: Ganter, "Two
-    basic algorithms in concept analysis", 1984).
+def _fixed_class_masks(classes, caps):
+    """The fixed points of j, the least ideal over a set of classes
+    (``classes.close``), in lectic order (NextClosure: Ganter, "Two basic
+    algorithms in concept analysis", 1984).
 
     From a fixed point a, the next one is j(a below i, plus i) for the
     largest i not in a whose closure adds nothing below i.  A class whose
@@ -380,12 +271,13 @@ def _fixed_class_masks(j, caps):
     ``caps.search_budget()``, and past it CapExceeded("ideal enumeration",
     ...) is raised; so the loop ends within the budget whatever j does."""
     budget = caps.search_budget()
-    full = (1 << j.n) - 1
-    a = j.bottom
+    k, down = classes.order.n, classes.order.down
+    full = (1 << k) - 1
+    a = classes.bottom
     found = [a]
     tried = 0
     while a != full:
-        for i in reversed(range(j.n)):
+        for i in reversed(range(k)):
             if a >> i & 1:
                 continue
             tried += 1
@@ -393,11 +285,11 @@ def _fixed_class_masks(j, caps):
                 raise CapExceeded("ideal enumeration", tried, budget)
             low = (1 << i) - 1
             kept = a & low
-            if j.down[i] & low & ~kept:
+            if down[i] & low & ~kept:
                 continue
             # a is closed, so when nothing of it lies above i the closure
             # can start from it
-            b = j.close(a if kept == a else j.bottom, kept | 1 << i)
+            b = classes.close(a if kept == a else classes.bottom, kept | 1 << i)
             if b & low == kept:
                 a = b
                 break
@@ -427,24 +319,24 @@ def _ideal_witness(data, masks):
 class IdealQuantaleData:
     ideals: Quantale  # Idl(R)
     ideal_masks: tuple  # point-mask of each element of Idl(R)
-    closure: HoloidClosure
+    classes: HoloidClasses
     class_index: dict  # class mask of each element -> its index
 
     def ideal_of(self, point_mask):
         """Index of the least ideal holding the points of ``point_mask``."""
-        return self.class_index[self.closure.least(point_mask)]
+        return self.class_index[self.classes.least(point_mask)]
 
 
 def ideal_quantale(data, caps=DEFAULT_CAPS):
     """The quantale Idl(R) of overt weakly closed ideals, on the holoid
     classes.
 
-    The ideals are the fixed points of the closure j on sets of classes
-    (``HoloidClosure``), listed by ``_fixed_class_masks`` and sorted by the
-    (size, mask) of their point masks; each is checked to be an ideal in the
-    definitional sense.  Meets are intersections and the join is j(a v b).
-    The product is j of the convolution product (``_owc_binop``) and the
-    unit is j(class of 1).  This is the quotient of MM(R) by the least
+    The ideals are the fixed points of the closure j on sets of checked
+    classes (``HoloidClasses.close``), listed by ``_fixed_class_masks`` and
+    sorted by the (size, mask) of their point masks; each is checked to be an
+    ideal in the definitional sense.  Meets are intersections and the join
+    is j(a v b).  The product is j of the convolution product
+    (``_owc_binop``) and the unit is j(class of 1).  This is the quotient of MM(R) by the least
     nucleus forcing the zero to the bottom and I (+~) J below I v J, which
     ``opens_oracle`` reaches with ``monoid_collapse``; neither the saturated
     frame nor MM(R) is built here.
@@ -452,7 +344,7 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     if not data.has_addition:
         raise LawViolation("additive structure", "monoid-only data has no ideals")
     pts = data.locale.points
-    j = HoloidClosure(data)
+    j = data.classes.check()
     found = sorted(
         ((j.points(c), c) for c in _fixed_class_masks(j, caps)),
         key=lambda mc: (mc[0].bit_count(), mc[0]),
@@ -503,10 +395,13 @@ def anti_ideals(data, quantale, mode, caps=DEFAULT_CAPS):
     0 not in u, xy in u iff x and y in u, and x+y in u implies x in u or
     y in u.  ``element_of_map`` gives the bi-ideal form of a map.
 
-    ``order.monotone_search`` assigns the points along a linear extension
-    and checks each law as soon as its points are assigned: the unit (and
-    zero) at once, the laws for x, y once x, y and xy (or x+y) are.  It raises
-    CapExceeded once it has tried more values than ``caps.search_budget()``.
+    The maps are searched on the checked holoid classes (``data.classes``).
+    As Q is two-sided, x <= y.k gives g(x) <= g(y)g(k) <= g(y): g is a
+    monotone map of classes, and every such map is one of points.  The laws
+    become G(c)G(e) = G(ce), for the class product ``mul_t`` (a congruence),
+    and G(s) <= G(c) v G(e) for each class s in the sum row ``sums[c][e]``.
+    ``order.monotone_search`` checks each law once its classes are assigned
+    and raises CapExceeded past ``caps.search_budget()`` values tried.
     """
     if mode not in ("monoid", "semiring"):
         raise ValueError(f"unknown anti-ideal mode {mode!r}")
@@ -514,29 +409,23 @@ def anti_ideals(data, quantale, mode, caps=DEFAULT_CAPS):
         raise NotTwoSided("anti-ideals are valued in two-sided quantales")
     if mode == "semiring" and not data.has_addition:
         raise LawViolation("additive structure", "monoid-only data")
-    pts = data.locale.points
+    classes = data.classes.check()
+    cls_of = classes.cls_of
     q_lat = quantale.carrier
     q_mul, q_join, q_up = quantale.mult_t, q_lat.join_t, q_lat.up
-    one, zero = data.one_point, data.zero_point
+    one = cls_of[data.one_point]
     laws = [(1 << one, lambda g: g[one] == quantale.unit)]
     if mode == "semiring":
+        zero = cls_of[data.zero_point]
         laws.append((1 << zero, lambda g: g[zero] == q_lat.bottom))
-    for x in range(pts.n):
-        for y in range(x, pts.n):
-            m = data.mul_t[x][y]
-            laws.append(
-                (1 << x | 1 << y | 1 << m, lambda g, x=x, y=y, m=m: q_mul[g[x]][g[y]] == g[m])
-            )
-            if mode == "semiring":
-                s = data.add_t[x][y]
-                laws.append(
-                    (
-                        1 << x | 1 << y | 1 << s,
-                        lambda g, x=x, y=y, s=s: q_up[g[s]] >> q_join[g[x]][g[y]] & 1,
-                    )
-                )
-    maps = monotone_search(pts, q_lat, laws, caps.search_budget(), "anti-ideal enumeration")
-    return AntiIdealSet(tuple(sorted(maps)))
+    for c, e in combinations_with_replacement(range(classes.order.n), 2):
+        m = classes.mul_t[c][e]
+        laws.append((1 << c | 1 << e | 1 << m, lambda g, c=c, e=e, m=m: q_mul[g[c]][g[e]] == g[m]))
+        for s in bits(classes.sums[c][e]) if mode == "semiring" else ():
+            scope = 1 << c | 1 << e | 1 << s
+            laws.append((scope, lambda g, c=c, e=e, s=s: q_up[g[s]] >> q_join[g[c]][g[e]] & 1))
+    maps = monotone_search(classes.order, q_lat, laws, caps.search_budget(), "anti-ideal enumeration")
+    return AntiIdealSet(tuple(sorted(tuple(g[c] for c in cls_of) for g in maps)))
 
 
 def element_of_map(quantale, locale, g):
@@ -805,16 +694,17 @@ def saturated_replacement(data, caps=DEFAULT_CAPS):
     comultiplication extracted as a point-level operation.
 
     The saturated frame is the up-set frame of the checked class order
-    (``HoloidClasses.check``), so its points, the join-irreducible
-    saturated opens, are the principal up-sets of the classes, and the
-    coreflected comultiplication is the holoid quotient monoid.  The
-    replacement is that monoid, built and validated here, on the class
-    order.  Returns (monoid data, point masks): the mask of class c is the
-    points of the classes above c, the saturated open it stands for, for
-    transporting anti-ideals along the inclusion.
+    (``data.classes``), so its points, the join-irreducible saturated opens,
+    are the principal up-sets of the classes, and the coreflected
+    comultiplication is the holoid quotient monoid.  The replacement is that
+    monoid, built and validated here, on the class order.  Returns (monoid
+    data, point masks): the mask of class c is the points of the classes
+    above c, the saturated open it stands for, for transporting anti-ideals
+    along the inclusion.
     """
-    classes = HoloidClasses(data).check()
-    replacement = to_localic(classes.quotient(), classes.order, caps, f"saturated({data.name})")
+    classes = data.classes.check()
+    quotient = FiniteCommMonoid(classes.order.names, classes.cls_of[data.one_point], classes.mul_t)
+    replacement = to_localic(quotient, classes.order, caps, f"saturated({data.name})")
     return replacement, tuple(classes.points(u) for u in classes.order.up)
 
 
@@ -831,13 +721,22 @@ class RepresentabilityEntry:
     injective: bool
     surjective: bool
 
-    def ok(self):
-        return (
-            self.all_images_members
-            and self.injective
-            and self.surjective
-            and self.hom_count == self.member_count
-        )
+    def failure(self):
+        """The first field that fails, or None."""
+        if self.hom_count != self.member_count:
+            return f"hom_count {self.hom_count} != member_count {self.member_count}"
+        fields = ("all_images_members", "injective", "surjective")
+        return next((field for field in fields if not getattr(self, field)), None)
+
+
+def _entry(name, homs, universal, members):
+    """The entry of one quantale: the images of the universal element under
+    ``homs`` against the enumerated anti-ideals ``members``."""
+    images = [tuple(f(v) for v in universal) for f in homs]
+    got, want = set(images), set(members.maps)
+    return RepresentabilityEntry(
+        name, len(homs), len(members.maps), got <= want, len(got) == len(images), got == want
+    )
 
 
 @dataclass
@@ -847,13 +746,21 @@ class RepresentabilityReport:
     invariance_entries: list
     yoneda_ok: bool
 
+    def failure(self):
+        """The first failing entry, as "kind quantale: field" (kind
+        semiring, monoid or invariance), or None."""
+        for kind, entries in (("semiring", self.semiring_entries), ("monoid", self.monoid_entries)):
+            for e in entries:
+                field = e.failure()
+                if field is not None:
+                    return f"{kind} {e.quantale_name}: {field}"
+        for name, flag in self.invariance_entries:
+            if not flag:
+                return f"invariance {name}: transported anti-ideals"
+        return None if self.yoneda_ok else "yoneda: universal element"
+
     def ok(self):
-        return (
-            all(e.ok() for e in self.semiring_entries)
-            and all(e.ok() for e in self.monoid_entries)
-            and all(flag for _, flag in self.invariance_entries)
-            and self.yoneda_ok
-        )
+        return self.failure() is None
 
 
 def representability_check(data, quantale_catalog, caps=DEFAULT_CAPS):
@@ -877,33 +784,10 @@ def representability_check(data, quantale_catalog, caps=DEFAULT_CAPS):
     invariance_entries = []
     for name, q in quantale_catalog:
         homs = enumerate_homs(iq.ideals, q, "two_sided", caps)
-        members = anti_ideals(data, q, "semiring", caps)
-        images = [tuple(f(v) for v in g_univ) for f in homs]
-        member_set = set(members.maps)
-        semiring_entries.append(
-            RepresentabilityEntry(
-                name,
-                len(homs),
-                len(members.maps),
-                all(im in member_set for im in images),
-                len(set(images)) == len(images),
-                set(images) == member_set,
-            )
-        )
+        semiring_entries.append(_entry(name, homs, g_univ, anti_ideals(data, q, "semiring", caps)))
         homs_m = enumerate_homs(mi.monoid_ideals, q, "two_sided", caps)
         members_m = anti_ideals(data, q, "monoid", caps)
-        images_m = [tuple(f(v) for v in g_monoid) for f in homs_m]
-        member_set_m = set(members_m.maps)
-        monoid_entries.append(
-            RepresentabilityEntry(
-                name,
-                len(homs_m),
-                len(members_m.maps),
-                all(im in member_set_m for im in images_m),
-                len(set(images_m)) == len(images_m),
-                set(images_m) == member_set_m,
-            )
-        )
+        monoid_entries.append(_entry(name, homs_m, g_monoid, members_m))
         # anti-ideals of the saturated replacement transport bijectively
         members_r = anti_ideals(replacement, q, "monoid", caps)
         transported = set()
@@ -915,6 +799,7 @@ def representability_check(data, quantale_catalog, caps=DEFAULT_CAPS):
                 for x in range(data.locale.points.n)
             )
             transported.add(g)
+        member_set_m = set(members_m.maps)
         invariance_entries.append(
             (name, transported == member_set_m and len(members_r.maps) == len(members_m.maps))
         )

@@ -3,6 +3,7 @@
 check, in the pipeline or in the opens oracle, reported as a FAIL record,
 and ``analyze`` on a locale whose opens are too many to tabulate."""
 
+import sys
 from collections import Counter
 from copy import copy
 from dataclasses import replace
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import pfspec.algebra
 import pfspec.cli
 import pfspec.locale
 import pfspec.spectrum
@@ -82,7 +84,7 @@ def test_verify_reports_a_broken_cross_check_as_fail(monkeypatch, capsys):
 def test_verify_reports_points_off_rad_as_fail(monkeypatch, capsys):
     # a universal element at the top ideal gives points other than the
     # search's; representability reads the same element, and its images
-    # are no anti-ideals
+    # are no anti-ideals, which the witness names for the first quantale
     monkeypatch.setattr(
         pfspec.spectrum,
         "universal_element",
@@ -91,7 +93,8 @@ def test_verify_reports_points_off_rad_as_fail(monkeypatch, capsys):
     assert main(["verify", str(MODELS / "z4.model")]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
     assert failed == [
-        "[representability] Z4: homs classify anti-ideals over the quantale catalog ... FAIL",
+        "[representability] Z4: homs classify anti-ideals over the quantale catalog ... "
+        "FAIL (semiring Omega: all_images_members)",
         "[oracles] Z4: zariski brute force matches the pipeline ... "
         "FAIL (points of Rad(R) are the prime anti-ideals violated at {1,3})",
     ]
@@ -127,7 +130,7 @@ def _unit_at_bottom(data, caps):
 BROKEN_OPENS_CHECKS = [
     ("positivity adjunction", pfspec.locale.FiniteLocale, "positivity", property(_bottom_positivity)),
     ("mul counit on opens", pfspec.spectrum, "_counit_composite", _bottom_counit),
-    ("saturated opens are the closure's fixed points", pfspec.spectrum, "holoid_quotient", _one_class_reflection),
+    ("saturated opens are the closure's fixed points", pfspec.algebra, "holoid_quotient", _one_class_reflection),
     ("monoid ideals are the complements of the saturated opens", pfspec.spectrum, "_absorb", lambda data, mask: mask),
     ("monoid-ideal/saturated duality", pfspec.spectrum, "monoid_ideal_quantale", _unit_at_bottom),
 ]
@@ -142,6 +145,22 @@ def test_verify_reports_a_broken_opens_check_as_fail(monkeypatch, capsys, law, o
     lines = capsys.readouterr().out.splitlines()
     record = next(line for line in lines if "monoid ideals are the dual of the saturated opens" in line)
     assert record.startswith("[duality] Z4: ") and f"... FAIL ({law} violated at " in record, record
+
+
+def test_duality_suite_builds_each_saturated_frame_once(monkeypatch, capsys):
+    # the opens oracle and the dualisability conditions share the frame of
+    # saturated opens that the object's classes keep; MM(R) is built once
+    built = Counter()
+    original = pfspec.spectrum.family_lattice
+
+    def counting(masks, names):
+        built[sys._getframe(1).f_code.co_name] += 1
+        return original(masks, names)
+
+    monkeypatch.setattr(pfspec.spectrum, "family_lattice", counting)
+    assert main(["verify", "--suite", "duality", str(MODELS / "catalog.model")]) == 0
+    # 13 monoids, semirings and lattices
+    assert built == {"saturation": 13, "monoid_ideal_quantale": 13}
 
 
 def test_analyze_counts_the_opens_without_their_tables(tmp_path, capsys):

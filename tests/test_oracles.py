@@ -402,15 +402,21 @@ def _filtered_supmap_homs(q1, q2, kind):
 
 
 def test_anti_ideal_search_matches_leaf_testing_on_small_semirings():
-    # every commutative semiring of order 2 or 3 into every catalog quantale,
-    # both modes: the same maps in the same order; the Scott lattices P3
-    # and grid(2,3) add points whose linear extension is not index order
+    # the search runs on the holoid classes; the leaf-tested maps run on the
+    # points.  Every commutative semiring of order 2 to 4, the catalog
+    # monoids and semirings and every object of the model files, into every
+    # catalog quantale, both modes (monoid mode alone on monoid-only data):
+    # the same maps in the same order.  The Scott lattices P3 and grid(2,3)
+    # add points whose linear extension is not index order
     catalog = quantale_catalog()
-    objects = [to_localic(s) for s in _all_semirings(2) + _all_semirings(3)]
+    objects = _catalog_and_small_objects()
+    objects += [data for path in MODELS for data in _model_objects(path)]
     objects += [scott_localic_lattice(powerset_lattice(3)), scott_localic_lattice(grid(2, 3))]
+    assert len(objects) == 107
     for data in objects:
+        modes = ("semiring", "monoid") if data.has_addition else ("monoid",)
         for name, q in catalog:
-            for mode in ("semiring", "monoid"):
+            for mode in modes:
                 expected = _leaf_tested_anti_ideals(data, q, mode)
                 assert list(anti_ideals(data, q, mode).maps) == expected, (data.name, name, mode)
 

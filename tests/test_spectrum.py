@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import pfspec.algebra
 import pfspec.locale
 import pfspec.spectrum
 import pfspec.suplattice
@@ -50,6 +51,8 @@ from pfspec.spectrum import (
     omega_quantale,
     opens_oracle,
     radical_frame,
+    RepresentabilityEntry,
+    RepresentabilityReport,
     representability_check,
     saturated_replacement,
     saturation,
@@ -80,6 +83,15 @@ def _zmod(n):
 
 def _opens_built(locale):
     return {"opens", "open_masks", "open_index"} & set(vars(locale))
+
+
+# Z4 and Scott P4, built inside each test: an object keeps the holoid classes
+# it first built, so a test that patches how they are built needs a fresh one
+Z4_AND_P4 = pytest.mark.parametrize(
+    "make",
+    [lambda: _semiring_data("Z4"), lambda: scott_localic_lattice(powerset_lattice(4))],
+    ids=["Z4", "P4"],
+)
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +151,10 @@ def _opposite_order_reflection(monoid, order):
     return None, tuple(range(monoid.n)), order.opposite()
 
 
-@pytest.mark.parametrize(
-    "data",
-    [_semiring_data("Z4"), scott_localic_lattice(powerset_lattice(4))],
-    ids=["Z4", "P4"],
-)
-def test_non_saturated_opens_break_the_comultiplication_law(monkeypatch, data):
-    monkeypatch.setattr(pfspec.spectrum, "holoid_quotient", _opposite_order_reflection)
+@Z4_AND_P4
+def test_non_saturated_opens_break_the_comultiplication_law(monkeypatch, make):
+    monkeypatch.setattr(pfspec.algebra, "holoid_quotient", _opposite_order_reflection)
+    data = make()
     with pytest.raises(LawViolation) as exc:
         saturation(data)
     assert exc.value.law == "comultiplication preserves saturation"
@@ -258,12 +267,12 @@ def test_large_monoid_ideal_quantale_checks_each_principal_ideal_once(monkeypatc
     # down-set of x; every monoid ideal is a union of those
     data = scott_localic_lattice(powerset_lattice(4))
     calls = []
-    monkeypatch.setattr(pfspec.spectrum, "_absorb", lambda data, mask: calls.append(mask) or mask)
+    monkeypatch.setattr(pfspec.algebra, "_absorb", lambda data, mask: calls.append(mask) or mask)
     mi = monoid_ideal_quantale(data)
     assert mi.monoid_ideals.carrier.n == 168
     assert calls == list(data.locale.points.down)
-    monkeypatch.setattr(pfspec.spectrum, "_absorb", lambda data, mask: mask & (mask - 1))
-    for obj in (data, _semiring_data("Z4")):
+    monkeypatch.setattr(pfspec.algebra, "_absorb", lambda data, mask: mask & (mask - 1))
+    for obj in (scott_localic_lattice(powerset_lattice(4)), _semiring_data("Z4")):
         with pytest.raises(LawViolation) as exc:
             monoid_ideal_quantale(obj)
         assert exc.value.law == "holoid classes give the principal monoid ideals"
@@ -370,24 +379,20 @@ def _lumped_reflection(monoid, order=None):
 def test_unabsorbable_ideal_sum_raises(monkeypatch):
     # a holoid quotient that lumps every point into one class leaves only
     # the empty and the full monoid ideal, while 0 generates {0}
-    monkeypatch.setattr(pfspec.spectrum, "holoid_quotient", _lumped_reflection)
+    monkeypatch.setattr(pfspec.algebra, "holoid_quotient", _lumped_reflection)
     with pytest.raises(LawViolation) as exc:
         radical_frame(_semiring_data("Z4"))
     assert (exc.value.law, exc.value.witness) == ("holoid classes give the principal monoid ideals", "0")
 
 
 @pytest.mark.parametrize("broken", [_opposite_order_reflection, _lumped_reflection], ids=["reversed", "lumped"])
-@pytest.mark.parametrize(
-    "data",
-    [_semiring_data("Z4"), scott_localic_lattice(powerset_lattice(4))],
-    ids=["Z4", "P4"],
-)
-def test_radical_frame_checks_the_holoid_classes(monkeypatch, broken, data):
+@Z4_AND_P4
+def test_radical_frame_checks_the_holoid_classes(monkeypatch, broken, make):
     # the class closure reads only the classes and their order, so both
     # wrong reflections must fail its point-by-point check
-    monkeypatch.setattr(pfspec.spectrum, "holoid_quotient", broken)
+    monkeypatch.setattr(pfspec.algebra, "holoid_quotient", broken)
     with pytest.raises(LawViolation) as exc:
-        radical_frame(data)
+        radical_frame(make())
     assert exc.value.law == "holoid classes give the principal monoid ideals"
 
 
@@ -400,7 +405,7 @@ def test_radical_frame_checks_the_holoid_classes(monkeypatch, broken, data):
 def test_monoid_side_checks_the_holoid_classes(monkeypatch, broken, run):
     # MM(R), its principal universal element and the replacement are read
     # off the classes, so a wrong reflection must fail the class check
-    monkeypatch.setattr(pfspec.spectrum, "holoid_quotient", broken)
+    monkeypatch.setattr(pfspec.algebra, "holoid_quotient", broken)
     with pytest.raises(LawViolation) as exc:
         run(_semiring_data("Z4"))
     assert exc.value.law == "holoid classes give the principal monoid ideals"
@@ -421,13 +426,13 @@ def test_only_the_saturated_replacement_builds_the_quotient_monoid(monkeypatch):
     assert len(built) == 1
 
 
-def _no_closure(j, closed, extra):
+def _no_closure(classes, closed, extra):
     return closed | extra
 
 
-def _no_sums(j, closed, extra):
+def _no_sums(classes, closed, extra):
     for c in bits(extra):
-        closed |= j.down[c]
+        closed |= classes.order.down[c]
     return closed
 
 
@@ -443,7 +448,7 @@ def _no_sums(j, closed, extra):
 )
 def test_class_closure_output_is_checked_against_the_definition(monkeypatch, close, name, witness):
     # the first set listed, in (size, mask) order, that is no ideal
-    monkeypatch.setattr(pfspec.spectrum.HoloidClosure, "close", close)
+    monkeypatch.setattr(pfspec.algebra.HoloidClasses, "close", close)
     with pytest.raises(LawViolation) as exc:
         radical_frame(_semiring_data(name))
     assert (exc.value.law, exc.value.witness) == ("class closure gives ideals", witness)
@@ -682,7 +687,8 @@ def test_anti_ideals_cap():
 def test_anti_ideals_cap_counts_the_maps_reached():
     # the cap counts search nodes, one per value tried: Z/6 into the
     # 5-chain stops at the 17th node past a budget of 16, and the pruned
-    # search finishes within 128 nodes (5^4 maps once 1 and 0 are pinned)
+    # search finishes within 128 nodes (5^2 maps of the classes {2,4} and
+    # {3} once the classes of 1 and 0 are pinned)
     data = _semiring_data("Z6")
     q = quantale_catalog()[3][1]
     with pytest.raises(CapExceeded) as exc:
@@ -778,6 +784,71 @@ def test_pipeline_never_closes_the_duality_unit(monkeypatch):
     opens_oracle(p3)
     saturated = saturation(p3).saturated
     assert (saturated.opposite(), saturated) in spaces
+
+
+def test_representability_z60_under_default_caps():
+    # 12 holoid classes for 60 points: the anti-ideal search over the
+    # points stopped at the default search cap
+    report = representability_check(to_localic(_zmod(60)), quantale_catalog())
+    assert report.ok(), report.failure()
+
+
+def test_representability_quotients_each_monoid_once(monkeypatch):
+    # Idl(R), MM(R), the replacement and every anti-ideal search read one
+    # set of holoid classes; the replacement's own classes are built once
+    # for all the searches over it
+    quotiented = []
+    original = pfspec.algebra.holoid_quotient
+    monkeypatch.setattr(
+        pfspec.algebra, "holoid_quotient", lambda monoid, order: quotiented.append(monoid) or original(monoid, order)
+    )
+    data = _semiring_data("Z4")
+    assert representability_check(data, quantale_catalog()).ok()
+    assert len(quotiented) == 2 and quotiented[0] is data.mul_monoid
+
+
+def test_the_class_check_runs_once_per_object(monkeypatch):
+    # the check reads _absorb once per point, on the first stage that needs
+    # the checked classes only
+    data = _semiring_data("Z6")
+    absorbed = []
+    original = pfspec.algebra._absorb
+    monkeypatch.setattr(pfspec.algebra, "_absorb", lambda data, mask: absorbed.append(mask) or original(data, mask))
+    radical_frame(data)
+    saturated_replacement(data)
+    assert absorbed == list(data.locale.points.down)
+
+
+def test_saturation_is_reused_within_the_caps_of_each_call():
+    # Z6 has 6 saturated opens: a budget of 4 refuses the kept frame as it
+    # refuses to enumerate it
+    data = _semiring_data("Z6")
+    with pytest.raises(CapExceeded) as fresh:
+        saturation(data, Caps(max_exhaustive=2))
+    sat = saturation(data)
+    assert len(sat.sat_masks) == 6 and saturation(data) is sat
+    with pytest.raises(CapExceeded) as kept:
+        saturation(data, Caps(max_exhaustive=2))
+    assert str(kept.value) == str(fresh.value)
+
+
+def test_representability_failure_names_the_first_failing_entry():
+    entry = RepresentabilityEntry("Omega", 2, 2, True, True, True)
+    report = RepresentabilityReport([entry], [entry], [("Omega", True)], True)
+    assert report.ok() and report.failure() is None
+    for field, broken, witness in [
+        ("member_count", 3, "semiring Omega: hom_count 2 != member_count 3"),
+        ("all_images_members", False, "semiring Omega: all_images_members"),
+        ("injective", False, "semiring Omega: injective"),
+        ("surjective", False, "semiring Omega: surjective"),
+    ]:
+        failing = replace(report, semiring_entries=[replace(entry, **{field: broken})])
+        assert not failing.ok() and failing.failure() == witness
+    monoid = replace(report, monoid_entries=[replace(entry, quantale_name="C3", injective=False)])
+    assert monoid.failure() == "monoid C3: injective"
+    invariance = replace(report, invariance_entries=[("Omega", True), ("C3", False)])
+    assert invariance.failure() == "invariance C3: transported anti-ideals"
+    assert replace(report, yoneda_ok=False).failure() == "yoneda: universal element"
 
 
 def test_representability_z8_under_default_caps():
