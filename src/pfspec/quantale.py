@@ -18,6 +18,11 @@ and maps, homs and nuclei are checked when they are built.  Each join law is
 decided on the join-irreducibles J of the source: in a finite lattice every
 element is a join of elements of J, so a join-preserving map is fixed by its
 values there.
+
+A hom is a quantale hom: a join-preserving map that also preserves the
+product and the unit.  Between frames the product is the meet and the unit
+the top, so the quantale homs are the frame homs; the join-preserving maps
+alone are ``suplattice.all_supmaps``.
 """
 
 from itertools import product as iproduct
@@ -26,7 +31,7 @@ from operator import getitem, itemgetter
 from .caps import DEFAULT_CAPS
 from .errors import LawViolation, NotJoinPreserving, NotTwoSided
 from .order import ClosureOperator, FinitePoset, bits, least_fixpoint, monotone_search
-from .suplattice import SupMap, all_supmaps, join_witness
+from .suplattice import SupMap, join_witness
 
 
 class Quantale:
@@ -146,8 +151,6 @@ class QuantaleHom(SupMap):
 
     def __init__(self, source_q, target_q, values):
         super().__init__(source_q.carrier, target_q.carrier, values)
-        self.source_q = source_q
-        self.target_q = target_q
         v = self.values
         names = source_q.carrier.names
         if v[source_q.unit] != target_q.unit:
@@ -233,27 +236,19 @@ def localic_reflection(quantale):
     return quotient, surjection
 
 
-def enumerate_homs(q1, q2, kind, caps=DEFAULT_CAPS):
-    """All morphisms q1 -> q2 of the requested kind, canonically ordered.
+def enumerate_homs(q1, q2, caps=DEFAULT_CAPS):
+    """All quantale homs q1 -> q2, SupMaps preserving multiplication and the
+    unit, canonically ordered.
 
-    kinds: "sup" (join-preserving only), "quantale"/"two_sided" (SupMaps
-    preserving multiplication and unit), "frame" (quantale homs that also
-    preserve finite meets and top).
-
-    Kind "sup" is ``all_supmaps``.  The other kinds search the monotone maps
-    on the join-irreducibles J of q1 with ``order.monotone_search``; f(a) is
-    the join of f over the elements of J below a.  f(ab) = f(a)f(b) for a, b
-    in J (and, for frames, f(a /\\ b) = f(a) /\\ f(b)) is checked as soon as
-    a, b and every element of J below ab are assigned, and the unit once J
-    below it is; by bilinearity the pairs in J decide every pair.
-    The cap counts the values tried.  Each complete map is dropped if it
-    misses a join (only a non-distributive q1 allows that) and otherwise
-    checked again as a QuantaleHom, and for frames on top and all meets.
+    The homs are searched as monotone maps on the join-irreducibles J of q1
+    with ``order.monotone_search``; f(a) is the join of f over the elements
+    of J below a.  f(ab) = f(a)f(b) for a, b in J is checked as soon as a, b
+    and every element of J below ab are assigned, and the unit once J below
+    it is; by bilinearity the pairs in J decide every pair.  The cap counts
+    the values tried.  Each complete map is dropped if it misses a join
+    (only a non-distributive q1 allows that) and otherwise checked again as
+    a QuantaleHom.
     """
-    if kind == "sup":
-        return all_supmaps(q1.carrier, q2.carrier, caps)
-    if kind not in ("quantale", "two_sided", "frame"):
-        raise ValueError(f"unknown hom kind {kind!r}")
     src, tgt = q1.carrier, q2.carrier
     ji = src.join_irreducibles()
     # var[a]: the positions in J of the join-irreducibles below a
@@ -269,30 +264,16 @@ def enumerate_homs(q1, q2, kind, caps=DEFAULT_CAPS):
             out = tgt.join_t[out][g[k]]
         return out
 
-    def law(i, j, a, table):
-        # f(a) = table[f(p_i)][f(p_j)], judged once J below a is assigned too
-        return 1 << i | 1 << j | var[a], lambda g: value(g, a) == table[g[i]][g[j]]
-
     laws = [(var[q1.unit], lambda g: value(g, q1.unit) == q2.unit)]
     for i, p in enumerate(ji):
         for j in range(i, len(ji)):
-            laws.append(law(i, j, q1.mul(p, ji[j]), q2.mult_t))
-            if kind == "frame":
-                laws.append(law(i, j, src.meet(p, ji[j]), tgt.meet_t))
+            # f(a) = f(p_i)f(p_j), judged once J below a is assigned too
+            a = q1.mul(p, ji[j])
+            laws.append((1 << i | 1 << j | var[a], lambda g, i=i, j=j, a=a: value(g, a) == q2.mult_t[g[i]][g[j]]))
     out = []
     for g in monotone_search(j_poset, tgt, laws, caps.search_budget(), "hom enumeration"):
-        values = [value(g, a) for a in range(src.n)]
-        if kind == "frame" and (
-            values[src.top] != tgt.top
-            or any(
-                values[src.meet(a, b)] != tgt.meet(values[a], values[b])
-                for a in range(src.n)
-                for b in range(a, src.n)
-            )
-        ):
-            continue
         try:
-            out.append(QuantaleHom(q1, q2, values))
+            out.append(QuantaleHom(q1, q2, [value(g, a) for a in range(src.n)]))
         except NotJoinPreserving:
             continue
     out.sort(key=lambda f: f.values)

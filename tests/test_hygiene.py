@@ -45,24 +45,14 @@ def test_assert_lines_finds_each_assert():
     assert assert_lines("x = 1\nassert x\nif x:\n    assert x, 'msg'\n") == [2, 4]
 
 
-def test_no_asserts_in_spectrum():
-    # a failed check in the spectrum pipeline raises LawViolation instead
-    assert assert_lines((SRC / "spectrum.py").read_text(encoding="utf-8")) == []
+# locale and order keep the asserts of their test-only helpers
+CHECKED_MODULES = [p for p in MODULES if p.stem not in ("locale", "order")]
 
 
-def test_no_asserts_in_quantale():
-    # the reflections raise LawViolation, which python -O keeps
-    assert assert_lines((SRC / "quantale.py").read_text(encoding="utf-8")) == []
-
-
-def test_no_asserts_in_algebra():
-    # the semiring and monotonicity checks raise LawViolation and NotMonotone
-    assert assert_lines((SRC / "algebra.py").read_text(encoding="utf-8")) == []
-
-
-def test_no_asserts_in_suplattice():
-    # the tensor's factor count and universal property raise LawViolation
-    assert assert_lines((SRC / "suplattice.py").read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("path", CHECKED_MODULES, ids=[p.stem for p in CHECKED_MODULES])
+def test_no_asserts(path):
+    # a failed check raises a PfspecError with a witness, which python -O keeps
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
 
 
 def unreferenced_definitions(modules, sources):

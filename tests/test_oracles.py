@@ -428,20 +428,31 @@ def test_hom_search_matches_filtered_supmaps_on_small_semirings():
         data = to_localic(s)
         for source in (ideal_quantale(data).ideals, monoid_ideal_quantale(data).monoid_ideals):
             for name, q in catalog:
-                got = [f.values for f in enumerate_homs(source, q, "two_sided")]
+                got = [f.values for f in enumerate_homs(source, q)]
                 assert got == _filtered_supmap_homs(source, q, "two_sided"), (s.mul_t, name)
 
 
+def test_universal_element_is_an_anti_ideal_into_idl_on_small_semirings():
+    # the Yoneda instance of representability, decided by listing every
+    # anti-ideal into Idl(R): the universal element is one of them
+    semirings = [data for data in _catalog_and_small_objects() if data.has_addition]
+    assert len(semirings) == 82
+    for data in semirings:
+        iq = ideal_quantale(data)
+        assert universal_element(data, iq) in anti_ideals(data, iq.ideals, "semiring").maps, data.name
+
+
 def test_frame_hom_search_matches_filtered_supmaps_on_catalog_frames():
-    # plus a 4-chain listed top first, whose join-irreducibles are searched
-    # in an order other than their index order
+    # the quantale homs between frames are the frame homs; plus a 4-chain
+    # listed top first, whose join-irreducibles are searched in an order
+    # other than their index order
     frames = [(name, q) for name, q in quantale_catalog() if q.is_frame()]
     assert len(frames) == 5
     names = ["1", "c", "b", "0"]
     top_first = lattice_structure(build_poset(names, list(zip(names[1:], names))))
     frames.append(("C4top_first", frame_quantale(top_first)))
     for (n1, q1), (n2, q2) in product(frames, repeat=2):
-        got = [f.values for f in enumerate_homs(q1, q2, "frame")]
+        got = [f.values for f in enumerate_homs(q1, q2)]
         assert got == _filtered_supmap_homs(q1, q2, "frame"), (n1, n2)
 
 

@@ -548,6 +548,16 @@ def test_universal_element_checked_against_least_ideals(monkeypatch):
     assert (exc.value.law, exc.value.witness) == ("universal element is the least ideal at each point", "0")
 
 
+def test_universal_element_laws_name_the_classes_they_read():
+    # with the meet as Idl(Z4)'s product every least ideal is still right,
+    # but the ideal (2) times itself is (2), not (0), the ideal of 2.2 = 0
+    data = _semiring_data("Z4")
+    iq = ideal_quantale(data)
+    with pytest.raises(LawViolation) as exc:
+        universal_element(data, replace(iq, ideals=frame_quantale(iq.ideals.carrier)))
+    assert (exc.value.law, exc.value.witness) == ("universal element multiplicativity", ("0", "2"))
+
+
 def test_monoid_route_is_compared_with_the_class_route(monkeypatch):
     # were the class route's least ideals all the top, the monoid route,
     # which passes its own checks, would differ from it at the first point
@@ -732,7 +742,6 @@ def test_representability_small(name):
     data = _semiring_data(name)
     report = representability_check(data, quantale_catalog()[:3])
     assert report.ok()
-    assert report.yoneda_ok
 
 
 def test_representability_counts_b_omega():
@@ -834,7 +843,7 @@ def test_saturation_is_reused_within_the_caps_of_each_call():
 
 def test_representability_failure_names_the_first_failing_entry():
     entry = RepresentabilityEntry("Omega", 2, 2, True, True, True)
-    report = RepresentabilityReport([entry], [entry], [("Omega", True)], True)
+    report = RepresentabilityReport([entry], [entry], [("Omega", True)])
     assert report.ok() and report.failure() is None
     for field, broken, witness in [
         ("member_count", 3, "semiring Omega: hom_count 2 != member_count 3"),
@@ -848,7 +857,6 @@ def test_representability_failure_names_the_first_failing_entry():
     assert monoid.failure() == "monoid C3: injective"
     invariance = replace(report, invariance_entries=[("Omega", True), ("C3", False)])
     assert invariance.failure() == "invariance C3: transported anti-ideals"
-    assert replace(report, yoneda_ok=False).failure() == "yoneda: universal element"
 
 
 def test_representability_z8_under_default_caps():
@@ -860,6 +868,21 @@ def test_representability_scott_p3_under_default_caps():
     # the hom search out of Idl(P3) no longer walks all |Q|^|J| sup-maps
     report = representability_check(scott_localic_lattice(powerset_lattice(3)), quantale_catalog())
     assert report.ok()
+
+
+def test_representability_scott_grid_3_5_under_default_caps(monkeypatch):
+    # the universal element's own laws decide the Yoneda instance: no
+    # anti-ideal search is valued in Idl(R), where listing them all ran past
+    # the default search cap
+    catalog = quantale_catalog()
+    built, valued = [], []
+    ideal_quantale, anti_ideals = pfspec.spectrum.ideal_quantale, pfspec.spectrum.anti_ideals
+    monkeypatch.setattr(pfspec.spectrum, "ideal_quantale", lambda *args: built.append(ideal_quantale(*args)) or built[-1])
+    monkeypatch.setattr(pfspec.spectrum, "anti_ideals", lambda data, q, *args: valued.append(q) or anti_ideals(data, q, *args))
+    report = representability_check(scott_localic_lattice(grid(3, 5)), catalog)
+    assert report.ok(), report.failure()
+    assert len(built) == 1 and len(valued) == 3 * len(catalog)
+    assert not any(q is built[0].ideals for q in valued)
 
 
 def test_saturated_replacement_invariance_z4_monoid():
