@@ -16,11 +16,13 @@ output (timings are measured but never rendered).
 import argparse
 import functools
 import sys
+from itertools import product as iproduct
 
 from .algebra import scott_localic_lattice, to_localic
 from .caps import caps_from_env
+from .catalog import quantale_catalog
 from .dot import hasse_dot, quantale_dot
-from .errors import PfspecError
+from .errors import CapExceeded, PfspecError
 from .iso import find_lattice_iso
 from .modelfile import (
     LatticeBlock,
@@ -280,10 +282,6 @@ def _suite_tensor(model, caps, report, realize):
 
 
 def _universal_count_check(lat, caps):
-    from itertools import product as iproduct
-
-    from .errors import CapExceeded
-
     if 1 << (lat.n * 2) > caps.search_budget():
         raise CapExceeded("bilinear map enumeration", 1 << (lat.n * 2), caps.search_budget())
     t = tensor([lat, om_small := omega()], caps)
@@ -329,8 +327,6 @@ def _suite_duality(model, caps, report, realize):
 def _representability_outcome(data, caps):
     """(ok, witness): the witness names the first failing entry of
     ``representability_check`` over the quantale catalog."""
-    from .catalog import quantale_catalog
-
     failure = representability_check(data, quantale_catalog(), caps).failure()
     return failure is None, failure
 

@@ -6,6 +6,8 @@ order-theoretic profile (degrees, covers, join-irreducibility), which prunes
 hard enough for the carriers we meet (a few hundred elements).
 """
 
+from itertools import permutations
+
 
 def _poset_profile(poset):
     covers_up = [0] * poset.n
@@ -83,8 +85,6 @@ def find_lattice_iso(a, b):
 
 def canonical_poset_code(poset):
     """A permutation-invariant encoding of the order relation (small n only)."""
-    from itertools import permutations
-
     best = None
     idx = range(poset.n)
     for perm in permutations(idx):

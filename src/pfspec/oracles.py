@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 from .algebra import scott_localic_lattice, to_localic
 from .caps import DEFAULT_CAPS
+from .catalog import lattice_semiring
 from .iso import find_lattice_iso, find_poset_iso
+from .locale import locale_from_frame
 from .order import bits, upset_lattice
 from .spectrum import radical_frame
 
@@ -202,8 +204,6 @@ def stone_compare(lat, caps=DEFAULT_CAPS, name=""):
     """A bounded distributive lattice, viewed as a discrete semiring with
     + = join and * = meet, must have Idl(L) isomorphic to L by principal
     down-sets and its points must be exactly the prime filters."""
-    from .catalog import lattice_semiring
-
     semiring = lattice_semiring(lat)
     data = to_localic(semiring, name=name)
     result = radical_frame(data, caps)
@@ -243,8 +243,6 @@ def scott_frame_compare(poset, caps=DEFAULT_CAPS, name=""):
 def hofmann_lawson_compare(lat, caps=DEFAULT_CAPS, name=""):
     """Same comparison entered through a distributive lattice: the point
     poset must match the poset of join-irreducibles presenting the frame."""
-    from .locale import locale_from_frame
-
     data = scott_localic_lattice(lat, caps, name=name)
     result = radical_frame(data, caps)
     frame_ok = find_lattice_iso(result.radicals.carrier, lat) is not None

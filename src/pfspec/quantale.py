@@ -22,14 +22,15 @@ values there.
 A hom is a quantale hom: a join-preserving map that also preserves the
 product and the unit.  Between frames the product is the meet and the unit
 the top, so the quantale homs are the frame homs; the join-preserving maps
-alone are ``suplattice.all_supmaps``.
+alone are ``suplattice.all_supmaps``.  ``enumerate_homs`` decides every hom
+law on J and returns each hom as its values there, read by ``hom_evaluator``.
 """
 
 from itertools import product as iproduct
 from operator import getitem, itemgetter
 
 from .caps import DEFAULT_CAPS
-from .errors import LawViolation, NotJoinPreserving, NotTwoSided
+from .errors import LawViolation, NotTwoSided
 from .order import ClosureOperator, FinitePoset, bits, least_fixpoint, monotone_search
 from .suplattice import SupMap, join_witness
 
@@ -236,45 +237,52 @@ def localic_reflection(quantale):
     return quotient, surjection
 
 
-def enumerate_homs(q1, q2, caps=DEFAULT_CAPS):
-    """All quantale homs q1 -> q2, SupMaps preserving multiplication and the
-    unit, canonically ordered.
+def _j_below(lat):
+    """below[a]: the positions in ``lat.join_irreducibles()`` of those below a."""
+    ji = lat.join_irreducibles()
+    return [sum(1 << k for k, p in enumerate(ji) if lat.down[a] >> p & 1) for a in range(lat.n)]
 
-    The homs are searched as monotone maps on the join-irreducibles J of q1
-    with ``order.monotone_search``; f(a) is the join of f over the elements
-    of J below a.  f(ab) = f(a)f(b) for a, b in J is checked as soon as a, b
-    and every element of J below ab are assigned, and the unit once J below
-    it is; by bilinearity the pairs in J decide every pair.  The cap counts
-    the values tried.  Each complete map is dropped if it misses a join
-    (only a non-distributive q1 allows that) and otherwise checked again as
-    a QuantaleHom.
+
+def hom_evaluator(q1, q2):
+    """value(g, a) = f(a) for a hom f : q1 -> q2 given by its values g on the
+    join-irreducibles J of q1: the join of g over the elements of J below a."""
+    below, join_t, bottom = _j_below(q1.carrier), q2.carrier.join_t, q2.carrier.bottom
+
+    def value(g, a):
+        out = bottom
+        for k in bits(below[a]):
+            out = join_t[out][g[k]]
+        return out
+
+    return value
+
+
+def enumerate_homs(q1, q2, caps=DEFAULT_CAPS):
+    """All quantale homs q1 -> q2, each as the tuple of its values on the
+    join-irreducibles J of q1, sorted.
+
+    They are searched as monotone maps on J by ``order.monotone_search``,
+    with f(a) read by ``hom_evaluator``, so the empty join is kept.  Each law
+    is judged once the elements of J it reads are assigned: the unit;
+    f(ab) = f(a)f(b) for a, b in J, which by bilinearity decides every pair;
+    and f(p v c) = f(p) v f(c) for p in J and any c, which by induction on J
+    below a decides f(a v c).  That join law is stated only where the J below
+    p v c is more than the J below p and c, which a distributive q1 never
+    has.  The cap counts the values tried.
     """
     src, tgt = q1.carrier, q2.carrier
     ji = src.join_irreducibles()
-    # var[a]: the positions in J of the join-irreducibles below a
-    var = [sum(1 << k for k, p in enumerate(ji) if src.leq(p, a)) for a in range(src.n)]
-    j_poset = FinitePoset(
-        [src.names[p] for p in ji],
-        [sum(1 << j for j, r in enumerate(ji) if src.leq(p, r)) for p in ji],
-    )
-
-    def value(g, a):
-        out = tgt.bottom
-        for k in bits(var[a]):
-            out = tgt.join_t[out][g[k]]
-        return out
-
-    laws = [(var[q1.unit], lambda g: value(g, q1.unit) == q2.unit)]
+    below = _j_below(src)
+    value = hom_evaluator(q1, q2)
+    # the J below each element of J, as up-sets, give J's opposite order
+    j_poset = FinitePoset([src.names[p] for p in ji], [below[p] for p in ji]).opposite()
+    laws = [(below[q1.unit], lambda g: value(g, q1.unit) == q2.unit)]
     for i, p in enumerate(ji):
         for j in range(i, len(ji)):
-            # f(a) = f(p_i)f(p_j), judged once J below a is assigned too
             a = q1.mul(p, ji[j])
-            laws.append((1 << i | 1 << j | var[a], lambda g, i=i, j=j, a=a: value(g, a) == q2.mult_t[g[i]][g[j]]))
-    out = []
-    for g in monotone_search(j_poset, tgt, laws, caps.search_budget(), "hom enumeration"):
-        try:
-            out.append(QuantaleHom(q1, q2, [value(g, a) for a in range(src.n)]))
-        except NotJoinPreserving:
-            continue
-    out.sort(key=lambda f: f.values)
-    return out
+            laws.append((1 << i | 1 << j | below[a], lambda g, i=i, j=j, a=a: value(g, a) == q2.mult_t[g[i]][g[j]]))
+        for c in range(src.n):
+            a = src.join(p, c)
+            if below[a] != below[p] | below[c]:
+                laws.append((below[a], lambda g, i=i, c=c, a=a: value(g, a) == tgt.join_t[g[i]][value(g, c)]))
+    return sorted(monotone_search(j_poset, tgt, laws, caps.search_budget(), "hom enumeration"))

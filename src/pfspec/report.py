@@ -12,7 +12,10 @@ rendered into the report text.  The exit code is 0 iff nothing FAILed;
 SKIPPED records only fail under --strict-caps.
 """
 
+import time
 from dataclasses import dataclass, field
+
+from .errors import CapExceeded, PfspecError
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -38,10 +41,6 @@ class Report:
     def run(self, suite, name, fn):
         """Run fn() -> (ok, witness) and record the outcome; CapExceeded
         becomes SKIPPED, any other package error a FAIL with its witness."""
-        import time
-
-        from .errors import CapExceeded, PfspecError
-
         start = time.perf_counter()
         try:
             outcome = fn()

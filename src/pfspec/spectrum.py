@@ -31,7 +31,8 @@ spectrum, representability and the opens oracle:
   on the class order,
 * representability and dualisability reports; ``universal_element``
   decides the Yoneda instance (the universal element is an anti-ideal into
-  Idl(R)) on the laws ``anti_ideals`` searches with.
+  Idl(R)) on the laws ``anti_ideals`` searches with, and
+  ``saturated_replacement`` invariance on the replacement's own classes.
 
 The frame of saturated opens itself (``saturation``) and its dual basis are
 built only by ``dualisability_conditions`` and ``opens_oracle``.  Elements
@@ -66,6 +67,7 @@ from .quantale import (
     QuantaleHom,
     enumerate_homs,
     frame_quantale,
+    hom_evaluator,
     localic_reflection,
 )
 from .suplattice import (
@@ -708,14 +710,22 @@ def saturated_replacement(data, caps=DEFAULT_CAPS):
     (``data.classes``), so its points, the join-irreducible saturated opens,
     are the principal up-sets of the classes, and the coreflected
     comultiplication is the holoid quotient monoid.  The replacement is that
-    monoid, built and validated here, on the class order.  Returns (monoid
-    data, point masks): the mask of class c is the points of the classes
-    above c, the saturated open it stands for, for transporting anti-ideals
-    along the inclusion.
+    monoid, built and validated here, on the class order.  Its own checked
+    holoid classes must be the singletons, with the input's class order and
+    product, or LawViolation names the first class where they are not; then
+    its anti-ideals, searched on those classes, are the input's.  Returns
+    (monoid data, point masks): the mask of class c is the points of the
+    classes above c, the saturated open it stands for, for transporting
+    anti-ideals along the inclusion.
     """
     classes = data.classes.check()
     quotient = FiniteCommMonoid(classes.order.names, classes.cls_of[data.one_point], classes.mul_t)
     replacement = to_localic(quotient, classes.order, caps, f"saturated({data.name})")
+    own = replacement.classes
+    for c in range(classes.order.n):
+        if own.cls_of[c] != c or own.order.up[c] != classes.order.up[c] or own.mul_t[c] != classes.mul_t[c]:
+            raise LawViolation("saturated replacement is saturated", classes.order.names[c])
+    own.check()
     return replacement, tuple(classes.points(u) for u in classes.order.up)
 
 
@@ -740,10 +750,11 @@ class RepresentabilityEntry:
         return next((field for field in fields if not getattr(self, field)), None)
 
 
-def _entry(name, homs, universal, members):
+def _entry(name, homs, value, universal, members):
     """The entry of one quantale: the images of the universal element under
-    ``homs`` against the enumerated anti-ideals ``members``."""
-    images = [tuple(f(v) for v in universal) for f in homs]
+    ``homs``, read by ``value``, against the enumerated anti-ideals
+    ``members``."""
+    images = [tuple(value(f, v) for v in universal) for f in homs]
     got, want = set(images), set(members.maps)
     return RepresentabilityEntry(
         name, len(homs), len(members.maps), got <= want, len(got) == len(images), got == want
@@ -754,19 +765,15 @@ def _entry(name, homs, universal, members):
 class RepresentabilityReport:
     semiring_entries: list
     monoid_entries: list
-    invariance_entries: list
 
     def failure(self):
-        """The first failing entry, as "kind quantale: field" (kind
-        semiring, monoid or invariance), or None."""
+        """The first failing entry, as "kind quantale: field" (kind semiring
+        or monoid), or None."""
         for kind, entries in (("semiring", self.semiring_entries), ("monoid", self.monoid_entries)):
             for e in entries:
                 field = e.failure()
                 if field is not None:
                     return f"{kind} {e.quantale_name}: {field}"
-        for name, flag in self.invariance_entries:
-            if not flag:
-                return f"invariance {name}: transported anti-ideals"
         return None
 
     def ok(self):
@@ -777,47 +784,31 @@ def representability_check(data, quantale_catalog, caps=DEFAULT_CAPS):
     """Verify that homs out of Idl(R) (resp. the monoid ideals) classify
     semiring (resp. monoid) anti-ideals, for every quantale in the catalog.
 
-    Each hom f is sent to (f (x) id)(universal element); the report records,
-    per target quantale, that every image is an anti-ideal, that the map is
-    injective, and that it is onto the enumerated anti-ideals.  The monoid
-    part also checks invariance under the saturated replacement.  Both
-    universal elements and the replacement come from the holoid classes, so
-    neither the saturated frame nor its dual basis is built.
+    Each hom f, held on the join-irreducibles of its source, is sent to
+    (f (x) id)(universal element), read by ``hom_evaluator`` at the universal
+    element's values; the report records, per target quantale, that every
+    image is an anti-ideal, that the map is injective, and that it is onto
+    the enumerated anti-ideals.  Both universal elements and the saturated
+    replacement come from the holoid classes, so neither the saturated frame
+    nor its dual basis is built.
 
-    The Yoneda instance, that the universal element is an anti-ideal into
-    Idl(R), is decided by ``universal_element`` on the laws of the anti-ideal
-    search, raising LawViolation if one fails; none valued in Idl(R) is listed.
+    The Yoneda instance (the universal element is an anti-ideal into Idl(R))
+    and invariance under the saturated replacement are decided once, by
+    ``universal_element`` and ``saturated_replacement``, which raise
+    LawViolation if they fail; no anti-ideal search is run on either.
     """
     iq = ideal_quantale(data, caps)
     g_univ = universal_element(data, iq)
     mi = monoid_ideal_quantale(data, caps)
-    g_monoid = mi.universal_map
-    replacement, masks = saturated_replacement(data, caps)
-    semiring_entries = []
-    monoid_entries = []
-    invariance_entries = []
+    saturated_replacement(data, caps)
+    sides = (("semiring", iq.ideals, g_univ), ("monoid", mi.monoid_ideals, mi.universal_map))
+    entries = {mode: [] for mode, _, _ in sides}
     for name, q in quantale_catalog:
-        homs = enumerate_homs(iq.ideals, q, caps)
-        semiring_entries.append(_entry(name, homs, g_univ, anti_ideals(data, q, "semiring", caps)))
-        homs_m = enumerate_homs(mi.monoid_ideals, q, caps)
-        members_m = anti_ideals(data, q, "monoid", caps)
-        monoid_entries.append(_entry(name, homs_m, g_monoid, members_m))
-        # anti-ideals of the saturated replacement transport bijectively
-        members_r = anti_ideals(replacement, q, "monoid", caps)
-        transported = set()
-        for gr in members_r.maps:
-            g = tuple(
-                q.carrier.join_iter(
-                    gr[k] for k, m in enumerate(masks) if m >> x & 1
-                )
-                for x in range(data.locale.points.n)
-            )
-            transported.add(g)
-        member_set_m = set(members_m.maps)
-        invariance_entries.append(
-            (name, transported == member_set_m and len(members_r.maps) == len(members_m.maps))
-        )
-    return RepresentabilityReport(semiring_entries, monoid_entries, invariance_entries)
+        for mode, source, universal in sides:
+            homs = enumerate_homs(source, q, caps)
+            members = anti_ideals(data, q, mode, caps)
+            entries[mode].append(_entry(name, homs, hom_evaluator(source, q), universal, members))
+    return RepresentabilityReport(entries["semiring"], entries["monoid"])
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,29 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def local_imports(source):
+    """Line of each import statement that is not at the top level of the
+    module."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+
+
+def test_local_imports_finds_each_nested_import():
+    source = "import os\n\n\ndef f():\n    import sys\n    if sys:\n        from os import path\n"
+    assert local_imports(source) == [5, 7]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_local_imports(path):
+    # no import cycle needs one: every import sits at the top of its module
+    assert local_imports(path.read_text(encoding="utf-8")) == []
+
+
 def assert_lines(source):
     """Line of each assert statement; ``python -O`` removes them."""
     return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]

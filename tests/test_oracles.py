@@ -41,13 +41,14 @@ from pfspec.oracles import (
     stone_compare,
     zariski_compare,
 )
-from pfspec.order import bits, build_poset, downset_lattice, lattice_structure, least_fixpoint
+from pfspec.order import bits, build_poset, downset_lattice, is_distributive, lattice_structure, least_fixpoint
 from pfspec.quantale import (
     Nucleus,
     Quantale,
     QuantaleHom,
     enumerate_homs,
     frame_quantale,
+    hom_evaluator,
     least_nucleus,
     quotient_by_nucleus,
     two_sided_reflection,
@@ -421,15 +422,52 @@ def test_anti_ideal_search_matches_leaf_testing_on_small_semirings():
                 assert list(anti_ideals(data, q, mode).maps) == expected, (data.name, name, mode)
 
 
+def _expanded_homs(q1, q2):
+    """The homs of ``enumerate_homs``, held on the join-irreducibles of q1,
+    each expanded to every element by ``hom_evaluator`` and checked as a
+    QuantaleHom: their value tables, sorted."""
+    value = hom_evaluator(q1, q2)
+    n = q1.carrier.n
+    return sorted(QuantaleHom(q1, q2, [value(f, a) for a in range(n)]).values for f in enumerate_homs(q1, q2))
+
+
 def test_hom_search_matches_filtered_supmaps_on_small_semirings():
-    # two-sided homs out of Idl(R) and out of MM(R), same list and order
+    # two-sided homs out of Idl(R) and out of MM(R) of the 90 catalog and
+    # small objects, into every catalog quantale: the same maps
     catalog = quantale_catalog()
-    for s in _all_semirings(2) + _all_semirings(3):
-        data = to_localic(s)
-        for source in (ideal_quantale(data).ideals, monoid_ideal_quantale(data).monoid_ideals):
-            for name, q in catalog:
-                got = [f.values for f in enumerate_homs(source, q)]
-                assert got == _filtered_supmap_homs(source, q, "two_sided"), (s.mul_t, name)
+    sources = []
+    for data in _catalog_and_small_objects():
+        sources.append((data.name, monoid_ideal_quantale(data).monoid_ideals))
+        if data.has_addition:
+            sources.append((data.name, ideal_quantale(data).ideals))
+    assert len(sources) == 172
+    for data_name, source in sources:
+        for name, q in catalog:
+            assert _expanded_homs(source, q) == _filtered_supmap_homs(source, q, "two_sided"), (data_name, name)
+
+
+def _dual_numbers_of_the_plane():
+    """F2[x,y]/(x,y)^2, the element a + bx + cy as the bits a, b, c: its
+    ideals are 0, the three lines of (x,y), (x,y) itself and the ring, so
+    Idl(R) is M3 below a top, not distributive."""
+    names = ["0", "1", "x", "1+x", "y", "1+y", "x+y", "1+x+y"]
+    add = [[a ^ b for b in range(8)] for a in range(8)]
+    mul = [[(a & b & 1) | (a & 1) * (b & 6) ^ (b & 1) * (a & 6) for b in range(8)] for a in range(8)]
+    return build_discrete_semiring(names, 0, 1, add, mul)
+
+
+def test_hom_search_keeps_the_joins_of_a_non_distributive_source():
+    # a map on J may miss a join of M3: f(x) v f(y) need not reach f((x,y)).
+    # The search's join laws leave exactly the filtered sup-maps
+    source = ideal_quantale(to_localic(_dual_numbers_of_the_plane())).ideals
+    assert source.carrier.n == 6
+    assert is_distributive(source.carrier) == (False, ("{0,x}", "{0,y}", "{0,x+y}"))
+    counts = []
+    for name, q in quantale_catalog():
+        expanded = _expanded_homs(source, q)
+        assert expanded == _filtered_supmap_homs(source, q, "two_sided"), name
+        counts.append(len(expanded))
+    assert counts == [1, 1, 1, 1, 1, 5, 5, 12]
 
 
 def test_universal_element_is_an_anti_ideal_into_idl_on_small_semirings():
@@ -452,8 +490,7 @@ def test_frame_hom_search_matches_filtered_supmaps_on_catalog_frames():
     top_first = lattice_structure(build_poset(names, list(zip(names[1:], names))))
     frames.append(("C4top_first", frame_quantale(top_first)))
     for (n1, q1), (n2, q2) in product(frames, repeat=2):
-        got = [f.values for f in enumerate_homs(q1, q2)]
-        assert got == _filtered_supmap_homs(q1, q2, "frame"), (n1, n2)
+        assert _expanded_homs(q1, q2) == _filtered_supmap_homs(q1, q2, "frame"), (n1, n2)
 
 
 # ---------------------------------------------------------------------------
@@ -995,9 +1032,14 @@ def _assert_monoid_side_matches_the_frame_route(data):
     for a, b in product(range(points.n), repeat=2):
         assert points.leq(a, b) == expected_points.leq(carried[a], carried[b])
     for _, q in quantale_catalog():
+        # the invariance that representability_check decides on the
+        # replacement's classes: its anti-ideals carry one for one onto the
+        # input's
+        members = anti_ideals(data, q, "monoid").maps
         transported = _transported(data, replacement, masks, q)
         assert transported == _transported(data, expected, expected_masks, q)
-        assert transported == set(anti_ideals(data, q, "monoid").maps)
+        assert transported == set(members)
+        assert len(anti_ideals(replacement, q, "monoid").maps) == len(members)
 
 
 def test_monoid_side_matches_the_frame_route_on_catalogs_and_small_objects():
@@ -1022,7 +1064,7 @@ def test_monoid_side_matches_the_frame_route_on_scott_lattices(lat):
 
 def test_representability_on_catalogs_and_small_semirings():
     # homs out of Idl(R) and MM(R) classify the anti-ideals into every
-    # catalog quantale, and the saturated replacement keeps the monoid ones
+    # catalog quantale, and the saturated replacement has the input's classes
     catalog = quantale_catalog()
     semirings = [data for data in _catalog_and_small_objects() if data.has_addition]
     assert len(semirings) == 82

@@ -10,8 +10,10 @@ from pfspec.errors import CapExceeded, LawViolation, NotTwoSided
 from pfspec.order import bits
 from pfspec.quantale import (
     Quantale,
+    QuantaleHom,
     enumerate_homs,
     frame_quantale,
+    hom_evaluator,
     least_nucleus,
     localic_reflection,
     quotient_by,
@@ -208,14 +210,22 @@ def test_quotient_surjections_are_quantale_homs():
 # hom enumeration
 
 
+def _expanded(q1, q2, homs):
+    """Each hom held on J, expanded to every element of q1 and checked as a
+    QuantaleHom: its value table."""
+    value = hom_evaluator(q1, q2)
+    return [QuantaleHom(q1, q2, [value(f, a) for a in range(q1.carrier.n)]).values for f in homs]
+
+
 def test_frame_homs_omega_to_lattice_unique():
-    # between frames the quantale homs are the frame homs
+    # between frames the quantale homs are the frame homs; Omega's one
+    # join-irreducible is its top
     om = frame_quantale(chain(2))
     for lat in [chain(3), powerset_lattice(2)]:
-        homs = enumerate_homs(om, frame_quantale(lat))
-        assert len(homs) == 1
-        h = homs[0]
-        assert h(0) == lat.bottom and h(1) == lat.top
+        q = frame_quantale(lat)
+        homs = enumerate_homs(om, q)
+        assert homs == [(lat.top,)]
+        assert _expanded(om, q, homs) == [(lat.bottom, lat.top)]
 
 
 def test_supmaps_c2_to_c3():
@@ -232,7 +242,7 @@ def test_two_sided_homs_idl_bool_to_omega():
 def test_hom_enumeration_matches_brute_force():
     q1 = idl_z4_quantale()
     for _, q2 in quantale_catalog()[:4]:
-        fast = {h.values for h in enumerate_homs(q1, q2)}
+        fast = set(_expanded(q1, q2, enumerate_homs(q1, q2)))
         brute = set()
         for values in product(range(q2.carrier.n), repeat=3):
             if values[0] != q2.carrier.bottom or values[2] != q2.unit:
@@ -263,7 +273,8 @@ def test_hom_search_cap_counts_the_nodes_reached():
         enumerate_homs(c5, nil_c5, Caps(max_exhaustive=4))
     assert (exc.value.what, exc.value.size, exc.value.cap) == ("hom enumeration", 17, 16)
     homs = enumerate_homs(c5, nil_c5, Caps(max_exhaustive=5))
-    assert [h.values for h in homs] == [(0, 0, 0, 0, 4), (0, 0, 0, 4, 4), (0, 0, 4, 4, 4), (0, 4, 4, 4, 4)]
+    assert homs == [(0, 0, 0, 4), (0, 0, 4, 4), (0, 4, 4, 4), (4, 4, 4, 4)]
+    assert _expanded(c5, nil_c5, homs) == [(0, 0, 0, 0, 4), (0, 0, 0, 4, 4), (0, 0, 4, 4, 4), (0, 4, 4, 4, 4)]
 
 
 def test_reflection_universality_small():
@@ -276,10 +287,10 @@ def test_reflection_universality_small():
     two, surj = two_sided_reflection(q)
     for _, target in [("Omega", frame_quantale(chain(2))),
                       ("nilC3", quantale_catalog()[5][1])]:
-        downstairs = enumerate_homs(two, target)
-        upstairs = enumerate_homs(q, target)
-        factored = {tuple(h(surj(a)) for a in range(q.carrier.n)) for h in downstairs}
-        assert factored == {h.values for h in upstairs}
+        downstairs = _expanded(two, target, enumerate_homs(two, target))
+        upstairs = _expanded(q, target, enumerate_homs(q, target))
+        factored = {tuple(h[surj(a)] for a in range(q.carrier.n)) for h in downstairs}
+        assert factored == set(upstairs)
         assert len(downstairs) == len(upstairs)
 
 

@@ -37,7 +37,7 @@ from pfspec.iso import find_lattice_iso
 from pfspec.modelfile import MonoidBlock, parse_model
 from pfspec.oracles import zariski_compare
 from pfspec.order import FinitePoset, Lattice, bits, build_poset, downset_lattice
-from pfspec.quantale import Quantale, frame_quantale
+from pfspec.quantale import Quantale, QuantaleHom, frame_quantale
 from pfspec.spectrum import (
     _checked_universal,
     anti_ideals,
@@ -804,8 +804,8 @@ def test_representability_z60_under_default_caps():
 
 def test_representability_quotients_each_monoid_once(monkeypatch):
     # Idl(R), MM(R), the replacement and every anti-ideal search read one
-    # set of holoid classes; the replacement's own classes are built once
-    # for all the searches over it
+    # set of holoid classes; the replacement's own classes are built once,
+    # for its structure check
     quotiented = []
     original = pfspec.algebra.holoid_quotient
     monkeypatch.setattr(
@@ -816,16 +816,54 @@ def test_representability_quotients_each_monoid_once(monkeypatch):
     assert len(quotiented) == 2 and quotiented[0] is data.mul_monoid
 
 
+def _lump_the_replacement(monkeypatch):
+    # a holoid quotient that lumps every class of the saturated
+    # replacement's monoid into one, and only those: the replacement's
+    # points are the class order an earlier call returned
+    orders = []
+    original = pfspec.algebra.holoid_quotient
+
+    def lumping(monoid, order):
+        if any(order is o for o in orders):
+            return _lumped_reflection(monoid, order)
+        out = original(monoid, order)
+        orders.append(out[2])
+        return out
+
+    monkeypatch.setattr(pfspec.algebra, "holoid_quotient", lumping)
+
+
+def test_representability_checks_the_replacement_once_on_its_classes(monkeypatch):
+    # Z4 has the classes {0}, {1,3} and {2}; the replacement's classes must
+    # be their singletons, in their order
+    _lump_the_replacement(monkeypatch)
+    with pytest.raises(LawViolation) as exc:
+        representability_check(_semiring_data("Z4"), quantale_catalog())
+    assert (exc.value.law, exc.value.witness) == ("saturated replacement is saturated", "0")
+
+
+def test_verify_records_an_unsaturated_replacement_as_fail(monkeypatch, capsys):
+    _lump_the_replacement(monkeypatch)
+    z4 = next(path for path in MODELS if path.stem == "z4")
+    assert main(["verify", "--suite", "representability", str(z4)]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "[representability] Z4: homs classify anti-ideals over the quantale catalog ... "
+        "FAIL (saturated replacement is saturated violated at 0)"
+    )
+
+
 def test_the_class_check_runs_once_per_object(monkeypatch):
     # the check reads _absorb once per point, on the first stage that needs
-    # the checked classes only
+    # the checked classes only; the saturated replacement is an object of
+    # its own, whose classes are checked once, where it is built
     data = _semiring_data("Z6")
     absorbed = []
     original = pfspec.algebra._absorb
     monkeypatch.setattr(pfspec.algebra, "_absorb", lambda data, mask: absorbed.append(mask) or original(data, mask))
     radical_frame(data)
-    saturated_replacement(data)
-    assert absorbed == list(data.locale.points.down)
+    replacement, _ = saturated_replacement(data)
+    assert absorbed == list(data.locale.points.down) + list(replacement.locale.points.down)
+    assert len(replacement.locale.points.down) == data.classes.order.n == 4
 
 
 def test_saturation_is_reused_within_the_caps_of_each_call():
@@ -843,7 +881,7 @@ def test_saturation_is_reused_within_the_caps_of_each_call():
 
 def test_representability_failure_names_the_first_failing_entry():
     entry = RepresentabilityEntry("Omega", 2, 2, True, True, True)
-    report = RepresentabilityReport([entry], [entry], [("Omega", True)])
+    report = RepresentabilityReport([entry], [entry])
     assert report.ok() and report.failure() is None
     for field, broken, witness in [
         ("member_count", 3, "semiring Omega: hom_count 2 != member_count 3"),
@@ -855,8 +893,6 @@ def test_representability_failure_names_the_first_failing_entry():
         assert not failing.ok() and failing.failure() == witness
     monoid = replace(report, monoid_entries=[replace(entry, quantale_name="C3", injective=False)])
     assert monoid.failure() == "monoid C3: injective"
-    invariance = replace(report, invariance_entries=[("Omega", True), ("C3", False)])
-    assert invariance.failure() == "invariance C3: transported anti-ideals"
 
 
 def test_representability_z8_under_default_caps():
@@ -873,16 +909,26 @@ def test_representability_scott_p3_under_default_caps():
 def test_representability_scott_grid_3_5_under_default_caps(monkeypatch):
     # the universal element's own laws decide the Yoneda instance: no
     # anti-ideal search is valued in Idl(R), where listing them all ran past
-    # the default search cap
+    # the default search cap.  The replacement's classes decide invariance:
+    # one semiring and one monoid search per quantale, all on the input.
+    # Homs are held on J and read at the universal element's values, so no
+    # QuantaleHom is built
     catalog = quantale_catalog()
-    built, valued = [], []
+    data = scott_localic_lattice(grid(3, 5))
+    built, valued, homs = [], [], []
     ideal_quantale, anti_ideals = pfspec.spectrum.ideal_quantale, pfspec.spectrum.anti_ideals
     monkeypatch.setattr(pfspec.spectrum, "ideal_quantale", lambda *args: built.append(ideal_quantale(*args)) or built[-1])
-    monkeypatch.setattr(pfspec.spectrum, "anti_ideals", lambda data, q, *args: valued.append(q) or anti_ideals(data, q, *args))
-    report = representability_check(scott_localic_lattice(grid(3, 5)), catalog)
+    monkeypatch.setattr(
+        pfspec.spectrum, "anti_ideals", lambda data, q, *args: valued.append((data, q)) or anti_ideals(data, q, *args)
+    )
+    init = QuantaleHom.__init__
+    monkeypatch.setattr(QuantaleHom, "__init__", lambda self, *args: homs.append(args) or init(self, *args))
+    report = representability_check(data, catalog)
     assert report.ok(), report.failure()
-    assert len(built) == 1 and len(valued) == 3 * len(catalog)
-    assert not any(q is built[0].ideals for q in valued)
+    assert len(built) == 1 and len(valued) == 2 * len(catalog)
+    assert all(source is data for source, _ in valued)
+    assert not any(q is built[0].ideals for _, q in valued)
+    assert homs == []
 
 
 def test_saturated_replacement_invariance_z4_monoid():
