@@ -284,8 +284,8 @@ def _suite_tensor(model, caps, report, realize):
 def _universal_count_check(lat, caps):
     if 1 << (lat.n * 2) > caps.search_budget():
         raise CapExceeded("bilinear map enumeration", 1 << (lat.n * 2), caps.search_budget())
-    t = tensor([lat, om_small := omega()], caps)
-    target = om_small
+    om = omega()
+    t = tensor([lat, om], caps)
     bilinear = 0
     for table in iproduct(range(2), repeat=lat.n * 2):
         fn = lambda ab: table[ab[0] * 2 + ab[1]]
@@ -302,7 +302,7 @@ def _universal_count_check(lat, caps):
         )
         if ok:
             bilinear += 1
-    return bilinear == len(all_supmaps(t, target, caps)), (
+    return bilinear == len(all_supmaps(t, om, caps)), (
         f"bilinear={bilinear}"
     )
 

@@ -8,10 +8,11 @@ handful of table lookups.
 
 Least closure operators and least nuclei (see ``quantale``) come from one
 repair engine, ``least_fixpoint``.  Anti-ideals and quantale homs come from
-one search engine, ``monotone_search``.  The quotient by a closure operator is
-built by ``ClosureOperator.quotient`` straight from its fixed points: meets
-carry over and the join is j(a v b), so no least-upper-bound search is
-needed.  ``lattice_structure`` does that search, for posets that arrive
+one search engine, ``monotone_search``, which reads the floor of each
+variable on its lower covers (exact, as the maps are monotone) from rows built
+once per poset.  The quotient by a closure operator is built by
+``ClosureOperator.quotient`` straight from its fixed points: meets carry over
+and the join is j(a v b), so no least-upper-bound search is needed.  ``lattice_structure`` does that search, for posets that arrive
 without tables.
 
 All values are immutable after construction and safe to share.
@@ -56,6 +57,7 @@ class FinitePoset:
         self.down = tuple(down)
         self.full = (1 << self.n) - 1
         self._index = {name: i for i, name in enumerate(self.names)}
+        self._search_rows = None  # filled by the first search_rows()
 
     def index(self, name):
         return self._index[name]
@@ -105,6 +107,17 @@ class FinitePoset:
 
     def linear_extension(self):
         return sorted(range(self.n), key=lambda i: (self.down[i].bit_count(), i))
+
+    def search_rows(self):
+        """(linear extension, lower covers of each element, elements above
+        each element) as tuples, for ``monotone_search``; computed once."""
+        if self._search_rows is None:
+            self._search_rows = (
+                tuple(self.linear_extension()),
+                tuple(tuple(self.maximal(d ^ 1 << v)) for v, d in enumerate(self.down)),
+                tuple(tuple(bits(u)) for u in self.up),
+            )
+        return self._search_rows
 
     def up_sets(self, limit=None):
         """All up-sets as bitmasks, sorted by (size, mask).
@@ -284,6 +297,7 @@ class Lattice(FinitePoset):
         self.bottom = bottom
         self.top = top
         self._join_irreducibles = None  # filled by the first join_irreducibles()
+        self._j_rows = None  # filled by the first j_rows()
 
     def join(self, i, j):
         return self.join_t[i][j]
@@ -316,6 +330,28 @@ class Lattice(FinitePoset):
                 if i != self.bottom and self.join_mask(self.down[i] ^ (1 << i)) != i
             )
         return list(self._join_irreducibles)
+
+    def j_rows(self):
+        """(below, maximal, poset, splits): rows that hold a map by its
+        values on the join-irreducibles J, at their positions in
+        ``join_irreducibles()``; computed once per lattice.  ``below[a]``
+        masks the J below a and ``maximal[a]`` lists the maximal ones;
+        ``poset`` is J in the lattice's order; ``splits`` holds each
+        (k, c, a) with a = p_k v c whose J below are more than the J below
+        p_k and c, which a distributive lattice never has."""
+        if self._j_rows is None:
+            ji = self.join_irreducibles()
+            below = tuple(sum(1 << k for k, p in enumerate(ji) if self.down[a] >> p & 1) for a in range(self.n))
+            # the J below each element of J, as up-sets, give J's opposite order
+            poset = FinitePoset([self.names[p] for p in ji], [below[p] for p in ji]).opposite()
+            splits = tuple(
+                (k, c, a)
+                for k, p in enumerate(ji)
+                for c, a in enumerate(self.join_t[p])
+                if below[a] != below[p] | below[c]
+            )
+            self._j_rows = (below, tuple(tuple(poset.maximal(m)) for m in below), poset, splits)
+        return self._j_rows
 
     def opposite(self):
         return Lattice(self.names, self.down, self.meet_t, self.join_t, self.top, self.bottom)
@@ -582,22 +618,25 @@ def monotone_search(variables, lat, laws, budget, what):
     ``lat`` that satisfies ``laws``, as value tuples in the order found.
 
     Backtracking with forward checking: the variables are assigned along a
-    linear extension, and the candidates at v are the values above the join
-    of g over the variables strictly below v, so only monotone maps are
-    built.  A law is a pair (scope, test): ``scope`` is the bitmask of the
+    linear extension, and the candidates at v are the values above the
+    floor, the join of g over the lower covers of v, so only monotone maps
+    are built.  That is the join over everything below v: each element
+    below v is below a lower cover, assigned earlier, and g is monotone.
+    A law is a pair (scope, test): ``scope`` is the bitmask of the
     variables it reads and ``test(g)`` judges the partial map, as soon as
     the last variable of the scope is assigned (a law with an empty scope
     is judged before the first).  Every candidate value tried is one search
     node; past ``budget`` nodes the search raises CapExceeded(what, ...).
     """
-    order = variables.linear_extension()
+    order, covers, _ = variables.search_rows()
+    above = lat.search_rows()[2]
+    join_t = lat.join_t
     rank = [0] * variables.n
     for k, v in enumerate(order):
         rank[v] = k + 1
     due = [[] for _ in range(variables.n + 1)]
     for scope, test in laws:
         due[max((rank[v] for v in bits(scope)), default=0)].append(test)
-    below = [variables.down[v] ^ 1 << v for v in range(variables.n)]
     g = [None] * variables.n
     found = []
     nodes = 0
@@ -609,12 +648,18 @@ def monotone_search(variables, lat, laws, budget, what):
             return
         v = order[k]
         tests = due[k + 1]
-        for q in bits(lat.up[lat.join_iter(g[u] for u in bits(below[v]))]):
+        floor = lat.bottom
+        for u in covers[v]:
+            floor = join_t[floor][g[u]]
+        for q in above[floor]:
             nodes += 1
             if nodes > budget:
                 raise CapExceeded(what, nodes, budget)
             g[v] = q
-            if all(test(g) for test in tests):
+            for test in tests:
+                if not test(g):
+                    break
+            else:
                 extend(k + 1)
 
     if all(test(g) for test in due[0]):

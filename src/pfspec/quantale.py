@@ -31,7 +31,7 @@ from operator import getitem, itemgetter
 
 from .caps import DEFAULT_CAPS
 from .errors import LawViolation, NotTwoSided
-from .order import ClosureOperator, FinitePoset, bits, least_fixpoint, monotone_search
+from .order import ClosureOperator, least_fixpoint, monotone_search
 from .suplattice import SupMap, join_witness
 
 
@@ -237,20 +237,16 @@ def localic_reflection(quantale):
     return quotient, surjection
 
 
-def _j_below(lat):
-    """below[a]: the positions in ``lat.join_irreducibles()`` of those below a."""
-    ji = lat.join_irreducibles()
-    return [sum(1 << k for k, p in enumerate(ji) if lat.down[a] >> p & 1) for a in range(lat.n)]
-
-
 def hom_evaluator(q1, q2):
     """value(g, a) = f(a) for a hom f : q1 -> q2 given by its values g on the
-    join-irreducibles J of q1: the join of g over the elements of J below a."""
-    below, join_t, bottom = _j_below(q1.carrier), q2.carrier.join_t, q2.carrier.bottom
+    join-irreducibles J of q1: the join of g over the J below a.  g must be
+    monotone on J, as a hom is; then that join is the join over the maximal
+    J below a, usually one or two, and only those are read."""
+    maximal, join_t, bottom = q1.carrier.j_rows()[1], q2.carrier.join_t, q2.carrier.bottom
 
     def value(g, a):
         out = bottom
-        for k in bits(below[a]):
+        for k in maximal[a]:
             out = join_t[out][g[k]]
         return out
 
@@ -261,28 +257,25 @@ def enumerate_homs(q1, q2, caps=DEFAULT_CAPS):
     """All quantale homs q1 -> q2, each as the tuple of its values on the
     join-irreducibles J of q1, sorted.
 
-    They are searched as monotone maps on J by ``order.monotone_search``,
-    with f(a) read by ``hom_evaluator``, so the empty join is kept.  Each law
-    is judged once the elements of J it reads are assigned: the unit;
+    They are searched as monotone maps g on J by ``order.monotone_search``,
+    with f(a) read by ``hom_evaluator``, so the empty join is kept; g must be
+    monotone on J there, and each partial map of the search is, on the J it
+    has assigned.  Each law is judged once the elements of J it reads are assigned: the unit;
     f(ab) = f(a)f(b) for a, b in J, which by bilinearity decides every pair;
     and f(p v c) = f(p) v f(c) for p in J and any c, which by induction on J
     below a decides f(a v c).  That join law is stated only where the J below
-    p v c is more than the J below p and c, which a distributive q1 never
-    has.  The cap counts the values tried.
+    p v c is more than the J below p and c (``Lattice.j_rows().splits``),
+    which a distributive q1 never has.  The cap counts the values tried.
     """
     src, tgt = q1.carrier, q2.carrier
     ji = src.join_irreducibles()
-    below = _j_below(src)
+    below, _, j_poset, splits = src.j_rows()
     value = hom_evaluator(q1, q2)
-    # the J below each element of J, as up-sets, give J's opposite order
-    j_poset = FinitePoset([src.names[p] for p in ji], [below[p] for p in ji]).opposite()
     laws = [(below[q1.unit], lambda g: value(g, q1.unit) == q2.unit)]
     for i, p in enumerate(ji):
         for j in range(i, len(ji)):
             a = q1.mul(p, ji[j])
             laws.append((1 << i | 1 << j | below[a], lambda g, i=i, j=j, a=a: value(g, a) == q2.mult_t[g[i]][g[j]]))
-        for c in range(src.n):
-            a = src.join(p, c)
-            if below[a] != below[p] | below[c]:
-                laws.append((below[a], lambda g, i=i, c=c, a=a: value(g, a) == tgt.join_t[g[i]][value(g, c)]))
+    for i, c, a in splits:
+        laws.append((below[a], lambda g, i=i, c=c, a=a: value(g, a) == tgt.join_t[g[i]][value(g, c)]))
     return sorted(monotone_search(j_poset, tgt, laws, caps.search_budget(), "hom enumeration"))

@@ -28,7 +28,7 @@ from pfspec.catalog import (
     semiring_catalog,
 )
 from pfspec.cli import _localic_data
-from pfspec.errors import LawViolation, NotJoinPreserving
+from pfspec.errors import CapExceeded, LawViolation, NotJoinPreserving
 from pfspec.locale import locale_from_frame
 from pfspec.modelfile import LatticeBlock, MonoidBlock, SemiringBlock, parse_model
 from pfspec.oracles import (
@@ -41,7 +41,15 @@ from pfspec.oracles import (
     stone_compare,
     zariski_compare,
 )
-from pfspec.order import bits, build_poset, downset_lattice, is_distributive, lattice_structure, least_fixpoint
+from pfspec.order import (
+    bits,
+    build_poset,
+    downset_lattice,
+    is_distributive,
+    lattice_structure,
+    least_fixpoint,
+    monotone_search,
+)
 from pfspec.quantale import (
     Nucleus,
     Quantale,
@@ -431,17 +439,24 @@ def _expanded_homs(q1, q2):
     return sorted(QuantaleHom(q1, q2, [value(f, a) for a in range(n)]).values for f in enumerate_homs(q1, q2))
 
 
-def test_hom_search_matches_filtered_supmaps_on_small_semirings():
-    # two-sided homs out of Idl(R) and out of MM(R) of the 90 catalog and
-    # small objects, into every catalog quantale: the same maps
-    catalog = quantale_catalog()
+@cache
+def _ideal_quantale_sources():
+    """(name, MM(R)) and, for semirings, (name, Idl(R)) of the 90 catalog
+    and small objects."""
     sources = []
     for data in _catalog_and_small_objects():
         sources.append((data.name, monoid_ideal_quantale(data).monoid_ideals))
         if data.has_addition:
             sources.append((data.name, ideal_quantale(data).ideals))
     assert len(sources) == 172
-    for data_name, source in sources:
+    return sources
+
+
+def test_hom_search_matches_filtered_supmaps_on_small_semirings():
+    # two-sided homs out of Idl(R) and out of MM(R) of the 90 catalog and
+    # small objects, into every catalog quantale: the same maps
+    catalog = quantale_catalog()
+    for data_name, source in _ideal_quantale_sources():
         for name, q in catalog:
             assert _expanded_homs(source, q) == _filtered_supmap_homs(source, q, "two_sided"), (data_name, name)
 
@@ -468,6 +483,118 @@ def test_hom_search_keeps_the_joins_of_a_non_distributive_source():
         assert expanded == _filtered_supmap_homs(source, q, "two_sided"), name
         counts.append(len(expanded))
     assert counts == [1, 1, 1, 1, 1, 5, 5, 12]
+
+
+def _all_below_floor_search(variables, lat, laws, budget, what):
+    """``order.monotone_search`` with the floor of v read as the join of g
+    over every variable strictly below v, not over its lower covers, and
+    the candidates as ``bits(lat.up[floor])``.  Returns the maps found and
+    the nodes the search took."""
+    order = variables.linear_extension()
+    rank = [0] * variables.n
+    for k, v in enumerate(order):
+        rank[v] = k + 1
+    due = [[] for _ in range(variables.n + 1)]
+    for scope, test in laws:
+        due[max((rank[v] for v in bits(scope)), default=0)].append(test)
+    below = [variables.down[v] ^ 1 << v for v in range(variables.n)]
+    g = [None] * variables.n
+    found = []
+    nodes = 0
+
+    def extend(k):
+        nonlocal nodes
+        if k == len(order):
+            found.append(tuple(g))
+            return
+        v = order[k]
+        tests = due[k + 1]
+        for q in bits(lat.up[lat.join_iter(g[u] for u in bits(below[v]))]):
+            nodes += 1
+            if nodes > budget:
+                raise CapExceeded(what, nodes, budget)
+            g[v] = q
+            if all(test(g) for test in tests):
+                extend(k + 1)
+
+    if all(test(g) for test in due[0]):
+        extend(0)
+    return found, nodes
+
+
+def _search_outcome(search, variables, lat, laws, budget, what):
+    """The maps a search returns, or the (what, size, cap) it raises."""
+    try:
+        return search(variables, lat, laws, budget, what)
+    except CapExceeded as exc:
+        return exc.what, exc.size, exc.cap
+
+
+def test_search_on_lower_covers_matches_the_all_below_floor_search(monkeypatch):
+    # every anti-ideal search on the class order of the 90 catalog and small
+    # objects into every catalog quantale, both modes, and every hom search
+    # on the J poset of their Idl(R) and MM(R): the same maps in the same
+    # order, and the same CapExceeded at the budget of the cap tests and at
+    # half of the nodes the search takes to complete
+    oracle = lambda *args: _all_below_floor_search(*args)[0]
+    outcomes = Counter()
+
+    def compared(variables, lat, laws, budget, what):
+        expected, nodes = _all_below_floor_search(variables, lat, laws, budget, what)
+        got = monotone_search(variables, lat, laws, budget, what)
+        assert got == expected, what
+        for cap in (16, nodes // 2):
+            outcome = _search_outcome(monotone_search, variables, lat, laws, cap, what)
+            assert outcome == _search_outcome(oracle, variables, lat, laws, cap, what), (what, cap)
+            outcomes[what, type(outcome)] += 1
+        return got
+
+    monkeypatch.setattr(pfspec.spectrum, "monotone_search", compared)
+    monkeypatch.setattr(pfspec.quantale, "monotone_search", compared)
+    catalog = quantale_catalog()
+    for data in _catalog_and_small_objects():
+        for mode in ("semiring", "monoid") if data.has_addition else ("monoid",):
+            for _, q in catalog:
+                anti_ideals(data, q, mode)
+    for _, source in _ideal_quantale_sources():
+        for _, q in catalog:
+            enumerate_homs(source, q)
+    assert outcomes[("anti-ideal enumeration", tuple)] > 0
+    assert outcomes[("hom enumeration", tuple)] > 0
+    assert sum(outcomes.values()) == 2 * len(catalog) * (82 * 2 + 8 + 172)
+
+
+def _join_over_all_j_below(q1, q2, g, a):
+    lat = q1.carrier
+    return q2.carrier.join_iter(g[k] for k, p in enumerate(lat.join_irreducibles()) if lat.leq(p, a))
+
+
+def test_hom_values_from_the_maximal_j_match_the_join_over_all_j():
+    # every hom out of the 172 sources and out of Idl(F2[x,y]/(x,y)^2),
+    # M3 below a top, at every element
+    sources = [source for _, source in _ideal_quantale_sources()]
+    sources.append(ideal_quantale(to_localic(_dual_numbers_of_the_plane())).ideals)
+    homs = 0
+    for source in sources:
+        for _, q in quantale_catalog():
+            value = hom_evaluator(source, q)
+            for f in enumerate_homs(source, q):
+                homs += 1
+                for a in range(source.carrier.n):
+                    assert value(f, a) == _join_over_all_j_below(source, q, f, a)
+    assert homs > len(sources)
+
+
+def test_hom_evaluator_joins_two_incomparable_maximal_j():
+    # the top of P2 has the two atoms as its maximal J; the identity hom,
+    # held on them, is read there as their join
+    p2 = dict(quantale_catalog())["P2frame"]
+    lat = p2.carrier
+    assert lat.j_rows()[1][lat.top] == (0, 1)  # the maximal J below the top
+    atoms = tuple(lat.join_irreducibles())
+    assert (atoms, lat.join(*atoms)) == ((1, 2), lat.top)
+    assert atoms in enumerate_homs(p2, p2)
+    assert hom_evaluator(p2, p2)(atoms, lat.top) == lat.top == _join_over_all_j_below(p2, p2, atoms, lat.top)
 
 
 def test_universal_element_is_an_anti_ideal_into_idl_on_small_semirings():

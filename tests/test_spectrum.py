@@ -991,21 +991,22 @@ def test_dualisability_reads_not_supercontinuous_as_false(monkeypatch):
     assert not report.opens_supercontinuous
 
 
-def _join_irreducible_counts(monkeypatch, run):
-    """Run ``run()`` and count, per lattice asked for its join-irreducibles,
-    the calls and the computations (calls that stored a new list)."""
+def _cached_counts(monkeypatch, run, cls=Lattice, method="join_irreducibles"):
+    """Run ``run()`` and count, per object asked for ``cls.method()``, which
+    caches its answer in ``_method``, the calls and the computations (calls
+    that stored a new answer)."""
     counts = {}
-    original = Lattice.join_irreducibles
+    original = getattr(cls, method)
 
-    def counting(lat):
-        entry = counts.setdefault(id(lat), [lat, 0, 0])  # keeps lat alive
-        stored = lat._join_irreducibles
-        out = original(lat)
+    def counting(obj):
+        entry = counts.setdefault(id(obj), [obj, 0, 0])  # keeps obj alive
+        stored = getattr(obj, "_" + method)
+        out = original(obj)
         entry[1] += 1
-        entry[2] += lat._join_irreducibles is not stored
+        entry[2] += getattr(obj, "_" + method) is not stored
         return out
 
-    monkeypatch.setattr(Lattice, "join_irreducibles", counting)
+    monkeypatch.setattr(cls, method, counting)
     run()
     return [(calls, computed) for _, calls, computed in counts.values()]
 
@@ -1014,13 +1015,32 @@ def test_join_irreducibles_computed_once_per_lattice(monkeypatch):
     # lattices that outlive one call (Omega, the catalog's) may have theirs
     # already; no lattice computes them twice
     z6 = to_localic(dict(semiring_catalog())["Z6"])
-    counts = _join_irreducible_counts(monkeypatch, lambda: radical_frame(z6))
+    counts = _cached_counts(monkeypatch, lambda: radical_frame(z6))
     # Idl and Rad validated, the points read off Rad's opposite
     assert sum(computed for _, computed in counts) >= 3
     assert all(computed <= 1 for _, computed in counts)
     # representability asks Idl(R) and MM(R) once per catalog quantale
-    counts = _join_irreducible_counts(
+    counts = _cached_counts(
         monkeypatch, lambda: representability_check(z6, quantale_catalog())
     )
     assert all(computed <= 1 for _, computed in counts)
     assert max(calls for calls, _ in counts) > 1
+
+
+def test_search_and_j_rows_built_once_per_lattice(monkeypatch):
+    # representability runs two searches per catalog quantale and mode, and
+    # reads each hom at the universal element: no poset builds its search
+    # rows twice, and the two hom sources, Idl(R) and MM(R), build their J
+    # rows once each, though enumerate_homs and hom_evaluator ask for them
+    # for every catalog quantale
+    z6 = to_localic(dict(semiring_catalog())["Z6"])
+    catalog = quantale_catalog()
+    run = lambda: representability_check(z6, catalog)
+    counts = _cached_counts(monkeypatch, run, FinitePoset, "search_rows")
+    assert all(computed <= 1 for _, computed in counts)
+    # each search asks its variables and its target
+    assert sum(calls for calls, _ in counts) == 2 * 2 * 2 * len(catalog)
+    # per quantale: enumerate_homs, its evaluator, and the evaluator that
+    # reads the homs at the universal element
+    counts = _cached_counts(monkeypatch, run, Lattice, "j_rows")
+    assert counts == [(3 * len(catalog), 1)] * 2
