@@ -191,7 +191,8 @@ def coproduct(x, y, caps=DEFAULT_CAPS):
     iota1_lower = SupMap(loc.opens, x.opens, lower_values)
     for w in range(loc.opens.n):
         for a in range(x.opens.n):
-            assert (x.opens.leq(iota1_lower(w), a)) == (loc.opens.leq(w, iota1(a)))
+            if x.opens.leq(iota1_lower(w), a) != loc.opens.leq(w, iota1(a)):
+                raise LawViolation("projection left adjoint to iota1", (loc.opens.names[w], x.opens.names[a]))
     if x.opens.n * y.opens.n <= caps.max_tensor_carrier:
         _verify_coproduct_is_tensor(x, y, loc, iota1, iota2, iota1_lower, caps)
     return loc, iota1, iota2, iota1_lower
@@ -212,17 +213,22 @@ def _verify_coproduct_is_tensor(x, y, loc, iota1, iota2, iota1_lower, caps):
         mask = 0
         for a, b in pairs:
             mask |= 1 << t.space.index_of((a, b))
-        assert t.space.closure(mask) == mask
+        if t.space.closure(mask) != mask:
+            raise LawViolation("coproduct open is a bi-ideal", loc.opens.names[w])
         corr.append(t.mask_index[mask])
-    assert len(set(corr)) == loc.opens.n == t.n, "coproduct opens != tensor"
+    if not len(set(corr)) == loc.opens.n == t.n:
+        raise LawViolation("coproduct opens are the tensor", (len(set(corr)), loc.opens.n, t.n))
     for w1 in range(loc.opens.n):
         for w2 in range(loc.opens.n):
-            assert corr[loc.opens.join(w1, w2)] == t.join(corr[w1], corr[w2])
-            assert corr[loc.opens.meet(w1, w2)] == t.meet(corr[w1], corr[w2])
+            if corr[loc.opens.join(w1, w2)] != t.join(corr[w1], corr[w2]):
+                raise LawViolation("coproduct to tensor preserves joins", (loc.opens.names[w1], loc.opens.names[w2]))
+            if corr[loc.opens.meet(w1, w2)] != t.meet(corr[w1], corr[w2]):
+                raise LawViolation("coproduct to tensor preserves meets", (loc.opens.names[w1], loc.opens.names[w2]))
     for a in range(x.opens.n):
         for b in range(y.opens.n):
             w = loc.opens.meet(iota1(a), iota2(b))
-            assert corr[w] == t.pure((a, b))
+            if corr[w] != t.pure((a, b)):
+                raise LawViolation("iota1(a) /\\ iota2(b) is the pure tensor", (x.opens.names[a], y.opens.names[b]))
     # iota1_lower agrees with (id (x) positivity) then the unitor:
     # project each bi-ideal to the join of first components with positive fiber
     for w in range(loc.opens.n):
@@ -231,7 +237,8 @@ def _verify_coproduct_is_tensor(x, y, loc, iota1, iota2, iota1_lower, caps):
         expect = x.opens.join_iter(
             a for a in range(x.opens.n) if fibers[a] != y.opens.bottom
         )
-        assert iota1_lower(w) == expect
+        if iota1_lower(w) != expect:
+            raise LawViolation("iota1_lower is (id (x) positivity) then the unitor", loc.opens.names[w])
 
 
 class OwcSublocale:
@@ -241,7 +248,8 @@ class OwcSublocale:
     __slots__ = ("locale", "downset")
 
     def __init__(self, locale, downset):
-        assert locale.points.is_down_set(downset)
+        if not locale.points.is_down_set(downset):
+            raise LawViolation("OWC sublocale is a down-set", locale.points.mask_name(downset))
         self.locale = locale
         self.downset = downset
 
@@ -282,18 +290,21 @@ def owc(locale):
     """
     lat, masks = downset_lattice(locale.points)
     sublocales = [OwcSublocale(locale, m) for m in masks]
-    assert lat.n == locale.opens.n
+    if lat.n != locale.opens.n:
+        raise LawViolation("as many down-sets as opens", (lat.n, locale.opens.n))
     seen = set()
     dual_lat, pairing = dual(locale.opens)
     for sub in sublocales:
         values = tuple(sub.meets_map().values)
-        assert values not in seen
+        if values in seen:
+            raise LawViolation("distinct down-sets have distinct meets-maps", repr(sub))
         seen.add(values)
     for c in range(locale.opens.n):
         values = tuple(
             pairing(c, a) for a in range(locale.opens.n)
         )
-        assert values in seen, "a SupMap opens -> Omega is not a meets-map"
+        if values not in seen:
+            raise LawViolation("every SupMap opens -> Omega is a meets-map", dual_lat.names[c])
     return lat, sublocales
 
 
@@ -308,7 +319,8 @@ def owc_image(locale_map, sub):
     out = OwcSublocale(tgt, image)
     fstar = locale_map.frame_map()
     for a in range(tgt.opens.n):
-        assert out.meets(a) == sub.meets(fstar(a))
+        if out.meets(a) != sub.meets(fstar(a)):
+            raise LawViolation("image meets a iff sub meets the preimage of a", tgt.opens.names[a])
     return out
 
 
@@ -374,13 +386,15 @@ def scott_analysis(poset, caps=DEFAULT_CAPS):
         for x in range(poset.n):
             if values[loc.minimal_open_at(x)] == OMEGA_TRUE:
                 core |= 1 << x
-        assert poset.is_down_set(core), "Scott closure should be one step"
+        if core != s:
+            # s is a down-set, so this also says the Scott closure is one step
+            raise LawViolation("down-set to meets-map and back", poset.mask_name(s))
         back[values] = core
-        assert core == s
     # conversely every SupMap opens -> Omega arises from a down-set
     dual_lat, pairing = dual(loc.opens)
     for c in range(loc.opens.n):
         values = tuple(pairing(c, a) for a in range(loc.opens.n))
-        assert values in back
+        if values not in back:
+            raise LawViolation("every SupMap opens -> Omega comes from a down-set", dual_lat.names[c])
     report["roundtrip"] = True
     return report

@@ -10,10 +10,13 @@ Least closure operators and least nuclei (see ``quantale``) come from one
 repair engine, ``least_fixpoint``.  Anti-ideals and quantale homs come from
 one search engine, ``monotone_search``, which reads the floor of each
 variable on its lower covers (exact, as the maps are monotone) from rows built
-once per poset.  The quotient by a closure operator is built by
-``ClosureOperator.quotient`` straight from its fixed points: meets carry over
-and the join is j(a v b), so no least-upper-bound search is needed.  ``lattice_structure`` does that search, for posets that arrive
-without tables.
+once per poset.  A lattice on a family of bitmasks, ordered by inclusion, is
+built by ``family_lattice`` alone: meets are intersections and joins unions,
+closed into the family where a union falls outside it.  The quotient by a
+closure operator is built by ``ClosureOperator.quotient`` straight from its
+fixed points: meets carry over and the join is j(a v b), so no
+least-upper-bound search is needed.  ``lattice_structure`` does that search,
+for posets that arrive without tables.
 
 All values are immutable after construction and safe to share.
 """
@@ -272,7 +275,7 @@ class MonotoneMap:
         )
 
     def __hash__(self):
-        return hash((id(self.source), id(self.target), self.values))
+        return hash((self.source, self.target, self.values))
 
     def __repr__(self):
         pairs = ", ".join(
@@ -429,7 +432,8 @@ def adjoints(f, side):
         ]
         g = MonotoneMap(tgt, src, values)
         for a, b in iproduct(range(src.n), range(tgt.n)):
-            assert tgt.leq(f(a), b) == src.leq(a, g(b))
+            if tgt.leq(f(a), b) != src.leq(a, g(b)):
+                raise LawViolation("f(a) <= b iff a <= g(b)", (src.names[a], tgt.names[b]))
         return g
     if side == "left":
         if f(src.top) != tgt.top:
@@ -443,7 +447,8 @@ def adjoints(f, side):
         ]
         g = MonotoneMap(tgt, src, values)
         for a, b in iproduct(range(src.n), range(tgt.n)):
-            assert tgt.leq(b, f(a)) == src.leq(g(b), a)
+            if tgt.leq(b, f(a)) != src.leq(g(b), a):
+                raise LawViolation("b <= f(a) iff g(b) <= a", (src.names[a], tgt.names[b]))
         return g
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
@@ -505,38 +510,35 @@ class ClosureOperator:
         return hash(self.values)
 
 
-def family_lattice(masks, names):
-    """Lattice on a family of bitmasks closed under union and intersection,
-    ordered by inclusion.  Joins are unions and meets intersections, so the
-    tables come from dictionary lookups instead of least-upper-bound searches.
+def family_lattice(masks, names, close=None):
+    """Lattice on a family of bitmasks closed under intersection and holding
+    the union of all of them, ordered by inclusion; the one constructor of a
+    lattice on masks.  Meets are intersections.  The join of a and b is
+    their union when that is in the family, else ``close(a, a | b)``: the
+    least member over the union, found from the member a (a family closed
+    under unions needs no ``close``).  So the tables come from dictionary
+    lookups instead of least-upper-bound searches, and a missed union is
+    closed for b >= a only, the entry for (b, a) mirroring it.
     """
     masks = list(masks)
     pos = {m: i for i, m in enumerate(masks)}
     if len(pos) != len(masks):
         raise DuplicateElement("repeated mask in family")
-    k = len(masks)
-    up = [
-        sum(1 << j for j, mj in enumerate(masks) if mi & mj == mi)
-        for mi in masks
-    ]
+    up = [sum(1 << j for j, mj in enumerate(masks) if mi & mj == mi) for mi in masks]
     join_t = []
-    meet_t = []
-    for mi in masks:
-        jrow = []
-        mrow = []
-        for mj in masks:
-            jrow.append(pos[mi | mj])
-            mrow.append(pos[mi & mj])
-        join_t.append(tuple(jrow))
-        meet_t.append(tuple(mrow))
-    bot_mask = masks[0]
-    top_mask = masks[0]
+    for a, ma in enumerate(masks):
+        row = [pos.get(ma | mb) for mb in masks]
+        if None in row:
+            for b, k in enumerate(row):
+                if k is None:
+                    row[b] = join_t[b][a] if b < a else pos[close(ma, ma | masks[b])]
+        join_t.append(tuple(row))
+    meet_t = tuple(tuple([pos[mi & mj] for mj in masks]) for mi in masks)
+    bot_mask = top_mask = masks[0]
     for m in masks:
         bot_mask &= m
         top_mask |= m
-    return Lattice(
-        tuple(names), up, tuple(join_t), tuple(meet_t), pos[bot_mask], pos[top_mask]
-    )
+    return Lattice(tuple(names), up, tuple(join_t), meet_t, pos[bot_mask], pos[top_mask])
 
 
 def upset_lattice(poset, limit=None):

@@ -5,14 +5,19 @@ built once per object and checked once: the classes of mutual divisibility
 up to the point order, in their order (``algebra.holoid_quotient``).  Once
 checked to give the principal monoid ideals, the frame of saturated opens is
 the up-set frame of the class order, so the monoid side needs no frame and
-no dual basis.  Anti-ideals into a two-sided quantale are constant on the
-classes, so they are searched as maps of classes.
+no dual basis.  Both quantales, Idl(R) and MM(R), are held as sets of
+classes and multiplied on the class table (``_class_quantale``).  That is
+exact: the class product is a congruence and monotone on the class order, so
+the convolution product of two unions of class down-sets is the union of the
+class down-sets of the class products.  Anti-ideals into a two-sided
+quantale are constant on the classes, so they are searched as maps of
+classes.
 
 The main path, ``radical_frame``, builds neither the frame of opens (up to
 2**|points| elements) nor MM(R) (one element per down-set of the classes):
 
 * the quantale Idl(R) of ideals, on the fixed points of a closure on sets
-  of classes listed by NextClosure, with the convolution product closed up;
+  of classes listed by NextClosure, with the class product closed up;
   the radical frame is its localic reflection,
 * the universal element, x -> the least ideal holding x, and
   quantale-valued prime anti-ideals, checked against the points of Rad(R).
@@ -21,7 +26,7 @@ The monoid side is built where something reads it, by the monoid-kind
 spectrum, representability and the opens oracle:
 
 * the quantale MM(R) of monoid ideals, the unions of class down-sets, with
-  the convolution product; its universal element is x -> the principal
+  the class product; its universal element is x -> the principal
   monoid ideal of x, the down-set of x's class (the all-down-sets quantale
   of overt weakly closed sublocales and its two-sided reflection are the
   test oracle); Idl(R) is its quotient by the least nucleus forcing the
@@ -47,7 +52,7 @@ two agree because the principal up-sets are join-prime in an up-set frame).
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, combinations_with_replacement, product as iproduct
 from operator import or_
 
@@ -183,33 +188,35 @@ def _comultiplication_witness(data, masks):
 # monoid ideals
 
 
-def _owc_binop(points, masks, table):
-    """Lift a monotone point operation to down-sets: V op W is the
-    down-closure of the pointwise image.  Returns the table of result masks
-    over ``masks``.
+def _class_quantale(data, classes, class_masks, close=None):
+    """The quantale on ``class_masks``, down-sets of checked classes closed
+    under intersection and holding every class, ordered by inclusion and
+    sorted by the (size, mask) of their point masks; returns (quantale,
+    point masks, index of each class mask).  ``close(a, u)`` is the least
+    member over u, from a member a below it (``family_lattice``).
 
-    The lift preserves unions in each argument, and a down-set is the union
-    of the principal down-sets of its maximal points.  So V op W is the union,
-    over the maximal v of V, of per_point[v][W], the union of down(v op w)
-    over the maximal w of W: n point rows over ``masks``, then ORs of rows."""
-    maximals = [points.maximal(m) for m in masks]
-    per_point = {}
-    for v in {v for mv in maximals for v in mv}:
-        dv = [points.down[t] for t in table[v]]
-        row = []
-        for mw in maximals:
-            acc = 0
-            for w in mw:
-                acc |= dv[w]
-            row.append(acc)
-        per_point[v] = row
-    out = []
-    for mv in maximals:
-        row = (0,) * len(masks)
-        for v in mv:
-            row = tuple(map(or_, row, per_point[v]))
-        out.append(row)
-    return tuple(out)
+    A.B is the least member over the union of the class down-sets of ce, c
+    and e maximal in A and B, and the unit the least over the down-set of
+    the class of one.  That is the convolution product on points: the class
+    product is a congruence, monotone on the class order (``holoid_quotient``),
+    and ``classes.check()`` has confirmed that each class down-set is the
+    principal monoid ideal of its points.
+    """
+    pts, down = data.locale.points, classes.order.down
+    found = sorted(((classes.points(c), c) for c in class_masks), key=lambda mc: (mc[0].bit_count(), mc[0]))
+    masks, cmasks = tuple(m for m, _ in found), [c for _, c in found]
+    lat = family_lattice(cmasks, [pts.mask_name(m) for m in masks], close)
+    pos = {c: k for k, c in enumerate(cmasks)}
+    maximals = [classes.order.maximal(c) for c in cmasks]
+    # the class down-closure of c.B, for each maximal class c and each B
+    per_class = {}
+    for c in set(chain.from_iterable(maximals)):
+        dc = [down[ce] for ce in classes.mul_t[c]]
+        per_class[c] = [reduce(or_, [dc[e] for e in me], 0) for me in maximals]
+    rows = [reduce(lambda row, c: tuple(map(or_, row, per_class[c])), mc, (0,) * len(cmasks)) for mc in maximals]
+    unit, bottom = down[classes.cls_of[data.one_point]], cmasks[lat.bottom]
+    index = {u: pos[u] if u in pos else pos[close(bottom, u)] for u in {unit, *chain.from_iterable(rows)}}
+    return Quantale(lat, [[index[u] for u in row] for row in rows], index[unit]), masks, pos
 
 
 @dataclass
@@ -229,34 +236,22 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
     off the checked holoid classes (``data.classes``).
 
     The monoid ideals are the unions of class down-sets, the complements of
-    the saturated opens (the class up-sets), sorted by (size, mask) and
-    capped as the saturated opens are.  The product is the convolution
-    product (down-closure of the pointwise product) and the unit is the top.
-    Each product is looked up among the monoid ideals, and a miss raises.
-    The universal element sends x to the principal monoid ideal of x, the
-    down-set of its class.  Neither the saturated frame nor its dual basis is
-    built: ``opens_oracle`` checks the duality with them.  The all-down-sets
-    OWC quantale and its two-sided reflection give the same quantale; the
-    tests use them as the oracle.
+    the saturated opens (the class up-sets), capped as the saturated opens
+    are.  They are closed under unions, and ``_class_quantale`` gives them
+    the convolution product from the class table; its unit is the top.  A
+    product cannot fall outside them, as the class down-closure of any set
+    is a monoid ideal.  The universal element sends x to the principal
+    monoid ideal of x, the down-set of its class.  Neither the saturated
+    frame nor its dual basis is built: ``opens_oracle`` checks the duality
+    with them.  The all-down-sets OWC quantale and its two-sided reflection
+    give the same quantale; the tests use them as the oracle.
     """
     classes = data.classes.check()
-    pts = data.locale.points
     every_class = (1 << classes.order.n) - 1
-    ideal_masks = sorted(
-        (classes.points(every_class ^ u) for u in classes.up_sets(caps)),
-        key=lambda m: (m.bit_count(), m),
-    )
-    pos = {m: k for k, m in enumerate(ideal_masks)}
-    lat = family_lattice(ideal_masks, [pts.mask_name(m) for m in ideal_masks])
-    products = _owc_binop(pts, ideal_masks, data.mul_t)
-    mult = []
-    for i, row in enumerate(products):
-        for j, m in enumerate(row):
-            if m not in pos:
-                raise LawViolation("product of monoid ideals", (lat.names[i], lat.names[j]))
-        mult.append([pos[m] for m in row])
-    principal = tuple(pos[classes.points(classes.order.down[c])] for c in classes.cls_of)
-    return MonoidIdealData(Quantale(lat, mult, lat.top), tuple(ideal_masks), principal)
+    down_sets = (every_class ^ u for u in classes.up_sets(caps))
+    quantale, masks, pos = _class_quantale(data, classes, down_sets)
+    principal = tuple(pos[classes.order.down[c]] for c in classes.cls_of)
+    return MonoidIdealData(quantale, masks, principal)
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +297,23 @@ def _fixed_class_masks(classes, caps):
 
 
 def _ideal_witness(data, masks):
-    """The first mask that is not an ideal in the definitional sense (a
-    monoid ideal, fixed by ``_absorb``, holding the zero point's closure and
-    closed under sums), or None.  By monotone addition a down-set is closed
-    under sums when it holds v + w for its maximal points v, w."""
+    """The first of ``masks`` in (size, mask) order that is not an ideal in
+    the definitional sense (a monoid ideal, fixed by ``_absorb``, holding
+    the zero point's closure and closed under sums), or None.  By monotone
+    addition a down-set is closed under sums when it holds v + w for its
+    maximal points v, w."""
     pts = data.locale.points
     zero = pts.down[data.zero_point]
-    for m in masks:
+
+    def fails(m):
         tops = pts.maximal(m)
-        if (
+        return (
             zero & ~m
             or _absorb(data, m) != m
             or any(not m >> data.add_t[v][w] & 1 for v in tops for w in tops)
-        ):
-            return m
-    return None
+        )
+
+    return min(filter(fails, masks), key=lambda m: (m.bit_count(), m), default=None)
 
 
 @dataclass
@@ -336,42 +333,24 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     classes.
 
     The ideals are the fixed points of the closure j on sets of checked
-    classes (``HoloidClasses.close``), listed by ``_fixed_class_masks`` and
-    sorted by the (size, mask) of their point masks; each is checked to be an
-    ideal in the definitional sense.  Meets are intersections and the join
-    is j(a v b).  The product is j of the convolution product
-    (``_owc_binop``) and the unit is j(class of 1).  This is the quotient of MM(R) by the least
+    classes (``HoloidClasses.close``), listed by ``_fixed_class_masks``, and
+    each is checked to be an ideal in the definitional sense.
+    ``_class_quantale`` orders them by inclusion, with meets the
+    intersections and the join j(a v b), and gives them the product from the
+    class table closed up by j, which is j of the convolution product, and
+    the unit j(class of 1).  This is the quotient of MM(R) by the least
     nucleus forcing the zero to the bottom and I (+~) J below I v J, which
     ``opens_oracle`` reaches with ``monoid_collapse``; neither the saturated
     frame nor MM(R) is built here.
     """
     if not data.has_addition:
         raise LawViolation("additive structure", "monoid-only data has no ideals")
-    pts = data.locale.points
     j = data.classes.check()
-    found = sorted(
-        ((j.points(c), c) for c in _fixed_class_masks(j, caps)),
-        key=lambda mc: (mc[0].bit_count(), mc[0]),
-    )
-    masks = tuple(m for m, _ in found)
-    witness = _ideal_witness(data, masks)
+    fixed = _fixed_class_masks(j, caps)
+    witness = _ideal_witness(data, map(j.points, fixed))
     if witness is not None:
-        raise LawViolation("class closure gives ideals", pts.mask_name(witness))
-    cmasks = [c for _, c in found]
-    pos = {c: k for k, c in enumerate(cmasks)}
-    n = len(cmasks)
-    up = [sum(1 << b for b, cb in enumerate(cmasks) if ca & cb == ca) for ca in cmasks]
-    join_t = [[None] * n for _ in range(n)]
-    for a, ca in enumerate(cmasks):
-        for b in range(a, n):
-            union = ca | cmasks[b]
-            join_t[a][b] = join_t[b][a] = pos[union] if union in pos else pos[j.close(ca, union)]
-    meet_t = tuple(tuple(pos[ca & cb] for cb in cmasks) for ca in cmasks)
-    lat = Lattice([pts.mask_name(m) for m in masks], up, tuple(map(tuple, join_t)), meet_t, 0, n - 1)
-    products = _owc_binop(pts, masks, data.mul_t)
-    index = {m: pos[j.least(m)] for m in set(chain.from_iterable(products))}
-    mult = [[index[m] for m in row] for row in products]
-    ideals = Quantale(lat, mult, pos[j.least(1 << data.one_point)])
+        raise LawViolation("class closure gives ideals", data.locale.points.mask_name(witness))
+    ideals, masks, pos = _class_quantale(data, j, fixed, j.close)
     return IdealQuantaleData(ideals, masks, j, pos)
 
 

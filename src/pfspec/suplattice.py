@@ -22,6 +22,7 @@ from .order import (
     MonotoneMap,
     bits,
     build_poset,
+    family_lattice,
     lattice_structure,
 )
 
@@ -260,26 +261,9 @@ class TensorLattice(Lattice):
         names = [
             "{" + ",".join(space.tuple_name(i) for i in bits(m)) + "}" for m in masks
         ]
-        up = [
-            sum(1 << j for j, mj in enumerate(masks) if mi & mj == mi)
-            for mi in masks
-        ]
         # meets are intersections; joins are closures of unions
-        join_t = []
-        meet_t = []
-        for mi in masks:
-            jrow = []
-            mrow = []
-            for mj in masks:
-                jrow.append(self.mask_index[space.closure(mi | mj)])
-                mrow.append(self.mask_index[mi & mj])
-            join_t.append(tuple(jrow))
-            meet_t.append(tuple(mrow))
-        bottom = self.mask_index[space.zero_mask()]
-        top = self.mask_index[(1 << space.ntuples) - 1]
-        Lattice.__init__(
-            self, names, up, tuple(join_t), tuple(meet_t), bottom, top
-        )
+        lat = family_lattice(masks, names, lambda _, union: space.closure(union))
+        Lattice.__init__(self, names, lat.up, lat.join_t, lat.meet_t, lat.bottom, lat.top)
 
     def pure(self, tup):
         return self.mask_index[self.space.closure(1 << self.space.index_of(tup))]

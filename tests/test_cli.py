@@ -14,7 +14,9 @@ import pytest
 import pfspec.algebra
 import pfspec.cli
 import pfspec.locale
+import pfspec.order
 import pfspec.spectrum
+import pfspec.suplattice
 from pfspec.caps import ENV_MAX_EXHAUSTIVE
 from pfspec.cli import main
 from pfspec.errors import PfspecError
@@ -153,14 +155,19 @@ def test_duality_suite_builds_each_saturated_frame_once(monkeypatch, capsys):
     built = Counter()
     original = pfspec.spectrum.family_lattice
 
-    def counting(masks, names):
-        built[sys._getframe(1).f_code.co_name] += 1
-        return original(masks, names)
+    def counting(*args):
+        # the quantales are tabulated by _class_quantale: count its caller
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_class_quantale":
+            caller = caller.f_back
+        built[caller.f_code.co_name] += 1
+        return original(*args)
 
     monkeypatch.setattr(pfspec.spectrum, "family_lattice", counting)
     assert main(["verify", "--suite", "duality", str(MODELS / "catalog.model")]) == 0
-    # 13 monoids, semirings and lattices
-    assert built == {"saturation": 13, "monoid_ideal_quantale": 13}
+    # 13 monoids, semirings and lattices; Idl(R) once for each of the 7
+    # semirings and lattices
+    assert built == {"saturation": 13, "monoid_ideal_quantale": 13, "ideal_quantale": 7}
 
 
 def test_analyze_counts_the_opens_without_their_tables(tmp_path, capsys):
@@ -187,16 +194,27 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("path", sorted(MODELS.glob("*.model")), ids=lambda p: p.stem)
 def test_analyze_counts_the_saturated_opens_without_building_them(monkeypatch, capsys, path):
-    # the golden bytes, with every route to the saturated frame and MM(R)
-    # refused, in the pipeline and in the CLI's own imports
+    # the golden bytes, with the saturated frame and MM(R) refused by name,
+    # in the pipeline and in the CLI's own imports, and no family of masks
+    # tabulated that is larger than Idl(R)
     for module in (pfspec.spectrum, pfspec.cli):
-        for name in ("saturation", "monoid_ideal_quantale", "family_lattice"):
+        for name in ("saturation", "monoid_ideal_quantale"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _refuse)
+    sizes = []
+    family = pfspec.order.family_lattice
+    for module in (pfspec.order, pfspec.locale, pfspec.spectrum, pfspec.suplattice):
+        monkeypatch.setattr(
+            module, "family_lattice", lambda masks, *args: sizes.append(len(masks)) or family(masks, *args)
+        )
     model = parse_model(path)
     objects = [b.name for b in model.blocks if isinstance(b, (MonoidBlock, SemiringBlock, LatticeBlock))]
     assert objects
     for name in objects:
+        sizes.clear()
         code = main(["analyze", str(path), "--object", name])
+        out = capsys.readouterr().out
         golden = GOLDEN / path.stem / f"analyze-{name}.txt"
-        assert f"exit {code}\n" + capsys.readouterr().out == golden.read_text(encoding="utf-8"), name
+        assert f"exit {code}\n" + out == golden.read_text(encoding="utf-8"), name
+        ideals = sum(int(line.split()[1]) for line in out.splitlines() if line.startswith("ideals: "))
+        assert all(size <= ideals for size in sizes), (name, sizes, ideals)

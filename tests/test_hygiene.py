@@ -68,11 +68,7 @@ def test_assert_lines_finds_each_assert():
     assert assert_lines("x = 1\nassert x\nif x:\n    assert x, 'msg'\n") == [2, 4]
 
 
-# locale and order keep the asserts of their test-only helpers
-CHECKED_MODULES = [p for p in MODULES if p.stem not in ("locale", "order")]
-
-
-@pytest.mark.parametrize("path", CHECKED_MODULES, ids=[p.stem for p in CHECKED_MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_asserts(path):
     # a failed check raises a PfspecError with a witness, which python -O keeps
     assert assert_lines(path.read_text(encoding="utf-8")) == []

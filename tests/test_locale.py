@@ -4,10 +4,11 @@ import pytest
 
 from pfspec.caps import Caps
 from pfspec.catalog import all_posets_up_to_iso, antichain, chain
-from pfspec.errors import CapExceeded, NotMonotone
+from pfspec.errors import CapExceeded, LawViolation, NotMonotone
 from pfspec.iso import find_lattice_iso
 from pfspec.locale import (
     LocaleMap,
+    OwcSublocale,
     alexandrov,
     coproduct,
     locale_from_frame,
@@ -112,6 +113,13 @@ def test_owc_image_identity_and_collapse():
     for s in subs:
         image = owc_image(collapse, s)
         assert image.downset == (1 if s.downset else 0)
+
+
+def test_owc_sublocale_must_be_a_down_set():
+    # {t} is not closed downwards in the Sierpinski space b <= t
+    with pytest.raises(LawViolation) as exc:
+        OwcSublocale(sierpinski(), 0b10)
+    assert (exc.value.law, exc.value.witness) == ("OWC sublocale is a down-set", "{t}")
 
 
 def test_locale_map_swap_not_monotone():

@@ -42,6 +42,7 @@ from pfspec.oracles import (
     zariski_compare,
 )
 from pfspec.order import (
+    FinitePoset,
     bits,
     build_poset,
     downset_lattice,
@@ -64,7 +65,6 @@ from pfspec.quantale import (
 from pfspec.spectrum import (
     _absorb,
     _comultiplication_witness,
-    _owc_binop,
     anti_ideals,
     count_saturated_opens,
     ideal_quantale,
@@ -252,20 +252,6 @@ def test_monoid_ideals_match_owc_oracle_on_model_files(path):
 @pytest.mark.parametrize("lat", [chain(5), powerset_lattice(3)], ids=["C5", "P3"])
 def test_monoid_ideals_match_owc_oracle_on_scott_lattices(lat):
     _assert_matches_owc_oracle(scott_localic_lattice(lat))
-
-
-def test_owc_binop_matches_the_pairwise_lift():
-    # the per-point rows give the same tables as the pairwise lift, for both
-    # operations, on all down-sets of every object the oracle covers
-    objects = _catalog_and_small_objects()
-    objects += [data for path in MODELS for data in _model_objects(path)]
-    objects += [scott_localic_lattice(powerset_lattice(3)), scott_localic_lattice(grid(2, 3))]
-    assert len(objects) == 107
-    for data in objects:
-        pts = data.locale.points
-        _, dn_masks = downset_lattice(pts)
-        for table in (data.mul_t, data.add_t) if data.has_addition else (data.mul_t,):
-            assert _owc_binop(pts, dn_masks, table) == _pairwise_owc_binop(pts, dn_masks, table)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,7 +990,7 @@ def _nucleus_route(data):
     def ideal_of(mask):
         return pos[mask] if mask in pos else pos[_absorb(data, mask)]
 
-    mod_add = [[ideal_of(m) for m in row] for row in _owc_binop(pts, mi.ideal_masks, data.add_t)]
+    mod_add = [[ideal_of(m) for m in row] for row in _pairwise_owc_binop(pts, mi.ideal_masks, data.add_t)]
     zero = pts.down[data.zero_point]
     forcings = [(ideal_of(zero), mm.carrier.bottom)]
     forcings += [
@@ -1066,11 +1052,61 @@ def test_class_route_matches_the_nucleus_route_on_scott_lattices(lat):
     _assert_class_route_matches_nucleus_route(scott_localic_lattice(lat))
 
 
+def _all_orders(n):
+    """Every partial order on range(n), as the up-set mask of each element."""
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    orders = []
+    for chosen in product((0, 1), repeat=len(pairs)):
+        up = [1 << a for a in range(n)]
+        for (a, b), related in zip(pairs, chosen):
+            up[a] |= related << b
+        if all(
+            up[b] & ~up[a] == 0 and (b == a or not up[b] >> a & 1) for a in range(n) for b in bits(up[a])
+        ):
+            orders.append(tuple(up))
+    return orders
+
+
+def _is_monotone(up, table):
+    """Whether a <= b gives ac <= bc for every c; commutative tables only."""
+    n = len(up)
+    return all(up[table[a][c]] >> table[b][c] & 1 for a in range(n) for b in bits(up[a]) for c in range(n))
+
+
+def _ordered_small_semirings():
+    """Every semiring of order 2 to 4 (``_all_semirings``) with every partial
+    order that makes both of its tables monotone, discrete orders included,
+    as localic data."""
+    return [
+        to_localic(s, FinitePoset(s.names, up))
+        for n in (2, 3, 4)
+        for s in _all_semirings(n)
+        for up in _all_orders(n)
+        if _is_monotone(up, s.add_t) and _is_monotone(up, s.mul_t)
+    ]
+
+
+def test_both_quantales_match_their_oracles_on_ordered_small_semirings():
+    # the class product rests on the point order (f <= g.k), which the
+    # discrete families never exercise
+    objects = _ordered_small_semirings()
+    assert (len(_all_orders(3)), len(_all_orders(4))) == (19, 219)
+    assert len(objects) == 909
+    for data in objects:
+        _assert_matches_owc_oracle(data)
+        _assert_class_route_matches_nucleus_route(data)
+
+
 def test_radical_frame_of_scott_p5_builds_nothing_larger_than_idl(monkeypatch):
-    # P5 has 7,581 saturated opens; the class route never asks for them
-    for name in ("saturation", "monoid_ideal_quantale", "dual_basis", "family_lattice"):
+    # P5 has 7,581 saturated opens; the class route never asks for them, and
+    # the one family of masks it tabulates is Idl(R)
+    for name in ("saturation", "monoid_ideal_quantale", "dual_basis"):
         monkeypatch.setattr(pfspec.spectrum, name, lambda *args, name=name: pytest.fail(name))
     sizes = []
+    family = pfspec.spectrum.family_lattice
+    monkeypatch.setattr(
+        pfspec.spectrum, "family_lattice", lambda masks, *args: sizes.append(len(masks)) or family(masks, *args)
+    )
     validate = Quantale.validate
     monkeypatch.setattr(Quantale, "validate", lambda q: sizes.append(q.carrier.n) or validate(q))
     nucleus = pfspec.quantale.least_nucleus

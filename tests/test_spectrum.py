@@ -59,6 +59,7 @@ from pfspec.spectrum import (
     universal_element,
 )
 from pfspec.suplattice import TensorElement, TensorSpace, dual, tensor
+from test_oracles import _pairwise_owc_binop
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
@@ -219,9 +220,7 @@ def test_owc_quantale_with_zero_unit_breaks():
     pts = data.locale.points
     dn_lat, dn_masks = downset_lattice(pts)
     dn_index = {m: i for i, m in enumerate(dn_masks)}
-    from pfspec.spectrum import _owc_binop
-
-    products = _owc_binop(pts, dn_masks, data.mul_t)
+    products = _pairwise_owc_binop(pts, dn_masks, data.mul_t)
     mult = [[dn_index[m] for m in row] for row in products]
     with pytest.raises(LawViolation) as exc:
         Quantale(dn_lat, mult, dn_index[1 << data.zero_point])
@@ -244,21 +243,6 @@ def test_monoid_ideals_reproduce_subset_ideals_discrete():
         if all(mask >> data.mul(a, r) & 1 for a in elems for r in range(n)):
             oracle.append(mask)
     assert masks == sorted(oracle)
-
-
-def test_broken_monoid_ideal_product_raises(monkeypatch):
-    # a product that is not a monoid ideal ({1} in Z/4) misses the lookup
-    original = pfspec.spectrum._owc_binop
-
-    def broken(points, masks, table):
-        products = [list(row) for row in original(points, masks, table)]
-        products[1][2] = 0b0010
-        return products
-
-    monkeypatch.setattr(pfspec.spectrum, "_owc_binop", broken)
-    with pytest.raises(LawViolation) as exc:
-        monoid_ideal_quantale(_semiring_data("Z4"))
-    assert exc.value.law == "product of monoid ideals"
 
 
 def test_large_monoid_ideal_quantale_checks_each_principal_ideal_once(monkeypatch):
@@ -458,7 +442,7 @@ def test_ideal_enumeration_stops_at_the_cap_before_any_table(monkeypatch):
     # Scott P4 has 16 ideals, so NextClosure tries more than 8 classes; the
     # cap stops it before a lattice or a product is built
     built = []
-    monkeypatch.setattr(pfspec.spectrum, "_owc_binop", lambda *args: built.append("product"))
+    monkeypatch.setattr(pfspec.spectrum, "_class_quantale", lambda *args: built.append("product"))
     monkeypatch.setattr(Lattice, "__init__", lambda *args: built.append("lattice"))
     with pytest.raises(CapExceeded) as exc:
         ideal_quantale(scott_localic_lattice(powerset_lattice(4)), Caps(max_exhaustive=3))

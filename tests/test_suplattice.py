@@ -115,6 +115,14 @@ def test_tensor_unitor():
         assert find_lattice_iso(t, lat) is not None
 
 
+def test_equal_supmaps_on_separately_built_lattices_hash_alike():
+    # == compares the lattices by value, so the hash must too
+    a, b = (lattice_structure(build_poset(["0", "1"], [("0", "1")])) for _ in range(2))
+    assert a is not b
+    assert SupMap.identity(a) == SupMap.identity(b)
+    assert len({SupMap.identity(a), SupMap.identity(b)}) == 1
+
+
 def test_tensor_map_identity_and_composition():
     c2, c3 = chain(2), chain(3)
     t22 = tensor([c2, c2])
