@@ -36,13 +36,6 @@ class NotJoinPreserving(PfspecError):
         super().__init__(f"map does not preserve joins at {witness}")
 
 
-class NoAdjoint(PfspecError):
-    def __init__(self, side, witness):
-        self.side = side
-        self.witness = witness
-        super().__init__(f"no {side} adjoint: preservation fails at {witness}")
-
-
 class LawViolation(PfspecError):
     def __init__(self, law, witness):
         self.law = law

@@ -6,8 +6,6 @@ order-theoretic profile (degrees, covers, join-irreducibility), which prunes
 hard enough for the carriers we meet (a few hundred elements).
 """
 
-from itertools import permutations
-
 
 def _poset_profile(poset):
     covers_up = [0] * poset.n
@@ -82,19 +80,3 @@ def find_lattice_iso(a, b):
                 return None
     return iso
 
-
-def canonical_poset_code(poset):
-    """A permutation-invariant encoding of the order relation (small n only)."""
-    best = None
-    idx = range(poset.n)
-    for perm in permutations(idx):
-        code = 0
-        bit = 0
-        for a in idx:
-            for b in idx:
-                if poset.leq(perm[a], perm[b]):
-                    code |= 1 << bit
-                bit += 1
-        if best is None or code < best:
-            best = code
-    return best

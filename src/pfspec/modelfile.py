@@ -16,7 +16,7 @@ block; parsing is positional enough to report line/column on errors.
 from dataclasses import dataclass, field
 
 from .algebra import FiniteCommMonoid, FiniteCommSemiring
-from .errors import NonTotalTable, ParseError, UnknownReference
+from .errors import DuplicateElement, NonTotalTable, ParseError, UnknownReference
 from .order import build_poset, lattice_structure
 
 
@@ -222,17 +222,23 @@ def _resolve_references(model):
             if block.poset not in posets:
                 raise UnknownReference(block.poset, block.line)
         if isinstance(block, (MonoidBlock, SemiringBlock)):
-            known = set(block.elements)
-            tables = [("mul", block.mul)]
-            if isinstance(block, SemiringBlock):
-                tables.append(("add", block.add))
+            known = set()
+            for element in block.elements:
+                if element in known:
+                    raise DuplicateElement(f"duplicate element {element!r} in {block.name!r} (line {block.line})")
+                known.add(element)
+            if isinstance(block, MonoidBlock):
+                used, tables = [block.unit], [("mul", block.mul)]
+            else:
+                used, tables = [block.zero, block.one], [("mul", block.mul), ("add", block.add)]
             n = len(block.elements)
             for tname, table in tables:
                 if len(table) != n * n:
                     raise NonTotalTable(f"{block.name}.{tname}", n * n, len(table))
-                for entry in table:
-                    if entry not in known:
-                        raise UnknownReference(entry, block.line)
+                used += table
+            for name in used:
+                if name not in known:
+                    raise UnknownReference(name, block.line)
         if isinstance(block, PosetBlock):
             known = set(block.elements)
             for a, b in block.relations:
@@ -243,34 +249,6 @@ def _resolve_references(model):
 def parse_model(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_model_text(fh.read())
-
-
-def pretty_print(model):
-    """Canonical text form; parse(pretty_print(m)) == m."""
-    out = []
-    for block in model.blocks:
-        if isinstance(block, PosetBlock):
-            rel = " ".join(f"{a}<={b}" for a, b in block.relations)
-            body = f"elements: {' '.join(block.elements)}"
-            if rel:
-                body += f" ; leq: {rel}"
-            out.append(f"poset {block.name} {{ {body} }}")
-        elif isinstance(block, MonoidBlock):
-            out.append(
-                f"monoid {block.name} {{ elements: {' '.join(block.elements)}"
-                f" ; unit: {block.unit} ; mul: {' '.join(block.mul)} }}"
-            )
-        elif isinstance(block, SemiringBlock):
-            out.append(
-                f"semiring {block.name} {{ elements: {' '.join(block.elements)}"
-                f" ; zero: {block.zero} ; one: {block.one}"
-                f" ; add: {' '.join(block.add)}"
-                f" ; mul: {' '.join(block.mul)}"
-                f" ; order: {block.order} }}"
-            )
-        elif isinstance(block, LatticeBlock):
-            out.append(f"lattice {block.name} {{ poset: {block.poset} }}")
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .caps import DEFAULT_CAPS
 from .catalog import lattice_semiring
 from .iso import find_lattice_iso, find_poset_iso
 from .locale import locale_from_frame
-from .order import bits, upset_lattice
+from .order import bits
 from .spectrum import radical_frame
 
 
@@ -229,20 +229,11 @@ class ScottFrameComparison:
         return self.radical_frame_matches and self.point_poset_matches
 
 
-def scott_frame_compare(poset, caps=DEFAULT_CAPS, name=""):
-    """For the up-set frame L of a finite poset P, the spectrum of L with
-    its Scott topology must return L itself with point poset P."""
-    lat, _ = upset_lattice(poset)
-    data = scott_localic_lattice(lat, caps, name=name)
-    result = radical_frame(data, caps)
-    frame_ok = find_lattice_iso(result.radicals.carrier, lat) is not None
-    points_ok = find_poset_iso(result.point_poset, poset) is not None
-    return ScottFrameComparison(frame_ok, points_ok)
-
-
 def hofmann_lawson_compare(lat, caps=DEFAULT_CAPS, name=""):
-    """Same comparison entered through a distributive lattice: the point
-    poset must match the poset of join-irreducibles presenting the frame."""
+    """For a finite distributive lattice L with its Scott topology, the
+    spectrum must return L itself, Rad(R) isomorphic to L, and its point
+    poset must match the poset of join-irreducibles that presents L as a
+    frame (``locale_from_frame``)."""
     data = scott_localic_lattice(lat, caps, name=name)
     result = radical_frame(data, caps)
     frame_ok = find_lattice_iso(result.radicals.carrier, lat) is not None

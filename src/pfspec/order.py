@@ -1,4 +1,4 @@
-"""Finite posets, lattices, monotone maps, adjoints and closure operators.
+"""Finite posets, lattices, monotone maps and closure operators.
 
 Elements are referenced by index into a fixed tuple of names; subsets of a
 carrier are encoded as integer bitmasks.  Carriers stay small (a few hundred
@@ -23,12 +23,12 @@ All values are immutable after construction and safe to share.
 
 from itertools import product as iproduct
 
+from .caps import DEFAULT_CAPS
 from .errors import (
     CapExceeded,
     CycleError,
     DuplicateElement,
     LawViolation,
-    NoAdjoint,
     NotALattice,
     NotMonotone,
 )
@@ -68,29 +68,8 @@ class FinitePoset:
     def leq(self, i, j):
         return bool(self.up[i] >> j & 1)
 
-    def lt(self, i, j):
-        return i != j and self.leq(i, j)
-
-    def comparable(self, i, j):
-        return self.leq(i, j) or self.leq(j, i)
-
     def opposite(self):
         return FinitePoset(self.names, self.down)
-
-    def product(self, other):
-        """Componentwise-ordered product; index of (i, j) is i*other.n + j."""
-        names = tuple(
-            f"({a},{b})" for a in self.names for b in other.names
-        )
-        up = []
-        for i in range(self.n):
-            for j in range(other.n):
-                mask = 0
-                for i2 in bits(self.up[i]):
-                    for j2 in bits(other.up[j]):
-                        mask |= 1 << (i2 * other.n + j2)
-                up.append(mask)
-        return FinitePoset(names, up)
 
     def down_closure(self, mask):
         out = 0
@@ -98,15 +77,9 @@ class FinitePoset:
             out |= self.down[i]
         return out
 
-    def is_down_set(self, mask):
-        return self.down_closure(mask) == mask
-
     def maximal(self, mask):
         """Indices of elements of mask with nothing of mask strictly above."""
         return [i for i in bits(mask) if self.up[i] & mask == 1 << i]
-
-    def minimal(self, mask):
-        return [i for i in bits(mask) if self.down[i] & mask == 1 << i]
 
     def linear_extension(self):
         return sorted(range(self.n), key=lambda i: (self.down[i].bit_count(), i))
@@ -156,22 +129,6 @@ class FinitePoset:
             for j in bits(self.up[i] & ~(1 << i)):
                 if self.up[i] & self.down[j] == (1 << i) | (1 << j):
                     out.append((i, j))
-        return out
-
-    def directed_subsets(self):
-        """All directed subsets (every finite part has an upper bound inside).
-
-        Exponential; used only as a brute-force oracle on tiny carriers.
-        The empty set is not directed (it lacks an upper bound for itself).
-        """
-        out = []
-        for mask in range(1, 1 << self.n):
-            elems = list(bits(mask))
-            ok = all(
-                self.up[a] & self.up[b] & mask for a in elems for b in elems
-            )
-            if ok:
-                out.append(mask)
         return out
 
     def mask_name(self, mask):
@@ -256,15 +213,6 @@ class MonotoneMap:
     @classmethod
     def identity(cls, poset):
         return cls(poset, poset, range(poset.n))
-
-    def compose(self, other):
-        """self after other."""
-        return type(self)(
-            other.source, self.target, [self.values[v] for v in other.values]
-        )
-
-    def is_surjective(self):
-        return len(set(self.values)) == self.target.n
 
     def __eq__(self, other):
         return (
@@ -408,51 +356,6 @@ def is_distributive(lat):
     return True, None
 
 
-def adjoints(f, side):
-    """The right adjoint of a join-preserving map, or the left adjoint of a
-    meet-preserving one.
-
-    ``g = adjoints(f, "right")`` satisfies f(a) <= b iff a <= g(b); it is
-    computed as g(b) = join of {a : f(a) <= b} and the adjunction law is
-    re-verified before returning.  NoAdjoint (with a witness) signals that f
-    fails the preservation the requested side needs.
-    """
-    src, tgt = f.source, f.target
-    if not isinstance(src, Lattice) or not isinstance(tgt, Lattice):
-        raise TypeError("adjoints requires lattice source and target")
-    if side == "right":
-        if f(src.bottom) != tgt.bottom:
-            raise NoAdjoint("right", "empty join")
-        for a, b in iproduct(range(src.n), repeat=2):
-            if f(src.join(a, b)) != tgt.join(f(a), f(b)):
-                raise NoAdjoint("right", (src.names[a], src.names[b]))
-        values = [
-            src.join_iter(a for a in range(src.n) if tgt.leq(f(a), b))
-            for b in range(tgt.n)
-        ]
-        g = MonotoneMap(tgt, src, values)
-        for a, b in iproduct(range(src.n), range(tgt.n)):
-            if tgt.leq(f(a), b) != src.leq(a, g(b)):
-                raise LawViolation("f(a) <= b iff a <= g(b)", (src.names[a], tgt.names[b]))
-        return g
-    if side == "left":
-        if f(src.top) != tgt.top:
-            raise NoAdjoint("left", "empty meet")
-        for a, b in iproduct(range(src.n), repeat=2):
-            if f(src.meet(a, b)) != tgt.meet(f(a), f(b)):
-                raise NoAdjoint("left", (src.names[a], src.names[b]))
-        values = [
-            src.meet_iter(a for a in range(src.n) if tgt.leq(b, f(a)))
-            for b in range(tgt.n)
-        ]
-        g = MonotoneMap(tgt, src, values)
-        for a, b in iproduct(range(src.n), range(tgt.n)):
-            if tgt.leq(b, f(a)) != src.leq(g(b), a):
-                raise LawViolation("b <= f(a) iff g(b) <= a", (src.names[a], tgt.names[b]))
-        return g
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
 class ClosureOperator:
     """An inflationary monotone idempotent map, validated at construction."""
 
@@ -496,9 +399,6 @@ class ClosureOperator:
         )
         return quotient, [pos[v] for v in j]
 
-    def is_identity(self):
-        return all(v == i for i, v in enumerate(self.values))
-
     def __eq__(self, other):
         return (
             isinstance(other, ClosureOperator)
@@ -510,7 +410,7 @@ class ClosureOperator:
         return hash(self.values)
 
 
-def family_lattice(masks, names, close=None):
+def family_lattice(masks, names, close=None, caps=DEFAULT_CAPS):
     """Lattice on a family of bitmasks closed under intersection and holding
     the union of all of them, ordered by inclusion; the one constructor of a
     lattice on masks.  Meets are intersections.  The join of a and b is
@@ -519,8 +419,15 @@ def family_lattice(masks, names, close=None):
     under unions needs no ``close``).  So the tables come from dictionary
     lookups instead of least-upper-bound searches, and a missed union is
     closed for b >= a only, the entry for (b, a) mirroring it.
+
+    The order, join and meet tables hold |masks|**2 cells each, so a family
+    with more cells than 16 times ``caps.search_budget()`` raises CapExceeded
+    before any table is built or ``names`` is read.
     """
     masks = list(masks)
+    cap = 16 * caps.search_budget()
+    if len(masks) ** 2 > cap:
+        raise CapExceeded("lattice join and meet tables", len(masks) ** 2, cap)
     pos = {m: i for i, m in enumerate(masks)}
     if len(pos) != len(masks):
         raise DuplicateElement("repeated mask in family")

@@ -106,19 +106,12 @@ class Quantale:
     def two_sided(self):
         return self.unit == self.carrier.top
 
-    def is_idempotent(self):
-        return all(self.mult_t[a][a] == a for a in range(self.carrier.n))
-
     def is_frame(self):
         return self.two_sided and all(
             self.mult_t[a][b] == self.carrier.meet(a, b)
             for a in range(self.carrier.n)
             for b in range(self.carrier.n)
         )
-
-    def scalar(self, p, q):
-        """Omega-scalar action p*q through the unique map Omega -> Q."""
-        return q if p else self.carrier.bottom
 
     def __repr__(self):
         return f"Quantale({self.carrier.n} elements, unit={self.carrier.names[self.unit]})"

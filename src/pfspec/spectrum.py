@@ -124,7 +124,7 @@ def saturation(data, caps=DEFAULT_CAPS):
     masks = sorted(
         (classes.points(u) for u in classes.up_sets(caps)), key=lambda m: (m.bit_count(), m)
     )
-    saturated = family_lattice(masks, [pts.mask_name(m) for m in masks])
+    saturated = family_lattice(masks, (pts.mask_name(m) for m in masks), caps=caps)
     # family_lattice already forces the subframe property: it indexes the
     # union and intersection of every pair of saturated masks
     witness = _comultiplication_witness(data, masks)
@@ -188,12 +188,13 @@ def _comultiplication_witness(data, masks):
 # monoid ideals
 
 
-def _class_quantale(data, classes, class_masks, close=None):
+def _class_quantale(data, classes, class_masks, caps, close=None):
     """The quantale on ``class_masks``, down-sets of checked classes closed
     under intersection and holding every class, ordered by inclusion and
     sorted by the (size, mask) of their point masks; returns (quantale,
     point masks, index of each class mask).  ``close(a, u)`` is the least
-    member over u, from a member a below it (``family_lattice``).
+    member over u, from a member a below it, and ``caps`` bound the tables
+    (``family_lattice``).
 
     A.B is the least member over the union of the class down-sets of ce, c
     and e maximal in A and B, and the unit the least over the down-set of
@@ -205,7 +206,7 @@ def _class_quantale(data, classes, class_masks, close=None):
     pts, down = data.locale.points, classes.order.down
     found = sorted(((classes.points(c), c) for c in class_masks), key=lambda mc: (mc[0].bit_count(), mc[0]))
     masks, cmasks = tuple(m for m, _ in found), [c for _, c in found]
-    lat = family_lattice(cmasks, [pts.mask_name(m) for m in masks], close)
+    lat = family_lattice(cmasks, (pts.mask_name(m) for m in masks), close, caps)
     pos = {c: k for k, c in enumerate(cmasks)}
     maximals = [classes.order.maximal(c) for c in cmasks]
     # the class down-closure of c.B, for each maximal class c and each B
@@ -249,7 +250,7 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
     classes = data.classes.check()
     every_class = (1 << classes.order.n) - 1
     down_sets = (every_class ^ u for u in classes.up_sets(caps))
-    quantale, masks, pos = _class_quantale(data, classes, down_sets)
+    quantale, masks, pos = _class_quantale(data, classes, down_sets, caps)
     principal = tuple(pos[classes.order.down[c]] for c in classes.cls_of)
     return MonoidIdealData(quantale, masks, principal)
 
@@ -350,7 +351,7 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     witness = _ideal_witness(data, map(j.points, fixed))
     if witness is not None:
         raise LawViolation("class closure gives ideals", data.locale.points.mask_name(witness))
-    ideals, masks, pos = _class_quantale(data, j, fixed, j.close)
+    ideals, masks, pos = _class_quantale(data, j, fixed, caps, j.close)
     return IdealQuantaleData(ideals, masks, j, pos)
 
 

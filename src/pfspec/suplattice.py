@@ -4,11 +4,14 @@ A finite suplattice is a complete lattice whose morphisms (SupMap) preserve
 all joins.  The tensor product L (x) M is carried by the bi-ideals of the
 product carrier: subsets that are down-closed and closed under joins in each
 coordinate with the others fixed.  The unit is the two-element lattice Omega.
+The dual hom(L, Omega) is L with the opposite order.
 
 Dualisability is decided through the totally-below relation; classically, on
 finite carriers, supercontinuous = completely distributive = distributive,
 and the equivalence with plain distributivity is asserted by the test suite
-rather than assumed here.
+rather than assumed here.  The tensor's functoriality and universal
+property, and totally-below over all subsets, are checked by the oracles in
+``tests/reference.py``.
 """
 
 from functools import cache, cached_property
@@ -65,11 +68,6 @@ def omega():
 
 
 OMEGA_FALSE, OMEGA_TRUE = 0, 1
-
-
-def scalar(lat, p, q):
-    """Omega-scalar action on any lattice: 1*q = q, 0*q = bottom."""
-    return q if p == OMEGA_TRUE else lat.bottom
 
 
 def all_supmaps(source, target, caps=DEFAULT_CAPS):
@@ -174,9 +172,6 @@ class TensorSpace:
             self._zero_mask = self.closure(0)
         return self._zero_mask
 
-    def pure(self, tup):
-        return TensorElement(self, self.closure(1 << self.index_of(tup)))
-
     def element(self, tuples):
         mask = 0
         for t in tuples:
@@ -218,15 +213,6 @@ class TensorElement:
                 vals.append(v)
         return lat.join_iter(vals)
 
-    def as_map(self):
-        """For two factors: the fiber-top vector, index in factor 0 ->
-        join (in factor 1) of the fiber; determines the element."""
-        if len(self.space.factors) != 2:
-            raise LawViolation("fiber-top vector needs two factors", len(self.space.factors))
-        return tuple(
-            self.fiber_join(1, (a,)) for a in range(self.space.sizes[0])
-        )
-
     def map_through(self, fns, target_space):
         """Image under a tensor of maps, one per coordinate (index functions)."""
         out = 0
@@ -254,56 +240,16 @@ class TensorLattice(Lattice):
     """The fully materialized tensor lattice: all bi-ideals ordered by
     inclusion.  Only available when the product carrier fits the cap."""
 
-    def __init__(self, space, masks):
+    def __init__(self, space, masks, caps=DEFAULT_CAPS):
         self.space = space
         self.element_masks = tuple(masks)
         self.mask_index = {m: i for i, m in enumerate(masks)}
-        names = [
+        names = (
             "{" + ",".join(space.tuple_name(i) for i in bits(m)) + "}" for m in masks
-        ]
+        )
         # meets are intersections; joins are closures of unions
-        lat = family_lattice(masks, names, lambda _, union: space.closure(union))
-        Lattice.__init__(self, names, lat.up, lat.join_t, lat.meet_t, lat.bottom, lat.top)
-
-    def pure(self, tup):
-        return self.mask_index[self.space.closure(1 << self.space.index_of(tup))]
-
-    def element(self, index):
-        return TensorElement(self.space, self.element_masks[index])
-
-    def index_of_element(self, elem):
-        return self.mask_index[elem.mask]
-
-    def induce(self, fn, target):
-        """The unique SupMap with induce(fn) o pure = fn, for ``fn`` a
-        multilinear map given on index tuples.  Multilinearity and the
-        universal property are verified."""
-        space = self.space
-        for k, lat in enumerate(space.factors):
-            others = [range(s) for s in space.sizes]
-            others[k] = [0]
-            for rest in iproduct(*others):
-                t = list(rest)
-                t[k] = lat.bottom
-                if fn(tuple(t)) != target.bottom:
-                    raise NotJoinPreserving(("multilinear", tuple(t)))
-            for t in iproduct(*(range(s) for s in space.sizes)):
-                for b in range(space.sizes[k]):
-                    tj = list(t)
-                    tj[k] = lat.join(t[k], b)
-                    tb = list(t)
-                    tb[k] = b
-                    if fn(tuple(tj)) != target.join(fn(t), fn(tuple(tb))):
-                        raise NotJoinPreserving(("multilinear", t, b))
-        values = [
-            target.join_iter(fn(space.tuple_of(i)) for i in bits(m))
-            for m in self.element_masks
-        ]
-        out = SupMap(self, target, values)
-        for t in iproduct(*(range(s) for s in space.sizes)):
-            if out(self.pure(t)) != fn(t):
-                raise LawViolation("universal property of the tensor", t)
-        return out
+        lat = family_lattice(masks, names, lambda _, union: space.closure(union), caps)
+        Lattice.__init__(self, lat.names, lat.up, lat.join_t, lat.meet_t, lat.bottom, lat.top)
 
 
 def tensor(factors, caps=DEFAULT_CAPS):
@@ -326,18 +272,7 @@ def tensor(factors, caps=DEFAULT_CAPS):
                     seen.add(bigger)
                     frontier.append(bigger)
     masks = sorted(seen, key=lambda m: (m.bit_count(), m))
-    return TensorLattice(space, masks)
-
-
-def tensor_map(maps, source, target):
-    """The SupMap between materialized tensor lattices induced by a tuple of
-    SupMaps acting coordinatewise (functoriality of the tensor)."""
-    fns = [m.values.__getitem__ for m in maps]
-    values = []
-    for mask in source.element_masks:
-        elem = TensorElement(source.space, mask).map_through(fns, target.space)
-        values.append(target.index_of_element(elem))
-    return SupMap(source, target, values)
+    return TensorLattice(space, masks, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +321,6 @@ def omega_supmaps(lat):
     return out
 
 
-def supmap_to_omega(lat, c):
-    """The SupMap L -> Omega encoded by the dual element c."""
-    return SupMap(
-        lat,
-        omega(),
-        [OMEGA_FALSE if lat.leq(a, c) else OMEGA_TRUE for a in range(lat.n)],
-    )
-
-
-def dual_element_of(lat, supmap):
-    """Inverse encoding: the join of the kernel of a SupMap L -> Omega."""
-    return lat.join_iter(
-        a for a in range(lat.n) if supmap(a) == OMEGA_FALSE
-    )
-
-
 # ---------------------------------------------------------------------------
 # totally below and dual bases
 
@@ -412,8 +331,8 @@ def totally_below(lat):
     a <<< b demands every subset S with join >= b to contain some s >= a.
     The admissible covers avoiding the up-set of a are closed downwards, so
     only the largest one matters: a <<< b iff join of {x : not a <= x} fails
-    to dominate b.  The literal all-subsets evaluation is kept in
-    totally_below_exhaustive as the oracle for this reduction.
+    to dominate b.  The tests check this reduction against the literal
+    all-subsets evaluation.
     """
     best = [
         lat.join_mask(lat.full ^ lat.up[a]) for a in range(lat.n)
@@ -428,19 +347,6 @@ def totally_below(lat):
         for v in bits(lat.up[b]):
             mask |= with_best[v]
         rel.append(lat.full ^ mask)
-    return tuple(rel)
-
-
-def totally_below_exhaustive(lat, caps=DEFAULT_CAPS):
-    """Brute-force totally-below over all 2**n subsets (capped)."""
-    if 1 << lat.n > caps.search_budget():
-        raise CapExceeded("subset enumeration", 1 << lat.n, caps.search_budget())
-    rel = [lat.full for _ in range(lat.n)]
-    for s in range(1 << lat.n):
-        j = lat.join_mask(s)
-        reached = lat.down_closure(s)
-        for b in bits(lat.down[j]):
-            rel[b] &= reached
     return tuple(rel)
 
 

@@ -10,12 +10,13 @@ from pfspec.algebra import (
     scott_localic_lattice,
     to_localic,
 )
-from pfspec.catalog import chain, diamond_m3, monoid_catalog, semiring_catalog
+from pfspec.catalog import chain
 from pfspec.errors import LawViolation, NotDistributive, NotMonotone
 from pfspec.iso import find_poset_iso
 from pfspec.order import build_poset
 from pfspec.spectrum import _counit_composite
 from pfspec.suplattice import SupMap
+from reference import diamond_m3, monoid_catalog, semiring_catalog
 
 
 def test_boolean_semiring_valid():

@@ -57,6 +57,29 @@ def test_verify_does_not_cache_a_failed_realisation(monkeypatch, capsys):
     assert calls["Z4"] == 3
 
 
+BROKEN_OBJECTS = (
+    "semiring BAD { elements: 0 1 ; zero: 0 ; one: 1 ; add: 0 1 1 0 ; mul: 0 0 0 0 ; order: discrete }\n"
+    "lattice BADLAT { poset: VEE }\n"
+)
+
+
+def test_verify_keeps_every_record_when_an_object_fails_to_build(tmp_path, capsys):
+    # BAD fails the unit law of its product and BADLAT's poset has no join
+    # of x and y: each of their checks records the failure, and every check
+    # of the catalog still runs
+    path = tmp_path / "broken.model"
+    path.write_text((MODELS / "catalog.model").read_text(encoding="utf-8") + BROKEN_OBJECTS, encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    records = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    golden = (GOLDEN / "catalog" / "verify.txt").read_text(encoding="utf-8").splitlines()
+    broken = [line for line in records if "] BAD: " in line or "] BADLAT: " in line]
+    assert [line for line in records if line not in broken] == [line for line in golden if line.startswith("[")]
+    assert len(broken) == 11
+    for line in broken:
+        law = "mul unit violated at 1" if "] BAD: " in line else "no join for pair ('x', 'y')"
+        assert line.endswith(f"... FAIL ({law})"), line
+
+
 def test_malformed_environment_cap_is_an_error(monkeypatch, capsys):
     monkeypatch.setenv(ENV_MAX_EXHAUSTIVE, "abc")
     assert main(["validate", str(MODELS / "z4.model")]) == 2
@@ -155,13 +178,13 @@ def test_duality_suite_builds_each_saturated_frame_once(monkeypatch, capsys):
     built = Counter()
     original = pfspec.spectrum.family_lattice
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         # the quantales are tabulated by _class_quantale: count its caller
         caller = sys._getframe(1)
         if caller.f_code.co_name == "_class_quantale":
             caller = caller.f_back
         built[caller.f_code.co_name] += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(pfspec.spectrum, "family_lattice", counting)
     assert main(["verify", "--suite", "duality", str(MODELS / "catalog.model")]) == 0
@@ -205,7 +228,9 @@ def test_analyze_counts_the_saturated_opens_without_building_them(monkeypatch, c
     family = pfspec.order.family_lattice
     for module in (pfspec.order, pfspec.locale, pfspec.spectrum, pfspec.suplattice):
         monkeypatch.setattr(
-            module, "family_lattice", lambda masks, *args: sizes.append(len(masks)) or family(masks, *args)
+            module,
+            "family_lattice",
+            lambda masks, *args, **kwargs: sizes.append(len(masks)) or family(masks, *args, **kwargs),
         )
     model = parse_model(path)
     objects = [b.name for b in model.blocks if isinstance(b, (MonoidBlock, SemiringBlock, LatticeBlock))]
@@ -218,3 +243,22 @@ def test_analyze_counts_the_saturated_opens_without_building_them(monkeypatch, c
         assert f"exit {code}\n" + out == golden.read_text(encoding="utf-8"), name
         ideals = sum(int(line.split()[1]) for line in out.splitlines() if line.startswith("ideals: "))
         assert all(size <= ideals for size in sizes), (name, sizes, ideals)
+
+
+@pytest.mark.parametrize("name, mode", [("Z4", "semiring"), ("C3L", "semiring"), ("NIL2", "monoid")])
+def test_localic_spectrum_searches_the_points_once(monkeypatch, capsys, name, mode):
+    # radical_frame finds the points of a semiring or lattice; the count
+    # printed is theirs, and a monoid's are searched once in monoid mode
+    calls = []
+    original = pfspec.spectrum.anti_ideals
+
+    def counting(data, quantale, search_mode, *args, **kwargs):
+        calls.append(search_mode)
+        return original(data, quantale, search_mode, *args, **kwargs)
+
+    monkeypatch.setattr(pfspec.spectrum, "anti_ideals", counting)
+    monkeypatch.setattr(pfspec.cli, "anti_ideals", counting)
+    code = main(["spectrum", str(MODELS / "catalog.model"), "--object", name, "--mode", "localic"])
+    golden = GOLDEN / "catalog" / f"spectrum-{name}-localic.txt"
+    assert f"exit {code}\n" + capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    assert calls == [mode]

@@ -26,8 +26,8 @@ from pfspec.modelfile import (
     SemiringBlock,
     parse_model,
     parse_model_text,
-    pretty_print,
 )
+from reference import pretty_print
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = sorted((ROOT / "models").glob("*.model"))

@@ -1,7 +1,6 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -10,6 +9,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pfspec"
 MODULES = sorted(SRC.glob("*.py"))
+REFERENCE = ROOT / "tests" / "reference.py"
 
 
 def unused_imports(source):
@@ -68,41 +68,65 @@ def test_assert_lines_finds_each_assert():
     assert assert_lines("x = 1\nassert x\nif x:\n    assert x, 'msg'\n") == [2, 4]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + [REFERENCE], ids=[p.stem for p in MODULES + [REFERENCE]])
 def test_no_asserts(path):
-    # a failed check raises a PfspecError with a witness, which python -O keeps
+    # a failed check raises a PfspecError with a witness, which python -O
+    # keeps; the shared checks of the tests are held to the same rule
     assert assert_lines(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_definitions(modules, sources):
+def identifiers(source, strings=False):
+    """How often ``source`` names each identifier in its code: a read or
+    bound ``ast.Name`` or the attribute of an ``ast.Attribute``, and with
+    ``strings`` each string constant too.  Words in comments and docstrings
+    do not count."""
+    found = Counter()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def unreferenced_definitions(modules, bench):
     """(module, line, name) for each def or class in ``modules`` (name ->
-    source) whose name no word of ``sources`` holds, apart from the
-    definitions themselves.  Dunder names are exempt."""
-    words = Counter(word for text in sources for word in re.findall(r"\w+", text))
-    defs = [
+    source) that no code of ``modules`` names as an identifier and no source
+    of ``bench`` names as an identifier or a string, which is how the
+    benchmark names the functions it traces.  Dunder names are exempt."""
+    used = Counter()
+    for text in modules.values():
+        used.update(identifiers(text))
+    for text in bench:
+        used.update(identifiers(text, strings=True))
+    return [
         (module, node.lineno, node.name)
         for module, text in modules.items()
         for node in ast.walk(ast.parse(text))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not used[node.name]
     ]
-    count = Counter(name for _, _, name in defs)
-    return [d for d in defs if words[d[2]] <= count[d[2]]]
 
 
 def test_unreferenced_definitions_finds_each_unnamed_def():
-    lib = "def used():\n    pass\n\n\nclass Dead:\n    def __repr__(self):\n        return ''\n"
+    lib = (
+        'def used():\n    """Calls Dead and tested."""\n\n\n'
+        "def traced():\n    pass\n\n\n"
+        "def tested():\n    pass\n\n\n"
+        "class Dead:\n    def __repr__(self):\n        return ''\n"
+    )
     caller = "from lib import used\nused()\n"
-    assert unreferenced_definitions({"lib": lib}, [lib, caller]) == [("lib", 5, "Dead")]
+    bench = 'TRACED = [("lib", "traced")]  # Dead\n'
+    found = unreferenced_definitions({"lib": lib, "caller": caller}, [bench])
+    assert found == [("lib", 9, "tested"), ("lib", 13, "Dead")]
 
 
 def test_no_unreferenced_definitions():
-    # every def and class of the package is named somewhere else in the
-    # package, its tests or the benchmark
-    sources = [
-        path.read_text(encoding="utf-8")
-        for folder in ("src", "tests", "bench")
-        for path in sorted((ROOT / folder).rglob("*.py"))
-    ]
+    # every def and class of the package is named in the package's own code
+    # or by the benchmark: test-only code lives in tests/reference.py
+    bench = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "bench").rglob("*.py"))]
     modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert unreferenced_definitions(modules, sources) == []
+    assert unreferenced_definitions(modules, bench) == []

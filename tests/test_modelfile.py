@@ -1,8 +1,9 @@
-"""Model-file parse errors name the line and column of the fault."""
+"""Model-file parse errors name the line and column of the fault, and a
+name that a block uses but does not declare, or declares twice."""
 
 import pytest
 
-from pfspec.errors import ParseError
+from pfspec.errors import DuplicateElement, ParseError, UnknownReference
 from pfspec.modelfile import parse_model_text
 
 
@@ -34,3 +35,33 @@ def test_parse_error_position_of_an_empty_block_header():
     with pytest.raises(ParseError) as exc:
         parse_model_text("monoid")
     assert (exc.value.line, exc.value.column) == (1, 7)
+
+
+@pytest.mark.parametrize(
+    "text,name",
+    [
+        ("monoid M { elements: 1 a ; unit: z ; mul: 1 a  a 1 }", "z"),
+        ("semiring R { elements: 0 1 ; zero: z ; one: 1 ; add: 0 1 1 1 ; mul: 0 0 0 1 }", "z"),
+        ("semiring R { elements: 0 1 ; zero: 0 ; one: u ; add: 0 1 1 1 ; mul: 0 0 0 1 }", "u"),
+    ],
+    ids=["monoid-unit", "semiring-zero", "semiring-one"],
+)
+def test_undeclared_unit_is_an_unknown_reference(text, name):
+    with pytest.raises(UnknownReference) as exc:
+        parse_model_text(text)
+    assert exc.value.name == name
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "monoid M { elements: 1 a a ; unit: 1 ; mul: 1 a a  a 1 1  a 1 1 }",
+        "semiring R { elements: 0 1 a a ; zero: 0 ; one: 1 ; "
+        "add: 0 1 a a  1 1 1 1  a 1 a a  a 1 a a ; mul: 0 0 0 0  0 1 a a  0 a a a  0 a a a }",
+    ],
+    ids=["monoid", "semiring"],
+)
+def test_repeated_element_is_rejected_by_name(text):
+    with pytest.raises(DuplicateElement) as exc:
+        parse_model_text(text)
+    assert "duplicate element 'a'" in str(exc.value)

@@ -27,14 +27,18 @@ def idl_z4_quantale():
     return Quantale(chain(3), [[0, 0, 0], [0, 0, 1], [0, 1, 2]], 2)
 
 
+def _is_idempotent(q):
+    return all(q.mul(a, a) == a for a in range(q.carrier.n))
+
+
 def test_frame_is_valid_two_sided_idempotent():
     q = frame_quantale(powerset_lattice(2))
-    assert q.two_sided and q.is_idempotent() and q.is_frame()
+    assert q.two_sided and _is_idempotent(q) and q.is_frame()
 
 
 def test_idl_z4_is_two_sided_not_frame():
     q = idl_z4_quantale()
-    assert q.two_sided and not q.is_idempotent() and not q.is_frame()
+    assert q.two_sided and not _is_idempotent(q) and not q.is_frame()
 
 
 def test_non_associative_rejected():
@@ -45,9 +49,12 @@ def test_non_associative_rejected():
 
 
 def test_scalar_action():
+    # the Omega-scalar action p*q goes through the unique map Omega -> Q,
+    # 0 -> bottom and 1 -> unit: 1*q = q and 0*q = bottom
     q = idl_z4_quantale()
-    assert q.scalar(1, 1) == 1
-    assert q.scalar(0, 1) == q.carrier.bottom
+    for a in range(q.carrier.n):
+        assert q.mul(q.unit, a) == a
+        assert q.mul(q.carrier.bottom, a) == q.carrier.bottom
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +208,7 @@ def test_quotient_surjections_are_quantale_homs():
         localic_reflection(q),
         quotient_by(q, [(1, 0)]),
     ]:
-        assert surj.is_surjective()
+        assert set(surj.values) == set(range(quotient.carrier.n))
         # QuantaleHom construction already verified hom laws; spot check
         assert surj(q.unit) == quotient.unit
 

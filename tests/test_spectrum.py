@@ -1,9 +1,6 @@
 """Saturation, monoid ideals, duality, ideal quantale, radical frame,
 anti-ideals, representability, dualisability."""
 
-import os
-import subprocess
-import sys
 import time
 from dataclasses import replace
 from itertools import product
@@ -23,14 +20,7 @@ from pfspec.algebra import (
     to_localic,
 )
 from pfspec.caps import Caps
-from pfspec.catalog import (
-    chain,
-    grid,
-    monoid_catalog,
-    powerset_lattice,
-    quantale_catalog,
-    semiring_catalog,
-)
+from pfspec.catalog import chain, powerset_lattice, quantale_catalog
 from pfspec.errors import CapExceeded, LawViolation, NotSupercontinuous
 from pfspec.cli import main
 from pfspec.iso import find_lattice_iso
@@ -59,9 +49,8 @@ from pfspec.spectrum import (
     universal_element,
 )
 from pfspec.suplattice import TensorElement, TensorSpace, dual, tensor
-from test_oracles import _pairwise_owc_binop
+from reference import grid, monoid_catalog, pairwise_owc_binop, run_optimized, semiring_catalog
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -117,7 +106,7 @@ def test_saturation_nil_monoid():
     # chain shape
     for a in range(4):
         for b in range(4):
-            assert sat.saturated.comparable(a, b)
+            assert sat.saturated.leq(a, b) or sat.saturated.leq(b, a)
 
 
 def test_saturation_group_z2():
@@ -220,7 +209,7 @@ def test_owc_quantale_with_zero_unit_breaks():
     pts = data.locale.points
     dn_lat, dn_masks = downset_lattice(pts)
     dn_index = {m: i for i, m in enumerate(dn_masks)}
-    products = _pairwise_owc_binop(pts, dn_masks, data.mul_t)
+    products = pairwise_owc_binop(pts, dn_masks, data.mul_t)
     mult = [[dn_index[m] for m in row] for row in products]
     with pytest.raises(LawViolation) as exc:
         Quantale(dn_lat, mult, dn_index[1 << data.zero_point])
@@ -461,8 +450,8 @@ _BROKEN_UNIVERSAL_ELEMENT = """
 import sys
 import pfspec.spectrum as spectrum
 from pfspec.algebra import to_localic
-from pfspec.catalog import semiring_catalog
 from pfspec.errors import LawViolation
+from reference import semiring_catalog
 
 # every point to the top ideal, whose radical lies above every prime
 spectrum.universal_element = lambda data, iq: (iq.ideals.carrier.top,) * data.locale.points.n
@@ -478,14 +467,7 @@ except LawViolation as exc:
 def test_points_of_rad_checked_against_the_search_under_optimize():
     # the search finds the anti-ideals {1,3,5} and {1,2,4,5} of Z/6; the
     # broken element makes each prime of Rad(R) give every point
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_UNIVERSAL_ELEMENT],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = run_optimized(_BROKEN_UNIVERSAL_ELEMENT)
     assert result.stdout == "optimize 1\npoints of Rad(R) are the prime anti-ideals {1,3,5}\n", result.stderr
 
 
@@ -570,9 +552,9 @@ _BROKEN_CROSS_CHECK = """
 import sys
 import pfspec.spectrum as spectrum
 from pfspec.algebra import to_localic
-from pfspec.catalog import semiring_catalog
 from pfspec.errors import LawViolation
 from pfspec.suplattice import TensorElement, TensorSpace
+from reference import semiring_catalog
 
 spectrum.element_of_map = lambda q, loc, g: TensorElement(TensorSpace((q.carrier, loc.opens)), 0)
 data = to_localic(dict(semiring_catalog())["Z4"])
@@ -586,14 +568,7 @@ except LawViolation as exc:
 
 def test_universal_element_broken_cross_check_raises_under_optimize():
     # python -O strips assert statements; the check must not be one
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_CROSS_CHECK],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = run_optimized(_BROKEN_CROSS_CHECK)
     assert result.stdout == "optimize 1\nuniversal element map form\n", result.stderr
 
 
@@ -888,6 +863,18 @@ def test_representability_scott_p3_under_default_caps():
     # the hom search out of Idl(P3) no longer walks all |Q|^|J| sup-maps
     report = representability_check(scott_localic_lattice(powerset_lattice(3)), quantale_catalog())
     assert report.ok()
+
+
+def test_representability_scott_p5_stops_at_the_table_cap():
+    # MM(P5) has 7,581 monoid ideals, whose 57 million table cells each
+    # exceed 16 times the default search budget: family_lattice refuses them
+    # before it builds any table
+    data = scott_localic_lattice(powerset_lattice(5))
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as exc:
+        representability_check(data, quantale_catalog())
+    assert time.perf_counter() - start < 1.0
+    assert (exc.value.what, exc.value.size, exc.value.cap) == ("lattice join and meet tables", 7581**2, 16 * 2**16)
 
 
 def test_representability_scott_grid_3_5_under_default_caps(monkeypatch):

@@ -1,27 +1,16 @@
 """Tensor products, duals, totally-below, dual bases."""
 
-import os
-import subprocess
-import sys
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pfspec.suplattice
 from pfspec.caps import Caps
-from pfspec.catalog import (
-    all_posets_up_to_iso,
-    chain,
-    diamond_m3,
-    grid,
-    pentagon_n5,
-    powerset_lattice,
-)
+from pfspec.catalog import chain, powerset_lattice
 from pfspec.errors import CapExceeded, NotALattice, NotSupercontinuous
 from pfspec.iso import find_lattice_iso
-from pfspec.order import FinitePoset, bits, build_poset, lattice_structure, upset_lattice
+from pfspec.order import FinitePoset, build_poset, is_distributive, lattice_structure, upset_lattice
 from pfspec.suplattice import (
     OMEGA_FALSE,
     OMEGA_TRUE,
@@ -30,15 +19,22 @@ from pfspec.suplattice import (
     all_supmaps,
     dual,
     dual_basis,
-    dual_element_of,
     omega,
     omega_supmaps,
-    supmap_to_omega,
     tensor,
-    tensor_map,
     totally_below,
-    totally_below_exhaustive,
     supercontinuity_witness,
+)
+from reference import (
+    all_posets_up_to_iso,
+    diamond_m3,
+    grid,
+    induce,
+    pentagon_n5,
+    pure,
+    run_optimized,
+    tensor_map,
+    totally_below_exhaustive,
 )
 
 CATALOG = [chain(2), chain(3), chain(4), powerset_lattice(2), diamond_m3(), pentagon_n5()]
@@ -78,10 +74,10 @@ def test_tensor_omega_omega_is_omega():
     assert t.n == 2
     # the codiagonal sends the pure tensor (p, q) to p /\ q
     om = omega()
-    delta = t.induce(lambda pq: om.meet(pq[0], pq[1]), om)
+    delta = induce(t, lambda pq: om.meet(pq[0], pq[1]), om)
     for p in range(2):
         for q in range(2):
-            assert delta(t.pure((p, q))) == om.meet(p, q)
+            assert delta(pure(t, (p, q))) == om.meet(p, q)
     assert find_lattice_iso(t, om) is not None
 
 
@@ -133,13 +129,13 @@ def test_tensor_map_identity_and_composition():
     g = SupMap(c2, c3, [0, 1])
     fp = SupMap(c3, c3, [0, 1, 1])
     gp = SupMap(c3, c3, [0, 0, 2])
-    lhs = tensor_map([fp, gp], t33, t33).compose(tensor_map([f, g], t22, t33))
+    outer, inner = tensor_map([fp, gp], t33, t33), tensor_map([f, g], t22, t33)
     rhs = tensor_map(
         [SupMap(c2, c3, [fp(v) for v in f.values]), SupMap(c2, c3, [gp(v) for v in g.values])],
         t22,
         t33,
     )
-    assert lhs.values == rhs.values
+    assert tuple(outer(v) for v in inner.values) == rhs.values
 
 
 def test_tensor_map_exists_component():
@@ -152,8 +148,8 @@ def test_tensor_map_exists_component():
     f = tensor_map([SupMap.identity(c3), exists], t, to)
     for a in range(3):
         for b in range(3):
-            image = f(t.pure((a, b)))
-            expect = to.pure((a, 1)) if b else to.bottom
+            image = f(pure(t, (a, b)))
+            expect = pure(to, (a, 1)) if b else to.bottom
             assert image == expect
 
 
@@ -223,16 +219,13 @@ def test_dual_omega_self():
 def test_dual_powerset_is_complement():
     p2 = powerset_lattice(2)
     d, pairing = dual(p2)
-    # the encoding c represents a -> [a not<= c]; matching complement:
-    # the supmap of c agrees with membership tests against the complement
+    # the encoding c represents a -> [a not<= c], which is membership tests
+    # against the complement; element index equals its subset mask by
+    # construction
     for c in range(4):
-        comp = p2.n - 1 - c if False else None
-    # mask-level: element index equals its subset mask by construction
-    for c in range(4):
-        h = supmap_to_omega(p2, c)
         complement = 3 ^ c  # bitmask complement within {1,2}
         for a in range(4):
-            assert (h(a) == OMEGA_TRUE) == bool(a & complement)
+            assert (pairing(c, a) == OMEGA_TRUE) == bool(a & complement)
 
 
 def test_supmap_count_c3_to_omega():
@@ -254,11 +247,12 @@ def test_supmap_count_c3_to_omega():
 
 
 def test_dual_roundtrip_encoding():
+    # c encodes a SupMap L -> Omega whose kernel has join c
     for lat in CATALOG:
         d, pairing = dual(lat)
         for c in range(lat.n):
-            h = supmap_to_omega(lat, c)
-            assert dual_element_of(lat, h) == c
+            h = SupMap(lat, omega(), [pairing(c, a) for a in range(lat.n)])
+            assert lat.join_iter(a for a in range(lat.n) if h(a) == OMEGA_FALSE) == c
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +301,7 @@ def test_join_irreducibles_match_the_definition():
         literal = [
             i
             for i in range(lat.n)
-            if i != lat.bottom and lat.join_iter(j for j in range(lat.n) if lat.lt(j, i)) != i
+            if i != lat.bottom and lat.join_iter(j for j in range(lat.n) if j != i and lat.leq(j, i)) != i
         ]
         assert lat.join_irreducibles() == literal, lat.names
         assert lat.join_irreducibles() == literal, lat.names  # the stored list
@@ -360,8 +354,8 @@ def test_dual_basis_m3_fails():
 _BROKEN_DUAL_BASIS = """
 import sys
 import pfspec.suplattice as suplattice
-from pfspec.catalog import pentagon_n5
 from pfspec.errors import LawViolation
+from reference import pentagon_n5
 
 # pretend every lattice is supercontinuous, so the pentagon gets this far
 suplattice.supercontinuity_witness = lambda lat: None
@@ -376,15 +370,7 @@ except LawViolation as exc:
 def test_dual_basis_checks_survive_optimize():
     # python -O strips assert statements; the join-primeness check that
     # stops the pentagon's non-prime irreducible c must not be one
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_DUAL_BASIS],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = run_optimized(_BROKEN_DUAL_BASIS)
     assert result.stdout == "optimize 1\njoin-primeness ('c', 'c')\n", result.stderr
 
 
@@ -420,8 +406,6 @@ def test_kernel_search_matches_all_functions(monkeypatch):
 
 
 def test_supercontinuity_matches_distributivity():
-    from pfspec.order import is_distributive
-
     for lat in CATALOG + [grid(2, 3), chain(5)]:
         assert (supercontinuity_witness(lat) is None) == is_distributive(lat)[0]
 
@@ -445,10 +429,11 @@ _THREE_FACTOR_AS_MAP = """
 import sys
 from pfspec.errors import LawViolation
 from pfspec.suplattice import TensorSpace, omega
+from reference import as_map
 
 print("optimize", sys.flags.optimize)
 try:
-    TensorSpace((omega(), omega(), omega())).pure((1, 1, 1)).as_map()
+    as_map(TensorSpace((omega(), omega(), omega())).element([(1, 1, 1)]))
 except LawViolation as exc:
     print(exc.law, exc.witness)
 """
@@ -457,13 +442,5 @@ except LawViolation as exc:
 def test_as_map_factor_check_survives_optimize():
     # the fiber-top vector reads two factors; on three it raises
     # LawViolation, which python -O keeps, instead of an assert
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", _THREE_FACTOR_AS_MAP],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = run_optimized(_THREE_FACTOR_AS_MAP)
     assert result.stdout == "optimize 1\nfiber-top vector needs two factors 3\n", result.stderr
