@@ -22,7 +22,7 @@ from .algebra import scott_localic_lattice, to_localic
 from .caps import caps_from_env
 from .catalog import quantale_catalog
 from .dot import hasse_dot, quantale_dot
-from .errors import CapExceeded, PfspecError
+from .errors import CapExceeded, NotALattice, PfspecError
 from .iso import find_lattice_iso
 from .modelfile import (
     LatticeBlock,
@@ -38,7 +38,7 @@ from .modelfile import (
 from .oracles import hofmann_lawson_compare, stone_compare, zariski_compare
 from .order import is_distributive, lattice_structure
 from .quantale import localic_reflection
-from .report import Report
+from .report import FAIL, Report
 from .spectrum import (
     anti_ideals,
     count_saturated_opens,
@@ -264,8 +264,11 @@ def _suite_tensor(model, caps, report, realize):
         if isinstance(block, PosetBlock):
             try:
                 lat = lattice_structure(realize_poset(model, name))
-            except PfspecError:
+            except NotALattice:
                 continue  # a poset that is no lattice has no tensor checks
+            except PfspecError as exc:
+                report.add("tensor", f"{name}: poset is realised", FAIL, str(exc))
+                continue
             lattice = lambda lat=lat: lat
         elif isinstance(block, LatticeBlock):
             # realised inside each check, so that a failure is its record

@@ -6,8 +6,11 @@ elements at most), so dense order matrices and precomputed binary join/meet
 tables are the right trade: every law check in the rest of the package is a
 handful of table lookups.
 
-Least closure operators and least nuclei (see ``quantale``) come from one
-repair engine, ``least_fixpoint``.  Anti-ideals and quantale homs come from
+A closure operator is read off its fixed points, a meet-closed set holding
+the top: a goes to the meet of the fixed points above a.  So a least closure,
+and a least nucleus (see ``quantale``), is the closure onto the elements its
+forcings allow (``closure_onto``), found as one bitmask of disallowed
+elements.  Anti-ideals and quantale homs come from
 one search engine, ``monotone_search``, which reads the floor of each
 variable on its lower covers (exact, as the maps are monotone) from rows built
 once per poset.  A lattice on a family of bitmasks, ordered by inclusion, is
@@ -463,61 +466,28 @@ def downset_lattice(poset, limit=None):
     return family_lattice(masks, [poset.mask_name(m) for m in masks]), masks
 
 
-def least_fixpoint(lat, forcings, mult=None):
-    """Values of the least closure operator j on ``lat`` with a <= j(b) for
-    each forcing pair (a, b); given the multiplication table ``mult`` of a
-    validated quantale on ``lat``, of the least nucleus, which also has
-    j(a)j(b) <= j(ab).
-
-    This is the one repair engine behind least closures and least nuclei.
-    Repairs run round-robin over all elements until a full pass changes
-    nothing; the candidate table only ever grows inside a finite lattice, so
-    the loop terminates, and every repair step is forced in any closure (or
-    nucleus) satisfying the forcings, which gives minimality.  The nucleus
-    repair j(pb) v= p j(b), p join-irreducible, is forced as k(pb) >= p k(b)
-    for a nucleus k, and suffices by ``quantale.Nucleus``.
-    """
-    n = lat.n
-    j = list(range(n))
-    pairs = list(forcings)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in pairs:
-            new = lat.join(j[b], a)
-            if new != j[b]:
-                j[b] = new
-                changed = True
-        for x in range(n):
-            for y in bits(lat.up[x] ^ (1 << x)):
-                new = lat.join(j[y], j[x])
-                if new != j[y]:
-                    j[y] = new
-                    changed = True
-        for x in range(n):
-            new = j[j[x]]
-            if new != j[x]:
-                j[x] = lat.join(j[x], new)
-                changed = True
-        if mult is None:
-            continue
-        for p in lat.join_irreducibles():
-            row = mult[p]
-            for b in range(n):
-                target = row[b]
-                new = lat.join(j[target], row[j[b]])
-                if new != j[target]:
-                    j[target] = new
-                    changed = True
-    return j
+def closure_onto(lat, bad):
+    """Values of the closure operator on ``lat`` whose fixed points are the
+    meets of the elements outside the bitmask ``bad``: a goes to the meet of
+    the allowed elements above a.  When the allowed elements are meet-closed
+    and hold the top, as every caller's are, they are the fixed points."""
+    allowed = lat.full & ~bad
+    return [lat.meet_iter(bits(up & allowed)) for up in lat.up]
 
 
 def least_closure(lat, forcings):
     """Least closure operator j on ``lat`` with a <= j(b) for each pair (a, b).
 
+    A closure obeys the pairs exactly when each of its fixed points p does:
+    b <= p implies a <= p.  The elements that do are meet-closed and hold
+    the top, so the closure onto them is the least one.
+
     Returns (closure, lattice of fixed points, surjection a -> j(a)).
     """
-    closure = ClosureOperator(lat, least_fixpoint(lat, forcings))
+    bad = 0
+    for a, b in forcings:
+        bad |= lat.up[b] & ~lat.up[a]
+    closure = ClosureOperator(lat, closure_onto(lat, bad))
     quotient, onto = closure.quotient()
     return closure, quotient, MonotoneMap(lat, quotient, onto)
 

@@ -6,12 +6,13 @@ preserves joins (including the empty one) in each argument.  Two-sided means
 the unit is the top element; a frame is a two-sided quantale with idempotent
 multiplication, and then the multiplication is forced to be meet.
 
-Quotients are presented by nuclei (multiplicative closure operators); the
-two-sided and localic reflections and the generated-congruence quotient all
-reduce to a least nucleus, computed by ``order.least_fixpoint``, the repair
-engine that also computes least closures.  The quotient lattice is read off
-the fixed points by ``ClosureOperator.quotient``: meets carry over and the
-join is j(a v b).
+Quotients are presented by nuclei (multiplicative closure operators), each
+read off its fixed points: a meet-closed set closed under c -> p, the largest
+x with cx <= p (Rosenthal, Quantales and their Applications, 1990).  So the
+two-sided reflection is a -> a*top, and a least nucleus is the closure onto
+the elements its forcings allow (``order.closure_onto``).  The quotient
+lattice is read off the fixed points by ``ClosureOperator.quotient``: meets
+carry over and the join is j(a v b).
 
 Every quantale is validated against all the laws when it is constructed,
 and maps, homs and nuclei are checked when they are built.  Each join law is
@@ -31,7 +32,7 @@ from operator import getitem, itemgetter
 
 from .caps import DEFAULT_CAPS
 from .errors import LawViolation, NotTwoSided
-from .order import ClosureOperator, least_fixpoint, monotone_search
+from .order import ClosureOperator, closure_onto, monotone_search
 from .suplattice import SupMap, join_witness
 
 
@@ -157,8 +158,8 @@ class QuantaleHom(SupMap):
 
 
 class Nucleus(ClosureOperator):
-    """A closure operator j with j(a)j(b) <= j(ab); its fixed points carry
-    the quotient quantale.
+    """A closure operator j with j(a)j(b) <= j(ab); its fixed points, a
+    meet-closed set closed under c -> p, carry the quotient quantale.
 
     It is checked as p j(b) <= j(pb) for p join-irreducible and every b,
     the same law for a closure (Rosenthal, Quantales and their
@@ -201,30 +202,38 @@ def two_sided_reflection(quantale):
 
 
 def least_nucleus(quantale, forcings):
-    """Least nucleus j with a <= j(b) for every forcing pair (a, b): the
-    least closure of ``order.least_fixpoint`` with the multiplicativity
-    repair p j(b) <= j(pb), p join-irreducible, added."""
-    return Nucleus(quantale, least_fixpoint(quantale.carrier, forcings, quantale.mult_t))
+    """Least nucleus j with a <= j(b) for every forcing pair (a, b).
 
-
-def quotient_by(quantale, relations):
-    """Quotient by the congruence generated by pairs (u, v) read as
-    u <= j(v)."""
-    return quotient_by_nucleus(quantale, least_nucleus(quantale, relations))
+    Its fixed points are the p with bc <= p => ac <= p for every forcing and
+    every c in J: each fixed c -> p obeys the forcing, and these p are
+    meet-closed and closed under c -> p.  J suffices, as products preserve
+    joins.
+    """
+    lat = quantale.carrier
+    up, m = lat.up, quantale.mult_t
+    ji = lat.join_irreducibles()
+    bad = 0
+    for a, b in forcings:
+        for c in ji:
+            bad |= up[m[b][c]] & ~up[m[a][c]]
+    return Nucleus(quantale, closure_onto(lat, bad))
 
 
 def localic_reflection(quantale):
     """Universal frame quotient of a two-sided quantale: the least nucleus
-    with a <= j(a*a) for all a.
-
-    The forcing a <= j(a*a) is equivalent, under two-sidedness, to forcing
-    a/\\b <= j(a*b) for all pairs; the test suite checks both forcing sets
-    produce the same nucleus on the catalog.
+    with a <= j(a*a) for all a, the closure onto the semiprime p, where
+    a*a <= p implies a <= p for each a in J (so for all a, as products
+    preserve joins).  A fixed point is semiprime, as a <= j(a*a) <= p; the
+    semiprimes are meet-closed and closed under c -> p, as
+    (xc)(xc) <= (xx)c for c <= top = unit.
     """
     if not quantale.two_sided:
         raise NotTwoSided("localic reflection needs a two-sided quantale")
-    forcings = [(a, quantale.mul(a, a)) for a in range(quantale.carrier.n)]
-    quotient, surjection = quotient_by(quantale, forcings)
+    lat = quantale.carrier
+    bad = 0
+    for p in lat.join_irreducibles():
+        bad |= lat.up[quantale.mul(p, p)] & ~lat.up[p]
+    quotient, surjection = quotient_by_nucleus(quantale, Nucleus(quantale, closure_onto(lat, bad)))
     if not quotient.is_frame():
         raise LawViolation("localic reflection is a frame", repr(quotient))
     return quotient, surjection

@@ -14,6 +14,7 @@ holds:
   property;
 * brute-force oracles: way-below over directed subsets, totally-below over
   all subsets, and the pair-by-pair lift of a point operation to down-sets;
+* the quotient of a quantale by the congruence that pairs generate;
 * the canonical printer of the model-file grammar, and a runner for scripts
   under ``python -O``.
 
@@ -45,6 +46,7 @@ from pfspec.order import (
     downset_lattice,
     lattice_structure,
 )
+from pfspec.quantale import least_nucleus, quotient_by_nucleus
 from pfspec.suplattice import (
     OMEGA_FALSE,
     OMEGA_TRUE,
@@ -600,6 +602,16 @@ def way_below_exhaustive(poset, caps=DEFAULT_CAPS):
             if ok:
                 rel[b] |= 1 << a
     return tuple(rel)
+
+
+# ---------------------------------------------------------------------------
+# quotients by generated congruences
+
+
+def quotient_by(quantale, relations):
+    """Quotient by the congruence generated by pairs (u, v) read as
+    u <= j(v)."""
+    return quotient_by_nucleus(quantale, least_nucleus(quantale, relations))
 
 
 # ---------------------------------------------------------------------------

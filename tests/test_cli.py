@@ -80,6 +80,17 @@ def test_verify_keeps_every_record_when_an_object_fails_to_build(tmp_path, capsy
         assert line.endswith(f"... FAIL ({law})"), line
 
 
+def test_verify_records_a_poset_that_fails_to_build(tmp_path, capsys):
+    # a poset that is no lattice has no tensor checks, but one that is no
+    # poset at all is a FAIL, as under validate
+    path = tmp_path / "cycle.model"
+    path.write_text("poset CYC { elements: a b ; leq: a<=b b<=a }\n", encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "[tensor] CYC: poset is realised ... FAIL ('a' and 'b' are mutually related)" in out
+    assert "total: 1  pass: 0  fail: 1  skipped: 0" in out
+
+
 def test_malformed_environment_cap_is_an_error(monkeypatch, capsys):
     monkeypatch.setenv(ENV_MAX_EXHAUSTIVE, "abc")
     assert main(["validate", str(MODELS / "z4.model")]) == 2

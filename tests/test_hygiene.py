@@ -1,6 +1,8 @@
-"""Source hygiene checks that need only the standard library."""
+"""Source hygiene checks: they read the sources with ``ast`` and import
+nothing but the standard library and the package."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -130,3 +132,38 @@ def test_no_unreferenced_definitions():
     bench = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "bench").rglob("*.py"))]
     modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert unreferenced_definitions(modules, bench) == []
+
+
+def traced_names(source):
+    """The entries of ``_FUNCTIONS`` as (module, attribute) and of
+    ``_METHODS`` as (module, class, method), read from the source of
+    ``bench/spans.py`` without importing it."""
+    widths = {"_FUNCTIONS": 2, "_METHODS": 3}
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in widths:
+            name = node.targets[0].id
+            found[name] = [tuple(e.value for e in row.elts[: widths[name]]) for row in node.value.elts]
+    return found["_FUNCTIONS"], found["_METHODS"]
+
+
+def test_traced_names_reads_both_tables():
+    source = (
+        '_FUNCTIONS = [\n    ("order", "f", "order.f", None),\n    ("spectrum", "g", "spectrum.g", lambda r: []),\n]\n'
+        '_METHODS = [("quantale", "Quantale", "validate", "quantale.validate")]\n'
+    )
+    assert traced_names(source) == (
+        [("order", "f"), ("spectrum", "g")],
+        [("quantale", "Quantale", "validate")],
+    )
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # bench/run.py --trace 1 wraps each of these, and raises AttributeError
+    # or KeyError on one that the package no longer has
+    functions, methods = traced_names((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    assert functions and methods
+    for module, attr in functions:
+        assert callable(getattr(importlib.import_module(f"pfspec.{module}"), attr, None)), (module, attr)
+    for module, cls, method in methods:
+        assert method in vars(getattr(importlib.import_module(f"pfspec.{module}"), cls)), (module, cls, method)

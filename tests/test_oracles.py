@@ -41,7 +41,7 @@ from pfspec.order import (
     downset_lattice,
     is_distributive,
     lattice_structure,
-    least_fixpoint,
+    least_closure,
     monotone_search,
     upset_lattice,
 )
@@ -53,6 +53,7 @@ from pfspec.quantale import (
     frame_quantale,
     hom_evaluator,
     least_nucleus,
+    localic_reflection,
     quotient_by_nucleus,
     two_sided_reflection,
 )
@@ -800,9 +801,13 @@ def _all_pairs_nucleus_ok(q, j):
     )
 
 
-def _all_pairs_least_nucleus(lat, forcings, mult):
-    """``least_fixpoint`` with the multiplicativity repair
-    j(ab) v= j(a)j(b) over all pairs."""
+def _all_pairs_repair(lat, forcings, mult=None):
+    """The least closure on ``lat`` with a <= j(b) for each forcing (a, b),
+    and given the product table ``mult`` the least nucleus, repaired
+    round-robin from the identity until a pass changes nothing: the
+    forcings, monotonicity, idempotence and, with ``mult``,
+    j(ab) v= j(a)j(b) over all pairs.  Every repair is forced in any closure
+    (or nucleus) that obeys the forcings, so the result is the least."""
     j = list(range(lat.n))
     changed = True
     while changed:
@@ -816,7 +821,7 @@ def _all_pairs_least_nucleus(lat, forcings, mult):
                     j[y], changed = lat.join(j[y], j[x]), True
             if j[j[x]] != j[x]:
                 j[x], changed = lat.join(j[x], j[j[x]]), True
-        for a, b in product(range(lat.n), repeat=2):
+        for a, b in product(range(lat.n), repeat=2) if mult is not None else ():
             new = lat.join(j[mult[a][b]], mult[j[a]][j[b]])
             if new != j[mult[a][b]]:
                 j[mult[a][b]], changed = new, True
@@ -850,19 +855,52 @@ def _ids(lat, names):
     return [lat.index(x) for x in names]
 
 
-def test_least_fixpoint_matches_the_all_pairs_repair():
-    # 24 seeded forcing sets per quantale; about half give neither the
-    # identity nor the nucleus onto the top
+def _seeded_forcing_sets():
+    """24 seeded forcing sets for each distinct pipeline quantale, as
+    (quantale, forcings)."""
     rng = random.Random(2006)
-    proper = 0
     for q in _distinct_pipeline_quantales():
-        lat = q.carrier
         for _ in range(24):
-            forcings = _forcings(rng, lat.n)
-            got = least_fixpoint(lat, forcings, q.mult_t)
-            assert got == _all_pairs_least_nucleus(lat, forcings, q.mult_t), (q, forcings)
-            proper += got != list(range(lat.n)) and set(got) != {lat.top}
+            yield q, _forcings(rng, q.carrier.n)
+
+
+def _is_proper(lat, j):
+    """Whether j is neither the identity nor the closure onto the top."""
+    return j != list(range(lat.n)) and set(j) != {lat.top}
+
+
+def test_least_nucleus_matches_the_all_pairs_repair():
+    # about half of the 552 forcing sets give neither the identity nor the
+    # nucleus onto the top
+    proper = 0
+    for q, forcings in _seeded_forcing_sets():
+        got = list(least_nucleus(q, forcings).values)
+        assert got == _all_pairs_repair(q.carrier, forcings, q.mult_t), (q, forcings)
+        proper += _is_proper(q.carrier, got)
     assert proper > 250
+
+
+def test_least_closure_matches_the_all_pairs_repair():
+    proper = 0
+    for q, forcings in _seeded_forcing_sets():
+        closure, _, _ = least_closure(q.carrier, forcings)
+        got = list(closure.values)
+        assert got == _all_pairs_repair(q.carrier, forcings), (q.carrier, forcings)
+        proper += _is_proper(q.carrier, got)
+    assert proper > 250
+
+
+def test_localic_reflection_is_the_least_nucleus_under_squares():
+    # the closure onto the semiprime elements, read on J, against the least
+    # nucleus with a <= j(a*a) for every a; every pipeline quantale is
+    # two-sided
+    quantales = [q for q in _pipeline_quantales() if q.two_sided]
+    assert len(quantales) == 301
+    for q in quantales:
+        _, rho = localic_reflection(q)
+        nucleus = least_nucleus(q, [(a, q.mul(a, a)) for a in range(q.carrier.n)])
+        fixed = nucleus.fixed_points()
+        assert [fixed[k] for k in rho.values] == list(nucleus.values), q
 
 
 def test_map_checks_on_generators_agree_with_all_pairs():
@@ -1109,6 +1147,43 @@ def test_radical_frame_of_scott_p5_builds_nothing_larger_than_idl(monkeypatch):
     result = radical_frame(scott_localic_lattice(powerset_lattice(5)))
     assert (result.ideals.carrier.n, result.radicals.carrier.n, len(result.points)) == (32, 32, 5)
     assert sizes and max(sizes) == 32
+
+
+# ---------------------------------------------------------------------------
+# both localic spectra against the radical class sets
+
+
+def _radical_class_sets(classes, point_masks):
+    """Index of each of ``point_masks``, unions of classes, whose set of
+    classes holds c whenever it holds c*c: the radical ideals, read on
+    classes."""
+    squares = [classes.mul_t[c][c] for c in range(classes.order.n)]
+    out = []
+    for k, m in enumerate(point_masks):
+        held = {c for c, members in enumerate(classes.members) if members & m}
+        if all(c in held for c in range(classes.order.n) if squares[c] in held):
+            out.append(k)
+    return out
+
+
+def _assert_reflections_fix_the_radical_class_sets(data):
+    mi = monoid_ideal_quantale(data)
+    spectra = [(mi.monoid_ideals, mi.ideal_masks, localic_reflection(mi.monoid_ideals)[0])]
+    if data.has_addition:
+        r = radical_frame(data)
+        spectra.append((r.ideals, r.ideal_data.ideal_masks, r.radicals))
+    for q, masks, reflection in spectra:
+        fixed = [q.carrier.index(name) for name in reflection.carrier.names]
+        assert fixed == _radical_class_sets(data.classes, masks), data.name
+    return data.has_addition
+
+
+def test_both_localic_spectra_are_the_radical_class_sets():
+    # Rad(R) from Idl(R) is the radical class ideals, and the localic
+    # spectrum of MM(R) the radical class down-sets
+    objects = _catalog_and_small_objects() + [data for path in MODELS for data in _model_objects(path)]
+    with_addition = sum(map(_assert_reflections_fix_the_radical_class_sets, objects))
+    assert (with_addition, len(objects)) == (91, 105)
 
 
 # ---------------------------------------------------------------------------
