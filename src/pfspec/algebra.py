@@ -11,7 +11,8 @@ distributivity); ``LocalicSemiringData`` takes the built algebra and checks
 only what the locale adds, that the tables are monotone.  The opens are never
 built here: the opens oracle in ``spectrum`` verifies the counit laws as
 SupMap equalities on the opens whenever they fit the caps.  The holoid
-classes that every stage of the spectrum reads are ``data.classes``.
+classes that every stage of the spectrum reads are ``data.classes``, checked
+once, where they are built.
 """
 
 from functools import cached_property
@@ -148,7 +149,7 @@ class LocalicSemiringData:
 
     @cached_property
     def classes(self):
-        """The holoid classes of the points, built on first use."""
+        """The holoid classes of the points, built and checked on first use."""
         return HoloidClasses(self)
 
     def is_discrete(self):
@@ -188,9 +189,10 @@ class HoloidClasses:
 
     ``cls_of[x]`` is the class of the point x, ``order`` the class order,
     ``members[c]`` the points of class c and ``mul_t`` the class product (a
-    congruence, checked by ``holoid_quotient``).  ``check`` confirms, point
-    by point, that the classes below the class of x make up ``_absorb`` of
-    the down-set of x.  Then the monoid ideals are the unions of class
+    congruence, checked by ``holoid_quotient``).  Building them confirms,
+    point by point, that the classes below the class of x make up
+    ``_absorb`` of the down-set of x, or raises LawViolation naming the
+    first point that fails.  Then the monoid ideals are the unions of class
     down-sets and the saturated opens, kept in ``saturation`` once built,
     the unions of class up-sets.
 
@@ -201,7 +203,6 @@ class HoloidClasses:
     """
 
     def __init__(self, data):
-        self.data = data
         self.mul_t, cls_of, self.order = holoid_quotient(data.mul_monoid, data.locale.points)
         self.cls_of = tuple(cls_of)
         k = self.order.n
@@ -209,7 +210,10 @@ class HoloidClasses:
         for x, c in enumerate(cls_of):
             members[c] |= 1 << x
         self.members = tuple(members)
-        self.checked = False
+        pts = data.locale.points
+        for x, c in enumerate(self.cls_of):
+            if self.points(self.order.down[c]) != _absorb(data, pts.down[x]):
+                raise LawViolation("holoid classes give the principal monoid ideals", pts.names[x])
         self.saturation = None
         if data.has_addition:
             sums = [[0] * k for _ in range(k)]
@@ -219,18 +223,6 @@ class HoloidClasses:
                     srow[cls_of[y]] |= 1 << cls_of[s]
             self.sums = tuple(map(tuple, sums))
             self.bottom = self.close(0, 1 << cls_of[data.zero_point])
-
-    def check(self):
-        """self, once every point passes the class check, which runs on the
-        first call only; else LawViolation names the first point that
-        fails."""
-        if not self.checked:
-            pts = self.data.locale.points
-            for x, c in enumerate(self.cls_of):
-                if self.points(self.order.down[c]) != _absorb(self.data, pts.down[x]):
-                    raise LawViolation("holoid classes give the principal monoid ideals", pts.names[x])
-            self.checked = True
-        return self
 
     def points(self, class_mask):
         return sum(self.members[c] for c in bits(class_mask))

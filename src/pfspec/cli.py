@@ -10,7 +10,9 @@ Subcommands:
     export   FILE --object NAME [--what ...] --format dot|report --out PATH
 
 Reports are deterministic: identical invocations produce byte-identical
-output (timings are measured but never rendered).
+output (timings are measured but never rendered).  The exit code is 1 when a
+report holds a FAIL record, and 2 on an error reported on stderr: a failed
+law outside a report, or a model file or output path that cannot be used.
 """
 
 import argparse
@@ -37,7 +39,6 @@ from .modelfile import (
 )
 from .oracles import hofmann_lawson_compare, stone_compare, zariski_compare
 from .order import is_distributive, lattice_structure
-from .quantale import localic_reflection
 from .report import FAIL, Report
 from .spectrum import (
     anti_ideals,
@@ -45,7 +46,6 @@ from .spectrum import (
     dualisability_conditions,
     ideal_quantale,
     is_deflationary,
-    monoid_ideal_quantale,
     omega_quantale,
     opens_oracle,
     radical_frame,
@@ -112,20 +112,6 @@ def _localic_data(model, name, caps):
         lat = realize_lattice(model, name)
         return scott_localic_lattice(lat, caps, name=name), "lattice"
     raise PfspecError(f"object {name!r} has no semiring structure to analyze")
-
-
-def _spectrum_quantales(data, kind, caps):
-    """(quantic, localic, count_points): the spectra for the object kind,
-    and a function that counts the points of the localic one.  For a
-    semiring or lattice ``radical_frame`` has already found the points; a
-    monoid's are searched when they are counted."""
-    if kind == "monoid":
-        mi = monoid_ideal_quantale(data, caps)
-        quantic = mi.monoid_ideals
-        localic, _ = localic_reflection(quantic)
-        return quantic, localic, lambda: len(anti_ideals(data, omega_quantale(), "monoid", caps).maps)
-    result = radical_frame(data, caps)
-    return result.ideals, result.radicals, lambda: len(result.points)
 
 
 def cmd_validate(args, caps, out):
@@ -197,17 +183,16 @@ def _describe_quantale(q, title):
 
 def cmd_spectrum(args, caps, out):
     model = parse_model(args.file)
-    data, kind = _localic_data(model, args.object, caps)
-    quantic, localic, count_points = _spectrum_quantales(data, kind, caps)
+    result = radical_frame(_localic_data(model, args.object, caps)[0], caps)
     if args.mode == "quantic":
-        lines = _describe_quantale(quantic, "quantic spectrum")
+        lines = _describe_quantale(result.ideals, "quantic spectrum")
     else:
-        lat = localic.carrier
+        lat = result.radicals.carrier
         lines = [f"localic spectrum: {lat.n} elements"]
         lines.append("covers:")
         for i, j in lat.covers():
             lines.append(f"  {lat.names[i]} -> {lat.names[j]}")
-        lines.append(f"points: {count_points()}")
+        lines.append(f"points: {len(result.points)}")
     out.write("\n".join(lines) + "\n")
     return 0
 
@@ -241,9 +226,8 @@ def cmd_export(args, caps, out):
         if args.format == "report":
             raise PfspecError("hasse export is DOT-only")
     else:
-        data, kind = _localic_data(model, args.object, caps)
-        quantic, localic, _ = _spectrum_quantales(data, kind, caps)
-        q = quantic if args.what == "quantic" else localic
+        result = radical_frame(_localic_data(model, args.object, caps)[0], caps)
+        q = result.ideals if args.what == "quantic" else result.radicals
         if args.format == "dot":
             text = quantale_dot(q, f"{args.object}-{args.what}")
         else:
@@ -409,7 +393,8 @@ def main(argv=None):
     try:
         caps = caps_from_env(args.max_tensor_carrier, args.max_exhaustive)
         return commands[args.command](args, caps, sys.stdout)
-    except PfspecError as exc:
+    except (PfspecError, OSError, UnicodeDecodeError) as exc:
+        # a failed law, or a model file or output path that cannot be used
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -171,16 +171,12 @@ def build_poset(elements, leq_pairs):
             missing = a if a not in index else b
             raise DuplicateElement(f"unknown element {missing!r} in relation")
         up[index[a]] |= 1 << index[b]
-    changed = True
-    while changed:
-        changed = False
+    # Warshall: after step k, up[i] holds every element reached from i
+    # through intermediates among the first k + 1
+    for k in range(n):
         for i in range(n):
-            acc = up[i]
-            for j in bits(up[i]):
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
+            if up[i] >> k & 1:
+                up[i] |= up[k]
     for i in range(n):
         for j in bits(up[i]):
             if j != i and up[j] >> i & 1:

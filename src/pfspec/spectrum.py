@@ -1,37 +1,39 @@
-"""The spectrum pipeline for finite localic semirings.
+"""The spectrum pipeline for finite localic semirings and monoids.
 
 Everything here runs on the holoid classes of the points, ``data.classes``,
-built once per object and checked once: the classes of mutual divisibility
-up to the point order, in their order (``algebra.holoid_quotient``).  Once
-checked to give the principal monoid ideals, the frame of saturated opens is
-the up-set frame of the class order, so the monoid side needs no frame and
-no dual basis.  Both quantales, Idl(R) and MM(R), are held as sets of
-classes and multiplied on the class table (``_class_quantale``).  That is
-exact: the class product is a congruence and monotone on the class order, so
-the convolution product of two unions of class down-sets is the union of the
-class down-sets of the class products.  Anti-ideals into a two-sided
-quantale are constant on the classes, so they are searched as maps of
-classes.
+built and checked once per object: the classes of mutual divisibility up to
+the point order, in their order (``algebra.holoid_quotient``).  As they give
+the principal monoid ideals, the frame of saturated opens is the up-set frame
+of the class order, so the monoid side needs no frame and no dual basis.
+Both quantales, Idl(R) and MM(R), are held as sets of classes and multiplied
+on the class table (``_class_quantale``).  That is exact: the class product
+is a congruence and monotone on the class order, so the convolution product
+of two unions of class down-sets is the union of the class down-sets of the
+class products.  Anti-ideals into a two-sided quantale are constant on the
+classes, so they are searched as maps of classes.
 
-The main path, ``radical_frame``, builds neither the frame of opens (up to
-2**|points| elements) nor MM(R) (one element per down-set of the classes):
+The main path, ``radical_frame``, builds the spectrum of a semiring and of a
+monoid by the same steps, and never the frame of opens (up to 2**|points|
+elements):
 
-* the quantale Idl(R) of ideals, on the fixed points of a closure on sets
-  of classes listed by NextClosure, with the class product closed up;
-  the radical frame is its localic reflection,
-* the universal element, x -> the least ideal holding x, and
-  quantale-valued prime anti-ideals, checked against the points of Rad(R).
+* the quantic spectrum: for a semiring the quantale Idl(R) of ideals, on the
+  fixed points of a closure on sets of classes listed by NextClosure, with
+  the class product closed up; for a monoid the quantale MM(R) of monoid
+  ideals, the unions of class down-sets, with the class product,
+* its localic reflection Rad(R),
+* the universal element, x -> the least (monoid) ideal holding x, and the
+  quantale-valued prime anti-ideals of the matching kind, checked against
+  the points of Rad(R).
 
-The monoid side is built where something reads it, by the monoid-kind
-spectrum, representability and the opens oracle:
+For a semiring, the monoid side is built where something reads it, by
+representability and the opens oracle:
 
-* the quantale MM(R) of monoid ideals, the unions of class down-sets, with
-  the class product; its universal element is x -> the principal
-  monoid ideal of x, the down-set of x's class (the all-down-sets quantale
-  of overt weakly closed sublocales and its two-sided reflection are the
-  test oracle); Idl(R) is its quotient by the least nucleus forcing the
-  zero to the bottom and sums below joins, reached by ``monoid_collapse``
-  (the tests build that quotient as the oracle of the class route),
+* the universal element of MM(R) is x -> the principal monoid ideal of x,
+  the down-set of x's class (the all-down-sets quantale of overt weakly
+  closed sublocales and its two-sided reflection are the test oracle);
+  Idl(R) is its quotient by the least nucleus forcing the zero to the bottom
+  and sums below joins, reached by ``monoid_collapse`` (the tests build that
+  quotient as the oracle of the class route),
 * the saturated replacement of a localic monoid, the holoid quotient monoid
   on the class order,
 * representability and dualisability reports; ``universal_element``
@@ -105,14 +107,15 @@ def saturation(data, caps=DEFAULT_CAPS):
     opens are the up-sets of the preorder generated by the point order and
     xy <= x, which puts f below g when f <= g.k for some k.  Its poset
     reflection is the class order; its up-sets, pulled back to the points,
-    are the saturated opens, sorted by (size, mask) as the opens are.  Each
-    of them is checked to be preserved by the comultiplication,
-    (xz)(yw) in s implies xy in s, on every input, through the equivalent
-    xy in s implies x in s (``_comultiplication_witness``).  The opens
-    themselves are never built: ``opens_oracle`` compares these masks with
-    the fixed points of the closure U -> {x : exists y, xy in U} on them.
-    Only ``opens_oracle`` and ``dualisability_conditions`` build this frame;
-    the classes keep it for a later call within its ``caps.search_budget()``.
+    are the saturated opens, sorted by (size, mask) as the opens are.  The
+    comultiplication preserves each s, (xz)(yw) in s implies xy in s: the
+    complement of s is a union of class down-sets, each ``_absorb`` of a
+    principal down-set by the class check, so it is closed under products;
+    thus xy in s implies x in s, and (xz)(yw) = (xy)(zw).  The opens are
+    never built: ``opens_oracle`` compares these masks with the fixed points
+    of the closure U -> {x : exists y, xy in U} on them.  Only
+    ``opens_oracle`` and ``dualisability_conditions`` build this frame; the
+    classes keep it for a later call within its ``caps.search_budget()``.
     """
     classes = data.classes
     if classes.saturation is not None:
@@ -124,16 +127,9 @@ def saturation(data, caps=DEFAULT_CAPS):
     masks = sorted(
         (classes.points(u) for u in classes.up_sets(caps)), key=lambda m: (m.bit_count(), m)
     )
+    # family_lattice forces the subframe property: it indexes the union and
+    # intersection of every pair of saturated masks
     saturated = family_lattice(masks, (pts.mask_name(m) for m in masks), caps=caps)
-    # family_lattice already forces the subframe property: it indexes the
-    # union and intersection of every pair of saturated masks
-    witness = _comultiplication_witness(data, masks)
-    if witness is not None:
-        mask, *xyzw = witness
-        raise LawViolation(
-            "comultiplication preserves saturation",
-            (pts.mask_name(mask), *(pts.names[p] for p in xyzw)),
-        )
     classes.saturation = SaturationData(saturated, tuple(masks))
     return classes.saturation
 
@@ -149,39 +145,6 @@ def is_deflationary(data):
     """Whether xy <= x for all points, so that every open is saturated."""
     pts = data.locale.points
     return all(pts.leq(data.mul(x, y), x) for x, y in iproduct(range(pts.n), repeat=2))
-
-
-def _comultiplication_witness(data, masks):
-    """The first mask s, in order, with the first points (x, y, z, w) such
-    that (xz)(yw) is in s and xy is not, or None if every s obeys that law.
-
-    Given the monoid laws, s obeys it exactly when xy in s implies x in s:
-    (xz)(yw) = (xy)(zw) gives one direction, z = y = 1 the other.  That law
-    is evaluated for all masks at once, on bitmasks over their indices:
-    member[t] holds the k with t in masks[k], and mask k fails at (x, y)
-    when member[xy] holds k and member[x] does not, n^2 steps whatever the
-    number of masks.  The witness is searched literally, over quadruples, in
-    the first failing mask only."""
-    n = data.locale.points.n
-    mul_t = data.mul_t
-    member = [0] * n
-    for k, s in enumerate(masks):
-        for t in bits(s):
-            member[t] |= 1 << k
-    bad = 0
-    for x, row in enumerate(mul_t):
-        hit = 0
-        for xy in row:
-            hit |= member[xy]
-        bad |= hit & ~member[x]
-    if not bad:
-        return None
-    s = masks[(bad & -bad).bit_length() - 1]
-    return s, *next(
-        (x, y, z, w)
-        for x, y, z, w in iproduct(range(n), repeat=4)
-        if s >> mul_t[mul_t[x][z]][mul_t[y][w]] & 1 and not s >> mul_t[x][y] & 1
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +163,8 @@ def _class_quantale(data, classes, class_masks, caps, close=None):
     and e maximal in A and B, and the unit the least over the down-set of
     the class of one.  That is the convolution product on points: the class
     product is a congruence, monotone on the class order (``holoid_quotient``),
-    and ``classes.check()`` has confirmed that each class down-set is the
-    principal monoid ideal of its points.
+    and each class down-set is the principal monoid ideal of its points, as
+    the classes were checked to give when built.
     """
     pts, down = data.locale.points, classes.order.down
     found = sorted(((classes.points(c), c) for c in class_masks), key=lambda mc: (mc[0].bit_count(), mc[0]))
@@ -247,7 +210,7 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
     with them.  The all-down-sets OWC quantale and its two-sided reflection
     give the same quantale; the tests use them as the oracle.
     """
-    classes = data.classes.check()
+    classes = data.classes
     every_class = (1 << classes.order.n) - 1
     down_sets = (every_class ^ u for u in classes.up_sets(caps))
     quantale, masks, pos = _class_quantale(data, classes, down_sets, caps)
@@ -346,7 +309,7 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     """
     if not data.has_addition:
         raise LawViolation("additive structure", "monoid-only data has no ideals")
-    j = data.classes.check()
+    j = data.classes
     fixed = _fixed_class_masks(j, caps)
     witness = _ideal_witness(data, map(j.points, fixed))
     if witness is not None:
@@ -418,7 +381,7 @@ def anti_ideals(data, quantale, mode, caps=DEFAULT_CAPS):
         raise NotTwoSided("anti-ideals are valued in two-sided quantales")
     if mode == "semiring" and not data.has_addition:
         raise LawViolation("additive structure", "monoid-only data")
-    classes = data.classes.check()
+    classes = data.classes
     laws = [(scope, test) for _, scope, test in _anti_ideal_laws(data, classes, quantale, mode)]
     maps = monotone_search(classes.order, quantale.carrier, laws, caps.search_budget(), "anti-ideal enumeration")
     return AntiIdealSet(tuple(sorted(tuple(g[c] for c in classes.cls_of) for g in maps)))
@@ -449,26 +412,27 @@ def map_of_element(locale, elem):
 # universal element and the radical frame
 
 
-def _checked_universal(data, iq, g):
-    """The universal element g, checked: g(x) is the least ideal containing
-    the point x, found independently as the intersection of the ideals that
-    hold x, and g is a prime anti-ideal into Idl(R).  The ideals are unions
-    of classes, so once the first check passes g is constant on the classes,
-    and the laws of ``_anti_ideal_laws`` are read at one member of each.  A
-    failure raises LawViolation naming the point, or the classes of the
-    failing law."""
+def _checked_universal(data, quantale, masks, g, mode):
+    """The universal element g into the quantic spectrum ``quantale``, whose
+    elements have the point masks ``masks``, checked: g(x) is the least
+    element holding the point x, found independently as the intersection of
+    the elements that hold x, and g is a prime anti-ideal in ``mode``.  The
+    elements are unions of classes, so once the first check passes g is
+    constant on the classes, and the laws of ``_anti_ideal_laws`` are read at
+    one member of each.  A failure raises LawViolation naming the point, or
+    the classes of the failing law."""
     pts = data.locale.points
-    pos = {m: k for k, m in enumerate(iq.ideal_masks)}
+    pos = {m: k for k, m in enumerate(masks)}
     for x in range(pts.n):
         least = pts.full
-        for m in iq.ideal_masks:
+        for m in masks:
             if m >> x & 1:
                 least &= m
         if pos.get(least) != g[x]:
             raise LawViolation("universal element is the least ideal at each point", pts.names[x])
-    classes = iq.classes
+    classes = data.classes
     on_classes = [g[(m & -m).bit_length() - 1] for m in classes.members]
-    for name, scope, test in _anti_ideal_laws(data, classes, iq.ideals, "semiring"):
+    for name, scope, test in _anti_ideal_laws(data, classes, quantale, mode):
         if not test(on_classes):
             raise LawViolation(f"universal element {name}", tuple(classes.order.names[c] for c in bits(scope)))
     return g
@@ -485,40 +449,45 @@ def universal_element(data, iq):
     ``_checked_universal`` says.  Its bi-ideal form needs the opens;
     ``opens_oracle`` builds it and checks that the two forms agree.
     """
-    return _checked_universal(data, iq, _least_ideals(data, iq))
+    return _checked_universal(data, iq.ideals, iq.ideal_masks, _least_ideals(data, iq), "semiring")
 
 
 @dataclass
 class SpectrumResult:
     data: LocalicSemiringData
-    ideal_data: IdealQuantaleData
+    ideal_data: IdealQuantaleData | MonoidIdealData
+    ideals: Quantale  # the quantic spectrum, Idl(R) or MM(R)
     radicals: Quantale  # Rad(R), a frame
-    radical_quotient: QuantaleHom  # Idl(R) ->> Rad(R)
+    radical_quotient: QuantaleHom  # ideals ->> Rad(R)
     universal_map: tuple
     points: tuple  # open masks of the prime anti-ideals
     point_poset: FinitePoset
 
-    @property
-    def ideals(self):
-        return self.ideal_data.ideals
-
 
 def radical_frame(data, caps=DEFAULT_CAPS):
-    """Idl(R), its localic reflection Rad(R), the universal element, and the
-    points of the spectrum (prime anti-ideals, as opens of R).
+    """The quantic spectrum, its localic reflection Rad(R), the universal
+    element, and the points of the spectrum (prime anti-ideals, as opens of
+    R), by the same steps for a semiring and for a monoid.
 
-    Idl(R) and the universal element come from the holoid classes
-    (``ideal_quantale``, ``universal_element``): no table here is larger
-    than Idl(R), whatever the number of saturated opens.
+    The quantic spectrum is Idl(R) (``ideal_quantale``) when ``data`` has
+    addition, else MM(R) (``monoid_ideal_quantale``), both read off the
+    holoid classes; the universal element is checked by
+    ``_checked_universal`` in the matching mode.  For a semiring no table
+    here is larger than Idl(R), whatever the number of saturated opens.
 
-    The points are found by the anti-ideal search and checked against
-    Rad(R): the points of a finite frame are its meet-prime elements p, and
-    the anti-ideal of p is {x : rho(g(x)) not <= p}.  The two lists must
-    agree, or LawViolation names a point on one side only."""
-    iq = ideal_quantale(data, caps)
-    radicals, rho = localic_reflection(iq.ideals)
-    g = universal_element(data, iq)
-    points_set = anti_ideals(data, omega_quantale(), "semiring", caps)
+    The points are found by the anti-ideal search in that mode and checked
+    against Rad(R): the points of a finite frame are its meet-prime elements
+    p, and the anti-ideal of p is {x : rho(g(x)) not <= p}.  The two lists
+    must agree, or LawViolation names a point on one side only."""
+    if data.has_addition:
+        ideal_data, mode = ideal_quantale(data, caps), "semiring"
+        quantic, g = ideal_data.ideals, universal_element(data, ideal_data)
+    else:
+        ideal_data, mode = monoid_ideal_quantale(data, caps), "monoid"
+        quantic = ideal_data.monoid_ideals
+        g = _checked_universal(data, quantic, ideal_data.ideal_masks, ideal_data.universal_map, mode)
+    radicals, rho = localic_reflection(quantic)
+    points_set = anti_ideals(data, omega_quantale(), mode, caps)
     pts = data.locale.points
     masks = tuple(
         sum(1 << x for x in range(pts.n) if m[x] == 1) for m in points_set.maps
@@ -542,7 +511,7 @@ def radical_frame(data, caps=DEFAULT_CAPS):
         for mi in masks
     ]
     point_poset = FinitePoset(names, up)
-    return SpectrumResult(data, iq, radicals, rho, g, masks, point_poset)
+    return SpectrumResult(data, ideal_data, quantic, radicals, rho, g, masks, point_poset)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +631,7 @@ def opens_oracle(data, caps=DEFAULT_CAPS):
         # ideals
         iq = ideal_quantale(data, caps)
         q, collapse = iq.ideals, monoid_collapse(iq, mi)
-        g = _checked_universal(data, iq, tuple(collapse(v) for v in mi.universal_map))
+        g = _checked_universal(data, q, iq.ideal_masks, tuple(map(collapse, mi.universal_map)), "semiring")
         for x, v in enumerate(_least_ideals(data, iq)):
             if g[x] != v:
                 raise LawViolation("universal element through the monoid ideals", pts.names[x])
@@ -698,14 +667,13 @@ def saturated_replacement(data, caps=DEFAULT_CAPS):
     classes above c, the saturated open it stands for, for transporting
     anti-ideals along the inclusion.
     """
-    classes = data.classes.check()
+    classes = data.classes
     quotient = FiniteCommMonoid(classes.order.names, classes.cls_of[data.one_point], classes.mul_t)
     replacement = to_localic(quotient, classes.order, caps, f"saturated({data.name})")
     own = replacement.classes
     for c in range(classes.order.n):
         if own.cls_of[c] != c or own.order.up[c] != classes.order.up[c] or own.mul_t[c] != classes.mul_t[c]:
             raise LawViolation("saturated replacement is saturated", classes.order.names[c])
-    own.check()
     return replacement, tuple(classes.points(u) for u in classes.order.up)
 
 

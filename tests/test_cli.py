@@ -21,7 +21,6 @@ from pfspec.caps import ENV_MAX_EXHAUSTIVE
 from pfspec.cli import main
 from pfspec.errors import PfspecError
 from pfspec.modelfile import LatticeBlock, MonoidBlock, SemiringBlock, parse_model
-from pfspec.order import FinitePoset
 from pfspec.suplattice import SupMap, TensorElement, TensorSpace, omega
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -91,6 +90,48 @@ def test_verify_records_a_poset_that_fails_to_build(tmp_path, capsys):
     assert "total: 1  pass: 0  fail: 1  skipped: 0" in out
 
 
+@pytest.mark.parametrize("mode", ["quantic", "localic"])
+def test_monoid_spectrum_checks_the_points_against_rad(monkeypatch, capsys, mode):
+    # a monoid's spectrum is built by radical_frame, as a semiring's is: a
+    # monoid-mode search that misses a point disagrees with the primes of
+    # Rad(MM(R))
+    original = pfspec.spectrum.anti_ideals
+
+    def one_short(data, quantale, mode, *args, **kwargs):
+        found = original(data, quantale, mode, *args, **kwargs)
+        return replace(found, maps=found.maps[1:]) if mode == "monoid" else found
+
+    monkeypatch.setattr(pfspec.spectrum, "anti_ideals", one_short)
+    code = main(["spectrum", str(MODELS / "catalog.model"), "--object", "NIL2", "--mode", mode])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: points of Rad(R) are the prime anti-ideals violated at "), err
+
+
+def test_a_missing_model_file_is_an_error(capsys):
+    assert main(["validate", "/nonexistent.model"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: [Errno 2] No such file or directory: '/nonexistent.model'\n"
+
+
+def test_an_unwritable_output_path_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.dot"
+    assert main(["export", str(MODELS / "z4.model"), "--object", "Z4", "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
+def test_a_model_file_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    path = tmp_path / "latin1.model"
+    path.write_bytes("monoid M\xc9 { elements: 1 ; one: 1 ; mul: 1 }\n".encode("latin-1"))
+    assert main(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xc9 in position 8"), err
+
+
 def test_malformed_environment_cap_is_an_error(monkeypatch, capsys):
     monkeypatch.setenv(ENV_MAX_EXHAUSTIVE, "abc")
     assert main(["validate", str(MODELS / "z4.model")]) == 2
@@ -145,10 +186,10 @@ def _bottom_counit(data, table, unit_point):
     return SupMap(opens, opens, [opens.bottom] * opens.n)
 
 
-def _one_class_reflection(monoid, order):
-    # a preorder that relates every two points: only the empty and the full
-    # open count as saturated
-    return None, (0,) * monoid.n, FinitePoset(["*"], [1])
+def _down_sets_as_saturated(classes, caps):
+    # the class down-sets in place of the up-sets: the classes still pass
+    # their check, but most of these masks are no saturated opens
+    return classes.order.opposite().up_sets()
 
 
 _monoid_ideal_quantale = pfspec.spectrum.monoid_ideal_quantale
@@ -166,7 +207,7 @@ def _unit_at_bottom(data, caps):
 BROKEN_OPENS_CHECKS = [
     ("positivity adjunction", pfspec.locale.FiniteLocale, "positivity", property(_bottom_positivity)),
     ("mul counit on opens", pfspec.spectrum, "_counit_composite", _bottom_counit),
-    ("saturated opens are the closure's fixed points", pfspec.algebra, "holoid_quotient", _one_class_reflection),
+    ("saturated opens are the closure's fixed points", pfspec.algebra.HoloidClasses, "up_sets", _down_sets_as_saturated),
     ("monoid ideals are the complements of the saturated opens", pfspec.spectrum, "_absorb", lambda data, mask: mask),
     ("monoid-ideal/saturated duality", pfspec.spectrum, "monoid_ideal_quantale", _unit_at_bottom),
 ]

@@ -59,7 +59,6 @@ from pfspec.quantale import (
 )
 from pfspec.spectrum import (
     _absorb,
-    _comultiplication_witness,
     anti_ideals,
     count_saturated_opens,
     ideal_quantale,
@@ -249,36 +248,17 @@ def test_monoid_ideals_match_owc_oracle_on_scott_lattices(lat):
 
 
 # ---------------------------------------------------------------------------
-# the comultiplication law on bitmasks against the quadruple loop
+# the comultiplication law, which the class check implies
 
 
-def _literal_comultiplication_witness(data, masks):
-    """The first mask s and points (x, y, z, w) with (xz)(yw) in s and xy
-    not in s, by the loop over every quadruple; None if there are none."""
-    n = data.locale.points.n
-    for s in masks:
-        for x, y, z, w in product(range(n), repeat=4):
-            if s >> data.mul(data.mul(x, z), data.mul(y, w)) & 1 and not s >> data.mul(x, y) & 1:
-                return s, x, y, z, w
-    return None
-
-
-def test_comultiplication_check_matches_the_quadruple_loop():
-    # seeded random point masks, most of them not saturated, one at a time
-    # and in lists, next to the saturated opens themselves
-    rng = random.Random(2006)
-    failing = 0
+def test_saturated_opens_obey_the_comultiplication_law():
+    # (xz)(yw) in s implies xy in s, by the loop over every quadruple
     for data in _catalog_and_small_objects():
-        full = data.locale.points.full
-        masks = [rng.randint(0, full) for _ in range(24)]
-        for m in masks:
-            expected = _literal_comultiplication_witness(data, [m])
-            failing += expected is not None
-            assert _comultiplication_witness(data, [m]) == expected, (data.name, m)
-        for chunk in (masks[:8], masks[8:], list(saturation(data).sat_masks)):
-            expected = _literal_comultiplication_witness(data, chunk)
-            assert _comultiplication_witness(data, chunk) == expected, (data.name, chunk)
-    assert failing > 1000
+        n = data.locale.points.n
+        for s in saturation(data).sat_masks:
+            for x, y, z, w in product(range(n), repeat=4):
+                if s >> data.mul(data.mul(x, z), data.mul(y, w)) & 1:
+                    assert s >> data.mul(x, y) & 1, (data.name, s, x, y, z, w)
 
 
 # ---------------------------------------------------------------------------
@@ -1184,6 +1164,43 @@ def test_both_localic_spectra_are_the_radical_class_sets():
     objects = _catalog_and_small_objects() + [data for path in MODELS for data in _model_objects(path)]
     with_addition = sum(map(_assert_reflections_fix_the_radical_class_sets, objects))
     assert (with_addition, len(objects)) == (91, 105)
+
+
+def _monoid_objects():
+    """The 8 catalog monoids, the 6 model-file monoids, and the
+    multiplicative monoids, on the same locales, of the 5 catalog semirings,
+    of Scott grid(2, 2) to grid(2, 5) and of the 9 model-file semirings and
+    lattices."""
+    monoids = [to_localic(m, name=name) for name, m in monoid_catalog()]
+    semirings = [to_localic(s, name=name) for name, s in semiring_catalog()]
+    semirings += [scott_localic_lattice(grid(2, k), name=f"grid(2,{k})") for k in range(2, 6)]
+    for data in (data for path in MODELS for data in _model_objects(path)):
+        (semirings if data.has_addition else monoids).append(data)
+    monoids += [LocalicSemiringData(d.locale, d.mul_monoid, f"mul {d.name}") for d in semirings]
+    assert len(monoids) == 32
+    return monoids
+
+
+def test_radical_frame_of_a_monoid_is_the_localic_spectrum_of_mm():
+    # the quantic spectrum is MM(R), Rad is its localic reflection, and the
+    # points are the open sets u holding 1 with xy in u iff x and y are,
+    # found by brute force over the opens
+    for data in _monoid_objects():
+        result = radical_frame(data)
+        mi = monoid_ideal_quantale(data)
+        assert result.ideal_data.ideal_masks == mi.ideal_masks, data.name
+        assert result.ideals.carrier.names == mi.monoid_ideals.carrier.names, data.name
+        assert result.radicals.carrier.names == localic_reflection(mi.monoid_ideals)[0].carrier.names, data.name
+        pts = data.locale.points
+        primes = [
+            u
+            for u in pts.up_sets()
+            if u >> data.one_point & 1
+            and all(
+                (u >> data.mul(x, y) & 1) == (u >> x & u >> y & 1) for x, y in product(range(pts.n), repeat=2)
+            )
+        ]
+        assert sorted(result.points) == sorted(primes), data.name
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Posets, lattices, adjoints, closure operators."""
 
+import random
 from itertools import product
 
 import pytest
@@ -40,6 +41,46 @@ def test_build_poset_m3_no_cross_pairs():
 def test_build_poset_cycle_error():
     with pytest.raises(CycleError):
         build_poset(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+def _reachable(n, pairs):
+    """up[i], the elements reached from i along the pairs, by a depth-first
+    search from each i."""
+    succ = [[] for _ in range(n)]
+    for a, b in pairs:
+        succ[a].append(b)
+    up = []
+    for i in range(n):
+        seen, stack = {i}, [i]
+        while stack:
+            for b in succ[stack.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        up.append(sum(1 << j for j in seen))
+    return tuple(up)
+
+
+def test_build_poset_matches_reachability_on_seeded_relations():
+    # the closure is the reachability relation, and a cycle is reported at
+    # the first i, then the first j above it, that lie above each other
+    rng = random.Random(2006)
+    cycles = 0
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        names = [f"e{i}" for i in range(n)]
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n + 2))]
+        relation = [(names[a], names[b]) for a, b in pairs]
+        up = _reachable(n, pairs)
+        cycle = next(((i, j) for i in range(n) for j in bits(up[i]) if j != i and up[j] >> i & 1), None)
+        if cycle is None:
+            assert build_poset(names, relation).up == up, relation
+            continue
+        cycles += 1
+        i, j = cycle
+        with pytest.raises(CycleError, match=f"^{names[i]!r} and {names[j]!r} are mutually related$"):
+            build_poset(names, relation)
+    assert 100 < cycles < 500, cycles
 
 
 def test_build_poset_duplicate_element():
