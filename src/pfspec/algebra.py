@@ -199,7 +199,9 @@ class HoloidClasses:
     With addition, an ideal is also such a union that holds the zero's class
     and, with classes c and e, the class of every sum of their members: the
     sum rows ``sums[c][e]``.  ``close`` adds down-closures and sum rows until
-    nothing changes; ``bottom`` is the least ideal.
+    nothing changes; ``bottom`` is the least ideal.  The join of two ideals
+    needs no such loop: ``ideal_sum`` is the down-closure of their sum,
+    read at the maximal points of the ``point_order``.
     """
 
     def __init__(self, data):
@@ -210,7 +212,7 @@ class HoloidClasses:
         for x, c in enumerate(cls_of):
             members[c] |= 1 << x
         self.members = tuple(members)
-        pts = data.locale.points
+        self.point_order = pts = data.locale.points
         for x, c in enumerate(self.cls_of):
             if self.points(self.order.down[c]) != _absorb(data, pts.down[x]):
                 raise LawViolation("holoid classes give the principal monoid ideals", pts.names[x])
@@ -257,6 +259,22 @@ class HoloidClasses:
                     grown |= row[e]
             new = grown & ~closed
         return closed
+
+    def ideal_sum(self, ideal, union):
+        """I v J for the ideal I = ``ideal`` and an ideal J with I | J =
+        ``union``: the class down-closure of I + J, which holds I | J (both
+        hold 0) and, as addition is monotone, is closed under sums and
+        products, so no fixpoint loop is needed.  It is read on the sum rows
+        ``sums[c][e]`` of c in I and e in J outside I, at maximal points
+        only: x + y <= x' + y' for x' maximal in I above x and y' maximal in
+        J outside I above y."""
+        pts, cls_of = self.point_order, self.cls_of
+        tops = {cls_of[x] for x in pts.maximal(self.points(union & ~ideal))}
+        grown = 0
+        for c in {cls_of[x] for x in pts.maximal(self.points(ideal))}:
+            for e in tops:
+                grown |= self.sums[c][e]
+        return union | self.order.down_closure(grown)
 
     def least(self, point_mask):
         """The least ideal holding the points of ``point_mask``, as a class

@@ -393,7 +393,7 @@ def main(argv=None):
     try:
         caps = caps_from_env(args.max_tensor_carrier, args.max_exhaustive)
         return commands[args.command](args, caps, sys.stdout)
-    except (PfspecError, OSError, UnicodeDecodeError) as exc:
+    except (PfspecError, OSError) as exc:
         # a failed law, or a model file or output path that cannot be used
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -247,8 +247,17 @@ def _resolve_references(model):
 
 
 def parse_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model_text(fh.read())
+    """Parse the model file at ``path``.  A file that is not UTF-8 raises
+    ParseError naming the file and the line and column of its first bad
+    byte, counted as the tokenizer counts them."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (raw[: exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(f"{path}: byte 0x{raw[exc.start]:02x} is not UTF-8", len(lines), len(lines[-1])) from None
+    return parse_model_text(text)
 
 
 # ---------------------------------------------------------------------------

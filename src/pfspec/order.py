@@ -417,7 +417,8 @@ def family_lattice(masks, names, close=None, caps=DEFAULT_CAPS):
     least member over the union, found from the member a (a family closed
     under unions needs no ``close``).  So the tables come from dictionary
     lookups instead of least-upper-bound searches, and a missed union is
-    closed for b >= a only, the entry for (b, a) mirroring it.
+    closed for b >= a only, the entry for (b, a) mirroring it.  A ``close``
+    result outside the family raises LawViolation naming a and b.
 
     The order, join and meet tables hold |masks|**2 cells each, so a family
     with more cells than 16 times ``caps.search_budget()`` raises CapExceeded
@@ -430,6 +431,7 @@ def family_lattice(masks, names, close=None, caps=DEFAULT_CAPS):
     pos = {m: i for i, m in enumerate(masks)}
     if len(pos) != len(masks):
         raise DuplicateElement("repeated mask in family")
+    names = tuple(names)
     up = [sum(1 << j for j, mj in enumerate(masks) if mi & mj == mi) for mi in masks]
     join_t = []
     for a, ma in enumerate(masks):
@@ -437,14 +439,16 @@ def family_lattice(masks, names, close=None, caps=DEFAULT_CAPS):
         if None in row:
             for b, k in enumerate(row):
                 if k is None:
-                    row[b] = join_t[b][a] if b < a else pos[close(ma, ma | masks[b])]
+                    k = row[b] = join_t[b][a] if b < a else pos.get(close(ma, ma | masks[b]))
+                    if k is None:
+                        raise LawViolation("join closes into the family", (names[a], names[b]))
         join_t.append(tuple(row))
     meet_t = tuple(tuple([pos[mi & mj] for mj in masks]) for mi in masks)
     bot_mask = top_mask = masks[0]
     for m in masks:
         bot_mask &= m
         top_mask |= m
-    return Lattice(tuple(names), up, tuple(join_t), meet_t, pos[bot_mask], pos[top_mask])
+    return Lattice(names, up, tuple(join_t), meet_t, pos[bot_mask], pos[top_mask])
 
 
 def upset_lattice(poset, limit=None):

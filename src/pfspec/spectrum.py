@@ -17,13 +17,16 @@ monoid by the same steps, and never the frame of opens (up to 2**|points|
 elements):
 
 * the quantic spectrum: for a semiring the quantale Idl(R) of ideals, on the
-  fixed points of a closure on sets of classes listed by NextClosure, with
-  the class product closed up; for a monoid the quantale MM(R) of monoid
-  ideals, the unions of class down-sets, with the class product,
+  fixed points of a closure on sets of classes listed by NextClosure, joined
+  as ideal sums (the down-closure of I + J, ``HoloidClasses.ideal_sum``)
+  and with the class product closed up; for a monoid the quantale MM(R) of
+  monoid ideals, the unions of class down-sets, with the class product,
 * its localic reflection Rad(R),
-* the universal element, x -> the least (monoid) ideal holding x, and the
-  quantale-valued prime anti-ideals of the matching kind, checked against
-  the points of Rad(R).
+* the universal element, x -> the least (monoid) ideal holding x, checked
+  monotone on the classes, and the quantale-valued prime anti-ideals of the
+  matching kind, checked against the points of Rad(R).  Both read the laws
+  of ``_anti_ideal_laws``, which omits those that every monotone map of
+  classes obeys.
 
 For a semiring, the monoid side is built where something reads it, by
 representability and the opens oracle:
@@ -151,25 +154,26 @@ def is_deflationary(data):
 # monoid ideals
 
 
-def _class_quantale(data, classes, class_masks, caps, close=None):
+def _class_quantale(data, classes, class_masks, caps, join=None):
     """The quantale on ``class_masks``, down-sets of checked classes closed
     under intersection and holding every class, ordered by inclusion and
     sorted by the (size, mask) of their point masks; returns (quantale,
-    point masks, index of each class mask).  ``close(a, u)`` is the least
-    member over u, from a member a below it, and ``caps`` bound the tables
-    (``family_lattice``).
+    point masks, index of each class mask).  ``join(a, a | b)`` is the join
+    of members a and b where their union is no member, and ``caps`` bound
+    the tables (``family_lattice``).
 
     A.B is the least member over the union of the class down-sets of ce, c
     and e maximal in A and B, and the unit the least over the down-set of
-    the class of one.  That is the convolution product on points: the class
-    product is a congruence, monotone on the class order (``holoid_quotient``),
-    and each class down-set is the principal monoid ideal of its points, as
-    the classes were checked to give when built.
+    the class of one, by ``classes.close`` where that union is no member.
+    That is the convolution product on points: the class product is a
+    congruence, monotone on the class order (``holoid_quotient``), and each
+    class down-set is the principal monoid ideal of its points, as the
+    classes were checked to give when built.
     """
     pts, down = data.locale.points, classes.order.down
     found = sorted(((classes.points(c), c) for c in class_masks), key=lambda mc: (mc[0].bit_count(), mc[0]))
     masks, cmasks = tuple(m for m, _ in found), [c for _, c in found]
-    lat = family_lattice(cmasks, (pts.mask_name(m) for m in masks), close, caps)
+    lat = family_lattice(cmasks, (pts.mask_name(m) for m in masks), join, caps)
     pos = {c: k for k, c in enumerate(cmasks)}
     maximals = [classes.order.maximal(c) for c in cmasks]
     # the class down-closure of c.B, for each maximal class c and each B
@@ -179,7 +183,7 @@ def _class_quantale(data, classes, class_masks, caps, close=None):
         per_class[c] = [reduce(or_, [dc[e] for e in me], 0) for me in maximals]
     rows = [reduce(lambda row, c: tuple(map(or_, row, per_class[c])), mc, (0,) * len(cmasks)) for mc in maximals]
     unit, bottom = down[classes.cls_of[data.one_point]], cmasks[lat.bottom]
-    index = {u: pos[u] if u in pos else pos[close(bottom, u)] for u in {unit, *chain.from_iterable(rows)}}
+    index = {u: pos[u] if u in pos else pos[classes.close(bottom, u)] for u in {unit, *chain.from_iterable(rows)}}
     return Quantale(lat, [[index[u] for u in row] for row in rows], index[unit]), masks, pos
 
 
@@ -300,12 +304,13 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     classes (``HoloidClasses.close``), listed by ``_fixed_class_masks``, and
     each is checked to be an ideal in the definitional sense.
     ``_class_quantale`` orders them by inclusion, with meets the
-    intersections and the join j(a v b), and gives them the product from the
-    class table closed up by j, which is j of the convolution product, and
-    the unit j(class of 1).  This is the quotient of MM(R) by the least
-    nucleus forcing the zero to the bottom and I (+~) J below I v J, which
-    ``opens_oracle`` reaches with ``monoid_collapse``; neither the saturated
-    frame nor MM(R) is built here.
+    intersections and joins the ideal sums (``HoloidClasses.ideal_sum``,
+    which is j(a v b) with no fixpoint loop), and gives them the product
+    from the class table closed up by j, which is j of the convolution
+    product, and the unit j(class of 1).  This is the quotient of MM(R) by
+    the least nucleus forcing the zero to the bottom and I (+~) J below
+    I v J, which ``opens_oracle`` reaches with ``monoid_collapse``; neither
+    the saturated frame nor MM(R) is built here.
     """
     if not data.has_addition:
         raise LawViolation("additive structure", "monoid-only data has no ideals")
@@ -314,7 +319,7 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     witness = _ideal_witness(data, map(j.points, fixed))
     if witness is not None:
         raise LawViolation("class closure gives ideals", data.locale.points.mask_name(witness))
-    ideals, masks, pos = _class_quantale(data, j, fixed, caps, j.close)
+    ideals, masks, pos = _class_quantale(data, j, fixed, caps, j.ideal_sum)
     return IdealQuantaleData(ideals, masks, j, pos)
 
 
@@ -333,15 +338,23 @@ class AntiIdealSet:
 
 
 def _anti_ideal_laws(data, classes, quantale, mode):
-    """The prime anti-ideal conditions on a map G of classes into the
-    two-sided ``quantale``, as (name, scope, test) laws; ``scope`` is the
+    """The prime anti-ideal conditions on a monotone map G of classes into
+    the two-sided ``quantale``, as (name, scope, test) laws; ``scope`` is the
     bitmask of the classes that ``test(G)`` reads.  G(class of one) = 1 and
     G(c)G(e) = G(ce) for the class product ``classes.mul_t``; in semiring
     mode also G(class of zero) = 0 and G(s) <= G(c) v G(e) for each class s
-    in the sum row ``classes.sums[c][e]``."""
+    in the sum row ``classes.sums[c][e]``.
+
+    The laws that every monotone G obeys are omitted, so the list holds only
+    laws that can fail: additivity at s below c or e in the class order, as
+    G(s) <= G(c); and, when the product of the quantale is its meet (a
+    frame), multiplicativity where ce is c or e, as then c <= e and
+    G(c) ^ G(e) = G(c)."""
     cls_of = classes.cls_of
     q_lat = quantale.carrier
     q_mul, q_join, q_up = quantale.mult_t, q_lat.join_t, q_lat.up
+    down = classes.order.down
+    is_meet = q_mul == q_lat.meet_t
     one = cls_of[data.one_point]
     laws = [("unit", 1 << one, lambda g: g[one] == quantale.unit)]
     if mode == "semiring":
@@ -349,9 +362,10 @@ def _anti_ideal_laws(data, classes, quantale, mode):
         laws.append(("zero", 1 << zero, lambda g: g[zero] == q_lat.bottom))
     for c, e in combinations_with_replacement(range(classes.order.n), 2):
         m = classes.mul_t[c][e]
-        scope = 1 << c | 1 << e | 1 << m
-        laws.append(("multiplicativity", scope, lambda g, c=c, e=e, m=m: q_mul[g[c]][g[e]] == g[m]))
-        for s in bits(classes.sums[c][e]) if mode == "semiring" else ():
+        if not (is_meet and m in (c, e)):
+            scope = 1 << c | 1 << e | 1 << m
+            laws.append(("multiplicativity", scope, lambda g, c=c, e=e, m=m: q_mul[g[c]][g[e]] == g[m]))
+        for s in bits(classes.sums[c][e] & ~down[c] & ~down[e]) if mode == "semiring" else ():
             scope = 1 << c | 1 << e | 1 << s
             laws.append(("additivity", scope, lambda g, c=c, e=e, s=s: q_up[g[s]] >> q_join[g[c]][g[e]] & 1))
     return laws
@@ -371,9 +385,11 @@ def anti_ideals(data, quantale, mode, caps=DEFAULT_CAPS):
     As Q is two-sided, x <= y.k gives g(x) <= g(y)g(k) <= g(y): g is a
     monotone map of classes, and every such map is one of points; the
     conditions on classes are ``_anti_ideal_laws`` (the class product is a
-    congruence).  ``order.monotone_search`` checks each law once its
-    classes are assigned and raises CapExceeded past ``caps.search_budget()``
-    values tried.
+    congruence).  ``order.monotone_search`` builds only monotone maps, so
+    the laws that list omits, which every monotone map obeys, would prune
+    nothing: the maps and the nodes tried are those of the full list.  It
+    checks each law once its classes are assigned and raises CapExceeded
+    past ``caps.search_budget()`` values tried.
     """
     if mode not in ("monoid", "semiring"):
         raise ValueError(f"unknown anti-ideal mode {mode!r}")
@@ -414,13 +430,21 @@ def map_of_element(locale, elem):
 
 def _checked_universal(data, quantale, masks, g, mode):
     """The universal element g into the quantic spectrum ``quantale``, whose
-    elements have the point masks ``masks``, checked: g(x) is the least
-    element holding the point x, found independently as the intersection of
-    the elements that hold x, and g is a prime anti-ideal in ``mode``.  The
-    elements are unions of classes, so once the first check passes g is
-    constant on the classes, and the laws of ``_anti_ideal_laws`` are read at
-    one member of each.  A failure raises LawViolation naming the point, or
-    the classes of the failing law."""
+    elements have the point masks ``masks``, checked.  Read at one member of
+    each class, g must be monotone on the class order, as
+    ``_anti_ideal_laws`` assumes.  Then g(x) is the least element holding
+    the point x, found independently as the intersection of the elements
+    that hold x; the elements are unions of classes, so g is constant on the
+    classes.  Last, g is a prime anti-ideal in ``mode``, by the laws of
+    ``_anti_ideal_laws``.  A failure raises LawViolation naming the two
+    classes, the point, or the classes of the failing law."""
+    classes = data.classes
+    names, q_up = classes.order.names, quantale.carrier.up
+    on_classes = [g[(m & -m).bit_length() - 1] for m in classes.members]
+    for c, above in enumerate(classes.order.up):
+        for d in bits(above):
+            if not q_up[on_classes[c]] >> on_classes[d] & 1:
+                raise LawViolation("universal element is monotone", (names[c], names[d]))
     pts = data.locale.points
     pos = {m: k for k, m in enumerate(masks)}
     for x in range(pts.n):
@@ -430,11 +454,9 @@ def _checked_universal(data, quantale, masks, g, mode):
                 least &= m
         if pos.get(least) != g[x]:
             raise LawViolation("universal element is the least ideal at each point", pts.names[x])
-    classes = data.classes
-    on_classes = [g[(m & -m).bit_length() - 1] for m in classes.members]
     for name, scope, test in _anti_ideal_laws(data, classes, quantale, mode):
         if not test(on_classes):
-            raise LawViolation(f"universal element {name}", tuple(classes.order.names[c] for c in bits(scope)))
+            raise LawViolation(f"universal element {name}", tuple(names[c] for c in bits(scope)))
     return g
 
 

@@ -15,6 +15,7 @@ holds:
 * brute-force oracles: way-below over directed subsets, totally-below over
   all subsets, and the pair-by-pair lift of a point operation to down-sets;
 * the quotient of a quantale by the congruence that pairs generate;
+* the prime anti-ideal laws with none omitted;
 * the canonical printer of the model-file grammar, and a runner for scripts
   under ``python -O``.
 
@@ -28,7 +29,7 @@ import os
 import subprocess
 import sys
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
 from pfspec.algebra import FiniteCommMonoid, build_discrete_semiring
@@ -612,6 +613,35 @@ def quotient_by(quantale, relations):
     """Quotient by the congruence generated by pairs (u, v) read as
     u <= j(v)."""
     return quotient_by_nucleus(quantale, least_nucleus(quantale, relations))
+
+
+# ---------------------------------------------------------------------------
+# the prime anti-ideal laws, none omitted
+
+
+def full_anti_ideal_laws(data, classes, quantale, mode):
+    """Every prime anti-ideal condition on a map G of classes, as (name,
+    scope, test) laws in the order of ``spectrum._anti_ideal_laws``, which
+    omits those that every monotone G obeys: G(class of one) = 1,
+    G(c)G(e) = G(ce) for each pair of classes, and in semiring mode
+    G(class of zero) = 0 and G(s) <= G(c) v G(e) for each s in the sum row
+    ``classes.sums[c][e]``."""
+    cls_of = classes.cls_of
+    q_lat = quantale.carrier
+    q_mul, q_join, q_up = quantale.mult_t, q_lat.join_t, q_lat.up
+    one = cls_of[data.one_point]
+    laws = [("unit", 1 << one, lambda g: g[one] == quantale.unit)]
+    if mode == "semiring":
+        zero = cls_of[data.zero_point]
+        laws.append(("zero", 1 << zero, lambda g: g[zero] == q_lat.bottom))
+    for c, e in combinations_with_replacement(range(classes.order.n), 2):
+        m = classes.mul_t[c][e]
+        scope = 1 << c | 1 << e | 1 << m
+        laws.append(("multiplicativity", scope, lambda g, c=c, e=e, m=m: q_mul[g[c]][g[e]] == g[m]))
+        for s in bits(classes.sums[c][e]) if mode == "semiring" else ():
+            scope = 1 << c | 1 << e | 1 << s
+            laws.append(("additivity", scope, lambda g, c=c, e=e, s=s: q_up[g[s]] >> q_join[g[c]][g[e]] & 1))
+    return laws
 
 
 # ---------------------------------------------------------------------------

@@ -124,12 +124,17 @@ def test_an_unwritable_output_path_is_an_error(tmp_path, capsys):
 
 
 def test_a_model_file_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    # the file, and the line and column of the first bad byte, as a parse
+    # error gives them: characters, not bytes, before it on its line
     path = tmp_path / "latin1.model"
     path.write_bytes("monoid M\xc9 { elements: 1 ; one: 1 ; mul: 1 }\n".encode("latin-1"))
     assert main(["validate", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: 'utf-8' codec can't decode byte 0xc9 in position 8"), err
+    assert err == f"error: {path}: byte 0xc9 is not UTF-8 (line 1, column 9)\n"
+    path.write_bytes(b"# \xc3\xa9t\xc3\xa9\r\nmonoid M {\n  elements: \xc9 1\n")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: byte 0xc9 is not UTF-8 (line 3, column 13)\n"
 
 
 def test_malformed_environment_cap_is_an_error(monkeypatch, capsys):

@@ -59,6 +59,8 @@ from pfspec.quantale import (
 )
 from pfspec.spectrum import (
     _absorb,
+    _anti_ideal_laws,
+    _fixed_class_masks,
     anti_ideals,
     count_saturated_opens,
     ideal_quantale,
@@ -75,6 +77,7 @@ from pfspec.spectrum import (
 from pfspec.suplattice import SupMap, all_supmaps, dual_basis
 from reference import (
     all_posets_up_to_iso,
+    full_anti_ideal_laws,
     grid,
     monoid_catalog,
     pairwise_owc_binop,
@@ -522,6 +525,74 @@ def test_search_on_lower_covers_matches_the_all_below_floor_search(monkeypatch):
     assert outcomes[("anti-ideal enumeration", tuple)] > 0
     assert outcomes[("hom enumeration", tuple)] > 0
     assert sum(outcomes.values()) == 2 * len(catalog) * (82 * 2 + 8 + 172)
+
+
+@cache
+def _route_guard_objects():
+    """The objects each new route is checked on against the route it
+    replaced: the 90 catalog and small objects, the 909 ordered semirings,
+    the 15 model-file objects, and Scott chain(5), P3, grid(3,3) and P4."""
+    objects = _catalog_and_small_objects() + _ordered_small_semirings()
+    objects += [data for path in MODELS for data in _model_objects(path)]
+    objects += [scott_localic_lattice(lat) for lat in (chain(5), powerset_lattice(3), grid(3, 3), powerset_lattice(4))]
+    assert len(objects) == 90 + 909 + 15 + 4
+    return objects
+
+
+def test_the_ideal_sum_is_the_closed_union_on_every_pair_of_ideals():
+    # the join of Idl(R) as an ideal sum, with no fixpoint loop, against the
+    # least ideal over the union, on every ordered pair of ideals; 182 pairs
+    # join past their union
+    pairs = Counter()
+    for data in filter(lambda data: data.has_addition, _route_guard_objects()):
+        classes = data.classes
+        ideals = _fixed_class_masks(classes, DEFAULT_CAPS)
+        for a, b in product(ideals, repeat=2):
+            assert classes.ideal_sum(a, a | b) == classes.close(a, a | b), (data.name, a, b)
+            pairs[a | b in ideals] += 1
+    assert (pairs[False], pairs[True]) == (182, 9481)
+
+
+def _search_and_nodes(variables, lat, laws, budget):
+    """The outcome of ``monotone_search`` under ``laws`` (``_search_outcome``)
+    and the nodes it tried, counted by a law on each variable that is judged
+    there before the others."""
+    nodes = 0
+
+    def count(g):
+        nonlocal nodes
+        nodes += 1
+        return True
+
+    counted = [(1 << v, count) for v in range(variables.n)] + laws
+    return _search_outcome(monotone_search, variables, lat, counted, budget, "anti-ideal enumeration"), nodes
+
+
+def test_the_omitted_anti_ideal_laws_never_prune_the_search():
+    # the search builds only monotone maps, which obey every law that
+    # _anti_ideal_laws omits: with the full list it finds the same maps in
+    # the same order after the same nodes, and stops with the same
+    # CapExceeded at half of the nodes it takes to complete
+    catalog = quantale_catalog()
+    omitted = searches = 0
+    for data in _route_guard_objects():
+        classes = data.classes
+        for mode in ("semiring", "monoid") if data.has_addition else ("monoid",):
+            for name, q in catalog:
+                pruned, full = (
+                    [(scope, test) for _, scope, test in laws(data, classes, q, mode)]
+                    for laws in (_anti_ideal_laws, full_anti_ideal_laws)
+                )
+                omitted += len(full) - len(pruned)
+                expected = _search_and_nodes(classes.order, q.carrier, full, DEFAULT_CAPS.search_budget())
+                got = _search_and_nodes(classes.order, q.carrier, pruned, DEFAULT_CAPS.search_budget())
+                assert got == expected, (data.name, name, mode)
+                half = expected[1] // 2
+                expected = _search_and_nodes(classes.order, q.carrier, full, half)
+                assert _search_and_nodes(classes.order, q.carrier, pruned, half) == expected, (data.name, name, mode)
+                searches += 1
+    assert searches == len(catalog) * (2 * (82 + 909 + 9 + 4) + 8 + 6)
+    assert omitted > 0
 
 
 def _join_over_all_j_below(q1, q2, g, a):
@@ -1084,6 +1155,7 @@ def _is_monotone(up, table):
     return all(up[table[a][c]] >> table[b][c] & 1 for a in range(n) for b in bits(up[a]) for c in range(n))
 
 
+@cache
 def _ordered_small_semirings():
     """Every semiring of order 2 to 4 (``_all_semirings``) with every partial
     order that makes both of its tables monotone, discrete orders included,

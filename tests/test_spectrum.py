@@ -430,6 +430,24 @@ def test_class_closure_output_is_checked_against_the_definition(monkeypatch, clo
     assert (exc.value.law, exc.value.witness) == ("class closure gives ideals", witness)
 
 
+def _union_as_join(classes, ideal, union):
+    return union
+
+
+def test_a_join_outside_the_ideals_is_a_failed_law(monkeypatch, capsys):
+    # the ideal sum rests on a theorem; if it ever returned a set that is no
+    # ideal, such as the union (3) | (2) of Z6, the lattice of ideals names
+    # the two ideals, and verify records the law on every object it reaches
+    monkeypatch.setattr(pfspec.algebra.HoloidClasses, "ideal_sum", _union_as_join)
+    with pytest.raises(LawViolation) as exc:
+        radical_frame(_semiring_data("Z6"))
+    assert (exc.value.law, exc.value.witness) == ("join closes into the family", ("{0,3}", "{0,2,4}"))
+    assert main(["verify", "--suite", "oracles", str(MODELS[0].with_name("catalog.model"))]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert "[oracles] Z6: zariski brute force matches the pipeline ... FAIL (join closes into the family violated at ('{0,3}', '{0,2,4}'))" in failed
+    assert all("join closes into the family" in line for line in failed), failed
+
+
 def test_ideal_enumeration_stops_at_the_cap_before_any_table(monkeypatch):
     # Scott P4 has 16 ideals, so NextClosure tries more than 8 classes; the
     # cap stops it before a lattice or a product is built
@@ -515,6 +533,22 @@ def test_universal_element_checked_against_least_ideals(monkeypatch):
     with pytest.raises(LawViolation) as exc:
         opens_oracle(data)
     assert (exc.value.law, exc.value.witness) == ("universal element is the least ideal at each point", "0")
+
+
+def test_universal_element_is_checked_monotone_before_its_laws():
+    # on a chain every anti-ideal law but the unit and the zero holds for
+    # all monotone maps and is omitted, so the laws alone would pass a
+    # universal element with two values swapped
+    data = scott_localic_lattice(chain(4))
+    iq = ideal_quantale(data)
+    g = list(universal_element(data, iq))
+    g[1], g[2] = g[2], g[1]
+    laws = pfspec.spectrum._anti_ideal_laws(data, data.classes, iq.ideals, "semiring")
+    assert [name for name, _, _ in laws] == ["unit", "zero"]
+    assert all(test(g) for _, _, test in laws)
+    with pytest.raises(LawViolation) as exc:
+        _checked_universal(data, iq.ideals, iq.ideal_masks, tuple(g), "semiring")
+    assert (exc.value.law, exc.value.witness) == ("universal element is monotone", ("m1", "m2"))
 
 
 def test_universal_element_laws_name_the_classes_they_read():
