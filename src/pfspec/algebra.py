@@ -198,10 +198,17 @@ class HoloidClasses:
 
     With addition, an ideal is also such a union that holds the zero's class
     and, with classes c and e, the class of every sum of their members: the
-    sum rows ``sums[c][e]``.  ``close`` adds down-closures and sum rows until
-    nothing changes; ``bottom`` is the least ideal.  The join of two ideals
-    needs no such loop: ``ideal_sum`` is the down-closure of their sum,
-    read at the maximal points of the ``point_order``.
+    sum rows ``sums[c][e]``.
+
+    Theorem: every class down-set is an ideal.  Proof: the down-set of the
+    class of x is down(xR), the principal monoid ideal, by the check above.
+    It holds x0 = 0, by annihilation.  For y <= xr and z <= xs, monotone
+    addition and distributivity give y + z <= xr + xs = x(r + s).
+
+    So ``bottom``, the least ideal, is the zero's class down-set, and the
+    least ideal over a set of classes is the join of the class down-sets of
+    its maximal classes: ``least`` folds them with ``ideal_sum``, the join
+    of two ideals, and neither needs a fixpoint loop.
     """
 
     def __init__(self, data):
@@ -224,7 +231,7 @@ class HoloidClasses:
                 for y, s in enumerate(row):
                     srow[cls_of[y]] |= 1 << cls_of[s]
             self.sums = tuple(map(tuple, sums))
-            self.bottom = self.close(0, 1 << cls_of[data.zero_point])
+            self.bottom = self.order.down[cls_of[data.zero_point]]
 
     def points(self, class_mask):
         return sum(self.members[c] for c in bits(class_mask))
@@ -237,28 +244,6 @@ class HoloidClasses:
         if ups is None:
             raise CapExceeded("saturated opens enumeration", f">{budget}", budget)
         return ups
-
-    def close(self, closed, extra):
-        """The least set over closed v extra that is down-closed and closed
-        under the sum rows, for ``closed`` already so (a fixed point of the
-        closure, or 0): only the classes not yet in the set are down-closed
-        and summed, against the whole set."""
-        down, sums = self.order.down, self.sums
-        new = extra & ~closed
-        while new:
-            grown = 0
-            for c in bits(new):
-                grown |= down[c]
-            new = grown & ~closed
-            closed |= new
-            inside = list(bits(closed))
-            grown = 0
-            for c in bits(new):
-                row = sums[c]
-                for e in inside:
-                    grown |= row[e]
-            new = grown & ~closed
-        return closed
 
     def ideal_sum(self, ideal, union):
         """I v J for the ideal I = ``ideal`` and an ideal J with I | J =
@@ -276,11 +261,14 @@ class HoloidClasses:
                 grown |= self.sums[c][e]
         return union | self.order.down_closure(grown)
 
-    def least(self, point_mask):
-        """The least ideal holding the points of ``point_mask``, as a class
-        mask."""
-        classes = {self.cls_of[x] for x in bits(point_mask)}
-        return self.close(self.bottom, sum(1 << c for c in classes))
+    def least(self, class_mask):
+        """The least ideal holding the classes of ``class_mask``: the ideal
+        sum of ``bottom`` and the class down-sets of its maximal classes."""
+        ideal, down = self.bottom, self.order.down
+        for c in self.order.maximal(class_mask):
+            if not ideal >> c & 1:
+                ideal = self.ideal_sum(ideal, ideal | down[c])
+        return ideal
 
 
 def to_localic(algebra, order=None, caps=DEFAULT_CAPS, name=""):

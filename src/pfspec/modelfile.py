@@ -60,9 +60,6 @@ class LatticeBlock:
 class ModelFile:
     blocks: list = field(default_factory=list)
 
-    def names(self):
-        return [b.name for b in self.blocks]
-
     def get(self, name):
         for b in self.blocks:
             if b.name == name:

@@ -16,17 +16,21 @@ The main path, ``radical_frame``, builds the spectrum of a semiring and of a
 monoid by the same steps, and never the frame of opens (up to 2**|points|
 elements):
 
-* the quantic spectrum: for a semiring the quantale Idl(R) of ideals, on the
-  fixed points of a closure on sets of classes listed by NextClosure, joined
-  as ideal sums (the down-closure of I + J, ``HoloidClasses.ideal_sum``)
-  and with the class product closed up; for a monoid the quantale MM(R) of
-  monoid ideals, the unions of class down-sets, with the class product,
+* the quantic spectrum: for a semiring the quantale Idl(R) of ideals, the
+  sets of classes that NextClosure lists from ideal sums of class down-sets
+  (every class down-set is an ideal, ``HoloidClasses``), joined as ideal
+  sums (the down-closure of I + J, ``HoloidClasses.ideal_sum``) and with
+  the class product closed up; for a monoid the quantale MM(R) of monoid
+  ideals, the unions of class down-sets, with the class product,
 * its localic reflection Rad(R),
-* the universal element, x -> the least (monoid) ideal holding x, checked
-  monotone on the classes, and the quantale-valued prime anti-ideals of the
-  matching kind, checked against the points of Rad(R).  Both read the laws
-  of ``_anti_ideal_laws``, which omits those that every monotone map of
-  classes obeys.
+* the universal element, one formula for both kinds: x -> the down-set of
+  its class, which is the least (monoid) ideal holding x.  It is checked
+  monotone on the classes and against the intersection of the listed
+  elements that hold x,
+* the quantale-valued prime anti-ideals of the matching kind, checked
+  against the points of Rad(R).  They and the universal element read the
+  laws of ``_anti_ideal_laws``, which omits those that every monotone map
+  of classes obeys.
 
 For a semiring, the monoid side is built where something reads it, by
 representability and the opens oracle:
@@ -157,24 +161,30 @@ def is_deflationary(data):
 def _class_quantale(data, classes, class_masks, caps, join=None):
     """The quantale on ``class_masks``, down-sets of checked classes closed
     under intersection and holding every class, ordered by inclusion and
-    sorted by the (size, mask) of their point masks; returns (quantale,
-    point masks, index of each class mask).  ``join(a, a | b)`` is the join
-    of members a and b where their union is no member, and ``caps`` bound
-    the tables (``family_lattice``).
+    sorted by the (size, mask) of their point masks, with its universal
+    element; returns (quantale, point masks, index of each class mask,
+    universal map).  ``join(a, a | b)`` is the join of members a and b where
+    their union is no member, and ``caps`` bound the tables
+    (``family_lattice``).
 
-    A.B is the least member over the union of the class down-sets of ce, c
-    and e maximal in A and B, and the unit the least over the down-set of
-    the class of one, by ``classes.close`` where that union is no member.
-    That is the convolution product on points: the class product is a
-    congruence, monotone on the class order (``holoid_quotient``), and each
-    class down-set is the principal monoid ideal of its points, as the
-    classes were checked to give when built.
+    The universal element sends x to the down-set of its class, the
+    principal (monoid) ideal of x, and the unit is that of one; a class
+    down-set missing from ``class_masks`` raises LawViolation naming the
+    class.  A.B is the least member over the union of the class down-sets
+    of ce, c and e maximal in A and B, by ``classes.least`` where that union
+    is no member.  That is the convolution product on points: the class
+    product is a congruence, monotone on the class order
+    (``holoid_quotient``), and each class down-set is the principal monoid
+    ideal of its points, as the classes were checked to give when built.
     """
     pts, down = data.locale.points, classes.order.down
     found = sorted(((classes.points(c), c) for c in class_masks), key=lambda mc: (mc[0].bit_count(), mc[0]))
     masks, cmasks = tuple(m for m, _ in found), [c for _, c in found]
-    lat = family_lattice(cmasks, (pts.mask_name(m) for m in masks), join, caps)
     pos = {c: k for k, c in enumerate(cmasks)}
+    principal = [pos.get(d) for d in down]
+    if None in principal:
+        raise LawViolation("principal ideals are listed", classes.order.names[principal.index(None)])
+    lat = family_lattice(cmasks, (pts.mask_name(m) for m in masks), join, caps)
     maximals = [classes.order.maximal(c) for c in cmasks]
     # the class down-closure of c.B, for each maximal class c and each B
     per_class = {}
@@ -182,16 +192,16 @@ def _class_quantale(data, classes, class_masks, caps, join=None):
         dc = [down[ce] for ce in classes.mul_t[c]]
         per_class[c] = [reduce(or_, [dc[e] for e in me], 0) for me in maximals]
     rows = [reduce(lambda row, c: tuple(map(or_, row, per_class[c])), mc, (0,) * len(cmasks)) for mc in maximals]
-    unit, bottom = down[classes.cls_of[data.one_point]], cmasks[lat.bottom]
-    index = {u: pos[u] if u in pos else pos[classes.close(bottom, u)] for u in {unit, *chain.from_iterable(rows)}}
-    return Quantale(lat, [[index[u] for u in row] for row in rows], index[unit]), masks, pos
+    index = {u: pos[u] if u in pos else pos[classes.least(u)] for u in set(chain.from_iterable(rows))}
+    quantale = Quantale(lat, [[index[u] for u in row] for row in rows], principal[classes.cls_of[data.one_point]])
+    return quantale, masks, pos, tuple(principal[c] for c in classes.cls_of)
 
 
 @dataclass
 class MonoidIdealData:
     monoid_ideals: Quantale  # MM(R)
     ideal_masks: tuple  # point-mask of each monoid ideal
-    universal_map: tuple  # x -> the principal monoid ideal of x
+    universal_map: tuple  # x -> the principal monoid ideal of x, its class down-set
 
     @property
     def owc_lattice(self):
@@ -209,17 +219,16 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
     the convolution product from the class table; its unit is the top.  A
     product cannot fall outside them, as the class down-closure of any set
     is a monoid ideal.  The universal element sends x to the principal
-    monoid ideal of x, the down-set of its class.  Neither the saturated
-    frame nor its dual basis is built: ``opens_oracle`` checks the duality
-    with them.  The all-down-sets OWC quantale and its two-sided reflection
+    monoid ideal of x, the down-set of its class, as it does into Idl(R).
+    Neither the saturated frame nor its dual basis is built:
+    ``opens_oracle`` checks the duality with them.  The all-down-sets OWC quantale and its two-sided reflection
     give the same quantale; the tests use them as the oracle.
     """
     classes = data.classes
     every_class = (1 << classes.order.n) - 1
     down_sets = (every_class ^ u for u in classes.up_sets(caps))
-    quantale, masks, pos = _class_quantale(data, classes, down_sets, caps)
-    principal = tuple(pos[classes.order.down[c]] for c in classes.cls_of)
-    return MonoidIdealData(quantale, masks, principal)
+    quantale, masks, _, universal = _class_quantale(data, classes, down_sets, caps)
+    return MonoidIdealData(quantale, masks, universal)
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +236,17 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
 
 
 def _fixed_class_masks(classes, caps):
-    """The fixed points of j, the least ideal over a set of classes
-    (``classes.close``), in lectic order (NextClosure: Ganter, "Two basic
-    algorithms in concept analysis", 1984).
+    """The ideals, as class masks, in lectic order (NextClosure: Ganter,
+    "Two basic algorithms in concept analysis", 1984), from ``bottom``.
 
-    From a fixed point a, the next one is j(a below i, plus i) for the
-    largest i not in a whose closure adds nothing below i.  A class whose
-    down-closure already adds something below i is passed over without a
-    closure.  Every class tried, closed or passed over, counts against
-    ``caps.search_budget()``, and past it CapExceeded("ideal enumeration",
-    ...) is raised; so the loop ends within the budget whatever j does."""
+    From an ideal a, the next one is the least ideal over a below i, plus i,
+    for the largest i not in a whose closure adds nothing below i.  A class
+    whose down-closure already adds something below i is passed over
+    without a closure.  When nothing of a lies above i the closure is the
+    ideal sum of a and the down-set of i, itself an ideal; else it is
+    ``classes.least``.  Every class tried, closed or passed over, counts
+    against ``caps.search_budget()``, and past it CapExceeded("ideal
+    enumeration", ...) is raised; so the loop ends within the budget."""
     budget = caps.search_budget()
     k, down = classes.order.n, classes.order.down
     full = (1 << k) - 1
@@ -254,9 +264,7 @@ def _fixed_class_masks(classes, caps):
             kept = a & low
             if down[i] & low & ~kept:
                 continue
-            # a is closed, so when nothing of it lies above i the closure
-            # can start from it
-            b = classes.close(a if kept == a else classes.bottom, kept | 1 << i)
+            b = classes.ideal_sum(a, a | down[i]) if kept == a else classes.least(kept | 1 << i)
             if b & low == kept:
                 a = b
                 break
@@ -286,46 +294,53 @@ def _ideal_witness(data, masks):
 
 @dataclass
 class IdealQuantaleData:
+    """Idl(R) as ``ideal_quantale`` builds it, with its universal element
+    read off the listing, as ``MonoidIdealData`` holds MM(R) and its own."""
+
     ideals: Quantale  # Idl(R)
     ideal_masks: tuple  # point-mask of each element of Idl(R)
     classes: HoloidClasses
     class_index: dict  # class mask of each element -> its index
-
-    def ideal_of(self, point_mask):
-        """Index of the least ideal holding the points of ``point_mask``."""
-        return self.class_index[self.classes.least(point_mask)]
+    universal_map: tuple  # x -> the principal ideal of x, its class down-set
 
 
 def ideal_quantale(data, caps=DEFAULT_CAPS):
     """The quantale Idl(R) of overt weakly closed ideals, on the holoid
-    classes.
+    classes, and its universal element.
 
-    The ideals are the fixed points of the closure j on sets of checked
-    classes (``HoloidClasses.close``), listed by ``_fixed_class_masks``, and
-    each is checked to be an ideal in the definitional sense.
-    ``_class_quantale`` orders them by inclusion, with meets the
-    intersections and joins the ideal sums (``HoloidClasses.ideal_sum``,
-    which is j(a v b) with no fixpoint loop), and gives them the product
-    from the class table closed up by j, which is j of the convolution
-    product, and the unit j(class of 1).  This is the quotient of MM(R) by
-    the least nucleus forcing the zero to the bottom and I (+~) J below
-    I v J, which ``opens_oracle`` reaches with ``monoid_collapse``; neither
-    the saturated frame nor MM(R) is built here.
+    The ideals are listed as sets of checked classes by
+    ``_fixed_class_masks``, and each is checked to be an ideal in the
+    definitional sense.  ``_class_quantale`` orders them by inclusion, with
+    meets the intersections and joins the ideal sums
+    (``HoloidClasses.ideal_sum``), and gives them the product from the class
+    table closed up by ``HoloidClasses.least``, and the unit the down-set of
+    the class of 1.  The universal element sends x to the down-set of its
+    class, an ideal by the theorem in ``HoloidClasses``.  This is the
+    quotient of MM(R) by the least nucleus forcing the zero to the bottom
+    and I (+~) J below I v J, which ``opens_oracle`` reaches with
+    ``monoid_collapse``; neither the saturated frame nor MM(R) is built
+    here.
     """
     if not data.has_addition:
         raise LawViolation("additive structure", "monoid-only data has no ideals")
-    j = data.classes
-    fixed = _fixed_class_masks(j, caps)
-    witness = _ideal_witness(data, map(j.points, fixed))
+    classes = data.classes
+    fixed = _fixed_class_masks(classes, caps)
+    witness = _ideal_witness(data, map(classes.points, fixed))
     if witness is not None:
         raise LawViolation("class closure gives ideals", data.locale.points.mask_name(witness))
-    ideals, masks, pos = _class_quantale(data, j, fixed, caps, j.ideal_sum)
-    return IdealQuantaleData(ideals, masks, j, pos)
+    ideals, masks, pos, universal = _class_quantale(data, classes, fixed, caps, classes.ideal_sum)
+    return IdealQuantaleData(ideals, masks, classes, pos, universal)
 
 
 def monoid_collapse(iq, mi):
-    """The quotient MM(R) ->> Idl(R), k -> j(mask k), as a QuantaleHom."""
-    return QuantaleHom(mi.monoid_ideals, iq.ideals, [iq.ideal_of(m) for m in mi.ideal_masks])
+    """The quotient MM(R) ->> Idl(R), sending a monoid ideal to the least
+    ideal over it, as a QuantaleHom."""
+    classes = iq.classes
+    values = [
+        iq.class_index[classes.least(sum(1 << c for c, p in enumerate(classes.members) if p & m))]
+        for m in mi.ideal_masks
+    ]
+    return QuantaleHom(mi.monoid_ideals, iq.ideals, values)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +447,10 @@ def _checked_universal(data, quantale, masks, g, mode):
     """The universal element g into the quantic spectrum ``quantale``, whose
     elements have the point masks ``masks``, checked.  Read at one member of
     each class, g must be monotone on the class order, as
-    ``_anti_ideal_laws`` assumes.  Then g(x) is the least element holding
-    the point x, found independently as the intersection of the elements
-    that hold x; the elements are unions of classes, so g is constant on the
-    classes.  Last, g is a prime anti-ideal in ``mode``, by the laws of
+    ``_anti_ideal_laws`` assumes.  Then g(x), the down-set of the class of x
+    by ``_class_quantale``, must be the least element holding the point x,
+    found independently as the intersection of the elements that hold x;
+    the elements are unions of classes, so g is constant on the classes.  Last, g is a prime anti-ideal in ``mode``, by the laws of
     ``_anti_ideal_laws``.  A failure raises LawViolation naming the two
     classes, the point, or the classes of the failing law."""
     classes = data.classes
@@ -460,18 +475,13 @@ def _checked_universal(data, quantale, masks, g, mode):
     return g
 
 
-def _least_ideals(data, iq):
-    """g(x) = j(class of x), the least ideal holding x, for every point x."""
-    return tuple(iq.ideal_of(1 << x) for x in range(data.locale.points.n))
-
-
 def universal_element(data, iq):
     """The universal element of Idl(R) (x) O R, as a monotone map
-    points -> Idl(R): g(x) = j(class of x), checked as
-    ``_checked_universal`` says.  Its bi-ideal form needs the opens;
-    ``opens_oracle`` builds it and checks that the two forms agree.
+    points -> Idl(R): ``iq.universal_map``, x -> the down-set of its class,
+    checked as ``_checked_universal`` says.  Its bi-ideal form needs the
+    opens; ``opens_oracle`` builds it and checks that the two forms agree.
     """
-    return _checked_universal(data, iq.ideals, iq.ideal_masks, _least_ideals(data, iq), "semiring")
+    return _checked_universal(data, iq.ideals, iq.ideal_masks, iq.universal_map, "semiring")
 
 
 @dataclass
@@ -649,12 +659,12 @@ def opens_oracle(data, caps=DEFAULT_CAPS):
 
     _, duality = dual_basis(saturated, caps)
     if data.has_addition:
-        # the principal monoid ideals collapse onto the class route's least
-        # ideals
+        # the principal monoid ideals collapse onto the class route's
+        # universal element
         iq = ideal_quantale(data, caps)
         q, collapse = iq.ideals, monoid_collapse(iq, mi)
         g = _checked_universal(data, q, iq.ideal_masks, tuple(map(collapse, mi.universal_map)), "semiring")
-        for x, v in enumerate(_least_ideals(data, iq)):
+        for x, v in enumerate(iq.universal_map):
             if g[x] != v:
                 raise LawViolation("universal element through the monoid ideals", pts.names[x])
     else:

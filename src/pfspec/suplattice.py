@@ -191,16 +191,6 @@ class TensorElement:
     def members(self):
         return tuple(bits(self.mask))
 
-    def leq(self, other):
-        return self.mask & other.mask == self.mask
-
-    def join(self, other):
-        return TensorElement(self.space, self.space.closure(self.mask | other.mask))
-
-    def meet(self, other):
-        # intersection of bi-ideals is a bi-ideal
-        return TensorElement(self.space, self.mask & other.mask)
-
     def fiber_join(self, coord, rest):
         """Join (in factor ``coord``) of the fiber over fixed ``rest`` values."""
         space = self.space
@@ -387,19 +377,19 @@ class DualBasis:
 
 
 class DualityData:
-    """Unit and counit of the duality between L and its dual, with both
-    triangle identities checked elementwise.
+    """The unit of the duality between L and its dual; the counit is the
+    pairing that ``dual`` returns, and both triangle identities are checked
+    elementwise.
 
     The unit is the bi-ideal of dual (x) L generated by the basis pairs
     (c_p, p).  Closing it costs a pass over |L|^2 tuples, so it is built on
     first access; the triangle identities are read off the basis pairs and
     checked by ``dual_basis`` before it returns."""
 
-    def __init__(self, lattice, dual_lattice, unit_pairs, evaluation):
+    def __init__(self, lattice, dual_lattice, unit_pairs):
         self.lattice = lattice
         self.dual_lattice = dual_lattice
         self.unit_pairs = tuple(unit_pairs)  # (encoding, irreducible) generators
-        self.evaluation = evaluation  # evaluation(a, c) in {0, 1}
 
     @cached_property
     def unit_element(self):
@@ -434,18 +424,14 @@ def dual_basis(lat, caps=DEFAULT_CAPS):
         if basis.reconstruct(a) != a:
             raise LawViolation("dual basis reconstructs", lat.names[a])
     dual_lat, pairing = dual(lat, caps)
-
-    def evaluation(a, c):
-        return pairing(c, a)
-
-    data = DualityData(lat, dual_lat, zip(encodings, ji), evaluation)
+    data = DualityData(lat, dual_lat, zip(encodings, ji))
     # triangle 2: (dual (x) ev)(unit (x) sigma) = sigma; joins in the dual
     # are meets of the encodings
     for c in range(lat.n):
         got = lat.meet_iter(
             encodings[k]
             for k, p in enumerate(ji)
-            if evaluation(p, c) == OMEGA_TRUE
+            if pairing(c, p) == OMEGA_TRUE
         )
         if got != c:
             raise LawViolation("triangle identity (wire through the dual)", lat.names[c])

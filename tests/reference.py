@@ -15,7 +15,8 @@ holds:
 * brute-force oracles: way-below over directed subsets, totally-below over
   all subsets, and the pair-by-pair lift of a point operation to down-sets;
 * the quotient of a quantale by the congruence that pairs generate;
-* the prime anti-ideal laws with none omitted;
+* the prime anti-ideal laws with none omitted, and the least ideal over
+  a set of holoid classes by a fixpoint loop;
 * the canonical printer of the model-file grammar, and a runner for scripts
   under ``python -O``.
 
@@ -616,7 +617,7 @@ def quotient_by(quantale, relations):
 
 
 # ---------------------------------------------------------------------------
-# the prime anti-ideal laws, none omitted
+# the prime anti-ideal laws, none omitted, and the ideal closure by a loop
 
 
 def full_anti_ideal_laws(data, classes, quantale, mode):
@@ -642,6 +643,31 @@ def full_anti_ideal_laws(data, classes, quantale, mode):
             scope = 1 << c | 1 << e | 1 << s
             laws.append(("additivity", scope, lambda g, c=c, e=e, s=s: q_up[g[s]] >> q_join[g[c]][g[e]] & 1))
     return laws
+
+
+def close(classes, closed, extra):
+    """The least set of classes over closed v extra that is down-closed and
+    closed under the sum rows of the ``HoloidClasses`` ``classes``, for
+    ``closed`` already so (or 0): the classes not yet in the set are
+    down-closed and summed against the whole set until nothing changes.
+    ``HoloidClasses.least`` and ``ideal_sum`` reach the same sets with no
+    loop, as every class down-set is an ideal."""
+    down, sums = classes.order.down, classes.sums
+    new = extra & ~closed
+    while new:
+        grown = 0
+        for c in bits(new):
+            grown |= down[c]
+        new = grown & ~closed
+        closed |= new
+        inside = list(bits(closed))
+        grown = 0
+        for c in bits(new):
+            row = sums[c]
+            for e in inside:
+                grown |= row[e]
+        new = grown & ~closed
+    return closed
 
 
 # ---------------------------------------------------------------------------

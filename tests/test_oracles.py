@@ -12,6 +12,7 @@ import pfspec.quantale
 import pfspec.spectrum
 from pfspec.algebra import (
     FiniteCommMonoid,
+    HoloidClasses,
     LocalicSemiringData,
     build_discrete_semiring,
     scott_localic_lattice,
@@ -77,6 +78,7 @@ from pfspec.spectrum import (
 from pfspec.suplattice import SupMap, all_supmaps, dual_basis
 from reference import (
     all_posets_up_to_iso,
+    close,
     full_anti_ideal_laws,
     grid,
     monoid_catalog,
@@ -434,6 +436,43 @@ def _dual_numbers_of_the_plane():
     return build_discrete_semiring(names, 0, 1, add, mul)
 
 
+def _plane_modulo_cubes():
+    """F2[x,y]/(x,y)^3, an element as the bits of its monomials 1, x, y,
+    x^2, xy, y^2 (bit k for the k-th); the square of (x,y) is
+    (x^2, xy, y^2), which is no union of principal ideals."""
+    monomials = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    labels = ["1", "x", "y", "x2", "xy", "y2"]
+
+    def mul(a, b):
+        out = 0
+        for i, j in product(bits(a), bits(b)):
+            m = (monomials[i][0] + monomials[j][0], monomials[i][1] + monomials[j][1])
+            out ^= 1 << monomials.index(m) if m in monomials else 0
+        return out
+
+    names = ["+".join(labels[k] for k in bits(a)) or "0" for a in range(64)]
+    add = [[a ^ b for b in range(64)] for a in range(64)]
+    return build_discrete_semiring(names, 0, 1, add, [[mul(a, b) for b in range(64)] for a in range(64)])
+
+
+def test_a_product_past_a_union_of_principal_ideals_is_the_ideal_product():
+    # the products of Idl(R) that are no union of class down-sets are
+    # closed by HoloidClasses.least: each product must be the additive
+    # span of the pointwise products, here (x,y)^2 = (x^2, xy, y^2)
+    ring = _plane_modulo_cubes()
+    iq = ideal_quantale(to_localic(ring))
+    q, masks = iq.ideals, iq.ideal_masks
+    for i, j in product(range(q.carrier.n), repeat=2):
+        span = {0}
+        for a, b in product(bits(masks[i]), bits(masks[j])):
+            p = ring.mul_t[a][b]
+            if p not in span:
+                span |= {ring.add_t[p][s] for s in span}
+        assert masks[q.mul(i, j)] == sum(1 << s for s in span), (q.carrier.names[i], q.carrier.names[j])
+    maximal = masks.index(sum(1 << a for a in range(0, 64, 2)))
+    assert (q.carrier.n, masks[q.mul(maximal, maximal)]) == (27, sum(1 << a for a in range(0, 64, 8)))
+
+
 def test_hom_search_keeps_the_joins_of_a_non_distributive_source():
     # a map on J may miss a join of M3: f(x) v f(y) need not reach f((x,y)).
     # The search's join laws leave exactly the filtered sup-maps
@@ -541,16 +580,38 @@ def _route_guard_objects():
 
 def test_the_ideal_sum_is_the_closed_union_on_every_pair_of_ideals():
     # the join of Idl(R) as an ideal sum, with no fixpoint loop, against the
-    # least ideal over the union, on every ordered pair of ideals; 182 pairs
-    # join past their union
+    # least ideal over the union by the loop, on every ordered pair of
+    # ideals; 182 pairs join past their union
     pairs = Counter()
     for data in filter(lambda data: data.has_addition, _route_guard_objects()):
         classes = data.classes
         ideals = _fixed_class_masks(classes, DEFAULT_CAPS)
         for a, b in product(ideals, repeat=2):
-            assert classes.ideal_sum(a, a | b) == classes.close(a, a | b), (data.name, a, b)
+            assert classes.ideal_sum(a, a | b) == close(classes, a, a | b), (data.name, a, b)
             pairs[a | b in ideals] += 1
     assert (pairs[False], pairs[True]) == (182, 9481)
+
+
+def test_the_ideals_are_listed_as_nextclosure_over_the_fixpoint_loop(monkeypatch):
+    # every class down-set is an ideal, so the least ideal over a set of
+    # classes is an ideal sum of class down-sets: against the loop, the
+    # same bottom, the same least ideal over each of the 9,094 class sets
+    # of the objects with at most 8 classes, and the same listing in the
+    # same order as NextClosure over the loop
+    objects = [data for data in _route_guard_objects() if data.has_addition]
+    sets = 0
+    for data in objects:
+        classes = data.classes
+        assert classes.bottom == close(classes, 0, 1 << classes.cls_of[data.zero_point]), data.name
+        if classes.order.n <= 8:
+            for u in range(1 << classes.order.n):
+                assert classes.least(u) == close(classes, classes.bottom, u), (data.name, u)
+            sets += 1 << classes.order.n
+    listings = [_fixed_class_masks(data.classes, DEFAULT_CAPS) for data in objects]
+    monkeypatch.setattr(HoloidClasses, "least", lambda classes, u: close(classes, classes.bottom, u))
+    monkeypatch.setattr(HoloidClasses, "ideal_sum", close)
+    assert [_fixed_class_masks(data.classes, DEFAULT_CAPS) for data in objects] == listings
+    assert (len(objects), sets) == (1004, 9094)
 
 
 def _search_and_nodes(variables, lat, laws, budget):

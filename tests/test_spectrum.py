@@ -402,42 +402,45 @@ def test_only_the_saturated_replacement_builds_the_quotient_monoid(monkeypatch):
     assert len(built) == 1
 
 
-def _no_closure(classes, closed, extra):
-    return closed | extra
-
-
-def _no_sums(classes, closed, extra):
-    for c in bits(extra):
-        closed |= classes.order.down[c]
-    return closed
-
-
-@pytest.mark.parametrize(
-    "close, name, witness",
-    [
-        # every set of classes that holds the zero's: {0,1,3} holds 1, not 2
-        (_no_closure, "Z4", "{0,1,3}"),
-        # every monoid ideal that holds 0: (2) v (3) misses 2 + 3 = 5
-        (_no_sums, "Z6", "{0,2,3,4}"),
-    ],
-    ids=["absorption", "sums"],
-)
-def test_class_closure_output_is_checked_against_the_definition(monkeypatch, close, name, witness):
-    # the first set listed, in (size, mask) order, that is no ideal
-    monkeypatch.setattr(pfspec.algebra.HoloidClasses, "close", close)
-    with pytest.raises(LawViolation) as exc:
-        radical_frame(_semiring_data(name))
-    assert (exc.value.law, exc.value.witness) == ("class closure gives ideals", witness)
+def _no_closure(classes, class_mask):
+    return classes.bottom | class_mask
 
 
 def _union_as_join(classes, ideal, union):
     return union
 
 
+@pytest.mark.parametrize(
+    "method, broken, name, witness",
+    [
+        # every set of classes that holds the zero's: {0,1,3} holds 1, not 2
+        ("least", _no_closure, "Z4", "{0,1,3}"),
+        # every monoid ideal that holds 0: (2) v (3) misses 2 + 3 = 5
+        ("ideal_sum", _union_as_join, "Z6", "{0,2,3,4}"),
+    ],
+    ids=["absorption", "sums"],
+)
+def test_class_closure_output_is_checked_against_the_definition(monkeypatch, method, broken, name, witness):
+    # the first set listed, in (size, mask) order, that is no ideal
+    monkeypatch.setattr(pfspec.algebra.HoloidClasses, method, broken)
+    with pytest.raises(LawViolation) as exc:
+        radical_frame(_semiring_data(name))
+    assert (exc.value.law, exc.value.witness) == ("class closure gives ideals", witness)
+
+
 def test_a_join_outside_the_ideals_is_a_failed_law(monkeypatch, capsys):
-    # the ideal sum rests on a theorem; if it ever returned a set that is no
-    # ideal, such as the union (3) | (2) of Z6, the lattice of ideals names
-    # the two ideals, and verify records the law on every object it reaches
+    # the ideal sum rests on a theorem; were the ideals listed right but
+    # joined as unions, the lattice of ideals would name the two ideals
+    # whose union (3) | (2) of Z6 is no ideal, and verify records the law
+    # on every object it reaches
+    ideal_sum, listing = pfspec.algebra.HoloidClasses.ideal_sum, pfspec.spectrum._fixed_class_masks
+
+    def listed_with_the_ideal_sum(classes, caps):
+        with monkeypatch.context() as m:
+            m.setattr(pfspec.algebra.HoloidClasses, "ideal_sum", ideal_sum)
+            return listing(classes, caps)
+
+    monkeypatch.setattr(pfspec.spectrum, "_fixed_class_masks", listed_with_the_ideal_sum)
     monkeypatch.setattr(pfspec.algebra.HoloidClasses, "ideal_sum", _union_as_join)
     with pytest.raises(LawViolation) as exc:
         radical_frame(_semiring_data("Z6"))
@@ -446,6 +449,26 @@ def test_a_join_outside_the_ideals_is_a_failed_law(monkeypatch, capsys):
     failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
     assert "[oracles] Z6: zariski brute force matches the pipeline ... FAIL (join closes into the family violated at ('{0,3}', '{0,2,4}'))" in failed
     assert all("join closes into the family" in line for line in failed), failed
+
+
+def _every_class_as_join(classes, ideal, union):
+    return (1 << classes.order.n) - 1
+
+
+def test_a_principal_ideal_missing_from_the_listing_is_a_failed_law(monkeypatch, capsys):
+    # were every ideal sum the full set, Z6 would list only (0) and the
+    # whole ring; the universal element then names the first class whose
+    # down-set is missing, and verify records it with no traceback
+    monkeypatch.setattr(pfspec.algebra.HoloidClasses, "ideal_sum", _every_class_as_join)
+    with pytest.raises(LawViolation) as exc:
+        radical_frame(_semiring_data("Z6"))
+    assert (exc.value.law, exc.value.witness) == ("principal ideals are listed", "2")
+    assert main(["verify", "--suite", "oracles", str(MODELS[0].with_name("catalog.model"))]) == 1
+    out, err = capsys.readouterr()
+    failed = [line for line in out.splitlines() if "FAIL" in line]
+    assert "[oracles] Z6: zariski brute force matches the pipeline ... FAIL (principal ideals are listed violated at 2)" in failed
+    assert all("principal ideals are listed" in line for line in failed), failed
+    assert "Traceback" not in out + err
 
 
 def test_ideal_enumeration_stops_at_the_cap_before_any_table(monkeypatch):
@@ -562,12 +585,16 @@ def test_universal_element_laws_name_the_classes_they_read():
 
 
 def test_monoid_route_is_compared_with_the_class_route(monkeypatch):
-    # were the class route's least ideals all the top, the monoid route,
+    # were the class route's universal map all the top, the monoid route,
     # which passes its own checks, would differ from it at the first point
     data = _semiring_data("Z4")
-    monkeypatch.setattr(
-        pfspec.spectrum, "_least_ideals", lambda data, iq: (iq.ideals.carrier.top,) * 4
-    )
+    original = pfspec.spectrum.ideal_quantale
+
+    def all_top(data, caps):
+        iq = original(data, caps)
+        return replace(iq, universal_map=(iq.ideals.carrier.top,) * data.locale.points.n)
+
+    monkeypatch.setattr(pfspec.spectrum, "ideal_quantale", all_top)
     with pytest.raises(LawViolation) as exc:
         opens_oracle(data)
     assert (exc.value.law, exc.value.witness) == ("universal element through the monoid ideals", "0")
