@@ -8,20 +8,26 @@ comonoid diagrams commute at the frame level exactly when the semiring laws
 hold pointwise.  Building a ``FiniteCommMonoid`` or ``FiniteCommSemiring``
 is the one place those laws are checked (both monoid laws, annihilation and
 distributivity); ``LocalicSemiringData`` takes the built algebra and checks
-only what the locale adds, that the tables are monotone.  The opens are never
-built here: the opens oracle in ``spectrum`` verifies the counit laws as
-SupMap equalities on the opens whenever they fit the caps.  The holoid
-classes that every stage of the spectrum reads are ``data.classes``, checked
-once, where they are built.
+only what the locale adds, that the tables are monotone.  Each law is
+decided on generators or covers, never on all triples: associativity by
+Light's test on a generating set, distributivity on pairs of generators of
+the two monoids, and monotonicity on the covering pairs of the points.  A
+scan over all elements, pairs and triples runs only when a law fails, to
+name the first failure, so the witnesses are those of the full scan.  The
+opens are never built here: the opens oracle in ``spectrum`` verifies the
+counit laws as SupMap equalities on the opens whenever they fit the caps.
+The holoid classes that every stage of the spectrum reads are
+``data.classes``, checked once, where they are built.
 """
 
 from functools import cached_property
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, LawViolation, NotDistributive, NotMonotone
 from .locale import alexandrov
-from .order import FinitePoset, bits
+from .order import FinitePoset, bits, distributes, generators
 
 
 class FiniteCommMonoid:
@@ -30,7 +36,8 @@ class FiniteCommMonoid:
         self.n = len(self.names)
         self.unit = unit
         self.mul_t = tuple(tuple(row) for row in mul)
-        _check_comm_monoid(self.names, self.unit, self.mul_t, "mul")
+        # with the unit, they generate the monoid; read by the semiring laws
+        self.generators = _check_comm_monoid(self.names, self.unit, self.mul_t, "mul")
 
     def mul(self, a, b):
         return self.mul_t[a][b]
@@ -50,9 +57,28 @@ class FiniteCommMonoid:
 
 
 def _check_comm_monoid(names, unit, table, law):
+    """Check that the tuple rows ``table`` are a commutative monoid with
+    unit ``unit``; returns ``generators(table, unit)``.
+
+    Associativity is decided by Light's test: the a with (xa)y = x(ay) for
+    all x and y are closed under the product, for if a and b are such,
+    (x.ab)y = (xa.b)y = xa.by = x(a.by) = x(ab.y).  The unit is one of them,
+    so it suffices that the generators are.  For each, two n x n tables
+    are compared whole: every row x read at the entries of row a, which
+    gives x(ay), and the rows picked by the entries of row a, which gives
+    the row of ax = xa.  When a law fails, the scan over all elements,
+    pairs and triples names the first failure."""
     n = len(names)
     if len(table) != n or any(len(r) != n for r in table):
         raise LawViolation(f"{law} totality", "table shape")
+    if table[unit] == tuple(range(n)) and tuple(zip(*table)) == table:
+        gens = generators(table, unit)
+        for a in gens:
+            at_a = itemgetter(*table[a])
+            if tuple(map(at_a, table)) != at_a(table):
+                break
+        else:
+            return gens
     for a in range(n):
         if table[unit][a] != a:
             raise LawViolation(f"{law} unit", names[a])
@@ -71,9 +97,16 @@ class FiniteCommSemiring:
         self.zero = zero
         self.one = one
         self.add_t = tuple(tuple(row) for row in add)
-        _check_comm_monoid(self.names, zero, self.add_t, "add")
+        add_gens = _check_comm_monoid(self.names, zero, self.add_t, "add")
         self.mul_monoid = FiniteCommMonoid(self.names, one, mul)
         self.mul_t = self.mul_monoid.mul_t
+        # with both monoids and annihilation, generator pairs decide
+        # distributivity (see ``distributes``)
+        if all(row[zero] == zero for row in self.mul_t) and distributes(
+            self.mul_t, self.mul_monoid.generators, self.add_t, add_gens
+        ):
+            return
+        # a law fails: name the first failure
         for a in range(self.n):
             if self.mul_t[a][zero] != zero:
                 raise LawViolation("annihilation", self.names[a])
@@ -133,9 +166,10 @@ class LocalicSemiringData:
             self.mul_monoid = algebra
             self.add_t = self.zero_point = None
         self.mul_t, self.one_point = self.mul_monoid.mul_t, self.mul_monoid.unit
-        _check_pointwise_monotone(pts, self.mul_t, "mul")
+        covers = pts.covers()
+        _check_pointwise_monotone(pts, self.mul_t, "mul", covers)
         if self.add_t is not None:
-            _check_pointwise_monotone(pts, self.add_t, "add")
+            _check_pointwise_monotone(pts, self.add_t, "add", covers)
 
     def mul(self, a, b):
         return self.mul_t[a][b]
@@ -161,7 +195,15 @@ class LocalicSemiringData:
         return f"LocalicSemiringData({kind}, {self.locale.points.n} points)"
 
 
-def _check_pointwise_monotone(pts, table, law):
+def _check_pointwise_monotone(pts, table, law, covers):
+    """Check that each row of ``table`` is monotone on the points, on the
+    covering pairs ``covers`` of ``pts``: a finite order is generated by its
+    covers, so a row monotone on every b < b' with nothing between is
+    monotone on every b <= b'.  When one is not, the scan over all pairs
+    names the first failure."""
+    up = pts.up
+    if all(up[row[b]] >> row[c] & 1 for row in table for b, c in covers):
+        return
     for a in range(pts.n):
         for b in range(pts.n):
             for b2 in bits(pts.up[b]):
@@ -302,8 +344,8 @@ def holoid_quotient(monoid, order=None):
     which carries the partial order [f] <= [g] iff g divides f (inclusion of
     principal monoid ideals), realizing the poset coinserter of the
     projection and multiplication concretely.  The congruence is checked
-    here; the quotient's own O(k^3) validation runs only when it is built,
-    so callers that read the classes skip it.
+    here; the quotient's own validation runs only when it is built, so
+    callers that read the classes skip it.
 
     With ``order``, a poset on the elements for which multiplication is
     monotone, g divides f when f <= g.k for some k.  That relation is the

@@ -18,13 +18,22 @@ built by ``family_lattice`` alone: meets are intersections and joins unions,
 closed into the family where a union falls outside it.  The quotient by a
 closure operator is built by ``ClosureOperator.quotient`` straight from its
 fixed points: meets carry over and the join is j(a v b), so no
-least-upper-bound search is needed.  ``lattice_structure`` does that search,
-for posets that arrive without tables.
+least-upper-bound search is needed.  ``lattice_structure`` tabulates posets
+that arrive without tables, each join read from an index of the up-sets
+(the join of i and j is the k with up[k] = up[i] & up[j]) and each meet from
+one of the down-sets; the search runs only to name a pair without one.
+
+Laws of binary tables are decided on generators, never on all triples:
+``generators`` picks a generating set of a commutative monoid, and
+``distributes`` checks distributivity on pairs of generators, for the
+semirings of ``algebra`` and for ``is_distributive``.  A triple search runs
+only when a law fails, to name the first failing triple.
 
 All values are immutable after construction and safe to share.
 """
 
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .caps import DEFAULT_CAPS
 from .errors import (
@@ -313,40 +322,92 @@ def lattice_structure(poset):
     A finite poset with all binary joins and meets plus a top and bottom is a
     complete lattice, so success here certifies completeness.
     """
-    n = poset.n
-    join_table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            ub = poset.up[i] & poset.up[j]
-            least = [k for k in bits(ub) if ub & ~poset.up[k] == 0]
-            if len(least) != 1:
-                raise NotALattice("join", (poset.names[i], poset.names[j]))
-            row.append(least[0])
-        join_table.append(tuple(row))
-    meet_table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            lb = poset.down[i] & poset.down[j]
-            greatest = [k for k in bits(lb) if lb & ~poset.down[k] == 0]
-            if len(greatest) != 1:
-                raise NotALattice("meet", (poset.names[i], poset.names[j]))
-            row.append(greatest[0])
-        meet_table.append(tuple(row))
-    bottoms = [i for i in range(n) if poset.up[i] == poset.full]
-    tops = [i for i in range(n) if poset.down[i] == poset.full]
+    join_table = _bound_table(poset, poset.up, "join")
+    meet_table = _bound_table(poset, poset.down, "meet")
+    bottoms = [i for i in range(poset.n) if poset.up[i] == poset.full]
+    tops = [i for i in range(poset.n) if poset.down[i] == poset.full]
     if len(bottoms) != 1:
         raise NotALattice("join", ("empty", "empty"))
     if len(tops) != 1:
         raise NotALattice("meet", ("empty", "empty"))
-    return Lattice(
-        poset.names, poset.up, tuple(join_table), tuple(meet_table), bottoms[0], tops[0]
-    )
+    return Lattice(poset.names, poset.up, join_table, meet_table, bottoms[0], tops[0])
+
+
+def _bound_table(poset, up, kind):
+    """The table of least bounds in the order whose up-sets are ``up``: the
+    joins for ``poset.up``, the meets for ``poset.down``.
+
+    Lemma: k is the join of i and j exactly when up[k] = up[i] & up[j],
+    for k in up[i] & up[j] is an upper bound, and up[k] holding every upper
+    bound makes it the least.  So when no two up-sets repeat, each cell is a
+    dictionary lookup.  A missing cell, or a preorder (repeated up-sets,
+    where no pair of equivalent elements has a least bound), falls to the
+    least-upper-bound search, which raises NotALattice naming the first
+    pair without one."""
+    at = {u: k for k, u in enumerate(up)}
+    if len(at) == poset.n:
+        try:
+            return tuple(tuple([at[u & v] for v in up]) for u in up)
+        except KeyError:
+            pass
+    rows = []
+    for i in range(poset.n):
+        row = []
+        for j in range(poset.n):
+            ub = up[i] & up[j]
+            least = [k for k in bits(ub) if ub & ~up[k] == 0]
+            if len(least) != 1:
+                raise NotALattice(kind, (poset.names[i], poset.names[j]))
+            row.append(least[0])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def generators(table, unit):
+    """Elements that, with ``unit``, generate the commutative magma
+    ``table`` under its product; at most a few for a group, the
+    join-irreducibles for a lattice's join.  Chosen greedily: elements with
+    the largest row image first, each one kept when the product closure of
+    those kept so far misses it."""
+    reached, kept = {unit}, []
+    for a in sorted(range(len(table)), key=lambda a: -len(set(table[a]))):
+        if a not in reached:
+            kept.append(a)
+            reached.add(a)
+            fresh = [a]
+            while fresh:
+                new = set(map(table[fresh.pop()].__getitem__, reached)) - reached
+                reached |= new
+                fresh.extend(new)
+    return kept
+
+
+def distributes(mul_t, xs, add_t, gs):
+    """Whether x(y + g) = xy + xg for every x in ``xs``, g in ``gs`` and
+    every y, comparing whole rows.
+
+    Lemma: when both tables are commutative monoids and 0x = 0, this for
+    generating sets ``xs`` of the product and ``gs`` of the sum is full
+    distributivity.  The g passing for a fixed x hold 0 (as x0 = 0) and are
+    closed under sums: x(y + g + g') = xy + xg + xg' = xy + x(g + g').  So
+    an x passing for every g in ``gs`` passes for every z, and such x are
+    closed under products: xx'(y + z) = x(x'y + x'z) = xx'y + xx'z."""
+    for x in xs:
+        row = mul_t[x]
+        spread = itemgetter(*row)
+        if not all(itemgetter(*add_t[g])(row) == spread(add_t[row[g]]) for g in gs):
+            return False
+    return True
 
 
 def is_distributive(lat):
-    """Brute-force distributivity over all triples; returns (flag, witness)."""
+    """(flag, witness): whether a meet distributes over joins, decided by
+    ``distributes`` on the meet- and join-irreducibles; the witness is the
+    first failing triple (a, b, c) of a meet (b join c), found by a search
+    over all triples that runs only when the law fails."""
+    meet_gens, join_gens = generators(lat.meet_t, lat.top), generators(lat.join_t, lat.bottom)
+    if distributes(lat.meet_t, meet_gens, lat.join_t, join_gens):
+        return True, None
     for a, b, c in iproduct(range(lat.n), repeat=3):
         lhs = lat.meet(a, lat.join(b, c))
         rhs = lat.join(lat.meet(a, b), lat.meet(a, c))
@@ -418,7 +479,8 @@ def family_lattice(masks, names, close=None, caps=DEFAULT_CAPS):
     under unions needs no ``close``).  So the tables come from dictionary
     lookups instead of least-upper-bound searches, and a missed union is
     closed for b >= a only, the entry for (b, a) mirroring it.  A ``close``
-    result outside the family raises LawViolation naming a and b.
+    result outside the family, or an intersection outside it, raises
+    LawViolation naming a and b.
 
     The order, join and meet tables hold |masks|**2 cells each, so a family
     with more cells than 16 times ``caps.search_budget()`` raises CapExceeded
@@ -443,7 +505,11 @@ def family_lattice(masks, names, close=None, caps=DEFAULT_CAPS):
                     if k is None:
                         raise LawViolation("join closes into the family", (names[a], names[b]))
         join_t.append(tuple(row))
-    meet_t = tuple(tuple([pos[mi & mj] for mj in masks]) for mi in masks)
+    try:
+        meet_t = tuple(tuple([pos[mi & mj] for mj in masks]) for mi in masks)
+    except KeyError:
+        a, b = next((a, b) for a, ma in enumerate(masks) for b, mb in enumerate(masks) if ma & mb not in pos)
+        raise LawViolation("meet closes into the family", (names[a], names[b])) from None
     bot_mask = top_mask = masks[0]
     for m in masks:
         bot_mask &= m

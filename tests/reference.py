@@ -17,6 +17,8 @@ holds:
 * the quotient of a quantale by the congruence that pairs generate;
 * the prime anti-ideal laws with none omitted, and the least ideal over
   a set of holoid classes by a fixpoint loop;
+* the law checks of a built input (semiring laws, monotone tables, lattice
+  tables, distributivity) as scans over every element, pair and triple;
 * the canonical printer of the model-file grammar, and a runner for scripts
   under ``python -O``.
 
@@ -36,7 +38,14 @@ from pathlib import Path
 from pfspec.algebra import FiniteCommMonoid, build_discrete_semiring
 from pfspec.caps import DEFAULT_CAPS
 from pfspec.catalog import chain, lattice_semiring
-from pfspec.errors import CapExceeded, LawViolation, NotJoinPreserving, PfspecError
+from pfspec.errors import (
+    CapExceeded,
+    LawViolation,
+    NotALattice,
+    NotJoinPreserving,
+    NotMonotone,
+    PfspecError,
+)
 from pfspec.locale import FiniteLocale
 from pfspec.modelfile import LatticeBlock, MonoidBlock, PosetBlock, SemiringBlock
 from pfspec.order import (
@@ -171,6 +180,29 @@ def all_posets_up_to_iso(n):
             continue
         seen.add(code)
         out.append(poset)
+    return out
+
+
+def bounded(poset):
+    """``poset`` with a new bottom and top added."""
+    n = poset.n
+    up = [poset.full | 1 << n | 1 << n + 1] + [m << 1 | 1 << n + 1 for m in poset.up] + [1 << n + 1]
+    return FinitePoset(["bot", *poset.names, "top"], up)
+
+
+@cache
+def small_lattices(most):
+    """Every lattice on 2 to ``most`` elements, one per isomorphism class:
+    a finite lattice is its bottom and top around an arbitrary poset, so
+    these are the bounded posets of ``all_posets_up_to_iso`` that are
+    lattices."""
+    out = []
+    for n in range(most - 1):
+        for poset in all_posets_up_to_iso(n):
+            try:
+                out.append(lattice_structure(bounded(poset)))
+            except NotALattice:
+                continue
     return out
 
 
@@ -689,6 +721,91 @@ def pairwise_owc_binop(points, masks, table):
             row.append(points.down_closure(image))
         out.append(tuple(row))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the input law checks over every element, pair and triple
+
+
+def literal_semiring_laws(names, zero, one, add, mul):
+    """The checks of ``FiniteCommSemiring`` by scans over all elements,
+    pairs and triples, which the package runs only to name a failure:
+    both commutative monoids, then annihilation and distributivity."""
+    _literal_comm_monoid(names, zero, add, "add")
+    _literal_comm_monoid(names, one, mul, "mul")
+    n = len(names)
+    for a in range(n):
+        if mul[a][zero] != zero:
+            raise LawViolation("annihilation", names[a])
+        for b, c in product(range(n), repeat=2):
+            if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                raise LawViolation("distributivity", (names[a], names[b], names[c]))
+
+
+def _literal_comm_monoid(names, unit, table, law):
+    n = len(names)
+    for a in range(n):
+        if table[unit][a] != a:
+            raise LawViolation(f"{law} unit", names[a])
+        for b in range(a, n):
+            if table[a][b] != table[b][a]:
+                raise LawViolation(f"{law} commutativity", (names[a], names[b]))
+    for a, b, c in product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            raise LawViolation(f"{law} associativity", (names[a], names[b], names[c]))
+
+
+def literal_monotone(pts, table, law):
+    """The monotonicity check of ``LocalicSemiringData`` on every comparable
+    pair, where the package reads only the covers."""
+    for a in range(pts.n):
+        for b in range(pts.n):
+            for b2 in bits(pts.up[b]):
+                if not pts.leq(table[a][b], table[a][b2]):
+                    raise NotMonotone((pts.names[a], pts.names[b], pts.names[b2]), law)
+
+
+def literal_lattice_structure(poset):
+    """``lattice_structure`` by a least-upper-bound search in every cell;
+    returns (join table, meet table, bottom, top)."""
+    tables = []
+    for kind, up in (("join", poset.up), ("meet", poset.down)):
+        rows = []
+        for i in range(poset.n):
+            row = []
+            for j in range(poset.n):
+                ub = up[i] & up[j]
+                least = [k for k in bits(ub) if ub & ~up[k] == 0]
+                if len(least) != 1:
+                    raise NotALattice(kind, (poset.names[i], poset.names[j]))
+                row.append(least[0])
+            rows.append(tuple(row))
+        tables.append(tuple(rows))
+    bottoms = [i for i in range(poset.n) if poset.up[i] == poset.full]
+    tops = [i for i in range(poset.n) if poset.down[i] == poset.full]
+    if len(bottoms) != 1:
+        raise NotALattice("join", ("empty", "empty"))
+    if len(tops) != 1:
+        raise NotALattice("meet", ("empty", "empty"))
+    return tables[0], tables[1], bottoms[0], tops[0]
+
+
+def literal_is_distributive(lat):
+    """``is_distributive`` over all triples."""
+    for a, b, c in product(range(lat.n), repeat=3):
+        if lat.meet(a, lat.join(b, c)) != lat.join(lat.meet(a, b), lat.meet(a, c)):
+            return False, (lat.names[a], lat.names[b], lat.names[c])
+    return True, None
+
+
+def outcome(check, *args):
+    """None when ``check(*args)`` returns, else the class and text of the
+    PfspecError it raises (the text holds the law and the witness)."""
+    try:
+        check(*args)
+    except PfspecError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 # ---------------------------------------------------------------------------

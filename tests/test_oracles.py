@@ -21,7 +21,7 @@ from pfspec.algebra import (
 from pfspec.caps import DEFAULT_CAPS
 from pfspec.catalog import chain, powerset_lattice, quantale_catalog
 from pfspec.cli import _localic_data
-from pfspec.errors import CapExceeded, LawViolation, NotJoinPreserving
+from pfspec.errors import CapExceeded, CycleError, LawViolation, NotJoinPreserving, NotMonotone
 from pfspec.iso import find_poset_iso
 from pfspec.locale import locale_from_frame
 from pfspec.modelfile import LatticeBlock, MonoidBlock, SemiringBlock, parse_model
@@ -81,7 +81,10 @@ from reference import (
     close,
     full_anti_ideal_laws,
     grid,
+    literal_monotone,
+    literal_semiring_laws,
     monoid_catalog,
+    outcome,
     pairwise_owc_binop,
     semiring_catalog,
 )
@@ -1239,6 +1242,91 @@ def test_both_quantales_match_their_oracles_on_ordered_small_semirings():
     for data in objects:
         _assert_matches_owc_oracle(data)
         _assert_class_route_matches_nucleus_route(data)
+
+
+def _perturbed(inputs, per_input, rng):
+    """Seeded one-cell perturbations of each input (names, zero, one, add,
+    mul, up): a cell of the add or mul table set to another element, with
+    its mirror cell three times in four so that commutativity holds, or one
+    pair of the order flipped and the order closed again (a flip that
+    closes into a cycle is skipped)."""
+    for names, zero, one, add, mul, up in inputs:
+        n = len(names)
+        for _ in range(per_input):
+            tables = {"add": [list(row) for row in add], "mul": [list(row) for row in mul]}
+            order = up
+            i, j = rng.randrange(n), rng.randrange(n)
+            which = rng.choice(("add", "mul", "order"))
+            if which == "order":
+                flipped = list(up)
+                flipped[i] ^= 1 << j
+                pairs = [(names[a], names[b]) for a in range(n) for b in bits(flipped[a]) if a != b]
+                try:
+                    order = build_poset(names, pairs).up
+                except CycleError:
+                    continue
+            else:
+                table = tables[which]
+                table[i][j] = rng.choice([v for v in range(n) if v != table[i][j]])
+                if rng.random() < 0.75:
+                    table[j][i] = table[i][j]
+            yield names, zero, one, tables["add"], tables["mul"], order
+
+
+def _built_input(names, zero, one, add, mul, up):
+    to_localic(build_discrete_semiring(names, zero, one, add, mul), FinitePoset(names, up))
+
+
+def _literal_input(names, zero, one, add, mul, up):
+    literal_semiring_laws(names, zero, one, add, mul)
+    points = FinitePoset(names, up)
+    literal_monotone(points, mul, "mul")
+    literal_monotone(points, add, "add")
+
+
+def test_input_laws_on_generators_and_covers_match_the_literal_scans():
+    # each perturbed input passes both the checks on generators and covers
+    # and the scans over all triples, or fails both with the same law and
+    # witness
+    rng = random.Random("input-laws/0")
+    discrete = [
+        (s.names, s.zero, s.one, s.add_t, s.mul_t, [1 << i for i in range(s.n)])
+        for n in (2, 3, 4)
+        for s in _all_semirings(n)
+    ]
+    ordered = [
+        (d.locale.points.names, d.zero_point, d.one_point, d.add_t, d.mul_t, d.locale.points.up)
+        for d in _ordered_small_semirings()
+    ]
+    lattices = [
+        (lat.names, lat.bottom, lat.top, lat.join_t, lat.meet_t, lat.up)
+        for lat in (chain(5), powerset_lattice(3), grid(3, 3), powerset_lattice(4))
+    ]
+    seen = Counter()
+    for inputs, per_input in ((discrete, 4), (ordered, 2), (lattices, 150)):
+        for item in _perturbed(inputs, per_input, rng):
+            expected = outcome(_literal_input, *item)
+            assert outcome(_built_input, *item) == expected, item
+            if expected is None:
+                seen["pass"] += 1
+            elif expected[0] is NotMonotone:
+                seen["monotone " + expected[1].rsplit(": ", 1)[1]] += 1
+            else:
+                seen[expected[1].split(" violated")[0]] += 1
+    # every law is seen failing, and some perturbations pass
+    assert sorted(seen) == [
+        "add associativity",
+        "add commutativity",
+        "add unit",
+        "annihilation",
+        "distributivity",
+        "monotone add",
+        "monotone mul",
+        "mul associativity",
+        "mul commutativity",
+        "mul unit",
+        "pass",
+    ]
 
 
 def test_radical_frame_of_scott_p5_builds_nothing_larger_than_idl(monkeypatch):

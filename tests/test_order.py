@@ -1,6 +1,7 @@
 """Posets, lattices, adjoints, closure operators."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -14,11 +15,24 @@ from pfspec.order import (
     MonotoneMap,
     bits,
     build_poset,
+    family_lattice,
+    generators,
     is_distributive,
     lattice_structure,
     least_closure,
 )
-from reference import NoAdjoint, adjoints, diamond_m3, grid, pentagon_n5
+from reference import (
+    NoAdjoint,
+    adjoints,
+    all_posets_up_to_iso,
+    diamond_m3,
+    grid,
+    literal_is_distributive,
+    literal_lattice_structure,
+    outcome,
+    pentagon_n5,
+    small_lattices,
+)
 
 
 def test_build_poset_two_chain_closure():
@@ -132,6 +146,56 @@ def test_distributive_m3_brute_force_oracle():
     ]
     assert violations  # M3 is not distributive
     assert is_distributive(m3)[0] is False
+
+
+def _bound_search_posets():
+    """Every poset of up to 5 elements, M3, N5, and preorders: orders whose
+    up-sets repeat, where equivalent elements have no least bound."""
+    posets = [p for n in range(6) for p in all_posets_up_to_iso(n)]
+    posets += [FinitePoset(lat.names, lat.up) for lat in (diamond_m3(), pentagon_n5())]
+    posets.append(FinitePoset(["a", "b"], [0b11, 0b11]))
+    posets.append(FinitePoset(["0", "a", "b", "1"], [0b1111, 0b1110, 0b1110, 0b1000]))
+    return posets
+
+
+def test_lattice_structure_reads_the_tables_the_search_finds():
+    # the up-set index gives the tables of the least-bound search, and the
+    # same NotALattice witness where a pair has no least bound
+    found = Counter()
+    for poset in _bound_search_posets():
+        expected = outcome(literal_lattice_structure, poset)
+        assert outcome(lattice_structure, poset) == expected, poset.up
+        if expected is None:
+            lat = lattice_structure(poset)
+            assert (lat.join_t, lat.meet_t, lat.bottom, lat.top) == literal_lattice_structure(poset)
+        found[expected is None] += 1
+    assert found == {True: 12, False: 80}
+    with pytest.raises(NotALattice) as exc:
+        lattice_structure(FinitePoset(["a", "b"], [0b11, 0b11]))
+    assert (exc.value.kind, exc.value.pair) == ("join", ("a", "a"))
+
+
+def test_is_distributive_on_generators_matches_the_triple_search():
+    lattices = small_lattices(7) + [chain(1), chain(5), powerset_lattice(3), grid(3, 3)]
+    flags = Counter()
+    for lat in lattices:
+        assert is_distributive(lat) == literal_is_distributive(lat), lat.up
+        flags[is_distributive(lat)[0]] += 1
+    assert flags == {True: 24, False: 57}
+
+
+def test_generators_of_a_group_and_of_a_lattice_join():
+    z12 = tuple(tuple((i + j) % 12 for j in range(12)) for i in range(12))
+    assert generators(z12, 0) == [1]
+    for lat in (diamond_m3(), pentagon_n5(), grid(3, 3), powerset_lattice(3)):
+        assert sorted(generators(lat.join_t, lat.bottom)) == lat.join_irreducibles()
+
+
+def test_family_not_closed_under_intersection_is_witnessed():
+    # {a, b} and {b, c} meet in {b}, which is not in the family
+    with pytest.raises(LawViolation) as exc:
+        family_lattice([0b000, 0b011, 0b110, 0b111], ["0", "ab", "bc", "abc"])
+    assert (exc.value.law, exc.value.witness) == ("meet closes into the family", ("ab", "bc"))
 
 
 # ---------------------------------------------------------------------------

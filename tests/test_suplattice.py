@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 import pfspec.suplattice
 from pfspec.caps import Caps
 from pfspec.catalog import chain, powerset_lattice
-from pfspec.errors import CapExceeded, NotALattice, NotSupercontinuous
+from pfspec.errors import CapExceeded, NotSupercontinuous
 from pfspec.iso import find_lattice_iso
-from pfspec.order import FinitePoset, build_poset, is_distributive, lattice_structure, upset_lattice
+from pfspec.order import build_poset, is_distributive, lattice_structure, upset_lattice
 from pfspec.suplattice import (
     OMEGA_FALSE,
     OMEGA_TRUE,
@@ -33,6 +33,7 @@ from reference import (
     pentagon_n5,
     pure,
     run_optimized,
+    small_lattices,
     tensor_map,
     totally_below_exhaustive,
 )
@@ -40,29 +41,7 @@ from reference import (
 CATALOG = [chain(2), chain(3), chain(4), powerset_lattice(2), diamond_m3(), pentagon_n5()]
 
 
-def _bounded(poset):
-    """``poset`` with a new bottom and top added."""
-    n = poset.n
-    up = [poset.full | 1 << n | 1 << n + 1] + [m << 1 | 1 << n + 1 for m in poset.up] + [1 << n + 1]
-    return FinitePoset(["bot", *poset.names, "top"], up)
-
-
-def _small_lattices(most):
-    """Every lattice on 2 to ``most`` elements, one per isomorphism class:
-    a finite lattice is its bottom and top around an arbitrary poset, so
-    these are the bounded posets of ``all_posets_up_to_iso`` that are
-    lattices."""
-    out = []
-    for n in range(most - 1):
-        for poset in all_posets_up_to_iso(n):
-            try:
-                out.append(lattice_structure(_bounded(poset)))
-            except NotALattice:
-                continue
-    return out
-
-
-SMALL_LATTICES = [chain(1)] + _small_lattices(7)
+SMALL_LATTICES = [chain(1)] + small_lattices(7)
 
 
 # ---------------------------------------------------------------------------
