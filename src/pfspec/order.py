@@ -13,15 +13,14 @@ forcings allow (``closure_onto``), found as one bitmask of disallowed
 elements.  Anti-ideals and quantale homs come from
 one search engine, ``monotone_search``, which reads the floor of each
 variable on its lower covers (exact, as the maps are monotone) from rows built
-once per poset.  A lattice on a family of bitmasks, ordered by inclusion, is
-built by ``family_lattice`` alone: meets are intersections and joins unions,
-closed into the family where a union falls outside it.  The quotient by a
-closure operator is built by ``ClosureOperator.quotient`` straight from its
-fixed points: meets carry over and the join is j(a v b), so no
-least-upper-bound search is needed.  ``lattice_structure`` tabulates posets
-that arrive without tables, each join read from an index of the up-sets
-(the join of i and j is the k with up[k] = up[i] & up[j]) and each meet from
-one of the down-sets; the search runs only to name a pair without one.
+once per poset.  Lattice tables have one join rule: the join of i and j
+is the k with up[k] = up[i] & up[j], read from an index of the up-sets.
+``family_lattice`` alone builds a lattice on a family of bitmasks ordered by
+inclusion, with meets the intersections; ``lattice_structure`` tabulates
+posets that arrive without tables, each meet read from an index of the
+down-sets, and searches only to name a pair without a bound.  The quotient
+by a closure operator is built by ``ClosureOperator.quotient`` straight from
+its fixed points: meets carry over and the join is j(a v b).
 
 Laws of binary tables are decided on generators, never on all triples:
 ``generators`` picks a generating set of a commutative monoid, and
@@ -470,17 +469,14 @@ class ClosureOperator:
         return hash(self.values)
 
 
-def family_lattice(masks, names, close=None, caps=DEFAULT_CAPS):
-    """Lattice on a family of bitmasks closed under intersection and holding
-    the union of all of them, ordered by inclusion; the one constructor of a
-    lattice on masks.  Meets are intersections.  The join of a and b is
-    their union when that is in the family, else ``close(a, a | b)``: the
-    least member over the union, found from the member a (a family closed
-    under unions needs no ``close``).  So the tables come from dictionary
-    lookups instead of least-upper-bound searches, and a missed union is
-    closed for b >= a only, the entry for (b, a) mirroring it.  A ``close``
-    result outside the family, or an intersection outside it, raises
-    LawViolation naming a and b.
+def family_lattice(masks, names, caps=DEFAULT_CAPS):
+    """Lattice on a family of bitmasks ordered by inclusion, where every
+    pair has a least member above both and meets in a member; the one
+    constructor of a lattice on masks.  Meets are intersections.  The join
+    of a and b is the k with up[k] = up[a] & up[b] (``_bound_table``), read
+    off an index of the up-sets.  A pair without a join, or without a meet
+    in the family, raises LawViolation("join closes into the family",
+    (a, b)), or its "meet" form.
 
     The order, join and meet tables hold |masks|**2 cells each, so a family
     with more cells than 16 times ``caps.search_budget()`` raises CapExceeded
@@ -495,26 +491,18 @@ def family_lattice(masks, names, close=None, caps=DEFAULT_CAPS):
         raise DuplicateElement("repeated mask in family")
     names = tuple(names)
     up = [sum(1 << j for j, mj in enumerate(masks) if mi & mj == mi) for mi in masks]
-    join_t = []
-    for a, ma in enumerate(masks):
-        row = [pos.get(ma | mb) for mb in masks]
-        if None in row:
-            for b, k in enumerate(row):
-                if k is None:
-                    k = row[b] = join_t[b][a] if b < a else pos.get(close(ma, ma | masks[b]))
-                    if k is None:
-                        raise LawViolation("join closes into the family", (names[a], names[b]))
-        join_t.append(tuple(row))
-    try:
-        meet_t = tuple(tuple([pos[mi & mj] for mj in masks]) for mi in masks)
-    except KeyError:
-        a, b = next((a, b) for a, ma in enumerate(masks) for b, mb in enumerate(masks) if ma & mb not in pos)
-        raise LawViolation("meet closes into the family", (names[a], names[b])) from None
-    bot_mask = top_mask = masks[0]
-    for m in masks:
-        bot_mask &= m
-        top_mask |= m
-    return Lattice(names, up, tuple(join_t), meet_t, pos[bot_mask], pos[top_mask])
+    at = {u: k for k, u in enumerate(up)}
+    join_t = tuple(tuple([at.get(u & v) for v in up]) for u in up)
+    meet_t = tuple(tuple([pos.get(mi & mj) for mj in masks]) for mi in masks)
+    for kind, table in (("join", join_t), ("meet", meet_t)):
+        for a, row in enumerate(table):
+            if None in row:
+                pair = names[a], names[row.index(None)]
+                raise LawViolation(f"{kind} closes into the family", pair)
+    bottom = top = 0
+    for k in range(len(masks)):
+        bottom, top = meet_t[bottom][k], join_t[top][k]
+    return Lattice(names, up, join_t, meet_t, bottom, top)
 
 
 def upset_lattice(poset, limit=None):

@@ -18,10 +18,11 @@ elements):
 
 * the quantic spectrum: for a semiring the quantale Idl(R) of ideals, the
   sets of classes that NextClosure lists from ideal sums of class down-sets
-  (every class down-set is an ideal, ``HoloidClasses``), joined as ideal
-  sums (the down-closure of I + J, ``HoloidClasses.ideal_sum``) and with
-  the class product closed up; for a monoid the quantale MM(R) of monoid
-  ideals, the unions of class down-sets, with the class product,
+  (every class down-set is an ideal, ``HoloidClasses``), checked complete
+  by ideal sums (the down-closure of I + J, ``HoloidClasses.ideal_sum``),
+  joined as the least listed ideal above both and with the class product
+  closed up; for a monoid the quantale MM(R) of monoid ideals, the unions
+  of class down-sets, with the class product,
 * its localic reflection Rad(R),
 * the universal element, one formula for both kinds: x -> the down-set of
   its class, which is the least (monoid) ideal holding x.  It is checked
@@ -134,8 +135,8 @@ def saturation(data, caps=DEFAULT_CAPS):
     masks = sorted(
         (classes.points(u) for u in classes.up_sets(caps)), key=lambda m: (m.bit_count(), m)
     )
-    # family_lattice forces the subframe property: it indexes the union and
-    # intersection of every pair of saturated masks
+    # the masks are unions of class up-sets by construction; opens_oracle
+    # checks that their inclusion into the opens preserves joins
     saturated = family_lattice(masks, (pts.mask_name(m) for m in masks), caps=caps)
     classes.saturation = SaturationData(saturated, tuple(masks))
     return classes.saturation
@@ -158,14 +159,13 @@ def is_deflationary(data):
 # monoid ideals
 
 
-def _class_quantale(data, classes, class_masks, caps, join=None):
+def _class_quantale(data, classes, class_masks, caps):
     """The quantale on ``class_masks``, down-sets of checked classes closed
     under intersection and holding every class, ordered by inclusion and
     sorted by the (size, mask) of their point masks, with its universal
     element; returns (quantale, point masks, index of each class mask,
-    universal map).  ``join(a, a | b)`` is the join of members a and b where
-    their union is no member, and ``caps`` bound the tables
-    (``family_lattice``).
+    universal map).  The join of two members is the least member above
+    both, and ``caps`` bound the tables (``family_lattice``).
 
     The universal element sends x to the down-set of its class, the
     principal (monoid) ideal of x, and the unit is that of one; a class
@@ -184,7 +184,7 @@ def _class_quantale(data, classes, class_masks, caps, join=None):
     principal = [pos.get(d) for d in down]
     if None in principal:
         raise LawViolation("principal ideals are listed", classes.order.names[principal.index(None)])
-    lat = family_lattice(cmasks, (pts.mask_name(m) for m in masks), join, caps)
+    lat = family_lattice(cmasks, (pts.mask_name(m) for m in masks), caps)
     maximals = [classes.order.maximal(c) for c in cmasks]
     # the class down-closure of c.B, for each maximal class c and each B
     per_class = {}
@@ -310,25 +310,37 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
 
     The ideals are listed as sets of checked classes by
     ``_fixed_class_masks``, and each is checked to be an ideal in the
-    definitional sense.  ``_class_quantale`` orders them by inclusion, with
-    meets the intersections and joins the ideal sums
-    (``HoloidClasses.ideal_sum``), and gives them the product from the class
-    table closed up by ``HoloidClasses.least``, and the unit the down-set of
-    the class of 1.  The universal element sends x to the down-set of its
-    class, an ideal by the theorem in ``HoloidClasses``.  This is the
-    quotient of MM(R) by the least nucleus forcing the zero to the bottom
-    and I (+~) J below I v J, which ``opens_oracle`` reaches with
-    ``monoid_collapse``; neither the saturated frame nor MM(R) is built
-    here.
+    definitional sense.  The listing is checked complete: for each listed a
+    and each class c minimal outside a, the ideal sum of a and down[c] (or
+    their union, if listed) must be listed, else LawViolation("join closes
+    into the family", (a, down[c])).  That suffices: a missing ideal I would
+    hold a listed a maximal in it and a class c minimal in I outside a, and
+    the ideal sum of a and down[c] would be a larger listed ideal in I.
+    ``_class_quantale`` orders them by inclusion, with meets the
+    intersections and joins the least listed ideal above both, and gives
+    them the product from the class table closed up by
+    ``HoloidClasses.least``, and the unit the down-set of the class of 1.
+    The universal element sends x to the down-set of its class, an ideal by
+    the theorem in ``HoloidClasses``.  This is the quotient of MM(R) by the
+    least nucleus forcing the zero to the bottom and I (+~) J below I v J,
+    which ``opens_oracle`` reaches with ``monoid_collapse``; neither the
+    saturated frame nor MM(R) is built here.
     """
     if not data.has_addition:
         raise LawViolation("additive structure", "monoid-only data has no ideals")
-    classes = data.classes
+    classes, pts, down = data.classes, data.locale.points, data.classes.order.down
     fixed = _fixed_class_masks(classes, caps)
     witness = _ideal_witness(data, map(classes.points, fixed))
     if witness is not None:
-        raise LawViolation("class closure gives ideals", data.locale.points.mask_name(witness))
-    ideals, masks, pos, universal = _class_quantale(data, classes, fixed, caps, classes.ideal_sum)
+        raise LawViolation("class closure gives ideals", pts.mask_name(witness))
+    listed = set(fixed)
+    for a in fixed:
+        for c in bits(classes.order.full & ~a):
+            b = a | down[c]
+            if b == a | 1 << c and b not in listed and classes.ideal_sum(a, b) not in listed:
+                gap = pts.mask_name(classes.points(a)), pts.mask_name(classes.points(down[c]))
+                raise LawViolation("join closes into the family", gap)
+    ideals, masks, pos, universal = _class_quantale(data, classes, fixed, caps)
     return IdealQuantaleData(ideals, masks, classes, pos, universal)
 
 

@@ -237,8 +237,7 @@ class TensorLattice(Lattice):
         names = (
             "{" + ",".join(space.tuple_name(i) for i in bits(m)) + "}" for m in masks
         )
-        # meets are intersections; joins are closures of unions
-        lat = family_lattice(masks, names, lambda _, union: space.closure(union), caps)
+        lat = family_lattice(masks, names, caps)
         Lattice.__init__(self, lat.names, lat.up, lat.join_t, lat.meet_t, lat.bottom, lat.top)
 
 

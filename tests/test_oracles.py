@@ -40,6 +40,7 @@ from pfspec.order import (
     bits,
     build_poset,
     downset_lattice,
+    family_lattice,
     is_distributive,
     lattice_structure,
     least_closure,
@@ -476,6 +477,29 @@ def test_a_product_past_a_union_of_principal_ideals_is_the_ideal_product():
     assert (q.carrier.n, masks[q.mul(maximal, maximal)]) == (27, sum(1 << a for a in range(0, 64, 8)))
 
 
+def test_a_listing_that_drops_an_ideal_is_a_failed_law(monkeypatch):
+    # (x,y) is meet-irreducible in Idl(R), so no listed pair meets in it and
+    # its loss leaves a lattice: the up-set index joins (x) and (y) to the
+    # ring.  The completeness check names (x+y), the first listed ideal
+    # with a missing ideal sum, and the class down-set (x) it sums with
+    data = to_localic(_dual_numbers_of_the_plane())
+    pts, xy = data.locale.points, 0b1010101
+    listing = pfspec.spectrum._fixed_class_masks
+
+    def dropping_xy(classes, caps):
+        return [a for a in listing(classes, caps) if classes.points(a) != xy]
+
+    kept = dropping_xy(data.classes, DEFAULT_CAPS)
+    masks = sorted(map(data.classes.points, kept), key=lambda m: (m.bit_count(), m))
+    lat = family_lattice(masks, map(pts.mask_name, masks))
+    x, y = masks.index(0b101), masks.index(0b10001)
+    assert (lat.n, lat.names[lat.join(x, y)]) == (5, pts.mask_name(pts.full))
+    monkeypatch.setattr(pfspec.spectrum, "_fixed_class_masks", dropping_xy)
+    with pytest.raises(LawViolation) as exc:
+        ideal_quantale(data)
+    assert (exc.value.law, exc.value.witness) == ("join closes into the family", ("{0,x+y}", "{0,x}"))
+
+
 def test_hom_search_keeps_the_joins_of_a_non_distributive_source():
     # a map on J may miss a join of M3: f(x) v f(y) need not reach f((x,y)).
     # The search's join laws leave exactly the filtered sup-maps
@@ -582,15 +606,21 @@ def _route_guard_objects():
 
 
 def test_the_ideal_sum_is_the_closed_union_on_every_pair_of_ideals():
-    # the join of Idl(R) as an ideal sum, with no fixpoint loop, against the
-    # least ideal over the union by the loop, on every ordered pair of
-    # ideals; 182 pairs join past their union
+    # the join of Idl(R) as an ideal sum, with no fixpoint loop, and as
+    # Idl(R) reads it off its order, against the least ideal over the union
+    # by the loop, on every ordered pair of ideals; 182 pairs join past
+    # their union
     pairs = Counter()
     for data in filter(lambda data: data.has_addition, _route_guard_objects()):
         classes = data.classes
         ideals = _fixed_class_masks(classes, DEFAULT_CAPS)
+        iq = ideal_quantale(data)
+        at, join_t = iq.class_index, iq.ideals.carrier.join_t
+        cmasks = sorted(at, key=at.get)
         for a, b in product(ideals, repeat=2):
-            assert classes.ideal_sum(a, a | b) == close(classes, a, a | b), (data.name, a, b)
+            joined = close(classes, a, a | b)
+            assert classes.ideal_sum(a, a | b) == joined, (data.name, a, b)
+            assert cmasks[join_t[at[a]][at[b]]] == joined, (data.name, a, b)
             pairs[a | b in ideals] += 1
     assert (pairs[False], pairs[True]) == (182, 9481)
 

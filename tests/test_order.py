@@ -198,6 +198,26 @@ def test_family_not_closed_under_intersection_is_witnessed():
     assert (exc.value.law, exc.value.witness) == ("meet closes into the family", ("ab", "bc"))
 
 
+@pytest.mark.parametrize(
+    "masks, names, found",
+    [
+        # {a,b} is no member: the join of {a} and {b} is the least member
+        # above both, the top, read off the up-sets
+        ([0b000, 0b001, 0b010, 0b111], ["0", "a", "b", "abc"], ("abc", "0", "abc")),
+        # no member lies above both {a} and {b}
+        ([0b00, 0b01, 0b10], ["0", "a", "b"], ("join closes into the family", ("a", "b"))),
+    ],
+)
+def test_a_join_past_the_union_is_the_least_member_above_it(masks, names, found):
+    try:
+        lat = family_lattice(masks, names)
+    except LawViolation as exc:
+        assert (exc.law, exc.witness) == found
+    else:
+        assert (lat.names[lat.join(1, 2)], lat.names[lat.bottom], lat.names[lat.top]) == found
+        assert lat.meet(1, 2) == lat.bottom
+
+
 # ---------------------------------------------------------------------------
 # adjoints
 

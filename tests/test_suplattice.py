@@ -60,11 +60,24 @@ def test_tensor_omega_omega_is_omega():
     assert find_lattice_iso(t, om) is not None
 
 
+def _joins_past_the_union(t):
+    """The number of ordered pairs of the tensor ``t`` whose union is no
+    bi-ideal, after checking that every join ``t`` reads off its order is
+    the bi-ideal closure of the union."""
+    masks, past = t.element_masks, 0
+    for (i, a), (j, b) in product(enumerate(masks), repeat=2):
+        assert masks[t.join(i, j)] == t.space.closure(a | b), (i, j)
+        past += a | b not in t.mask_index
+    return past
+
+
 def test_tensor_powerset_powerset():
+    # 98 pairs join past their union, 48 of them below the top
     p2 = powerset_lattice(2)
     t = tensor([p2, p2])
     assert t.n == 16
     assert find_lattice_iso(t, powerset_lattice(4)) is not None
+    assert _joins_past_the_union(t) == 98
 
 
 def test_tensor_c3_c3_is_grid_upsets():
@@ -84,10 +97,15 @@ def test_tensor_cap():
 
 
 def test_tensor_unitor():
-    # L (x) Omega is isomorphic to L for every catalog lattice
+    # L (x) Omega is isomorphic to L for every catalog lattice, and each
+    # join that the tensor reads off its order is the bi-ideal closure of
+    # the union; 12 of the 95 pairs join past their union
+    past = 0
     for lat in CATALOG:
         t = tensor([lat, omega()])
         assert find_lattice_iso(t, lat) is not None
+        past += _joins_past_the_union(t)
+    assert past == 12
 
 
 def test_equal_supmaps_on_separately_built_lattices_hash_alike():
