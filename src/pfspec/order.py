@@ -25,8 +25,9 @@ its fixed points: meets carry over and the join is j(a v b).
 Laws of binary tables are decided on generators, never on all triples:
 ``generators`` picks a generating set of a commutative monoid, and
 ``distributes`` checks distributivity on pairs of generators, for the
-semirings of ``algebra`` and for ``is_distributive``.  A triple search runs
-only when a law fails, to name the first failing triple.
+semirings of ``algebra``.  A lattice is distributive by Birkhoff's
+criterion, read on its join-irreducibles (``is_distributive``).  A triple
+search runs only when a law fails, to name the first failing triple.
 
 All values are immutable after construction and safe to share.
 """
@@ -311,6 +312,12 @@ class Lattice(FinitePoset):
             self._j_rows = (below, tuple(tuple(poset.maximal(m)) for m in below), poset, splits)
         return self._j_rows
 
+    def has_order_bounds(self):
+        """Whether ``join_t`` and ``meet_t`` are the joins and meets of the
+        order, as ``_read_bounds`` reads them off the up-sets and the
+        down-sets."""
+        return _read_bounds(self.up) == self.join_t and _read_bounds(self.down) == self.meet_t
+
     def opposite(self):
         return Lattice(self.names, self.down, self.meet_t, self.join_t, self.top, self.bottom)
 
@@ -332,23 +339,29 @@ def lattice_structure(poset):
     return Lattice(poset.names, poset.up, join_table, meet_table, bottoms[0], tops[0])
 
 
+def _read_bounds(up):
+    """The table whose cell (i, j) is the k with up[k] = up[i] & up[j], or
+    None where no k has it, from an index of the distinct up-sets ``up``.
+
+    Lemma: that k is the least upper bound of i and j, for k in
+    up[i] & up[j] is an upper bound, and up[k] holding every upper bound
+    makes it the least.  On the down-sets it gives the meets."""
+    get = {u: k for k, u in enumerate(up)}.get
+    return tuple(tuple([get(u & v) for v in up]) for u in up)
+
+
 def _bound_table(poset, up, kind):
     """The table of least bounds in the order whose up-sets are ``up``: the
     joins for ``poset.up``, the meets for ``poset.down``.
 
-    Lemma: k is the join of i and j exactly when up[k] = up[i] & up[j],
-    for k in up[i] & up[j] is an upper bound, and up[k] holding every upper
-    bound makes it the least.  So when no two up-sets repeat, each cell is a
-    dictionary lookup.  A missing cell, or a preorder (repeated up-sets,
-    where no pair of equivalent elements has a least bound), falls to the
-    least-upper-bound search, which raises NotALattice naming the first
-    pair without one."""
-    at = {u: k for k, u in enumerate(up)}
-    if len(at) == poset.n:
-        try:
-            return tuple(tuple([at[u & v] for v in up]) for u in up)
-        except KeyError:
-            pass
+    When no two up-sets repeat, each cell is read by ``_read_bounds``.  A
+    missing cell, or a preorder (repeated up-sets, where no pair of
+    equivalent elements has a least bound), falls to the least-upper-bound
+    search, which raises NotALattice naming the first pair without one."""
+    if len(set(up)) == poset.n:
+        table = _read_bounds(up)
+        if not any(None in row for row in table):
+            return table
     rows = []
     for i in range(poset.n):
         row = []
@@ -401,11 +414,14 @@ def distributes(mul_t, xs, add_t, gs):
 
 def is_distributive(lat):
     """(flag, witness): whether a meet distributes over joins, decided by
-    ``distributes`` on the meet- and join-irreducibles; the witness is the
-    first failing triple (a, b, c) of a meet (b join c), found by a search
-    over all triples that runs only when the law fails."""
-    meet_gens, join_gens = generators(lat.meet_t, lat.top), generators(lat.join_t, lat.bottom)
-    if distributes(lat.meet_t, meet_gens, lat.join_t, join_gens):
+    Birkhoff's criterion (1937): true when ``lat.j_rows()`` has no splits.
+    Then J(p v c) = J(p) | J(c) for p in J, so by induction a -> J(a), the
+    join-irreducibles below a, sends every join to a union; it sends meets
+    to intersections and is one-to-one, so the lattice embeds in the
+    down-sets of J, which are distributive.  The witness is the first
+    failing triple (a, b, c) of a meet (b join c), found by a search over
+    all triples that runs only when the criterion fails."""
+    if not lat.j_rows()[3]:
         return True, None
     for a, b, c in iproduct(range(lat.n), repeat=3):
         lhs = lat.meet(a, lat.join(b, c))
@@ -473,7 +489,7 @@ def family_lattice(masks, names, caps=DEFAULT_CAPS):
     """Lattice on a family of bitmasks ordered by inclusion, where every
     pair has a least member above both and meets in a member; the one
     constructor of a lattice on masks.  Meets are intersections.  The join
-    of a and b is the k with up[k] = up[a] & up[b] (``_bound_table``), read
+    of a and b is the k with up[k] = up[a] & up[b] (``_read_bounds``), read
     off an index of the up-sets.  A pair without a join, or without a meet
     in the family, raises LawViolation("join closes into the family",
     (a, b)), or its "meet" form.
@@ -491,8 +507,7 @@ def family_lattice(masks, names, caps=DEFAULT_CAPS):
         raise DuplicateElement("repeated mask in family")
     names = tuple(names)
     up = [sum(1 << j for j, mj in enumerate(masks) if mi & mj == mi) for mi in masks]
-    at = {u: k for k, u in enumerate(up)}
-    join_t = tuple(tuple([at.get(u & v) for v in up]) for u in up)
+    join_t = _read_bounds(up)
     meet_t = tuple(tuple([pos.get(mi & mj) for mj in masks]) for mi in masks)
     for kind, table in (("join", join_t), ("meet", meet_t)):
         for a, row in enumerate(table):

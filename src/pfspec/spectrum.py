@@ -462,7 +462,8 @@ def _checked_universal(data, quantale, masks, g, mode):
     ``_anti_ideal_laws`` assumes.  Then g(x), the down-set of the class of x
     by ``_class_quantale``, must be the least element holding the point x,
     found independently as the intersection of the elements that hold x;
-    the elements are unions of classes, so g is constant on the classes.  Last, g is a prime anti-ideal in ``mode``, by the laws of
+    the elements are unions of classes, so g is constant on the classes.
+    Last, g is a prime anti-ideal in ``mode``, by the laws of
     ``_anti_ideal_laws``.  A failure raises LawViolation naming the two
     classes, the point, or the classes of the failing law."""
     classes = data.classes

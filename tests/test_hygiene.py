@@ -77,6 +77,20 @@ def test_no_asserts(path):
     assert assert_lines(path.read_text(encoding="utf-8")) == []
 
 
+def long_lines(source, limit=120):
+    """Number of each line longer than ``limit`` characters."""
+    return [k for k, line in enumerate(source.splitlines(), 1) if len(line) > limit]
+
+
+def test_long_lines_finds_each_line_past_the_limit():
+    assert long_lines("x = 1\n" + "y" * 121 + "\n" + "z" * 120 + "\n") == [2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_long_lines(path):
+    assert long_lines(path.read_text(encoding="utf-8")) == []
+
+
 def identifiers(source, strings=False):
     """How often ``source`` names each identifier in its code: a read or
     bound ``ast.Name`` or the attribute of an ``ast.Attribute``, and with

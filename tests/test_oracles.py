@@ -37,6 +37,7 @@ from pfspec.oracles import (
 )
 from pfspec.order import (
     FinitePoset,
+    Lattice,
     bits,
     build_poset,
     downset_lattice,
@@ -88,6 +89,7 @@ from reference import (
     outcome,
     pairwise_owc_binop,
     semiring_catalog,
+    small_lattices,
 )
 
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
@@ -866,6 +868,51 @@ def test_validate_reports_the_scans_law_and_witness_on_bilinear_perturbations():
     assert laws[None] > 500 and laws["unit"] > 100 and laws["associativity"] > 20
 
 
+def _one_cell_changed(rng, table, n):
+    """``table`` with one cell set to another value below ``n``."""
+    rows = [list(row) for row in table]
+    a, b = rng.randrange(n), rng.randrange(n)
+    rows[a][b] = rng.choice([v for v in range(n) if v != rows[a][b]])
+    return tuple(map(tuple, rows))
+
+
+def test_the_frame_certificate_rejects_what_the_full_checks_reject(monkeypatch):
+    # validate, which passes a frame on its certificate, against the full
+    # checks alone: on every pipeline quantale and on seeded one-cell
+    # changes to its product table and to its carrier's join and meet
+    # tables, a changed meet table also taken as the product, as
+    # frame_quantale would take it; and on the meet of every lattice of up
+    # to 7 elements, most of which are not distributive
+    full_checks, fell_back = Quantale._check_laws, []
+    monkeypatch.setattr(Quantale, "_check_laws", lambda q: fell_back.append(q) or full_checks(q))
+    rng = random.Random(2706)
+    cases = [("lattice meet", lat, lat.meet_t, lat.top) for lat in small_lattices(7)]
+    for q in _pipeline_quantales():
+        lat, n = q.carrier, q.carrier.n
+        cases.append(("pipeline", lat, q.mult_t, q.unit))
+        for _ in range(3 if n > 1 else 0):
+            cases.append(("product", lat, _one_cell_changed(rng, q.mult_t, n), q.unit))
+            join_t = _one_cell_changed(rng, lat.join_t, n)
+            changed = Lattice(lat.names, lat.up, join_t, lat.meet_t, lat.bottom, lat.top)
+            cases.append(("join", changed, q.mult_t, q.unit))
+            meet_t = _one_cell_changed(rng, lat.meet_t, n)
+            changed = Lattice(lat.names, lat.up, lat.join_t, meet_t, lat.bottom, lat.top)
+            cases += [("meet", changed, q.mult_t, q.unit), ("meet as product", changed, meet_t, q.unit)]
+    seen = Counter()
+    for kind, carrier, table, unit in cases:
+        broken = _unchecked_quantale(carrier, table, unit)
+        expected = outcome(full_checks, broken)
+        fell_back.clear()
+        assert outcome(broken.validate) == expected, (broken, kind)
+        seen[kind, broken.is_frame(), bool(fell_back), expected is None] += 1
+    # every pipeline frame and distributive lattice passes on the
+    # certificate alone; the changed frame tables and the lattices that the
+    # full checks reject reach them
+    assert seen["pipeline", True, False, True] > 200 and seen["pipeline", True, True, True] == 0
+    assert seen["lattice meet", True, False, True] == 20 and seen["lattice meet", True, True, False] == 57
+    assert seen["join", True, True, False] > 300 and seen["meet as product", True, True, False] > 800
+
+
 def test_validate_needs_the_empty_join_law():
     # on the chain 0 < m < 1 with unit m, 1*0 = m breaks only laws that
     # involve 0; every product of join-irreducibles m, 1 is still right and
@@ -1038,14 +1085,21 @@ def test_least_closure_matches_the_all_pairs_repair():
 def test_localic_reflection_is_the_least_nucleus_under_squares():
     # the closure onto the semiprime elements, read on J, against the least
     # nucleus with a <= j(a*a) for every a; every pipeline quantale is
-    # two-sided
+    # two-sided.  The reflection is the quantale itself exactly when every
+    # element p is semiprime (a*a <= p implies a <= p), and both cases occur
     quantales = [q for q in _pipeline_quantales() if q.two_sided]
     assert len(quantales) == 301
+    paths = Counter()
     for q in quantales:
-        _, rho = localic_reflection(q)
-        nucleus = least_nucleus(q, [(a, q.mul(a, a)) for a in range(q.carrier.n)])
+        radicals, rho = localic_reflection(q)
+        lat = q.carrier
+        semiprime = all(lat.leq(a, p) for p in range(lat.n) for a in range(lat.n) if lat.leq(q.mul(a, a), p))
+        assert (radicals is q) == semiprime, q
+        paths[semiprime] += 1
+        nucleus = least_nucleus(q, [(a, q.mul(a, a)) for a in range(lat.n)])
         fixed = nucleus.fixed_points()
         assert [fixed[k] for k in rho.values] == list(nucleus.values), q
+    assert paths[True] > 0 and paths[False] > 0, paths
 
 
 def test_map_checks_on_generators_agree_with_all_pairs():
