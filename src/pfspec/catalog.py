@@ -6,7 +6,7 @@ The fixtures that only the tests use live in ``tests/reference.py``."""
 from functools import cache
 
 from .algebra import build_discrete_semiring
-from .order import FinitePoset, build_poset, lattice_structure
+from .order import FinitePoset, build_poset, inclusion_up_sets, lattice_structure
 from .quantale import Quantale, frame_quantale
 from .suplattice import omega
 
@@ -33,10 +33,7 @@ def powerset_lattice(n):
         "{" + ",".join(str(i + 1) for i in range(n) if m >> i & 1) + "}"
         for m in range(1 << n)
     ]
-    up = [
-        sum(1 << m2 for m2 in range(1 << n) if m & m2 == m) for m in range(1 << n)
-    ]
-    return lattice_structure(FinitePoset(names, up))
+    return lattice_structure(FinitePoset(names, inclusion_up_sets(range(1 << n))))
 
 
 # ---------------------------------------------------------------------------

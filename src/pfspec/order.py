@@ -16,11 +16,12 @@ variable on its lower covers (exact, as the maps are monotone) from rows built
 once per poset.  Lattice tables have one join rule: the join of i and j
 is the k with up[k] = up[i] & up[j], read from an index of the up-sets.
 ``family_lattice`` alone builds a lattice on a family of bitmasks ordered by
-inclusion, with meets the intersections; ``lattice_structure`` tabulates
-posets that arrive without tables, each meet read from an index of the
-down-sets, and searches only to name a pair without a bound.  The quotient
-by a closure operator is built by ``ClosureOperator.quotient`` straight from
-its fixed points: meets carry over and the join is j(a v b).
+inclusion, with meets the intersections and the up-sets ANDed from the
+members holding each point (``inclusion_up_sets``); ``lattice_structure``
+tabulates posets that arrive without tables, each meet read from an index
+of the down-sets, and searches only to name a pair without a bound.  The
+quotient by a closure operator is built by ``ClosureOperator.quotient``
+straight from its fixed points: meets carry over and the join is j(a v b).
 
 Laws of binary tables are decided on generators, never on all triples:
 ``generators`` picks a generating set of a commutative monoid, and
@@ -256,7 +257,9 @@ class Lattice(FinitePoset):
         self.bottom = bottom
         self.top = top
         self._join_irreducibles = None  # filled by the first join_irreducibles()
+        self._j_below = None  # filled by the first j_below()
         self._j_rows = None  # filled by the first j_rows()
+        self._splits = None  # filled by the first splits()
 
     def join(self, i, j):
         return self.join_t[i][j]
@@ -290,27 +293,42 @@ class Lattice(FinitePoset):
             )
         return list(self._join_irreducibles)
 
-    def j_rows(self):
-        """(below, maximal, poset, splits): rows that hold a map by its
-        values on the join-irreducibles J, at their positions in
-        ``join_irreducibles()``; computed once per lattice.  ``below[a]``
-        masks the J below a and ``maximal[a]`` lists the maximal ones;
-        ``poset`` is J in the lattice's order; ``splits`` holds each
-        (k, c, a) with a = p_k v c whose J below are more than the J below
-        p_k and c, which a distributive lattice never has."""
-        if self._j_rows is None:
+    def j_below(self):
+        """``below[a]``, the mask of the J below a at their positions in
+        ``join_irreducibles()``, for each a; computed once per lattice."""
+        if self._j_below is None:
             ji = self.join_irreducibles()
-            below = tuple(sum(1 << k for k, p in enumerate(ji) if self.down[a] >> p & 1) for a in range(self.n))
+            self._j_below = tuple(
+                sum(1 << k for k, p in enumerate(ji) if self.down[a] >> p & 1) for a in range(self.n)
+            )
+        return self._j_below
+
+    def j_rows(self):
+        """(maximal, poset): with ``j_below()``, the rows that hold a map by
+        its values on the join-irreducibles J, at their positions in
+        ``join_irreducibles()``; computed once per lattice.  ``maximal[a]``
+        lists the maximal J below a; ``poset`` is J in the lattice's order."""
+        if self._j_rows is None:
+            ji, below = self.join_irreducibles(), self.j_below()
             # the J below each element of J, as up-sets, give J's opposite order
             poset = FinitePoset([self.names[p] for p in ji], [below[p] for p in ji]).opposite()
-            splits = tuple(
+            self._j_rows = (tuple(tuple(poset.maximal(m)) for m in below), poset)
+        return self._j_rows
+
+    def splits(self):
+        """Each (k, c, a) with a = p_k v c, p_k the k-th element of
+        ``join_irreducibles()``, whose J below are more than the J below p_k
+        and c, which a distributive lattice never has; computed once per
+        lattice, from the rows ``j_below()`` it shares with ``j_rows()``."""
+        if self._splits is None:
+            below = self.j_below()
+            self._splits = tuple(
                 (k, c, a)
-                for k, p in enumerate(ji)
+                for k, p in enumerate(self.join_irreducibles())
                 for c, a in enumerate(self.join_t[p])
                 if below[a] != below[p] | below[c]
             )
-            self._j_rows = (below, tuple(tuple(poset.maximal(m)) for m in below), poset, splits)
-        return self._j_rows
+        return self._splits
 
     def has_order_bounds(self):
         """Whether ``join_t`` and ``meet_t`` are the joins and meets of the
@@ -414,14 +432,14 @@ def distributes(mul_t, xs, add_t, gs):
 
 def is_distributive(lat):
     """(flag, witness): whether a meet distributes over joins, decided by
-    Birkhoff's criterion (1937): true when ``lat.j_rows()`` has no splits.
+    Birkhoff's criterion (1937): true when ``lat.splits()`` is empty.
     Then J(p v c) = J(p) | J(c) for p in J, so by induction a -> J(a), the
     join-irreducibles below a, sends every join to a union; it sends meets
     to intersections and is one-to-one, so the lattice embeds in the
     down-sets of J, which are distributive.  The witness is the first
     failing triple (a, b, c) of a meet (b join c), found by a search over
     all triples that runs only when the criterion fails."""
-    if not lat.j_rows()[3]:
+    if not lat.splits():
         return True, None
     for a, b, c in iproduct(range(lat.n), repeat=3):
         lhs = lat.meet(a, lat.join(b, c))
@@ -506,7 +524,7 @@ def family_lattice(masks, names, caps=DEFAULT_CAPS):
     if len(pos) != len(masks):
         raise DuplicateElement("repeated mask in family")
     names = tuple(names)
-    up = [sum(1 << j for j, mj in enumerate(masks) if mi & mj == mi) for mi in masks]
+    up = inclusion_up_sets(masks)
     join_t = _read_bounds(up)
     meet_t = tuple(tuple([pos.get(mi & mj) for mj in masks]) for mi in masks)
     for kind, table in (("join", join_t), ("meet", meet_t)):
@@ -518,6 +536,32 @@ def family_lattice(masks, names, caps=DEFAULT_CAPS):
     for k in range(len(masks)):
         bottom, top = meet_t[bottom][k], join_t[top][k]
     return Lattice(names, up, join_t, meet_t, bottom, top)
+
+
+def inclusion_up_sets(masks):
+    """For each member of the family ``masks``, the bitmask of the positions
+    of the members that contain it: the AND, over the points of the member,
+    of the positions of the members holding that point (all positions for
+    the empty member).  Cost proportional to the points of the members, not
+    to |masks|**2; ``bits`` is inlined, as its generator would cost more
+    than the |masks|**2 scan on families of a few dozen members."""
+    holding = [0] * max(masks, default=0).bit_length()
+    for j, m in enumerate(masks):
+        member = 1 << j
+        while m:
+            low = m & -m
+            holding[low.bit_length() - 1] |= member
+            m ^= low
+    everything = (1 << len(masks)) - 1
+    up = []
+    for m in masks:
+        u = everything
+        while m:
+            low = m & -m
+            u &= holding[low.bit_length() - 1]
+            m ^= low
+        up.append(u)
+    return up
 
 
 def upset_lattice(poset, limit=None):
@@ -573,18 +617,28 @@ def monotone_search(variables, lat, laws, budget, what):
     A law is a pair (scope, test): ``scope`` is the bitmask of the
     variables it reads and ``test(g)`` judges the partial map, as soon as
     the last variable of the scope is assigned (a law with an empty scope
-    is judged before the first).  Every candidate value tried is one search
+    is judged before the first).  That position is found by bisection on
+    the linear extension: the least k such that no variable of the scope
+    comes after the first k, about log n mask tests per law, each an AND
+    with a mask built once.  Every candidate value tried is one search
     node; past ``budget`` nodes the search raises CapExceeded(what, ...).
     """
     order, covers, _ = variables.search_rows()
     above = lat.search_rows()[2]
     join_t = lat.join_t
-    rank = [0] * variables.n
-    for k, v in enumerate(order):
-        rank[v] = k + 1
-    due = [[] for _ in range(variables.n + 1)]
+    rest = [0] * (variables.n + 1)  # rest[k]: the variables after the first k
+    for k in reversed(range(variables.n)):
+        rest[k] = rest[k + 1] | 1 << order[k]
+    due = [[] for _ in rest]
     for scope, test in laws:
-        due[max((rank[v] for v in bits(scope)), default=0)].append(test)
+        lo, hi = 0, variables.n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if scope & rest[mid]:
+                lo = mid + 1
+            else:
+                hi = mid
+        due[lo].append(test)
     g = [None] * variables.n
     found = []
     nodes = 0

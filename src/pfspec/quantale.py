@@ -27,6 +27,10 @@ product and the unit.  Between frames the product is the meet and the unit
 the top, so the quantale homs are the frame homs; the join-preserving maps
 alone are ``suplattice.all_supmaps``.  ``enumerate_homs`` decides every hom
 law on J and returns each hom as its values there, read by ``hom_evaluator``.
+It states only the laws that can fail, as ``spectrum`` does for anti-ideals:
+into a frame, f(pq) = f(p)f(q) for p, q in J with pq the smaller of p and q
+holds for every monotone map on J, since the product there is the meet, and
+is omitted.
 """
 
 from itertools import product as iproduct
@@ -50,8 +54,8 @@ class Quantale:
 
         A frame passes at once on its certificate: the product table is the
         carrier's meet table, the unit is the top, both tables are the
-        order's bounds (``Lattice.has_order_bounds``), and ``j_rows()`` has no
-        splits.  Then the carrier is distributive by Birkhoff's criterion
+        order's bounds (``Lattice.has_order_bounds``), and ``splits()`` is
+        empty.  Then the carrier is distributive by Birkhoff's criterion
         (``order.is_distributive``), so meet distributes over joins, and a
         meet is associative, commutative and unital with the top: every law
         below holds.  Any other quantale takes ``_check_laws``.
@@ -61,7 +65,7 @@ class Quantale:
             self.unit == lat.top
             and self.mult_t == lat.meet_t
             and lat.has_order_bounds()
-            and not lat.j_rows()[3]
+            and not lat.splits()
         ):
             self._check_laws()
 
@@ -269,7 +273,7 @@ def hom_evaluator(q1, q2):
     join-irreducibles J of q1: the join of g over the J below a.  g must be
     monotone on J, as a hom is; then that join is the join over the maximal
     J below a, usually one or two, and only those are read."""
-    maximal, join_t, bottom = q1.carrier.j_rows()[1], q2.carrier.join_t, q2.carrier.bottom
+    maximal, join_t, bottom = q1.carrier.j_rows()[0], q2.carrier.join_t, q2.carrier.bottom
 
     def value(g, a):
         out = bottom
@@ -280,6 +284,38 @@ def hom_evaluator(q1, q2):
     return value
 
 
+def _hom_laws(q1, q2):
+    """The hom laws on a monotone map g of the join-irreducibles J of q1
+    into q2, as (scope, test) laws; ``scope`` masks the J that ``test(g)``
+    reads, by ``hom_evaluator``.  The unit; f(pq) = f(p)f(q) for p, q in J,
+    which by bilinearity decides every pair; and f(p v c) = f(p) v f(c) for
+    p in J and any c, which by induction on J below a decides f(a v c).
+    That join law is stated only where the J below p v c is more than the J
+    below p and c (``Lattice.splits``), which a distributive q1 never has.
+
+    The laws that every monotone g obeys are omitted, so the list holds only
+    laws that can fail: when q2 is a frame, f(pq) = f(p)f(q) where pq = p
+    with p <= q, or pq = q with q <= p (p = q when pp = p).  There the law
+    reads g(p) = g(p) ^ g(q), as f(p) = g(p) for p in J, and a monotone g
+    has g(p) <= g(q)."""
+    src, tgt = q1.carrier, q2.carrier
+    ji = src.join_irreducibles()
+    below = src.j_below()
+    value = hom_evaluator(q1, q2)
+    is_meet = q2.is_frame()
+    laws = [(below[q1.unit], lambda g: value(g, q1.unit) == q2.unit)]
+    for i, p in enumerate(ji):
+        for j in range(i, len(ji)):
+            q = ji[j]
+            a = q1.mul(p, q)
+            if is_meet and (a == p and src.leq(p, q) or a == q and src.leq(q, p)):
+                continue
+            laws.append((1 << i | 1 << j | below[a], lambda g, i=i, j=j, a=a: value(g, a) == q2.mult_t[g[i]][g[j]]))
+    for i, c, a in src.splits():
+        laws.append((below[a], lambda g, i=i, c=c, a=a: value(g, a) == tgt.join_t[g[i]][value(g, c)]))
+    return laws
+
+
 def enumerate_homs(q1, q2, caps=DEFAULT_CAPS):
     """All quantale homs q1 -> q2, each as the tuple of its values on the
     join-irreducibles J of q1, sorted.
@@ -287,22 +323,13 @@ def enumerate_homs(q1, q2, caps=DEFAULT_CAPS):
     They are searched as monotone maps g on J by ``order.monotone_search``,
     with f(a) read by ``hom_evaluator``, so the empty join is kept; g must be
     monotone on J there, and each partial map of the search is, on the J it
-    has assigned.  Each law is judged once the elements of J it reads are assigned: the unit;
-    f(ab) = f(a)f(b) for a, b in J, which by bilinearity decides every pair;
-    and f(p v c) = f(p) v f(c) for p in J and any c, which by induction on J
-    below a decides f(a v c).  That join law is stated only where the J below
-    p v c is more than the J below p and c (``Lattice.j_rows().splits``),
-    which a distributive q1 never has.  The cap counts the values tried.
+    has assigned.  Each law of ``_hom_laws`` is judged once the elements of
+    J it reads are assigned.  That list omits, for a frame q2, f(pq) =
+    f(p)f(q) where pq is the smaller of p and q: there f(pq) = g(p) =
+    g(p) ^ g(q) for every monotone g, so the omitted laws would prune
+    nothing, and the homs, their order, the nodes tried and any
+    CapExceeded are those of the full list.  The cap counts the values
+    tried.
     """
-    src, tgt = q1.carrier, q2.carrier
-    ji = src.join_irreducibles()
-    below, _, j_poset, splits = src.j_rows()
-    value = hom_evaluator(q1, q2)
-    laws = [(below[q1.unit], lambda g: value(g, q1.unit) == q2.unit)]
-    for i, p in enumerate(ji):
-        for j in range(i, len(ji)):
-            a = q1.mul(p, ji[j])
-            laws.append((1 << i | 1 << j | below[a], lambda g, i=i, j=j, a=a: value(g, a) == q2.mult_t[g[i]][g[j]]))
-    for i, c, a in splits:
-        laws.append((below[a], lambda g, i=i, c=c, a=a: value(g, a) == tgt.join_t[g[i]][value(g, c)]))
-    return sorted(monotone_search(j_poset, tgt, laws, caps.search_budget(), "hom enumeration"))
+    j_poset = q1.carrier.j_rows()[1]
+    return sorted(monotone_search(j_poset, q2.carrier, _hom_laws(q1, q2), caps.search_budget(), "hom enumeration"))

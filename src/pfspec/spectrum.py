@@ -75,6 +75,7 @@ from .order import (
     Lattice,
     bits,
     family_lattice,
+    inclusion_up_sets,
     monotone_search,
 )
 from .quantale import (
@@ -550,12 +551,7 @@ def radical_frame(data, caps=DEFAULT_CAPS):
         if witness is None:
             witness = max(from_primes, key=from_primes.count)
         raise LawViolation("points of Rad(R) are the prime anti-ideals", pts.mask_name(witness))
-    names = [pts.mask_name(m) for m in masks]
-    up = [
-        sum(1 << j for j, mj in enumerate(masks) if mi & mj == mi)
-        for mi in masks
-    ]
-    point_poset = FinitePoset(names, up)
+    point_poset = FinitePoset([pts.mask_name(m) for m in masks], inclusion_up_sets(masks))
     return SpectrumResult(data, ideal_data, quantic, radicals, rho, g, masks, point_poset)
 
 

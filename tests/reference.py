@@ -15,8 +15,8 @@ holds:
 * brute-force oracles: way-below over directed subsets, totally-below over
   all subsets, and the pair-by-pair lift of a point operation to down-sets;
 * the quotient of a quantale by the congruence that pairs generate;
-* the prime anti-ideal laws with none omitted, and the least ideal over
-  a set of holoid classes by a fixpoint loop;
+* the prime anti-ideal laws and the quantale hom laws with none omitted,
+  and the least ideal over a set of holoid classes by a fixpoint loop;
 * the law checks of a built input (semiring laws, monotone tables, lattice
   tables, distributivity) as scans over every element, pair and triple;
 * the canonical printer of the model-file grammar, and a runner for scripts
@@ -57,7 +57,7 @@ from pfspec.order import (
     downset_lattice,
     lattice_structure,
 )
-from pfspec.quantale import least_nucleus, quotient_by_nucleus
+from pfspec.quantale import hom_evaluator, least_nucleus, quotient_by_nucleus
 from pfspec.suplattice import (
     OMEGA_FALSE,
     OMEGA_TRUE,
@@ -649,7 +649,7 @@ def quotient_by(quantale, relations):
 
 
 # ---------------------------------------------------------------------------
-# the prime anti-ideal laws, none omitted, and the ideal closure by a loop
+# the prime anti-ideal and hom laws, none omitted, and the ideal closure by a loop
 
 
 def full_anti_ideal_laws(data, classes, quantale, mode):
@@ -674,6 +674,26 @@ def full_anti_ideal_laws(data, classes, quantale, mode):
         for s in bits(classes.sums[c][e]) if mode == "semiring" else ():
             scope = 1 << c | 1 << e | 1 << s
             laws.append(("additivity", scope, lambda g, c=c, e=e, s=s: q_up[g[s]] >> q_join[g[c]][g[e]] & 1))
+    return laws
+
+
+def full_hom_laws(q1, q2):
+    """Every quantale hom law on a monotone map g of the join-irreducibles
+    J of q1 into q2, as (scope, test) laws in the order of
+    ``quantale._hom_laws``, which omits those that every monotone g obeys:
+    the unit, f(pq) = f(p)f(q) for each pair p, q in J, and
+    f(p v c) = f(p) v f(c) for each split (k, c, a) of q1's carrier."""
+    src, tgt = q1.carrier, q2.carrier
+    ji = src.join_irreducibles()
+    below = src.j_below()
+    value = hom_evaluator(q1, q2)
+    laws = [(below[q1.unit], lambda g: value(g, q1.unit) == q2.unit)]
+    for i, p in enumerate(ji):
+        for j in range(i, len(ji)):
+            a = q1.mul(p, ji[j])
+            laws.append((1 << i | 1 << j | below[a], lambda g, i=i, j=j, a=a: value(g, a) == q2.mult_t[g[i]][g[j]]))
+    for i, c, a in src.splits():
+        laws.append((below[a], lambda g, i=i, c=c, a=a: value(g, a) == tgt.join_t[g[i]][value(g, c)]))
     return laws
 
 

@@ -17,10 +17,13 @@ from pfspec.order import (
     build_poset,
     family_lattice,
     generators,
+    inclusion_up_sets,
     is_distributive,
     lattice_structure,
     least_closure,
+    monotone_search,
 )
+from pfspec.suplattice import omega
 from reference import (
     NoAdjoint,
     adjoints,
@@ -218,6 +221,20 @@ def test_a_join_past_the_union_is_the_least_member_above_it(masks, names, found)
         assert lat.meet(1, 2) == lat.bottom
 
 
+def test_inclusion_up_sets_match_the_literal_scan():
+    # the members above each member, by ANDing the members that hold each of
+    # its points, against the scan over every pair: on the empty family, on
+    # families holding the empty mask or repeats, on seeded random families
+    # and on the down-sets of every poset of at most 4 elements
+    scan = lambda masks: [sum(1 << j for j, mj in enumerate(masks) if mi & mj == mi) for mi in masks]
+    rng = random.Random(7)
+    families = [[], [0], [0, 0], [0b101, 0, 0b101, 0b1]]
+    families += [[rng.getrandbits(rng.randint(1, 12)) for _ in range(rng.randint(1, 40))] for _ in range(200)]
+    families += [poset.down_sets() for n in range(5) for poset in all_posets_up_to_iso(n)]
+    for masks in families:
+        assert inclusion_up_sets(masks) == scan(masks), masks
+
+
 # ---------------------------------------------------------------------------
 # adjoints
 
@@ -390,3 +407,38 @@ def test_closure_quotient_matches_least_upper_bound_search(lat, data):
     assert quotient.names == ref.names and quotient.up == ref.up
     assert quotient.join_t == ref.join_t and quotient.meet_t == ref.meet_t
     assert (quotient.bottom, quotient.top) == (ref.bottom, ref.top)
+
+
+# ---------------------------------------------------------------------------
+# monotone search
+
+
+def test_each_law_is_judged_once_when_the_last_variable_of_its_scope_is_assigned():
+    # every poset of at most 5 elements into Omega, one always-true law per
+    # scope mask: a law whose last scope variable is the k-th of the search
+    # order is judged once per monotone map on the first k variables, with
+    # those k assigned (a later judgement repeats the all-bottom map, an
+    # earlier one misses maps); a law with an empty scope once, before the
+    # first variable
+    target = omega()
+    searches = 0
+    for n in range(6):
+        for poset in all_posets_up_to_iso(n):
+            order = poset.search_rows()[0]
+            monotone = [
+                [
+                    g
+                    for g in product(range(target.n), repeat=k)
+                    if all(target.leq(g[i], g[j]) for i in range(k) for j in range(k) if poset.leq(order[i], order[j]))
+                ]
+                for k in range(n + 1)
+            ]
+            seen = [[] for _ in range(1 << n)]
+            laws = [(scope, lambda g, scope=scope: seen[scope].append(tuple(g)) or True) for scope in range(1 << n)]
+            monotone_search(poset, target, laws, 10**6, "judged")
+            for scope in range(1 << n):
+                k = max((order.index(v) + 1 for v in bits(scope)), default=0)
+                judged = sorted(tuple(g[v] for v in order[:k]) for g in seen[scope])
+                assert judged == monotone[k], (poset.up, scope)
+            searches += 1
+    assert searches == 1 + 1 + 2 + 5 + 16 + 63

@@ -1087,7 +1087,13 @@ def test_search_and_j_rows_built_once_per_lattice(monkeypatch):
     # each search asks its variables and its target
     assert sum(calls for calls, _ in counts) == 2 * 2 * 2 * len(catalog)
     # per quantale: enumerate_homs, its evaluator, and the evaluator that
-    # reads the homs at the universal element; and once more for the frame
-    # certificate when each source, a frame here, is validated
+    # reads the homs at the universal element; the frame certificate that
+    # validates each source, a frame here, reads only the splits
     counts = _cached_counts(monkeypatch, run, Lattice, "j_rows")
-    assert counts == [(3 * len(catalog) + 1, 1)] * 2
+    assert counts == [(3 * len(catalog), 1)] * 2
+    # the splits: once for the certificate, and once per quantale for the
+    # join laws of enumerate_homs; both read the j_below rows of j_rows
+    counts = _cached_counts(monkeypatch, run, Lattice, "splits")
+    assert counts == [(len(catalog) + 1, 1)] * 2
+    counts = _cached_counts(monkeypatch, run, Lattice, "j_below")
+    assert [computed for _, computed in counts] == [1, 1]
