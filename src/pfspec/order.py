@@ -20,8 +20,8 @@ inclusion, with meets the intersections and the up-sets ANDed from the
 members holding each point (``inclusion_up_sets``); ``lattice_structure``
 tabulates posets that arrive without tables, each meet read from an index
 of the down-sets, and searches only to name a pair without a bound.  The
-quotient by a closure operator is built by ``ClosureOperator.quotient``
-straight from its fixed points: meets carry over and the join is j(a v b).
+quotient by a closure operator is the family of the down-sets of its fixed
+points (``ClosureOperator.quotient``): meets carry over, the join is j(a v b).
 
 Laws of binary tables are decided on generators, never on all triples:
 ``generators`` picks a generating set of a commutative monoid, and
@@ -473,24 +473,13 @@ class ClosureOperator:
 
     def quotient(self):
         """The lattice of fixed points and, for each element a, the index of
-        j(a) in it.
-
-        The fixed points of a closure operator are closed under meets, so
-        meets and the top carry over; the join of fixed points a, b is
-        j(a v b) and the bottom is j(bottom).  No least-upper-bound search.
-        """
-        lat = self.carrier
-        j = self.values
-        fixed = self.fixed_points()
+        j(a) in it: the ``family_lattice`` of their down-sets, which meet in
+        the family as fixed points are closed under meets, and whose join,
+        the least fixed point above both, is j(a v b)."""
+        lat, fixed = self.carrier, self.fixed_points()
         pos = {e: k for k, e in enumerate(fixed)}
-        fixed_mask = sum(1 << e for e in fixed)
-        up = [sum(1 << pos[f] for f in bits(lat.up[e] & fixed_mask)) for e in fixed]
-        join_t = tuple(tuple(pos[j[lat.join(a, b)]] for b in fixed) for a in fixed)
-        meet_t = tuple(tuple(pos[lat.meet(a, b)] for b in fixed) for a in fixed)
-        quotient = Lattice(
-            [lat.names[e] for e in fixed], up, join_t, meet_t, pos[j[lat.bottom]], pos[lat.top]
-        )
-        return quotient, [pos[v] for v in j]
+        quotient = family_lattice([lat.down[e] for e in fixed], [lat.names[e] for e in fixed])
+        return quotient, [pos[v] for v in self.values]
 
     def __eq__(self, other):
         return (

@@ -17,12 +17,12 @@ monoid by the same steps, and never the frame of opens (up to 2**|points|
 elements):
 
 * the quantic spectrum: for a semiring the quantale Idl(R) of ideals, the
-  sets of classes that NextClosure lists from ideal sums of class down-sets
-  (every class down-set is an ideal, ``HoloidClasses``), checked complete
-  by ideal sums (the down-closure of I + J, ``HoloidClasses.ideal_sum``),
-  joined as the least listed ideal above both and with the class product
-  closed up; for a monoid the quantale MM(R) of monoid ideals, the unions
-  of class down-sets, with the class product,
+  sets of classes reached from the least ideal by ideal sums (the
+  down-closure of I + J, ``HoloidClasses.ideal_sum``) with class down-sets,
+  each an ideal (``HoloidClasses``), joined as the least listed ideal above
+  both and with the class product closed up; for a monoid the quantale
+  MM(R) of monoid ideals, the unions of class down-sets, with the class
+  product,
 * its localic reflection Rad(R),
 * the universal element, one formula for both kinds: x -> the down-set of
   its class, which is the least (monoid) ideal holding x.  It is checked
@@ -160,6 +160,16 @@ def is_deflationary(data):
 # monoid ideals
 
 
+def _listed_least(classes, pos, u):
+    """The index in ``pos`` of the class mask u, or else of the least ideal
+    over u (``classes.least``); LawViolation("least ideals are listed")
+    naming u when neither is listed."""
+    k = pos[u] if u in pos else pos.get(classes.least(u))
+    if k is None:
+        raise LawViolation("least ideals are listed", classes.point_order.mask_name(classes.points(u)))
+    return k
+
+
 def _class_quantale(data, classes, class_masks, caps):
     """The quantale on ``class_masks``, down-sets of checked classes closed
     under intersection and holding every class, ordered by inclusion and
@@ -172,7 +182,7 @@ def _class_quantale(data, classes, class_masks, caps):
     principal (monoid) ideal of x, and the unit is that of one; a class
     down-set missing from ``class_masks`` raises LawViolation naming the
     class.  A.B is the least member over the union of the class down-sets
-    of ce, c and e maximal in A and B, by ``classes.least`` where that union
+    of ce, c and e maximal in A and B, by ``_listed_least`` where that union
     is no member.  That is the convolution product on points: the class
     product is a congruence, monotone on the class order
     (``holoid_quotient``), and each class down-set is the principal monoid
@@ -193,7 +203,7 @@ def _class_quantale(data, classes, class_masks, caps):
         dc = [down[ce] for ce in classes.mul_t[c]]
         per_class[c] = [reduce(or_, [dc[e] for e in me], 0) for me in maximals]
     rows = [reduce(lambda row, c: tuple(map(or_, row, per_class[c])), mc, (0,) * len(cmasks)) for mc in maximals]
-    index = {u: pos[u] if u in pos else pos[classes.least(u)] for u in set(chain.from_iterable(rows))}
+    index = {u: _listed_least(classes, pos, u) for u in set(chain.from_iterable(rows))}
     quantale = Quantale(lat, [[index[u] for u in row] for row in rows], principal[classes.cls_of[data.one_point]])
     return quantale, masks, pos, tuple(principal[c] for c in classes.cls_of)
 
@@ -237,39 +247,33 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
 
 
 def _fixed_class_masks(classes, caps):
-    """The ideals, as class masks, in lectic order (NextClosure: Ganter,
-    "Two basic algorithms in concept analysis", 1984), from ``bottom``.
+    """The ideals, as class masks: the least family that holds ``bottom``
+    and, with each member a and each class c minimal outside a (the classes
+    below c, c aside, all in a), the ideal sum of a and a | c.
 
-    From an ideal a, the next one is the least ideal over a below i, plus i,
-    for the largest i not in a whose closure adds nothing below i.  A class
-    whose down-closure already adds something below i is passed over
-    without a closure.  When nothing of a lies above i the closure is the
-    ideal sum of a and the down-set of i, itself an ideal; else it is
-    ``classes.least``.  Every class tried, closed or passed over, counts
-    against ``caps.search_budget()``, and past it CapExceeded("ideal
-    enumeration", ...) is raised; so the loop ends within the budget."""
+    Each member is an ideal, as ``bottom`` and the class down-set of c are
+    (``HoloidClasses``).  And every ideal I is a member: else I would hold a
+    member a maximal in it, as it holds ``bottom``, and a class c minimal in
+    I outside a, and the ideal sum of a and a | c, the least ideal over
+    both, would be a larger member in I.  Every ideal sum counts against
+    ``caps.search_budget()``, and past it CapExceeded("ideal enumeration",
+    ...) is raised."""
     budget = caps.search_budget()
-    k, down = classes.order.n, classes.order.down
-    full = (1 << k) - 1
-    a = classes.bottom
-    found = [a]
+    full, down = classes.order.full, classes.order.down
+    found = [classes.bottom]
+    seen = set(found)
     tried = 0
-    while a != full:
-        for i in reversed(range(k)):
-            if a >> i & 1:
+    for a in found:
+        for c in bits(full & ~a):
+            if down[c] & ~a != 1 << c:
                 continue
             tried += 1
             if tried > budget:
                 raise CapExceeded("ideal enumeration", tried, budget)
-            low = (1 << i) - 1
-            kept = a & low
-            if down[i] & low & ~kept:
-                continue
-            b = classes.ideal_sum(a, a | down[i]) if kept == a else classes.least(kept | 1 << i)
-            if b & low == kept:
-                a = b
-                break
-        found.append(a)
+            b = classes.ideal_sum(a, a | 1 << c)
+            if b not in seen:
+                seen.add(b)
+                found.append(b)
     return found
 
 
@@ -310,14 +314,9 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     classes, and its universal element.
 
     The ideals are listed as sets of checked classes by
-    ``_fixed_class_masks``, and each is checked to be an ideal in the
-    definitional sense.  The listing is checked complete: for each listed a
-    and each class c minimal outside a, the ideal sum of a and down[c] (or
-    their union, if listed) must be listed, else LawViolation("join closes
-    into the family", (a, down[c])).  That suffices: a missing ideal I would
-    hold a listed a maximal in it and a class c minimal in I outside a, and
-    the ideal sum of a and down[c] would be a larger listed ideal in I.
-    ``_class_quantale`` orders them by inclusion, with meets the
+    ``_fixed_class_masks``, the closure of ``bottom`` under ideal sums with
+    class down-sets, and each is checked to be an ideal in the definitional
+    sense.  ``_class_quantale`` orders them by inclusion, with meets the
     intersections and joins the least listed ideal above both, and gives
     them the product from the class table closed up by
     ``HoloidClasses.least``, and the unit the down-set of the class of 1.
@@ -329,18 +328,11 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     """
     if not data.has_addition:
         raise LawViolation("additive structure", "monoid-only data has no ideals")
-    classes, pts, down = data.classes, data.locale.points, data.classes.order.down
+    classes, pts = data.classes, data.locale.points
     fixed = _fixed_class_masks(classes, caps)
     witness = _ideal_witness(data, map(classes.points, fixed))
     if witness is not None:
         raise LawViolation("class closure gives ideals", pts.mask_name(witness))
-    listed = set(fixed)
-    for a in fixed:
-        for c in bits(classes.order.full & ~a):
-            b = a | down[c]
-            if b == a | 1 << c and b not in listed and classes.ideal_sum(a, b) not in listed:
-                gap = pts.mask_name(classes.points(a)), pts.mask_name(classes.points(down[c]))
-                raise LawViolation("join closes into the family", gap)
     ideals, masks, pos, universal = _class_quantale(data, classes, fixed, caps)
     return IdealQuantaleData(ideals, masks, classes, pos, universal)
 
@@ -350,7 +342,7 @@ def monoid_collapse(iq, mi):
     ideal over it, as a QuantaleHom."""
     classes = iq.classes
     values = [
-        iq.class_index[classes.least(sum(1 << c for c, p in enumerate(classes.members) if p & m))]
+        _listed_least(classes, iq.class_index, sum(1 << c for c, p in enumerate(classes.members) if p & m))
         for m in mi.ideal_masks
     ]
     return QuantaleHom(mi.monoid_ideals, iq.ideals, values)

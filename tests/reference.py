@@ -6,7 +6,7 @@ on any package definition that nothing but the tests names).  This module
 holds:
 
 * fixtures: named small lattices and posets, every poset up to isomorphism,
-  and the monoid and semiring catalogs;
+  the monoid and semiring catalogs, and two rings with nilpotents;
 * checks of the lemmas in the category of suplattices that the paper relies
   on: the locale coproduct is the suplattice tensor, the overt weakly closed
   (OWC) sublocales are the SupMaps opens -> Omega, adjoints of join- and
@@ -16,7 +16,8 @@ holds:
   all subsets, and the pair-by-pair lift of a point operation to down-sets;
 * the quotient of a quantale by the congruence that pairs generate;
 * the prime anti-ideal laws and the quantale hom laws with none omitted,
-  and the least ideal over a set of holoid classes by a fixpoint loop;
+  the least ideal over a set of holoid classes by a fixpoint loop, and the
+  ideals listed by NextClosure over that loop;
 * the law checks of a built input (semiring laws, monotone tables, lattice
   tables, distributivity) as scans over every element, pair and triple;
 * the canonical printer of the model-file grammar, and a runner for scripts
@@ -275,6 +276,35 @@ def semiring_catalog():
         ("Z2xZ2", z2z2),
         ("C3lat", lattice_semiring(chain(3))),
     ]
+
+
+def dual_numbers_of_the_plane():
+    """F2[x,y]/(x,y)^2, the element a + bx + cy as the bits a, b, c: its
+    ideals are 0, the three lines of (x,y), (x,y) itself and the ring, so
+    Idl(R) is M3 below a top, not distributive."""
+    names = ["0", "1", "x", "1+x", "y", "1+y", "x+y", "1+x+y"]
+    add = [[a ^ b for b in range(8)] for a in range(8)]
+    mul = [[(a & b & 1) | (a & 1) * (b & 6) ^ (b & 1) * (a & 6) for b in range(8)] for a in range(8)]
+    return build_discrete_semiring(names, 0, 1, add, mul)
+
+
+def plane_modulo_cubes():
+    """F2[x,y]/(x,y)^3, an element as the bits of its monomials 1, x, y,
+    x^2, xy, y^2 (bit k for the k-th); the square of (x,y) is
+    (x^2, xy, y^2), which is no union of principal ideals."""
+    monomials = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    labels = ["1", "x", "y", "x2", "xy", "y2"]
+
+    def mul(a, b):
+        out = 0
+        for i, j in product(bits(a), bits(b)):
+            m = (monomials[i][0] + monomials[j][0], monomials[i][1] + monomials[j][1])
+            out ^= 1 << monomials.index(m) if m in monomials else 0
+        return out
+
+    names = ["+".join(labels[k] for k in bits(a)) or "0" for a in range(64)]
+    add = [[a ^ b for b in range(64)] for a in range(64)]
+    return build_discrete_semiring(names, 0, 1, add, [[mul(a, b) for b in range(64)] for a in range(64)])
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +750,28 @@ def close(classes, closed, extra):
                 grown |= row[e]
         new = grown & ~closed
     return closed
+
+
+def nextclosure_ideals(classes):
+    """The ideals of the ``HoloidClasses`` ``classes``, as class masks, in
+    lectic order: NextClosure (Ganter, "Two basic algorithms in concept
+    analysis", 1984) over ``close``.  From an ideal a, the next one is the
+    least ideal over the classes of a below i, plus i, for the largest i not
+    in a whose closure adds nothing below i."""
+    k = classes.order.n
+    a = classes.bottom
+    found = [a]
+    while a != (1 << k) - 1:
+        for i in reversed(range(k)):
+            if a >> i & 1:
+                continue
+            low = (1 << i) - 1
+            b = close(classes, classes.bottom, a & low | 1 << i)
+            if b & low == a & low:
+                a = b
+                break
+        found.append(a)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,7 @@ def test_closure_operator_laws_enforced():
     with pytest.raises(LawViolation):
         ClosureOperator(c3, [0, 0, 2])  # not inflationary at m
     with pytest.raises(LawViolation):
-        ClosureOperator(c3, [1, 1, 1])  # wait: inflationary, monotone, idempotent? 0->m,m->m,1->1 is fine
+        ClosureOperator(c3, [1, 1, 1])  # not inflationary at 1, which goes to m
     ClosureOperator(c3, [1, 1, 2])  # collapses {0,m}: valid
 
 

@@ -49,7 +49,7 @@ from pfspec.spectrum import (
     universal_element,
 )
 from pfspec.suplattice import TensorElement, TensorSpace, dual, tensor
-from reference import grid, monoid_catalog, pairwise_owc_binop, run_optimized, semiring_catalog
+from reference import grid, monoid_catalog, pairwise_owc_binop, plane_modulo_cubes, run_optimized, semiring_catalog
 
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -411,45 +411,29 @@ def _union_as_join(classes, ideal, union):
 
 
 @pytest.mark.parametrize(
-    "method, broken, name, witness",
+    "method, broken, data, law, witness",
     [
-        # every set of classes that holds the zero's: {0,1,3} holds 1, not 2
-        ("least", _no_closure, "Z4", "{0,1,3}"),
-        # every monoid ideal that holds 0: (2) v (3) misses 2 + 3 = 5
-        ("ideal_sum", _union_as_join, "Z6", "{0,2,3,4}"),
+        # the least ideal over a set of classes as that set and the zero's:
+        # in F2[x,y]/(x,y)^3 the product (x,y)^2 is then the union of (x2),
+        # (xy) and (y2), which misses x2 + xy + y2 and is no listed ideal
+        (
+            "least",
+            _no_closure,
+            lambda: to_localic(plane_modulo_cubes()),
+            "least ideals are listed",
+            "{0,x2,xy,x2+xy,y2,x2+y2,xy+y2}",
+        ),
+        # the first set listed, in (size, mask) order, that is no ideal:
+        # every monoid ideal that holds 0, and (2) v (3) misses 2 + 3 = 5
+        ("ideal_sum", _union_as_join, lambda: _semiring_data("Z6"), "class closure gives ideals", "{0,2,3,4}"),
     ],
     ids=["absorption", "sums"],
 )
-def test_class_closure_output_is_checked_against_the_definition(monkeypatch, method, broken, name, witness):
-    # the first set listed, in (size, mask) order, that is no ideal
+def test_class_closure_output_is_checked_against_the_definition(monkeypatch, method, broken, data, law, witness):
     monkeypatch.setattr(pfspec.algebra.HoloidClasses, method, broken)
     with pytest.raises(LawViolation) as exc:
-        radical_frame(_semiring_data(name))
-    assert (exc.value.law, exc.value.witness) == ("class closure gives ideals", witness)
-
-
-def test_a_join_outside_the_ideals_is_a_failed_law(monkeypatch, capsys):
-    # the ideal sum rests on a theorem; were the ideals listed right but
-    # joined as unions, the completeness check of ideal_quantale would name
-    # the ideal (3) of Z6 and the down-set (2) of a class outside it, whose
-    # union is no listed ideal, before any lattice is built; and verify
-    # records the law on every object it reaches
-    ideal_sum, listing = pfspec.algebra.HoloidClasses.ideal_sum, pfspec.spectrum._fixed_class_masks
-
-    def listed_with_the_ideal_sum(classes, caps):
-        with monkeypatch.context() as m:
-            m.setattr(pfspec.algebra.HoloidClasses, "ideal_sum", ideal_sum)
-            return listing(classes, caps)
-
-    monkeypatch.setattr(pfspec.spectrum, "_fixed_class_masks", listed_with_the_ideal_sum)
-    monkeypatch.setattr(pfspec.algebra.HoloidClasses, "ideal_sum", _union_as_join)
-    with pytest.raises(LawViolation) as exc:
-        radical_frame(_semiring_data("Z6"))
-    assert (exc.value.law, exc.value.witness) == ("join closes into the family", ("{0,3}", "{0,2,4}"))
-    assert main(["verify", "--suite", "oracles", str(MODELS[0].with_name("catalog.model"))]) == 1
-    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
-    assert "[oracles] Z6: zariski brute force matches the pipeline ... FAIL (join closes into the family violated at ('{0,3}', '{0,2,4}'))" in failed
-    assert all("join closes into the family" in line for line in failed), failed
+        radical_frame(data())
+    assert (exc.value.law, exc.value.witness) == (law, witness)
 
 
 def _every_class_as_join(classes, ideal, union):
@@ -473,8 +457,8 @@ def test_a_principal_ideal_missing_from_the_listing_is_a_failed_law(monkeypatch,
 
 
 def test_ideal_enumeration_stops_at_the_cap_before_any_table(monkeypatch):
-    # Scott P4 has 16 ideals, so NextClosure tries more than 8 classes; the
-    # cap stops it before a lattice or a product is built
+    # Scott P4 has 16 ideals, so the listing takes more than 8 ideal sums;
+    # the cap stops it at the ninth, before a lattice or a product is built
     built = []
     monkeypatch.setattr(pfspec.spectrum, "_class_quantale", lambda *args: built.append("product"))
     monkeypatch.setattr(Lattice, "__init__", lambda *args: built.append("lattice"))
