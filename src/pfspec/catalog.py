@@ -6,7 +6,7 @@ The fixtures that only the tests use live in ``tests/reference.py``."""
 from functools import cache
 
 from .algebra import build_discrete_semiring
-from .order import FinitePoset, build_poset, inclusion_up_sets, lattice_structure
+from .order import Lattice, build_poset, inclusion_up_sets, lattice_structure
 from .quantale import Quantale, frame_quantale
 from .suplattice import omega
 
@@ -33,7 +33,7 @@ def powerset_lattice(n):
         "{" + ",".join(str(i + 1) for i in range(n) if m >> i & 1) + "}"
         for m in range(1 << n)
     ]
-    return lattice_structure(FinitePoset(names, inclusion_up_sets(range(1 << n))))
+    return Lattice(names, inclusion_up_sets(range(1 << n)))
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,10 @@ def locale_from_frame(lat, caps=DEFAULT_CAPS):
     Points are the join-irreducibles with the reversed induced order (so the
     principal up-set of a point corresponds to the irreducible itself).
     Returns (locale, to_opens, from_opens) where to_opens is the frame
-    isomorphism ``lat -> locale.opens``.
+    isomorphism ``lat -> locale.opens``: both maps are checked as SupMaps,
+    so are monotone, and the spatiality check makes them inverse
+    bijections, so together they are an order isomorphism, which carries
+    meets as well as joins.
     """
     ji = lat.join_irreducibles()
     pos = {p: k for k, p in enumerate(ji)}
@@ -101,8 +104,4 @@ def locale_from_frame(lat, caps=DEFAULT_CAPS):
     for a, v in enumerate(to_values):
         from_values[v] = a
     from_opens = SupMap(loc.opens, lat, from_values)
-    for a in range(lat.n):
-        for b in range(lat.n):
-            if to_values[lat.meet(a, b)] != loc.opens.meet(to_values[a], to_values[b]):
-                raise LawViolation("frame iso preserves meets", (lat.names[a], lat.names[b]))
     return loc, to_opens, from_opens

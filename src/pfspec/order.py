@@ -13,15 +13,17 @@ forcings allow (``closure_onto``), found as one bitmask of disallowed
 elements.  Anti-ideals and quantale homs come from
 one search engine, ``monotone_search``, which reads the floor of each
 variable on its lower covers (exact, as the maps are monotone) from rows built
-once per poset.  Lattice tables have one join rule: the join of i and j
-is the k with up[k] = up[i] & up[j], read from an index of the up-sets.
-``family_lattice`` alone builds a lattice on a family of bitmasks ordered by
-inclusion, with meets the intersections and the up-sets ANDed from the
-members holding each point (``inclusion_up_sets``); ``lattice_structure``
-tabulates posets that arrive without tables, each meet read from an index
-of the down-sets, and searches only to name a pair without a bound.  The
-quotient by a closure operator is the family of the down-sets of its fixed
-points (``ClosureOperator.quotient``): meets carry over, the join is j(a v b).
+once per poset.  A lattice is built from its order alone: ``Lattice(names,
+up)`` reads the join of i and j as the k with up[k] = up[i] & up[j], from an
+index of the up-sets, and each meet from an index of the down-sets, and
+searches only to name a pair without a bound.  So no table can contradict
+the order, and no caller checks one again.  ``lattice_structure`` is that
+constructor on a poset, and ``family_lattice`` on a family of bitmasks
+ordered by inclusion, with the up-sets ANDed from the members holding each
+point (``inclusion_up_sets``) and its one further law, that meets are
+intersections.  The quotient by a closure operator is the family of the
+down-sets of its fixed points (``ClosureOperator.quotient``): meets carry
+over, the join is j(a v b).
 
 Laws of binary tables are decided on generators, never on all triples:
 ``generators`` picks a generating set of a commutative monoid, and
@@ -243,19 +245,28 @@ class MonotoneMap:
 
 
 class Lattice(FinitePoset):
-    """A finite complete lattice: binary join/meet tables plus bottom and top.
+    """A finite complete lattice, fixed by its order: ``Lattice(names, up)``
+    reads the binary join and meet tables, the bottom and the top off the
+    up-sets and the down-sets (``_bound_table``), and raises NotALattice
+    naming the first pair without a least bound.  So no table can contradict
+    the order, and nothing downstream checks one again.
 
     Arbitrary joins and meets fold over the binary tables; the empty join is
     the bottom and the empty meet the top, which is all finite completeness
     needs.
     """
 
-    def __init__(self, names, up, join_table, meet_table, bottom, top):
+    def __init__(self, names, up):
         super().__init__(names, up)
-        self.join_t = join_table
-        self.meet_t = meet_table
-        self.bottom = bottom
-        self.top = top
+        self.join_t = _bound_table(self, self.up, "join")
+        self.meet_t = _bound_table(self, self.down, "meet")
+        bottoms = [i for i in range(self.n) if self.up[i] == self.full]
+        tops = [i for i in range(self.n) if self.down[i] == self.full]
+        if len(bottoms) != 1:
+            raise NotALattice("join", ("empty", "empty"))
+        if len(tops) != 1:
+            raise NotALattice("meet", ("empty", "empty"))
+        self.bottom, self.top = bottoms[0], tops[0]
         self._join_irreducibles = None  # filled by the first join_irreducibles()
         self._j_below = None  # filled by the first j_below()
         self._j_rows = None  # filled by the first j_rows()
@@ -330,54 +341,32 @@ class Lattice(FinitePoset):
             )
         return self._splits
 
-    def has_order_bounds(self):
-        """Whether ``join_t`` and ``meet_t`` are the joins and meets of the
-        order, as ``_read_bounds`` reads them off the up-sets and the
-        down-sets."""
-        return _read_bounds(self.up) == self.join_t and _read_bounds(self.down) == self.meet_t
-
     def opposite(self):
-        return Lattice(self.names, self.down, self.meet_t, self.join_t, self.top, self.bottom)
+        return Lattice(self.names, self.down)
 
 
 def lattice_structure(poset):
-    """Tabulate binary joins and meets of ``poset``; error with a witness pair.
+    """``poset`` as a ``Lattice``, or NotALattice with a witness pair.
 
     A finite poset with all binary joins and meets plus a top and bottom is a
     complete lattice, so success here certifies completeness.
     """
-    join_table = _bound_table(poset, poset.up, "join")
-    meet_table = _bound_table(poset, poset.down, "meet")
-    bottoms = [i for i in range(poset.n) if poset.up[i] == poset.full]
-    tops = [i for i in range(poset.n) if poset.down[i] == poset.full]
-    if len(bottoms) != 1:
-        raise NotALattice("join", ("empty", "empty"))
-    if len(tops) != 1:
-        raise NotALattice("meet", ("empty", "empty"))
-    return Lattice(poset.names, poset.up, join_table, meet_table, bottoms[0], tops[0])
-
-
-def _read_bounds(up):
-    """The table whose cell (i, j) is the k with up[k] = up[i] & up[j], or
-    None where no k has it, from an index of the distinct up-sets ``up``.
-
-    Lemma: that k is the least upper bound of i and j, for k in
-    up[i] & up[j] is an upper bound, and up[k] holding every upper bound
-    makes it the least.  On the down-sets it gives the meets."""
-    get = {u: k for k, u in enumerate(up)}.get
-    return tuple(tuple([get(u & v) for v in up]) for u in up)
+    return Lattice(poset.names, poset.up)
 
 
 def _bound_table(poset, up, kind):
     """The table of least bounds in the order whose up-sets are ``up``: the
     joins for ``poset.up``, the meets for ``poset.down``.
 
-    When no two up-sets repeat, each cell is read by ``_read_bounds``.  A
-    missing cell, or a preorder (repeated up-sets, where no pair of
+    When no two up-sets repeat, cell (i, j) is the k with up[k] =
+    up[i] & up[j], read from an index of the up-sets: k in up[i] & up[j] is
+    an upper bound, and up[k] holding every upper bound makes it the least.
+    A cell with no such k, or a preorder (repeated up-sets, where no pair of
     equivalent elements has a least bound), falls to the least-upper-bound
     search, which raises NotALattice naming the first pair without one."""
     if len(set(up)) == poset.n:
-        table = _read_bounds(up)
+        get = {u: k for k, u in enumerate(up)}.get
+        table = tuple(tuple([get(u & v) for v in up]) for u in up)
         if not any(None in row for row in table):
             return table
     rows = []
@@ -493,38 +482,46 @@ class ClosureOperator:
 
 
 def family_lattice(masks, names, caps=DEFAULT_CAPS):
-    """Lattice on a family of bitmasks ordered by inclusion, where every
-    pair has a least member above both and meets in a member; the one
-    constructor of a lattice on masks.  Meets are intersections.  The join
-    of a and b is the k with up[k] = up[a] & up[b] (``_read_bounds``), read
-    off an index of the up-sets.  A pair without a join, or without a meet
-    in the family, raises LawViolation("join closes into the family",
-    (a, b)), or its "meet" form.
+    """The ``Lattice`` of a family of bitmasks ordered by inclusion, where
+    every pair has a least member above both and meets in a member; the one
+    constructor of a lattice on masks.  The order alone fixes the tables
+    (the up-sets come from ``inclusion_up_sets``); the one law left to check
+    is that each meet is the intersection.  A pair without a join raises
+    LawViolation("join closes into the family", (a, b)); otherwise the first
+    pair whose intersection is no member raises its "meet" form.  When the
+    order has a meet, the intersection is a member exactly when it is that
+    meet.
 
     The order, join and meet tables hold |masks|**2 cells each, so a family
     with more cells than 16 times ``caps.search_budget()`` raises CapExceeded
     before any table is built or ``names`` is read.
     """
     masks = list(masks)
-    cap = 16 * caps.search_budget()
-    if len(masks) ** 2 > cap:
-        raise CapExceeded("lattice join and meet tables", len(masks) ** 2, cap)
+    check_table_cap(len(masks), caps)
     pos = {m: i for i, m in enumerate(masks)}
     if len(pos) != len(masks):
         raise DuplicateElement("repeated mask in family")
     names = tuple(names)
-    up = inclusion_up_sets(masks)
-    join_t = _read_bounds(up)
-    meet_t = tuple(tuple([pos.get(mi & mj) for mj in masks]) for mi in masks)
-    for kind, table in (("join", join_t), ("meet", meet_t)):
-        for a, row in enumerate(table):
-            if None in row:
-                pair = names[a], names[row.index(None)]
-                raise LawViolation(f"{kind} closes into the family", pair)
-    bottom = top = 0
-    for k in range(len(masks)):
-        bottom, top = meet_t[bottom][k], join_t[top][k]
-    return Lattice(names, up, join_t, meet_t, bottom, top)
+    try:
+        lat = Lattice(names, inclusion_up_sets(masks))
+    except NotALattice as exc:
+        if exc.kind == "join":
+            raise LawViolation("join closes into the family", exc.pair) from None
+        lat = None
+    meets = tuple(tuple([pos.get(mi & mj) for mj in masks]) for mi in masks)
+    if lat is None or lat.meet_t != meets:
+        a, row = next((a, row) for a, row in enumerate(meets) if None in row)
+        raise LawViolation("meet closes into the family", (names[a], names[row.index(None)]))
+    return lat
+
+
+def check_table_cap(n, caps):
+    """Raise CapExceeded before a lattice of ``n`` elements tabulates its
+    n**2 joins and meets, when they are more than 16 times
+    ``caps.search_budget()``."""
+    cap = 16 * caps.search_budget()
+    if n**2 > cap:
+        raise CapExceeded("lattice join and meet tables", n**2, cap)
 
 
 def inclusion_up_sets(masks):

@@ -16,11 +16,13 @@ carry over and the join is j(a v b).
 
 Every quantale is validated against all the laws when it is constructed,
 and maps, homs and nuclei are checked when they are built.  A frame is
-validated by a certificate: its product is its meet and its unit the top, so
-the laws hold once the carrier is distributive, which Birkhoff's criterion
-decides on J.  Each join law is decided on the join-irreducibles J of the
-source: in a finite lattice every element is a join of elements of J, so a
-join-preserving map is fixed by its values there.
+validated by a certificate: its unit is the top, its product the meet, and
+its carrier has no splits, so is distributive by Birkhoff's criterion on J;
+then every law holds.  The meet needs no check of its own, as a lattice's
+tables are read off its order.  Each join law is decided on the
+join-irreducibles J of the source: in a finite lattice every element is a
+join of elements of J, so a join-preserving map is fixed by its values
+there.
 
 A hom is a quantale hom: a join-preserving map that also preserves the
 product and the unit.  Between frames the product is the meet and the unit
@@ -33,6 +35,7 @@ holds for every monotone map on J, since the product there is the meet, and
 is omitted.
 """
 
+from functools import reduce
 from itertools import product as iproduct
 from operator import getitem, itemgetter
 
@@ -52,32 +55,29 @@ class Quantale:
     def validate(self):
         """Check every law, raising LawViolation with a witness.
 
-        A frame passes at once on its certificate: the product table is the
-        carrier's meet table, the unit is the top, both tables are the
-        order's bounds (``Lattice.has_order_bounds``), and ``splits()`` is
+        A frame passes at once on its certificate: the unit is the top, the
+        product table is the carrier's meet table, and ``splits()`` is
         empty.  Then the carrier is distributive by Birkhoff's criterion
         (``order.is_distributive``), so meet distributes over joins, and a
         meet is associative, commutative and unital with the top: every law
-        below holds.  Any other quantale takes ``_check_laws``.
+        below holds.  The tables are the order's bounds, as a ``Lattice`` is
+        built from its order alone.  Any other quantale takes
+        ``_check_laws``.
         """
         lat = self.carrier
-        if not (
-            self.unit == lat.top
-            and self.mult_t == lat.meet_t
-            and lat.has_order_bounds()
-            and not lat.splits()
-        ):
+        if not (self.unit == lat.top and self.mult_t == lat.meet_t and not lat.splits()):
             self._check_laws()
 
     def _check_laws(self):
         """After totality, commutativity and the unit, bilinearity is decided
         on rows c -> ac: the bottom's row is bottom, the row of each
         join-irreducible p preserves joins (``join_witness``), and each
-        other row is the pointwise join of two smaller ones (``_join_splits``).
-        By induction every row preserves joins, and so by commutativity does
-        every column.  Both sides of (pq)r = p(qr) then preserve joins in
-        each argument, so it is checked for p, q in the join-irreducibles J
-        and every r.  About n + 2|J|^2 whole rows are compared at C speed;
+        other row is the pointwise join of the rows of the two or more
+        maximal join-irreducibles below it (``Lattice.j_rows``).  A
+        pointwise join of join-preserving rows preserves joins, so every row
+        does, and so by commutativity does every column.  Both sides of
+        (pq)r = p(qr) then preserve joins in each argument, so it is checked
+        for p, q in the join-irreducibles J and every r.  About n + 2|J|^2 whole rows are compared at C speed;
         when one differs, ``_literal_scan`` names the law and witness.
         """
         lat = self.carrier
@@ -93,18 +93,18 @@ class Quantale:
             a = next(a for a in range(n) if m[self.unit][a] != a)
             raise LawViolation("unit", names[a])
         ji = lat.join_irreducibles()
+        joined = lambda r, s: tuple(map(getitem, itemgetter(*r)(lat.join_t), s))
         if (
             m[lat.bottom] != (lat.bottom,) * n
             or any(join_witness(lat, lat, m[p]) is not None for p in ji)
             or any(
-                m[a] != tuple(map(getitem, itemgetter(*m[b])(lat.join_t), m[c]))
-                for a, b, c in _join_splits(lat)
+                m[a] != reduce(joined, [m[ji[k]] for k in ks])
+                for a, ks in enumerate(lat.j_rows()[0])
+                if len(ks) > 1
             )
             or any(m[m[p][q]] != itemgetter(*m[q])(m[p]) for p in ji for q in ji)
         ):
             self._literal_scan()
-            # reached only when the carrier's join table is not a lattice's
-            raise LawViolation("bilinearity", "join table")
 
     def _literal_scan(self):
         """Associativity over all triples, then the join laws over all
@@ -136,21 +136,6 @@ class Quantale:
 
     def __repr__(self):
         return f"Quantale({self.carrier.n} elements, unit={self.carrier.names[self.unit]})"
-
-
-def _join_splits(lat):
-    """(a, b, c) with b, c < a and b v c = a for each a that is neither the
-    bottom nor join-irreducible: b is a lower cover of a, and c is below a
-    and not below b, which exists because a is not join-irreducible."""
-    out = []
-    for a in sorted(set(range(lat.n)) - {lat.bottom, *lat.join_irreducibles()}):
-        below = lat.down[a] ^ (1 << a)
-        b = below.bit_length() - 1
-        while above := lat.up[b] & below & ~(1 << b):
-            b = above.bit_length() - 1
-        rest = below & ~lat.down[b]
-        out.append((a, b, (rest & -rest).bit_length() - 1))
-    return out
 
 
 def frame_quantale(lat):

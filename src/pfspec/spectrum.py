@@ -532,10 +532,12 @@ def radical_frame(data, caps=DEFAULT_CAPS):
     )
     rad = radicals.carrier
     rho_g = [rho(v) for v in g]
-    # in a frame the meet-primes are the meet-irreducibles
+    # in a frame the meet-primes are the meet-irreducibles, the elements
+    # that are not the meet of the elements strictly above them
     from_primes = sorted(
         sum(1 << x for x in range(pts.n) if not rad.leq(rho_g[x], p))
-        for p in rad.opposite().join_irreducibles()
+        for p in range(rad.n)
+        if rad.meet_iter(bits(rad.up[p] ^ 1 << p)) != p
     )
     if from_primes != sorted(masks):
         # a mask on one side only, else one that two primes share

@@ -25,7 +25,8 @@ from .order import (
     MonotoneMap,
     bits,
     build_poset,
-    family_lattice,
+    check_table_cap,
+    inclusion_up_sets,
     lattice_structure,
 )
 
@@ -231,14 +232,17 @@ class TensorLattice(Lattice):
     inclusion.  Only available when the product carrier fits the cap."""
 
     def __init__(self, space, masks, caps=DEFAULT_CAPS):
+        check_table_cap(len(masks), caps)
         self.space = space
         self.element_masks = tuple(masks)
         self.mask_index = {m: i for i, m in enumerate(masks)}
         names = (
             "{" + ",".join(space.tuple_name(i) for i in bits(m)) + "}" for m in masks
         )
-        lat = family_lattice(masks, names, caps)
-        Lattice.__init__(self, lat.names, lat.up, lat.join_t, lat.meet_t, lat.bottom, lat.top)
+        # each fiber of a bi-ideal is a principal down-set, and so is each
+        # fiber of an intersection of two: the bi-ideals are closed under
+        # intersection, which is their meet, and their order fixes the rest
+        super().__init__(names, inclusion_up_sets(masks))
 
 
 def tensor(factors, caps=DEFAULT_CAPS):

@@ -19,7 +19,8 @@ holds:
   the least ideal over a set of holoid classes by a fixpoint loop, and the
   ideals listed by NextClosure over that loop;
 * the law checks of a built input (semiring laws, monotone tables, lattice
-  tables, distributivity) as scans over every element, pair and triple;
+  tables, distributivity) as scans over every element, pair and triple, and
+  the lattice of a family of masks with its tables read off the family;
 * the canonical printer of the model-file grammar, and a runner for scripts
   under ``python -O``.
 
@@ -41,6 +42,7 @@ from pfspec.caps import DEFAULT_CAPS
 from pfspec.catalog import chain, lattice_semiring
 from pfspec.errors import (
     CapExceeded,
+    DuplicateElement,
     LawViolation,
     NotALattice,
     NotJoinPreserving,
@@ -860,6 +862,30 @@ def literal_lattice_structure(poset):
     if len(tops) != 1:
         raise NotALattice("meet", ("empty", "empty"))
     return tables[0], tables[1], bottoms[0], tops[0]
+
+
+def literal_family_lattice(masks, names):
+    """``family_lattice`` by the route that read the tables off the family:
+    each join the member whose up-set is the AND of the two up-sets, read
+    from an index of the up-sets, each meet the intersection looked up in
+    the family, and the join table checked before the meet table; returns
+    (up-sets, join table, meet table, bottom, top)."""
+    masks, names = list(masks), tuple(names)
+    pos = {m: i for i, m in enumerate(masks)}
+    if len(pos) != len(masks):
+        raise DuplicateElement("repeated mask in family")
+    up = tuple(sum(1 << j for j, mj in enumerate(masks) if mi & mj == mi) for mi in masks)
+    index = {u: k for k, u in enumerate(up)}
+    join_t = tuple(tuple([index.get(u & v) for v in up]) for u in up)
+    meet_t = tuple(tuple([pos.get(mi & mj) for mj in masks]) for mi in masks)
+    for kind, table in (("join", join_t), ("meet", meet_t)):
+        for a, row in enumerate(table):
+            if None in row:
+                raise LawViolation(f"{kind} closes into the family", (names[a], names[row.index(None)]))
+    bottom = top = 0
+    for k in range(len(masks)):
+        bottom, top = meet_t[bottom][k], join_t[top][k]
+    return up, join_t, meet_t, bottom, top
 
 
 def literal_is_distributive(lat):

@@ -283,7 +283,7 @@ def test_analyze_counts_the_saturated_opens_without_building_them(monkeypatch, c
                 monkeypatch.setattr(module, name, _refuse)
     sizes = []
     family = pfspec.order.family_lattice
-    for module in (pfspec.order, pfspec.locale, pfspec.spectrum, pfspec.suplattice):
+    for module in (pfspec.order, pfspec.locale, pfspec.spectrum):
         monkeypatch.setattr(
             module,
             "family_lattice",

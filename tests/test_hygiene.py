@@ -3,6 +3,7 @@ nothing but the standard library and the package."""
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -146,6 +147,56 @@ def test_no_unreferenced_definitions():
     bench = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "bench").rglob("*.py"))]
     modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert unreferenced_definitions(modules, bench) == []
+
+
+DOC_REFERENCE = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(\))?``")
+
+
+def stale_references(modules):
+    """(module, line, reference) for each double-backticked name in a
+    docstring of ``modules`` (name -> source), such as ``X`` or ``X.y()``,
+    with a dotted part that names nothing of ``modules``: no def or class,
+    assigned name or attribute, argument, module name or string constant.
+    The line is the docstring's first."""
+    trees = {module: ast.parse(text) for module, text in modules.items()}
+    known = set(modules)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                known.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                known.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                known.add(node.attr)
+            elif isinstance(node, ast.arg):
+                known.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                known.add(node.value)
+    return sorted(
+        (module, node.body[0].lineno, found[0])
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for found in DOC_REFERENCE.finditer(ast.get_docstring(node, clean=False) or "")
+        if not known.issuperset(found[1].split("."))
+    )
+
+
+def test_stale_references_finds_each_unresolved_name():
+    lib = (
+        '"""Reads ``lib.f``, ``C.size`` and ``Gone.f()``."""\n\n\n'
+        'def f(x):\n    """Takes ``x`` to ``mode``, never ``y`` or ``x v y``."""\n    return "mode"\n'
+    )
+    caller = 'class C:\n    """Calls ``f()`` and ``lib.g``."""\n\n    def __init__(self):\n        self.size = 0\n'
+    found = stale_references({"lib": lib, "caller": caller})
+    assert found == [("caller", 2, "``lib.g``"), ("lib", 1, "``Gone.f()``"), ("lib", 5, "``y``")]
+
+
+def test_no_stale_references():
+    # a docstring that names a def, attribute or module by ``name`` names
+    # one the package still has
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert stale_references(modules) == []
 
 
 def traced_names(source):

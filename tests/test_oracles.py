@@ -36,7 +36,6 @@ from pfspec.oracles import (
 )
 from pfspec.order import (
     FinitePoset,
-    Lattice,
     bits,
     build_poset,
     downset_lattice,
@@ -851,10 +850,10 @@ def _one_cell_changed(rng, table, n):
 def test_the_frame_certificate_rejects_what_the_full_checks_reject(monkeypatch):
     # validate, which passes a frame on its certificate, against the full
     # checks alone: on every pipeline quantale and on seeded one-cell
-    # changes to its product table and to its carrier's join and meet
-    # tables, a changed meet table also taken as the product, as
-    # frame_quantale would take it; and on the meet of every lattice of up
-    # to 7 elements, most of which are not distributive
+    # changes to its product table and to its carrier's meet table taken as
+    # the product; and on the meet of every lattice of up to 7 elements,
+    # most of which are not distributive.  A carrier's own tables cannot be
+    # changed: a Lattice reads them off its order
     full_checks, fell_back = Quantale._check_laws, []
     monkeypatch.setattr(Quantale, "_check_laws", lambda q: fell_back.append(q) or full_checks(q))
     rng = random.Random(2706)
@@ -864,12 +863,7 @@ def test_the_frame_certificate_rejects_what_the_full_checks_reject(monkeypatch):
         cases.append(("pipeline", lat, q.mult_t, q.unit))
         for _ in range(3 if n > 1 else 0):
             cases.append(("product", lat, _one_cell_changed(rng, q.mult_t, n), q.unit))
-            join_t = _one_cell_changed(rng, lat.join_t, n)
-            changed = Lattice(lat.names, lat.up, join_t, lat.meet_t, lat.bottom, lat.top)
-            cases.append(("join", changed, q.mult_t, q.unit))
-            meet_t = _one_cell_changed(rng, lat.meet_t, n)
-            changed = Lattice(lat.names, lat.up, lat.join_t, meet_t, lat.bottom, lat.top)
-            cases += [("meet", changed, q.mult_t, q.unit), ("meet as product", changed, meet_t, q.unit)]
+            cases.append(("meet as product", lat, _one_cell_changed(rng, lat.meet_t, n), q.unit))
     seen = Counter()
     for kind, carrier, table, unit in cases:
         broken = _unchecked_quantale(carrier, table, unit)
@@ -878,11 +872,11 @@ def test_the_frame_certificate_rejects_what_the_full_checks_reject(monkeypatch):
         assert outcome(broken.validate) == expected, (broken, kind)
         seen[kind, broken.is_frame(), bool(fell_back), expected is None] += 1
     # every pipeline frame and distributive lattice passes on the
-    # certificate alone; the changed frame tables and the lattices that the
+    # certificate alone; the changed meet tables and the lattices that the
     # full checks reject reach them
     assert seen["pipeline", True, False, True] > 200 and seen["pipeline", True, True, True] == 0
     assert seen["lattice meet", True, False, True] == 20 and seen["lattice meet", True, True, False] == 57
-    assert seen["join", True, True, False] > 300 and seen["meet as product", True, True, False] > 800
+    assert seen["meet as product", False, True, False] > 800
 
 
 def test_validate_needs_the_empty_join_law():

@@ -30,6 +30,7 @@ from reference import (
     all_posets_up_to_iso,
     diamond_m3,
     grid,
+    literal_family_lattice,
     literal_is_distributive,
     literal_lattice_structure,
     outcome,
@@ -178,6 +179,14 @@ def test_lattice_structure_reads_the_tables_the_search_finds():
     assert (exc.value.kind, exc.value.pair) == ("join", ("a", "a"))
 
 
+def test_the_opposite_swaps_the_tables_and_the_bounds():
+    # the opposite is built from the down-sets alone, and reads back the
+    # meets as its joins, the joins as its meets, the top as its bottom
+    for lat in small_lattices(7):
+        op = lat.opposite()
+        assert (op.join_t, op.meet_t, op.bottom, op.top) == (lat.meet_t, lat.join_t, lat.top, lat.bottom), lat.up
+
+
 def test_is_distributive_on_generators_matches_the_triple_search():
     lattices = small_lattices(7) + [chain(1), chain(5), powerset_lattice(3), grid(3, 3)]
     flags = Counter()
@@ -219,6 +228,45 @@ def test_a_join_past_the_union_is_the_least_member_above_it(masks, names, found)
     else:
         assert (lat.names[lat.join(1, 2)], lat.names[lat.bottom], lat.names[lat.top]) == found
         assert lat.meet(1, 2) == lat.bottom
+
+
+def test_family_lattice_matches_the_route_through_the_family():
+    # the tables read off the order, then the one meet law, against the
+    # route that read them off the family, joins checked before meets: the
+    # same tables where both pass, the same law and witness where both fail.
+    # On the hand cases above, seeded random families, among them families
+    # with no least member and families not closed under intersection whose
+    # order has every meet, and the down-sets of every poset of at most 4
+    # elements
+    rng = random.Random(30)
+    families = [
+        [0b000, 0b011, 0b110, 0b111],
+        [0b000, 0b001, 0b010, 0b111],
+        [0b00, 0b01, 0b10],
+        [0b01, 0b10, 0b11],
+        [0b001, 0b011, 0b101, 0b111],
+    ]
+    for _ in range(400):
+        points = rng.randint(1, 4)
+        family = rng.sample(range(1 << points), rng.randint(1, min(8, 1 << points)))
+        if rng.random() < 0.5 and (1 << points) - 1 not in family:
+            family.append((1 << points) - 1)
+        families.append(family)
+    families += [poset.down_sets() for n in range(5) for poset in all_posets_up_to_iso(n)]
+    seen = Counter()
+    for masks in families:
+        names = [bin(m) for m in masks]
+        expected = outcome(literal_family_lattice, masks, names)
+        assert outcome(family_lattice, masks, names) == expected, masks
+        if expected is None:
+            lat = family_lattice(masks, names)
+            assert (lat.up, lat.join_t, lat.meet_t, lat.bottom, lat.top) == literal_family_lattice(masks, names)
+        ordered = outcome(lattice_structure, FinitePoset(names, inclusion_up_sets(masks))) is None
+        seen[expected and expected[1].split(" closes")[0]] += 1
+        seen["no least member"] += not any(all(m & ~k == 0 for k in masks) for m in masks)
+        seen["order meets only"] += ordered and expected is not None
+    assert seen[None] > 200 and seen["join"] > 30 and seen["meet"] > 60
+    assert seen["no least member"] > 50 and seen["order meets only"] > 10
 
 
 def test_inclusion_up_sets_match_the_literal_scan():

@@ -63,10 +63,11 @@ def test_tensor_omega_omega_is_omega():
 def _joins_past_the_union(t):
     """The number of ordered pairs of the tensor ``t`` whose union is no
     bi-ideal, after checking that every join ``t`` reads off its order is
-    the bi-ideal closure of the union."""
+    the bi-ideal closure of the union, and every meet the intersection."""
     masks, past = t.element_masks, 0
     for (i, a), (j, b) in product(enumerate(masks), repeat=2):
         assert masks[t.join(i, j)] == t.space.closure(a | b), (i, j)
+        assert masks[t.meet(i, j)] == a & b, (i, j)
         past += a | b not in t.mask_index
     return past
 
