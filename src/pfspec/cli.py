@@ -167,14 +167,13 @@ def cmd_analyze(args, caps, out):
     return 0
 
 
+def _covers(lat):
+    return ["covers:"] + [f"  {lat.names[i]} -> {lat.names[j]}" for i, j in lat.covers()]
+
+
 def _describe_quantale(q, title):
     lat = q.carrier
-    lines = [f"{title}: {lat.n} elements"]
-    lines.append(f"unit: {lat.names[q.unit]}")
-    lines.append("covers:")
-    for i, j in lat.covers():
-        lines.append(f"  {lat.names[i]} -> {lat.names[j]}")
-    lines.append("mult:")
+    lines = [f"{title}: {lat.n} elements", f"unit: {lat.names[q.unit]}", *_covers(lat), "mult:"]
     for a in range(lat.n):
         row = " ".join(lat.names[q.mul(a, b)] for b in range(lat.n))
         lines.append(f"  {lat.names[a]} | {row}")
@@ -188,11 +187,7 @@ def cmd_spectrum(args, caps, out):
         lines = _describe_quantale(result.ideals, "quantic spectrum")
     else:
         lat = result.radicals.carrier
-        lines = [f"localic spectrum: {lat.n} elements"]
-        lines.append("covers:")
-        for i, j in lat.covers():
-            lines.append(f"  {lat.names[i]} -> {lat.names[j]}")
-        lines.append(f"points: {len(result.points)}")
+        lines = [f"localic spectrum: {lat.n} elements", *_covers(lat), f"points: {len(result.points)}"]
     out.write("\n".join(lines) + "\n")
     return 0
 

@@ -12,10 +12,13 @@ def _quote(name):
     return f'"{escaped}"'
 
 
-def hasse_dot(poset, graph_name="hasse"):
+def hasse_dot(poset, graph_name="hasse", marked=None):
+    """Hasse diagram of ``poset``, with the element ``marked``, if any,
+    drawn with a double border."""
     lines = [f"digraph {_quote(graph_name)} {{", "  rankdir=BT;"]
     for i, name in enumerate(poset.names):
-        lines.append(f"  n{i} [label={_quote(name)}];")
+        extra = ", peripheries=2" if i == marked else ""
+        lines.append(f"  n{i} [label={_quote(name)}{extra}];")
     for i, j in poset.covers():
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
@@ -24,12 +27,4 @@ def hasse_dot(poset, graph_name="hasse"):
 
 def quantale_dot(quantale, graph_name="quantale"):
     """Hasse diagram of the carrier with the unit marked."""
-    lat = quantale.carrier
-    lines = [f"digraph {_quote(graph_name)} {{", "  rankdir=BT;"]
-    for i, name in enumerate(lat.names):
-        extra = ", peripheries=2" if i == quantale.unit else ""
-        lines.append(f"  n{i} [label={_quote(name)}{extra}];")
-    for i, j in lat.covers():
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return hasse_dot(quantale.carrier, graph_name, quantale.unit)

@@ -28,7 +28,8 @@ def find_poset_iso(a, b):
     """An order isomorphism a -> b as a value list, or None.
 
     For lattices this is enough: any order isomorphism preserves all joins
-    and meets that exist.
+    and meets that exist.  The search is depth-first on an explicit stack,
+    not a recursion, so a poset of any size is searched.
     """
     if a.n != b.n:
         return None
@@ -41,31 +42,28 @@ def find_poset_iso(a, b):
     order = sorted(range(a.n), key=lambda i: (len(candidates[i]), i))
     assigned = [None] * a.n
     used = [False] * b.n
-
-    def extend(k):
-        if k == a.n:
-            return True
+    if not order:
+        return []
+    stack = [iter(candidates[order[0]])]  # the untried candidates of each element assigned
+    while stack:
+        k = len(stack) - 1
         i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for i2 in order[:k]:
-                j2 = assigned[i2]
-                if a.leq(i, i2) != b.leq(j, j2) or a.leq(i2, i) != b.leq(j2, j):
-                    ok = False
-                    break
-            if ok:
+        if assigned[i] is not None:  # back from a failed extension: undo
+            used[assigned[i]] = False
+            assigned[i] = None
+        for j in stack[-1]:
+            if not used[j] and all(
+                a.leq(i, i2) == b.leq(j, assigned[i2]) and a.leq(i2, i) == b.leq(assigned[i2], j)
+                for i2 in order[:k]
+            ):
                 assigned[i] = j
                 used[j] = True
-                if extend(k + 1):
-                    return True
-                assigned[i] = None
-                used[j] = False
-        return False
-
-    if extend(0):
-        return list(assigned)
+                if k + 1 == a.n:
+                    return assigned
+                stack.append(iter(candidates[order[k + 1]]))
+                break
+        else:
+            stack.pop()
     return None
 
 

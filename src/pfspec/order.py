@@ -6,11 +6,12 @@ elements at most), so dense order matrices and precomputed binary join/meet
 tables are the right trade: every law check in the rest of the package is a
 handful of table lookups.
 
-A closure operator is read off its fixed points, a meet-closed set holding
-the top: a goes to the meet of the fixed points above a.  So a least closure,
-and a least nucleus (see ``quantale``), is the closure onto the elements its
-forcings allow (``closure_onto``), found as one bitmask of disallowed
-elements.  Anti-ideals and quantale homs come from
+A closure operator is its fixed points: ``ClosureOperator(carrier,
+allowed)`` sends a to the meet of the elements of the bitmask ``allowed``
+above a.  That is a closure for every mask, so none is checked, and its
+fixed points are the meets of the allowed elements.  A least closure, and a
+least nucleus (see ``quantale``), is the closure onto the elements its
+forcings allow, found as one bitmask.  Anti-ideals and quantale homs come from
 one search engine, ``monotone_search``, which reads the floor of each
 variable on its lower covers (exact, as the maps are monotone) from rows built
 once per poset.  A lattice is built from its order alone: ``Lattice(names,
@@ -439,20 +440,16 @@ def is_distributive(lat):
 
 
 class ClosureOperator:
-    """An inflationary monotone idempotent map, validated at construction."""
+    """The closure operator on ``carrier`` onto the meets of the elements in
+    the bitmask ``allowed``: a goes to the meet of the allowed elements
+    above a, and the top is the empty meet.  That is a closure operator for
+    every mask, so nothing is checked: it is inflationary and monotone, and
+    the allowed elements above j(a) are those above a, so j(j(a)) = j(a).
+    Every closure is built this way, from its fixed points."""
 
-    def __init__(self, carrier, values):
+    def __init__(self, carrier, allowed):
         self.carrier = carrier
-        self.values = tuple(values)
-        v = self.values
-        for i in range(carrier.n):
-            if not carrier.leq(i, v[i]):
-                raise LawViolation("inflationary", carrier.names[i])
-            if v[v[i]] != v[i]:
-                raise LawViolation("idempotent", carrier.names[i])
-            for j in bits(carrier.up[i]):
-                if not carrier.leq(v[i], v[j]):
-                    raise LawViolation("monotone", (carrier.names[i], carrier.names[j]))
+        self.values = tuple(carrier.meet_iter(bits(up & allowed)) for up in carrier.up)
 
     def __call__(self, i):
         return self.values[i]
@@ -565,28 +562,20 @@ def downset_lattice(poset, limit=None):
     return family_lattice(masks, [poset.mask_name(m) for m in masks]), masks
 
 
-def closure_onto(lat, bad):
-    """Values of the closure operator on ``lat`` whose fixed points are the
-    meets of the elements outside the bitmask ``bad``: a goes to the meet of
-    the allowed elements above a.  When the allowed elements are meet-closed
-    and hold the top, as every caller's are, they are the fixed points."""
-    allowed = lat.full & ~bad
-    return [lat.meet_iter(bits(up & allowed)) for up in lat.up]
-
-
 def least_closure(lat, forcings):
     """Least closure operator j on ``lat`` with a <= j(b) for each pair (a, b).
 
     A closure obeys the pairs exactly when each of its fixed points p does:
     b <= p implies a <= p.  The elements that do are meet-closed and hold
-    the top, so the closure onto them is the least one.
+    the top, so the closure onto them, the ``ClosureOperator`` of the mask
+    of the elements no pair rules out, is the least one.
 
     Returns (closure, lattice of fixed points, surjection a -> j(a)).
     """
     bad = 0
     for a, b in forcings:
         bad |= lat.up[b] & ~lat.up[a]
-    closure = ClosureOperator(lat, closure_onto(lat, bad))
+    closure = ClosureOperator(lat, lat.full & ~bad)
     quotient, onto = closure.quotient()
     return closure, quotient, MonotoneMap(lat, quotient, onto)
 
@@ -608,6 +597,8 @@ def monotone_search(variables, lat, laws, budget, what):
     comes after the first k, about log n mask tests per law, each an AND
     with a mask built once.  Every candidate value tried is one search
     node; past ``budget`` nodes the search raises CapExceeded(what, ...).
+    The search is depth-first on an explicit stack, not a recursion, so a
+    poset of any height is searched.
     """
     order, covers, _ = variables.search_rows()
     above = lat.search_rows()[2]
@@ -629,17 +620,21 @@ def monotone_search(variables, lat, laws, budget, what):
     found = []
     nodes = 0
 
-    def extend(k):
-        nonlocal nodes
-        if k == len(order):
-            found.append(tuple(g))
-            return
-        v = order[k]
-        tests = due[k + 1]
+    def candidates(k):
         floor = lat.bottom
-        for u in covers[v]:
+        for u in covers[order[k]]:
             floor = join_t[floor][g[u]]
-        for q in above[floor]:
+        return iter(above[floor])
+
+    if not all(test(g) for test in due[0]):
+        return found
+    if not order:
+        return [()]
+    stack = [candidates(0)]  # the untried candidates of each variable assigned
+    while stack:
+        k = len(stack) - 1
+        v, tests = order[k], due[k + 1]
+        for q in stack[-1]:
             nodes += 1
             if nodes > budget:
                 raise CapExceeded(what, nodes, budget)
@@ -648,8 +643,11 @@ def monotone_search(variables, lat, laws, budget, what):
                 if not test(g):
                     break
             else:
-                extend(k + 1)
-
-    if all(test(g) for test in due[0]):
-        extend(0)
+                if k + 1 == len(order):
+                    found.append(tuple(g))
+                    continue
+                stack.append(candidates(k + 1))
+                break
+        else:
+            stack.pop()
     return found

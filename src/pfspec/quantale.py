@@ -7,12 +7,13 @@ the unit is the top element; a frame is a two-sided quantale with idempotent
 multiplication, and then the multiplication is forced to be meet.
 
 Quotients are presented by nuclei (multiplicative closure operators), each
-read off its fixed points: a meet-closed set closed under c -> p, the largest
-x with cx <= p (Rosenthal, Quantales and their Applications, 1990).  So the
-two-sided reflection is a -> a*top, and a least nucleus is the closure onto
-the elements its forcings allow (``order.closure_onto``).  The quotient
-lattice is read off the fixed points by ``ClosureOperator.quotient``: meets
-carry over and the join is j(a v b).
+built from its fixed points as an ``order.ClosureOperator``: a meet-closed
+set closed under c -> p, the largest x with cx <= p (Rosenthal, Quantales
+and their Applications, 1990).  So the two-sided reflection is the closure
+onto the a with a*top = a, which is a -> a*top, and a least nucleus is the
+closure onto the elements its forcings allow.  The quotient lattice is read
+off the fixed points by ``ClosureOperator.quotient``: meets carry over and
+the join is j(a v b).
 
 Every quantale is validated against all the laws when it is constructed,
 and maps, homs and nuclei are checked when they are built.  A frame is
@@ -41,7 +42,7 @@ from operator import getitem, itemgetter
 
 from .caps import DEFAULT_CAPS
 from .errors import LawViolation, NotTwoSided
-from .order import ClosureOperator, closure_onto, monotone_search
+from .order import ClosureOperator, monotone_search
 from .suplattice import SupMap, join_witness
 
 
@@ -163,18 +164,20 @@ class QuantaleHom(SupMap):
 
 
 class Nucleus(ClosureOperator):
-    """A closure operator j with j(a)j(b) <= j(ab); its fixed points, a
-    meet-closed set closed under c -> p, carry the quotient quantale.
+    """The closure onto the meets of the elements in the bitmask ``allowed``
+    (``ClosureOperator``), checked to be a nucleus: j(a)j(b) <= j(ab).  Its
+    fixed points, a meet-closed set closed under c -> p, carry the quotient
+    quantale.
 
-    It is checked as p j(b) <= j(pb) for p join-irreducible and every b,
+    The law is checked as p j(b) <= j(pb) for p join-irreducible and every b,
     the same law for a closure (Rosenthal, Quantales and their
     Applications, 1990): joins over p <= a give a j(b) <= j(ab), so
     j(a)j(b) <= j(j(a)b) <= j(ab); and p j(b) <= j(p)j(b), so a failing
     (p, b) also witnesses the law.
     """
 
-    def __init__(self, quantale, values):
-        super().__init__(quantale.carrier, values)
+    def __init__(self, quantale, allowed):
+        super().__init__(quantale.carrier, allowed)
         self.quantale = quantale
         lat = quantale.carrier
         j = self.values
@@ -197,13 +200,13 @@ def quotient_by_nucleus(quantale, nucleus):
 
 
 def two_sided_reflection(quantale):
-    """Largest two-sided quotient: fixed points of a -> a*top."""
+    """Largest two-sided quotient: the closure onto the a with a*top = a.
+    In a quantale that closure is a -> a*top, as a <= a*top = (a*top)*top
+    and a <= x = x*top gives a*top <= x; so its unit is 1*top = top."""
     lat = quantale.carrier
-    values = [quantale.mul(a, lat.top) for a in range(lat.n)]
-    quotient, surjection = quotient_by_nucleus(quantale, Nucleus(quantale, values))
-    if not quotient.two_sided:
-        raise LawViolation("two-sided reflection is two-sided", repr(quotient))
-    return quotient, surjection
+    top_row = quantale.mult_t[lat.top]
+    allowed = sum(1 << a for a in range(lat.n) if top_row[a] == a)
+    return quotient_by_nucleus(quantale, Nucleus(quantale, allowed))
 
 
 def least_nucleus(quantale, forcings):
@@ -221,7 +224,7 @@ def least_nucleus(quantale, forcings):
     for a, b in forcings:
         for c in ji:
             bad |= up[m[b][c]] & ~up[m[a][c]]
-    return Nucleus(quantale, closure_onto(lat, bad))
+    return Nucleus(quantale, lat.full & ~bad)
 
 
 def localic_reflection(quantale):
@@ -245,7 +248,7 @@ def localic_reflection(quantale):
     for p in lat.join_irreducibles():
         bad |= lat.up[quantale.mul(p, p)] & ~lat.up[p]
     if bad:
-        quotient, surjection = quotient_by_nucleus(quantale, Nucleus(quantale, closure_onto(lat, bad)))
+        quotient, surjection = quotient_by_nucleus(quantale, Nucleus(quantale, lat.full & ~bad))
     else:
         quotient, surjection = quantale, QuantaleHom(quantale, quantale, range(lat.n))
     if not quotient.is_frame():

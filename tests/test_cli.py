@@ -209,12 +209,18 @@ def _unit_at_bottom(data, caps):
     return replace(mi, monoid_ideals=mm)
 
 
+def _identity_closure(carrier, allowed):
+    # the closure onto every element, whatever the fixed points asked for
+    return pfspec.order.ClosureOperator(carrier, carrier.full)
+
+
 BROKEN_OPENS_CHECKS = [
     ("positivity adjunction", pfspec.locale.FiniteLocale, "positivity", property(_bottom_positivity)),
     ("mul counit on opens", pfspec.spectrum, "_counit_composite", _bottom_counit),
     ("saturated opens are the closure's fixed points", pfspec.algebra.HoloidClasses, "up_sets", _down_sets_as_saturated),
     ("monoid ideals are the complements of the saturated opens", pfspec.spectrum, "_absorb", lambda data, mask: mask),
     ("monoid-ideal/saturated duality", pfspec.spectrum, "monoid_ideal_quantale", _unit_at_bottom),
+    ("saturation is a closure", pfspec.spectrum, "ClosureOperator", _identity_closure),
 ]
 
 

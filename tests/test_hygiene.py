@@ -92,6 +92,41 @@ def test_no_long_lines(path):
     assert long_lines(path.read_text(encoding="utf-8")) == []
 
 
+def self_calls(source):
+    """(line, name) for each def whose body calls the def by its own name,
+    as ``name(...)`` or ``self.name(...)``: a recursion, which fails past
+    the interpreter's recursion limit."""
+
+    def names(func):
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "self":
+            return func.attr
+        return getattr(func, "id", None)
+
+    return [
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(call, ast.Call) and names(call.func) == node.name for call in ast.walk(node))
+    ]
+
+
+def test_self_calls_finds_each_recursive_def():
+    source = (
+        "def walk(n):\n    return n and walk(n - 1)\n\n\n"
+        "def flat(n):\n    return list(range(n))\n\n\n"
+        "class Tree:\n    def depth(self, k):\n        return k and self.depth(k - 1)\n\n"
+        "    def __init__(self):\n        super().__init__()\n\n\n"
+        "def outer(xs):\n    def inner(k):\n        return k and inner(k - 1)\n\n    return inner(xs)\n"
+    )
+    assert self_calls(source) == [(1, "walk"), (10, "depth"), (18, "inner")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_recursive_defs(path):
+    # every search keeps its own stack, so no input is too deep for it
+    assert self_calls(path.read_text(encoding="utf-8")) == []
+
+
 def identifiers(source, strings=False):
     """How often ``source`` names each identifier in its code: a read or
     bound ``ast.Name`` or the attribute of an ``ast.Attribute``, and with

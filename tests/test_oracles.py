@@ -1141,14 +1141,14 @@ def test_nucleus_check_on_generators_agrees_with_all_pairs():
                 j = [lat.meet_iter(x for x in keep if lat.leq(a, x)) for a in range(lat.n)]
                 counts["closures"] += 1
                 try:
-                    Nucleus(q, j)
+                    nucleus = Nucleus(q, sum(1 << x for x in keep))
                 except LawViolation as exc:
                     counts["not nucleus"] += 1
                     assert exc.law == "nucleus multiplicativity" and not _all_pairs_nucleus_ok(q, j)
                     p, b = _ids(lat, exc.witness)
                     assert p in ji and not lat.leq(q.mul(j[p], j[b]), j[q.mul(p, b)])
                 else:
-                    assert _all_pairs_nucleus_ok(q, j)
+                    assert nucleus.values == tuple(j) and _all_pairs_nucleus_ok(q, j)
     assert 200 < counts["not nucleus"] < counts["closures"] - 300
 
 

@@ -1,6 +1,7 @@
 """Posets, lattices, adjoints, closure operators."""
 
 import random
+import sys
 from collections import Counter
 from itertools import product
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfspec.catalog import chain, powerset_lattice
-from pfspec.errors import CycleError, DuplicateElement, LawViolation, NotALattice, NotMonotone
+from pfspec.errors import CapExceeded, CycleError, DuplicateElement, LawViolation, NotALattice, NotMonotone
+from pfspec.iso import find_poset_iso
 from pfspec.order import (
     ClosureOperator,
     FinitePoset,
@@ -338,13 +340,23 @@ def test_adjoint_law_exhaustive_small():
 # closure operators and least_closure
 
 
-def test_closure_operator_laws_enforced():
-    c3 = chain(3)
-    with pytest.raises(LawViolation):
-        ClosureOperator(c3, [0, 0, 2])  # not inflationary at m
-    with pytest.raises(LawViolation):
-        ClosureOperator(c3, [1, 1, 1])  # not inflationary at 1, which goes to m
-    ClosureOperator(c3, [1, 1, 2])  # collapses {0,m}: valid
+def test_every_mask_gives_the_closure_onto_its_meets():
+    # the constructor checks nothing, so every mask of every lattice of up
+    # to 7 elements must give a closure operator whose fixed points are the
+    # meets of the mask's elements, the top being the empty meet
+    closures = 0
+    for lat in small_lattices(7):
+        for mask in range(1 << lat.n):
+            j = ClosureOperator(lat, mask).values
+            for a in range(lat.n):
+                assert lat.leq(a, j[a]) and j[j[a]] == j[a]
+                assert all(lat.leq(j[a], j[b]) for b in bits(lat.up[a]))
+            meets = {lat.top}
+            for x in bits(mask):
+                meets |= {lat.meet(x, c) for c in meets}
+            assert {a for a in range(lat.n) if j[a] == a} == meets
+            closures += 1
+    assert closures == 7948
 
 
 def test_least_closure_empty_forcings_identity():
@@ -375,23 +387,12 @@ def test_least_closure_powerset_collapse_to_point():
 
 def _all_closure_operators(lat):
     """Brute-force oracle: closure operators = meet-closed subsets
-    containing the top, via x -> least fixed point above x."""
+    containing the top, each the closure onto its mask."""
     out = []
-    n = lat.n
-    for mask in range(1 << n):
-        if not mask >> lat.top & 1:
-            continue
+    for mask in range(1 << lat.n):
         fixed = list(bits(mask))
-        if any(
-            not mask >> lat.meet(a, b) & 1 for a in fixed for b in fixed
-        ):
-            continue
-        values = []
-        for x in range(n):
-            above = [f for f in fixed if lat.leq(x, f)]
-            values.append(lat.meet_iter(above))
-        if all(mask >> v & 1 for v in values):
-            out.append(ClosureOperator(lat, values))
+        if mask >> lat.top & 1 and all(mask >> lat.meet(a, b) & 1 for a in fixed for b in fixed):
+            out.append(ClosureOperator(lat, mask))
     return out
 
 
@@ -490,3 +491,31 @@ def test_each_law_is_judged_once_when_the_last_variable_of_its_scope_is_assigned
                 assert judged == monotone[k], (poset.up, scope)
             searches += 1
     assert searches == 1 + 1 + 2 + 5 + 16 + 63
+
+
+@pytest.fixture
+def deep_chain():
+    """A chain 100 elements longer than the recursion limit, as a bare
+    poset (element i is below every j >= i), with the limit lowered to 300
+    for the test so that the chain stays small."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    n = sys.getrecursionlimit() + 100
+    full = (1 << n) - 1
+    yield FinitePoset([str(i) for i in range(n)], [full ^ ((1 << i) - 1) for i in range(n)])
+    sys.setrecursionlimit(limit)
+
+
+def test_the_search_runs_deeper_than_the_recursion_limit(deep_chain):
+    # one variable per level of the search: with g[v] = 0 required at each,
+    # the all-bottom map into Omega is the one answer, after 2 nodes a level
+    n = deep_chain.n
+    laws = [(1 << v, lambda g, v=v: g[v] == 0) for v in range(n)]
+    assert monotone_search(deep_chain, omega(), laws, 2 * n, "deep") == [(0,) * n]
+    with pytest.raises(CapExceeded) as exc:
+        monotone_search(deep_chain, omega(), laws, 2 * n - 1, "deep")
+    assert exc.value.size == 2 * n
+
+
+def test_the_iso_search_runs_deeper_than_the_recursion_limit(deep_chain):
+    assert find_poset_iso(deep_chain, deep_chain) == list(range(deep_chain.n))
