@@ -6,19 +6,26 @@ takes a cap and fails loudly with CapExceeded instead of silently truncating.
 """
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import PfspecError
 
 ENV_MAX_EXHAUSTIVE = "PFSPEC_MAX_EXHAUSTIVE"
 
 
-@dataclass(frozen=True)
-class Caps:
-    # largest product carrier for which a full tensor lattice is materialized
-    max_tensor_carrier: int = 24
-    # largest carrier for subset-exhaustive checks (2**max_exhaustive states)
-    max_exhaustive: int = 16
+class Caps(
+    namedtuple(
+        "Caps",
+        [
+            # largest product carrier for which a full tensor lattice is materialized
+            "max_tensor_carrier",
+            # largest carrier for subset-exhaustive checks (2**max_exhaustive states)
+            "max_exhaustive",
+        ],
+        defaults=(24, 16),
+    )
+):
+    __slots__ = ()
 
     def search_budget(self):
         return 1 << self.max_exhaustive

@@ -13,52 +13,55 @@ Tables are row-major lists of element names; ``order`` is either the word
 block; parsing is positional enough to report line/column on errors.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .algebra import FiniteCommMonoid, FiniteCommSemiring
 from .errors import DuplicateElement, NonTotalTable, ParseError, UnknownReference
 from .order import build_poset, lattice_structure
 
 
-@dataclass
-class PosetBlock:
-    name: str
-    elements: list
-    relations: list  # pairs of names
-    line: int = field(default=0, compare=False)
+class _Block:
+    """A parsed block is a named tuple whose last field, ``line``, is where
+    it starts; two blocks are equal when only their lines differ."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        # else tuple's own != would compare the lines too
+        return not self == other
 
 
-@dataclass
-class MonoidBlock:
-    name: str
-    elements: list
-    unit: str
-    mul: list
-    line: int = field(default=0, compare=False)
+# relations: pairs of names
+class PosetBlock(_Block, namedtuple("PosetBlock", "name elements relations line", defaults=(0,))):
+    __slots__ = ()
 
 
-@dataclass
-class SemiringBlock:
-    name: str
-    elements: list
-    zero: str
-    one: str
-    add: list
-    mul: list
-    order: str = "discrete"
-    line: int = field(default=0, compare=False)
+class MonoidBlock(_Block, namedtuple("MonoidBlock", "name elements unit mul line", defaults=(0,))):
+    __slots__ = ()
 
 
-@dataclass
-class LatticeBlock:
-    name: str
-    poset: str
-    line: int = field(default=0, compare=False)
+class SemiringBlock(
+    _Block,
+    namedtuple("SemiringBlock", "name elements zero one add mul order line", defaults=("discrete", 0)),
+):
+    __slots__ = ()
 
 
-@dataclass
+class LatticeBlock(_Block, namedtuple("LatticeBlock", "name poset line", defaults=(0,))):
+    __slots__ = ()
+
+
 class ModelFile:
-    blocks: list = field(default_factory=list)
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks=()):
+        self.blocks = list(blocks)
+
+    def __eq__(self, other):
+        return type(other) is ModelFile and self.blocks == other.blocks
 
     def get(self, name):
         for b in self.blocks:

@@ -8,7 +8,7 @@ its Scott topology.  The comparison functions confront the pipeline output
 with these sets elementwise.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import scott_localic_lattice, to_localic
 from .caps import DEFAULT_CAPS
@@ -103,15 +103,13 @@ def prime_ideals(semiring):
     return sorted(out)
 
 
-@dataclass
-class ZariskiComparison:
-    ideal_count: int
-    radical_count: int
-    prime_count: int
-    ideals_match: bool
-    ideal_mult_matches: bool
-    radicals_match: bool
-    points_match: bool
+class ZariskiComparison(
+    namedtuple(
+        "ZariskiComparison",
+        "ideal_count radical_count prime_count ideals_match ideal_mult_matches radicals_match points_match",
+    )
+):
+    __slots__ = ()
 
     def ok(self):
         return (
@@ -190,11 +188,17 @@ def prime_filters(lat):
     return sorted(out)
 
 
-@dataclass
-class StoneComparison:
-    ideal_lattice_matches: bool  # Idl(L) is isomorphic to L via principal ideals
-    point_count: int
-    points_are_prime_filters: bool
+class StoneComparison(
+    namedtuple(
+        "StoneComparison",
+        [
+            "ideal_lattice_matches",  # Idl(L) is isomorphic to L via principal ideals
+            "point_count",
+            "points_are_prime_filters",
+        ],
+    )
+):
+    __slots__ = ()
 
     def ok(self):
         return self.ideal_lattice_matches and self.points_are_prime_filters
@@ -220,10 +224,16 @@ def stone_compare(lat, caps=DEFAULT_CAPS, name=""):
 # the Scott-topology case: finite frames
 
 
-@dataclass
-class ScottFrameComparison:
-    radical_frame_matches: bool  # Rad is isomorphic to the original frame
-    point_poset_matches: bool  # the points recover the original poset
+class ScottFrameComparison(
+    namedtuple(
+        "ScottFrameComparison",
+        [
+            "radical_frame_matches",  # Rad is isomorphic to the original frame
+            "point_poset_matches",  # the points recover the original poset
+        ],
+    )
+):
+    __slots__ = ()
 
     def ok(self):
         return self.radical_frame_matches and self.point_poset_matches

@@ -13,7 +13,7 @@ SKIPPED records only fail under --strict-caps.
 """
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import CapExceeded, PfspecError
 
@@ -22,18 +22,14 @@ FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 
 
-@dataclass
-class CheckRecord:
-    suite: str
-    name: str
-    status: str
-    witness: str = ""
-    seconds: float = 0.0
+CheckRecord = namedtuple("CheckRecord", "suite name status witness seconds", defaults=("", 0.0))
 
 
-@dataclass
 class Report:
-    records: list = field(default_factory=list)
+    __slots__ = ("records",)
+
+    def __init__(self, records=()):
+        self.records = list(records)
 
     def add(self, suite, name, status, witness="", seconds=0.0):
         self.records.append(CheckRecord(suite, name, status, witness, seconds))

@@ -61,18 +61,17 @@ two agree because the principal up-sets are join-prime in an up-set frame).
 ``pfspec verify`` and the tests run it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, reduce
 from itertools import chain, combinations_with_replacement, product as iproduct
 from operator import or_
 
-from .algebra import FiniteCommMonoid, HoloidClasses, LocalicSemiringData, _absorb, to_localic
+from .algebra import FiniteCommMonoid, _absorb, to_localic
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, LawViolation, NotSupercontinuous, NotTwoSided
 from .order import (
     ClosureOperator,
     FinitePoset,
-    Lattice,
     bits,
     family_lattice,
     inclusion_up_sets,
@@ -103,10 +102,13 @@ def omega_quantale():
 # saturation
 
 
-@dataclass
-class SaturationData:
-    saturated: Lattice  # standalone frame of saturated opens
-    sat_masks: tuple  # point-mask of each saturated open
+SaturationData = namedtuple(
+    "SaturationData",
+    [
+        "saturated",  # standalone frame of saturated opens, a Lattice
+        "sat_masks",  # point-mask of each saturated open
+    ],
+)
 
 
 def saturation(data, caps=DEFAULT_CAPS):
@@ -208,11 +210,17 @@ def _class_quantale(data, classes, class_masks, caps):
     return quantale, masks, pos, tuple(principal[c] for c in classes.cls_of)
 
 
-@dataclass
-class MonoidIdealData:
-    monoid_ideals: Quantale  # MM(R)
-    ideal_masks: tuple  # point-mask of each monoid ideal
-    universal_map: tuple  # x -> the principal monoid ideal of x, its class down-set
+class MonoidIdealData(
+    namedtuple(
+        "MonoidIdealData",
+        [
+            "monoid_ideals",  # MM(R), a Quantale
+            "ideal_masks",  # point-mask of each monoid ideal
+            "universal_map",  # x -> the principal monoid ideal of x, its class down-set
+        ],
+    )
+):
+    __slots__ = ()
 
     @property
     def owc_lattice(self):
@@ -297,16 +305,22 @@ def _ideal_witness(data, masks):
     return min(filter(fails, masks), key=lambda m: (m.bit_count(), m), default=None)
 
 
-@dataclass
-class IdealQuantaleData:
+class IdealQuantaleData(
+    namedtuple(
+        "IdealQuantaleData",
+        [
+            "ideals",  # Idl(R), a Quantale
+            "ideal_masks",  # point-mask of each element of Idl(R)
+            "classes",  # the HoloidClasses
+            "class_index",  # class mask of each element -> its index
+            "universal_map",  # x -> the principal ideal of x, its class down-set
+        ],
+    )
+):
     """Idl(R) as ``ideal_quantale`` builds it, with its universal element
     read off the listing, as ``MonoidIdealData`` holds MM(R) and its own."""
 
-    ideals: Quantale  # Idl(R)
-    ideal_masks: tuple  # point-mask of each element of Idl(R)
-    classes: HoloidClasses
-    class_index: dict  # class mask of each element -> its index
-    universal_map: tuple  # x -> the principal ideal of x, its class down-set
+    __slots__ = ()
 
 
 def ideal_quantale(data, caps=DEFAULT_CAPS):
@@ -352,9 +366,7 @@ def monoid_collapse(iq, mi):
 # quantale-valued prime anti-ideals
 
 
-@dataclass
-class AntiIdealSet:
-    maps: tuple  # monotone maps points -> Q, as value tuples
+AntiIdealSet = namedtuple("AntiIdealSet", ["maps"])  # monotone maps points -> Q, as value tuples
 
 
 def _anti_ideal_laws(data, classes, quantale, mode):
@@ -490,16 +502,19 @@ def universal_element(data, iq):
     return _checked_universal(data, iq.ideals, iq.ideal_masks, iq.universal_map, "semiring")
 
 
-@dataclass
-class SpectrumResult:
-    data: LocalicSemiringData
-    ideal_data: IdealQuantaleData | MonoidIdealData
-    ideals: Quantale  # the quantic spectrum, Idl(R) or MM(R)
-    radicals: Quantale  # Rad(R), a frame
-    radical_quotient: QuantaleHom  # ideals ->> Rad(R)
-    universal_map: tuple
-    points: tuple  # open masks of the prime anti-ideals
-    point_poset: FinitePoset
+SpectrumResult = namedtuple(
+    "SpectrumResult",
+    [
+        "data",  # the LocalicSemiringData
+        "ideal_data",  # IdealQuantaleData or MonoidIdealData
+        "ideals",  # the quantic spectrum, Idl(R) or MM(R)
+        "radicals",  # Rad(R), a frame
+        "radical_quotient",  # ideals ->> Rad(R), a QuantaleHom
+        "universal_map",
+        "points",  # open masks of the prime anti-ideals
+        "point_poset",  # a FinitePoset
+    ],
+)
 
 
 def radical_frame(data, caps=DEFAULT_CAPS):
@@ -553,11 +568,14 @@ def radical_frame(data, caps=DEFAULT_CAPS):
 # the opens oracle
 
 
-@dataclass
-class OpensCheck:
-    monoid: MonoidIdealData
-    closure: ClosureOperator  # onto the saturated opens: U -> {x : exists y, xy in U}
-    universal: TensorElement  # bi-ideal form in Q (x) opens, Q = Idl(R) or MM(R)
+OpensCheck = namedtuple(
+    "OpensCheck",
+    [
+        "monoid",  # the MonoidIdealData
+        "closure",  # ClosureOperator onto the saturated opens: U -> {x : exists y, xy in U}
+        "universal",  # TensorElement, bi-ideal form in Q (x) opens, Q = Idl(R) or MM(R)
+    ],
+)
 
 
 def _counit_composite(data, table, unit_point):
@@ -708,14 +726,13 @@ def saturated_replacement(data, caps=DEFAULT_CAPS):
 # representability
 
 
-@dataclass
-class RepresentabilityEntry:
-    quantale_name: str
-    hom_count: int
-    member_count: int
-    all_images_members: bool
-    injective: bool
-    surjective: bool
+class RepresentabilityEntry(
+    namedtuple(
+        "RepresentabilityEntry",
+        "quantale_name hom_count member_count all_images_members injective surjective",
+    )
+):
+    __slots__ = ()
 
     def failure(self):
         """The first field that fails, or None."""
@@ -736,10 +753,8 @@ def _entry(name, homs, value, universal, members):
     )
 
 
-@dataclass
-class RepresentabilityReport:
-    semiring_entries: list
-    monoid_entries: list
+class RepresentabilityReport(namedtuple("RepresentabilityReport", "semiring_entries monoid_entries")):
+    __slots__ = ()
 
     def failure(self):
         """The first failing entry, as "kind quantale: field" (kind semiring
@@ -790,12 +805,18 @@ def representability_check(data, quantale_catalog, caps=DEFAULT_CAPS):
 # dualisability conditions
 
 
-@dataclass
-class DualisabilityReport:
-    basis_exists: bool  # saturated frame admits a dual basis
-    family_reconstructs: bool  # the basis families reconstruct saturated opens
-    pointwise_bound: bool  # u <= join of pi(V) over V meeting u, all opens
-    opens_supercontinuous: bool
+class DualisabilityReport(
+    namedtuple(
+        "DualisabilityReport",
+        [
+            "basis_exists",  # saturated frame admits a dual basis
+            "family_reconstructs",  # the basis families reconstruct saturated opens
+            "pointwise_bound",  # u <= join of pi(V) over V meeting u, all opens
+            "opens_supercontinuous",
+        ],
+    )
+):
+    __slots__ = ()
 
     def agree(self):
         return self.basis_exists == self.family_reconstructs == self.pointwise_bound

@@ -6,7 +6,6 @@ and ``analyze`` on a locale whose opens are too many to tabulate."""
 import sys
 from collections import Counter
 from copy import copy
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,10 +16,11 @@ import pfspec.locale
 import pfspec.order
 import pfspec.spectrum
 import pfspec.suplattice
-from pfspec.caps import ENV_MAX_EXHAUSTIVE
+from pfspec.caps import ENV_MAX_EXHAUSTIVE, Caps
 from pfspec.cli import main
 from pfspec.errors import PfspecError
 from pfspec.modelfile import LatticeBlock, MonoidBlock, SemiringBlock, parse_model
+from pfspec.report import PASS, Report
 from pfspec.suplattice import SupMap, TensorElement, TensorSpace, omega
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -99,7 +99,7 @@ def test_monoid_spectrum_checks_the_points_against_rad(monkeypatch, capsys, mode
 
     def one_short(data, quantale, mode, *args, **kwargs):
         found = original(data, quantale, mode, *args, **kwargs)
-        return replace(found, maps=found.maps[1:]) if mode == "monoid" else found
+        return found._replace(maps=found.maps[1:]) if mode == "monoid" else found
 
     monkeypatch.setattr(pfspec.spectrum, "anti_ideals", one_short)
     code = main(["spectrum", str(MODELS / "catalog.model"), "--object", "NIL2", "--mode", mode])
@@ -143,6 +143,22 @@ def test_malformed_environment_cap_is_an_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {ENV_MAX_EXHAUSTIVE}='abc' is not an integer\n"
+
+
+def test_caps_are_immutable_and_hashable():
+    caps = Caps(max_exhaustive=17)
+    assert caps == Caps(24, 17) and hash(caps) == hash(Caps(24, 17))
+    assert caps != Caps() and len({caps, Caps(24, 17), Caps()}) == 2
+    with pytest.raises(AttributeError):
+        caps.max_exhaustive = 20
+    assert caps.max_exhaustive == 17
+
+
+def test_each_report_owns_its_record_list():
+    first, second = Report(), Report()
+    assert first.records is not second.records
+    first.add("suite", "check", PASS)
+    assert len(first.records) == 1 and second.records == []
 
 
 def test_negative_cap_flag_is_an_error(monkeypatch, capsys):
@@ -206,7 +222,7 @@ def _unit_at_bottom(data, caps):
     mi = _monoid_ideal_quantale(data, caps)
     mm = copy(mi.monoid_ideals)
     mm.unit = mm.carrier.bottom
-    return replace(mi, monoid_ideals=mm)
+    return mi._replace(monoid_ideals=mm)
 
 
 def _identity_closure(carrier, allowed):

@@ -1,9 +1,13 @@
 """Source hygiene checks: they read the sources with ``ast`` and import
-nothing but the standard library and the package."""
+nothing but the standard library and the package; one imports the command
+line in a fresh interpreter to see which modules it loads."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -267,3 +271,26 @@ def test_every_name_the_benchmark_traces_resolves():
         assert callable(getattr(importlib.import_module(f"pfspec.{module}"), attr, None)), (module, attr)
     for module, cls, method in methods:
         assert method in vars(getattr(importlib.import_module(f"pfspec.{module}"), cls)), (module, cls, method)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every pfspec command is a fresh process that pays for each module the
+    # package loads; dataclasses brings in inspect, ast, dis and tokenize.
+    # Only modules new since before the import count, so a site that loads
+    # them itself cannot fail the test.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import pfspec.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,10 +1,11 @@
 """Model-file parse errors name the line and column of the fault, and a
-name that a block uses but does not declare, or declares twice."""
+name that a block uses but does not declare, or declares twice.  Parsed
+blocks compare equal whatever line they start on."""
 
 import pytest
 
 from pfspec.errors import DuplicateElement, ParseError, UnknownReference
-from pfspec.modelfile import parse_model_text
+from pfspec.modelfile import LatticeBlock, ModelFile, PosetBlock, SemiringBlock, parse_model_text
 
 
 @pytest.mark.parametrize(
@@ -65,3 +66,34 @@ def test_repeated_element_is_rejected_by_name(text):
     with pytest.raises(DuplicateElement) as exc:
         parse_model_text(text)
     assert "duplicate element 'a'" in str(exc.value)
+
+
+def test_blocks_equal_when_only_the_line_differs():
+    z2 = SemiringBlock("Z2", ["0", "1"], "0", "1", ["0", "1", "1", "0"], ["0", "0", "0", "1"], line=3)
+    assert z2 == z2._replace(line=7) and not z2 != z2._replace(line=7)
+    for field, other in [
+        ("name", "Z2b"),
+        ("elements", ["1", "0"]),
+        ("zero", "1"),
+        ("one", "0"),
+        ("add", ["0", "1", "1", "1"]),
+        ("mul", ["0", "0", "0", "0"]),
+        ("order", "P"),
+    ]:
+        changed = z2._replace(**{field: other})
+        assert z2 != changed and not z2 == changed, field
+    # blocks of other kinds, and plain tuples, are never equal to a block
+    assert LatticeBlock("L", "P", 1) != PosetBlock("L", "P", 1)
+    assert LatticeBlock("L", "P", 1) != ("L", "P", 1) and ("L", "P", 1) != LatticeBlock("L", "P", 1)
+
+
+def test_parsed_models_equal_when_only_the_lines_differ():
+    text = "poset P { elements: a b ; leq: a<=b }\nlattice L { poset: P }\n"
+    model = parse_model_text(text)
+    assert [b.line for b in model.blocks] == [1, 2]
+    assert parse_model_text("\n\n" + text) == model
+    assert parse_model_text(text.replace("lattice L", "lattice M")) != model
+
+
+def test_each_model_owns_its_block_list():
+    assert ModelFile().blocks == [] and ModelFile().blocks is not ModelFile().blocks

@@ -2,7 +2,6 @@
 anti-ideals, representability, dualisability."""
 
 import time
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -535,7 +534,7 @@ def test_universal_element_checked_against_least_ideals(monkeypatch):
 
     def all_top(data, caps):
         mi = original(data, caps)
-        return replace(mi, universal_map=(mi.monoid_ideals.carrier.top,) * data.locale.points.n)
+        return mi._replace(universal_map=(mi.monoid_ideals.carrier.top,) * data.locale.points.n)
 
     monkeypatch.setattr(pfspec.spectrum, "monoid_ideal_quantale", all_top)
     with pytest.raises(LawViolation) as exc:
@@ -565,7 +564,7 @@ def test_universal_element_laws_name_the_classes_they_read():
     data = _semiring_data("Z4")
     iq = ideal_quantale(data)
     with pytest.raises(LawViolation) as exc:
-        universal_element(data, replace(iq, ideals=frame_quantale(iq.ideals.carrier)))
+        universal_element(data, iq._replace(ideals=frame_quantale(iq.ideals.carrier)))
     assert (exc.value.law, exc.value.witness) == ("universal element multiplicativity", ("0", "2"))
 
 
@@ -577,7 +576,7 @@ def test_monoid_route_is_compared_with_the_class_route(monkeypatch):
 
     def all_top(data, caps):
         iq = original(data, caps)
-        return replace(iq, universal_map=(iq.ideals.carrier.top,) * data.locale.points.n)
+        return iq._replace(universal_map=(iq.ideals.carrier.top,) * data.locale.points.n)
 
     monkeypatch.setattr(pfspec.spectrum, "ideal_quantale", all_top)
     with pytest.raises(LawViolation) as exc:
@@ -905,9 +904,9 @@ def test_representability_failure_names_the_first_failing_entry():
         ("injective", False, "semiring Omega: injective"),
         ("surjective", False, "semiring Omega: surjective"),
     ]:
-        failing = replace(report, semiring_entries=[replace(entry, **{field: broken})])
+        failing = report._replace(semiring_entries=[entry._replace(**{field: broken})])
         assert not failing.ok() and failing.failure() == witness
-    monoid = replace(report, monoid_entries=[replace(entry, quantale_name="C3", injective=False)])
+    monoid = report._replace(monoid_entries=[entry._replace(quantale_name="C3", injective=False)])
     assert monoid.failure() == "monoid C3: injective"
 
 
