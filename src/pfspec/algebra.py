@@ -132,6 +132,11 @@ def build_discrete_semiring(names, zero, one, add, mul):
     return FiniteCommSemiring(names, zero, one, add, mul)
 
 
+def lattice_semiring(lat):
+    """A bounded distributive lattice as a semiring: + is join, * is meet."""
+    return FiniteCommSemiring(lat.names, lat.bottom, lat.top, lat.join_t, lat.meet_t)
+
+
 class LocalicSemiringData:
     """A localic semiring (or, over a monoid, a localic monoid) on a finite
     locale, given by point-level data.
@@ -328,7 +333,7 @@ def scott_localic_lattice(lat, caps=DEFAULT_CAPS, name=""):
     Alexandrov on finite carriers), addition is join and multiplication meet.
     """
     try:
-        semiring = FiniteCommSemiring(lat.names, lat.bottom, lat.top, lat.join_t, lat.meet_t)
+        semiring = lattice_semiring(lat)
     except LawViolation as exc:
         # join and meet are commutative monoids and the bottom annihilates,
         # so distributivity is the one semiring law a lattice can fail

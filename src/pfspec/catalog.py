@@ -1,11 +1,9 @@
 """Named small structures: the quantale catalog that representability
-sweeps over, the chains and powerset lattices it is built on, and a
-distributive lattice read as a semiring, which the Stone oracle compares.
-The fixtures that only the tests use live in ``tests/reference.py``."""
+sweeps over, and the chains and powerset lattices it is built on.  The
+fixtures that only the tests use live in ``tests/reference.py``."""
 
 from functools import cache
 
-from .algebra import build_discrete_semiring
 from .order import Lattice, build_poset, inclusion_up_sets, lattice_structure
 from .quantale import Quantale, frame_quantale
 from .suplattice import omega
@@ -34,17 +32,6 @@ def powerset_lattice(n):
         for m in range(1 << n)
     ]
     return Lattice(names, inclusion_up_sets(range(1 << n)))
-
-
-# ---------------------------------------------------------------------------
-# semirings
-
-
-def lattice_semiring(lat):
-    """A bounded distributive lattice as a semiring: + is join, * is meet."""
-    return build_discrete_semiring(
-        lat.names, lat.bottom, lat.top, lat.join_t, lat.meet_t
-    )
 
 
 # ---------------------------------------------------------------------------

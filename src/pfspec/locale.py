@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, LawViolation
-from .order import FinitePoset, family_lattice
+from .order import family_lattice
 from .suplattice import OMEGA_FALSE, OMEGA_TRUE, SupMap, omega
 
 
@@ -79,24 +79,9 @@ def locale_from_frame(lat, caps=DEFAULT_CAPS):
     bijections, so together they are an order isomorphism, which carries
     meets as well as joins.
     """
-    ji = lat.join_irreducibles()
-    pos = {p: k for k, p in enumerate(ji)}
-    up = []
-    for p in ji:
-        mask = 0
-        for q in ji:
-            if lat.leq(q, p):
-                mask |= 1 << pos[q]
-        up.append(mask)
-    points = FinitePoset([lat.names[p] for p in ji], up)
+    points = lat.j_rows()[1].opposite()
     loc = FiniteLocale(points, caps)
-    to_values = []
-    for a in range(lat.n):
-        mask = 0
-        for k, p in enumerate(ji):
-            if lat.leq(p, a):
-                mask |= 1 << k
-        to_values.append(loc.open_index[mask])
+    to_values = [loc.open_index[mask] for mask in lat.j_below()]
     to_opens = SupMap(lat, loc.opens, to_values)
     if len(set(to_values)) != lat.n or loc.opens.n != lat.n:
         raise LawViolation("spatiality", "frame is not the up-set frame of its irreducibles")

@@ -10,9 +10,8 @@ with these sets elementwise.
 
 from collections import namedtuple
 
-from .algebra import scott_localic_lattice, to_localic
+from .algebra import lattice_semiring, scott_localic_lattice, to_localic
 from .caps import DEFAULT_CAPS
-from .catalog import lattice_semiring
 from .iso import find_lattice_iso, find_poset_iso
 from .locale import locale_from_frame
 from .order import bits

@@ -27,10 +27,11 @@ there.
 
 A hom is a quantale hom: a join-preserving map that also preserves the
 product and the unit.  Between frames the product is the meet and the unit
-the top, so the quantale homs are the frame homs; the join-preserving maps
-alone are ``suplattice.all_supmaps``.  ``enumerate_homs`` decides every hom
-law on J and returns each hom as its values there, read by ``hom_evaluator``.
-It states only the laws that can fail, as ``spectrum`` does for anti-ideals:
+the top, so the quantale homs are the frame homs.  ``enumerate_homs`` is
+the search of ``suplattice.all_supmaps`` with the unit and product laws
+added: it decides every hom law on J and returns each hom as its values
+there, read by ``suplattice.j_evaluator``.  It states only the laws that
+can fail, as ``spectrum`` does for anti-ideals:
 into a frame, f(pq) = f(p)f(q) for p, q in J with pq the smaller of p and q
 holds for every monotone map on J, since the product there is the meet, and
 is omitted.
@@ -43,7 +44,7 @@ from operator import getitem, itemgetter
 from .caps import DEFAULT_CAPS
 from .errors import LawViolation, NotTwoSided
 from .order import ClosureOperator, monotone_search
-from .suplattice import SupMap, join_witness
+from .suplattice import SupMap, j_evaluator, join_laws, join_witness
 
 
 class Quantale:
@@ -256,30 +257,12 @@ def localic_reflection(quantale):
     return quotient, surjection
 
 
-def hom_evaluator(q1, q2):
-    """value(g, a) = f(a) for a hom f : q1 -> q2 given by its values g on the
-    join-irreducibles J of q1: the join of g over the J below a.  g must be
-    monotone on J, as a hom is; then that join is the join over the maximal
-    J below a, usually one or two, and only those are read."""
-    maximal, join_t, bottom = q1.carrier.j_rows()[0], q2.carrier.join_t, q2.carrier.bottom
-
-    def value(g, a):
-        out = bottom
-        for k in maximal[a]:
-            out = join_t[out][g[k]]
-        return out
-
-    return value
-
-
 def _hom_laws(q1, q2):
     """The hom laws on a monotone map g of the join-irreducibles J of q1
     into q2, as (scope, test) laws; ``scope`` masks the J that ``test(g)``
-    reads, by ``hom_evaluator``.  The unit; f(pq) = f(p)f(q) for p, q in J,
-    which by bilinearity decides every pair; and f(p v c) = f(p) v f(c) for
-    p in J and any c, which by induction on J below a decides f(a v c).
-    That join law is stated only where the J below p v c is more than the J
-    below p and c (``Lattice.splits``), which a distributive q1 never has.
+    reads, by ``suplattice.j_evaluator``.  The unit; f(pq) = f(p)f(q) for p,
+    q in J, which by bilinearity decides every pair; and the join laws of
+    ``suplattice.join_laws``, stated only at the splits of q1's carrier.
 
     The laws that every monotone g obeys are omitted, so the list holds only
     laws that can fail: when q2 is a frame, f(pq) = f(p)f(q) where pq = p
@@ -289,7 +272,7 @@ def _hom_laws(q1, q2):
     src, tgt = q1.carrier, q2.carrier
     ji = src.join_irreducibles()
     below = src.j_below()
-    value = hom_evaluator(q1, q2)
+    value = j_evaluator(src, tgt)
     is_meet = q2.is_frame()
     laws = [(below[q1.unit], lambda g: value(g, q1.unit) == q2.unit)]
     for i, p in enumerate(ji):
@@ -299,9 +282,7 @@ def _hom_laws(q1, q2):
             if is_meet and (a == p and src.leq(p, q) or a == q and src.leq(q, p)):
                 continue
             laws.append((1 << i | 1 << j | below[a], lambda g, i=i, j=j, a=a: value(g, a) == q2.mult_t[g[i]][g[j]]))
-    for i, c, a in src.splits():
-        laws.append((below[a], lambda g, i=i, c=c, a=a: value(g, a) == tgt.join_t[g[i]][value(g, c)]))
-    return laws
+    return laws + join_laws(src, tgt, value)
 
 
 def enumerate_homs(q1, q2, caps=DEFAULT_CAPS):
@@ -309,13 +290,13 @@ def enumerate_homs(q1, q2, caps=DEFAULT_CAPS):
     join-irreducibles J of q1, sorted.
 
     They are searched as monotone maps g on J by ``order.monotone_search``,
-    with f(a) read by ``hom_evaluator``, so the empty join is kept; g must be
-    monotone on J there, and each partial map of the search is, on the J it
-    has assigned.  Each law of ``_hom_laws`` is judged once the elements of
-    J it reads are assigned.  That list omits, for a frame q2, f(pq) =
-    f(p)f(q) where pq is the smaller of p and q: there f(pq) = g(p) =
-    g(p) ^ g(q) for every monotone g, so the omitted laws would prune
-    nothing, and the homs, their order, the nodes tried and any
+    with f(a) read by ``suplattice.j_evaluator``, so the empty join is kept;
+    g must be monotone on J there, and each partial map of the search is, on
+    the J it has assigned.  Each law of ``_hom_laws`` is judged once the
+    elements of J it reads are assigned.  That list omits, for a frame q2,
+    f(pq) = f(p)f(q) where pq is the smaller of p and q: there
+    f(pq) = g(p) = g(p) ^ g(q) for every monotone g, so the omitted laws
+    would prune nothing, and the homs, their order, the nodes tried and any
     CapExceeded are those of the full list.  The cap counts the values
     tried.
     """

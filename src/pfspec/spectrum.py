@@ -82,7 +82,6 @@ from .quantale import (
     QuantaleHom,
     enumerate_homs,
     frame_quantale,
-    hom_evaluator,
     localic_reflection,
 )
 from .suplattice import (
@@ -90,6 +89,7 @@ from .suplattice import (
     TensorElement,
     TensorSpace,
     dual_basis,
+    j_evaluator,
     omega,
 )
 
@@ -775,12 +775,12 @@ def representability_check(data, quantale_catalog, caps=DEFAULT_CAPS):
     semiring (resp. monoid) anti-ideals, for every quantale in the catalog.
 
     Each hom f, held on the join-irreducibles of its source, is sent to
-    (f (x) id)(universal element), read by ``hom_evaluator`` at the universal
-    element's values; the report records, per target quantale, that every
-    image is an anti-ideal, that the map is injective, and that it is onto
-    the enumerated anti-ideals.  Both universal elements and the saturated
-    replacement come from the holoid classes, so neither the saturated frame
-    nor its dual basis is built.
+    (f (x) id)(universal element), read by ``suplattice.j_evaluator`` at the
+    universal element's values; the report records, per target quantale,
+    that every image is an anti-ideal, that the map is injective, and that
+    it is onto the enumerated anti-ideals.  Both universal elements and the
+    saturated replacement come from the holoid classes, so neither the
+    saturated frame nor its dual basis is built.
 
     The Yoneda instance (the universal element is an anti-ideal into Idl(R))
     and invariance under the saturated replacement are decided once, by
@@ -797,7 +797,7 @@ def representability_check(data, quantale_catalog, caps=DEFAULT_CAPS):
         for mode, source, universal in sides:
             homs = enumerate_homs(source, q, caps)
             members = anti_ideals(data, q, mode, caps)
-            entries[mode].append(_entry(name, homs, hom_evaluator(source, q), universal, members))
+            entries[mode].append(_entry(name, homs, j_evaluator(source.carrier, q.carrier), universal, members))
     return RepresentabilityReport(entries["semiring"], entries["monoid"])
 
 
@@ -826,18 +826,22 @@ def dualisability_conditions(data, caps=DEFAULT_CAPS):
     """The three equivalent dualisability conditions, checked independently.
 
     pi(V) is the meet of the saturated opens met by V; the pointwise bound
-    requires every open below the join of pi(V) over the sublocales meeting
-    it.  The family condition uses the dual-basis families (irreducible
-    saturated opens paired with the complements of their dual encodings).
+    requires every open u below the join of pi(V) over the sublocales V
+    meeting it.  pi is antitone in V, and a down-set V meeting u holds the
+    principal down-set of some point x of u, which meets u too; so that join
+    is the join of pi(down x) over the points x of u, and the bound is
+    walked over opens and points, never over the down-sets.  The family
+    condition uses the dual-basis families (irreducible saturated opens
+    paired with the complements of their dual encodings).
     On finite carriers all three hold whenever they are well-posed; the
     value is that each is computed from its own definition.
     """
     sat = saturation(data, caps)
     pts = data.locale.points
     loc = data.locale
-    dn_masks = pts.down_sets()
+    # pi at the principal down-set of each point
     pi = []
-    for v in dn_masks:
+    for v in pts.down:
         acc = pts.full
         for s in sat.sat_masks:
             if v & s:
@@ -846,9 +850,8 @@ def dualisability_conditions(data, caps=DEFAULT_CAPS):
     pointwise_bound = True
     for u in loc.open_masks:
         cover = 0
-        for k, v in enumerate(dn_masks):
-            if v & u:
-                cover |= pi[k]
+        for x in bits(u):
+            cover |= pi[x]
         if u & ~cover:
             pointwise_bound = False
             break

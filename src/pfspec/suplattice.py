@@ -6,6 +6,13 @@ product carrier: subsets that are down-closed and closed under joins in each
 coordinate with the others fixed.  The unit is the two-element lattice Omega.
 The dual hom(L, Omega) is L with the opposite order.
 
+A SupMap is fixed by its values on the join-irreducibles J of its source, a
+monotone map on J: ``j_evaluator`` reads it at every element, and
+``join_laws`` are the join laws that such a map can fail, at the splits of
+the source.  ``all_supmaps`` searches them with ``order.monotone_search``,
+and the quantale homs of ``quantale.enumerate_homs`` are the same search
+with the product and unit laws added.
+
 Dualisability is decided through the totally-below relation; classically, on
 finite carriers, supercontinuous = completely distributive = distributive,
 and the equivalence with plain distributivity is asserted by the test suite
@@ -15,7 +22,6 @@ property, and totally-below over all subsets, are checked by the oracles in
 """
 
 from functools import cache, cached_property
-from itertools import product as iproduct
 from operator import itemgetter
 
 from .caps import DEFAULT_CAPS
@@ -28,6 +34,7 @@ from .order import (
     check_table_cap,
     inclusion_up_sets,
     lattice_structure,
+    monotone_search,
 )
 
 
@@ -71,28 +78,55 @@ def omega():
 OMEGA_FALSE, OMEGA_TRUE = 0, 1
 
 
-def all_supmaps(source, target, caps=DEFAULT_CAPS):
-    """Every SupMap source -> target, deduplicated, in canonical value order.
+def j_evaluator(source, target):
+    """value(g, a) = f(a) for a map f : source -> target held as its values
+    g on the join-irreducibles J of source, at their positions in
+    ``join_irreducibles()``: the join of g over the J below a.  g must be
+    monotone on J, as a join-preserving map is; then that join is the join
+    over the maximal J below a (``Lattice.j_rows``), usually one or two, and
+    only those are read."""
+    maximal, join_t, bottom = source.j_rows()[0], target.join_t, target.bottom
 
-    A join-preserving map is determined by its values on join-irreducibles;
-    candidate assignments are extended by joins and kept when the extension
-    genuinely preserves joins (needed when the source is not distributive).
+    def value(g, a):
+        out = bottom
+        for k in maximal[a]:
+            out = join_t[out][g[k]]
+        return out
+
+    return value
+
+
+def join_laws(source, target, value):
+    """The join laws on a monotone map g of the J of source into target,
+    read by ``value`` from ``j_evaluator``, as (scope, test) laws for
+    ``order.monotone_search``; ``scope`` masks the J that ``test(g)`` reads.
+    Read by ``value``, f sends the bottom to the bottom and f(a) is the join
+    of g over J(a), the J below a, so f(p v c) = f(p) v f(c) holds for p in
+    J wherever J(p v c) = J(p) | J(c), and then by induction on J below a
+    so does f(a v c).  So the law is stated only at the other triples,
+    ``Lattice.splits``, which a distributive source never has."""
+    below = source.j_below()
+    return [
+        (below[a], lambda g, i=i, c=c, a=a: value(g, a) == target.join_t[g[i]][value(g, c)])
+        for i, c, a in source.splits()
+    ]
+
+
+def all_supmaps(source, target, caps=DEFAULT_CAPS):
+    """Every SupMap source -> target, sorted by value tuple.
+
+    A join-preserving map is fixed by its monotone values on the
+    join-irreducibles J, so the maps are searched as monotone maps on J by
+    ``order.monotone_search`` under ``join_laws``, and each is read at every
+    element by ``j_evaluator``.  Distinct maps on J read differently at J,
+    so no map is found twice.  The cap counts the values tried.
     """
-    ji = source.join_irreducibles()
-    total = target.n ** len(ji)
-    if total > caps.search_budget():
-        raise CapExceeded("supmap enumeration", total, caps.search_budget())
-    seen = set()
-    for assignment in iproduct(range(target.n), repeat=len(ji)):
-        values = tuple(
-            target.join_iter(
-                assignment[k] for k, p in enumerate(ji) if source.leq(p, a)
-            )
-            for a in range(source.n)
-        )
-        if values not in seen and join_witness(source, target, values) is None:
-            seen.add(values)
-    return [SupMap(source, target, v) for v in sorted(seen)]
+    value = j_evaluator(source, target)
+    found = monotone_search(
+        source.j_rows()[1], target, join_laws(source, target, value), caps.search_budget(), "supmap enumeration"
+    )
+    maps = sorted(tuple(value(g, a) for a in range(source.n)) for g in found)
+    return [SupMap(source, target, v) for v in maps]
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +312,8 @@ def dual(lat, caps=DEFAULT_CAPS):
 
     Returns (dual lattice, pairing) where pairing(c, a) gives the truth
     value.  When the carrier is small enough the bijection with the actual
-    set of SupMaps L -> Omega, as ``omega_supmaps`` finds them among the
-    kernels, is re-verified.
+    set of SupMaps L -> Omega, as ``all_supmaps`` lists them, is
+    re-verified.
     """
     op = lat.opposite()
 
@@ -290,28 +324,11 @@ def dual(lat, caps=DEFAULT_CAPS):
         encodings = {
             tuple(pairing(c, a) for a in range(lat.n)) for c in range(lat.n)
         }
-        supmaps = omega_supmaps(lat)
+        supmaps = {f.values for f in all_supmaps(lat, omega())}
         if supmaps != encodings:
             witness = min(supmaps ^ encodings)
             raise LawViolation("dual encoding exhausts hom(L, Omega)", witness)
     return op, pairing
-
-
-def omega_supmaps(lat):
-    """The value tuples of every SupMap L -> Omega.
-
-    A join-preserving map to Omega is monotone, so its kernel (the elements
-    sent to false) is a down-set: the join test runs over the maps with a
-    down-set kernel, not over all 2**|L| functions.
-    """
-    out = set()
-    for kernel in lat.down_sets():
-        values = tuple(
-            OMEGA_FALSE if kernel >> a & 1 else OMEGA_TRUE for a in range(lat.n)
-        )
-        if join_witness(lat, omega(), values) is None:
-            out.add(values)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ holds:
   meet-preserving maps, and the tensor is a functor with its universal
   property;
 * brute-force oracles: way-below over directed subsets, totally-below over
-  all subsets, and the pair-by-pair lift of a point operation to down-sets;
+  all subsets, every SupMap over all assignments to the join-irreducibles,
+  the pair-by-pair lift of a point operation to down-sets, and the
+  pointwise dualisability bound over every down-set;
 * the quotient of a quantale by the congruence that pairs generate;
 * the prime anti-ideal laws and the quantale hom laws with none omitted,
   the least ideal over a set of holoid classes by a fixpoint loop, and the
@@ -37,9 +39,9 @@ from functools import cache
 from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
-from pfspec.algebra import FiniteCommMonoid, build_discrete_semiring
+from pfspec.algebra import FiniteCommMonoid, build_discrete_semiring, lattice_semiring
 from pfspec.caps import DEFAULT_CAPS
-from pfspec.catalog import chain, lattice_semiring
+from pfspec.catalog import chain
 from pfspec.errors import (
     CapExceeded,
     DuplicateElement,
@@ -60,13 +62,16 @@ from pfspec.order import (
     downset_lattice,
     lattice_structure,
 )
-from pfspec.quantale import hom_evaluator, least_nucleus, quotient_by_nucleus
+from pfspec.quantale import least_nucleus, quotient_by_nucleus
+from pfspec.spectrum import saturation
 from pfspec.suplattice import (
     OMEGA_FALSE,
     OMEGA_TRUE,
     SupMap,
     TensorElement,
     dual,
+    j_evaluator,
+    join_witness,
     omega,
     tensor,
 )
@@ -440,6 +445,27 @@ def totally_below_exhaustive(lat, caps=DEFAULT_CAPS):
     return tuple(rel)
 
 
+def literal_supmaps(source, target, caps=DEFAULT_CAPS):
+    """Every SupMap source -> target, deduplicated, in canonical value order,
+    the long way: each of the target.n**|J| assignments to the
+    join-irreducibles J is extended by joins over the J below each element
+    and kept when the extension preserves joins (``join_witness``), which
+    it need not when the source is not distributive."""
+    ji = source.join_irreducibles()
+    total = target.n ** len(ji)
+    if total > caps.search_budget():
+        raise CapExceeded("supmap enumeration", total, caps.search_budget())
+    seen = set()
+    for assignment in product(range(target.n), repeat=len(ji)):
+        values = tuple(
+            target.join_iter(assignment[k] for k, p in enumerate(ji) if source.leq(p, a))
+            for a in range(source.n)
+        )
+        if values not in seen and join_witness(source, target, values) is None:
+            seen.add(values)
+    return [SupMap(source, target, v) for v in sorted(seen)]
+
+
 # ---------------------------------------------------------------------------
 # locales: maps, coproducts, OWC sublocales, way-below
 
@@ -718,7 +744,7 @@ def full_hom_laws(q1, q2):
     src, tgt = q1.carrier, q2.carrier
     ji = src.join_irreducibles()
     below = src.j_below()
-    value = hom_evaluator(q1, q2)
+    value = j_evaluator(src, tgt)
     laws = [(below[q1.unit], lambda g: value(g, q1.unit) == q2.unit)]
     for i, p in enumerate(ji):
         for j in range(i, len(ji)):
@@ -795,6 +821,31 @@ def pairwise_owc_binop(points, masks, table):
             row.append(points.down_closure(image))
         out.append(tuple(row))
     return tuple(out)
+
+
+def literal_pointwise_bound(data, caps=DEFAULT_CAPS):
+    """The pointwise bound of ``spectrum.dualisability_conditions`` walked
+    over every open and every down-set of the points: each open u lies
+    below the join of pi(V) over the down-sets V meeting u, where pi(V) is
+    the meet of the saturated opens that V meets."""
+    sat = saturation(data, caps)
+    pts = data.locale.points
+    dn_masks = pts.down_sets()
+    pi = []
+    for v in dn_masks:
+        acc = pts.full
+        for s in sat.sat_masks:
+            if v & s:
+                acc &= s
+        pi.append(acc)
+    for u in data.locale.open_masks:
+        cover = 0
+        for k, v in enumerate(dn_masks):
+            if v & u:
+                cover |= pi[k]
+        if u & ~cover:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

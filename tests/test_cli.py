@@ -272,22 +272,38 @@ def test_duality_suite_builds_each_saturated_frame_once(monkeypatch, capsys):
     assert built == {"saturation": 13, "monoid_ideal_quantale": 13, "ideal_quantale": 7}
 
 
-def test_analyze_counts_the_opens_without_their_tables(tmp_path, capsys):
-    # 2**16 opens: counting them is cheap, their 2**32-entry tables are not
-    n = 16
+def _zmod_model(tmp_path, n):
+    """A model file holding the discrete semiring Z/n as the object Zn."""
     elements = " ".join(str(i) for i in range(n))
     add = " ".join(str((i + j) % n) for i in range(n) for j in range(n))
     mul = " ".join(str(i * j % n) for i in range(n) for j in range(n))
-    path = tmp_path / "z16.model"
+    path = tmp_path / f"z{n}.model"
     path.write_text(
-        f"semiring Z16 {{ elements: {elements} ; zero: 0 ; one: 1 ; "
+        f"semiring Z{n} {{ elements: {elements} ; zero: 0 ; one: 1 ; "
         f"add: {add} ; mul: {mul} ; order: discrete }}\n",
         encoding="utf-8",
     )
-    assert main(["analyze", str(path), "--object", "Z16"]) == 0
+    return path
+
+
+def test_analyze_counts_the_opens_without_their_tables(tmp_path, capsys):
+    # 2**16 opens: counting them is cheap, their 2**32-entry tables are not
+    assert main(["analyze", str(_zmod_model(tmp_path, 16)), "--object", "Z16"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "kind: semiring (16 points, 65536 opens)"
     assert lines[-1] == "ideals: 5"
+
+
+def test_duality_suite_on_z13_reaches_both_table_caps(tmp_path, capsys):
+    # 2**13 opens, whose 2**26-cell tables pass the cap: both records are
+    # skipped there, and the pointwise bound before the second one walks
+    # the opens against the 13 points, not against the 2**13 down-sets
+    assert main(["verify", "--suite", "duality", str(_zmod_model(tmp_path, 13))]) == 0
+    skipped = "SKIPPED (cap: lattice join and meet tables: size 67108864 exceeds cap 1048576)"
+    assert capsys.readouterr().out.splitlines()[1:3] == [
+        f"[duality] Z13: monoid ideals are the dual of the saturated opens ... {skipped}",
+        f"[duality] Z13: dualisability conditions agree ... {skipped}",
+    ]
 
 
 def _refuse(*args, **kwargs):

@@ -52,7 +52,6 @@ from pfspec.quantale import (
     _hom_laws,
     enumerate_homs,
     frame_quantale,
-    hom_evaluator,
     least_nucleus,
     localic_reflection,
     quotient_by_nucleus,
@@ -64,6 +63,7 @@ from pfspec.spectrum import (
     _fixed_class_masks,
     anti_ideals,
     count_saturated_opens,
+    dualisability_conditions,
     ideal_quantale,
     map_of_element,
     monoid_collapse,
@@ -75,7 +75,7 @@ from pfspec.spectrum import (
     saturation,
     universal_element,
 )
-from pfspec.suplattice import SupMap, all_supmaps, dual_basis
+from pfspec.suplattice import SupMap, dual_basis, j_evaluator
 from reference import (
     all_posets_up_to_iso,
     close,
@@ -84,7 +84,9 @@ from reference import (
     full_hom_laws,
     grid,
     literal_monotone,
+    literal_pointwise_bound,
     literal_semiring_laws,
+    literal_supmaps,
     monoid_catalog,
     nextclosure_ideals,
     outcome,
@@ -260,6 +262,17 @@ def test_monoid_ideals_match_owc_oracle_on_scott_lattices(lat):
     _assert_matches_owc_oracle(scott_localic_lattice(lat))
 
 
+def test_the_pointwise_bound_matches_the_walk_over_every_down_set():
+    # the bound read on the principal down-sets of the points against the
+    # walk over every open and every down-set: the catalogs, the semirings
+    # of order 2 to 4, every object of the model files and Scott lattices
+    objects = _catalog_and_small_objects()
+    objects += [data for path in MODELS for data in _model_objects(path)]
+    objects += [scott_localic_lattice(lat) for lat in (chain(5), powerset_lattice(3), grid(2, 3))]
+    for data in objects:
+        assert dualisability_conditions(data).pointwise_bound == literal_pointwise_bound(data), data.name
+
+
 # ---------------------------------------------------------------------------
 # the comultiplication law, which the class check implies
 
@@ -361,11 +374,11 @@ def _leaf_tested_anti_ideals(data, quantale, mode):
 
 def _filtered_supmap_homs(q1, q2, kind):
     """Quantale (or frame) homs the long way: every SupMap from
-    ``all_supmaps``, kept when it preserves the unit and every product (and,
-    for frames, top and every meet)."""
+    ``literal_supmaps``, kept when it preserves the unit and every product
+    (and, for frames, top and every meet)."""
     src, tgt = q1.carrier, q2.carrier
     out = []
-    for f in all_supmaps(src, tgt):
+    for f in literal_supmaps(src, tgt):
         v = f.values
         if v[q1.unit] != q2.unit:
             continue
@@ -405,9 +418,9 @@ def test_anti_ideal_search_matches_leaf_testing_on_small_semirings():
 
 def _expanded_homs(q1, q2):
     """The homs of ``enumerate_homs``, held on the join-irreducibles of q1,
-    each expanded to every element by ``hom_evaluator`` and checked as a
+    each expanded to every element by ``j_evaluator`` and checked as a
     QuantaleHom: their value tables, sorted."""
-    value = hom_evaluator(q1, q2)
+    value = j_evaluator(q1.carrier, q2.carrier)
     n = q1.carrier.n
     return sorted(QuantaleHom(q1, q2, [value(f, a) for a in range(n)]).values for f in enumerate_homs(q1, q2))
 
@@ -675,7 +688,7 @@ def test_hom_values_from_the_maximal_j_match_the_join_over_all_j():
     homs = 0
     for source in sources:
         for _, q in quantale_catalog():
-            value = hom_evaluator(source, q)
+            value = j_evaluator(source.carrier, q.carrier)
             for f in enumerate_homs(source, q):
                 homs += 1
                 for a in range(source.carrier.n):
@@ -692,7 +705,7 @@ def test_hom_evaluator_joins_two_incomparable_maximal_j():
     atoms = tuple(lat.join_irreducibles())
     assert (atoms, lat.join(*atoms)) == ((1, 2), lat.top)
     assert atoms in enumerate_homs(p2, p2)
-    assert hom_evaluator(p2, p2)(atoms, lat.top) == lat.top == _join_over_all_j_below(p2, p2, atoms, lat.top)
+    assert j_evaluator(lat, lat)(atoms, lat.top) == lat.top == _join_over_all_j_below(p2, p2, atoms, lat.top)
 
 
 def test_universal_element_is_an_anti_ideal_into_idl_on_small_semirings():

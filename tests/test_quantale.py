@@ -13,12 +13,11 @@ from pfspec.quantale import (
     QuantaleHom,
     enumerate_homs,
     frame_quantale,
-    hom_evaluator,
     least_nucleus,
     localic_reflection,
     two_sided_reflection,
 )
-from pfspec.suplattice import all_supmaps
+from pfspec.suplattice import all_supmaps, j_evaluator
 from reference import quotient_by
 
 
@@ -220,7 +219,7 @@ def test_quotient_surjections_are_quantale_homs():
 def _expanded(q1, q2, homs):
     """Each hom held on J, expanded to every element of q1 and checked as a
     QuantaleHom: its value table."""
-    value = hom_evaluator(q1, q2)
+    value = j_evaluator(q1.carrier, q2.carrier)
     return [QuantaleHom(q1, q2, [value(f, a) for a in range(q1.carrier.n)]).values for f in homs]
 
 

@@ -998,6 +998,19 @@ def test_dualisability_pi_table_nil2():
     assert report.pointwise_bound and report.agree()
 
 
+def test_dualisability_never_lists_the_down_sets(monkeypatch):
+    # the pointwise bound reads pi on the principal down-set of each point,
+    # so the 2**|points| down-sets are never listed
+    def refuse(self, limit=None):
+        raise AssertionError("dualisability_conditions listed the down-sets")
+
+    objects = [_semiring_data(name) for name in ("B", "Z4", "Z6", "Z2xZ2", "C3lat")]
+    objects += [_monoid_data("nil2"), scott_localic_lattice(powerset_lattice(3))]
+    monkeypatch.setattr(FinitePoset, "down_sets", refuse)
+    for data in objects:
+        assert dualisability_conditions(data).agree(), data.name
+
+
 def test_dualisability_lets_other_errors_through(monkeypatch):
     # only "no dual basis" reads as False; a broken law check must surface
     def broken(lat, caps=None):
@@ -1060,7 +1073,7 @@ def test_search_and_j_rows_built_once_per_lattice(monkeypatch):
     # representability runs two searches per catalog quantale and mode, and
     # reads each hom at the universal element: no poset builds its search
     # rows twice, and the two hom sources, Idl(R) and MM(R), build their J
-    # rows once each, though enumerate_homs and hom_evaluator ask for them
+    # rows once each, though enumerate_homs and j_evaluator ask for them
     # for every catalog quantale
     z6 = to_localic(dict(semiring_catalog())["Z6"])
     catalog = quantale_catalog()

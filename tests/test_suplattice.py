@@ -20,7 +20,6 @@ from pfspec.suplattice import (
     dual,
     dual_basis,
     omega,
-    omega_supmaps,
     tensor,
     totally_below,
     supercontinuity_witness,
@@ -30,6 +29,7 @@ from reference import (
     diamond_m3,
     grid,
     induce,
+    literal_supmaps,
     pentagon_n5,
     pure,
     run_optimized,
@@ -389,18 +389,50 @@ def _omega_supmaps_by_all_functions(lat):
 
 def test_kernel_search_matches_all_functions(monkeypatch):
     # every lattice on at most 7 elements and the catalog lattices; each is
-    # small enough for ``dual`` to check its encoding against omega_supmaps
+    # small enough for ``dual`` to check its encoding against all_supmaps
     lattices = SMALL_LATTICES + CATALOG + [grid(2, 3)]
     calls = []
     monkeypatch.setattr(
-        pfspec.suplattice, "omega_supmaps", lambda lat: calls.append(lat) or omega_supmaps(lat)
+        pfspec.suplattice,
+        "all_supmaps",
+        lambda lat, target: calls.append(lat) or all_supmaps(lat, target),
     )
     for lat in lattices:
         expected = _omega_supmaps_by_all_functions(lat)
-        assert omega_supmaps(lat) == expected, lat.names
+        assert {f.values for f in all_supmaps(lat, omega())} == expected, lat.names
         op, pairing = dual(lat)
         assert {tuple(pairing(c, a) for a in range(lat.n)) for c in range(op.n)} == expected
     assert calls == lattices
+
+
+def test_all_supmaps_matches_the_literal_enumeration():
+    # the search on the join-irreducibles under the split laws lists the
+    # maps that the target.n**|J| assignments, each checked on every join,
+    # list: the same values in the same order, into distributive and
+    # non-distributive targets, out of sources with and without splits
+    sources = small_lattices(6) + [diamond_m3(), pentagon_n5(), powerset_lattice(3)]
+    targets = [omega(), chain(3), chain(5), powerset_lattice(2), diamond_m3(), pentagon_n5()]
+    maps = 0
+    for source in sources:
+        for target in targets:
+            found = [f.values for f in all_supmaps(source, target)]
+            assert found == [f.values for f in literal_supmaps(source, target)], (source.names, target.names)
+            maps += len(found)
+    assert maps > len(sources) * len(targets)
+
+
+def test_supmap_search_cap_counts_the_values_tried():
+    # C5 into C5: the 4 join-irreducibles form a chain, so the search tries
+    # the 5 + 15 + 35 + 70 = 125 monotone partial maps, where the literal
+    # enumeration faces 5^4 = 625 assignments; it stops at the 65th value
+    # past a budget of 64 and lists the 70 maps within 128
+    c5 = chain(5)
+    with pytest.raises(CapExceeded) as exc:
+        all_supmaps(c5, c5, Caps(max_exhaustive=6))
+    assert (exc.value.what, exc.value.size, exc.value.cap) == ("supmap enumeration", 65, 64)
+    found = all_supmaps(c5, c5, Caps(max_exhaustive=7))
+    assert len(found) == 70
+    assert [f.values for f in found] == sorted(f.values for f in found)
 
 
 def test_supercontinuity_matches_distributivity():
