@@ -10,9 +10,9 @@ Subcommands:
     export   FILE --object NAME [--what ...] --format dot|report --out PATH
 
 Reports are deterministic: identical invocations produce byte-identical
-output (timings are measured but never rendered).  The exit code is 1 when a
-report holds a FAIL record, and 2 on an error reported on stderr: a failed
-law outside a report, or a model file or output path that cannot be used.
+output.  The exit code is 1 when a report holds a FAIL record, and 2 on an
+error reported on stderr: a failed law outside a report, or a model file or
+output path that cannot be used.
 """
 
 import argparse
@@ -26,17 +26,7 @@ from .catalog import quantale_catalog
 from .dot import hasse_dot, quantale_dot
 from .errors import CapExceeded, NotALattice, PfspecError
 from .iso import find_lattice_iso
-from .modelfile import (
-    LatticeBlock,
-    MonoidBlock,
-    PosetBlock,
-    SemiringBlock,
-    parse_model,
-    realize_lattice,
-    realize_monoid,
-    realize_poset,
-    realize_semiring,
-)
+from .modelfile import BLOCK_KINDS, LatticeBlock, PosetBlock, SemiringBlock, parse_model, realize
 from .oracles import hofmann_lawson_compare, stone_compare, zariski_compare
 from .order import is_distributive, lattice_structure
 from .report import FAIL, Report
@@ -103,30 +93,31 @@ def _argument_parser():
 def _localic_data(model, name, caps):
     """Realize a model object as localic semiring/monoid data."""
     block = model.get(name)
-    if isinstance(block, SemiringBlock):
-        semiring, order = realize_semiring(model, name)
-        return to_localic(semiring, order=order, caps=caps, name=name), "semiring"
-    if isinstance(block, MonoidBlock):
-        return to_localic(realize_monoid(model, name), caps=caps, name=name), "monoid"
+    if isinstance(block, PosetBlock):
+        raise PfspecError(f"object {name!r} has no semiring structure to analyze")
+    structure = realize(model, name)
     if isinstance(block, LatticeBlock):
-        lat = realize_lattice(model, name)
-        return scott_localic_lattice(lat, caps, name=name), "lattice"
-    raise PfspecError(f"object {name!r} has no semiring structure to analyze")
+        return scott_localic_lattice(structure, caps, name=name)
+    # a semiring is realised with its order
+    algebra = structure if isinstance(block, SemiringBlock) else (structure,)
+    return to_localic(*algebra, caps=caps, name=name)
+
+
+def _law_check(model, name):
+    """Realize a model object; a semiring is also put on its order, which
+    checks that its tables are monotone there."""
+    structure = realize(model, name)
+    if type(structure) is tuple:
+        to_localic(*structure)
 
 
 def cmd_validate(args, caps, out):
     model = parse_model(args.file)
     report = Report()
+    kinds = {cls: kind for kind, (cls, _) in BLOCK_KINDS.items()}
     for block in model.blocks:
         name = block.name
-        if isinstance(block, PosetBlock):
-            report.run("validate", f"poset {name}", lambda n=name: bool(realize_poset(model, n)) or True)
-        elif isinstance(block, LatticeBlock):
-            report.run("validate", f"lattice {name}", lambda n=name: bool(realize_lattice(model, n)) or True)
-        elif isinstance(block, MonoidBlock):
-            report.run("validate", f"monoid {name}", lambda n=name: bool(realize_monoid(model, n)) or True)
-        elif isinstance(block, SemiringBlock):
-            report.run("validate", f"semiring {name}", lambda n=name: bool(_localic_data(model, n, caps)[0]) or True)
+        report.run("validate", f"{kinds[type(block)]} {name}", lambda n=name: _law_check(model, n))
     out.write(report.render())
     return report.exit_code()
 
@@ -136,7 +127,7 @@ def cmd_analyze(args, caps, out):
     block = model.get(args.object)
     lines = [f"object: {args.object}"]
     if isinstance(block, PosetBlock):
-        poset = realize_poset(model, args.object)
+        poset = realize(model, args.object)
         lines.append(f"kind: poset ({poset.n} elements, {len(poset.covers())} covers)")
         try:
             lat = lattice_structure(poset)
@@ -145,15 +136,16 @@ def cmd_analyze(args, caps, out):
         except PfspecError as exc:
             lines.append(f"lattice: no ({exc})")
     elif isinstance(block, LatticeBlock):
-        lat = realize_lattice(model, args.object)
+        lat = realize(model, args.object)
         flag, witness = is_distributive(lat)
         ji = lat.join_irreducibles()
         lines.append(f"kind: lattice ({lat.n} elements)")
         lines.append(f"distributive: {'yes' if flag else f'no {witness}'}")
         lines.append(f"join-irreducibles: {' '.join(lat.names[p] for p in ji)}")
     else:
-        data, kind = _localic_data(model, args.object, caps)
+        data = _localic_data(model, args.object, caps)
         pts = data.locale.points
+        kind = "semiring" if data.has_addition else "monoid"
         lines.append(f"kind: {kind} ({pts.n} points, {len(data.locale.open_masks)} opens)")
         lines.append(f"discrete: {'yes' if data.is_discrete() else 'no'}")
         # the monoid ideals are the complements of the saturated opens
@@ -182,7 +174,7 @@ def _describe_quantale(q, title):
 
 def cmd_spectrum(args, caps, out):
     model = parse_model(args.file)
-    result = radical_frame(_localic_data(model, args.object, caps)[0], caps)
+    result = radical_frame(_localic_data(model, args.object, caps), caps)
     if args.mode == "quantic":
         lines = _describe_quantale(result.ideals, "quantic spectrum")
     else:
@@ -194,8 +186,8 @@ def cmd_spectrum(args, caps, out):
 
 def cmd_points(args, caps, out):
     model = parse_model(args.file)
-    data, kind = _localic_data(model, args.object, caps)
-    mode = "monoid" if kind == "monoid" else "semiring"
+    data = _localic_data(model, args.object, caps)
+    mode = "semiring" if data.has_addition else "monoid"
     result = anti_ideals(data, omega_quantale(), mode, caps)
     pts = data.locale.points
     lines = [f"points of {args.object}: {len(result.maps)}"]
@@ -208,20 +200,16 @@ def cmd_points(args, caps, out):
 
 def cmd_export(args, caps, out):
     model = parse_model(args.file)
-    block = model.get(args.object)
     if args.what == "hasse":
-        if isinstance(block, PosetBlock):
-            target = realize_poset(model, args.object)
-            text = hasse_dot(target, args.object)
-        elif isinstance(block, LatticeBlock):
-            text = hasse_dot(realize_lattice(model, args.object), args.object)
-        else:
-            data, _ = _localic_data(model, args.object, caps)
-            text = hasse_dot(data.locale.points, args.object)
         if args.format == "report":
             raise PfspecError("hasse export is DOT-only")
+        if isinstance(model.get(args.object), (PosetBlock, LatticeBlock)):
+            target = realize(model, args.object)
+        else:
+            target = _localic_data(model, args.object, caps).locale.points
+        text = hasse_dot(target, args.object)
     else:
-        result = radical_frame(_localic_data(model, args.object, caps)[0], caps)
+        result = radical_frame(_localic_data(model, args.object, caps), caps)
         q = result.ideals if args.what == "quantic" else result.radicals
         if args.format == "dot":
             text = quantale_dot(q, f"{args.object}-{args.what}")
@@ -237,12 +225,12 @@ def cmd_export(args, caps, out):
 # verification suites
 
 
-def _suite_tensor(model, caps, report, realize):
+def _suite_tensor(model, caps, report, localic):
     for block in model.blocks:
         name = block.name
         if isinstance(block, PosetBlock):
             try:
-                lat = lattice_structure(realize_poset(model, name))
+                lat = lattice_structure(realize(model, name))
             except NotALattice:
                 continue  # a poset that is no lattice has no tensor checks
             except PfspecError as exc:
@@ -251,7 +239,7 @@ def _suite_tensor(model, caps, report, realize):
             lattice = lambda lat=lat: lat
         elif isinstance(block, LatticeBlock):
             # realised inside each check, so that a failure is its record
-            lattice = lambda n=name: realize_lattice(model, n)
+            lattice = lambda n=name: realize(model, n)
         else:
             continue
         report.run(
@@ -296,20 +284,20 @@ def _universal_count_check(lat, caps):
     )
 
 
-def _suite_duality(model, caps, report, realize):
+def _suite_duality(model, caps, report, localic):
     for block in model.blocks:
-        if isinstance(block, (MonoidBlock, SemiringBlock, LatticeBlock)):
+        if not isinstance(block, PosetBlock):
             name = block.name
             report.run(
                 "duality",
                 f"{name}: monoid ideals are the dual of the saturated opens",
                 # the oracle raises on the first failed law
-                lambda n=name: bool(opens_oracle(realize(n), caps)),
+                lambda n=name: bool(opens_oracle(localic(n), caps)),
             )
             report.run(
                 "duality",
                 f"{name}: dualisability conditions agree",
-                lambda n=name: dualisability_conditions(realize(n), caps).agree(),
+                lambda n=name: dualisability_conditions(localic(n), caps).agree(),
             )
 
 
@@ -320,18 +308,18 @@ def _representability_outcome(data, caps):
     return failure is None, failure
 
 
-def _suite_representability(model, caps, report, realize):
+def _suite_representability(model, caps, report, localic):
     for block in model.blocks:
         if isinstance(block, (SemiringBlock, LatticeBlock)):
             name = block.name
             report.run(
                 "representability",
                 f"{name}: homs classify anti-ideals over the quantale catalog",
-                lambda n=name: _representability_outcome(realize(n), caps),
+                lambda n=name: _representability_outcome(localic(n), caps),
             )
 
 
-def _suite_oracles(model, caps, report, realize):
+def _suite_oracles(model, caps, report, localic):
     # each object is realised inside its checks, so that a failure is their
     # record
     for block in model.blocks:
@@ -340,18 +328,18 @@ def _suite_oracles(model, caps, report, realize):
             report.run(
                 "oracles",
                 f"{name}: zariski brute force matches the pipeline",
-                lambda n=name: zariski_compare(realize_semiring(model, n)[0], caps, name=n).ok(),
+                lambda n=name: zariski_compare(realize(model, n)[0], caps, name=n).ok(),
             )
         elif isinstance(block, LatticeBlock):
             report.run(
                 "oracles",
                 f"{name}: stone brute force matches the pipeline",
-                lambda n=name: stone_compare(realize_lattice(model, n), caps, name=n).ok(),
+                lambda n=name: stone_compare(realize(model, n), caps, name=n).ok(),
             )
             report.run(
                 "oracles",
                 f"{name}: scott-topology spectrum returns the frame",
-                lambda n=name: hofmann_lawson_compare(realize_lattice(model, n), caps, name=n).ok(),
+                lambda n=name: hofmann_lawson_compare(realize(model, n), caps, name=n).ok(),
             )
 
 
@@ -365,11 +353,11 @@ def cmd_verify(args, caps, out):
         "oracles": _suite_oracles,
     }
     chosen = list(suites) if args.suite == "all" else [args.suite]
-    # each object is realised once per run; a failed realisation is not
-    # cached, so every check on it records its own failure
-    realize = functools.cache(lambda name: _localic_data(model, name, caps)[0])
+    # each object's localic data is built once per run; a failed build is
+    # not cached, so every check on it records its own failure
+    localic = functools.cache(lambda name: _localic_data(model, name, caps))
     for suite_name in chosen:
-        suites[suite_name](model, caps, report, realize)
+        suites[suite_name](model, caps, report, localic)
     out.write(report.render())
     return report.exit_code(strict_caps=args.strict_caps)
 

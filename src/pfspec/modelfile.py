@@ -14,6 +14,7 @@ block; parsing is positional enough to report line/column on errors.
 """
 
 from collections import namedtuple
+from copy import copy
 
 from .algebra import FiniteCommMonoid, FiniteCommSemiring
 from .errors import DuplicateElement, NonTotalTable, ParseError, UnknownReference
@@ -114,11 +115,18 @@ class _Tokens:
         return self.pos >= len(self.items)
 
 
-_BLOCK_KEYS = {
-    "poset": ["elements", "leq"],
-    "monoid": ["elements", "unit", "mul"],
-    "semiring": ["elements", "zero", "one", "add", "mul", "order"],
-    "lattice": ["poset"],
+# Each kind word names its block class and the keys of its blocks, in the
+# order of the class's fields.  A key maps to ``list`` when it takes a list of
+# values and to ``str`` when it takes one; an optional key maps to its
+# default, of the same type as a value it is given.
+BLOCK_KINDS = {
+    "poset": (PosetBlock, {"elements": list, "leq": []}),
+    "monoid": (MonoidBlock, {"elements": list, "unit": str, "mul": list}),
+    "semiring": (
+        SemiringBlock,
+        {"elements": list, "zero": str, "one": str, "add": list, "mul": list, "order": "discrete"},
+    ),
+    "lattice": (LatticeBlock, {"poset": str}),
 }
 
 
@@ -128,7 +136,7 @@ def parse_model_text(text):
     seen = set()
     while not tokens.done():
         kind, ln, col = tokens.next()
-        if kind not in _BLOCK_KEYS:
+        if kind not in BLOCK_KINDS:
             raise ParseError(f"unknown block kind {kind!r}", ln, col)
         name, nln, ncol = tokens.next()
         if name in "{};":
@@ -147,7 +155,7 @@ def parse_model_text(text):
             if not token.endswith(":"):
                 raise ParseError(f"expected a key like 'elements:', found {token!r}", fln, fcol)
             key = token[:-1]
-            if key not in _BLOCK_KEYS[kind]:
+            if key not in BLOCK_KINDS[kind][1]:
                 raise ParseError(f"unknown key {key!r} in {kind} block", fln, fcol)
             if key in fields:
                 raise ParseError(f"duplicate key {key!r}", fln, fcol)
@@ -160,56 +168,33 @@ def parse_model_text(text):
     return model
 
 
-def _require(fields, key, kind, name, line):
-    if key not in fields:
-        raise ParseError(f"{kind} {name!r} is missing {key!r}", line, 1)
-    return [value for value, _, _ in fields[key][0]]
-
-
-def _single(fields, key, kind, name, line):
-    values = _require(fields, key, kind, name, line)
-    if len(values) != 1:
-        _, kln, kcol = fields[key]
-        raise ParseError(f"{kind} {name!r}: {key!r} wants one value", kln, kcol)
-    return values[0]
-
-
 def _build_block(kind, name, fields, line):
-    if kind == "poset":
-        elements = _require(fields, "elements", kind, name, line)
-        relations = []
-        if "leq" in fields:
-            for item, rln, rcol in fields["leq"][0]:
-                if "<=" not in item:
-                    raise ParseError(f"relation {item!r} is not of the form a<=b", rln, rcol)
-                a, b = item.split("<=", 1)
-                relations.append((a, b))
-        return PosetBlock(name, elements, relations, line)
-    if kind == "monoid":
-        return MonoidBlock(
-            name,
-            _require(fields, "elements", kind, name, line),
-            _single(fields, "unit", kind, name, line),
-            _require(fields, "mul", kind, name, line),
-            line,
-        )
-    if kind == "semiring":
-        order = "discrete"
-        if "order" in fields:
-            order = _single(fields, "order", kind, name, line)
-        return SemiringBlock(
-            name,
-            _require(fields, "elements", kind, name, line),
-            _single(fields, "zero", kind, name, line),
-            _single(fields, "one", kind, name, line),
-            _require(fields, "add", kind, name, line),
-            _require(fields, "mul", kind, name, line),
-            order,
-            line,
-        )
-    if kind == "lattice":
-        return LatticeBlock(name, _single(fields, "poset", kind, name, line), line)
-    raise AssertionError(kind)
+    """The block of ``kind`` from its keys, each read in field order, so
+    the first faulty key is the one reported."""
+    cls, keys = BLOCK_KINDS[kind]
+    values = []
+    for key, spec in keys.items():
+        if key not in fields:
+            if isinstance(spec, type):
+                raise ParseError(f"{kind} {name!r} is missing {key!r}", line, 1)
+            values.append(copy(spec))
+            continue
+        items, kln, kcol = fields[key]
+        if key == "leq":
+            values.append([_relation(*item) for item in items])
+        elif spec is str or isinstance(spec, str):
+            if len(items) != 1:
+                raise ParseError(f"{kind} {name!r}: {key!r} wants one value", kln, kcol)
+            values.append(items[0][0])
+        else:
+            values.append([value for value, _, _ in items])
+    return cls(name, *values, line)
+
+
+def _relation(item, line, column):
+    if "<=" not in item:
+        raise ParseError(f"relation {item!r} is not of the form a<=b", line, column)
+    return tuple(item.split("<=", 1))
 
 
 def _resolve_references(model):
@@ -264,51 +249,31 @@ def parse_model(path):
 # realization into package structures
 
 
-def realize_poset(model, name):
-    block = model.get(name)
-    if not isinstance(block, PosetBlock):
-        raise UnknownReference(f"{name} is not a poset")
-    return build_poset(block.elements, block.relations)
+def realize(model, name):
+    """The structure that block ``name`` declares: a ``FinitePoset``, a
+    ``Lattice``, a ``FiniteCommMonoid``, or a ``(FiniteCommSemiring, order)``
+    pair whose order is None when discrete and else the declared poset.
+    Building it checks its laws.  Every name a block reads was resolved when
+    the model was parsed."""
 
+    def poset(name):
+        block = model.get(name)
+        return build_poset(block.elements, block.relations)
 
-def realize_lattice(model, name):
     block = model.get(name)
+    if isinstance(block, PosetBlock):
+        return poset(name)
     if isinstance(block, LatticeBlock):
-        return lattice_structure(realize_poset(model, block.poset))
-    raise UnknownReference(f"{name} is not a lattice")
-
-
-def _table(names, flat):
-    n = len(names)
-    index = {x: i for i, x in enumerate(names)}
-    return [
-        [index[flat[i * n + j]] for j in range(n)] for i in range(n)
-    ]
-
-
-def realize_monoid(model, name):
-    block = model.get(name)
-    if not isinstance(block, MonoidBlock):
-        raise UnknownReference(f"{name} is not a monoid")
+        return lattice_structure(poset(block.poset))
+    n = len(block.elements)
     index = {x: i for i, x in enumerate(block.elements)}
-    return FiniteCommMonoid(
-        block.elements, index[block.unit], _table(block.elements, block.mul)
-    )
 
+    def table(flat):
+        return [[index[x] for x in flat[i : i + n]] for i in range(0, n * n, n)]
 
-def realize_semiring(model, name):
-    block = model.get(name)
-    if not isinstance(block, SemiringBlock):
-        raise UnknownReference(f"{name} is not a semiring")
-    index = {x: i for i, x in enumerate(block.elements)}
+    if isinstance(block, MonoidBlock):
+        return FiniteCommMonoid(block.elements, index[block.unit], table(block.mul))
     semiring = FiniteCommSemiring(
-        block.elements,
-        index[block.zero],
-        index[block.one],
-        _table(block.elements, block.add),
-        _table(block.elements, block.mul),
+        block.elements, index[block.zero], index[block.one], table(block.add), table(block.mul)
     )
-    order = None
-    if block.order != "discrete":
-        order = realize_poset(model, block.order)
-    return semiring, order
+    return semiring, (None if block.order == "discrete" else poset(block.order))

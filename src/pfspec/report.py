@@ -6,13 +6,11 @@ Reports are plain text, one section per suite, one line per check:
     [suite] check-name ... FAIL (witness)
     [suite] check-name ... SKIPPED (cap: reason)
 
-Rendering is byte-stable across runs for identical inputs: records carry
-wall-clock timings for interactive display elsewhere, but timings are never
-rendered into the report text.  The exit code is 0 iff nothing FAILed;
-SKIPPED records only fail under --strict-caps.
+Rendering is byte-stable across runs for identical inputs: a record holds
+no timing.  The exit code is 0 iff nothing FAILed; SKIPPED records only fail
+under --strict-caps.
 """
 
-import time
 from collections import namedtuple
 
 from .errors import CapExceeded, PfspecError
@@ -22,7 +20,7 @@ FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 
 
-CheckRecord = namedtuple("CheckRecord", "suite name status witness seconds", defaults=("", 0.0))
+CheckRecord = namedtuple("CheckRecord", "suite name status witness")
 
 
 class Report:
@@ -31,29 +29,27 @@ class Report:
     def __init__(self, records=()):
         self.records = list(records)
 
-    def add(self, suite, name, status, witness="", seconds=0.0):
-        self.records.append(CheckRecord(suite, name, status, witness, seconds))
+    def add(self, suite, name, status, witness=""):
+        self.records.append(CheckRecord(suite, name, status, witness))
 
     def run(self, suite, name, fn):
         """Run fn() -> (ok, witness) and record the outcome; CapExceeded
         becomes SKIPPED, any other package error a FAIL with its witness."""
-        start = time.perf_counter()
         try:
             outcome = fn()
         except CapExceeded as exc:
-            self.add(suite, name, SKIPPED, f"cap: {exc}", time.perf_counter() - start)
+            self.add(suite, name, SKIPPED, f"cap: {exc}")
             return
         except PfspecError as exc:
-            self.add(suite, name, FAIL, str(exc), time.perf_counter() - start)
+            self.add(suite, name, FAIL, str(exc))
             return
-        seconds = time.perf_counter() - start
         if outcome is True or outcome is None:
-            self.add(suite, name, PASS, "", seconds)
+            self.add(suite, name, PASS)
         elif outcome is False:
-            self.add(suite, name, FAIL, "", seconds)
+            self.add(suite, name, FAIL)
         else:
             ok, witness = outcome
-            self.add(suite, name, PASS if ok else FAIL, "" if ok else str(witness), seconds)
+            self.add(suite, name, PASS if ok else FAIL, "" if ok else str(witness))
 
     def render(self):
         lines = []

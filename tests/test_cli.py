@@ -90,6 +90,32 @@ def test_verify_records_a_poset_that_fails_to_build(tmp_path, capsys):
     assert "total: 1  pass: 0  fail: 1  skipped: 0" in out
 
 
+def test_validate_checks_a_semiring_on_its_order(tmp_path, capsys):
+    # Z/2 is a semiring, but x + 1 is not monotone on 0 <= 1
+    path = tmp_path / "ordered.model"
+    path.write_text(
+        "poset T { elements: 0 1 ; leq: 0<=1 }\n"
+        "semiring Z2 { elements: 0 1 ; zero: 0 ; one: 1 ; add: 0 1 1 0 ; mul: 0 0 0 1 ; order: T }\n",
+        encoding="utf-8",
+    )
+    assert main(["validate", str(path)]) == 1
+    assert "[validate] semiring Z2 ... FAIL (map not monotone at ('1', '0', '1'): add)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["BAD", "CYC"])
+def test_hasse_report_export_is_refused_before_the_object_is_built(tmp_path, capsys, name):
+    # BAD fails the unit law of its product and CYC is no poset: neither
+    # failure is reached, since no hasse export is a report
+    path = tmp_path / "broken.model"
+    cycle = "poset CYC { elements: a b ; leq: a<=b b<=a }\n"
+    path.write_text((MODELS / "catalog.model").read_text(encoding="utf-8") + BROKEN_OBJECTS + cycle, encoding="utf-8")
+    target = tmp_path / "hasse.txt"
+    argv = ["export", str(path), "--object", name, "--what", "hasse", "--format", "report", "--out", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: hasse export is DOT-only\n")
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("mode", ["quantic", "localic"])
 def test_monoid_spectrum_checks_the_points_against_rad(monkeypatch, capsys, mode):
     # a monoid's spectrum is built by radical_frame, as a semiring's is: a

@@ -5,7 +5,7 @@ blocks compare equal whatever line they start on."""
 import pytest
 
 from pfspec.errors import DuplicateElement, ParseError, UnknownReference
-from pfspec.modelfile import LatticeBlock, ModelFile, PosetBlock, SemiringBlock, parse_model_text
+from pfspec.modelfile import BLOCK_KINDS, LatticeBlock, ModelFile, PosetBlock, SemiringBlock, parse_model_text
 
 
 @pytest.mark.parametrize(
@@ -30,6 +30,76 @@ def test_parse_error_position(text, message, line, column):
         parse_model_text(text)
     assert message in str(exc.value)
     assert (exc.value.line, exc.value.column) == (line, column)
+
+
+# a well-formed block of each kind, its keys in field order
+WELL_FORMED = {
+    "poset": {"elements": "a b", "leq": "a<=b"},
+    "monoid": {"elements": "1 a", "unit": "1", "mul": "1 a  a 1"},
+    "semiring": {"elements": "0 1", "zero": "0", "one": "1", "add": "0 1 1 0", "mul": "0 0 0 1", "order": "discrete"},
+    "lattice": {"poset": "P"},
+}
+OPTIONAL = {"leq", "order"}
+SINGLE = {"unit", "zero", "one", "order", "poset"}
+
+
+def _block_text(kind, keys):
+    """Block X of ``kind`` on line 2, under a comment."""
+    body = " ; ".join(f"{key}: {value}" for key, value in keys.items())
+    return f"# one block\n{kind} X {{ {body} }}\n"
+
+
+def test_the_block_table_holds_each_kind_and_its_keys_in_field_order():
+    assert {kind: list(keys) for kind, (_, keys) in BLOCK_KINDS.items()} == {
+        kind: list(keys) for kind, keys in WELL_FORMED.items()
+    }
+    for cls, keys in BLOCK_KINDS.values():
+        assert len(cls._fields) == len(keys) + 2  # the name, the keys, the line
+
+
+@pytest.mark.parametrize(
+    "kind,key",
+    [(kind, key) for kind, keys in WELL_FORMED.items() for key in keys if key not in OPTIONAL],
+)
+def test_a_missing_required_key_is_reported_at_the_block(kind, key):
+    keys = {k: v for k, v in WELL_FORMED[kind].items() if k != key}
+    with pytest.raises(ParseError) as exc:
+        parse_model_text(_block_text(kind, keys))
+    assert f"{kind} 'X' is missing '{key}'" in str(exc.value)
+    assert (exc.value.line, exc.value.column) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "kind,key",
+    [(kind, key) for kind, keys in WELL_FORMED.items() for key in keys if key in SINGLE],
+)
+def test_a_single_valued_key_given_two_values_is_reported_at_the_key(kind, key):
+    keys = dict(WELL_FORMED[kind])
+    keys[key] += " " + keys[key]
+    text = _block_text(kind, keys)
+    with pytest.raises(ParseError) as exc:
+        parse_model_text(text)
+    assert f"{kind} 'X': '{key}' wants one value" in str(exc.value)
+    assert (exc.value.line, exc.value.column) == (2, text.splitlines()[1].index(f"{key}:") + 1)
+
+
+def test_an_optional_key_left_out_takes_its_default():
+    model = parse_model_text(
+        "poset P { elements: a }\nposet Q { elements: b }\n"
+        "semiring R { elements: 0 1 ; zero: 0 ; one: 1 ; add: 0 1 1 0 ; mul: 0 0 0 1 }\n"
+    )
+    p, q, r = model.blocks
+    assert p.relations == q.relations == [] and p.relations is not q.relations
+    assert r.order == "discrete"
+
+
+def test_the_first_faulty_key_in_field_order_is_reported():
+    # 'elements' comes before 'order', wherever either is written
+    text = "semiring R { order: P Q ; zero: 0 ; one: 1 ; add: 0 1 1 0 ; mul: 0 0 0 1 }\n"
+    with pytest.raises(ParseError) as exc:
+        parse_model_text(text)
+    assert "semiring 'R' is missing 'elements'" in str(exc.value)
+    assert (exc.value.line, exc.value.column) == (1, 1)
 
 
 def test_parse_error_position_of_an_empty_block_header():

@@ -240,7 +240,7 @@ def _catalog_and_small_objects():
 def _model_objects(path):
     model = parse_model(path)
     return [
-        _localic_data(model, block.name, DEFAULT_CAPS)[0]
+        _localic_data(model, block.name, DEFAULT_CAPS)
         for block in model.blocks
         if isinstance(block, (MonoidBlock, SemiringBlock, LatticeBlock))
     ]
