@@ -254,8 +254,9 @@ class HoloidClasses:
 
     So ``bottom``, the least ideal, is the zero's class down-set, and the
     least ideal over a set of classes is the join of the class down-sets of
-    its maximal classes: ``least`` folds them with ``ideal_sum``, the join
-    of two ideals, and neither needs a fixpoint loop.
+    its maximal classes, the principal ideals: Idl(R) reads that join off
+    its listing, and ``ideal_sum``, the join of two ideals, needs no
+    fixpoint loop.
     """
 
     def __init__(self, data):
@@ -307,15 +308,6 @@ class HoloidClasses:
             for e in tops:
                 grown |= self.sums[c][e]
         return union | self.order.down_closure(grown)
-
-    def least(self, class_mask):
-        """The least ideal holding the classes of ``class_mask``: the ideal
-        sum of ``bottom`` and the class down-sets of its maximal classes."""
-        ideal, down = self.bottom, self.order.down
-        for c in self.order.maximal(class_mask):
-            if not ideal >> c & 1:
-                ideal = self.ideal_sum(ideal, ideal | down[c])
-        return ideal
 
 
 def to_localic(algebra, order=None, caps=DEFAULT_CAPS, name=""):

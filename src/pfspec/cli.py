@@ -90,12 +90,13 @@ def _argument_parser():
     return parser
 
 
-def _localic_data(model, name, caps):
-    """Realize a model object as localic semiring/monoid data."""
+def _localic_data(model, name, caps, realised):
+    """A model object as localic semiring/monoid data, built on the
+    structure ``realised(name)`` gives (``realize`` on ``model``)."""
     block = model.get(name)
     if isinstance(block, PosetBlock):
         raise PfspecError(f"object {name!r} has no semiring structure to analyze")
-    structure = realize(model, name)
+    structure = realised(name)
     if isinstance(block, LatticeBlock):
         return scott_localic_lattice(structure, caps, name=name)
     # a semiring is realised with its order
@@ -143,10 +144,13 @@ def cmd_analyze(args, caps, out):
         lines.append(f"distributive: {'yes' if flag else f'no {witness}'}")
         lines.append(f"join-irreducibles: {' '.join(lat.names[p] for p in ji)}")
     else:
-        data = _localic_data(model, args.object, caps)
-        pts = data.locale.points
+        data = _localic_data(model, args.object, caps, functools.partial(realize, model))
         kind = "semiring" if data.has_addition else "monoid"
-        lines.append(f"kind: {kind} ({pts.n} points, {len(data.locale.open_masks)} opens)")
+        try:
+            opens = len(data.locale.open_masks)
+        except CapExceeded as exc:
+            opens = exc.size  # the cap's estimate, as ">N"
+        lines.append(f"kind: {kind} ({data.locale.points.n} points, {opens} opens)")
         lines.append(f"discrete: {'yes' if data.is_discrete() else 'no'}")
         # the monoid ideals are the complements of the saturated opens
         saturated = count_saturated_opens(data, caps)
@@ -174,7 +178,7 @@ def _describe_quantale(q, title):
 
 def cmd_spectrum(args, caps, out):
     model = parse_model(args.file)
-    result = radical_frame(_localic_data(model, args.object, caps), caps)
+    result = radical_frame(_localic_data(model, args.object, caps, functools.partial(realize, model)), caps)
     if args.mode == "quantic":
         lines = _describe_quantale(result.ideals, "quantic spectrum")
     else:
@@ -186,7 +190,7 @@ def cmd_spectrum(args, caps, out):
 
 def cmd_points(args, caps, out):
     model = parse_model(args.file)
-    data = _localic_data(model, args.object, caps)
+    data = _localic_data(model, args.object, caps, functools.partial(realize, model))
     mode = "semiring" if data.has_addition else "monoid"
     result = anti_ideals(data, omega_quantale(), mode, caps)
     pts = data.locale.points
@@ -200,16 +204,17 @@ def cmd_points(args, caps, out):
 
 def cmd_export(args, caps, out):
     model = parse_model(args.file)
+    realised = functools.partial(realize, model)
     if args.what == "hasse":
         if args.format == "report":
             raise PfspecError("hasse export is DOT-only")
         if isinstance(model.get(args.object), (PosetBlock, LatticeBlock)):
-            target = realize(model, args.object)
+            target = realised(args.object)
         else:
-            target = _localic_data(model, args.object, caps).locale.points
+            target = _localic_data(model, args.object, caps, realised).locale.points
         text = hasse_dot(target, args.object)
     else:
-        result = radical_frame(_localic_data(model, args.object, caps), caps)
+        result = radical_frame(_localic_data(model, args.object, caps, realised), caps)
         q = result.ideals if args.what == "quantic" else result.radicals
         if args.format == "dot":
             text = quantale_dot(q, f"{args.object}-{args.what}")
@@ -225,12 +230,12 @@ def cmd_export(args, caps, out):
 # verification suites
 
 
-def _suite_tensor(model, caps, report, localic):
+def _suite_tensor(model, caps, report, realised, localic):
     for block in model.blocks:
         name = block.name
         if isinstance(block, PosetBlock):
             try:
-                lat = lattice_structure(realize(model, name))
+                lat = lattice_structure(realised(name))
             except NotALattice:
                 continue  # a poset that is no lattice has no tensor checks
             except PfspecError as exc:
@@ -239,7 +244,7 @@ def _suite_tensor(model, caps, report, localic):
             lattice = lambda lat=lat: lat
         elif isinstance(block, LatticeBlock):
             # realised inside each check, so that a failure is its record
-            lattice = lambda n=name: realize(model, n)
+            lattice = lambda n=name: realised(n)
         else:
             continue
         report.run(
@@ -284,7 +289,7 @@ def _universal_count_check(lat, caps):
     )
 
 
-def _suite_duality(model, caps, report, localic):
+def _suite_duality(model, caps, report, realised, localic):
     for block in model.blocks:
         if not isinstance(block, PosetBlock):
             name = block.name
@@ -308,7 +313,7 @@ def _representability_outcome(data, caps):
     return failure is None, failure
 
 
-def _suite_representability(model, caps, report, localic):
+def _suite_representability(model, caps, report, realised, localic):
     for block in model.blocks:
         if isinstance(block, (SemiringBlock, LatticeBlock)):
             name = block.name
@@ -319,7 +324,7 @@ def _suite_representability(model, caps, report, localic):
             )
 
 
-def _suite_oracles(model, caps, report, localic):
+def _suite_oracles(model, caps, report, realised, localic):
     # each object is realised inside its checks, so that a failure is their
     # record
     for block in model.blocks:
@@ -328,18 +333,18 @@ def _suite_oracles(model, caps, report, localic):
             report.run(
                 "oracles",
                 f"{name}: zariski brute force matches the pipeline",
-                lambda n=name: zariski_compare(realize(model, n)[0], caps, name=n).ok(),
+                lambda n=name: zariski_compare(realised(n)[0], caps, name=n).ok(),
             )
         elif isinstance(block, LatticeBlock):
             report.run(
                 "oracles",
                 f"{name}: stone brute force matches the pipeline",
-                lambda n=name: stone_compare(realize(model, n), caps, name=n).ok(),
+                lambda n=name: stone_compare(realised(n), caps, name=n).ok(),
             )
             report.run(
                 "oracles",
                 f"{name}: scott-topology spectrum returns the frame",
-                lambda n=name: hofmann_lawson_compare(realize(model, n), caps, name=n).ok(),
+                lambda n=name: hofmann_lawson_compare(realised(n), caps, name=n).ok(),
             )
 
 
@@ -353,11 +358,13 @@ def cmd_verify(args, caps, out):
         "oracles": _suite_oracles,
     }
     chosen = list(suites) if args.suite == "all" else [args.suite]
-    # each object's localic data is built once per run; a failed build is
-    # not cached, so every check on it records its own failure
-    localic = functools.cache(lambda name: _localic_data(model, name, caps))
+    # each object is realised once per run and its localic data built once;
+    # a failed build is not cached, so every check on it records its own
+    # failure
+    realised = functools.cache(functools.partial(realize, model))
+    localic = functools.cache(lambda name: _localic_data(model, name, caps, realised))
     for suite_name in chosen:
-        suites[suite_name](model, caps, report, localic)
+        suites[suite_name](model, caps, report, realised, localic)
     out.write(report.render())
     return report.exit_code(strict_caps=args.strict_caps)
 

@@ -20,9 +20,9 @@ elements):
   sets of classes reached from the least ideal by ideal sums (the
   down-closure of I + J, ``HoloidClasses.ideal_sum``) with class down-sets,
   each an ideal (``HoloidClasses``), joined as the least listed ideal above
-  both and with the class product closed up; for a monoid the quantale
-  MM(R) of monoid ideals, the unions of class down-sets, with the class
-  product,
+  both, and with A.B the join of the principal ideals (ce) of the class
+  products; for a monoid the quantale MM(R) of monoid ideals, the unions of
+  class down-sets, with the class product,
 * its localic reflection Rad(R),
 * the universal element, one formula for both kinds: x -> the down-set of
   its class, which is the least (monoid) ideal holding x.  It is checked
@@ -64,7 +64,6 @@ two agree because the principal up-sets are join-prime in an up-set frame).
 from collections import namedtuple
 from functools import cache, reduce
 from itertools import chain, combinations_with_replacement, product as iproduct
-from operator import or_
 
 from .algebra import FiniteCommMonoid, _absorb, to_localic
 from .caps import DEFAULT_CAPS
@@ -162,33 +161,24 @@ def is_deflationary(data):
 # monoid ideals
 
 
-def _listed_least(classes, pos, u):
-    """The index in ``pos`` of the class mask u, or else of the least ideal
-    over u (``classes.least``); LawViolation("least ideals are listed")
-    naming u when neither is listed."""
-    k = pos[u] if u in pos else pos.get(classes.least(u))
-    if k is None:
-        raise LawViolation("least ideals are listed", classes.point_order.mask_name(classes.points(u)))
-    return k
-
-
 def _class_quantale(data, classes, class_masks, caps):
     """The quantale on ``class_masks``, down-sets of checked classes closed
-    under intersection and holding every class, ordered by inclusion and
-    sorted by the (size, mask) of their point masks, with its universal
-    element; returns (quantale, point masks, index of each class mask,
-    universal map).  The join of two members is the least member above
-    both, and ``caps`` bound the tables (``family_lattice``).
+    under intersection and holding every class down-set, ordered by
+    inclusion and sorted by the (size, mask) of their point masks, with its
+    universal element; returns (quantale, point masks, universal map).  The
+    join of two members is the least member above both, and ``caps`` bound
+    the tables (``family_lattice``).
 
     The universal element sends x to the down-set of its class, the
     principal (monoid) ideal of x, and the unit is that of one; a class
     down-set missing from ``class_masks`` raises LawViolation naming the
-    class.  A.B is the least member over the union of the class down-sets
-    of ce, c and e maximal in A and B, by ``_listed_least`` where that union
-    is no member.  That is the convolution product on points: the class
-    product is a congruence, monotone on the class order
-    (``holoid_quotient``), and each class down-set is the principal monoid
-    ideal of its points, as the classes were checked to give when built.
+    class.  A.B is the join of the principal ideals (ce), c and e maximal in
+    A and B, the convolution product on points: the class product is a
+    congruence, monotone on the class order (``holoid_quotient``), and each
+    class down-set is the principal monoid ideal of its points, as checked
+    when the classes were built, so (c)(e) = (ce); each member is the join
+    of the principal ideals of its maximal classes; and products preserve
+    joins.
     """
     pts, down = data.locale.points, classes.order.down
     found = sorted(((classes.points(c), c) for c in class_masks), key=lambda mc: (mc[0].bit_count(), mc[0]))
@@ -198,16 +188,18 @@ def _class_quantale(data, classes, class_masks, caps):
     if None in principal:
         raise LawViolation("principal ideals are listed", classes.order.names[principal.index(None)])
     lat = family_lattice(cmasks, (pts.mask_name(m) for m in masks), caps)
-    maximals = [classes.order.maximal(c) for c in cmasks]
-    # the class down-closure of c.B, for each maximal class c and each B
-    per_class = {}
-    for c in set(chain.from_iterable(maximals)):
-        dc = [down[ce] for ce in classes.mul_t[c]]
-        per_class[c] = [reduce(or_, [dc[e] for e in me], 0) for me in maximals]
-    rows = [reduce(lambda row, c: tuple(map(or_, row, per_class[c])), mc, (0,) * len(cmasks)) for mc in maximals]
-    index = {u: _listed_least(classes, pos, u) for u in set(chain.from_iterable(rows))}
-    quantale = Quantale(lat, [[index[u] for u in row] for row in rows], principal[classes.cls_of[data.one_point]])
-    return quantale, masks, pos, tuple(principal[c] for c in classes.cls_of)
+    join, maximals = lat.join_t, [classes.order.maximal(c) for c in cmasks]
+    # (c).B for each maximal class c and each B
+    per_class = {
+        c: [lat.join_iter(principal[classes.mul_t[c][e]] for e in me) for me in maximals]
+        for c in set(chain.from_iterable(maximals))
+    }
+    rows = [
+        reduce(lambda row, c: [join[a][b] for a, b in zip(row, per_class[c])], mc, [lat.bottom] * len(cmasks))
+        for mc in maximals
+    ]
+    quantale = Quantale(lat, rows, principal[classes.cls_of[data.one_point]])
+    return quantale, masks, tuple(principal[c] for c in classes.cls_of)
 
 
 class MonoidIdealData(
@@ -246,7 +238,7 @@ def monoid_ideal_quantale(data, caps=DEFAULT_CAPS):
     classes = data.classes
     every_class = (1 << classes.order.n) - 1
     down_sets = (every_class ^ u for u in classes.up_sets(caps))
-    quantale, masks, _, universal = _class_quantale(data, classes, down_sets, caps)
+    quantale, masks, universal = _class_quantale(data, classes, down_sets, caps)
     return MonoidIdealData(quantale, masks, universal)
 
 
@@ -305,22 +297,14 @@ def _ideal_witness(data, masks):
     return min(filter(fails, masks), key=lambda m: (m.bit_count(), m), default=None)
 
 
-class IdealQuantaleData(
-    namedtuple(
-        "IdealQuantaleData",
-        [
-            "ideals",  # Idl(R), a Quantale
-            "ideal_masks",  # point-mask of each element of Idl(R)
-            "classes",  # the HoloidClasses
-            "class_index",  # class mask of each element -> its index
-            "universal_map",  # x -> the principal ideal of x, its class down-set
-        ],
-    )
-):
-    """Idl(R) as ``ideal_quantale`` builds it, with its universal element
-    read off the listing, as ``MonoidIdealData`` holds MM(R) and its own."""
-
-    __slots__ = ()
+IdealQuantaleData = namedtuple(
+    "IdealQuantaleData",
+    [
+        "ideals",  # Idl(R), a Quantale
+        "ideal_masks",  # point-mask of each element of Idl(R)
+        "universal_map",  # x -> the principal ideal of x, its class down-set
+    ],
+)
 
 
 def ideal_quantale(data, caps=DEFAULT_CAPS):
@@ -332,8 +316,9 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     class down-sets, and each is checked to be an ideal in the definitional
     sense.  ``_class_quantale`` orders them by inclusion, with meets the
     intersections and joins the least listed ideal above both, and gives
-    them the product from the class table closed up by
-    ``HoloidClasses.least``, and the unit the down-set of the class of 1.
+    them the product read off those joins, A.B the join of the principal
+    ideals (ce) for c and e maximal in A and B, and the unit the down-set of
+    the class of 1.
     The universal element sends x to the down-set of its class, an ideal by
     the theorem in ``HoloidClasses``.  This is the quotient of MM(R) by the
     least nucleus forcing the zero to the bottom and I (+~) J below I v J,
@@ -347,18 +332,18 @@ def ideal_quantale(data, caps=DEFAULT_CAPS):
     witness = _ideal_witness(data, map(classes.points, fixed))
     if witness is not None:
         raise LawViolation("class closure gives ideals", pts.mask_name(witness))
-    ideals, masks, pos, universal = _class_quantale(data, classes, fixed, caps)
-    return IdealQuantaleData(ideals, masks, classes, pos, universal)
+    ideals, masks, universal = _class_quantale(data, classes, fixed, caps)
+    return IdealQuantaleData(ideals, masks, universal)
 
 
-def monoid_collapse(iq, mi):
-    """The quotient MM(R) ->> Idl(R), sending a monoid ideal to the least
-    ideal over it, as a QuantaleHom."""
-    classes = iq.classes
-    values = [
-        _listed_least(classes, iq.class_index, sum(1 << c for c, p in enumerate(classes.members) if p & m))
-        for m in mi.ideal_masks
-    ]
+def monoid_collapse(data, iq, mi):
+    """The quotient MM(R) ->> Idl(R), as a QuantaleHom: a monoid ideal goes
+    to the least ideal over it, the join in Idl(R) of the principal ideals
+    of its classes, each looked up by its point mask in the listing."""
+    classes, lat = data.classes, iq.ideals.carrier
+    pos = {m: k for k, m in enumerate(iq.ideal_masks)}
+    principal = [pos[classes.points(d)] for d in classes.order.down]
+    values = [lat.join_iter(principal[c] for c, p in enumerate(classes.members) if p & m) for m in mi.ideal_masks]
     return QuantaleHom(mi.monoid_ideals, iq.ideals, values)
 
 
@@ -608,8 +593,8 @@ def opens_oracle(data, caps=DEFAULT_CAPS):
     * a down-set is a monoid ideal (fixed by absorption) exactly when its
       complement is a saturated open, and the unit of MM(R) is the
       complement of the bottom saturated open;
-    * for a semiring, the principal monoid ideals collapse onto the least
-      ideals of the class route;
+    * for a semiring, the principal monoid ideals collapse onto the
+      universal element of the class route;
     * the universal element in bi-ideal form, carried from the unit of the
       dual basis of the saturated frame into Q (x) opens (Q = Idl(R) for a
       semiring, MM(R) for a monoid), agrees with the map form the pipeline
@@ -675,7 +660,7 @@ def opens_oracle(data, caps=DEFAULT_CAPS):
         # the principal monoid ideals collapse onto the class route's
         # universal element
         iq = ideal_quantale(data, caps)
-        q, collapse = iq.ideals, monoid_collapse(iq, mi)
+        q, collapse = iq.ideals, monoid_collapse(data, iq, mi)
         g = _checked_universal(data, q, iq.ideal_masks, tuple(map(collapse, mi.universal_map)), "semiring")
         for x, v in enumerate(iq.universal_map):
             if g[x] != v:

@@ -760,8 +760,8 @@ def close(classes, closed, extra):
     closed under the sum rows of the ``HoloidClasses`` ``classes``, for
     ``closed`` already so (or 0): the classes not yet in the set are
     down-closed and summed against the whole set until nothing changes.
-    ``HoloidClasses.least`` and ``ideal_sum`` reach the same sets with no
-    loop, as every class down-set is an ideal."""
+    ``HoloidClasses.ideal_sum`` and the joins of Idl(R) reach the same sets
+    with no loop, as every class down-set is an ideal."""
     down, sums = classes.order.down, classes.sums
     new = extra & ~closed
     while new:

@@ -31,11 +31,11 @@ def _count_realisations(monkeypatch, fail=()):
     calls = Counter()
     original = pfspec.cli._localic_data
 
-    def counting(model, name, caps):
+    def counting(model, name, caps, realised):
         calls[name] += 1
         if name in fail:
             raise PfspecError("refused")
-        return original(model, name, caps)
+        return original(model, name, caps, realised)
 
     monkeypatch.setattr(pfspec.cli, "_localic_data", counting)
     return calls
@@ -45,6 +45,22 @@ def test_verify_realises_each_object_once(monkeypatch, capsys):
     calls = _count_realisations(monkeypatch)
     assert main(["verify", str(MODELS / "catalog.model")]) == 0
     assert calls and max(calls.values()) == 1, calls
+
+
+def test_verify_realises_each_block_once(monkeypatch, capsys):
+    # the tensor and oracle checks of a lattice, and the localic data of a
+    # semiring or lattice, read one realisation of the block
+    calls = Counter()
+    original = pfspec.cli.realize
+
+    def counting(model, name):
+        calls[name] += 1
+        return original(model, name)
+
+    monkeypatch.setattr(pfspec.cli, "realize", counting)
+    path = MODELS / "catalog.model"
+    assert main(["verify", str(path)]) == 0
+    assert calls == Counter(block.name for block in parse_model(path).blocks)
 
 
 def test_verify_does_not_cache_a_failed_realisation(monkeypatch, capsys):
@@ -318,6 +334,17 @@ def test_analyze_counts_the_opens_without_their_tables(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "kind: semiring (16 points, 65536 opens)"
     assert lines[-1] == "ideals: 5"
+
+
+def test_analyze_prints_the_estimate_of_opens_past_the_cap(capsys):
+    # Z6 has 64 opens, past a cap of 2**5: the kind line gives the cap's
+    # estimate and every other line is the golden one
+    assert main(["--max-exhaustive", "5", "analyze", str(MODELS / "catalog.model"), "--object", "Z6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    golden = (GOLDEN / "catalog" / "analyze-Z6.txt").read_text(encoding="utf-8").splitlines()[1:]
+    assert lines[1] == "kind: semiring (6 points, >32 opens)"
+    assert lines[:1] + lines[2:] == golden[:1] + golden[2:]
+    assert lines[-1] == "ideals: 4"
 
 
 def test_duality_suite_on_z13_reaches_both_table_caps(tmp_path, capsys):

@@ -191,12 +191,58 @@ def test_no_unreferenced_definitions():
 DOC_REFERENCE = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(\))?``")
 
 
+def class_members(trees):
+    """Class name -> the names that ``C.x`` may resolve to, for each class
+    defined in ``trees``: the defs and assignments of its body, the
+    attributes its methods set on ``self``, its named-tuple fields and the
+    members of its bases.  A class with a base defined elsewhere maps to
+    None, as not all of its members are seen."""
+    nodes = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                nodes.setdefault(node.name, []).append(node)
+
+    def members(name, seen):
+        found = set()
+        for node in nodes[name]:
+            for base in node.bases:
+                if isinstance(base, ast.Name) and base.id in nodes and base.id not in seen:
+                    inherited = members(base.id, seen | {base.id})
+                elif isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple":
+                    fields = base.args[1]
+                    if isinstance(fields, ast.Constant):
+                        inherited = set(fields.value.replace(",", " ").split())
+                    else:
+                        inherited = {e.value for e in fields.elts}
+                else:
+                    inherited = None
+                if inherited is None:
+                    return None
+                found |= inherited
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    found.add(stmt.name)
+                for target in stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]:
+                    if isinstance(target, ast.Name):
+                        found.add(target.id)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                    if getattr(sub.value, "id", None) == "self":
+                        found.add(sub.attr)
+        return found
+
+    return {name: members(name, {name}) for name in nodes}
+
+
 def stale_references(modules):
     """(module, line, reference) for each double-backticked name in a
     docstring of ``modules`` (name -> source), such as ``X`` or ``X.y()``,
     with a dotted part that names nothing of ``modules``: no def or class,
     assigned name or attribute, argument, module name or string constant.
-    The line is the docstring's first."""
+    A part that follows a class C of ``modules`` must name a member of C
+    instead (``class_members``), where all of them are seen.  The line is
+    the docstring's first."""
     trees = {module: ast.parse(text) for module, text in modules.items()}
     known = set(modules)
     for tree in trees.values():
@@ -211,24 +257,44 @@ def stale_references(modules):
                 known.add(node.arg)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 known.add(node.value)
+    members = class_members(trees.values())
+
+    def resolves(reference):
+        parts = reference.split(".")
+        for before, part in zip([None] + parts, parts):
+            scope = members.get(before)
+            if part not in (known if scope is None else scope):
+                return False
+        return True
+
     return sorted(
         (module, node.body[0].lineno, found[0])
         for module, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         for found in DOC_REFERENCE.finditer(ast.get_docstring(node, clean=False) or "")
-        if not known.issuperset(found[1].split("."))
+        if not resolves(found[1])
     )
 
 
 def test_stale_references_finds_each_unresolved_name():
     lib = (
-        '"""Reads ``lib.f``, ``C.size`` and ``Gone.f()``."""\n\n\n'
+        '"""Reads ``lib.f``, ``C.size``, ``C.mode`` and ``Gone.f()``."""\n\n\n'
         'def f(x):\n    """Takes ``x`` to ``mode``, never ``y`` or ``x v y``."""\n    return "mode"\n'
     )
     caller = 'class C:\n    """Calls ``f()`` and ``lib.g``."""\n\n    def __init__(self):\n        self.size = 0\n'
-    found = stale_references({"lib": lib, "caller": caller})
-    assert found == [("caller", 2, "``lib.g``"), ("lib", 1, "``Gone.f()``"), ("lib", 5, "``y``")]
+    record = 'class P(namedtuple("P", "a b")):\n    """Holds ``P.b``, ``P.size`` and ``E.size``."""\n\n\nclass E(Exception):\n    pass\n'
+    found = stale_references({"lib": lib, "caller": caller, "record": record})
+    # ``C.mode`` and ``P.size`` name a string constant and an attribute of
+    # the package, but no member of C or P; ``P.b`` names a field, and E has
+    # a base from elsewhere, so ``E.size`` resolves against the package
+    assert found == [
+        ("caller", 2, "``lib.g``"),
+        ("lib", 1, "``C.mode``"),
+        ("lib", 1, "``Gone.f()``"),
+        ("lib", 5, "``y``"),
+        ("record", 2, "``P.size``"),
+    ]
 
 
 def test_no_stale_references():

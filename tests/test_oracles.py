@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from pathlib import Path
 
@@ -23,7 +23,7 @@ from pfspec.cli import _localic_data
 from pfspec.errors import CapExceeded, CycleError, LawViolation, NotJoinPreserving, NotMonotone
 from pfspec.iso import find_poset_iso
 from pfspec.locale import locale_from_frame
-from pfspec.modelfile import LatticeBlock, MonoidBlock, SemiringBlock, parse_model
+from pfspec.modelfile import LatticeBlock, MonoidBlock, SemiringBlock, parse_model, realize
 from pfspec.oracles import (
     ideal_product,
     prime_filters,
@@ -240,7 +240,7 @@ def _catalog_and_small_objects():
 def _model_objects(path):
     model = parse_model(path)
     return [
-        _localic_data(model, block.name, DEFAULT_CAPS)
+        _localic_data(model, block.name, DEFAULT_CAPS, partial(realize, model))
         for block in model.blocks
         if isinstance(block, (MonoidBlock, SemiringBlock, LatticeBlock))
     ]
@@ -449,8 +449,8 @@ def test_hom_search_matches_filtered_supmaps_on_small_semirings():
 
 def test_a_product_past_a_union_of_principal_ideals_is_the_ideal_product():
     # the products of Idl(R) that are no union of class down-sets are
-    # closed by HoloidClasses.least: each product must be the additive
-    # span of the pointwise products, here (x,y)^2 = (x^2, xy, y^2)
+    # joins of principal ideals past their union: each product must be the
+    # additive span of the pointwise products, here (x,y)^2 = (x^2, xy, y^2)
     ring = plane_modulo_cubes()
     iq = ideal_quantale(to_localic(ring))
     q, masks = iq.ideals, iq.ideal_masks
@@ -570,6 +570,11 @@ def _route_guard_objects():
     return objects
 
 
+def _class_masks(classes, masks):
+    """The classes that meet each of the point masks ``masks``."""
+    return [sum(1 << c for c, p in enumerate(classes.members) if p & m) for m in masks]
+
+
 def test_the_ideal_sum_is_the_closed_union_on_every_pair_of_ideals():
     # the join of Idl(R) as an ideal sum, with no fixpoint loop, and as
     # Idl(R) reads it off its order, against the least ideal over the union
@@ -580,8 +585,8 @@ def test_the_ideal_sum_is_the_closed_union_on_every_pair_of_ideals():
         classes = data.classes
         ideals = _fixed_class_masks(classes, DEFAULT_CAPS)
         iq = ideal_quantale(data)
-        at, join_t = iq.class_index, iq.ideals.carrier.join_t
-        cmasks = sorted(at, key=at.get)
+        cmasks = _class_masks(classes, iq.ideal_masks)
+        at, join_t = {c: k for k, c in enumerate(cmasks)}, iq.ideals.carrier.join_t
         for a, b in product(ideals, repeat=2):
             joined = close(classes, a, a | b)
             assert classes.ideal_sum(a, a | b) == joined, (data.name, a, b)
@@ -592,21 +597,35 @@ def test_the_ideal_sum_is_the_closed_union_on_every_pair_of_ideals():
 
 def test_the_ideals_are_listed_as_nextclosure_over_the_fixpoint_loop():
     # every class down-set is an ideal, so the least ideal over a set of
-    # classes is an ideal sum of class down-sets: against the loop, the
-    # same bottom, the same least ideal over each of the 9,094 class sets
-    # of the objects with at most 8 classes, and the same ideals, each
-    # listed once, as NextClosure over the loop
+    # classes is the join in Idl(R) of its principal ideals: against the
+    # loop, the same bottom, the same least ideal over each of the 9,094
+    # class sets of the objects with at most 8 classes, the same product in
+    # each of the 9,663 cells of Idl(R), the least ideal over the class
+    # down-sets of ce for c and e maximal in the factors, and the same
+    # ideals, each listed once, as NextClosure over the loop
     objects = [data for data in _route_guard_objects() if data.has_addition]
-    sets = 0
+    sets = cells = 0
     for data in objects:
         classes = data.classes
+        down, maximal = classes.order.down, classes.order.maximal
         assert classes.bottom == close(classes, 0, 1 << classes.cls_of[data.zero_point]), data.name
+        iq = ideal_quantale(data)
+        q, lat = iq.ideals, iq.ideals.carrier
+        cmasks = _class_masks(classes, iq.ideal_masks)
+        principal = [cmasks.index(d) for d in down]
         if classes.order.n <= 8:
             for u in range(1 << classes.order.n):
-                assert classes.least(u) == close(classes, classes.bottom, u), (data.name, u)
+                joined = cmasks[lat.join_iter(principal[c] for c in bits(u))]
+                assert joined == close(classes, classes.bottom, u), (data.name, u)
             sets += 1 << classes.order.n
+        for i, j in product(range(lat.n), repeat=2):
+            u = 0
+            for c, e in product(maximal(cmasks[i]), maximal(cmasks[j])):
+                u |= down[classes.mul_t[c][e]]
+            assert cmasks[q.mul(i, j)] == close(classes, classes.bottom, u), (data.name, i, j)
+            cells += 1
         assert sorted(_fixed_class_masks(classes, DEFAULT_CAPS)) == sorted(nextclosure_ideals(classes)), data.name
-    assert (len(objects), sets) == (1004, 9094)
+    assert (len(objects), sets, cells) == (1004, 9094, 9663)
 
 
 def _search_and_nodes(variables, lat, laws, budget):
@@ -1228,7 +1247,7 @@ def _assert_class_route_matches_nucleus_route(data):
     assert got.mult_t == expected.mult_t
     assert got.unit == expected.unit
     assert universal_element(data, iq) == g
-    assert monoid_collapse(iq, mi).values == collapse.values
+    assert monoid_collapse(data, iq, mi).values == collapse.values
 
 
 def test_class_route_matches_the_nucleus_route_on_catalogs_and_small_semirings():

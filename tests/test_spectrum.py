@@ -48,7 +48,7 @@ from pfspec.spectrum import (
     universal_element,
 )
 from pfspec.suplattice import TensorElement, TensorSpace, dual, tensor
-from reference import grid, monoid_catalog, pairwise_owc_binop, plane_modulo_cubes, run_optimized, semiring_catalog
+from reference import grid, monoid_catalog, pairwise_owc_binop, run_optimized, semiring_catalog
 
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -401,10 +401,6 @@ def test_only_the_saturated_replacement_builds_the_quotient_monoid(monkeypatch):
     assert len(built) == 1
 
 
-def _no_closure(classes, class_mask):
-    return classes.bottom | class_mask
-
-
 def _union_as_join(classes, ideal, union):
     return union
 
@@ -412,21 +408,11 @@ def _union_as_join(classes, ideal, union):
 @pytest.mark.parametrize(
     "method, broken, data, law, witness",
     [
-        # the least ideal over a set of classes as that set and the zero's:
-        # in F2[x,y]/(x,y)^3 the product (x,y)^2 is then the union of (x2),
-        # (xy) and (y2), which misses x2 + xy + y2 and is no listed ideal
-        (
-            "least",
-            _no_closure,
-            lambda: to_localic(plane_modulo_cubes()),
-            "least ideals are listed",
-            "{0,x2,xy,x2+xy,y2,x2+y2,xy+y2}",
-        ),
         # the first set listed, in (size, mask) order, that is no ideal:
         # every monoid ideal that holds 0, and (2) v (3) misses 2 + 3 = 5
         ("ideal_sum", _union_as_join, lambda: _semiring_data("Z6"), "class closure gives ideals", "{0,2,3,4}"),
     ],
-    ids=["absorption", "sums"],
+    ids=["sums"],
 )
 def test_class_closure_output_is_checked_against_the_definition(monkeypatch, method, broken, data, law, witness):
     monkeypatch.setattr(pfspec.algebra.HoloidClasses, method, broken)
