@@ -31,12 +31,11 @@ from .oracles import hofmann_lawson_compare, stone_compare, zariski_compare
 from .order import is_distributive, lattice_structure
 from .report import FAIL, Report
 from .spectrum import (
-    anti_ideals,
     count_saturated_opens,
     dualisability_conditions,
     ideal_quantale,
+    idempotent_points,
     is_deflationary,
-    omega_quantale,
     opens_oracle,
     radical_frame,
     representability_check,
@@ -153,7 +152,10 @@ def cmd_analyze(args, caps, out):
         lines.append(f"kind: {kind} ({data.locale.points.n} points, {opens} opens)")
         lines.append(f"discrete: {'yes' if data.is_discrete() else 'no'}")
         # the monoid ideals are the complements of the saturated opens
-        saturated = count_saturated_opens(data, caps)
+        try:
+            saturated = count_saturated_opens(data, caps)
+        except CapExceeded as exc:
+            saturated = exc.size
         lines.append(f"saturated opens: {saturated}")
         lines.append(f"deflationary: {'yes' if is_deflationary(data) else 'no'}")
         lines.append(f"monoid ideals: {saturated}")
@@ -191,13 +193,8 @@ def cmd_spectrum(args, caps, out):
 def cmd_points(args, caps, out):
     model = parse_model(args.file)
     data = _localic_data(model, args.object, caps, functools.partial(realize, model))
-    mode = "semiring" if data.has_addition else "monoid"
-    result = anti_ideals(data, omega_quantale(), mode, caps)
-    pts = data.locale.points
-    lines = [f"points of {args.object}: {len(result.maps)}"]
-    for g in result.maps:
-        mask = sum(1 << x for x in range(pts.n) if g[x])
-        lines.append(f"  {pts.mask_name(mask)}")
+    masks = idempotent_points(data, "semiring" if data.has_addition else "monoid")
+    lines = [f"points of {args.object}: {len(masks)}", *(f"  {data.locale.points.mask_name(m)}" for m in masks)]
     out.write("\n".join(lines) + "\n")
     return 0
 

@@ -28,10 +28,10 @@ elements):
   its class, which is the least (monoid) ideal holding x.  It is checked
   monotone on the classes and against the intersection of the listed
   elements that hold x,
-* the quantale-valued prime anti-ideals of the matching kind, checked
-  against the points of Rad(R).  They and the universal element read the
-  laws of ``_anti_ideal_laws``, which omits those that every monotone map
-  of classes obeys.
+* the points, the Omega-valued prime anti-ideals of the matching kind,
+  read off the idempotent classes (``idempotent_points``) and checked
+  against Rad(R).  The universal element reads the laws of
+  ``_anti_ideal_laws``, which omit those every monotone class map obeys.
 
 For a semiring, the monoid side is built where something reads it, by
 representability and the opens oracle:
@@ -62,7 +62,7 @@ two agree because the principal up-sets are join-prime in an up-set frame).
 """
 
 from collections import namedtuple
-from functools import cache, reduce
+from functools import reduce
 from itertools import chain, combinations_with_replacement, product as iproduct
 
 from .algebra import FiniteCommMonoid, _absorb, to_localic
@@ -80,7 +80,6 @@ from .quantale import (
     Quantale,
     QuantaleHom,
     enumerate_homs,
-    frame_quantale,
     localic_reflection,
 )
 from .suplattice import (
@@ -91,10 +90,6 @@ from .suplattice import (
     j_evaluator,
     omega,
 )
-
-@cache
-def omega_quantale():
-    return frame_quantale(omega())
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +401,8 @@ def anti_ideals(data, quantale, mode, caps=DEFAULT_CAPS):
     the laws that list omits, which every monotone map obeys, would prune
     nothing: the maps and the nodes tried are those of the full list.  It
     checks each law once its classes are assigned and raises CapExceeded
-    past ``caps.search_budget()`` values tried.
+    past ``caps.search_budget()`` values tried.  Into Omega it is the oracle
+    of ``idempotent_points``, which reads the same points with no search.
     """
     if mode not in ("monoid", "semiring"):
         raise ValueError(f"unknown anti-ideal mode {mode!r}")
@@ -418,6 +414,32 @@ def anti_ideals(data, quantale, mode, caps=DEFAULT_CAPS):
     laws = [(scope, test) for _, scope, test in _anti_ideal_laws(data, classes, quantale, mode)]
     maps = monotone_search(classes.order, quantale.carrier, laws, caps.search_budget(), "anti-ideal enumeration")
     return AntiIdealSet(tuple(sorted(tuple(g[c] for c in classes.cls_of) for g in maps)))
+
+
+def idempotent_points(data, mode):
+    """The Omega-valued prime anti-ideals in ``mode``, as point masks in the
+    order ``anti_ideals`` lists their value tuples, found with no search.
+
+    Theorem: they are the up-sets of the idempotent classes p, in semiring
+    mode those whose complement holds the zero's class and is sum-closed.
+    Proof: G is monotone on the classes, so F = {c : G(c) = 1} is an up-set
+    holding the class of one, with ce in F iff c and e are.  As ce <= c and
+    the product is monotone, the product p of F is in F and below each member:
+    F = up(p), p <= pp <= p.  Conversely, xy >= p iff x, y >= p, as pp = p
+    and xy <= x.  Additivity binds only outside F, a down-set of points, so
+    at its maximal points (as in ``HoloidClasses.ideal_sum``).  This is the
+    finite semilattice decomposition of a commutative semigroup (Tamura and
+    Kimura 1954; Clifford and Preston 1961)."""
+    classes, pts = data.classes, data.locale.points
+    order, cls_of = classes.order, classes.cls_of
+
+    def is_point(p):
+        out = order.full & ~order.up[p]
+        tops = {cls_of[x] for x in pts.maximal(classes.points(out))}
+        return out >> cls_of[data.zero_point] & 1 and not any(classes.sums[c][e] & ~out for c in tops for e in tops)
+
+    ups = [order.up[p] for p in range(order.n) if classes.mul_t[p][p] == p and (mode == "monoid" or is_point(p))]
+    return tuple(sorted(map(classes.points, ups), key=lambda m: [m >> x & 1 for x in range(pts.n)]))
 
 
 def element_of_map(quantale, locale, g):
@@ -513,10 +535,10 @@ def radical_frame(data, caps=DEFAULT_CAPS):
     ``_checked_universal`` in the matching mode.  For a semiring no table
     here is larger than Idl(R), whatever the number of saturated opens.
 
-    The points are found by the anti-ideal search in that mode and checked
-    against Rad(R): the points of a finite frame are its meet-prime elements
-    p, and the anti-ideal of p is {x : rho(g(x)) not <= p}.  The two lists
-    must agree, or LawViolation names a point on one side only."""
+    The points, read off the idempotent classes (``idempotent_points``),
+    are checked against Rad(R): a finite frame's points are its meet-prime
+    p, the anti-ideal of p is {x : rho(g(x)) not <= p}, and the lists must
+    agree, or LawViolation names a point on one side only."""
     if data.has_addition:
         ideal_data, mode = ideal_quantale(data, caps), "semiring"
         quantic, g = ideal_data.ideals, universal_element(data, ideal_data)
@@ -525,12 +547,7 @@ def radical_frame(data, caps=DEFAULT_CAPS):
         quantic = ideal_data.monoid_ideals
         g = _checked_universal(data, quantic, ideal_data.ideal_masks, ideal_data.universal_map, mode)
     radicals, rho = localic_reflection(quantic)
-    points_set = anti_ideals(data, omega_quantale(), mode, caps)
-    pts = data.locale.points
-    masks = tuple(
-        sum(1 << x for x in range(pts.n) if m[x] == 1) for m in points_set.maps
-    )
-    rad = radicals.carrier
+    masks, pts, rad = idempotent_points(data, mode), data.locale.points, radicals.carrier
     rho_g = [rho(v) for v in g]
     # in a frame the meet-primes are the meet-irreducibles, the elements
     # that are not the meet of the elements strictly above them

@@ -14,6 +14,7 @@ import pfspec.algebra
 import pfspec.cli
 import pfspec.locale
 import pfspec.order
+import pfspec.quantale
 import pfspec.spectrum
 import pfspec.suplattice
 from pfspec.caps import ENV_MAX_EXHAUSTIVE, Caps
@@ -135,15 +136,15 @@ def test_hasse_report_export_is_refused_before_the_object_is_built(tmp_path, cap
 @pytest.mark.parametrize("mode", ["quantic", "localic"])
 def test_monoid_spectrum_checks_the_points_against_rad(monkeypatch, capsys, mode):
     # a monoid's spectrum is built by radical_frame, as a semiring's is: a
-    # monoid-mode search that misses a point disagrees with the primes of
-    # Rad(MM(R))
-    original = pfspec.spectrum.anti_ideals
+    # monoid-mode point list that misses a point disagrees with the primes
+    # of Rad(MM(R))
+    original = pfspec.spectrum.idempotent_points
 
-    def one_short(data, quantale, mode, *args, **kwargs):
-        found = original(data, quantale, mode, *args, **kwargs)
-        return found._replace(maps=found.maps[1:]) if mode == "monoid" else found
+    def one_short(data, mode):
+        found = original(data, mode)
+        return found[1:] if mode == "monoid" else found
 
-    monkeypatch.setattr(pfspec.spectrum, "anti_ideals", one_short)
+    monkeypatch.setattr(pfspec.spectrum, "idempotent_points", one_short)
     code = main(["spectrum", str(MODELS / "catalog.model"), "--object", "NIL2", "--mode", mode])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
@@ -347,6 +348,16 @@ def test_analyze_prints_the_estimate_of_opens_past_the_cap(capsys):
     assert lines[-1] == "ideals: 4"
 
 
+def test_analyze_prints_the_estimate_of_saturated_opens_past_the_cap(capsys):
+    # Z6 has 6 saturated opens, past a cap of 2**2: their line and the
+    # monoid ideals' give the cap's estimate, as the opens line does
+    assert main(["--max-exhaustive", "2", "analyze", str(MODELS / "catalog.model"), "--object", "Z6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    golden = (GOLDEN / "catalog" / "analyze-Z6.txt").read_text(encoding="utf-8").splitlines()[1:]
+    assert [lines[k] for k in (1, 3, 5)] == ["kind: semiring (6 points, >4 opens)", "saturated opens: >4", "monoid ideals: >4"]
+    assert [lines[k] for k in (0, 2, 4, 6)] == [golden[k] for k in (0, 2, 4, 6)]
+
+
 def test_duality_suite_on_z13_reaches_both_table_caps(tmp_path, capsys):
     # 2**13 opens, whose 2**26-cell tables pass the cap: both records are
     # skipped there, and the pointwise bound before the second one walks
@@ -393,20 +404,27 @@ def test_analyze_counts_the_saturated_opens_without_building_them(monkeypatch, c
         assert all(size <= ideals for size in sizes), (name, sizes, ideals)
 
 
-@pytest.mark.parametrize("name, mode", [("Z4", "semiring"), ("C3L", "semiring"), ("NIL2", "monoid")])
-def test_localic_spectrum_searches_the_points_once(monkeypatch, capsys, name, mode):
-    # radical_frame finds the points of a semiring or lattice; the count
-    # printed is theirs, and a monoid's are searched once in monoid mode
-    calls = []
-    original = pfspec.spectrum.anti_ideals
+def _no_search(*args, **kwargs):
+    raise AssertionError("monotone_search was called")
 
-    def counting(data, quantale, search_mode, *args, **kwargs):
-        calls.append(search_mode)
-        return original(data, quantale, search_mode, *args, **kwargs)
 
-    monkeypatch.setattr(pfspec.spectrum, "anti_ideals", counting)
-    monkeypatch.setattr(pfspec.cli, "anti_ideals", counting)
-    code = main(["spectrum", str(MODELS / "catalog.model"), "--object", name, "--mode", "localic"])
-    golden = GOLDEN / "catalog" / f"spectrum-{name}-localic.txt"
-    assert f"exit {code}\n" + capsys.readouterr().out == golden.read_text(encoding="utf-8")
-    assert calls == [mode]
+@pytest.mark.parametrize("name", ["Z4", "C3L", "NIL2"])
+def test_spectrum_and_points_run_no_search(monkeypatch, capsys, name):
+    # radical_frame and the points command read the points of a semiring,
+    # a lattice or a monoid off the idempotent classes, with no search
+    for module in (pfspec.spectrum, pfspec.quantale, pfspec.suplattice):
+        monkeypatch.setattr(module, "monotone_search", _no_search)
+    for argv, golden in (
+        (["spectrum", "--mode", "localic"], f"spectrum-{name}-localic.txt"),
+        (["points"], f"points-{name}.txt"),
+    ):
+        code = main([*argv, str(MODELS / "catalog.model"), "--object", name])
+        assert f"exit {code}\n" + capsys.readouterr().out == (GOLDEN / "catalog" / golden).read_text(encoding="utf-8")
+
+
+def test_points_run_past_the_search_cap(capsys):
+    # the Omega search on Z6 passes a budget of 2**3 nodes; the points
+    # command reads the same two points off the classes
+    assert main(["--max-exhaustive", "3", "points", str(MODELS / "catalog.model"), "--object", "Z6"]) == 0
+    golden = (GOLDEN / "catalog" / "points-Z6.txt").read_text(encoding="utf-8")
+    assert "exit 0\n" + capsys.readouterr().out == golden

@@ -65,6 +65,7 @@ from pfspec.spectrum import (
     count_saturated_opens,
     dualisability_conditions,
     ideal_quantale,
+    idempotent_points,
     map_of_element,
     monoid_collapse,
     monoid_ideal_quantale,
@@ -75,7 +76,7 @@ from pfspec.spectrum import (
     saturation,
     universal_element,
 )
-from pfspec.suplattice import SupMap, dual_basis, j_evaluator
+from pfspec.suplattice import SupMap, dual_basis, j_evaluator, omega
 from reference import (
     all_posets_up_to_iso,
     close,
@@ -626,6 +627,29 @@ def test_the_ideals_are_listed_as_nextclosure_over_the_fixpoint_loop():
             cells += 1
         assert sorted(_fixed_class_masks(classes, DEFAULT_CAPS)) == sorted(nextclosure_ideals(classes)), data.name
     assert (len(objects), sets, cells) == (1004, 9094, 9663)
+
+
+def test_the_points_are_the_idempotent_classes_on_the_route_guard_family():
+    # idempotent_points against the Omega search it replaced, the same masks
+    # in the same order, on the 2,022 (object, mode) pairs of the family and
+    # on the Scott chain(60), P6 and grid(6,6).  In semiring mode the zero
+    # check drops the whole space from every object, and the sum check
+    # drops more on 21 of the family's objects and on P6 and grid(6,6)
+    omega_valued = frame_quantale(omega())
+    scott = [scott_localic_lattice(lat) for lat in (chain(60), powerset_lattice(6), grid(6, 6))]
+    pairs, sums_bind = 0, Counter()
+    for data in _route_guard_objects() + scott:
+        got = {}
+        for mode in ("semiring", "monoid") if data.has_addition else ("monoid",):
+            searched = anti_ideals(data, omega_valued, mode).maps
+            got[mode] = idempotent_points(data, mode)
+            assert got[mode] == tuple(sum(1 << x for x, v in enumerate(g) if v) for g in searched), (data.name, mode)
+            pairs += 1
+        if data.has_addition:
+            assert data.locale.points.full in set(got["monoid"]) - set(got["semiring"]), data.name
+            sums_bind[data in scott] += len(got["monoid"]) - len(got["semiring"]) > 1
+    assert pairs == 2 * 1004 + 14 + 2 * 3
+    assert (sums_bind[False], sums_bind[True]) == (21, 2)
 
 
 def _search_and_nodes(variables, lat, laws, budget):

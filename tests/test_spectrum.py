@@ -37,7 +37,6 @@ from pfspec.spectrum import (
     is_deflationary,
     map_of_element,
     monoid_ideal_quantale,
-    omega_quantale,
     opens_oracle,
     radical_frame,
     RepresentabilityEntry,
@@ -47,7 +46,7 @@ from pfspec.spectrum import (
     saturation,
     universal_element,
 )
-from pfspec.suplattice import TensorElement, TensorSpace, dual, tensor
+from pfspec.suplattice import TensorElement, TensorSpace, dual, omega, tensor
 from reference import grid, monoid_catalog, pairwise_owc_binop, run_optimized, semiring_catalog
 
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
@@ -621,14 +620,14 @@ def test_universal_element_bi_ideal_connects_to_map_form():
 
 def test_anti_ideals_boolean_singleton():
     data = _semiring_data("B")
-    result = anti_ideals(data, omega_quantale(), "semiring")
+    result = anti_ideals(data, frame_quantale(omega()), "semiring")
     assert len(result.maps) == 1
     assert result.maps[0] == (0, 1)  # the subset {1}
 
 
 def test_anti_ideals_z6_two_points():
     data = _semiring_data("Z6")
-    result = anti_ideals(data, omega_quantale(), "semiring")
+    result = anti_ideals(data, frame_quantale(omega()), "semiring")
     masks = sorted(
         sum(1 << x for x in range(6) if g[x]) for g in result.maps
     )
@@ -658,7 +657,7 @@ def test_anti_ideals_z6_oracle_over_subsets():
         ):
             continue
         oracle.append(mask)
-    result = anti_ideals(data, omega_quantale(), "semiring")
+    result = anti_ideals(data, frame_quantale(omega()), "semiring")
     masks = sorted(sum(1 << x for x in range(6) if g[x]) for g in result.maps)
     assert masks == sorted(oracle)
 
@@ -666,7 +665,7 @@ def test_anti_ideals_z6_oracle_over_subsets():
 def test_anti_ideals_monoid_z2():
     # u = {1} fails since a.a = 1; only the whole monoid qualifies
     data = _monoid_data("Z2")
-    result = anti_ideals(data, omega_quantale(), "monoid")
+    result = anti_ideals(data, frame_quantale(omega()), "monoid")
     assert len(result.maps) == 1
     assert result.maps[0] == (1, 1)
 
@@ -708,6 +707,14 @@ def test_anti_ideals_cap_allows_long_chain():
     assert len(result.points) == 16
 
 
+def test_radical_frame_reads_the_points_past_the_search_cap():
+    # the Omega search on chain(40) passes a budget of 2**9 nodes; the
+    # points are read off the classes, all 40 idempotent, and all but the
+    # zero's give a point, one per meet-irreducible of Rad
+    result = radical_frame(scott_localic_lattice(chain(40)), Caps(max_exhaustive=9))
+    assert (len(result.points), result.radicals.carrier.n) == (39, 40)
+
+
 def test_map_and_mask_representations_agree_exhaustively():
     # enumerate bi-ideals of Q (x) Up(X) two ways on a tiny instance
     s = alex_2chain = build_poset(["b", "t"], [("b", "t")])
@@ -739,7 +746,7 @@ def test_representability_small(name):
 
 def test_representability_counts_b_omega():
     data = _semiring_data("B")
-    report = representability_check(data, [("Omega", omega_quantale())])
+    report = representability_check(data, [("Omega", frame_quantale(omega()))])
     entry = report.semiring_entries[0]
     assert entry.hom_count == entry.member_count == 1
 
