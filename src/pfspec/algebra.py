@@ -282,7 +282,13 @@ class HoloidClasses:
             self.bottom = self.order.down[cls_of[data.zero_point]]
 
     def points(self, class_mask):
-        return sum(self.members[c] for c in bits(class_mask))
+        # ``bits`` inlined: its generator costs more than the fold itself
+        members, out = self.members, 0
+        while class_mask:
+            low = class_mask & -class_mask
+            out |= members[low.bit_length() - 1]
+            class_mask ^= low
+        return out
 
     def up_sets(self, caps):
         """The up-sets of the class order, as class masks; CapExceeded past

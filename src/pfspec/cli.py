@@ -160,7 +160,13 @@ def cmd_analyze(args, caps, out):
         lines.append(f"deflationary: {'yes' if is_deflationary(data) else 'no'}")
         lines.append(f"monoid ideals: {saturated}")
         if data.has_addition:
-            lines.append(f"ideals: {ideal_quantale(data, caps).ideals.carrier.n}")
+            # the cap's size counts ideal sums tried or table cells, not
+            # ideals, so it is printed with what it counts
+            try:
+                ideals = ideal_quantale(data, caps).ideals.carrier.n
+            except CapExceeded as exc:
+                ideals = f"capped ({exc})"
+            lines.append(f"ideals: {ideals}")
     out.write("\n".join(lines) + "\n")
     return 0
 

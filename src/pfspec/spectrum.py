@@ -30,8 +30,11 @@ elements):
   elements that hold x,
 * the points, the Omega-valued prime anti-ideals of the matching kind,
   read off the idempotent classes (``idempotent_points``) and checked
-  against Rad(R).  The universal element reads the laws of
-  ``_anti_ideal_laws``, which omit those every monotone class map obeys.
+  against Rad(R).  The universal element is checked on the laws of
+  ``_anti_ideal_laws`` with multiplicativity read at the generators of the
+  multiplicative monoid (``_prime_at_generators``), and with no closure
+  built; the list itself, which omits the laws every monotone class map
+  obeys, is built only to name a failing law.
 
 For a semiring, the monoid side is built where something reads it, by
 representability and the opens oracle:
@@ -46,7 +49,7 @@ representability and the opens oracle:
   on the class order,
 * representability and dualisability reports; ``universal_element``
   decides the Yoneda instance (the universal element is an anti-ideal into
-  Idl(R)) on the laws ``anti_ideals`` searches with, and
+  Idl(R)) on the laws ``anti_ideals`` searches with, read at generators, and
   ``saturated_replacement`` invariance on the replacement's own classes.
 
 The frame of saturated opens itself (``saturation``) and its dual basis are
@@ -62,7 +65,6 @@ two agree because the principal up-sets are join-prime in an up-set frame).
 """
 
 from collections import namedtuple
-from functools import reduce
 from itertools import chain, combinations_with_replacement, product as iproduct
 
 from .algebra import FiniteCommMonoid, _absorb, to_localic
@@ -173,7 +175,11 @@ def _class_quantale(data, classes, class_masks, caps):
     class down-set is the principal monoid ideal of its points, as checked
     when the classes were built, so (c)(e) = (ce); each member is the join
     of the principal ideals of its maximal classes; and products preserve
-    joins.
+    joins.  So the row of ``classes.mul_t`` of each maximal class c is read
+    as principal ideals once, (c).B is the join of its entries at the
+    maximal classes of B, table lookups only, and A.B the pointwise join of
+    the rows (c).B over the maximal classes c of A; a member with a single
+    maximal class takes its row as it is.
     """
     pts, down = data.locale.points, classes.order.down
     found = sorted(((classes.points(c), c) for c in class_masks), key=lambda mc: (mc[0].bit_count(), mc[0]))
@@ -183,16 +189,24 @@ def _class_quantale(data, classes, class_masks, caps):
     if None in principal:
         raise LawViolation("principal ideals are listed", classes.order.names[principal.index(None)])
     lat = family_lattice(cmasks, (pts.mask_name(m) for m in masks), caps)
-    join, maximals = lat.join_t, [classes.order.maximal(c) for c in cmasks]
+    join, bottom = lat.join_t, lat.bottom
+    maximals = [classes.order.maximal(c) for c in cmasks]
     # (c).B for each maximal class c and each B
-    per_class = {
-        c: [lat.join_iter(principal[classes.mul_t[c][e]] for e in me) for me in maximals]
-        for c in set(chain.from_iterable(maximals))
-    }
-    rows = [
-        reduce(lambda row, c: [join[a][b] for a, b in zip(row, per_class[c])], mc, [lat.bottom] * len(cmasks))
-        for mc in maximals
-    ]
+    per_class = {}
+    for c in set(chain.from_iterable(maximals)):
+        row = [principal[ce] for ce in classes.mul_t[c]]
+        per_class[c] = out = []
+        for me in maximals:
+            v = row[me[0]] if me else bottom
+            for e in me[1:]:
+                v = join[v][row[e]]
+            out.append(v)
+    rows = []
+    for mc in maximals:
+        row = per_class[mc[0]] if mc else [bottom] * len(cmasks)
+        for c in mc[1:]:
+            row = [join[a][b] for a, b in zip(row, per_class[c])]
+        rows.append(row)
     quantale = Quantale(lat, rows, principal[classes.cls_of[data.one_point]])
     return quantale, masks, tuple(principal[c] for c in classes.cls_of)
 
@@ -275,17 +289,21 @@ def _fixed_class_masks(classes, caps):
 def _ideal_witness(data, masks):
     """The first of ``masks`` in (size, mask) order that is not an ideal in
     the definitional sense (a monoid ideal, fixed by ``_absorb``, holding
-    the zero point's closure and closed under sums), or None.  By monotone
-    addition a down-set is closed under sums when it holds v + w for its
-    maximal points v, w."""
+    the zero point's closure and closed under sums), or None.  Every law is
+    read at the maximal points v, w of the mask: it is a down-set when it
+    holds the down-set of each v, and then, by monotone addition, closed
+    under sums when it holds v + w.  Such a down-set is fixed by ``_absorb``
+    when it holds vg for each generator g of the multiplicative monoid: the
+    products v.g1...gk are then members by induction on k, as v.g1 lies
+    below some maximal v' and v.g1.g2 <= v'g2 by monotone multiplication."""
     pts = data.locale.points
-    zero = pts.down[data.zero_point]
+    zero, down, gens = pts.down[data.zero_point], pts.down, data.mul_monoid.generators
 
     def fails(m):
         tops = pts.maximal(m)
         return (
             zero & ~m
-            or _absorb(data, m) != m
+            or any(down[v] & ~m or any(not m >> data.mul_t[v][g] & 1 for g in gens) for v in tops)
             or any(not m >> data.add_t[v][w] & 1 for v in tops for w in tops)
         )
 
@@ -467,24 +485,71 @@ def map_of_element(locale, elem):
 # universal element and the radical frame
 
 
+def _prime_at_generators(data, quantale, g, mode):
+    """Whether the monotone class map ``g`` obeys every law of
+    ``_anti_ideal_laws``, read as ``_checked_universal`` says: the unit, in
+    semiring mode the zero, multiplicativity at the classes of the
+    multiplicative generators, and additivity on every pair of classes, in
+    one loop with no closure built."""
+    classes, q_lat = data.classes, quantale.carrier
+    cls_of, q_mul, q_up = classes.cls_of, quantale.mult_t, q_lat.up
+    if g[cls_of[data.one_point]] != quantale.unit:
+        return False
+    if mode == "semiring" and g[cls_of[data.zero_point]] != q_lat.bottom:
+        return False
+    for c in {cls_of[x] for x in data.mul_monoid.generators}:
+        times = q_mul[g[c]]
+        if [times[v] for v in g] != [g[ce] for ce in classes.mul_t[c]]:
+            return False
+    if mode == "semiring":
+        down = classes.order.down
+        for c, srow in enumerate(classes.sums):
+            joins, out = q_lat.join_t[g[c]], ~down[c]
+            for e in range(c, len(srow)):
+                s = srow[e] & out & ~down[e]
+                while s:
+                    low = s & -s
+                    if not q_up[g[low.bit_length() - 1]] >> joins[g[e]] & 1:
+                        return False
+                    s ^= low
+    return True
+
+
 def _checked_universal(data, quantale, masks, g, mode):
     """The universal element g into the quantic spectrum ``quantale``, whose
     elements have the point masks ``masks``, checked.  Read at one member of
     each class, g must be monotone on the class order, as
-    ``_anti_ideal_laws`` assumes.  Then g(x), the down-set of the class of x
-    by ``_class_quantale``, must be the least element holding the point x,
+    ``_anti_ideal_laws`` assumes; that is read on the lower covers, which
+    generate the order.  Then g(x), the down-set of the class of x by
+    ``_class_quantale``, must be the least element holding the point x,
     found independently as the intersection of the elements that hold x;
     the elements are unions of classes, so g is constant on the classes.
-    Last, g is a prime anti-ideal in ``mode``, by the laws of
-    ``_anti_ideal_laws``.  A failure raises LawViolation naming the two
-    classes, the point, or the classes of the failing law."""
+    Last, g is a prime anti-ideal in ``mode``: ``_prime_at_generators``
+    reads the laws of ``_anti_ideal_laws`` with multiplicativity only at
+    the classes of the generators of the multiplicative monoid.
+
+    Theorem: a monotone map G of classes with G(one) = 1 is multiplicative
+    when G(ce) = G(c)G(e) for each such class c and every class e.  Proof
+    (Light's argument, as in ``algebra._check_comm_monoid``): the classes c
+    with G(ce) = G(c)G(e) for every e hold the class of one, as 1 is the
+    unit, and are closed under the class product: for c and c' among them,
+    G(cc'e) = G(c)G(c'e) = G(c)G(c')G(e) = G(cc')G(e).  The point to class
+    map is an onto monoid map, so the classes of the generators, with that
+    of one, generate the class monoid, and every class is among them.
+
+    When a check fails, its full scan runs: every comparable pair of
+    classes, or every law of ``_anti_ideal_laws`` in order.  So a failure
+    raises LawViolation naming the same two classes, point, or classes of
+    the failing law as the full scans would."""
     classes = data.classes
     names, q_up = classes.order.names, quantale.carrier.up
     on_classes = [g[(m & -m).bit_length() - 1] for m in classes.members]
-    for c, above in enumerate(classes.order.up):
-        for d in bits(above):
-            if not q_up[on_classes[c]] >> on_classes[d] & 1:
-                raise LawViolation("universal element is monotone", (names[c], names[d]))
+    lower_covers = classes.order.search_rows()[1]
+    if not all(q_up[on_classes[c]] >> on_classes[d] & 1 for d, below in enumerate(lower_covers) for c in below):
+        for c, above in enumerate(classes.order.up):
+            for d in bits(above):
+                if not q_up[on_classes[c]] >> on_classes[d] & 1:
+                    raise LawViolation("universal element is monotone", (names[c], names[d]))
     pts = data.locale.points
     pos = {m: k for k, m in enumerate(masks)}
     for x in range(pts.n):
@@ -494,9 +559,10 @@ def _checked_universal(data, quantale, masks, g, mode):
                 least &= m
         if pos.get(least) != g[x]:
             raise LawViolation("universal element is the least ideal at each point", pts.names[x])
-    for name, scope, test in _anti_ideal_laws(data, classes, quantale, mode):
-        if not test(on_classes):
-            raise LawViolation(f"universal element {name}", tuple(names[c] for c in bits(scope)))
+    if not _prime_at_generators(data, quantale, on_classes, mode):
+        for name, scope, test in _anti_ideal_laws(data, classes, quantale, mode):
+            if not test(on_classes):
+                raise LawViolation(f"universal element {name}", tuple(names[c] for c in bits(scope)))
     return g
 
 

@@ -18,8 +18,9 @@ holds:
   pointwise dualisability bound over every down-set;
 * the quotient of a quantale by the congruence that pairs generate;
 * the prime anti-ideal laws and the quantale hom laws with none omitted,
-  the least ideal over a set of holoid classes by a fixpoint loop, and the
-  ideals listed by NextClosure over that loop;
+  the universal element's check and the ideal predicate by their full
+  scans, the least ideal over a set of holoid classes by a fixpoint loop,
+  and the ideals listed by NextClosure over that loop;
 * the law checks of a built input (semiring laws, monotone tables, lattice
   tables, distributivity) as scans over every element, pair and triple, and
   the lattice of a family of masks with its tables read off the family;
@@ -39,7 +40,7 @@ from functools import cache
 from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
-from pfspec.algebra import FiniteCommMonoid, build_discrete_semiring, lattice_semiring
+from pfspec.algebra import FiniteCommMonoid, _absorb, build_discrete_semiring, lattice_semiring
 from pfspec.caps import DEFAULT_CAPS
 from pfspec.catalog import chain
 from pfspec.errors import (
@@ -753,6 +754,54 @@ def full_hom_laws(q1, q2):
     for i, c, a in src.splits():
         laws.append((below[a], lambda g, i=i, c=c, a=a: value(g, a) == tgt.join_t[g[i]][value(g, c)]))
     return laws
+
+
+def literal_checked_universal(data, quantale, masks, g, mode):
+    """``spectrum._checked_universal`` by its full scans: monotone on every
+    comparable pair of classes, the least element at each point, and every
+    law of ``full_anti_ideal_laws`` in order, raising the same LawViolation
+    on the first failure.  On a monotone map the laws that
+    ``spectrum._anti_ideal_laws`` omits never fail, so the first failing law
+    is the same in both lists."""
+    classes = data.classes
+    names, q_up = classes.order.names, quantale.carrier.up
+    on_classes = [g[(m & -m).bit_length() - 1] for m in classes.members]
+    for c, above in enumerate(classes.order.up):
+        for d in bits(above):
+            if not q_up[on_classes[c]] >> on_classes[d] & 1:
+                raise LawViolation("universal element is monotone", (names[c], names[d]))
+    pts = data.locale.points
+    pos = {m: k for k, m in enumerate(masks)}
+    for x in range(pts.n):
+        least = pts.full
+        for m in masks:
+            if m >> x & 1:
+                least &= m
+        if pos.get(least) != g[x]:
+            raise LawViolation("universal element is the least ideal at each point", pts.names[x])
+    for name, scope, test in full_anti_ideal_laws(data, classes, quantale, mode):
+        if not test(on_classes):
+            raise LawViolation(f"universal element {name}", tuple(names[c] for c in bits(scope)))
+    return g
+
+
+def literal_ideal_witness(data, masks):
+    """``spectrum._ideal_witness`` with absorption by ``_absorb``: the first
+    of ``masks`` in (size, mask) order that misses the zero point's
+    closure, is not fixed by ``_absorb`` or misses a sum of two of its
+    maximal points, or None."""
+    pts = data.locale.points
+    zero = pts.down[data.zero_point]
+
+    def fails(m):
+        tops = pts.maximal(m)
+        return (
+            zero & ~m
+            or _absorb(data, m) != m
+            or any(not m >> data.add_t[v][w] & 1 for v in tops for w in tops)
+        )
+
+    return min(filter(fails, masks), key=lambda m: (m.bit_count(), m), default=None)
 
 
 def close(classes, closed, extra):

@@ -358,6 +358,18 @@ def test_analyze_prints_the_estimate_of_saturated_opens_past_the_cap(capsys):
     assert [lines[k] for k in (0, 2, 4, 6)] == [golden[k] for k in (0, 2, 4, 6)]
 
 
+def test_analyze_prints_the_estimate_of_ideals_past_the_cap(capsys):
+    # at a cap of 2**1 the ideal enumeration tries 3 ideal sums: the ideals
+    # line names that estimate, what it counts and the cap, and the run
+    # exits 0, the other lines as past the saturated opens' cap
+    assert main(["--max-exhaustive", "1", "analyze", str(MODELS / "catalog.model"), "--object", "Z6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    golden = (GOLDEN / "catalog" / "analyze-Z6.txt").read_text(encoding="utf-8").splitlines()[1:]
+    assert lines[6] == "ideals: capped (ideal enumeration: size 3 exceeds cap 2)"
+    assert [lines[k] for k in (1, 3, 5)] == ["kind: semiring (6 points, >2 opens)", "saturated opens: >2", "monoid ideals: >2"]
+    assert [lines[k] for k in (0, 2, 4)] == [golden[k] for k in (0, 2, 4)]
+
+
 def test_duality_suite_on_z13_reaches_both_table_caps(tmp_path, capsys):
     # 2**13 opens, whose 2**26-cell tables pass the cap: both records are
     # skipped there, and the pointwise bound before the second one walks

@@ -60,7 +60,10 @@ from pfspec.quantale import (
 from pfspec.spectrum import (
     _absorb,
     _anti_ideal_laws,
+    _checked_universal,
     _fixed_class_masks,
+    _ideal_witness,
+    _prime_at_generators,
     anti_ideals,
     count_saturated_opens,
     dualisability_conditions,
@@ -84,6 +87,8 @@ from reference import (
     full_anti_ideal_laws,
     full_hom_laws,
     grid,
+    literal_checked_universal,
+    literal_ideal_witness,
     literal_monotone,
     literal_pointwise_bound,
     literal_semiring_laws,
@@ -692,6 +697,122 @@ def test_the_omitted_anti_ideal_laws_never_prune_the_search():
                 searches += 1
     assert searches == len(catalog) * (2 * (82 + 909 + 9 + 4) + 8 + 6)
     assert omitted > 0
+
+
+def _quantic_sides(data):
+    """(mode, quantale, point masks, universal map) for each mode of
+    ``data``: Idl(R) in semiring mode, for a semiring, and MM(R) in monoid
+    mode."""
+    mi = monoid_ideal_quantale(data)
+    sides = [("monoid", mi.monoid_ideals, mi.ideal_masks, mi.universal_map)]
+    if data.has_addition:
+        iq = ideal_quantale(data)
+        sides.insert(0, ("semiring", iq.ideals, iq.ideal_masks, iq.universal_map))
+    return sides
+
+
+def _one_class_changes(order, lat, on_classes):
+    """Each (c, v, monotone) with v a value other than ``on_classes[c]`` at
+    the class c: the bottom, the top, and at most four values that keep the
+    map monotone, those between the join of the map below c and the meet of
+    the map above c."""
+    changes = []
+    for c, value in enumerate(on_classes):
+        floor = lat.join_iter(on_classes[d] for d in bits(order.down[c] ^ 1 << c))
+        ceiling = lat.meet_iter(on_classes[d] for d in bits(order.up[c] ^ 1 << c))
+        between = [v for v in bits(lat.up[floor] & lat.down[ceiling]) if v != value][:4]
+        changes += [(c, v, True) for v in between]
+        changes += [(c, v, False) for v in {lat.bottom, lat.top} - {value, *between}]
+    return changes
+
+
+def _law_of(outcome):
+    """The law of a LawViolation's ``outcome``, or None for a pass."""
+    return outcome and outcome[1].partition(" violated at")[0]
+
+
+def test_the_universal_element_check_on_generators_agrees_with_the_full_scans():
+    # _checked_universal against literal_checked_universal, its checks by
+    # their full scans, in both modes of the 1,018 objects of the
+    # route-guard family: on the universal map, on each one-class change of
+    # it, and on the universal map into the frame on Idl(R)'s carrier where
+    # that carrier is distributive and Idl(R) is not that frame.  A change
+    # fails at monotonicity or at the least element, before the laws, so
+    # the laws are also compared alone: _prime_at_generators against every
+    # law of full_anti_ideal_laws, on the universal class map and its
+    # monotone one-class changes
+    checks, laws = Counter(), Counter()
+    for data in _route_guard_objects():
+        classes = data.classes
+        for mode, q, masks, g in _quantic_sides(data):
+            quantales = [q]
+            if mode == "semiring" and not q.is_frame() and not q.carrier.splits():
+                quantales.append(frame_quantale(q.carrier))
+            for quantale in quantales:
+                expected = outcome(literal_checked_universal, data, quantale, masks, g, mode)
+                assert outcome(_checked_universal, data, quantale, masks, g, mode) == expected, (data.name, mode)
+                checks["universal" if quantale is q else "into the frame", _law_of(expected)] += 1
+            full = [test for _, _, test in full_anti_ideal_laws(data, classes, q, mode)]
+            on_classes = [g[(m & -m).bit_length() - 1] for m in classes.members]
+            changes = _one_class_changes(classes.order, q.carrier, on_classes)
+            for c, v, monotone in [(None, None, True)] + changes:
+                changed, on_changed = list(g), list(on_classes)
+                if c is not None:
+                    on_changed[c] = v
+                    for x in bits(classes.members[c]):
+                        changed[x] = v
+                    args = (data, q, masks, tuple(changed), mode)
+                    expected = outcome(literal_checked_universal, *args)
+                    assert outcome(_checked_universal, *args) == expected, (data.name, mode, c, v)
+                    checks["change", _law_of(expected)] += 1
+                if monotone:
+                    held = all(test(on_changed) for test in full)
+                    assert _prime_at_generators(data, q, on_changed, mode) == held, (data.name, mode, c, v)
+                    laws[held] += 1
+    assert checks == {
+        ("universal", None): 2022,
+        ("into the frame", "universal element multiplicativity"): 249,
+        ("change", "universal element is monotone"): 4694,
+        ("change", "universal element is the least ideal at each point"): 8802,
+    }
+    assert laws == {True: 6237, False: 4578}
+
+
+def test_the_ideal_predicate_on_generators_is_the_absorption_predicate():
+    # _ideal_witness reads absorption at the multiplicative generators and
+    # down-closure at the maximal points: against the _absorb predicate of
+    # literal_ideal_witness on every down-set of the class order of each
+    # semiring of the route-guard family, pulled back to the points, and on
+    # every set of points of those with at most 6 points, one at a time and
+    # as one list
+    checked = rejected = 0
+    for data in filter(lambda data: data.has_addition, _route_guard_objects()):
+        classes, n = data.classes, data.locale.points.n
+        masks = [classes.points(d) for d in classes.order.down_sets()]
+        if n <= 6:
+            masks += range(1 << n)
+        for m in masks:
+            expected = literal_ideal_witness(data, [m])
+            assert _ideal_witness(data, [m]) == expected, (data.name, m)
+            rejected += expected is not None
+        assert _ideal_witness(data, masks) == literal_ideal_witness(data, masks), data.name
+        checked += len(masks)
+    assert (checked, rejected) == (19811, 13994)
+
+
+def test_radical_frame_builds_no_anti_ideal_law_closures(monkeypatch):
+    # the universal element's check builds the law list of the search only
+    # when a law fails: with that list refused, radical_frame passes on the
+    # route-guard family, the catalogs and models/ among it, and on the
+    # Scott inputs of the benchmark's ladder and chain(60), P6 and grid(6,6)
+    def refuse(*args):
+        raise AssertionError("the universal element built the anti-ideal law closures")
+
+    monkeypatch.setattr(pfspec.spectrum, "_anti_ideal_laws", refuse)
+    lattices = (powerset_lattice(3), powerset_lattice(4), grid(4, 4), grid(2, 8), chain(16))
+    lattices += (chain(60), powerset_lattice(6), grid(6, 6))
+    for data in _route_guard_objects() + [scott_localic_lattice(lat) for lat in lattices]:
+        radical_frame(data)
 
 
 def test_the_omitted_hom_laws_never_prune_the_search():
