@@ -256,7 +256,7 @@ class HoloidClasses:
     least ideal over a set of classes is the join of the class down-sets of
     its maximal classes, the principal ideals: Idl(R) reads that join off
     its listing, and ``ideal_sum``, the join of two ideals, needs no
-    fixpoint loop.
+    fixpoint loop and no points: it is read on the sum rows alone.
     """
 
     def __init__(self, data):
@@ -267,7 +267,7 @@ class HoloidClasses:
         for x, c in enumerate(cls_of):
             members[c] |= 1 << x
         self.members = tuple(members)
-        self.point_order = pts = data.locale.points
+        pts = data.locale.points
         for x, c in enumerate(self.cls_of):
             if self.points(self.order.down[c]) != _absorb(data, pts.down[x]):
                 raise LawViolation("holoid classes give the principal monoid ideals", pts.names[x])
@@ -304,15 +304,13 @@ class HoloidClasses:
         ``union``: the class down-closure of I + J, which holds I | J (both
         hold 0) and, as addition is monotone, is closed under sums and
         products, so no fixpoint loop is needed.  It is read on the sum rows
-        ``sums[c][e]`` of c in I and e in J outside I, at maximal points
-        only: x + y <= x' + y' for x' maximal in I above x and y' maximal in
-        J outside I above y."""
-        pts, cls_of = self.point_order, self.cls_of
-        tops = {cls_of[x] for x in pts.maximal(self.points(union & ~ideal))}
-        grown = 0
-        for c in {cls_of[x] for x in pts.maximal(self.points(ideal))}:
-            for e in tops:
-                grown |= self.sums[c][e]
+        ``sums[e][c]`` of e in J outside I and c in I: a sum of two members
+        of I stays in I, and one of two members of J in J."""
+        sums, grown = self.sums, 0
+        for e in bits(union & ~ideal):
+            row = sums[e]
+            for c in bits(ideal):
+                grown |= row[c]
         return union | self.order.down_closure(grown)
 
 

@@ -12,6 +12,7 @@ from collections import namedtuple
 
 from .algebra import lattice_semiring, scott_localic_lattice, to_localic
 from .caps import DEFAULT_CAPS
+from .errors import CapExceeded
 from .iso import find_lattice_iso, find_poset_iso
 from .locale import locale_from_frame
 from .order import bits
@@ -22,10 +23,14 @@ from .spectrum import radical_frame
 # discrete semirings: the classical ideal/radical/prime sets
 
 
-def semiring_ideals(semiring):
+def semiring_ideals(semiring, caps=DEFAULT_CAPS):
     """All ideals of a discrete commutative semiring, as element bitmasks:
-    subsets containing 0, closed under + and under multiplication by R."""
-    n = semiring.n
+    subsets containing 0, closed under + and under multiplication by R.
+    All 2**|R| subsets are tried, so CapExceeded is raised before any is
+    when they are more than ``caps.search_budget()``."""
+    n, budget = semiring.n, caps.search_budget()
+    if 1 << n > budget:
+        raise CapExceeded("ideal subset enumeration", 1 << n, budget)
     out = []
     for mask in range(1 << n):
         if not mask >> semiring.zero & 1:
@@ -82,24 +87,17 @@ def radical_of(semiring, i_mask):
     return out
 
 
-def radical_ideals(semiring):
-    return sorted(m for m in semiring_ideals(semiring) if radical_of(semiring, m) == m)
+def radical_ideals(semiring, ideals):
+    """The radical ideals among ``ideals``."""
+    return [m for m in ideals if radical_of(semiring, m) == m]
 
 
-def prime_ideals(semiring):
-    """Proper ideals with xy in P implying x in P or y in P."""
-    out = []
-    for mask in semiring_ideals(semiring):
-        if mask >> semiring.one & 1:
-            continue
-        if all(
-            mask >> semiring.mul(x, y) & 1
-            <= (mask >> x & 1 | mask >> y & 1)
-            for x in range(semiring.n)
-            for y in range(semiring.n)
-        ):
-            out.append(mask)
-    return sorted(out)
+def prime_ideals(semiring, ideals):
+    """The proper ideals among ``ideals`` with xy in P implying x in P or y
+    in P."""
+    pairs = [(x, y, semiring.mul(x, y)) for x in range(semiring.n) for y in range(semiring.n)]
+    prime = lambda m: all(m >> xy & 1 <= (m >> x | m >> y) & 1 for x, y, xy in pairs)
+    return [m for m in ideals if not m >> semiring.one & 1 and prime(m)]
 
 
 class ZariskiComparison(
@@ -123,10 +121,11 @@ def zariski_compare(semiring, caps=DEFAULT_CAPS, name=""):
     """Confront the pipeline with the brute-force ideal theory of a discrete
     semiring: the elements of Idl(R) must be exactly the semiring ideals
     (with matching multiplication), the elements of Rad(R) the radical
-    ideals, and the points the complements of the prime ideals."""
-    data = to_localic(semiring, name=name)
-    result = radical_frame(data, caps)
-    ideals = semiring_ideals(semiring)
+    ideals, and the points the complements of the prime ideals.  The ideals
+    are enumerated once, under ``caps``, before the pipeline runs, and the
+    radicals and primes are read off that list."""
+    ideals = semiring_ideals(semiring, caps)
+    result = radical_frame(to_localic(semiring, name=name), caps)
     ideals_match = sorted(result.ideal_data.ideal_masks) == ideals
     mask_to_idx = {m: i for i, m in enumerate(result.ideal_data.ideal_masks)}
     mult_ok = True
@@ -137,20 +136,19 @@ def zariski_compare(semiring, caps=DEFAULT_CAPS, name=""):
             ]
             if got != ideal_product(semiring, mi, mj):
                 mult_ok = False
-    radicals = radical_ideals(semiring)
+    radicals = radical_ideals(semiring, ideals)
     rad_masks = sorted(
         result.ideal_data.ideal_masks[_fixed_rep(result, q)]
         for q in range(result.radicals.carrier.n)
     )
     radicals_match = rad_masks == radicals
     full = (1 << semiring.n) - 1
-    points_match = sorted(result.points) == sorted(
-        full ^ p for p in prime_ideals(semiring)
-    )
+    primes = prime_ideals(semiring, ideals)
+    points_match = sorted(result.points) == sorted(full ^ p for p in primes)
     return ZariskiComparison(
         len(ideals),
         len(radicals),
-        len(prime_ideals(semiring)),
+        len(primes),
         ideals_match,
         mult_ok,
         radicals_match,
@@ -168,11 +166,16 @@ def _fixed_rep(result, quotient_index):
 # distributive lattices as semirings: the Stone spectrum
 
 
-def prime_filters(lat):
+def prime_filters(lat, caps=DEFAULT_CAPS):
     """Nonempty proper up-sets closed under meets with x v y in F implying
-    x in F or y in F."""
+    x in F or y in F.  The up-sets are listed under ``caps``: CapExceeded
+    past ``caps.search_budget()`` of them."""
+    budget = caps.search_budget()
+    ups = lat.up_sets(limit=budget)
+    if ups is None:
+        raise CapExceeded("up-set enumeration", f">{budget}", budget)
     out = []
-    for mask in lat.up_sets():
+    for mask in ups:
         elems = list(bits(mask))
         if not elems or mask >> lat.bottom & 1:
             continue
@@ -213,7 +216,7 @@ def stone_compare(lat, caps=DEFAULT_CAPS, name=""):
     expected = [lat.down[a] for a in range(lat.n)]
     principal_match = sorted(result.ideal_data.ideal_masks) == sorted(expected)
     order_match = find_lattice_iso(result.ideals.carrier, lat) is not None
-    points_ok = sorted(result.points) == prime_filters(lat)
+    points_ok = sorted(result.points) == prime_filters(lat, caps)
     return StoneComparison(
         principal_match and order_match, len(result.points), points_ok
     )

@@ -229,29 +229,17 @@ def least_nucleus(quantale, forcings):
 
 
 def localic_reflection(quantale):
-    """Universal frame quotient of a two-sided quantale: the least nucleus
-    with a <= j(a*a) for all a, the closure onto the semiprime p, where
-    a*a <= p implies a <= p for each a in J (so for all a, as products
-    preserve joins).  A fixed point is semiprime, as a <= j(a*a) <= p; the
-    semiprimes are meet-closed and closed under c -> p, as
-    (xc)(xc) <= (xx)c for c <= top = unit.
-
-    When every element is semiprime the nucleus is the identity, and the
-    reflection is the quantale itself with the identity hom: a <= a*a <= a
-    for every a, so the product is idempotent, and the quantale is a frame.
-    Otherwise it is the quotient by the nucleus.  Either way ``is_frame``
-    confirms the answer.
-    """
+    """Universal frame quotient of a two-sided quantale, by its definition:
+    the quotient by the least nucleus with a <= j(a*a), forced on J as
+    products preserve joins, checked to be a frame.  Its fixed points are
+    the semiprime p, where a*a <= p implies a <= p: a fixed p is, as
+    a <= j(a*a) <= p, and a semiprime p is fixed, as (ac)(ac) <= (aa)c for
+    c <= top = unit.  ``spectrum.radical_frame`` reads them off its
+    listing; this is its test oracle."""
     if not quantale.two_sided:
         raise NotTwoSided("localic reflection needs a two-sided quantale")
-    lat = quantale.carrier
-    bad = 0
-    for p in lat.join_irreducibles():
-        bad |= lat.up[quantale.mul(p, p)] & ~lat.up[p]
-    if bad:
-        quotient, surjection = quotient_by_nucleus(quantale, Nucleus(quantale, lat.full & ~bad))
-    else:
-        quotient, surjection = quantale, QuantaleHom(quantale, quantale, range(lat.n))
+    squares = [(p, quantale.mul(p, p)) for p in quantale.carrier.join_irreducibles()]
+    quotient, surjection = quotient_by_nucleus(quantale, least_nucleus(quantale, squares))
     if not quotient.is_frame():
         raise LawViolation("localic reflection is a frame", repr(quotient))
     return quotient, surjection

@@ -23,7 +23,7 @@ elements):
   both, and with A.B the join of the principal ideals (ce) of the class
   products; for a monoid the quantale MM(R) of monoid ideals, the unions of
   class down-sets, with the class product,
-* its localic reflection Rad(R),
+* its localic reflection Rad(R), the semiprime elements of the listing,
 * the universal element, one formula for both kinds: x -> the down-set of
   its class, which is the least (monoid) ideal holding x.  It is checked
   monotone on the classes and against the intersection of the listed
@@ -78,12 +78,7 @@ from .order import (
     inclusion_up_sets,
     monotone_search,
 )
-from .quantale import (
-    Quantale,
-    QuantaleHom,
-    enumerate_homs,
-    localic_reflection,
-)
+from .quantale import Quantale, QuantaleHom, enumerate_homs, frame_quantale
 from .suplattice import (
     SupMap,
     TensorElement,
@@ -445,7 +440,7 @@ def idempotent_points(data, mode):
     the product is monotone, the product p of F is in F and below each member:
     F = up(p), p <= pp <= p.  Conversely, xy >= p iff x, y >= p, as pp = p
     and xy <= x.  Additivity binds only outside F, a down-set of points, so
-    at its maximal points (as in ``HoloidClasses.ideal_sum``).  This is the
+    at its maximal points, as addition is monotone.  This is the
     finite semilattice decomposition of a commutative semigroup (Tamura and
     Kimura 1954; Clifford and Preston 1961)."""
     classes, pts = data.classes, data.locale.points
@@ -582,7 +577,6 @@ SpectrumResult = namedtuple(
         "ideal_data",  # IdealQuantaleData or MonoidIdealData
         "ideals",  # the quantic spectrum, Idl(R) or MM(R)
         "radicals",  # Rad(R), a frame
-        "radical_quotient",  # ideals ->> Rad(R), a QuantaleHom
         "universal_map",
         "points",  # open masks of the prime anti-ideals
         "point_poset",  # a FinitePoset
@@ -601,10 +595,17 @@ def radical_frame(data, caps=DEFAULT_CAPS):
     ``_checked_universal`` in the matching mode.  For a semiring no table
     here is larger than Idl(R), whatever the number of saturated opens.
 
+    Rad(R), the localic reflection, is the frame of the semiprime p, with
+    a*a <= p implying a <= p (``quantale.localic_reflection``).  Each element
+    is a join of principal ideals and (x)(x) = (x*x), so they are the listed
+    masks that hold x whenever they hold x*x.  If all are, Rad(R) is the
+    quantic spectrum, checked to be a frame.
+
     The points, read off the idempotent classes (``idempotent_points``),
     are checked against Rad(R): a finite frame's points are its meet-prime
-    p, the anti-ideal of p is {x : rho(g(x)) not <= p}, and the lists must
-    agree, or LawViolation names a point on one side only."""
+    p, the anti-ideal of p is {x : g(x) not <= p} (Rad(R) is the closure's
+    image), and the lists must agree, or LawViolation names a point on one
+    side only."""
     if data.has_addition:
         ideal_data, mode = ideal_quantale(data, caps), "semiring"
         quantic, g = ideal_data.ideals, universal_element(data, ideal_data)
@@ -612,13 +613,21 @@ def radical_frame(data, caps=DEFAULT_CAPS):
         ideal_data, mode = monoid_ideal_quantale(data, caps), "monoid"
         quantic = ideal_data.monoid_ideals
         g = _checked_universal(data, quantic, ideal_data.ideal_masks, ideal_data.universal_map, mode)
-    radicals, rho = localic_reflection(quantic)
-    masks, pts, rad = idempotent_points(data, mode), data.locale.points, radicals.carrier
-    rho_g = [rho(v) for v in g]
+    listed, pts = ideal_data.ideal_masks, data.locale.points
+    squares = [(x, row[x]) for x, row in enumerate(data.mul_t) if row[x] != x]
+    kept = [m for m in listed if all(m >> x & 1 or not m >> xx & 1 for x, xx in squares)]
+    if len(kept) < len(listed):
+        radicals = frame_quantale(family_lattice(kept, map(pts.mask_name, kept), caps))
+    elif quantic.is_frame():
+        radicals = quantic
+    else:
+        raise LawViolation("localic reflection is a frame", repr(quantic))
+    masks, rad = idempotent_points(data, mode), radicals.carrier
+    held = [listed[v] for v in g]
     # in a frame the meet-primes are the meet-irreducibles, the elements
     # that are not the meet of the elements strictly above them
     from_primes = sorted(
-        sum(1 << x for x in range(pts.n) if not rad.leq(rho_g[x], p))
+        sum(1 << x for x, h in enumerate(held) if h & ~kept[p])
         for p in range(rad.n)
         if rad.meet_iter(bits(rad.up[p] ^ 1 << p)) != p
     )
@@ -629,7 +638,7 @@ def radical_frame(data, caps=DEFAULT_CAPS):
             witness = max(from_primes, key=from_primes.count)
         raise LawViolation("points of Rad(R) are the prime anti-ideals", pts.mask_name(witness))
     point_poset = FinitePoset([pts.mask_name(m) for m in masks], inclusion_up_sets(masks))
-    return SpectrumResult(data, ideal_data, quantic, radicals, rho, g, masks, point_poset)
+    return SpectrumResult(data, ideal_data, quantic, radicals, g, masks, point_poset)
 
 
 # ---------------------------------------------------------------------------

@@ -311,23 +311,20 @@ def dual(lat, caps=DEFAULT_CAPS):
     order: element c encodes the map a -> (a <= c is false).
 
     Returns (dual lattice, pairing) where pairing(c, a) gives the truth
-    value.  When the carrier is small enough the bijection with the actual
-    set of SupMaps L -> Omega, as ``all_supmaps`` lists them, is
-    re-verified.
+    value.  The bijection with the actual set of SupMaps L -> Omega, as
+    ``all_supmaps`` lists them under ``caps``, is re-verified; for a
+    distributive L its search on J tries about |L| maps.
     """
     op = lat.opposite()
 
     def pairing(c, a):
         return OMEGA_FALSE if lat.leq(a, c) else OMEGA_TRUE
 
-    if (1 << lat.n) * lat.n * lat.n <= caps.search_budget() * 16:
-        encodings = {
-            tuple(pairing(c, a) for a in range(lat.n)) for c in range(lat.n)
-        }
-        supmaps = {f.values for f in all_supmaps(lat, omega())}
-        if supmaps != encodings:
-            witness = min(supmaps ^ encodings)
-            raise LawViolation("dual encoding exhausts hom(L, Omega)", witness)
+    encodings = {tuple(pairing(c, a) for a in range(lat.n)) for c in range(lat.n)}
+    supmaps = {f.values for f in all_supmaps(lat, omega(), caps)}
+    if supmaps != encodings:
+        witness = min(supmaps ^ encodings)
+        raise LawViolation("dual encoding exhausts hom(L, Omega)", witness)
     return op, pairing
 
 

@@ -4,6 +4,7 @@ check, in the pipeline or in the opens oracle, reported as a FAIL record,
 and ``analyze`` on a locale whose opens are too many to tabulate."""
 
 import sys
+import time
 from collections import Counter
 from copy import copy
 from pathlib import Path
@@ -380,6 +381,19 @@ def test_duality_suite_on_z13_reaches_both_table_caps(tmp_path, capsys):
         f"[duality] Z13: monoid ideals are the dual of the saturated opens ... {skipped}",
         f"[duality] Z13: dualisability conditions agree ... {skipped}",
     ]
+
+
+def test_oracles_suite_skips_the_subsets_past_the_cap_before_any_work(tmp_path, capsys):
+    # 2**17 subsets of Z/17 pass the default budget of 2**16: the record is
+    # skipped before the pipeline or the brute force runs, and only
+    # --strict-caps fails on it
+    path = str(_zmod_model(tmp_path, 17))
+    start = time.perf_counter()
+    assert main(["verify", "--suite", "oracles", path]) == 0
+    assert time.perf_counter() - start < 1.0
+    skipped = "SKIPPED (cap: ideal subset enumeration: size 131072 exceeds cap 65536)"
+    assert capsys.readouterr().out.splitlines()[1] == f"[oracles] Z17: zariski brute force matches the pipeline ... {skipped}"
+    assert main(["verify", "--strict-caps", "--suite", "oracles", path]) == 1
 
 
 def _refuse(*args, **kwargs):

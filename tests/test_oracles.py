@@ -17,7 +17,7 @@ from pfspec.algebra import (
     scott_localic_lattice,
     to_localic,
 )
-from pfspec.caps import DEFAULT_CAPS
+from pfspec.caps import DEFAULT_CAPS, Caps
 from pfspec.catalog import chain, powerset_lattice, quantale_catalog
 from pfspec.cli import _localic_data
 from pfspec.errors import CapExceeded, CycleError, LawViolation, NotJoinPreserving, NotMonotone
@@ -107,9 +107,10 @@ MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.mode
 
 def test_zariski_z4_counts():
     s = dict(semiring_catalog())["Z4"]
-    assert len(semiring_ideals(s)) == 3
-    assert len(radical_ideals(s)) == 2
-    assert len(prime_ideals(s)) == 1
+    ideals = semiring_ideals(s)
+    assert len(ideals) == 3
+    assert len(radical_ideals(s, ideals)) == 2
+    assert len(prime_ideals(s, ideals)) == 1
     assert zariski_compare(s).ok()
 
 
@@ -136,6 +137,15 @@ def test_prime_filters_are_principal_on_square():
     lat = powerset_lattice(2)
     a, b = lat.index("{1}"), lat.index("{2}")
     assert sorted(prime_filters(lat)) == sorted([lat.up[a], lat.up[b]])
+
+
+def test_prime_filters_list_the_up_sets_under_the_cap():
+    # P3 has 20 up-sets, P6 7,828,354: the listing stops past the budget
+    assert len(prime_filters(powerset_lattice(3), Caps(max_exhaustive=5))) == 3
+    with pytest.raises(CapExceeded):
+        prime_filters(powerset_lattice(3), Caps(max_exhaustive=4))
+    with pytest.raises(CapExceeded):
+        prime_filters(powerset_lattice(6))
 
 
 def _scott_frame_compare(poset):
@@ -1226,23 +1236,23 @@ def test_least_closure_matches_the_all_pairs_repair():
 
 
 def test_localic_reflection_is_the_least_nucleus_under_squares():
-    # the closure onto the semiprime elements, read on J, against the least
-    # nucleus with a <= j(a*a) for every a; every pipeline quantale is
-    # two-sided.  The reflection is the quantale itself exactly when every
-    # element p is semiprime (a*a <= p implies a <= p), and both cases occur
+    # the least nucleus forced on J, against the one forced at every a with
+    # a <= j(a*a), and its fixed points against the semiprime elements
+    # (a*a <= p implies a <= p); every pipeline quantale is two-sided, and
+    # the reflection is proper on some of them only
     quantales = [q for q in _pipeline_quantales() if q.two_sided]
     assert len(quantales) == 301
-    paths = Counter()
+    proper = 0
     for q in quantales:
         radicals, rho = localic_reflection(q)
         lat = q.carrier
-        semiprime = all(lat.leq(a, p) for p in range(lat.n) for a in range(lat.n) if lat.leq(q.mul(a, a), p))
-        assert (radicals is q) == semiprime, q
-        paths[semiprime] += 1
         nucleus = least_nucleus(q, [(a, q.mul(a, a)) for a in range(lat.n)])
         fixed = nucleus.fixed_points()
         assert [fixed[k] for k in rho.values] == list(nucleus.values), q
-    assert paths[True] > 0 and paths[False] > 0, paths
+        semiprime = [p for p in range(lat.n) if all(lat.leq(a, p) for a in range(lat.n) if lat.leq(q.mul(a, a), p))]
+        assert list(fixed) == semiprime, q
+        proper += radicals.carrier.n < lat.n
+    assert 0 < proper < len(quantales), proper
 
 
 def test_map_checks_on_generators_agree_with_all_pairs():
@@ -1568,10 +1578,6 @@ def test_radical_frame_of_scott_p5_builds_nothing_larger_than_idl(monkeypatch):
     )
     validate = Quantale.validate
     monkeypatch.setattr(Quantale, "validate", lambda q: sizes.append(q.carrier.n) or validate(q))
-    nucleus = pfspec.quantale.least_nucleus
-    monkeypatch.setattr(
-        pfspec.quantale, "least_nucleus", lambda q, f: sizes.append(q.carrier.n) or nucleus(q, f)
-    )
     result = radical_frame(scott_localic_lattice(powerset_lattice(5)))
     assert (result.ideals.carrier.n, result.radicals.carrier.n, len(result.points)) == (32, 32, 5)
     assert sizes and max(sizes) == 32
@@ -1612,6 +1618,66 @@ def test_both_localic_spectra_are_the_radical_class_sets():
     objects = _catalog_and_small_objects() + [data for path in MODELS for data in _model_objects(path)]
     with_addition = sum(map(_assert_reflections_fix_the_radical_class_sets, objects))
     assert (with_addition, len(objects)) == (91, 105)
+
+
+@cache
+def _radical_guard_objects():
+    """The route-guard family in both modes, the multiplicative monoid of
+    each of its semirings added, and the five fixed Scott inputs of the
+    benchmark's ladder."""
+    objects = _route_guard_objects()
+    monoids = [LocalicSemiringData(d.locale, d.mul_monoid, f"mul {d.name}") for d in objects if d.has_addition]
+    lattices = (powerset_lattice(3), powerset_lattice(4), grid(4, 4), grid(2, 8), chain(16))
+    return tuple(objects + monoids + [scott_localic_lattice(lat) for lat in lattices])
+
+
+def test_rad_is_read_off_the_listing_with_no_nucleus(monkeypatch):
+    # Rad(R) read off the ideal listing has the names and covers of the
+    # localic reflection by the least nucleus; it is the quantic spectrum
+    # itself exactly when every element is semiprime, on 1,524 of the 2,027
+    # objects.  Then radical_frame gives the same Rad(R), points and
+    # universal element with every nucleus and quotient route refused
+    objects = _radical_guard_objects()
+    expected, paths = [], Counter()
+    for data in objects:
+        result = radical_frame(data)
+        q, rad = result.ideals, result.radicals.carrier
+        reflection = localic_reflection(q)[0].carrier
+        assert (rad.names, rad.covers()) == (reflection.names, reflection.covers()), data.name
+        lat = q.carrier
+        semiprime = all(lat.leq(a, p) for p in range(lat.n) for a in range(lat.n) if lat.leq(q.mul(a, a), p))
+        assert (result.radicals is q) == semiprime, data.name
+        paths[semiprime] += 1
+        expected.append((rad.names, rad.covers(), result.points, result.universal_map))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("radical_frame built a nucleus or a quotient")
+
+    for name in ("localic_reflection", "least_nucleus", "quotient_by_nucleus"):
+        monkeypatch.setattr(pfspec.quantale, name, refuse)
+    monkeypatch.setattr(Nucleus, "__init__", refuse)
+    monkeypatch.setattr(QuantaleHom, "__init__", refuse)
+    for data, want in zip(objects, expected):
+        result = radical_frame(data)
+        rad = result.radicals.carrier
+        assert (rad.names, rad.covers(), result.points, result.universal_map) == want, data.name
+    assert len(objects) == 1018 + 1004 + 5
+    assert (paths[True], paths[False]) == (1524, 503)
+
+
+def test_rad_is_spatial_on_its_points():
+    # a finite frame is spatial (Johnstone, Stone Spaces, II.1): sending
+    # each element of Rad(R) to the points u it meets, the prime ideals
+    # (complements of u) that do not hold it, is one-to-one and preserves
+    # and reflects the order, whichever route listed Rad(R) and its points
+    for data in _radical_guard_objects():
+        result = radical_frame(data)
+        rad, names = result.radicals.carrier, result.ideals.carrier.names
+        masks = [result.ideal_data.ideal_masks[names.index(name)] for name in rad.names]
+        meets = [sum(1 << k for k, u in enumerate(result.points) if u & m) for m in masks]
+        assert len(set(meets)) == rad.n, data.name
+        for a, b in product(range(rad.n), repeat=2):
+            assert rad.leq(a, b) == (meets[a] & ~meets[b] == 0), (data.name, rad.names[a], rad.names[b])
 
 
 def _monoid_objects():

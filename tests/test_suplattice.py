@@ -388,14 +388,14 @@ def _omega_supmaps_by_all_functions(lat):
 
 
 def test_kernel_search_matches_all_functions(monkeypatch):
-    # every lattice on at most 7 elements and the catalog lattices; each is
-    # small enough for ``dual`` to check its encoding against all_supmaps
+    # every lattice on at most 7 elements and the catalog lattices; ``dual``
+    # checks its encoding against all_supmaps on each, under its caps
     lattices = SMALL_LATTICES + CATALOG + [grid(2, 3)]
     calls = []
     monkeypatch.setattr(
         pfspec.suplattice,
         "all_supmaps",
-        lambda lat, target: calls.append(lat) or all_supmaps(lat, target),
+        lambda lat, target, caps: calls.append(lat) or all_supmaps(lat, target, caps),
     )
     for lat in lattices:
         expected = _omega_supmaps_by_all_functions(lat)
@@ -403,6 +403,24 @@ def test_kernel_search_matches_all_functions(monkeypatch):
         op, pairing = dual(lat)
         assert {tuple(pairing(c, a) for a in range(lat.n)) for c in range(op.n)} == expected
     assert calls == lattices
+
+
+def test_dual_checks_its_encoding_on_every_lattice_under_the_callers_caps(monkeypatch):
+    # P5 is past the size gate dual once had ((2**32) * 32**2 > 16 * 2**16),
+    # under which it skipped its check with no record; the check runs there
+    # now, under the caps it is given
+    lat = powerset_lattice(5)
+    calls = []
+    monkeypatch.setattr(
+        pfspec.suplattice,
+        "all_supmaps",
+        lambda lat, target, caps: calls.append(caps) or all_supmaps(lat, target, caps),
+    )
+    caps = Caps(max_exhaustive=8)
+    dual(lat, caps)
+    assert calls == [caps]
+    with pytest.raises(CapExceeded):
+        dual(lat, Caps(max_exhaustive=2))
 
 
 def test_all_supmaps_matches_the_literal_enumeration():
