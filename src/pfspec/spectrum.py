@@ -53,14 +53,16 @@ representability and the opens oracle:
   ``saturated_replacement`` invariance on the replacement's own classes.
 
 The frame of saturated opens itself (``saturation``) and its dual basis are
-built only by ``dualisability_conditions`` and ``opens_oracle``.  Elements
-of Q (x) O X are worked with as monotone maps X -> Q.  Every check that needs
-the opens themselves sits in ``opens_oracle``, which builds them under the
-caps: the overtness and counit laws, saturation as a closure on the opens,
-the duality of MM(R) with the saturated frame (the unit, the complements of
-the saturated opens, and the bi-ideal form of the universal element carried
-from the dual basis, a TensorElement, cross-checked with the map form; the
-two agree because the principal up-sets are join-prime in an up-set frame).
+built only by ``dualisability_conditions`` and ``opens_oracle``, the dual
+lattice only by ``opens_oracle`` (the basis's unit), and no dual basis of
+the opens at all.  Elements of Q (x) O X are worked with as monotone maps
+X -> Q.  Every check that needs the opens themselves sits in
+``opens_oracle``, which builds them under the caps: the overtness and
+counit laws, saturation as a closure on the opens, the duality of MM(R)
+with the saturated frame (the unit, the complements of the saturated opens,
+and the bi-ideal form of the universal element carried from the dual basis,
+a TensorElement, cross-checked with the map form; the two agree because the
+principal up-sets are join-prime in an up-set frame).
 ``pfspec verify`` and the tests run it.
 """
 
@@ -86,6 +88,7 @@ from .suplattice import (
     dual_basis,
     j_evaluator,
     omega,
+    supercontinuity_witness,
 )
 
 
@@ -747,7 +750,7 @@ def opens_oracle(data, caps=DEFAULT_CAPS):
     if full ^ mi.ideal_masks[mm.unit] != sat.sat_masks[saturated.bottom]:
         raise LawViolation("monoid-ideal/saturated duality", mm.carrier.names[mm.unit])
 
-    _, duality = dual_basis(saturated, caps)
+    basis = dual_basis(saturated, caps)
     if data.has_addition:
         # the principal monoid ideals collapse onto the class route's
         # universal element
@@ -760,7 +763,7 @@ def opens_oracle(data, caps=DEFAULT_CAPS):
     else:
         q, collapse, g = mm, (lambda k: k), mi.universal_map
     mm_pos = {m: k for k, m in enumerate(mi.ideal_masks)}
-    universal = duality.unit_element.map_through(
+    universal = basis.unit_element.map_through(
         (lambda c: collapse(mm_pos[full ^ sat.sat_masks[c]]), embed),
         TensorSpace((q.carrier, opens)),
     )
@@ -909,7 +912,9 @@ def dualisability_conditions(data, caps=DEFAULT_CAPS):
     is the join of pi(down x) over the points x of u, and the bound is
     walked over opens and points, never over the down-sets.  The family
     condition uses the dual-basis families (irreducible saturated opens
-    paired with the complements of their dual encodings).
+    paired with the complements of their dual encodings).  The opens are
+    supercontinuous when ``supercontinuity_witness``, the test of
+    ``dual_basis``, finds no witness; no dual basis of them is built.
     On finite carriers all three hold whenever they are well-posed; the
     value is that each is computed from its own definition.
     """
@@ -933,7 +938,7 @@ def dualisability_conditions(data, caps=DEFAULT_CAPS):
             pointwise_bound = False
             break
     try:
-        basis, _ = dual_basis(sat.saturated, caps)
+        basis = dual_basis(sat.saturated, caps)
         basis_exists = True
     except NotSupercontinuous:
         basis_exists = False
@@ -951,11 +956,7 @@ def dualisability_conditions(data, caps=DEFAULT_CAPS):
             if rebuilt != s_mask:
                 family_reconstructs = False
                 break
-    try:
-        dual_basis(loc.opens, caps)
-        opens_supercontinuous = True
-    except NotSupercontinuous:
-        opens_supercontinuous = False
+    opens_supercontinuous = supercontinuity_witness(loc.opens) is None
     report = DualisabilityReport(
         basis_exists, family_reconstructs, pointwise_bound, opens_supercontinuous
     )

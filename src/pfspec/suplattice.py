@@ -4,7 +4,8 @@ A finite suplattice is a complete lattice whose morphisms (SupMap) preserve
 all joins.  The tensor product L (x) M is carried by the bi-ideals of the
 product carrier: subsets that are down-closed and closed under joins in each
 coordinate with the others fixed.  The unit is the two-element lattice Omega.
-The dual hom(L, Omega) is L with the opposite order.
+The dual hom(L, Omega) is L with the opposite order, built only where it is
+read: ``DualBasis.unit_element`` builds ``lat.opposite()``, ``dual`` does not.
 
 A SupMap is fixed by its values on the join-irreducibles J of its source, a
 monotone map on J: ``j_evaluator`` reads it at every element, and
@@ -307,25 +308,26 @@ def tensor(factors, caps=DEFAULT_CAPS):
 
 
 def dual(lat, caps=DEFAULT_CAPS):
-    """The dual suplattice hom(L, Omega), realized as L with the opposite
+    """The pairing of L with its dual hom(L, Omega), L with the opposite
     order: element c encodes the map a -> (a <= c is false).
 
-    Returns (dual lattice, pairing) where pairing(c, a) gives the truth
-    value.  The bijection with the actual set of SupMaps L -> Omega, as
-    ``all_supmaps`` lists them under ``caps``, is re-verified; for a
-    distributive L its search on J tries about |L| maps.
+    Returns pairing, where pairing(c, a) gives the truth value.  The
+    bijection with the SupMaps L -> Omega that ``all_supmaps`` lists under
+    ``caps`` is re-verified on masks: c encodes the complement of its
+    down-set, a map the elements it sends to true; a failure names the least
+    value tuple on one side only.  For a distributive L the search on J
+    tries about |L| maps.
     """
-    op = lat.opposite()
 
     def pairing(c, a):
         return OMEGA_FALSE if lat.leq(a, c) else OMEGA_TRUE
 
-    encodings = {tuple(pairing(c, a) for a in range(lat.n)) for c in range(lat.n)}
-    supmaps = {f.values for f in all_supmaps(lat, omega(), caps)}
+    encodings = {lat.full & ~lat.down[c] for c in range(lat.n)}
+    supmaps = {sum(v << a for a, v in enumerate(f.values)) for f in all_supmaps(lat, omega(), caps)}
     if supmaps != encodings:
-        witness = min(supmaps ^ encodings)
+        witness = min(tuple(m >> a & 1 for a in range(lat.n)) for m in supmaps ^ encodings)
         raise LawViolation("dual encoding exhausts hom(L, Omega)", witness)
-    return op, pairing
+    return pairing
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +372,13 @@ def supercontinuity_witness(lat):
 class DualBasis:
     """Families (r_x) in L and (sigma_x) in hom(L, Omega), indexed by the
     join-irreducibles, reconstructing every element as
-    a = join of sigma_x(a) * r_x."""
+    a = join of sigma_x(a) * r_x, with sigma_x encoded by an element c_x.
+
+    The unit of the duality between L and its dual, L with the opposite
+    order, is the bi-ideal of dual (x) L generated by the basis pairs
+    (c_p, p); the counit is the pairing of ``dual``.  The dual lattice and
+    the unit's closure cost |L|^2 each, so ``unit_element`` builds both on
+    first access."""
 
     def __init__(self, lattice, irreducibles, sigma_encodings):
         self.lattice = lattice
@@ -392,30 +400,15 @@ class DualBasis:
             if self.sigma(k, a) == OMEGA_TRUE
         )
 
-
-class DualityData:
-    """The unit of the duality between L and its dual; the counit is the
-    pairing that ``dual`` returns, and both triangle identities are checked
-    elementwise.
-
-    The unit is the bi-ideal of dual (x) L generated by the basis pairs
-    (c_p, p).  Closing it costs a pass over |L|^2 tuples, so it is built on
-    first access; the triangle identities are read off the basis pairs and
-    checked by ``dual_basis`` before it returns."""
-
-    def __init__(self, lattice, dual_lattice, unit_pairs):
-        self.lattice = lattice
-        self.dual_lattice = dual_lattice
-        self.unit_pairs = tuple(unit_pairs)  # (encoding, irreducible) generators
-
     @cached_property
     def unit_element(self):
         """The unit as a TensorElement in dual (x) L."""
-        return TensorSpace((self.dual_lattice, self.lattice)).element(self.unit_pairs)
+        space = TensorSpace((self.lattice.opposite(), self.lattice))
+        return space.element(zip(self.sigma_encodings, self.irreducibles))
 
 
 def dual_basis(lat, caps=DEFAULT_CAPS):
-    """Construct a dual basis for ``lat`` or raise NotSupercontinuous.
+    """Construct the dual basis of ``lat`` or raise NotSupercontinuous.
 
     The basis is indexed by join-irreducibles p with r_p = p and
     sigma_p(a) = [p <= a]; sigma_p is encoded by the dual element
@@ -423,8 +416,8 @@ def dual_basis(lat, caps=DEFAULT_CAPS):
     p is join-prime.  Success is decided by the totally-below relation, and
     both triangle identities are verified pointwise before returning: the
     one that wires through L is the reconstruction a = join of the p with
-    sigma_p(a) true, the other is checked on the encodings.  The unit
-    bi-ideal is closed only when ``DualityData.unit_element`` is read.
+    sigma_p(a) true, the other is checked on the encodings.  No dual lattice
+    is built here; ``DualBasis.unit_element`` builds it and the unit.
     """
     w = supercontinuity_witness(lat)
     if w is not None:
@@ -440,8 +433,7 @@ def dual_basis(lat, caps=DEFAULT_CAPS):
     for a in range(lat.n):
         if basis.reconstruct(a) != a:
             raise LawViolation("dual basis reconstructs", lat.names[a])
-    dual_lat, pairing = dual(lat, caps)
-    data = DualityData(lat, dual_lat, zip(encodings, ji))
+    pairing = dual(lat, caps)
     # triangle 2: (dual (x) ev)(unit (x) sigma) = sigma; joins in the dual
     # are meets of the encodings
     for c in range(lat.n):
@@ -452,4 +444,4 @@ def dual_basis(lat, caps=DEFAULT_CAPS):
         )
         if got != c:
             raise LawViolation("triangle identity (wire through the dual)", lat.names[c])
-    return basis, data
+    return basis

@@ -640,10 +640,10 @@ def owc(locale):
         if core != sub.downset:
             raise LawViolation("down-set to meets-map and back", repr(sub))
         seen.add(values)
-    dual_lat, pairing = dual(locale.opens)
+    pairing = dual(locale.opens)
     for c in range(locale.opens.n):
         if tuple(pairing(c, a) for a in range(locale.opens.n)) not in seen:
-            raise LawViolation("every SupMap opens -> Omega is a meets-map", dual_lat.names[c])
+            raise LawViolation("every SupMap opens -> Omega is a meets-map", locale.opens.names[c])
     return lat, sublocales
 
 

@@ -20,7 +20,7 @@ from pfspec.algebra import (
 from pfspec.caps import DEFAULT_CAPS, Caps
 from pfspec.catalog import chain, powerset_lattice, quantale_catalog
 from pfspec.cli import _localic_data
-from pfspec.errors import CapExceeded, CycleError, LawViolation, NotJoinPreserving, NotMonotone
+from pfspec.errors import CapExceeded, CycleError, LawViolation, NotJoinPreserving, NotMonotone, NotSupercontinuous
 from pfspec.iso import find_poset_iso
 from pfspec.locale import locale_from_frame
 from pfspec.modelfile import LatticeBlock, MonoidBlock, SemiringBlock, parse_model, realize
@@ -36,6 +36,7 @@ from pfspec.oracles import (
 )
 from pfspec.order import (
     FinitePoset,
+    Lattice,
     bits,
     build_poset,
     downset_lattice,
@@ -79,7 +80,7 @@ from pfspec.spectrum import (
     saturation,
     universal_element,
 )
-from pfspec.suplattice import SupMap, dual_basis, j_evaluator, omega
+from pfspec.suplattice import SupMap, dual_basis, j_evaluator, omega, supercontinuity_witness
 from reference import (
     all_posets_up_to_iso,
     close,
@@ -287,6 +288,57 @@ def test_the_pointwise_bound_matches_the_walk_over_every_down_set():
     objects += [scott_localic_lattice(lat) for lat in (chain(5), powerset_lattice(3), grid(2, 3))]
     for data in objects:
         assert dualisability_conditions(data).pointwise_bound == literal_pointwise_bound(data), data.name
+
+
+def _catalog_and_model_objects():
+    """The 13 catalog monoids and semirings and the model-file objects."""
+    objects = [to_localic(m, name=name) for name, m in monoid_catalog()]
+    objects += [to_localic(s, name=name) for name, s in semiring_catalog()]
+    return objects + [data for path in MODELS for data in _model_objects(path)]
+
+
+def test_the_opens_have_a_dual_basis_exactly_when_supercontinuous():
+    # dualisability_conditions reads the opens' supercontinuity off the
+    # totally-below relation alone, so the dual basis of the opens, with
+    # every check it runs (join-primeness, reconstruction, the encoding
+    # through ``dual`` and triangle 2), is built here on the catalogs,
+    # models/ and Scott lattices up to P4
+    objects = _catalog_and_model_objects()
+    objects += [scott_localic_lattice(lat) for lat in (chain(5), powerset_lattice(3), grid(3, 3), powerset_lattice(4))]
+    for data in objects:
+        opens = data.locale.opens
+        try:
+            dual_basis(opens)
+            built = True
+        except NotSupercontinuous:
+            built = False
+        assert built == (supercontinuity_witness(opens) is None), data.name
+        assert dualisability_conditions(data).opens_supercontinuous == built, data.name
+
+
+def test_dual_lattices_are_built_only_where_they_are_read(monkeypatch):
+    # neither ``dual`` nor ``dual_basis`` builds an opposite lattice; the
+    # dualisability conditions build the saturated frame's basis and none
+    # of the opens, and the opens oracle builds one opposite, the dual
+    # factor of that basis's unit element
+    built, bases = [], []
+    opposite, basis_of = Lattice.opposite, pfspec.spectrum.dual_basis
+    monkeypatch.setattr(Lattice, "opposite", lambda lat: built.append((lat, opposite(lat))) or built[-1][1])
+    monkeypatch.setattr(
+        pfspec.spectrum, "dual_basis", lambda lat, caps: bases.append(basis_of(lat, caps)) or bases[-1]
+    )
+    for data in _catalog_and_model_objects():
+        saturated = saturation(data).saturated
+        dualisability_conditions(data)
+        assert built == [] and len(bases) == 1 and bases[0].lattice is saturated, data.name
+        dual_basis(data.locale.opens)
+        assert built == [], data.name
+        bases.clear()
+        opens_oracle(data)
+        assert len(built) == 1 and built[0][0] is saturated, data.name
+        assert built[0][1] is bases[0].unit_element.space.factors[0], data.name
+        built.clear()
+        bases.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -1727,7 +1779,7 @@ def _dual_basis_monoid_map(data, mi):
     irreducible saturated opens containing x (the complements of their dual
     encodings)."""
     sat = saturation(data)
-    basis, _ = dual_basis(sat.saturated)
+    basis = dual_basis(sat.saturated)
     full = data.locale.points.full
     mm_pos = {m: k for k, m in enumerate(mi.ideal_masks)}
     pieces = [

@@ -1,6 +1,7 @@
 """Tensor products, duals, totally-below, dual bases."""
 
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import pfspec.suplattice
 from pfspec.caps import Caps
 from pfspec.catalog import chain, powerset_lattice
-from pfspec.errors import CapExceeded, NotSupercontinuous
+from pfspec.errors import CapExceeded, LawViolation, NotSupercontinuous
 from pfspec.iso import find_lattice_iso
 from pfspec.order import build_poset, is_distributive, lattice_structure, upset_lattice
 from pfspec.suplattice import (
@@ -210,13 +211,13 @@ def test_universal_property_counts():
 
 
 def test_dual_omega_self():
-    d, pairing = dual(omega())
-    assert find_lattice_iso(d, omega()) is not None
+    dual(omega())
+    assert find_lattice_iso(omega().opposite(), omega()) is not None
 
 
 def test_dual_powerset_is_complement():
     p2 = powerset_lattice(2)
-    d, pairing = dual(p2)
+    pairing = dual(p2)
     # the encoding c represents a -> [a not<= c], which is membership tests
     # against the complement; element index equals its subset mask by
     # construction
@@ -247,7 +248,7 @@ def test_supmap_count_c3_to_omega():
 def test_dual_roundtrip_encoding():
     # c encodes a SupMap L -> Omega whose kernel has join c
     for lat in CATALOG:
-        d, pairing = dual(lat)
+        pairing = dual(lat)
         for c in range(lat.n):
             h = SupMap(lat, omega(), [pairing(c, a) for a in range(lat.n)])
             assert lat.join_iter(a for a in range(lat.n) if h(a) == OMEGA_FALSE) == c
@@ -325,7 +326,7 @@ def test_totally_below_exhaustive_cap():
 
 def test_dual_basis_powerset_atoms():
     p2 = powerset_lattice(2)
-    basis, data = dual_basis(p2)
+    basis = dual_basis(p2)
     assert [p2.names[p] for p in basis.irreducibles] == ["{1}", "{2}"]
     for k, p in enumerate(basis.irreducibles):
         for a in range(p2.n):
@@ -334,7 +335,7 @@ def test_dual_basis_powerset_atoms():
 
 def test_dual_basis_c3_reconstructs():
     c3 = chain(3)
-    basis, data = dual_basis(c3)
+    basis = dual_basis(c3)
     assert [c3.names[p] for p in basis.irreducibles] == ["m", "1"]
     for a in range(3):
         assert basis.reconstruct(a) == a
@@ -400,8 +401,8 @@ def test_kernel_search_matches_all_functions(monkeypatch):
     for lat in lattices:
         expected = _omega_supmaps_by_all_functions(lat)
         assert {f.values for f in all_supmaps(lat, omega())} == expected, lat.names
-        op, pairing = dual(lat)
-        assert {tuple(pairing(c, a) for a in range(lat.n)) for c in range(op.n)} == expected
+        pairing = dual(lat)
+        assert {tuple(pairing(c, a) for a in range(lat.n)) for c in range(lat.n)} == expected
     assert calls == lattices
 
 
@@ -421,6 +422,31 @@ def test_dual_checks_its_encoding_on_every_lattice_under_the_callers_caps(monkey
     assert calls == [caps]
     with pytest.raises(CapExceeded):
         dual(lat, Caps(max_exhaustive=2))
+
+
+@pytest.mark.parametrize(
+    "lat,drop,add,witness",
+    [
+        (chain(3), (0, 1, 1), None, (0, 1, 1)),
+        (powerset_lattice(2), (0, 1, 0, 1), None, (0, 1, 0, 1)),
+        (chain(3), None, (0, 1, 0), (0, 1, 0)),
+        (powerset_lattice(2), None, (0, 0, 0, 1), (0, 0, 0, 1)),
+        (chain(3), (0, 0, 1), (0, 1, 0), (0, 0, 1)),
+    ],
+    ids=["C3-drop", "P2-drop", "C3-add", "P2-add", "C3-both"],
+)
+def test_dual_names_the_least_map_listed_on_one_side_only(monkeypatch, lat, drop, add, witness):
+    # a map missing from all_supmaps, or one listed there that no element
+    # encodes, fails the encoding check, which names the least value tuple
+    # of the two sets' difference
+    found = all_supmaps(lat, omega())
+    assert drop is None or drop in [f.values for f in found]
+    assert add is None or add not in [f.values for f in found]
+    listed = [f for f in found if f.values != drop] + ([SimpleNamespace(values=add)] if add else [])
+    monkeypatch.setattr(pfspec.suplattice, "all_supmaps", lambda source, target, caps: listed)
+    with pytest.raises(LawViolation) as exc:
+        dual(lat)
+    assert (exc.value.law, exc.value.witness) == ("dual encoding exhausts hom(L, Omega)", witness)
 
 
 def test_all_supmaps_matches_the_literal_enumeration():
@@ -462,15 +488,16 @@ def test_duality_unit_element_parity():
     # the unit element's bi-ideal contains exactly the pairs (c, a) bounded
     # by some basis pair
     c3 = chain(3)
-    basis, data = dual_basis(c3)
-    space = data.unit_element.space
-    for idx in data.unit_element.members():
+    basis = dual_basis(c3)
+    space = basis.unit_element.space
+    dual_lattice = space.factors[0]
+    for idx in basis.unit_element.members():
         c, a = space.tuple_of(idx)
         dominated = any(
-            (data.lattice.leq(a, p) and data.dual_lattice.leq(c, enc))
+            (basis.lattice.leq(a, p) and dual_lattice.leq(c, enc))
             for p, enc in zip(basis.irreducibles, basis.sigma_encodings)
         )
-        assert dominated or a == c3.bottom or c == data.dual_lattice.bottom
+        assert dominated or a == c3.bottom or c == dual_lattice.bottom
 
 
 _THREE_FACTOR_AS_MAP = """
