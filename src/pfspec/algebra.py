@@ -282,12 +282,9 @@ class HoloidClasses:
             self.bottom = self.order.down[cls_of[data.zero_point]]
 
     def points(self, class_mask):
-        # ``bits`` inlined: its generator costs more than the fold itself
         members, out = self.members, 0
-        while class_mask:
-            low = class_mask & -class_mask
-            out |= members[low.bit_length() - 1]
-            class_mask ^= low
+        for c in bits(class_mask):
+            out |= members[c]
         return out
 
     def up_sets(self, caps):

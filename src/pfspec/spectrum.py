@@ -293,17 +293,24 @@ def _ideal_witness(data, masks):
     under sums when it holds v + w.  Such a down-set is fixed by ``_absorb``
     when it holds vg for each generator g of the multiplicative monoid: the
     products v.g1...gk are then members by induction on k, as v.g1 lies
-    below some maximal v' and v.g1.g2 <= v'g2 by monotone multiplication."""
+    below some maximal v' and v.g1.g2 <= v'g2 by monotone multiplication.
+    The laws are folded into one mask, the points they need, and the mask
+    fails when the fold leaves it: that is when one of the laws fails."""
     pts = data.locale.points
     zero, down, gens = pts.down[data.zero_point], pts.down, data.mul_monoid.generators
+    mul_t, add_t = data.mul_t, data.add_t
 
     def fails(m):
         tops = pts.maximal(m)
-        return (
-            zero & ~m
-            or any(down[v] & ~m or any(not m >> data.mul_t[v][g] & 1 for g in gens) for v in tops)
-            or any(not m >> data.add_t[v][w] & 1 for v in tops for w in tops)
-        )
+        need = zero
+        for v in tops:
+            times, plus = mul_t[v], add_t[v]
+            need |= down[v]
+            for g in gens:
+                need |= 1 << times[g]
+            for w in tops:
+                need |= 1 << plus[w]
+        return need & ~m
 
     return min(filter(fails, masks), key=lambda m: (m.bit_count(), m), default=None)
 
@@ -450,12 +457,21 @@ def idempotent_points(data, mode):
     order, cls_of = classes.order, classes.cls_of
 
     def is_point(p):
+        # the sums of the top classes, ORed, leave ``out`` iff one of them does
         out = order.full & ~order.up[p]
+        if not out >> cls_of[data.zero_point] & 1:
+            return False
         tops = {cls_of[x] for x in pts.maximal(classes.points(out))}
-        return out >> cls_of[data.zero_point] & 1 and not any(classes.sums[c][e] & ~out for c in tops for e in tops)
+        summed = 0
+        for c in tops:
+            row = classes.sums[c]
+            for e in tops:
+                summed |= row[e]
+        return not summed & ~out
 
     ups = [order.up[p] for p in range(order.n) if classes.mul_t[p][p] == p and (mode == "monoid" or is_point(p))]
-    return tuple(sorted(map(classes.points, ups), key=lambda m: [m >> x & 1 for x in range(pts.n)]))
+    # the n binary digits of m, bit 0 first, sort as the list of its n bits
+    return tuple(sorted(map(classes.points, ups), key=lambda m: format(m, f"0{pts.n}b")[::-1]))
 
 
 def element_of_map(quantale, locale, g):
@@ -504,12 +520,9 @@ def _prime_at_generators(data, quantale, g, mode):
         for c, srow in enumerate(classes.sums):
             joins, out = q_lat.join_t[g[c]], ~down[c]
             for e in range(c, len(srow)):
-                s = srow[e] & out & ~down[e]
-                while s:
-                    low = s & -s
-                    if not q_up[g[low.bit_length() - 1]] >> joins[g[e]] & 1:
+                for s in bits(srow[e] & out & ~down[e]):
+                    if not q_up[g[s]] >> joins[g[e]] & 1:
                         return False
-                    s ^= low
     return True
 
 
@@ -550,12 +563,13 @@ def _checked_universal(data, quantale, masks, g, mode):
                     raise LawViolation("universal element is monotone", (names[c], names[d]))
     pts = data.locale.points
     pos = {m: k for k, m in enumerate(masks)}
+    # one pass over the members of each element, not a test of every pair
+    least = [pts.full] * pts.n
+    for m in masks:
+        for x in bits(m):
+            least[x] &= m
     for x in range(pts.n):
-        least = pts.full
-        for m in masks:
-            if m >> x & 1:
-                least &= m
-        if pos.get(least) != g[x]:
+        if pos.get(least[x]) != g[x]:
             raise LawViolation("universal element is the least ideal at each point", pts.names[x])
     if not _prime_at_generators(data, quantale, on_classes, mode):
         for name, scope, test in _anti_ideal_laws(data, classes, quantale, mode):

@@ -24,6 +24,7 @@ holds:
 * the law checks of a built input (semiring laws, monotone tables, lattice
   tables, distributivity) as scans over every element, pair and triple, and
   the lattice of a family of masks with its tables read off the family;
+* the set bits of a mask, one lowest bit at a time;
 * the canonical printer of the model-file grammar, and a runner for scripts
   under ``python -O``.
 
@@ -927,6 +928,15 @@ def _literal_comm_monoid(names, unit, table, law):
     for a, b, c in product(range(n), repeat=3):
         if table[table[a][b]][c] != table[a][table[b][c]]:
             raise LawViolation(f"{law} associativity", (names[a], names[b], names[c]))
+
+
+def literal_bits(mask):
+    """Yield the indices of the set bits of ``mask``, lowest first, one
+    lowest bit at a time: ``order.bits`` by its definition."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def literal_monotone(pts, table, law):

@@ -131,6 +131,47 @@ def test_no_recursive_defs(path):
     assert self_calls(path.read_text(encoding="utf-8")) == []
 
 
+def bit_walks(source):
+    """(line, name) for each ``while`` loop that calls ``.bit_length()``,
+    with the name of the innermost def around it (None at module level):
+    a walk over the set bits of a mask."""
+    tree = ast.parse(source)
+    owner = {}
+    # ast.walk goes breadth first, so an inner def overwrites its outer one
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, func.name) for node in ast.walk(func) if isinstance(node, ast.While))
+    return sorted(
+        (loop.lineno, owner.get(loop))
+        for loop in ast.walk(tree)
+        if isinstance(loop, ast.While)
+        and any(isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "bit_length" for call in ast.walk(loop))
+    )
+
+
+def test_bit_walks_finds_each_loop_over_low_bits():
+    source = (
+        "def bits(m):\n    while m:\n        low = m & -m\n        m ^= low\n        low.bit_length()\n\n\n"
+        "def points(m):\n    def walk(m):\n        while m:\n            m ^= 1 << (m & -m).bit_length() - 1\n"
+        "    return walk(m)\n\n\n"
+        "def lowest(m):\n    return (m & -m).bit_length()\n\n\n"
+        "def halve(m):\n    while m:\n        m >>= 1\n"
+    )
+    assert bit_walks(source) == [(2, "bits"), (10, "walk")]
+
+
+def test_bits_is_the_one_set_bit_walker():
+    # every other walk over set bits goes through order.bits, which reads
+    # them off its byte tables below 2**16
+    walks = [
+        (path.stem, line, name)
+        for path in MODULES
+        for line, name in bit_walks(path.read_text(encoding="utf-8"))
+        if (path.stem, name) != ("order", "bits")
+    ]
+    assert walks == []
+
+
 def identifiers(source, strings=False):
     """How often ``source`` names each identifier in its code: a read or
     bound ``ast.Name`` or the attribute of an ``ast.Attribute``, and with

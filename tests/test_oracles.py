@@ -719,6 +719,20 @@ def test_the_points_are_the_idempotent_classes_on_the_route_guard_family():
     assert (sums_bind[False], sums_bind[True]) == (21, 2)
 
 
+def test_j_below_is_its_definition_on_the_lattices_tier_one_builds():
+    # bit k of below[a] is set iff the k-th join-irreducible is <= a, on
+    # fresh copies of the catalog quantales' carriers, P2 to P6, grid(3,3)
+    # and Idl(R) over the route-guard family
+    lattices = [q.carrier for _, q in quantale_catalog()] + [powerset_lattice(n) for n in range(2, 7)]
+    lattices += [grid(3, 3)]
+    lattices += [ideal_quantale(data).ideals.carrier for data in _route_guard_objects() if data.has_addition]
+    for lat in lattices:
+        lat = Lattice(lat.names, lat.up)
+        ji = lat.join_irreducibles()
+        assert lat.j_below() == tuple(sum(1 << k for k, p in enumerate(ji) if lat.leq(p, a)) for a in range(lat.n))
+    assert len(lattices) == 8 + 5 + 1 + 1004
+
+
 def _search_and_nodes(variables, lat, laws, budget):
     """The outcome of ``monotone_search`` under ``laws`` (``_search_outcome``)
     and the nodes it tried, counted by a law on each variable that is judged

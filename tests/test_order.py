@@ -32,6 +32,7 @@ from reference import (
     all_posets_up_to_iso,
     diamond_m3,
     grid,
+    literal_bits,
     literal_family_lattice,
     literal_is_distributive,
     literal_lattice_structure,
@@ -39,6 +40,29 @@ from reference import (
     pentagon_n5,
     small_lattices,
 )
+
+
+def test_bits_reads_every_mask_below_two_to_the_seventeen_as_its_definition():
+    # one table lookup below 2**8, two below 2**16, and the first masks past
+    # the tables; the result is a tuple, so it can be walked twice
+    for m in range(1 << 17):
+        assert bits(m) == tuple(literal_bits(m)), m
+    walked = bits(0b1011 << 14)
+    assert list(walked) == list(walked) == [14, 15, 17]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.sets(st.integers(0, 1099), max_size=12).map(lambda xs: sum(1 << x for x in xs)),
+        st.integers(0, 1100).flatmap(lambda w: st.integers(0, (1 << w) - 1)),
+        st.integers(0, 1100).map(lambda w: (1 << w) - 1),
+    )
+)
+def test_bits_reads_wide_masks_as_its_definition(mask):
+    # sparse masks of up to 12 bits, random and full ones of up to 1,100 bits
+    walked = bits(mask)
+    assert walked == tuple(literal_bits(mask)) and list(walked) == list(walked)
 
 
 def test_build_poset_two_chain_closure():
